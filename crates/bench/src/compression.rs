@@ -23,7 +23,8 @@
 use coconet_compress::WireFormat;
 use coconet_core::{CollAlgo, CollKind, CommConfig, DType, Protocol, ReduceOp};
 use coconet_runtime::{
-    all_reduce_wire, ring_all_reduce_wire_bytes, run_ranks, top_k_all_reduce_wire_bytes, Group,
+    all_reduce_wire_striped, ring_all_reduce_wire_bytes, run_ranks, top_k_all_reduce_wire_bytes,
+    Group,
 };
 use coconet_sim::Simulator;
 use coconet_tensor::Tensor;
@@ -176,7 +177,7 @@ pub fn compression_ledger_bench(elems: usize, ranks: usize) -> CompressionLedger
         let mut bytes = [0u64; 3];
         for (slot, format) in bytes.iter_mut().zip(formats) {
             comm.reset_ledger();
-            let out = all_reduce_wire(
+            let out = all_reduce_wire_striped(
                 &comm,
                 group,
                 &input,
@@ -185,6 +186,7 @@ pub fn compression_ledger_bench(elems: usize, ranks: usize) -> CompressionLedger
                 0,
                 format,
                 None,
+                1,
             );
             assert_eq!(out.numel(), elems);
             *slot = comm.ledger().bytes_sent;

@@ -364,6 +364,8 @@ fn timed_run(sched: CommSched) -> (f64, Vec<Tensor>, BytesLedger, Vec<u64>) {
                         group,
                         &g.expect("backward produced it"),
                         ReduceOp::Sum,
+                        WireFormat::Dense,
+                        1,
                     );
                     apply_update(&mut params[l], &reduced);
                 }
@@ -379,7 +381,8 @@ fn timed_run(sched: CommSched) -> (f64, Vec<Tensor>, BytesLedger, Vec<u64>) {
                 move |l, iter, p| local_grad(l, iter, rank, p),
                 |_, p, g| apply_update(p, g),
             );
-            (exec.params(), exec.completion_log().to_vec())
+            let log: Vec<u64> = exec.completion_events().iter().map(|c| c.id).collect();
+            (exec.params(), log)
         };
         let wall = start.elapsed();
         assert!(sink.is_finite());

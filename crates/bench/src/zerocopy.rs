@@ -13,10 +13,11 @@
 //! - `ledger_allreduce` — the [`BytesLedger`] of the same run against
 //!   the analytic ring volume, proving the wire traffic is exactly
 //!   `2·(p−1)/p·n·dtype_size` per rank and the only materializations
-//!   are the reduction's chunk detaches plus the output buffer.
+//!   are the reduction's fused-fold buffers plus the output buffer.
 
 use std::time::{Duration, Instant};
 
+use coconet_compress::WireFormat;
 use coconet_runtime::{
     chunk_range, ring_all_reduce, ring_all_reduce_wire_bytes, run_ranks, BytesLedger, Group,
     RankComm,
@@ -70,9 +71,10 @@ impl ZeroCopyRow {
         self.deep_copy_s / self.zero_copy_s
     }
 
-    /// The copy-on-write bytes a minimal ring AllReduce must
-    /// materialize: the `(p−1)/p` chunk detaches of the reduction.
-    pub fn expected_cow_bytes(&self) -> u64 {
+    /// The bytes a minimal ring AllReduce must materialize while
+    /// reducing: one fresh fused-fold buffer per reduce-scatter hop,
+    /// `(p−1)/p` of the tensor in all.
+    pub fn expected_fold_bytes(&self) -> u64 {
         ((self.ranks - 1) * (self.elems / self.ranks) * DType::F32.size_bytes()) as u64
     }
 
@@ -86,20 +88,19 @@ impl ZeroCopyRow {
                 self.ledger.bytes_sent, self.analytic_bytes
             ));
         }
-        if self.ledger.cow_bytes != self.expected_cow_bytes() {
+        if self.ledger.cow_bytes != 0 {
             v.push(format!(
-                "ring AllReduce copied {} bytes on write, the reduction needs exactly {}",
-                self.ledger.cow_bytes,
-                self.expected_cow_bytes()
+                "ring AllReduce copied {} bytes on write, the fused folds need none",
+                self.ledger.cow_bytes
             ));
         }
-        // The reduction's detaches plus exactly one output buffer.
+        // The reduction's fold buffers plus exactly one output buffer.
         let out_bytes = (self.elems * DType::F32.size_bytes()) as u64;
-        if self.ledger.bytes_allocated != self.expected_cow_bytes() + out_bytes {
+        if self.ledger.bytes_allocated != self.expected_fold_bytes() + out_bytes {
             v.push(format!(
-                "ring AllReduce allocated {} bytes, expected {} (chunk detaches + output)",
+                "ring AllReduce allocated {} bytes, expected {} (fold buffers + output)",
                 self.ledger.bytes_allocated,
-                self.expected_cow_bytes() + out_bytes
+                self.expected_fold_bytes() + out_bytes
             ));
         }
         v
@@ -147,7 +148,7 @@ fn timed_run(elems: usize, ranks: usize, deep: bool) -> (f64, BytesLedger) {
         let out = if deep {
             deep_copy_ring_all_reduce(&comm, group, &input, ReduceOp::Sum)
         } else {
-            ring_all_reduce(&comm, group, &input, ReduceOp::Sum)
+            ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1)
         };
         let elapsed = start.elapsed();
         assert_eq!(out.numel(), elems);
@@ -251,7 +252,7 @@ mod tests {
             let group = Group { start: 0, size: k };
             let input = Tensor::from_fn([10], DType::F32, |i| (comm.rank() * 10 + i) as f32);
             let deep = deep_copy_ring_all_reduce(&comm, group, &input, ReduceOp::Sum);
-            let fast = ring_all_reduce(&comm, group, &input, ReduceOp::Sum);
+            let fast = ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
             (deep, fast)
         });
         for (deep, fast) in &results {

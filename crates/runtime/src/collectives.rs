@@ -6,24 +6,30 @@
 //! with reductions accumulated in `f32` like the generated mixed-
 //! precision kernels.
 //!
+//! The ring exists once, as the resumable `RingLane` state machine:
+//! wire format and channel count are parameters of it, and blocking
+//! versus scheduled execution is only a choice of who waits for the
+//! next hop (`drive` here, the [`CommScheduler`](crate::CommScheduler)
+//! elsewhere).
+//!
 //! Data movement is minimal by construction: chunks travel as
-//! copy-on-write buffer handles (a send copies nothing), reductions
-//! fold the incoming chunk into the local one in place, and the only
-//! materializations are the one detach-copy per chunk the first
-//! reduction performs plus the final output assembly — which is what
-//! the [`BytesLedger`](crate::BytesLedger) suite asserts.
+//! copy-on-write buffer handles (a send copies nothing), every fold is
+//! one fused out-of-place kernel writing a fresh stripe, and the only
+//! other materialization is the output the gathered stripes land in —
+//! which is what the [`BytesLedger`](crate::BytesLedger) suite asserts.
 
 use coconet_compress::WireFormat;
-use coconet_tensor::{kernels, DType, ReduceOp, Tensor, F16};
+use coconet_tensor::{kernels, DType, ReduceOp, Shape, Tensor, F16};
 use coconet_trace as trace;
 use coconet_trace::metrics::Counter;
 use coconet_trace::EventKind;
 
+use crate::comm::WireMsg;
 use crate::RankComm;
 
-/// The most lanes a collective will stripe across. The streaming
-/// executor's wire tags reserve six bits for the lane index, so wider
-/// requests clamp here (the autotuner's grid tops out at 64 as well).
+/// The most lanes a collective will stripe across. Wire tags reserve
+/// six bits for the lane index (see `lane_tag`), so wider requests
+/// clamp here (the autotuner's grid tops out at 64 as well).
 pub const MAX_CHANNELS: usize = 64;
 
 /// Clamps a requested channel count into the executable `1..=64` range.
@@ -57,20 +63,7 @@ pub(crate) fn send_striped(comm: &RankComm, dst: usize, payload: Tensor, channel
 /// into a contiguous tensor. The inverse of [`send_striped`];
 /// `channels <= 1` is a plain [`RankComm::recv`].
 pub(crate) fn recv_striped(comm: &RankComm, src: usize, channels: usize) -> Tensor {
-    if channels <= 1 {
-        return comm.recv(src);
-    }
-    let stripes: Vec<Tensor> = (0..channels).map(|_| comm.recv(src)).collect();
-    let total: usize = stripes.iter().map(Tensor::numel).sum();
-    let mut asm = Tensor::zeros([total], stripes[0].dtype());
-    let mut off = 0usize;
-    for s in &stripes {
-        if s.numel() > 0 {
-            asm.write_flat(off, s).expect("stripes tile the payload");
-            off += s.numel();
-        }
-    }
-    asm
+    join_stripes((0..channels.max(1)).map(|_| comm.recv(src)).collect())
 }
 
 /// Encodes a tensor for the wire: a handle copy for the dense wire, an
@@ -154,150 +147,79 @@ pub fn chunk_range(numel: usize, k: usize, c: usize) -> (usize, usize) {
     (start, len)
 }
 
-/// Ring ReduceScatter: every rank contributes its full local tensor;
-/// rank at group position `i` returns with the fully reduced chunk `i`
-/// (flattened element range `chunk_range(numel, k, i)`).
+/// Bits a striped scheduler job's wire tag reserves for the lane index
+/// — [`MAX_CHANNELS`] lanes fit exactly.
+const LANE_BITS: u32 = MAX_CHANNELS.trailing_zeros();
+
+/// Every wire tag with this bit set belongs to a blocking drive; no
+/// scheduler job may carry it, so a blocking collective running while
+/// scheduled jobs are in flight (a consumed AllReduce inside
+/// [`run_program_iterations`](crate::run_program_iterations)) can never
+/// swallow their chunks, nor they its.
+const BLOCKING_TAGS: u64 = 1 << 63;
+
+/// The single owner of the wire-tag layout of lane `lane` of `lanes`.
 ///
-/// The local contribution is held as `k` zero-copy chunk views; each
-/// chunk detaches (one chunk-sized copy-on-write materialization) the
-/// first — and only — time an incoming partial is reduced into it, so
-/// the whole ReduceScatter copies `(k−1)/k` of the tensor once and
-/// nothing else.
-pub fn ring_reduce_scatter(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
-    ring_reduce_scatter_wire(comm, group, input, op, WireFormat::Dense)
-}
-
-/// [`ring_reduce_scatter`] with the payload encoded per `wire` on
-/// every hop: under FP16 each partial sum is rounded to half precision
-/// before it travels (the per-hop rounding a real FP16-wire collective
-/// performs) and widened back before the fold, halving the bytes the
-/// [`BytesLedger`](crate::BytesLedger) records. The dense wire is
-/// byte- and allocation-identical to [`ring_reduce_scatter`].
-pub fn ring_reduce_scatter_wire(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    wire: WireFormat,
-) -> Tensor {
-    let k = group.size;
-    let me = group.position(comm.rank());
-    let n = input.numel();
-    if k == 1 {
-        return input.slice_flat(0, n).expect("full range");
-    }
-    let _phase = trace::span(EventKind::CollectivePhase, "ring:rs", n as u64, k as u64);
-    let dtype = input.dtype();
-    let mut chunks: Vec<Tensor> = (0..k)
-        .map(|c| {
-            let (off, len) = chunk_range(n, k, c);
-            input.slice_flat(off, len).expect("in range")
-        })
-        .collect();
-    // Textbook ring RS shifted so position i ends owning chunk i: run
-    // the schedule of a virtual position j = i - 1 (mod k).
-    let j = (me + k - 1) % k;
-    for step in 0..k - 1 {
-        let send_c = (j + k - step % k) % k;
-        let recv_c = (j + k - step - 1) % k;
-        comm.send(group.next(comm.rank()), wire_encode(&chunks[send_c], wire));
-        let incoming = wire_decode(comm.recv(group.prev(comm.rank())), wire, dtype);
-        chunks[recv_c]
-            .reduce_assign(&incoming, op)
-            .expect("ring chunks agree on geometry");
-    }
-    chunks.swap_remove(me)
-}
-
-/// Ring AllGather: every rank contributes its chunk (position `i`
-/// contributes chunk `i`); returns the flat concatenation of all
-/// chunks, in position order. Every hop forwards a buffer handle —
-/// the gather allocates nothing.
-pub fn ring_all_gather(comm: &RankComm, group: Group, chunk: &Tensor) -> Vec<Tensor> {
-    ring_all_gather_wire(comm, group, chunk, WireFormat::Dense)
-}
-
-/// [`ring_all_gather`] with the payload encoded per `wire`: the owned
-/// chunk is encoded once on entry, every hop forwards the *encoded*
-/// buffer handle (no re-rounding, no copies), and every chunk is
-/// decoded back to the input's element type at the end. The dense wire
-/// is byte- and allocation-identical to [`ring_all_gather`].
-pub fn ring_all_gather_wire(
-    comm: &RankComm,
-    group: Group,
-    chunk: &Tensor,
-    wire: WireFormat,
-) -> Vec<Tensor> {
-    let k = group.size;
-    let me = group.position(comm.rank());
-    let dtype = chunk.dtype();
-    if k == 1 {
-        return vec![chunk.clone()];
-    }
-    let _phase = trace::span(
-        EventKind::CollectivePhase,
-        "ring:ag",
-        chunk.numel() as u64,
-        k as u64,
+/// * `job = None` — a blocking drive: `BLOCKING_TAGS | lane`. Every
+///   blocking collective reuses these tags; per-source FIFO delivery
+///   plus SPMD program order keep consecutive drives apart.
+/// * `job = Some(id)`, one lane — the caller's id, untouched, so a
+///   one-lane job's [`Completion`](crate::Completion) carries the
+///   logical id.
+/// * `job = Some(id)`, several lanes — `(id << 6) | lane`.
+///
+/// # Panics
+///
+/// Panics (in every build profile) if `lane` is out of range or `id`
+/// would reach into the lane bits or the blocking range.
+pub(crate) fn lane_tag(job: Option<u64>, lanes: usize, lane: usize) -> u64 {
+    assert!(
+        lane < lanes && lanes <= MAX_CHANNELS,
+        "lane {lane} of {lanes} is outside the {MAX_CHANNELS}-lane tag space"
     );
-    let mut chunks: Vec<Option<Tensor>> = vec![None; k];
-    // On the dense wire a handle copy, under FP16 the one encode this
-    // rank's chunk ever gets.
-    chunks[me] = Some(wire_encode(chunk, wire));
-    for step in 0..k - 1 {
-        let send_c = (me + k - step % k) % k;
-        let recv_c = (me + k - step - 1) % k;
-        let outgoing = chunks[send_c].clone().expect("chunk present by schedule");
-        comm.send(group.next(comm.rank()), outgoing);
-        let incoming = comm.recv(group.prev(comm.rank()));
-        chunks[recv_c] = Some(incoming);
+    match job {
+        None => BLOCKING_TAGS | lane as u64,
+        Some(id) if lanes == 1 => {
+            assert!(
+                id < BLOCKING_TAGS,
+                "job id {id} is in the blocking tag range"
+            );
+            id
+        }
+        Some(id) => {
+            assert!(
+                id < BLOCKING_TAGS >> LANE_BITS,
+                "striped job id {id} overflows the lane-tagged id space"
+            );
+            (id << LANE_BITS) | lane as u64
+        }
     }
-    chunks
-        .into_iter()
-        .map(|c| wire_decode(c.expect("all chunks gathered"), wire, dtype))
-        .collect()
 }
 
-/// Ring AllReduce = ReduceScatter + AllGather over flat chunks;
-/// returns the fully reduced tensor with the input's shape.
-pub fn ring_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
-    ring_all_reduce_wire(comm, group, input, op, WireFormat::Dense)
-}
-
-/// [`ring_all_reduce`] with every hop of both phases encoded per
-/// `wire` — under FP16 the collective moves exactly half the dense
-/// bytes on F32 payloads.
-pub fn ring_all_reduce_wire(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    wire: WireFormat,
-) -> Tensor {
-    let my_chunk = ring_reduce_scatter_wire(comm, group, input, op, wire);
-    let chunks = ring_all_gather_wire(comm, group, &my_chunk, wire);
-    let mut out = Tensor::zeros(input.shape().clone(), input.dtype());
-    let mut off = 0usize;
-    for c in chunks {
-        out.write_flat(off, &c).expect("chunks tile the tensor");
-        off += c.numel();
+/// Lanes a ring collective over `group` actually runs: the clamped
+/// channel count, except that a singleton group (no hops to stripe)
+/// stays whole.
+pub(crate) fn lane_count(group: Group, channels: usize) -> usize {
+    if group.size == 1 {
+        1
+    } else {
+        clamp_channels(channels)
     }
-    out
 }
 
-/// Element-type plumbing for the striped ring engine: the two working
+/// Element-type plumbing for the ring lane's fold: the two working
 /// dtypes share one generic data path, each monomorphized over its
 /// fused out-of-place reduce kernel.
 trait StripeElem: Copy + Send + Sync + 'static {
-    /// The additive-identity fill for freshly allocated output vectors
-    /// (every element is overwritten before it is read).
+    /// The fill for the freshly allocated fold output (every element is
+    /// overwritten before it is read).
     const ZERO: Self;
     /// The contiguous storage slice of a tensor of this element type.
     fn slice(t: &Tensor) -> &[Self];
     /// `dst[i] = op(a[i], b[i])` through the kernel engine.
     fn reduce_out(a: &[Self], b: &[Self], dst: &mut [Self], op: ReduceOp);
-    /// Adopts an owned vector as a tensor without a copy.
-    fn tensor_from(shape: coconet_tensor::Shape, data: Vec<Self>) -> Tensor;
+    /// Adopts an owned vector as a flat tensor without a copy.
+    fn tensor_from(data: Vec<Self>) -> Tensor;
 }
 
 impl StripeElem for f32 {
@@ -308,8 +230,8 @@ impl StripeElem for f32 {
     fn reduce_out(a: &[f32], b: &[f32], dst: &mut [f32], op: ReduceOp) {
         kernels::reduce_f32_out(a, b, dst, op);
     }
-    fn tensor_from(shape: coconet_tensor::Shape, data: Vec<f32>) -> Tensor {
-        Tensor::from_f32_vec(shape, DType::F32, data).expect("length matches shape")
+    fn tensor_from(data: Vec<f32>) -> Tensor {
+        Tensor::from_f32_vec([data.len()], DType::F32, data).expect("length matches shape")
     }
 }
 
@@ -321,88 +243,358 @@ impl StripeElem for F16 {
     fn reduce_out(a: &[F16], b: &[F16], dst: &mut [F16], op: ReduceOp) {
         kernels::reduce_f16_out(a, b, dst, op);
     }
-    fn tensor_from(shape: coconet_tensor::Shape, data: Vec<F16>) -> Tensor {
-        Tensor::from_f16_vec(shape, data).expect("length matches shape")
+    fn tensor_from(data: Vec<F16>) -> Tensor {
+        Tensor::from_f16_vec([data.len()], data).expect("length matches shape")
     }
 }
 
-/// The striped ReduceScatter phase: every hop's chunk travels as
-/// `channels` lane stripes (lane `s` carries the sub-range
-/// `chunk_range(chunk_len, channels, s)` of *every* chunk, so stripe
-/// bytes partition each hop's payload exactly), and every fold is a
-/// fused out-of-place kernel writing a fresh owned stripe — no
-/// copy-on-write detaches anywhere. Returns the fully reduced stripes
-/// of chunk `me`, in lane order. Bit-identical to the single-lane
-/// schedule: each element sees the same fold sequence, only the
-/// message framing changes.
-fn striped_rs_phase<E: StripeElem>(
-    comm: &RankComm,
+/// The ring's one fold: `local ∘ incoming` written to a fresh owned
+/// stripe by the fused out-of-place kernel — no copy-on-write detach,
+/// and the operand order every element of every width sees.
+fn fold(local: &Tensor, incoming: &Tensor, op: ReduceOp) -> Tensor {
+    fn typed<E: StripeElem>(local: &Tensor, incoming: &Tensor, op: ReduceOp) -> Tensor {
+        let mut out = vec![E::ZERO; local.numel()];
+        E::reduce_out(E::slice(local), E::slice(incoming), &mut out, op);
+        E::tensor_from(out)
+    }
+    match local.dtype() {
+        DType::F32 => typed::<f32>(local, incoming, op),
+        DType::F16 => typed::<F16>(local, incoming, op),
+    }
+}
+
+/// The ring chunk schedule: the `(send, receive)` chunk indices of
+/// `step` for virtual position `j` of `k`. AllGather runs it at
+/// `j = me`; ReduceScatter at `j = me − 1`, which shifts the textbook
+/// schedule so position `i` ends owning chunk `i`.
+fn ring_schedule(j: usize, k: usize, step: usize) -> (usize, usize) {
+    ((j + k - step % k) % k, (j + k - step - 1) % k)
+}
+
+/// Which ring collective a [`RingLane`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RingPhase {
+    /// `k−1` folding hops; the lane ends holding its stripe of the
+    /// fully reduced chunk `me`.
+    ReduceScatter,
+    /// `k−1` forwarding hops over every position's chunk.
+    AllGather,
+    /// ReduceScatter, then AllGather seeded with the owned stripe.
+    AllReduce,
+}
+
+/// One lane of a ring collective: a resumable state machine moving
+/// stripe `chunk_range(chunk_len, lanes, lane)` of *every* ring chunk,
+/// one hop per step. It is the only ring implementation in the crate —
+/// a blocking collective parks on the channel for each hop
+/// (`drive`), the [`CommScheduler`](crate::CommScheduler) polls; both
+/// run [`advance`](RingLane::advance).
+///
+/// The invariants that make results bit-identical at every width,
+/// under every schedule, live here and nowhere else:
+///
+/// * **fold order** — chunk `c` accumulates as `in[c] ∘ (in[c−1] ∘ (…
+///   ∘ in[c+1]))`: every ReduceScatter hop computes `local ∘ incoming`
+///   (`fold`) along the `ring_schedule`, and a lane only ever
+///   touches its own stripe, so striping never regroups operands;
+/// * **encode points** — a ReduceScatter payload is encoded when it is
+///   sent (under FP16: one half-precision rounding per hop) and decoded
+///   before its fold; the owned stripe is encoded once as the AllGather
+///   starts, travels the ring as that encoded handle, and every rank —
+///   its owner included — keeps the decoding of the same encoded
+///   buffer, so all ranks hold identical bits.
+#[derive(Debug)]
+pub(crate) struct RingLane {
+    phase: RingPhase,
+    tag: u64,
+    /// `Some` when scheduled (hops ledgered at the class and traced
+    /// under the tag), `None` for a blocking drive (no class, hop
+    /// instants carry [`trace::JOB_NONE`]).
+    class: Option<u8>,
+    lane: usize,
+    lanes: usize,
     group: Group,
-    input: &Tensor,
+    op: ReduceOp,
+    wire: WireFormat,
+    dtype: DType,
+    /// Shape of the source tensor — an AllReduce's result shape.
+    shape: Shape,
+    /// The local contribution, held while ReduceScatter hops read it.
+    src: Option<Tensor>,
+    step: usize,
+    sent: bool,
+    /// The next outgoing stripe: the previous ReduceScatter fold
+    /// (working dtype) or the AllGather stripe to forward (encoded).
+    carry: Option<Tensor>,
+    /// Decoded chunk stripes by position (AllGather / AllReduce).
+    stripes: Vec<Option<Tensor>>,
+}
+
+impl RingLane {
+    /// Lane `lane` of a `lanes`-wide ring collective over `group`.
+    /// `src` is the local input (the owned chunk for
+    /// [`RingPhase::AllGather`], which ignores `op`); `tag` comes from
+    /// [`lane_tag`]. Performs no communication.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        phase: RingPhase,
+        tag: u64,
+        class: Option<u8>,
+        group: Group,
+        src: &Tensor,
+        op: ReduceOp,
+        wire: WireFormat,
+        lanes: usize,
+        lane: usize,
+    ) -> RingLane {
+        let mut l = RingLane {
+            phase,
+            tag,
+            class,
+            lane,
+            lanes,
+            group,
+            op,
+            wire,
+            dtype: src.dtype(),
+            shape: src.shape().clone(),
+            src: Some(src.clone()),
+            step: 0,
+            sent: false,
+            carry: None,
+            stripes: vec![None; group.size],
+        };
+        if phase == RingPhase::AllGather {
+            // One lane forwards the chunk whole, shape and all.
+            l.carry = Some(if lanes == 1 {
+                src.clone()
+            } else {
+                l.stripe(0, src.numel())
+            });
+            l.src = None;
+        }
+        if group.size == 1 {
+            // No hops: the lane is born finished, its stripe untouched
+            // by the codec.
+            let own = l.carry.take().unwrap_or_else(|| l.stripe(0, src.numel()));
+            match phase {
+                RingPhase::ReduceScatter => l.carry = Some(own),
+                _ => l.stripes[0] = Some(own),
+            }
+            l.src = None;
+        }
+        l
+    }
+
+    /// This lane's zero-copy stripe of the source window `off..off+len`.
+    fn stripe(&self, off: usize, len: usize) -> Tensor {
+        let (s_off, s_len) = chunk_range(len, self.lanes, self.lane);
+        let src = self.src.as_ref().expect("source held while it is read");
+        src.slice_flat(off + s_off, s_len).expect("in range")
+    }
+
+    /// This lane's stripe of ring chunk `c` of the source.
+    fn chunk_stripe(&self, c: usize) -> Tensor {
+        let (off, len) = chunk_range(self.shape.numel(), self.group.size, c);
+        self.stripe(off, len)
+    }
+
+    /// Folding hops ahead of the forwarding ones.
+    fn rs_hops(&self) -> usize {
+        match self.phase {
+            RingPhase::AllGather => 0,
+            _ => self.group.size - 1,
+        }
+    }
+
+    fn hops(&self) -> usize {
+        match self.phase {
+            RingPhase::AllReduce => 2 * (self.group.size - 1),
+            _ => self.group.size - 1,
+        }
+    }
+
+    /// Width of the collective this lane is one of.
+    pub(crate) fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    pub(crate) fn is_done(&self) -> bool {
+        self.step == self.hops()
+    }
+
+    /// Hops still ahead — the contention-aware scheduler's
+    /// shortest-remaining-work key.
+    pub(crate) fn remaining_hops(&self) -> usize {
+        self.hops() - self.step
+    }
+
+    /// Puts this step's stripe on the wire unless it already is.
+    /// Returns whether it sent.
+    fn send_step(&mut self, comm: &RankComm) -> bool {
+        if self.sent || self.is_done() {
+            return false;
+        }
+        let k = self.group.size;
+        let me = self.group.position(comm.rank());
+        let (payload, label) = if self.step < self.rs_hops() {
+            let out = match self.carry.take() {
+                Some(folded) => folded,
+                // First hop: the pristine input stripe, a zero-copy view.
+                None => self.chunk_stripe(ring_schedule((me + k - 1) % k, k, 0).0),
+            };
+            (wire_encode(&out, self.wire), "ring:rs")
+        } else {
+            let mut out = self.carry.take().expect("stripe to forward by schedule");
+            if self.step == self.rs_hops() {
+                out = wire_encode(&out, self.wire);
+                self.stripes[me] = Some(wire_decode(out.clone(), self.wire, self.dtype));
+            }
+            (out, "ring:ag")
+        };
+        let id = self.class.map_or(trace::JOB_NONE, |_| self.tag);
+        let bytes = payload.size_bytes() as u64;
+        trace::instant_lane(EventKind::Hop, label, self.lane as u32, id, bytes);
+        let next = self.group.next(comm.rank());
+        comm.send_tagged(next, self.tag, self.class, WireMsg::Tensor(payload));
+        self.sent = true;
+        true
+    }
+
+    /// Consumes this step's incoming stripe: fold it (ReduceScatter
+    /// hop) or keep and forward it (AllGather hop).
+    fn recv_step(&mut self, me: usize, incoming: Tensor) {
+        let k = self.group.size;
+        if self.step < self.rs_hops() {
+            let (_, recv_c) = ring_schedule((me + k - 1) % k, k, self.step);
+            let incoming = wire_decode(incoming, self.wire, self.dtype);
+            self.carry = Some(fold(&self.chunk_stripe(recv_c), &incoming, self.op));
+            if self.step + 1 == self.rs_hops() {
+                // `carry` is now this lane's stripe of the fully
+                // reduced chunk `me`; the input is no longer read.
+                self.src = None;
+            }
+        } else {
+            let (_, recv_c) = ring_schedule(me, k, self.step - self.rs_hops());
+            self.stripes[recv_c] = Some(wire_decode(incoming.clone(), self.wire, self.dtype));
+            self.carry = Some(incoming);
+        }
+        self.step += 1;
+        self.sent = false;
+    }
+
+    /// Advances by at most one hop: sends this step's stripe if it is
+    /// not on the wire yet, then takes the incoming one — parked on the
+    /// channel when `block`, a non-blocking poll otherwise. Returns
+    /// whether anything moved.
+    pub(crate) fn advance(&mut self, comm: &RankComm, block: bool) -> bool {
+        if self.is_done() {
+            return false;
+        }
+        let sent = self.send_step(comm);
+        let prev = self.group.prev(comm.rank());
+        let msg = if block {
+            Some(comm.recv_tagged(prev, self.tag))
+        } else {
+            comm.try_recv_tagged(prev, self.tag)
+        };
+        let Some(msg) = msg else { return sent };
+        let WireMsg::Tensor(incoming) = msg else {
+            unreachable!("ring lanes carry dense payloads only, got {msg:?}")
+        };
+        self.recv_step(self.group.position(comm.rank()), incoming);
+        true
+    }
+}
+
+/// Runs a ring collective to completion on the calling rank thread —
+/// the blocking drive: build the lanes, then per hop send every lane's
+/// stripe and receive each lane's incoming one with a blocking tagged
+/// receive. Lanes share a hop count, so they step in lockstep.
+fn drive(
+    comm: &RankComm,
+    phase: RingPhase,
+    group: Group,
+    src: &Tensor,
     op: ReduceOp,
     wire: WireFormat,
     channels: usize,
-) -> Vec<Tensor> {
-    let k = group.size;
-    let me = group.position(comm.rank());
-    let n = input.numel();
-    let dtype = input.dtype();
-    let next = group.next(comm.rank());
-    let prev = group.prev(comm.rank());
-
+) -> Vec<RingLane> {
+    let lanes = lane_count(group, channels);
+    let label = match phase {
+        RingPhase::ReduceScatter => "ring:rs",
+        RingPhase::AllGather => "ring:ag",
+        RingPhase::AllReduce => "ring:ar",
+    };
     let _phase = trace::span(
         EventKind::CollectivePhase,
-        "ring:rs-striped",
-        n as u64,
-        channels as u64,
+        label,
+        src.numel() as u64,
+        lanes as u64,
     );
-    let j = (me + k - 1) % k;
-    // The folded stripes of the chunk received last step — next step's
-    // outgoing payload.
-    let mut carry: Vec<Tensor> = Vec::new();
-    let mut own: Vec<Tensor> = Vec::new();
-    for step in 0..k - 1 {
-        let send_c = (j + k - step % k) % k;
-        let recv_c = (j + k - step - 1) % k;
-        if step == 0 {
-            // Pristine input stripes travel as zero-copy views.
-            let (c_off, c_len) = chunk_range(n, k, send_c);
-            for s in 0..channels {
-                let (s_off, s_len) = chunk_range(c_len, channels, s);
-                let stripe = input.slice_flat(c_off + s_off, s_len).expect("in range");
-                comm.send(next, wire_encode(&stripe, wire));
-            }
-        } else {
-            for stripe in carry.drain(..) {
-                comm.send(next, wire_encode(&stripe, wire));
-            }
+    let mut ring: Vec<RingLane> = (0..lanes)
+        .map(|s| {
+            let tag = lane_tag(None, lanes, s);
+            RingLane::new(phase, tag, None, group, src, op, wire, lanes, s)
+        })
+        .collect();
+    while !ring[0].is_done() {
+        for lane in &mut ring {
+            lane.send_step(comm);
         }
-        let (r_off, r_len) = chunk_range(n, k, recv_c);
-        let mut folded: Vec<Tensor> = Vec::with_capacity(channels);
-        for s in 0..channels {
-            let (s_off, s_len) = chunk_range(r_len, channels, s);
-            let incoming = wire_decode(comm.recv(prev), wire, dtype);
-            let local = input.slice_flat(r_off + s_off, s_len).expect("in range");
-            let mut out = vec![E::ZERO; s_len];
-            E::reduce_out(E::slice(&local), E::slice(&incoming), &mut out, op);
-            folded.push(E::tensor_from(coconet_tensor::Shape::from([s_len]), out));
-        }
-        if recv_c == me {
-            own = folded;
-        } else {
-            carry = folded;
+        for lane in &mut ring {
+            lane.advance(comm, true);
         }
     }
-    own
+    ring
 }
 
-/// [`ring_reduce_scatter_wire`] executed as `channels` concurrent
-/// lanes (see `striped_rs_phase` for the lane geometry). `channels
-/// <= 1` (or a single-rank group) runs the unmodified single-lane
-/// path. Results are bit-identical at every width and the per-rank
-/// ledger byte totals are unchanged — stripe sums partition each
-/// hop's payload.
-pub fn ring_reduce_scatter_wire_striped(
+/// Concatenates one payload's lane stripes; a single lane's stripe
+/// *is* the payload.
+fn join_stripes(mut stripes: Vec<Tensor>) -> Tensor {
+    if stripes.len() == 1 {
+        return stripes.remove(0);
+    }
+    let total: usize = stripes.iter().map(Tensor::numel).sum();
+    let mut chunk = Tensor::zeros([total], stripes[0].dtype());
+    let mut off = 0usize;
+    for s in &stripes {
+        chunk.write_flat(off, s).expect("stripes tile the chunk");
+        off += s.numel();
+    }
+    chunk
+}
+
+/// The replicated result of all the finished [`RingPhase::AllReduce`]
+/// lanes of one collective (in any order): every gathered stripe lands
+/// once, at its chunk offset, in one fresh output of the input's shape.
+pub(crate) fn all_reduce_result(lanes: &[RingLane]) -> Tensor {
+    let first = &lanes[0];
+    let (n, k) = (first.shape.numel(), first.group.size);
+    let mut out = Tensor::zeros(first.shape.clone(), first.dtype);
+    for lane in lanes {
+        for (c, stripe) in lane.stripes.iter().enumerate() {
+            let (c_off, c_len) = chunk_range(n, k, c);
+            let (s_off, _) = chunk_range(c_len, lane.lanes, lane.lane);
+            let stripe = stripe.as_ref().expect("all chunks gathered");
+            out.write_flat(c_off + s_off, stripe)
+                .expect("stripes tile the tensor");
+        }
+    }
+    out
+}
+
+/// Ring ReduceScatter: every rank contributes its full local tensor;
+/// the rank at group position `i` returns the fully reduced chunk `i`
+/// (flat element range `chunk_range(numel, k, i)`) — the ownership the
+/// paper's overlapped MatMul schedules against (§5.3).
+///
+/// Every hop's payload is encoded per `wire` (FP16 rounds each partial
+/// to half precision before it travels and halves the ledgered bytes;
+/// top-k has no ReduceScatter form and runs dense) and split across
+/// `channels` lanes (clamped to `1..=`[`MAX_CHANNELS`]). Results are
+/// bit-identical and per-rank wire bytes equal at every width.
+pub fn ring_reduce_scatter(
     comm: &RankComm,
     group: Group,
     input: &Tensor,
@@ -410,105 +602,54 @@ pub fn ring_reduce_scatter_wire_striped(
     wire: WireFormat,
     channels: usize,
 ) -> Tensor {
-    let channels = clamp_channels(channels);
-    if channels == 1 || group.size == 1 {
-        return ring_reduce_scatter_wire(comm, group, input, op, wire);
-    }
-    let own = match input.dtype() {
-        DType::F32 => striped_rs_phase::<f32>(comm, group, input, op, wire, channels),
-        DType::F16 => striped_rs_phase::<F16>(comm, group, input, op, wire, channels),
-    };
-    // Reassemble the lane stripes into the contiguous owned chunk.
-    let me = group.position(comm.rank());
-    let (_, me_len) = chunk_range(input.numel(), group.size, me);
-    let mut chunk = Tensor::zeros([me_len], input.dtype());
-    let mut off = 0usize;
-    for stripe in own {
-        chunk
-            .write_flat(off, &stripe)
-            .expect("stripes tile the chunk");
-        off += stripe.numel();
-    }
-    chunk
+    let lanes = drive(
+        comm,
+        RingPhase::ReduceScatter,
+        group,
+        input,
+        op,
+        wire,
+        channels,
+    );
+    join_stripes(
+        lanes
+            .into_iter()
+            .map(|l| l.carry.expect("reduce-scatter ends owning its stripe"))
+            .collect(),
+    )
 }
 
-/// [`ring_all_gather_wire`] executed as `channels` concurrent lanes:
-/// the owned chunk is encoded once, every hop moves `channels` stripe
-/// views of the encoded buffer (zero-copy, forwarding received stripe
-/// handles untouched), and each gathered chunk reassembles from its
-/// lane stripes at the end. `channels <= 1` (or a single-rank group)
-/// runs the unmodified single-lane path.
-pub fn ring_all_gather_wire_striped(
+/// Ring AllGather: position `i` contributes chunk `i`; returns all `k`
+/// chunks in position order. The owned chunk is encoded once per
+/// `wire`, every hop forwards the encoded handle, and `channels` lanes
+/// each move one stripe of every chunk (see [`ring_reduce_scatter`]).
+pub fn ring_all_gather(
     comm: &RankComm,
     group: Group,
     chunk: &Tensor,
     wire: WireFormat,
     channels: usize,
 ) -> Vec<Tensor> {
-    let channels = clamp_channels(channels);
-    let k = group.size;
-    if channels == 1 || k == 1 {
-        return ring_all_gather_wire(comm, group, chunk, wire);
-    }
-    let me = group.position(comm.rank());
-    let dtype = chunk.dtype();
-    let next = group.next(comm.rank());
-    let prev = group.prev(comm.rank());
-
-    let _phase = trace::span(
-        EventKind::CollectivePhase,
-        "ring:ag-striped",
-        chunk.numel() as u64,
-        channels as u64,
-    );
-    let enc = wire_encode(chunk, wire);
-    let enc_dtype = enc.dtype();
-    let own_len = enc.numel();
-    let own_stripes: Vec<Tensor> = (0..channels)
-        .map(|s| {
-            let (s_off, s_len) = chunk_range(own_len, channels, s);
-            enc.slice_flat(s_off, s_len).expect("in range")
+    // The gather folds nothing; the op is never read.
+    let op = ReduceOp::Sum;
+    let mut lanes = drive(comm, RingPhase::AllGather, group, chunk, op, wire, channels);
+    (0..group.size)
+        .map(|c| {
+            join_stripes(
+                lanes
+                    .iter_mut()
+                    .map(|l| l.stripes[c].take().expect("all chunks gathered"))
+                    .collect(),
+            )
         })
-        .collect();
-
-    let mut gathered: Vec<Option<Tensor>> = vec![None; k];
-    gathered[me] = Some(wire_decode(enc, wire, dtype));
-
-    let mut fwd = own_stripes;
-    for step in 0..k - 1 {
-        let recv_c = (me + k - step - 1) % k;
-        for stripe in fwd.drain(..) {
-            comm.send(next, stripe);
-        }
-        let stripes: Vec<Tensor> = (0..channels).map(|_| comm.recv(prev)).collect();
-        let r_len: usize = stripes.iter().map(Tensor::numel).sum();
-        let mut asm = Tensor::zeros([r_len], enc_dtype);
-        let mut off = 0usize;
-        for s in &stripes {
-            asm.write_flat(off, s).expect("stripes tile the chunk");
-            off += s.numel();
-        }
-        gathered[recv_c] = Some(wire_decode(asm, wire, dtype));
-        fwd = stripes;
-    }
-    gathered
-        .into_iter()
-        .map(|c| c.expect("all chunks gathered"))
         .collect()
 }
 
-/// [`ring_all_reduce_wire`] executed as `channels` concurrent lanes —
-/// the measured multi-channel data plane. Beyond the lane framing,
-/// the striped engine is cheaper per rank than the single-lane path
-/// by construction: every ReduceScatter fold writes a fresh owned
-/// stripe through the fused kernel (no copy-on-write detaches), and
-/// the AllGather lands decoded stripes directly in the preallocated
-/// output vector the result tensor then adopts without a copy (no
-/// zero-fill-plus-assembly pass). Results are bit-identical to the
-/// single-lane run at every width and the per-rank ledger byte totals
-/// are unchanged; `channels <= 1` (or a single-rank group) runs the
-/// unmodified single-lane path.
-pub fn ring_all_reduce_wire_striped(
+/// Ring AllReduce — ReduceScatter then AllGather inside one lane run;
+/// returns the fully reduced tensor with the input's shape. `wire` and
+/// `channels` as for [`ring_reduce_scatter`]; under FP16 it moves
+/// exactly half the dense bytes on F32 payloads.
+pub fn ring_all_reduce(
     comm: &RankComm,
     group: Group,
     input: &Tensor,
@@ -516,65 +657,15 @@ pub fn ring_all_reduce_wire_striped(
     wire: WireFormat,
     channels: usize,
 ) -> Tensor {
-    let channels = clamp_channels(channels);
-    if channels == 1 || group.size == 1 {
-        return ring_all_reduce_wire(comm, group, input, op, wire);
-    }
-    match input.dtype() {
-        DType::F32 => striped_ring_ar::<f32>(comm, group, input, op, wire, channels),
-        DType::F16 => striped_ring_ar::<F16>(comm, group, input, op, wire, channels),
-    }
-}
-
-fn striped_ring_ar<E: StripeElem>(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    wire: WireFormat,
-    channels: usize,
-) -> Tensor {
-    let k = group.size;
-    let me = group.position(comm.rank());
-    let n = input.numel();
-    let dtype = input.dtype();
-    let next = group.next(comm.rank());
-    let prev = group.prev(comm.rank());
-
-    let own = striped_rs_phase::<E>(comm, group, input, op, wire, channels);
-
-    // --- AllGather phase, gathering straight into the output ---
-    let mut out_vec = vec![E::ZERO; n];
-    // Encode the owned stripes once; the same encoded payloads serve
-    // the sends and the own-chunk round-trip into the output (exactly
-    // the single-lane encode-once / decode-all discipline, so FP16
-    // wires round the own chunk identically).
-    let enc_own: Vec<Tensor> = own.iter().map(|s| wire_encode(s, wire)).collect();
-    let (me_off, me_len) = chunk_range(n, k, me);
-    for (s, enc) in enc_own.iter().enumerate() {
-        let (s_off, s_len) = chunk_range(me_len, channels, s);
-        let dec = wire_decode(enc.clone(), wire, dtype);
-        out_vec[me_off + s_off..me_off + s_off + s_len].copy_from_slice(E::slice(&dec));
-    }
-
-    let mut fwd = enc_own;
-    for step in 0..k - 1 {
-        let recv_c = (me + k - step - 1) % k;
-        for stripe in fwd.drain(..) {
-            comm.send(next, stripe);
-        }
-        let (r_off, r_len) = chunk_range(n, k, recv_c);
-        let mut received: Vec<Tensor> = Vec::with_capacity(channels);
-        for s in 0..channels {
-            let (s_off, s_len) = chunk_range(r_len, channels, s);
-            let enc = comm.recv(prev);
-            let dec = wire_decode(enc.clone(), wire, dtype);
-            out_vec[r_off + s_off..r_off + s_off + s_len].copy_from_slice(E::slice(&dec));
-            received.push(enc);
-        }
-        fwd = received;
-    }
-    E::tensor_from(input.shape().clone(), out_vec)
+    all_reduce_result(&drive(
+        comm,
+        RingPhase::AllReduce,
+        group,
+        input,
+        op,
+        wire,
+        channels,
+    ))
 }
 
 /// Broadcast from the group-relative `root` position. The root fans
@@ -628,13 +719,13 @@ pub fn all_reduce_scalar(comm: &RankComm, group: Group, value: f64, op: ReduceOp
             let lo = (value - f64::from(hi)) as f32;
             let t =
                 Tensor::from_f32([2], coconet_tensor::DType::F32, &[hi, lo]).expect("two elements");
-            let reduced = ring_all_reduce(comm, group, &t, op);
+            let reduced = ring_all_reduce(comm, group, &t, op, WireFormat::Dense, 1);
             f64::from(reduced.get(0)) + f64::from(reduced.get(1))
         }
         ReduceOp::Min | ReduceOp::Max => {
             let t = Tensor::from_f32([1], coconet_tensor::DType::F32, &[value as f32])
                 .expect("one element");
-            f64::from(ring_all_reduce(comm, group, &t, op).get(0))
+            f64::from(ring_all_reduce(comm, group, &t, op, WireFormat::Dense, 1).get(0))
         }
     }
 }
@@ -689,9 +780,10 @@ mod tests {
             let results = run_ranks(k, move |comm| {
                 let group = Group { start: 0, size: k };
                 let input = Tensor::from_fn([n], DType::F32, |i| (comm.rank() * 10 + i) as f32);
-                let ar = ring_all_reduce(&comm, group, &input, ReduceOp::Sum);
-                let chunk = ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum);
-                let gathered = ring_all_gather(&comm, group, &chunk);
+                let ar = ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
+                let chunk =
+                    ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
+                let gathered = ring_all_gather(&comm, group, &chunk, WireFormat::Dense, 1);
                 (ar, chunk, gathered)
             });
             // Column sums over ranks: sum_r (10r + i) = 150 + 6i.
@@ -716,7 +808,7 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let group = Group { start: 0, size: k };
             let input = Tensor::from_fn([10], DType::F32, |i| (comm.rank() * 100 + i) as f32);
-            ring_all_reduce(&comm, group, &input, ReduceOp::Sum)
+            ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1)
         });
         // Expected: sum over ranks of (100r + i) = 600 + 4i.
         for t in &results {
@@ -737,7 +829,7 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let group = Group { start: 0, size: k };
             let input = Tensor::from_fn([n], DType::F32, |i| i as f32);
-            ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum)
+            ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1)
         });
         for (r, t) in results.iter().enumerate() {
             let (off, len) = chunk_range(n, k, r);
@@ -755,7 +847,7 @@ mod tests {
             let group = Group { start: 0, size: k };
             let me = comm.rank();
             let chunk = Tensor::from_fn([4], DType::F32, |i| (me * 4 + i) as f32);
-            ring_all_gather(&comm, group, &chunk)
+            ring_all_gather(&comm, group, &chunk, WireFormat::Dense, 1)
         });
         for chunks in &results {
             let flat: Vec<f32> = chunks.iter().flat_map(|c| c.to_f32_vec()).collect();
@@ -770,9 +862,10 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let group = Group { start: 0, size: k };
             let input = Tensor::from_fn([n], DType::F32, |i| ((comm.rank() + 1) * (i + 1)) as f32);
-            let direct = ring_all_reduce(&comm, group, &input, ReduceOp::Sum);
-            let chunk = ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum);
-            let gathered = ring_all_gather(&comm, group, &chunk);
+            let direct = ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
+            let chunk =
+                ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
+            let gathered = ring_all_gather(&comm, group, &chunk, WireFormat::Dense, 1);
             let mut composed = Tensor::zeros([n], DType::F32);
             let mut off = 0;
             for c in gathered {
@@ -796,7 +889,7 @@ mod tests {
                 Group { start: 2, size: 2 }
             };
             let input = Tensor::full([4], DType::F32, (comm.rank() + 1) as f32);
-            ring_all_reduce(&comm, g, &input, ReduceOp::Sum)
+            ring_all_reduce(&comm, g, &input, ReduceOp::Sum, WireFormat::Dense, 1)
         });
         assert_eq!(results[0].get(0), 3.0); // 1 + 2
         assert_eq!(results[1].get(0), 3.0);
@@ -834,8 +927,8 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let group = Group { start: 0, size: k };
             let input = Tensor::full([2], DType::F32, comm.rank() as f32);
-            let mn = ring_all_reduce(&comm, group, &input, ReduceOp::Min);
-            let mx = ring_all_reduce(&comm, group, &input, ReduceOp::Max);
+            let mn = ring_all_reduce(&comm, group, &input, ReduceOp::Min, WireFormat::Dense, 1);
+            let mx = ring_all_reduce(&comm, group, &input, ReduceOp::Max, WireFormat::Dense, 1);
             (mn, mx)
         });
         for (mn, mx) in &results {
@@ -872,123 +965,48 @@ mod tests {
         assert_eq!(clamp_channels(MAX_CHANNELS + 9), MAX_CHANNELS);
     }
 
-    /// The striped ring engine is bit-identical to the single-lane
-    /// collectives and moves exactly the same byte volume, across
-    /// wires, dtypes, and awkward geometries (uneven chunks, stripes
-    /// wider than chunks).
+    /// One function owns the tag layout: scheduler ids that would reach
+    /// into the lane bits or the blocking range are rejected in every
+    /// build profile, and no scheduler tag can meet a blocking one.
     #[test]
-    fn striped_ring_matches_single_lane_bit_for_bit() {
-        use coconet_compress::WireFormat;
-        for (k, n, channels) in [
-            (4usize, 64usize, 2usize),
-            (4, 67, 4),
-            (8, 96, 8),
-            (3, 7, 4), // stripes wider than some chunks
-            (5, 2, 8), // empty chunks and empty stripes
-        ] {
-            for wire in [WireFormat::Dense, WireFormat::Fp16] {
-                for dtype in [DType::F32, DType::F16] {
-                    let results = run_ranks(k, move |comm| {
-                        let group = Group { start: 0, size: k };
-                        let input = Tensor::from_fn([n], dtype, |i| {
-                            ((comm.rank() * 13 + i * 7) % 29) as f32 - 14.0
-                        });
-                        let single =
-                            ring_all_reduce_wire(&comm, group, &input, ReduceOp::Sum, wire);
-                        comm.reset_ledger();
-                        let lone = comm.ledger();
-                        let striped = ring_all_reduce_wire_striped(
-                            &comm,
-                            group,
-                            &input,
-                            ReduceOp::Sum,
-                            wire,
-                            channels,
-                        );
-                        let delta = comm.ledger();
-                        let single_wire = {
-                            comm.reset_ledger();
-                            let before = comm.ledger();
-                            let _ = ring_all_reduce_wire(&comm, group, &input, ReduceOp::Sum, wire);
-                            let after = comm.ledger();
-                            after.bytes_sent - before.bytes_sent
-                        };
-                        (
-                            single,
-                            striped,
-                            delta.bytes_sent - lone.bytes_sent,
-                            single_wire,
-                        )
-                    });
-                    for (r, (single, striped, striped_bytes, single_bytes)) in
-                        results.iter().enumerate()
-                    {
-                        let label = format!("k={k} n={n} C={channels} {wire} {dtype:?} rank={r}");
-                        assert_eq!(striped.shape(), single.shape(), "{label}");
-                        for i in 0..n {
-                            assert_eq!(
-                                striped.get(i).to_bits(),
-                                single.get(i).to_bits(),
-                                "{label} elem {i}"
-                            );
-                        }
-                        assert_eq!(striped_bytes, single_bytes, "{label}");
-                    }
-                }
+    fn lane_tags_keep_blocking_and_scheduled_ranges_apart() {
+        let widest_striped = (1u64 << 57) - 1;
+        let widest_single = (1u64 << 63) - 1;
+        for lanes in [1usize, 2, MAX_CHANNELS] {
+            for lane in [0, lanes - 1] {
+                let blocking = lane_tag(None, lanes, lane);
+                assert_eq!(blocking >> 63, 1, "blocking tags own the top bit");
+                assert_eq!(blocking & 63, lane as u64);
+                let id = if lanes == 1 {
+                    widest_single
+                } else {
+                    widest_striped
+                };
+                assert_eq!(lane_tag(Some(id), lanes, lane) >> 63, 0);
             }
         }
+        // One lane keeps the caller's id; several shift it past the lane.
+        assert_eq!(lane_tag(Some(41), 1, 0), 41);
+        assert_eq!(lane_tag(Some(41), 4, 3), (41 << 6) | 3);
+        // Distinct (id, lane) pairs of one width never share a tag.
+        assert_ne!(lane_tag(Some(1), 64, 0), lane_tag(Some(0), 64, 63));
     }
 
-    /// Striped ReduceScatter and AllGather keep the single-lane
-    /// postconditions: position `i` owns chunk `i`, the gather
-    /// reassembles, and composing them equals the striped AllReduce.
     #[test]
-    fn striped_phases_compose() {
-        let (k, n, channels) = (4usize, 21usize, 4usize);
-        let results = run_ranks(k, move |comm| {
-            let group = Group { start: 0, size: k };
-            let input = Tensor::from_fn([n], DType::F32, |i| ((comm.rank() + 1) * (i + 1)) as f32);
-            let direct = ring_all_reduce_wire_striped(
-                &comm,
-                group,
-                &input,
-                ReduceOp::Sum,
-                coconet_compress::WireFormat::Dense,
-                channels,
-            );
-            let chunk = ring_reduce_scatter_wire_striped(
-                &comm,
-                group,
-                &input,
-                ReduceOp::Sum,
-                coconet_compress::WireFormat::Dense,
-                channels,
-            );
-            let single_chunk = ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum);
-            let gathered = ring_all_gather_wire_striped(
-                &comm,
-                group,
-                &chunk,
-                coconet_compress::WireFormat::Dense,
-                channels,
-            );
-            let mut composed = Tensor::zeros([n], DType::F32);
-            let mut off = 0;
-            for c in gathered {
-                composed.write_flat(off, &c).unwrap();
-                off += c.numel();
-            }
-            (direct, chunk, single_chunk, composed)
-        });
-        for (r, (direct, chunk, single_chunk, composed)) in results.iter().enumerate() {
-            let (_, len) = chunk_range(n, k, r);
-            assert_eq!(chunk.numel(), len, "rank {r}");
-            assert_eq!(
-                chunk.to_f32_vec(),
-                single_chunk.to_f32_vec(),
-                "rank {r}: striped RS must equal single-lane RS"
-            );
-            assert_eq!(direct.to_f32_vec(), composed.to_f32_vec(), "rank {r}");
-        }
+    #[should_panic(expected = "overflows the lane-tagged id space")]
+    fn striped_job_id_overflow_panics() {
+        lane_tag(Some(1 << 57), 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is in the blocking tag range")]
+    fn single_lane_job_id_in_blocking_range_panics() {
+        lane_tag(Some(1 << 63), 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 64-lane tag space")]
+    fn lane_beyond_the_width_panics() {
+        lane_tag(None, 4, 4);
     }
 }

@@ -49,15 +49,16 @@ impl WireMsg {
     }
 }
 
-/// What actually travels through a channel: either a plain message of
-/// the classic blocking protocol, or a *tagged* message belonging to an
-/// asynchronous job multiplexed over the same fabric by the priority
-/// scheduler. Tags let a receiver pull messages for one job without
-/// disturbing the FIFO stream of another — the substrate of
+/// What actually travels through a channel: either a plain
+/// point-to-point message (tree and hierarchical hops, the sparse
+/// exchange, pipeline sends), or a *tagged* message — one hop of a
+/// ring lane or switch job, whether a blocking drive or the priority
+/// scheduler runs it. Tags let a receiver pull messages for one job
+/// without disturbing the FIFO stream of another — the substrate of
 /// completion-order independence.
 #[derive(Clone, Debug)]
 enum Packet {
-    /// An untagged message of a blocking collective.
+    /// An untagged message, delivered in per-source FIFO order.
     Plain(WireMsg),
     /// One chunk of job `job` (the class it was sent at is recorded in
     /// the sender's ledger; the receiver routes by job alone).
@@ -158,7 +159,7 @@ impl RankComm {
         self.send_msg(dst, WireMsg::Sparse(chunk));
     }
 
-    /// Sends a raw wire message to `dst`.
+    /// Sends a raw (untagged) wire message to `dst`.
     ///
     /// # Panics
     ///
@@ -176,52 +177,38 @@ impl RankComm {
             .unwrap_or_else(|_| panic!("rank {dst} hung up"));
     }
 
-    /// Sends one chunk of asynchronous job `job` to `dst` at priority
-    /// `class` (0 = most urgent). The bytes are accounted both in the
-    /// aggregate wire counters and in the per-class bucket, so the
-    /// ledger can later prove in which order the scheduler drained its
-    /// queues.
+    /// Sends one tagged chunk of job `job` to `dst`. A scheduled job
+    /// passes its priority `class` (0 = most urgent): the bytes are
+    /// accounted both in the aggregate wire counters and in the
+    /// per-class bucket, so the ledger can later prove in which order
+    /// the scheduler drained its queues. A blocking drive passes `None`:
+    /// its hops are framed by tag like any lane's but ledgered as plain
+    /// unclassed traffic.
     ///
     /// # Panics
     ///
     /// Panics if `dst` is out of range or the destination endpoint was
     /// dropped.
-    pub fn send_tagged(&self, dst: usize, job: u64, class: u8, msg: WireMsg) {
+    pub fn send_tagged(&self, dst: usize, job: u64, class: Option<u8>, msg: WireMsg) {
         // The per-hop trace instant (with lane attribution) is emitted
-        // by the job state machines in [`crate::stream`]; only the
-        // volume counter lives here.
+        // by the job state machines; only the volume counter lives here.
         trace::metrics::add_counter(Counter::WireBytes, msg.wire_bytes() as u64);
-        self.ledger.record_send_class(class, msg.wire_bytes());
+        match class {
+            Some(class) => self.ledger.record_send_class(class, msg.wire_bytes()),
+            None => self.ledger.record_send(msg.wire_bytes()),
+        }
         self.to[dst]
             .send(Packet::Tagged { job, msg })
             .unwrap_or_else(|_| panic!("rank {dst} hung up"));
     }
 
-    /// Sends a message *as the emulated aggregation switch* — the
-    /// multicast leg of `CollAlgo::Switch`. Accounted in the
-    /// switch-attributed ledger counters
-    /// ([`BytesLedger::switch_bytes_sent`]), not the worker-side ones:
-    /// a real switch is not a worker, so the rank hosting the emulation
-    /// must still satisfy the per-worker `2·n` volume invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is out of range or the destination endpoint was
-    /// dropped.
-    pub fn send_switch(&self, dst: usize, msg: WireMsg) {
-        let bytes = msg.wire_bytes() as u64;
-        trace::instant(EventKind::Hop, "switch:send", trace::JOB_NONE, bytes);
-        trace::metrics::add_counter(Counter::SwitchBytes, bytes);
-        self.ledger.record_switch_send(msg.wire_bytes());
-        self.to[dst]
-            .send(Packet::Plain(msg))
-            .unwrap_or_else(|_| panic!("rank {dst} hung up"));
-    }
-
-    /// Tagged variant of [`send_switch`](RankComm::send_switch) for the
-    /// streamed scheduler: the switch's multicast of job `job`'s folded
-    /// chunk. No priority class is recorded — dataplane traffic is not
-    /// a worker send — but the job tag keeps streams separable.
+    /// Sends job `job`'s folded chunk *as the emulated aggregation
+    /// switch* — the multicast leg of `CollAlgo::Switch`. Accounted in
+    /// the switch-attributed ledger counters
+    /// ([`BytesLedger::switch_bytes_sent`]), not the worker-side ones,
+    /// and at no priority class: a real switch is not a worker, so the
+    /// rank hosting the emulation must still satisfy the per-worker
+    /// `2·n` volume invariant.
     ///
     /// # Panics
     ///
@@ -269,30 +256,11 @@ impl RankComm {
     /// Panics if `src` is out of range or the source endpoint was
     /// dropped without sending.
     pub fn recv_msg(&self, src: usize) -> WireMsg {
-        self.recv_msg_attr(src, false)
-    }
-
-    /// Receives the next message from `src` *as the emulated
-    /// aggregation switch* — the gather leg of `CollAlgo::Switch`. The
-    /// bytes land in [`BytesLedger::switch_bytes_recv`] instead of the
-    /// worker-side counters. Attribution happens at pull time: a
-    /// message stashed while the dataplane was draining keeps its
-    /// switch attribution even if a worker-side call later consumes it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range or the source endpoint was
-    /// dropped without sending.
-    pub fn recv_switch(&self, src: usize) -> WireMsg {
-        self.recv_msg_attr(src, true)
-    }
-
-    fn recv_msg_attr(&self, src: usize, switch_side: bool) -> WireMsg {
         if let Some(msg) = self.plain_stash[src].borrow_mut().pop_front() {
             return msg;
         }
         loop {
-            match self.pull(src, switch_side) {
+            match self.pull(src, false) {
                 Packet::Plain(msg) => return msg,
                 Packet::Tagged { job, msg, .. } => {
                     self.tagged_stash[src].borrow_mut().push_back((job, msg));
@@ -301,22 +269,41 @@ impl RankComm {
         }
     }
 
-    /// Receives the next chunk of asynchronous job `job` from `src`
-    /// (blocking). Plain messages and other jobs' chunks encountered on
-    /// the way are stashed, preserving their per-source FIFO order — a
-    /// later-issued job can therefore complete before an earlier one
-    /// without corrupting either stream.
+    /// Receives the next chunk of job `job` from `src`, parked on the
+    /// channel until it arrives. Plain messages and other jobs' chunks
+    /// encountered on the way are stashed, preserving their per-source
+    /// FIFO order — a later-issued job can therefore complete before an
+    /// earlier one without corrupting either stream.
     ///
     /// # Panics
     ///
     /// Panics if `src` is out of range or the source endpoint was
     /// dropped without sending.
     pub fn recv_tagged(&self, src: usize, job: u64) -> WireMsg {
+        self.recv_tagged_attr(src, job, false)
+    }
+
+    /// Blocking tagged receive *as the emulated aggregation switch* —
+    /// the gather leg of `CollAlgo::Switch`. The bytes land in
+    /// [`BytesLedger::switch_bytes_recv`] instead of the worker-side
+    /// counters. Attribution happens at pull time: a message stashed
+    /// while the dataplane was draining keeps its switch attribution
+    /// even if a worker-side call later consumes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is out of range or the source endpoint was
+    /// dropped without sending.
+    pub fn recv_tagged_switch(&self, src: usize, job: u64) -> WireMsg {
+        self.recv_tagged_attr(src, job, true)
+    }
+
+    fn recv_tagged_attr(&self, src: usize, job: u64, switch_side: bool) -> WireMsg {
         if let Some(msg) = self.take_stashed_tagged(src, job) {
             return msg;
         }
         loop {
-            match self.pull(src, false) {
+            match self.pull(src, switch_side) {
                 Packet::Plain(msg) => self.plain_stash[src].borrow_mut().push_back(msg),
                 Packet::Tagged { job: j, msg, .. } => {
                     if j == job {
@@ -335,10 +322,8 @@ impl RankComm {
         self.try_recv_tagged_attr(src, job, false)
     }
 
-    /// Non-blocking tagged receive *as the emulated aggregation
-    /// switch* — the gather leg of a streamed `SwitchJob`. Bytes land
-    /// in [`BytesLedger::switch_bytes_recv`]; attribution is at pull
-    /// time, as for [`recv_switch`](RankComm::recv_switch).
+    /// Non-blocking [`recv_tagged_switch`](RankComm::recv_tagged_switch)
+    /// — the gather leg of a scheduled switch job.
     pub fn try_recv_tagged_switch(&self, src: usize, job: u64) -> Option<WireMsg> {
         self.try_recv_tagged_attr(src, job, true)
     }
@@ -496,20 +481,20 @@ mod tests {
         c0.send_tagged(
             1,
             7,
-            0,
+            Some(0),
             WireMsg::Tensor(Tensor::full([1], DType::F32, 70.0)),
         );
         c0.send(1, Tensor::full([1], DType::F32, 1.0));
         c0.send_tagged(
             1,
             9,
-            3,
+            Some(3),
             WireMsg::Tensor(Tensor::full([1], DType::F32, 90.0)),
         );
         c0.send_tagged(
             1,
             7,
-            0,
+            Some(0),
             WireMsg::Tensor(Tensor::full([1], DType::F32, 71.0)),
         );
         c0.send(1, Tensor::full([1], DType::F32, 2.0));

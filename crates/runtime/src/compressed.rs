@@ -13,20 +13,20 @@
 //! data-independent and the [`BytesLedger`](crate::BytesLedger) can
 //! assert it equals [`sparse_all_reduce_wire_bytes`] to the byte.
 //!
-//! [`all_reduce_wire`] is the dispatch the executor and the training
-//! loop share: it resolves the configured [`WireFormat`] exactly like
-//! the simulator's cost model does (top-k only for sum AllReduces,
-//! automatic dense switchover past the density where sparse is
-//! larger), so what the tuner priced is what runs.
+//! [`all_reduce_wire_striped`] is the dispatch the executor and the
+//! training loop share: it resolves the configured [`WireFormat`]
+//! exactly like the simulator's cost model does (top-k only for sum
+//! AllReduces, automatic dense switchover past the density where sparse
+//! is larger), so what the tuner priced is what runs.
 
 use coconet_compress::{sparse_beats_dense, sparsify_top_k, ErrorFeedback, WireFormat};
 use coconet_core::CollAlgo;
 use coconet_tensor::{ReduceOp, SparseChunk, Tensor};
 
-use crate::collectives::{ring_all_reduce_wire_striped, Group};
-use crate::hierarchical::hierarchical_all_reduce_wire_striped;
+use crate::collectives::{ring_all_reduce, Group};
+use crate::hierarchical::hierarchical_all_reduce;
 use crate::switch::switch_all_reduce;
-use crate::tree::tree_all_reduce_wire_striped;
+use crate::tree::tree_all_reduce;
 use crate::RankComm;
 
 /// The wire format an AllReduce of `numel` elements actually runs
@@ -58,41 +58,16 @@ pub fn resolve_all_reduce_format(
 }
 
 /// AllReduce under a full communication configuration: the collective
-/// algorithm *and* the wire format, with the top-k/dense switchover
-/// applied. `feedback` carries the per-rank error-feedback residual
-/// across iterations; pass `None` for one-shot collectives (the
-/// dropped mass is discarded).
-#[allow(clippy::too_many_arguments)]
-pub fn all_reduce_wire(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    algo: CollAlgo,
-    ranks_per_node: usize,
-    format: WireFormat,
-    feedback: Option<&mut ErrorFeedback>,
-) -> Tensor {
-    all_reduce_wire_striped(
-        comm,
-        group,
-        input,
-        op,
-        algo,
-        ranks_per_node,
-        format,
-        feedback,
-        1,
-    )
-}
-
-/// [`all_reduce_wire`] with the dense collectives striped over
-/// `channels` concurrent lanes. The sparse top-k exchange and the
-/// in-network switch keep their single-lane wire (fixed-`k` chunks and
-/// fixed-point superchunks don't stripe); the ring, tree, and
-/// hierarchical paths run their striped engines. Results are
-/// bit-identical to `channels = 1` at every width and the per-rank
-/// byte totals are unchanged.
+/// algorithm, the wire format (with the top-k/dense switchover
+/// applied), and the lane count. `feedback` carries the per-rank
+/// error-feedback residual across iterations; pass `None` for one-shot
+/// collectives (the dropped mass is discarded).
+///
+/// The ring, tree, and hierarchical paths stripe over `channels`
+/// concurrent lanes; the sparse top-k exchange and the in-network
+/// switch keep their single-lane wire (fixed-`k` chunks and fixed-point
+/// superchunks don't stripe). Results are bit-identical to `channels =
+/// 1` at every width and the per-rank byte totals are unchanged.
 #[allow(clippy::too_many_arguments)]
 pub fn all_reduce_wire_striped(
     comm: &RankComm,
@@ -110,17 +85,11 @@ pub fn all_reduce_wire_striped(
         return sparse_all_reduce(comm, group, input, format, feedback);
     }
     match algo {
-        CollAlgo::Ring => ring_all_reduce_wire_striped(comm, group, input, op, format, channels),
-        CollAlgo::Tree => tree_all_reduce_wire_striped(comm, group, input, op, format, channels),
-        CollAlgo::Hierarchical => hierarchical_all_reduce_wire_striped(
-            comm,
-            group,
-            input,
-            op,
-            ranks_per_node,
-            format,
-            channels,
-        ),
+        CollAlgo::Ring => ring_all_reduce(comm, group, input, op, format, channels),
+        CollAlgo::Tree => tree_all_reduce(comm, group, input, op, format, channels),
+        CollAlgo::Hierarchical => {
+            hierarchical_all_reduce(comm, group, input, op, ranks_per_node, format, channels)
+        }
         // The switch wire is fixed-point i32 regardless of the
         // configured dense format — FP16 neither helps nor hurts it,
         // exactly as the cost model prices. Its aggregation tree is a
@@ -130,7 +99,8 @@ pub fn all_reduce_wire_striped(
 }
 
 /// The sparse top-k AllReduce (sum only). Callers normally reach it
-/// through [`all_reduce_wire`], which applies the dense switchover;
+/// through [`all_reduce_wire_striped`], which applies the dense
+/// switchover;
 /// calling it directly runs the sparse exchange unconditionally.
 ///
 /// Every rank returns the identical dense tensor: the densification of
@@ -266,7 +236,14 @@ mod tests {
                     WireFormat::TopK { k_permille: 1000 },
                     None,
                 );
-                let dense = ring_all_reduce(&comm, group_of(k), &input, ReduceOp::Sum);
+                let dense = ring_all_reduce(
+                    &comm,
+                    group_of(k),
+                    &input,
+                    ReduceOp::Sum,
+                    WireFormat::Dense,
+                    1,
+                );
                 (sparse, dense)
             });
             for (r, (sparse, dense)) in results.iter().enumerate() {
@@ -402,13 +379,20 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let input =
                 Tensor::from_fn([n], DType::F32, |i| ((comm.rank() * 13 + i) as f32) / 16.0);
-            let dense = ring_all_reduce(&comm, group_of(k), &input, ReduceOp::Sum);
+            let dense = ring_all_reduce(
+                &comm,
+                group_of(k),
+                &input,
+                ReduceOp::Sum,
+                WireFormat::Dense,
+                1,
+            );
             let mut outs = Vec::new();
             for algo in CollAlgo::ALL {
                 for format in WireFormat::SWEEP {
                     outs.push((
                         format!("{algo}/{format}"),
-                        all_reduce_wire(
+                        all_reduce_wire_striped(
                             &comm,
                             group_of(k),
                             &input,
@@ -417,6 +401,7 @@ mod tests {
                             4,
                             format,
                             None,
+                            1,
                         ),
                     ));
                 }

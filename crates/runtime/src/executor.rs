@@ -25,13 +25,11 @@ use coconet_tensor::{CounterRng, ReduceOp, Shape, Tensor};
 use coconet_topology::Cluster;
 
 use crate::collectives::{
-    all_reduce_scalar, broadcast, clamp_channels, reduce, ring_all_gather_wire_striped,
-    ring_reduce_scatter_wire_striped, Group,
+    all_reduce_scalar, broadcast, clamp_channels, reduce, ring_all_gather, ring_reduce_scatter,
+    Group,
 };
 use crate::compressed::all_reduce_wire_striped;
-use crate::hierarchical::{
-    hierarchical_all_gather_wire_striped, hierarchical_reduce_scatter_wire_striped,
-};
+use crate::hierarchical::{hierarchical_all_gather, hierarchical_reduce_scatter};
 use crate::stream::CommScheduler;
 use crate::{DistValue, RankComm, RuntimeError};
 
@@ -119,9 +117,10 @@ pub struct RunOptions {
     pub xfer: XferSched,
     /// Concurrent lanes every dense collective stripes its payload
     /// across — the runtime counterpart of a tuned plan's
-    /// [`CommConfig::channels`]. `1` (the default) runs the single-lane
-    /// data plane; wider counts split every hop into contiguous stripe
-    /// messages with bit-identical results and unchanged byte totals.
+    /// [`CommConfig::channels`]. `1` (the default) moves every hop as
+    /// one message; wider counts split it into contiguous stripe
+    /// messages with bit-identical results and unchanged byte totals —
+    /// on blocking and streamed collectives alike.
     /// Values clamp into `1..=`[`MAX_CHANNELS`](crate::MAX_CHANNELS).
     pub channels: usize,
     /// When nonzero, every step of every rank sleeps a deterministic
@@ -461,10 +460,9 @@ fn execute_rank(
         }
     }
 
-    // Priority streaming applies to the ring on a dense/FP16 wire (the
-    // formats whose streamed ring is bit-identical to the blocking
-    // one) and to the in-network switch (whose streamed job folds in
-    // the same ascending position order as the blocking path);
+    // Priority streaming applies to the algorithms that exist as
+    // schedulable state machines — the ring (dense/FP16 wire) and the
+    // in-network switch, each the very job its blocking call drives;
     // everything else keeps the blocking collectives, which is always
     // semantically safe — Barriered is the identity schedule.
     let streaming = opts.sched == CommSched::Priority
@@ -694,7 +692,15 @@ fn execute_iteration(
                     if opts.algo == CollAlgo::Switch {
                         sched.enqueue_switch(id, class, group, &input.local, op);
                     } else {
-                        sched.enqueue(id, class, group, &input.local, op, opts.format);
+                        sched.enqueue(
+                            id,
+                            class,
+                            group,
+                            &input.local,
+                            op,
+                            opts.format,
+                            opts.channels,
+                        );
                     }
                     pending.insert(v, id);
                     None
@@ -819,9 +825,9 @@ fn reduce_scatter(
         // scatter/gather form and falls back to the ring (mirroring the
         // cost model's `effective_algo`).
         CollAlgo::Ring | CollAlgo::Tree | CollAlgo::Switch => {
-            ring_reduce_scatter_wire_striped(comm, group, input, op, wire, opts.channels)
+            ring_reduce_scatter(comm, group, input, op, wire, opts.channels)
         }
-        CollAlgo::Hierarchical => hierarchical_reduce_scatter_wire_striped(
+        CollAlgo::Hierarchical => hierarchical_reduce_scatter(
             comm,
             group,
             input,
@@ -839,16 +845,11 @@ fn all_gather(comm: &RankComm, group: Group, chunk: &Tensor, opts: RunOptions) -
     let wire = rs_ag_format(opts.format);
     match opts.algo {
         CollAlgo::Ring | CollAlgo::Tree | CollAlgo::Switch => {
-            ring_all_gather_wire_striped(comm, group, chunk, wire, opts.channels)
+            ring_all_gather(comm, group, chunk, wire, opts.channels)
         }
-        CollAlgo::Hierarchical => hierarchical_all_gather_wire_striped(
-            comm,
-            group,
-            chunk,
-            opts.ranks_per_node,
-            wire,
-            opts.channels,
-        ),
+        CollAlgo::Hierarchical => {
+            hierarchical_all_gather(comm, group, chunk, opts.ranks_per_node, wire, opts.channels)
+        }
     }
 }
 

@@ -21,8 +21,8 @@ use coconet_compress::WireFormat;
 use coconet_tensor::{ReduceOp, Tensor};
 
 use crate::collectives::{
-    chunk_range, clamp_channels, recv_striped, ring_all_gather_wire_striped,
-    ring_reduce_scatter_wire_striped, send_striped, wire_decode, wire_encode, Group,
+    chunk_range, clamp_channels, recv_striped, ring_all_gather, ring_reduce_scatter, send_striped,
+    wire_decode, wire_encode, Group,
 };
 use crate::RankComm;
 
@@ -99,38 +99,13 @@ fn is_flat(group: Group, node_size: usize) -> bool {
 /// [`ring_reduce_scatter`](crate::ring_reduce_scatter): group position
 /// `i` returns owning the fully reduced flat chunk
 /// `chunk_range(numel, k, i)`.
+///
+/// Every payload of every phase is encoded per `wire` and striped over
+/// `channels` lanes: the intra-node rings run the ring lanes, and the
+/// leader hand-offs, the superchunk exchange, and the final scatter
+/// each travel as `channels` zero-copy stripe views. Byte totals and
+/// results are unchanged at every width.
 pub fn hierarchical_reduce_scatter(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    node_size: usize,
-) -> Tensor {
-    hierarchical_reduce_scatter_wire(comm, group, input, op, node_size, WireFormat::Dense)
-}
-
-/// [`hierarchical_reduce_scatter`] with every payload — the intra-node
-/// ring hops, the leader hand-offs, the inter-node superchunk
-/// exchange, and the final scatter — encoded per `wire`. The dense
-/// wire is byte- and allocation-identical to the plain variant.
-pub fn hierarchical_reduce_scatter_wire(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    node_size: usize,
-    wire: WireFormat,
-) -> Tensor {
-    hierarchical_reduce_scatter_wire_striped(comm, group, input, op, node_size, wire, 1)
-}
-
-/// [`hierarchical_reduce_scatter_wire`] with every phase striped over
-/// `channels` lanes: the intra-node rings run the striped ring engine
-/// and the leader hand-offs, the inter-node superchunk exchange, and
-/// the final scatter each travel as `channels` zero-copy stripe views.
-/// Byte totals and results are unchanged at every width; `channels <=
-/// 1` is the single-lane path.
-pub fn hierarchical_reduce_scatter_wire_striped(
     comm: &RankComm,
     group: Group,
     input: &Tensor,
@@ -141,7 +116,7 @@ pub fn hierarchical_reduce_scatter_wire_striped(
 ) -> Tensor {
     let channels = clamp_channels(channels);
     if is_flat(group, node_size) {
-        return ring_reduce_scatter_wire_striped(comm, group, input, op, wire, channels);
+        return ring_reduce_scatter(comm, group, input, op, wire, channels);
     }
     let k = group.size;
     let n = input.numel();
@@ -150,7 +125,7 @@ pub fn hierarchical_reduce_scatter_wire_striped(
 
     // Phase 1: intra-node ring ReduceScatter — local position `j` owns
     // the node-reduced chunk `chunk_range(n, sub.size, j)`.
-    let local_chunk = ring_reduce_scatter_wire_striped(comm, g.sub, input, op, wire, channels);
+    let local_chunk = ring_reduce_scatter(comm, g.sub, input, op, wire, channels);
 
     if g.local_pos != 0 {
         // Phase 2: hand the node-reduced chunk to the leader; phase 4:
@@ -234,37 +209,13 @@ pub fn hierarchical_reduce_scatter_wire_striped(
 /// chunks. Same postcondition as
 /// [`ring_all_gather`](crate::ring_all_gather): every rank returns all
 /// `k` chunks in group-position order.
+///
+/// Chunks travel encoded per `wire` across the leader exchange and the
+/// intra-node forward (one decode per chunk per rank at the phase
+/// boundaries), every one as `channels` zero-copy stripe views of its
+/// encoded buffer. Byte totals and results are unchanged at every
+/// width.
 pub fn hierarchical_all_gather(
-    comm: &RankComm,
-    group: Group,
-    chunk: &Tensor,
-    node_size: usize,
-) -> Vec<Tensor> {
-    hierarchical_all_gather_wire(comm, group, chunk, node_size, WireFormat::Dense)
-}
-
-/// [`hierarchical_all_gather`] with every payload encoded per `wire`
-/// (chunks travel encoded across the leader exchange and the
-/// intra-node forward, one decode per chunk per rank at the phase
-/// boundaries). The dense wire is byte- and allocation-identical to
-/// the plain variant.
-pub fn hierarchical_all_gather_wire(
-    comm: &RankComm,
-    group: Group,
-    chunk: &Tensor,
-    node_size: usize,
-    wire: WireFormat,
-) -> Vec<Tensor> {
-    hierarchical_all_gather_wire_striped(comm, group, chunk, node_size, wire, 1)
-}
-
-/// [`hierarchical_all_gather_wire`] with every phase striped over
-/// `channels` lanes: the intra-node ring runs the striped engine and
-/// every chunk of the leader exchange and the intra-node forward
-/// travels as `channels` zero-copy stripe views of its encoded buffer.
-/// Byte totals and results are unchanged at every width; `channels <=
-/// 1` is the single-lane path.
-pub fn hierarchical_all_gather_wire_striped(
     comm: &RankComm,
     group: Group,
     chunk: &Tensor,
@@ -274,7 +225,7 @@ pub fn hierarchical_all_gather_wire_striped(
 ) -> Vec<Tensor> {
     let channels = clamp_channels(channels);
     if is_flat(group, node_size) {
-        return ring_all_gather_wire_striped(comm, group, chunk, wire, channels);
+        return ring_all_gather(comm, group, chunk, wire, channels);
     }
     let k = group.size;
     let dtype = chunk.dtype();
@@ -286,7 +237,7 @@ pub fn hierarchical_all_gather_wire_striped(
     // forward (leader exchange and intra-node fan-out) is a buffer
     // handle of the already-encoded payload, and every rank decodes
     // each chunk exactly once at the end.
-    let node_chunks = ring_all_gather_wire_striped(comm, g.sub, chunk, wire, channels);
+    let node_chunks = ring_all_gather(comm, g.sub, chunk, wire, channels);
 
     let mut all: Vec<Option<Tensor>> = vec![None; k];
     for (j, c) in node_chunks.into_iter().enumerate() {
@@ -350,35 +301,10 @@ pub fn hierarchical_all_gather_wire_striped(
 
 /// Hierarchical AllReduce = hierarchical ReduceScatter ∘ hierarchical
 /// AllGather; returns the fully reduced tensor with the input's shape,
-/// exactly like [`ring_all_reduce`](crate::ring_all_reduce).
+/// exactly like [`ring_all_reduce`](crate::ring_all_reduce). Under FP16
+/// the two-level exchange moves exactly half the dense bytes on F32
+/// payloads; bit-identical at every `channels` width.
 pub fn hierarchical_all_reduce(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    node_size: usize,
-) -> Tensor {
-    hierarchical_all_reduce_wire(comm, group, input, op, node_size, WireFormat::Dense)
-}
-
-/// [`hierarchical_all_reduce`] with every payload of both phases
-/// encoded per `wire` — under FP16 the two-level exchange moves
-/// exactly half the dense bytes on F32 payloads.
-pub fn hierarchical_all_reduce_wire(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    node_size: usize,
-    wire: WireFormat,
-) -> Tensor {
-    hierarchical_all_reduce_wire_striped(comm, group, input, op, node_size, wire, 1)
-}
-
-/// [`hierarchical_all_reduce_wire`] with both phases striped over
-/// `channels` lanes (see the phase functions for the lane geometry).
-/// Bit-identical to the single-lane run at every width.
-pub fn hierarchical_all_reduce_wire_striped(
     comm: &RankComm,
     group: Group,
     input: &Tensor,
@@ -387,10 +313,8 @@ pub fn hierarchical_all_reduce_wire_striped(
     wire: WireFormat,
     channels: usize,
 ) -> Tensor {
-    let my_chunk =
-        hierarchical_reduce_scatter_wire_striped(comm, group, input, op, node_size, wire, channels);
-    let chunks =
-        hierarchical_all_gather_wire_striped(comm, group, &my_chunk, node_size, wire, channels);
+    let my_chunk = hierarchical_reduce_scatter(comm, group, input, op, node_size, wire, channels);
+    let chunks = hierarchical_all_gather(comm, group, &my_chunk, node_size, wire, channels);
     let mut out = Tensor::zeros(input.shape().clone(), input.dtype());
     let mut off = 0usize;
     for c in chunks {
@@ -415,9 +339,17 @@ mod tests {
                     let group = Group { start: 0, size: k };
                     let input =
                         Tensor::from_fn([n], DType::F32, |i| ((comm.rank() + 1) * (i + 3)) as f32);
-                    let hier =
-                        hierarchical_all_reduce(&comm, group, &input, ReduceOp::Sum, node_size);
-                    let ring = ring_all_reduce(&comm, group, &input, ReduceOp::Sum);
+                    let hier = hierarchical_all_reduce(
+                        &comm,
+                        group,
+                        &input,
+                        ReduceOp::Sum,
+                        node_size,
+                        WireFormat::Dense,
+                        1,
+                    );
+                    let ring =
+                        ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
                     (hier, ring)
                 });
                 for (r, (hier, ring)) in results.iter().enumerate() {
@@ -437,8 +369,17 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let group = Group { start: 0, size: k };
             let input = Tensor::from_fn([n], DType::F32, |i| i as f32);
-            let hier = hierarchical_reduce_scatter(&comm, group, &input, ReduceOp::Sum, node_size);
-            let ring = ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum);
+            let hier = hierarchical_reduce_scatter(
+                &comm,
+                group,
+                &input,
+                ReduceOp::Sum,
+                node_size,
+                WireFormat::Dense,
+                1,
+            );
+            let ring =
+                ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
             (hier, ring)
         });
         for (r, (hier, ring)) in results.iter().enumerate() {
@@ -458,7 +399,7 @@ mod tests {
             let group = Group { start: 0, size: k };
             let me = comm.rank();
             let chunk = Tensor::from_fn([3], DType::F32, |i| (me * 3 + i) as f32);
-            hierarchical_all_gather(&comm, group, &chunk, node_size)
+            hierarchical_all_gather(&comm, group, &chunk, node_size, WireFormat::Dense, 1)
         });
         for chunks in &results {
             let flat: Vec<f32> = chunks.iter().flat_map(|c| c.to_f32_vec()).collect();
@@ -473,7 +414,15 @@ mod tests {
             let results = run_ranks(k, move |comm| {
                 let group = Group { start: 0, size: k };
                 let input = Tensor::full([5], DType::F32, (comm.rank() + 1) as f32);
-                hierarchical_all_reduce(&comm, group, &input, ReduceOp::Sum, node_size)
+                hierarchical_all_reduce(
+                    &comm,
+                    group,
+                    &input,
+                    ReduceOp::Sum,
+                    node_size,
+                    WireFormat::Dense,
+                    1,
+                )
             });
             for t in &results {
                 assert_eq!(t.get(0), 10.0, "node_size={node_size}");
@@ -492,8 +441,10 @@ mod tests {
                 Group { start: 4, size: 4 }
             };
             let input = Tensor::full([2], DType::F32, comm.rank() as f32);
-            let mn = hierarchical_all_reduce(&comm, g, &input, ReduceOp::Min, 2);
-            let mx = hierarchical_all_reduce(&comm, g, &input, ReduceOp::Max, 2);
+            let mn =
+                hierarchical_all_reduce(&comm, g, &input, ReduceOp::Min, 2, WireFormat::Dense, 1);
+            let mx =
+                hierarchical_all_reduce(&comm, g, &input, ReduceOp::Max, 2, WireFormat::Dense, 1);
             (mn, mx)
         });
         for (r, (mn, mx)) in results.iter().enumerate() {
@@ -514,8 +465,17 @@ mod tests {
             let results = run_ranks(k, move |comm| {
                 let group = Group { start: 0, size: k };
                 let input = Tensor::from_fn([n], DType::F32, |i| (comm.rank() + i) as f32);
-                let hier = hierarchical_all_reduce(&comm, group, &input, ReduceOp::Sum, node_size);
-                let ring = ring_all_reduce(&comm, group, &input, ReduceOp::Sum);
+                let hier = hierarchical_all_reduce(
+                    &comm,
+                    group,
+                    &input,
+                    ReduceOp::Sum,
+                    node_size,
+                    WireFormat::Dense,
+                    1,
+                );
+                let ring =
+                    ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
                 (hier, ring)
             });
             for (hier, ring) in &results {

@@ -11,8 +11,8 @@
 //! original, up to FP16 rounding.
 //!
 //! Data movement is both minimized and measured: sends transfer
-//! copy-on-write buffer handles, collectives reduce received chunks in
-//! place, and every [`RankComm`] carries a [`BytesLedger`] whose wire
+//! copy-on-write buffer handles, the ring folds each received stripe
+//! with one fused out-of-place kernel, and every [`RankComm`] carries a [`BytesLedger`] whose wire
 //! and allocation counters let tests assert a collective moved exactly
 //! its analytic volume and copied nothing beyond it.
 //!
@@ -58,22 +58,15 @@ mod tree;
 
 pub use collectives::{
     all_reduce_scalar, broadcast, chunk_range, clamp_channels, reduce, ring_all_gather,
-    ring_all_gather_wire, ring_all_gather_wire_striped, ring_all_reduce, ring_all_reduce_wire,
-    ring_all_reduce_wire_striped, ring_reduce_scatter, ring_reduce_scatter_wire,
-    ring_reduce_scatter_wire_striped, Group, MAX_CHANNELS,
+    ring_all_reduce, ring_reduce_scatter, Group, MAX_CHANNELS,
 };
 pub use comm::{run_ranks, RankComm, WireMsg};
-pub use compressed::{
-    all_reduce_wire, all_reduce_wire_striped, resolve_all_reduce_format, sparse_all_reduce,
-};
+pub use compressed::{all_reduce_wire_striped, resolve_all_reduce_format, sparse_all_reduce};
 pub use dist::DistValue;
 pub use error::RuntimeError;
 pub use executor::{run_program, run_program_iterations, InitValue, Inputs, RunOptions, RunResult};
 pub use hierarchical::{
-    hierarchical_all_gather, hierarchical_all_gather_wire, hierarchical_all_gather_wire_striped,
-    hierarchical_all_reduce, hierarchical_all_reduce_wire, hierarchical_all_reduce_wire_striped,
-    hierarchical_reduce_scatter, hierarchical_reduce_scatter_wire,
-    hierarchical_reduce_scatter_wire_striped,
+    hierarchical_all_gather, hierarchical_all_reduce, hierarchical_reduce_scatter,
 };
 pub use ledger::{
     ring_all_reduce_wire_bytes, switch_all_reduce_wire_bytes, top_k_all_reduce_wire_bytes,
@@ -81,6 +74,6 @@ pub use ledger::{
 };
 pub use overlap_exec::{overlapped_matmul_all_reduce, production_order};
 pub use scattered::{BucketTable, ScatteredTensors, BUCKET_ELEMS};
-pub use stream::{CommScheduler, Completion, RingJob, StreamExecutor, SwitchJob};
+pub use stream::{CommScheduler, Completion, StreamExecutor};
 pub use switch::switch_all_reduce;
-pub use tree::{tree_all_reduce, tree_all_reduce_wire, tree_all_reduce_wire_striped};
+pub use tree::tree_all_reduce;

@@ -144,7 +144,7 @@ pub fn overlapped_matmul_all_reduce(
         comm.send_tagged(
             group.next(comm.rank()),
             send_c as u64,
-            0,
+            Some(0),
             WireMsg::Tensor(outgoing),
         );
         // Produce the next chunk while the wire is busy (T=2..5).
@@ -171,7 +171,7 @@ pub fn overlapped_matmul_all_reduce(
         comm.send_tagged(
             group.next(comm.rank()),
             (k + send_c) as u64,
-            0,
+            Some(0),
             WireMsg::Tensor(outgoing),
         );
         let incoming = recv_chunk(comm, group.prev(comm.rank()), (k + recv_c) as u64);
@@ -218,8 +218,14 @@ mod tests {
                     let w = Tensor::randn([inner, cols], DType::F32, rng, 50_000);
                     let overlapped =
                         overlapped_matmul_all_reduce(&comm, group, &a, &w, ReduceOp::Sum).unwrap();
-                    let sequential =
-                        crate::ring_all_reduce(&comm, group, &a.matmul(&w).unwrap(), ReduceOp::Sum);
+                    let sequential = crate::ring_all_reduce(
+                        &comm,
+                        group,
+                        &a.matmul(&w).unwrap(),
+                        ReduceOp::Sum,
+                        coconet_compress::WireFormat::Dense,
+                        1,
+                    );
                     (overlapped, sequential)
                 })
             })
@@ -289,10 +295,10 @@ mod tests {
         };
         // Deliver the later-issued hops FIRST: both all-gather chunks,
         // then the reduce-scatter partials in reversed step order.
-        c0.send_tagged(1, (k + 2) as u64, 0, msg(chunk(&total, 2)));
-        c0.send_tagged(1, (k) as u64, 0, msg(chunk(&total, 0)));
-        c0.send_tagged(1, 1, 0, msg(add(&chunk(&p[0], 1), &chunk(&p[2], 1))));
-        c0.send_tagged(1, 2, 0, msg(chunk(&p[0], 2)));
+        c0.send_tagged(1, (k + 2) as u64, Some(0), msg(chunk(&total, 2)));
+        c0.send_tagged(1, (k) as u64, Some(0), msg(chunk(&total, 0)));
+        c0.send_tagged(1, 1, Some(0), msg(add(&chunk(&p[0], 1), &chunk(&p[2], 1))));
+        c0.send_tagged(1, 2, Some(0), msg(chunk(&p[0], 2)));
 
         let got = handle.join().unwrap();
         assert_eq!(got.to_f32_vec(), total);

@@ -1,31 +1,21 @@
-//! Barrier-free streaming execution: poll-driven ring collectives
-//! multiplexed over the tagged fabric by a priority scheduler.
+//! Barrier-free streaming execution: the ring and switch state
+//! machines multiplexed over the tagged fabric by a priority scheduler.
 //!
-//! The blocking collectives in [`crate::collectives`] synchronize a
-//! whole group at every call — a training loop built on them ends each
-//! iteration with a global barrier. This module removes the barrier:
+//! A blocking collective drives its lanes to completion before it
+//! returns — a training loop built on them ends each iteration with a
+//! global barrier. This module removes the barrier by *polling* the
+//! very same state machines instead:
 //!
-//! * [`RingJob`] is the ring AllReduce re-expressed as a poll-driven
-//!   state machine. Each poll advances at most one chunk hop (one send
-//!   and/or one receive+fold), so many jobs interleave on one rank
-//!   thread at chunk granularity. The arithmetic — chunk geometry,
-//!   virtual-position schedule, fold order, wire encode points — is
-//!   *identical* to [`ring_all_reduce_wire`](crate::ring_all_reduce_wire),
-//!   which makes results bit-identical no matter how polls interleave.
-//! * [`SwitchJob`] is the in-network switch AllReduce
-//!   ([`switch_all_reduce`](crate::switch_all_reduce)) as the same kind
-//!   of poll-driven state machine: the worker leg sends one quantized
-//!   copy up and polls for the folded multicast; the group's position-0
-//!   rank additionally hosts the dataplane, gathering contributions and
-//!   folding them in ascending position order — the same fold as the
-//!   blocking path, so results stay bit-identical under any poll
-//!   interleaving.
-//! * [`CommScheduler`] owns the in-flight jobs and services them in
-//!   strict `(priority class, enqueue order)` order: each scheduling
-//!   round runs one chunk hop of the highest-priority job that can make
-//!   progress. A high-priority job enqueued late preempts lower ones at
-//!   the next chunk boundary; a blocked high-priority job parks and
-//!   lower-priority traffic fills the wire until its chunk arrives.
+//! * [`CommScheduler`] owns in-flight ring lanes
+//!   (`collectives::RingLane`) and switch jobs (`switch::SwitchJob`)
+//!   and services them in strict `(priority class, enqueue order)`
+//!   order: each scheduling round runs one hop of the highest-priority
+//!   job that can make progress. A high-priority job enqueued late
+//!   preempts lower ones at the next hop boundary; a blocked
+//!   high-priority job parks and lower-priority traffic fills the wire
+//!   until its chunk arrives. Because a polled lane runs the same step
+//!   code as a blocking one, results are bit-identical no matter how
+//!   polls interleave.
 //! * [`StreamExecutor`] is the barrier-free training loop: parameters
 //!   carry a *ready epoch*, gradient AllReduces are enqueued with the
 //!   class of the layer's position in the **next** iteration's forward
@@ -33,7 +23,7 @@
 //!   parameter it is about to touch. First-layer gradients overtake
 //!   last-layer gradients that backprop produced earlier — exactly the
 //!   reordering the per-class [`BytesLedger`](crate::BytesLedger)
-//!   counters and the scheduler's completion log expose.
+//!   counters and the scheduler's completion events expose.
 //!
 //! Deadlock freedom: sends never block (the fabric's channels are
 //! unbounded), receives are non-blocking polls, and every rank polls
@@ -42,517 +32,29 @@
 //! touches, so it completes; induction over the priority order covers
 //! the rest.
 
-use coconet_compress::{QuantChunk, WireFormat};
+use coconet_compress::WireFormat;
 use coconet_core::{CollAlgo, CommSched, XferSched};
-use coconet_tensor::{DType, ReduceOp, Shape, Tensor};
+use coconet_tensor::{ReduceOp, Tensor};
 use coconet_trace as trace;
 use coconet_trace::EventKind;
 
 use std::collections::HashMap;
 
-use crate::collectives::{chunk_range, clamp_channels, wire_decode, wire_encode, Group};
-use crate::comm::{RankComm, WireMsg};
+use crate::collectives::{
+    all_reduce_result, clamp_channels, lane_count, lane_tag, Group, RingLane, RingPhase,
+};
+use crate::comm::RankComm;
 use crate::ledger::PRIORITY_CLASSES;
-use crate::switch::fold_contributions;
+use crate::switch::SwitchJob;
 
-/// Where a [`RingJob`] is in the reduce-scatter → all-gather protocol.
-#[derive(Debug)]
-enum JobState {
-    /// Reduce-scatter phase: `step` of `k-1`, `sent` marks whether this
-    /// step's chunk is already on the wire.
-    ReduceScatter { step: usize, sent: bool },
-    /// All-gather phase over the fully reduced chunks.
-    AllGather { step: usize, sent: bool },
-    /// Finished; the assembled result is waiting to be taken.
-    Done(Tensor),
-}
-
-/// A ring AllReduce in flight: the blocking collective's exact schedule,
-/// advanced one chunk hop per poll instead of running to completion.
-///
-/// Chunks travel as *tagged* messages (`job` = this job's id), so any
-/// number of jobs share each rank-to-rank stream without disturbing one
-/// another — the receiver routes by tag, never by arrival order.
-#[derive(Debug)]
-pub struct RingJob {
-    id: u64,
-    class: u8,
-    seq: u64,
-    /// Stripe lane index (0 for single-lane jobs) — the trace `tid`
-    /// its hop events render under.
-    lane: u32,
-    group: Group,
-    op: ReduceOp,
-    wire: WireFormat,
-    dtype: DType,
-    shape: Shape,
-    /// Reduce-scatter working set: chunk views of the input, folded in
-    /// place as partials arrive (same fold order as the blocking ring).
-    rs_chunks: Vec<Tensor>,
-    /// All-gather working set: wire-encoded chunk handles by position.
-    ag_chunks: Vec<Option<Tensor>>,
-    state: JobState,
-}
-
-impl RingJob {
-    /// Starts a ring AllReduce of `input` over `group`, tagged `id` on
-    /// the wire and scheduled at `class` (lower = serviced first).
-    ///
-    /// Top-k has no streaming ring form (like ReduceScatter/AllGather
-    /// it resolves to the dense wire); `Dense` and `Fp16` reproduce
-    /// [`ring_all_reduce_wire`](crate::ring_all_reduce_wire) exactly.
-    pub fn new(
-        id: u64,
-        class: u8,
-        seq: u64,
-        group: Group,
-        input: &Tensor,
-        op: ReduceOp,
-        wire: WireFormat,
-    ) -> RingJob {
-        RingJob::new_lane(id, class, seq, group, input, op, wire, 1, 0)
-    }
-
-    /// Starts lane `lane` of a `lanes`-wide striped ring AllReduce:
-    /// this job moves stripe `chunk_range(chunk_len, lanes, lane)` of
-    /// every ring chunk, following the single-lane chunk schedule, and
-    /// finishes holding the flat concatenation of its fully gathered
-    /// chunk stripes (in chunk order). [`CommScheduler::wait`]
-    /// reassembles the lanes into the replicated output.
-    #[allow(clippy::too_many_arguments)]
-    fn new_lane(
-        id: u64,
-        class: u8,
-        seq: u64,
-        group: Group,
-        input: &Tensor,
-        op: ReduceOp,
-        wire: WireFormat,
-        lanes: usize,
-        lane: usize,
-    ) -> RingJob {
-        let wire = match wire {
-            WireFormat::TopK { .. } => WireFormat::Dense,
-            f => f,
-        };
-        let k = group.size;
-        let n = input.numel();
-        let dtype = input.dtype();
-        if k == 1 {
-            // Degenerate group: the blocking ring returns the input's
-            // values re-assembled into a fresh tensor; match it.
-            // (Striped enqueues delegate singleton groups here whole,
-            // so a lane job never sees k == 1 with a partial payload.)
-            debug_assert_eq!(lanes, 1, "singleton groups run single-lane");
-            let shape = input.shape().clone();
-            let chunk = input.slice_flat(0, n).expect("full range");
-            let mut out = Tensor::zeros(shape.clone(), dtype);
-            out.write_flat(0, &chunk).expect("full range");
-            return RingJob {
-                id,
-                class,
-                seq,
-                lane: lane as u32,
-                group,
-                op,
-                wire,
-                dtype,
-                shape,
-                rs_chunks: Vec::new(),
-                ag_chunks: Vec::new(),
-                state: JobState::Done(out),
-            };
-        }
-        let rs_chunks: Vec<Tensor> = (0..k)
-            .map(|c| {
-                let (c_off, c_len) = chunk_range(n, k, c);
-                let (s_off, s_len) = chunk_range(c_len, lanes, lane);
-                input.slice_flat(c_off + s_off, s_len).expect("in range")
-            })
-            .collect();
-        // A single-lane job assembles into the input's shape; a lane
-        // job's result is the flat concatenation of its chunk stripes.
-        let shape = if lanes == 1 {
-            input.shape().clone()
-        } else {
-            Shape::from([rs_chunks.iter().map(Tensor::numel).sum::<usize>()])
-        };
-        RingJob {
-            id,
-            class,
-            seq,
-            lane: lane as u32,
-            group,
-            op,
-            wire,
-            dtype,
-            shape,
-            rs_chunks,
-            ag_chunks: vec![None; k],
-            state: JobState::ReduceScatter {
-                step: 0,
-                sent: false,
-            },
-        }
-    }
-
-    /// This job's wire tag.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// This job's priority class.
-    pub fn class(&self) -> u8 {
-        self.class
-    }
-
-    fn is_done(&self) -> bool {
-        matches!(self.state, JobState::Done(_))
-    }
-
-    /// Chunk hops still ahead of this job — the contention-aware
-    /// scheduler's shortest-remaining-work key. The ring runs `k-1`
-    /// reduce-scatter hops then `k-1` gather hops.
-    fn remaining_hops(&self) -> usize {
-        let k = self.group.size;
-        match self.state {
-            JobState::ReduceScatter { step, .. } => (k - 1 - step) + (k - 1),
-            JobState::AllGather { step, .. } => k - 1 - step,
-            JobState::Done(_) => 0,
-        }
-    }
-
-    fn take_result(self) -> Tensor {
-        match self.state {
-            JobState::Done(t) => t,
-            _ => unreachable!("take_result on an unfinished job"),
-        }
-    }
-
-    /// Advances the job by at most one chunk hop: sends this step's
-    /// chunk if it is not on the wire yet, then polls for the incoming
-    /// chunk and folds/stores it. Returns `true` if anything moved.
-    ///
-    /// Sends go through [`RankComm::send_tagged`], so the per-class
-    /// ledger counters attribute every byte to this job's class.
-    fn poll(&mut self, comm: &RankComm) -> bool {
-        let k = self.group.size;
-        let me = self.group.position(comm.rank());
-        let next = self.group.next(comm.rank());
-        let prev = self.group.prev(comm.rank());
-        let mut progressed = false;
-        match &mut self.state {
-            JobState::ReduceScatter { step, sent } => {
-                // The blocking ring's virtual-position schedule.
-                let j = (me + k - 1) % k;
-                let send_c = (j + k - *step % k) % k;
-                let recv_c = (j + k - *step - 1) % k;
-                if !*sent {
-                    let payload = wire_encode(&self.rs_chunks[send_c], self.wire);
-                    trace::instant_lane(
-                        EventKind::Hop,
-                        "ring:rs",
-                        self.lane,
-                        self.id,
-                        payload.size_bytes() as u64,
-                    );
-                    comm.send_tagged(next, self.id, self.class, WireMsg::Tensor(payload));
-                    *sent = true;
-                    progressed = true;
-                }
-                if let Some(msg) = comm.try_recv_tagged(prev, self.id) {
-                    let incoming = wire_decode(expect_tensor(msg), self.wire, self.dtype);
-                    self.rs_chunks[recv_c]
-                        .reduce_assign(&incoming, self.op)
-                        .expect("ring chunks agree on geometry");
-                    progressed = true;
-                    if *step + 1 < k - 1 {
-                        *step += 1;
-                        *sent = false;
-                    } else {
-                        // Reduce-scatter complete: position `me` owns
-                        // the fully reduced chunk `me`. Seed the gather
-                        // with its one-time wire encoding.
-                        let mine = self.rs_chunks.swap_remove(me);
-                        self.ag_chunks[me] = Some(wire_encode(&mine, self.wire));
-                        self.rs_chunks.clear();
-                        self.state = JobState::AllGather {
-                            step: 0,
-                            sent: false,
-                        };
-                    }
-                }
-            }
-            JobState::AllGather { step, sent } => {
-                let send_c = (me + k - *step % k) % k;
-                let recv_c = (me + k - *step - 1) % k;
-                if !*sent {
-                    let payload = self.ag_chunks[send_c]
-                        .clone()
-                        .expect("chunk present by schedule");
-                    trace::instant_lane(
-                        EventKind::Hop,
-                        "ring:ag",
-                        self.lane,
-                        self.id,
-                        payload.size_bytes() as u64,
-                    );
-                    comm.send_tagged(next, self.id, self.class, WireMsg::Tensor(payload));
-                    *sent = true;
-                    progressed = true;
-                }
-                if let Some(msg) = comm.try_recv_tagged(prev, self.id) {
-                    self.ag_chunks[recv_c] = Some(expect_tensor(msg));
-                    progressed = true;
-                    if *step + 1 < k - 1 {
-                        *step += 1;
-                        *sent = false;
-                    } else {
-                        self.state = JobState::Done(self.assemble());
-                    }
-                }
-            }
-            JobState::Done(_) => {}
-        }
-        progressed
-    }
-
-    /// Decodes the gathered chunks and assembles the replicated result
-    /// — the blocking ring's exact epilogue.
-    fn assemble(&mut self) -> Tensor {
-        let mut out = Tensor::zeros(self.shape.clone(), self.dtype);
-        let mut off = 0usize;
-        for c in self.ag_chunks.drain(..) {
-            let c = wire_decode(c.expect("all chunks gathered"), self.wire, self.dtype);
-            out.write_flat(off, &c).expect("chunks tile the tensor");
-            off += c.numel();
-        }
-        out
-    }
-}
-
-fn expect_tensor(msg: WireMsg) -> Tensor {
-    match msg {
-        WireMsg::Tensor(t) => t,
-        other => unreachable!("streaming ring jobs are dense-wire only, got {other:?}"),
-    }
-}
-
-fn expect_quant(msg: WireMsg) -> QuantChunk {
-    match msg {
-        WireMsg::Quantized(c) => c,
-        other => unreachable!("switch jobs carry quantized chunks only, got {other:?}"),
-    }
-}
-
-/// An in-network switch AllReduce in flight: the blocking
-/// [`switch_all_reduce`](crate::switch_all_reduce) as a poll-driven
-/// state machine sharing the tagged fabric with [`RingJob`]s.
-///
-/// Every worker sends its quantized contribution up once; the
-/// position-0 rank's job additionally runs the emulated dataplane —
-/// gathering all contributions, folding them in ascending position
-/// order (the determinism contract of saturating adds), and
-/// multicasting the folded chunk tagged with this job's id. Worker legs
-/// are ledgered per class; dataplane legs land in the
-/// switch-attributed counters.
-#[derive(Debug)]
-pub struct SwitchJob {
-    id: u64,
-    class: u8,
-    seq: u64,
-    group: Group,
-    op: ReduceOp,
-    dtype: DType,
-    shape: Shape,
-    /// Quantized input awaiting its up-send.
-    up: Option<QuantChunk>,
-    /// Dataplane gather slots (non-empty on the position-0 host only).
-    contribs: Vec<Option<QuantChunk>>,
-    gathered: usize,
-    multicast_done: bool,
-    /// The dequantized result once the down multicast landed.
-    result: Option<Tensor>,
-}
-
-impl SwitchJob {
-    /// Starts a switch AllReduce of `input` over `group`, tagged `id`
-    /// on the wire and scheduled at `class`. Note the wire is always
-    /// fixed-point `i32` — there is no [`WireFormat`] parameter to pass.
-    pub fn new(
-        id: u64,
-        class: u8,
-        seq: u64,
-        group: Group,
-        input: &Tensor,
-        op: ReduceOp,
-    ) -> SwitchJob {
-        let q = {
-            let _codec = trace::span(EventKind::Codec, "q15:quantize", input.numel() as u64, id);
-            QuantChunk::quantize(input)
-        };
-        let dtype = input.dtype();
-        let shape = input.shape().clone();
-        if group.size == 1 {
-            // Degenerate group: the blocking path still round-trips
-            // through the quantizer; match it.
-            let out = q
-                .dequantize(dtype)
-                .reshape(shape.clone())
-                .expect("same numel");
-            return SwitchJob {
-                id,
-                class,
-                seq,
-                group,
-                op,
-                dtype,
-                shape,
-                up: None,
-                contribs: Vec::new(),
-                gathered: 0,
-                multicast_done: true,
-                result: Some(out),
-            };
-        }
-        SwitchJob {
-            id,
-            class,
-            seq,
-            group,
-            op,
-            dtype,
-            shape,
-            up: Some(q),
-            contribs: Vec::new(),
-            gathered: 0,
-            multicast_done: false,
-            result: None,
-        }
-    }
-
-    /// This job's wire tag.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// This job's priority class.
-    pub fn class(&self) -> u8 {
-        self.class
-    }
-
-    fn is_done(&self) -> bool {
-        self.result.is_some()
-    }
-
-    /// Legs still ahead of this job: the up-send, the dataplane
-    /// fold/multicast, and the down receive.
-    fn remaining_hops(&self) -> usize {
-        usize::from(self.up.is_some())
-            + usize::from(!self.multicast_done)
-            + usize::from(self.result.is_none())
-    }
-
-    fn take_result(self) -> Tensor {
-        self.result.expect("take_result on an unfinished job")
-    }
-
-    /// Advances the job: sends the up copy if still pending, runs one
-    /// dataplane gather/fold/multicast round on the host, and polls for
-    /// the down multicast. Returns `true` if anything moved.
-    fn poll(&mut self, comm: &RankComm) -> bool {
-        let me = self.group.position(comm.rank());
-        let switch_rank = self.group.rank_at(0);
-        let mut progressed = false;
-
-        if let Some(q) = self.up.take() {
-            trace::instant(EventKind::Hop, "switch:up", self.id, q.wire_bytes());
-            comm.send_tagged(switch_rank, self.id, self.class, WireMsg::Quantized(q));
-            progressed = true;
-        }
-
-        if me == 0 && !self.multicast_done {
-            if self.contribs.is_empty() {
-                self.contribs = vec![None; self.group.size];
-            }
-            for pos in 0..self.group.size {
-                if self.contribs[pos].is_none() {
-                    if let Some(msg) = comm.try_recv_tagged_switch(self.group.rank_at(pos), self.id)
-                    {
-                        self.contribs[pos] = Some(expect_quant(msg));
-                        self.gathered += 1;
-                        progressed = true;
-                    }
-                }
-            }
-            if self.gathered == self.group.size {
-                let contribs = self
-                    .contribs
-                    .drain(..)
-                    .map(|c| c.expect("all gathered"))
-                    .collect();
-                let folded = fold_contributions(contribs, self.op);
-                for pos in 0..self.group.size {
-                    trace::instant(
-                        EventKind::Hop,
-                        "switch:multicast",
-                        self.id,
-                        folded.wire_bytes(),
-                    );
-                    comm.send_tagged_switch(
-                        self.group.rank_at(pos),
-                        self.id,
-                        WireMsg::Quantized(folded.clone()),
-                    );
-                }
-                self.multicast_done = true;
-                progressed = true;
-            }
-        }
-
-        // The worker leg may only look for the down multicast once it
-        // can exist — on the host rank the up copy sits in the same
-        // self-channel under the same tag until the dataplane consumes
-        // it, so polling earlier would swallow it.
-        let down_may_exist = me != 0 || self.multicast_done;
-        if self.result.is_none() && down_may_exist {
-            if let Some(msg) = comm.try_recv_tagged(switch_rank, self.id) {
-                let down = expect_quant(msg);
-                trace::instant(EventKind::Hop, "switch:down", self.id, down.wire_bytes());
-                let out = down
-                    .dequantize(self.dtype)
-                    .reshape(self.shape.clone())
-                    .expect("same numel");
-                self.result = Some(out);
-                progressed = true;
-            }
-        }
-        progressed
-    }
-}
-
-/// An in-flight job of either flavor — what the scheduler's queue holds.
+/// An in-flight state machine of either algorithm.
 #[derive(Debug)]
 enum Job {
-    Ring(RingJob),
+    Ring(RingLane),
     Switch(SwitchJob),
 }
 
 impl Job {
-    fn id(&self) -> u64 {
-        match self {
-            Job::Ring(j) => j.id(),
-            Job::Switch(j) => j.id(),
-        }
-    }
-
-    fn key(&self) -> (u8, u64) {
-        match self {
-            Job::Ring(j) => (j.class, j.seq),
-            Job::Switch(j) => (j.class, j.seq),
-        }
-    }
-
     fn remaining_hops(&self) -> usize {
         match self {
             Job::Ring(j) => j.remaining_hops(),
@@ -562,8 +64,8 @@ impl Job {
 
     fn poll(&mut self, comm: &RankComm) -> bool {
         match self {
-            Job::Ring(j) => j.poll(comm),
-            Job::Switch(j) => j.poll(comm),
+            Job::Ring(j) => j.advance(comm, false),
+            Job::Switch(j) => j.advance(comm, false),
         }
     }
 
@@ -573,13 +75,17 @@ impl Job {
             Job::Switch(j) => j.is_done(),
         }
     }
+}
 
-    fn take_result(self) -> Tensor {
-        match self {
-            Job::Ring(j) => j.take_result(),
-            Job::Switch(j) => j.take_result(),
-        }
-    }
+/// What the scheduler's queue holds: a job under its wire tag, the
+/// logical id it belongs to, and its `(class, seq)` service key.
+#[derive(Debug)]
+struct Queued {
+    id: u64,
+    logical: u64,
+    class: u8,
+    seq: u64,
+    job: Job,
 }
 
 /// One structured completion record of the scheduler: which physical
@@ -588,7 +94,8 @@ impl Job {
 /// records line up with span timestamps in an exported trace.
 #[derive(Clone, Copy, Debug)]
 pub struct Completion {
-    /// The finished job's wire id (lane-tagged for striped lanes).
+    /// The finished job's wire id: the caller's id for a one-lane job,
+    /// `(id << 6) | lane` for each lane of a striped one.
     pub id: u64,
     /// The priority class the job ran at.
     pub class: u8,
@@ -596,53 +103,32 @@ pub struct Completion {
     pub ts_ns: u64,
 }
 
-/// Reassembly geometry of one striped logical job.
-#[derive(Debug)]
-struct StripedMeta {
-    channels: usize,
-    group_size: usize,
-    shape: Shape,
-    dtype: DType,
-}
-
-/// The wire tag of lane `lane` of striped logical job `id`: the lane
-/// index rides the low [`LANE_BITS`] bits. Single-lane jobs keep their
-/// raw id untouched, so the tag space is backward compatible.
-fn lane_tag(id: u64, lane: usize) -> u64 {
-    (id << LANE_BITS) | lane as u64
-}
-
-/// Bits [`lane_tag`] reserves for the lane index —
-/// [`MAX_CHANNELS`](crate::MAX_CHANNELS) lanes fit exactly.
-const LANE_BITS: u32 = 6;
-
-/// The priority queue in front of the comm fabric: in-flight
-/// [`RingJob`]s and [`SwitchJob`]s serviced in strict
-/// `(class, enqueue order)` order with chunk-granular preemption
-/// between priority levels.
+/// The priority queue in front of the comm fabric: in-flight ring
+/// lanes and switch jobs serviced in strict `(class, enqueue order)`
+/// order with hop-granular preemption between priority levels.
 #[derive(Debug, Default)]
 pub struct CommScheduler {
     /// Unfinished jobs, kept sorted by `(class, seq)`.
-    jobs: Vec<Job>,
+    jobs: Vec<Queued>,
     next_seq: u64,
     /// Cross-job transfer discipline: FIFO services strict
     /// `(class, seq)` order; Aware prefers the job with the fewest
-    /// remaining chunk hops (class and seq break ties), the
+    /// remaining hops (class and seq break ties), the
     /// shortest-remaining-work policy that stops small transfers
     /// convoying behind large ones. Either way every byte still moves
     /// through the same tagged channels, so results and per-class
     /// ledger totals are bit-identical across disciplines — the knob
     /// reorders wire traffic, never data.
     xfer: XferSched,
-    /// Lane geometry of striped logical jobs, by logical id —
-    /// [`CommScheduler::wait`] uses it to reassemble lane results.
-    striped: HashMap<u64, StripedMeta>,
-    /// Finished results waiting for [`CommScheduler::wait`].
+    /// Finished lanes of striped logical jobs whose sibling lanes are
+    /// still in flight, by logical id.
+    landed: HashMap<u64, Vec<RingLane>>,
+    /// Finished results waiting for [`CommScheduler::wait`], by
+    /// logical id.
     completed: Vec<(u64, Tensor)>,
     /// Structured completion records in the order jobs finished — the
-    /// reordering witness the steady-state experiment asserts on
-    /// (via the [`completion_log`](CommScheduler::completion_log) id
-    /// view) and the overlap profiler's job end marker.
+    /// reordering witness the steady-state experiment asserts on and
+    /// the overlap profiler's job end marker.
     completions: Vec<Completion>,
 }
 
@@ -663,43 +149,28 @@ impl CommScheduler {
     /// Launches a ring AllReduce of `input` at `class` (clamped to
     /// [`PRIORITY_CLASSES`]; lower classes are serviced first — tag the
     /// launch with the consuming step's position in the next
-    /// iteration's forward order). `id` must be agreed on by every rank
-    /// in the group; it tags the job's chunks on the wire.
+    /// iteration's forward order), striped across `channels` lanes
+    /// (clamped to `1..=`[`MAX_CHANNELS`](crate::MAX_CHANNELS); a
+    /// singleton group runs one). `id` must be agreed on by every rank
+    /// in the group.
+    ///
+    /// Each lane is its own queue entry with its own `(class, seq)`, so
+    /// the scheduler preempts and interleaves lanes independently at
+    /// stripe granularity. One lane rides the wire tagged `id`; several
+    /// ride tagged `(id << 6) | lane`, and [`wait`](CommScheduler::wait)
+    /// on `id` collects them all. Results are bit-identical and byte
+    /// totals equal at every width (stripe sums partition every chunk).
     ///
     /// Enqueuing performs no communication: the first chunk goes out on
-    /// the first [`poll`](CommScheduler::poll) that services this job.
-    pub fn enqueue(
-        &mut self,
-        id: u64,
-        class: u8,
-        group: Group,
-        input: &Tensor,
-        op: ReduceOp,
-        wire: WireFormat,
-    ) {
-        let class = class.min(PRIORITY_CLASSES as u8 - 1);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.admit(Job::Ring(RingJob::new(
-            id, class, seq, group, input, op, wire,
-        )));
-    }
-
-    /// Launches a ring AllReduce striped across `channels` concurrent
-    /// lanes: lane `s` is its own poll-driven [`RingJob`] moving stripe
-    /// `chunk_range(chunk_len, channels, s)` of every ring chunk, with
-    /// its own `(class, seq)` — so the scheduler preempts and
-    /// interleaves lanes independently at chunk-stripe granularity.
-    /// Lane chunks ride tagged `(id << 6) | lane`; callers must keep
-    /// striped logical ids below `2^58`. `channels <= 1` (or a
-    /// singleton group) is exactly [`enqueue`](CommScheduler::enqueue).
+    /// the first [`poll`](CommScheduler::poll) that services the job.
     ///
-    /// [`wait`](CommScheduler::wait) on the logical `id` reassembles
-    /// the lanes; results are bit-identical to the single-lane job at
-    /// every width and the byte totals are unchanged (stripe sums
-    /// partition every chunk).
+    /// # Panics
+    ///
+    /// Panics if `id` does not fit the tag layout: `id < 2^63` for one
+    /// lane, `id < 2^57` for several (the rest is lane bits and the
+    /// range blocking collectives use).
     #[allow(clippy::too_many_arguments)]
-    pub fn enqueue_striped(
+    pub fn enqueue(
         &mut self,
         id: u64,
         class: u8,
@@ -709,43 +180,29 @@ impl CommScheduler {
         wire: WireFormat,
         channels: usize,
     ) {
-        let channels = clamp_channels(channels);
-        if channels == 1 || group.size == 1 {
-            self.enqueue(id, class, group, input, op, wire);
-            return;
-        }
-        debug_assert_eq!(id >> (64 - LANE_BITS), 0, "striped id overflows the tag");
         let class = class.min(PRIORITY_CLASSES as u8 - 1);
-        self.striped.insert(
-            id,
-            StripedMeta {
-                channels,
-                group_size: group.size,
-                shape: input.shape().clone(),
-                dtype: input.dtype(),
-            },
-        );
-        for lane in 0..channels {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.admit(Job::Ring(RingJob::new_lane(
-                lane_tag(id, lane),
-                class,
-                seq,
+        let lanes = lane_count(group, channels);
+        for lane in 0..lanes {
+            let tag = lane_tag(Some(id), lanes, lane);
+            let job = RingLane::new(
+                RingPhase::AllReduce,
+                tag,
+                Some(class),
                 group,
                 input,
                 op,
                 wire,
-                channels,
+                lanes,
                 lane,
-            )));
+            );
+            self.admit(tag, id, class, Job::Ring(job));
         }
     }
 
     /// Launches an in-network switch AllReduce of `input` at `class` —
-    /// the [`SwitchJob`] twin of [`enqueue`](CommScheduler::enqueue).
-    /// No wire format parameter: the switch wire is always fixed-point
-    /// `i32`.
+    /// the switch twin of [`enqueue`](CommScheduler::enqueue). No wire
+    /// format or lane count: the switch wire is always one fixed-point
+    /// `i32` stream.
     pub fn enqueue_switch(
         &mut self,
         id: u64,
@@ -755,137 +212,140 @@ impl CommScheduler {
         op: ReduceOp,
     ) {
         let class = class.min(PRIORITY_CLASSES as u8 - 1);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.admit(Job::Switch(SwitchJob::new(
-            id, class, seq, group, input, op,
-        )));
+        let tag = lane_tag(Some(id), 1, 0);
+        let job = SwitchJob::new(tag, Some(class), group, input, op);
+        self.admit(tag, id, class, Job::Switch(job));
     }
 
-    fn admit(&mut self, job: Job) {
-        let (class, _) = job.key();
+    fn admit(&mut self, id: u64, logical: u64, class: u8, job: Job) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
         // The single choke point every physical job passes through —
         // striped lanes and switch jobs included — so every enqueue
         // event has a matching completion event with the same id.
         trace::instant(
             EventKind::SchedEnqueue,
             "sched:enqueue",
-            job.id(),
+            id,
             u64::from(class),
         );
-        if job.is_done() {
-            // Single-rank groups finish at enqueue time.
-            self.record_completion(job.id(), class);
-            self.completed.push((job.id(), job.take_result()));
+        let queued = Queued {
+            id,
+            logical,
+            class,
+            seq,
+            job,
+        };
+        if queued.job.is_done() {
+            // Single-rank ring groups finish at enqueue time.
+            self.complete(queued);
             return;
         }
-        let at = self.jobs.partition_point(|j| j.key() <= job.key());
-        self.jobs.insert(at, job);
+        let at = self
+            .jobs
+            .partition_point(|j| (j.class, j.seq) <= (class, seq));
+        self.jobs.insert(at, queued);
     }
 
-    /// Appends a structured completion record (and its trace instant).
-    /// The timestamp is read unconditionally — a clock read touches no
-    /// data, so disabled-tracing runs stay bit-identical.
-    fn record_completion(&mut self, id: u64, class: u8) {
+    /// Files a finished job: its structured completion record (and
+    /// trace instant), then its result for
+    /// [`wait`](CommScheduler::wait) — assembled as soon as the last
+    /// lane of the logical job lands, so finished lanes do not pin
+    /// their peers' buffers until somebody waits. The timestamp is read
+    /// unconditionally — a clock read touches no data, so
+    /// disabled-tracing runs stay bit-identical.
+    fn complete(&mut self, done: Queued) {
         let ts_ns = trace::now_ns();
         trace::instant(
             EventKind::SchedComplete,
             "sched:complete",
-            id,
-            u64::from(class),
+            done.id,
+            u64::from(done.class),
         );
-        self.completions.push(Completion { id, class, ts_ns });
+        self.completions.push(Completion {
+            id: done.id,
+            class: done.class,
+            ts_ns,
+        });
+        let result = match done.job {
+            Job::Switch(job) => job.take_result(),
+            Job::Ring(lane) => {
+                let lanes = lane.lanes();
+                let landed = self.landed.entry(done.logical).or_default();
+                landed.push(lane);
+                if landed.len() < lanes {
+                    return;
+                }
+                let ring = self.landed.remove(&done.logical).expect("just filled");
+                all_reduce_result(&ring)
+            }
+        };
+        self.completed.push((done.logical, result));
     }
 
-    /// One scheduling round: runs one chunk hop of the most-preferred
-    /// job that can make progress — strict `(class, seq)` order under
+    /// One scheduling round: runs one hop of the most-preferred job
+    /// that can make progress — strict `(class, seq)` order under
     /// FIFO, shortest-remaining-hops first (class and seq breaking
     /// ties) under the contention-aware discipline. Blocked jobs park;
     /// the first runnable lower-preference job fills the gap — that is
-    /// the chunk-granular preemption between priority levels. Returns
+    /// the hop-granular preemption between priority levels. Returns
     /// `true` if any job moved.
     pub fn poll(&mut self, comm: &RankComm) -> bool {
-        // `jobs` is kept sorted by (class, seq), which is FIFO's
-        // service order; Aware re-ranks by remaining work per round
-        // (cheap: in-flight job counts are small).
-        let order: Vec<usize> = match self.xfer {
-            XferSched::Fifo => (0..self.jobs.len()).collect(),
+        match self.xfer {
+            // `jobs` is kept sorted by (class, seq) — FIFO's service
+            // order — so the busy loops that call this walk it in place.
+            XferSched::Fifo => (0..self.jobs.len()).any(|i| self.service(comm, i, i)),
+            // Aware re-ranks by remaining work per round (cheap:
+            // in-flight job counts are small).
             XferSched::Aware => {
                 let mut order: Vec<usize> = (0..self.jobs.len()).collect();
-                order.sort_by_key(|&i| (self.jobs[i].remaining_hops(), self.jobs[i].key()));
-                order
-            }
-        };
-        for (pos, i) in order.into_iter().enumerate() {
-            if self.jobs[i].poll(comm) {
-                if pos != 0 {
-                    // A more-preferred job was blocked on the wire and a
-                    // lower-preference one filled the slot — the
-                    // chunk-granular preemption the trace exposes.
-                    trace::instant(
-                        EventKind::SchedPreempt,
-                        "sched:fill",
-                        self.jobs[i].id(),
-                        pos as u64,
-                    );
-                }
-                if self.jobs[i].is_done() {
-                    let job = self.jobs.remove(i);
-                    let (class, _) = job.key();
-                    self.record_completion(job.id(), class);
-                    self.completed.push((job.id(), job.take_result()));
-                }
-                return true;
+                order.sort_by_key(|&i| {
+                    let j = &self.jobs[i];
+                    (j.job.remaining_hops(), j.class, j.seq)
+                });
+                let mut ranked = order.into_iter().enumerate();
+                ranked.any(|(pos, i)| self.service(comm, i, pos))
             }
         }
-        false
     }
 
-    /// Polls until job `id` completes and returns its result. For a
-    /// logical id launched with
-    /// [`enqueue_striped`](CommScheduler::enqueue_striped), drains all
-    /// of its lanes and reassembles their chunk stripes into the
-    /// replicated output.
+    /// Polls `jobs[i]`, the `pos`-th preference of this round; files it
+    /// if that finished it. Returns whether it moved.
+    fn service(&mut self, comm: &RankComm, i: usize, pos: usize) -> bool {
+        if !self.jobs[i].job.poll(comm) {
+            return false;
+        }
+        if pos != 0 {
+            // A more-preferred job was blocked on the wire and a
+            // lower-preference one filled the slot — the hop-granular
+            // preemption the trace exposes.
+            trace::instant(
+                EventKind::SchedPreempt,
+                "sched:fill",
+                self.jobs[i].id,
+                pos as u64,
+            );
+        }
+        if self.jobs[i].job.is_done() {
+            let done = self.jobs.remove(i);
+            self.complete(done);
+        }
+        true
+    }
+
+    /// Polls until job `id` completes and returns its result — for a
+    /// striped job, once every lane has landed.
     ///
     /// # Panics
     ///
     /// Panics if `id` was never enqueued.
     pub fn wait(&mut self, comm: &RankComm, id: u64) -> Tensor {
-        let Some(meta) = self.striped.remove(&id) else {
-            return self.wait_job(comm, id);
-        };
-        let lanes: Vec<Tensor> = (0..meta.channels)
-            .map(|s| self.wait_job(comm, lane_tag(id, s)))
-            .collect();
-        // Scatter each lane's flat chunk-stripe concatenation back to
-        // its per-chunk ranges.
-        let n = meta.shape.numel();
-        let k = meta.group_size;
-        let mut out = Tensor::zeros(meta.shape, meta.dtype);
-        for (s, lane_flat) in lanes.iter().enumerate() {
-            let mut lane_off = 0usize;
-            for c in 0..k {
-                let (c_off, c_len) = chunk_range(n, k, c);
-                let (s_off, s_len) = chunk_range(c_len, meta.channels, s);
-                if s_len > 0 {
-                    let stripe = lane_flat.slice_flat(lane_off, s_len).expect("in range");
-                    out.write_flat(c_off + s_off, &stripe).expect("in range");
-                    lane_off += s_len;
-                }
-            }
-        }
-        out
-    }
-
-    /// Polls until the physical job `id` (a raw or lane-tagged wire id)
-    /// completes and returns its result.
-    fn wait_job(&mut self, comm: &RankComm, id: u64) -> Tensor {
         loop {
             if let Some(at) = self.completed.iter().position(|(j, _)| *j == id) {
                 return self.completed.swap_remove(at).1;
             }
             assert!(
-                self.jobs.iter().any(|j| j.id() == id),
+                self.jobs.iter().any(|j| j.logical == id),
                 "waiting on job {id} that was never enqueued"
             );
             if !self.poll(comm) {
@@ -911,16 +371,10 @@ impl CommScheduler {
         self.jobs.len()
     }
 
-    /// Job ids in completion order — under priority scheduling the
-    /// first-consumed (lowest-class) tensors appear first even when
-    /// they were enqueued last. A compatibility view of
-    /// [`completion_events`](CommScheduler::completion_events).
-    pub fn completion_log(&self) -> Vec<u64> {
-        self.completions.iter().map(|c| c.id).collect()
-    }
-
     /// Structured completion records (id, class, timestamp) in the
-    /// order jobs finished.
+    /// order jobs finished — under priority scheduling the
+    /// first-consumed (lowest-class) tensors appear first even when
+    /// they were enqueued last.
     pub fn completion_events(&self) -> &[Completion] {
         &self.completions
     }
@@ -992,10 +446,10 @@ impl StreamExecutor {
     }
 
     /// Routes gradient AllReduces through `algo`:
-    /// [`CollAlgo::Switch`] streams [`SwitchJob`]s (fixed-point wire;
+    /// [`CollAlgo::Switch`] streams switch jobs (fixed-point wire;
     /// results match the *blocking switch* bit for bit, carrying its
     /// quantization error versus the ring); every other algorithm
-    /// streams the ring job, matching the blocking executor's fallback.
+    /// streams the ring, matching the blocking executor's fallback.
     pub fn with_algo(mut self, algo: CollAlgo) -> Self {
         self.algo = algo;
         self
@@ -1003,7 +457,7 @@ impl StreamExecutor {
 
     /// Stripes every gradient AllReduce across `channels` lanes — each
     /// lane an independently preemptible sub-job of the scheduler (see
-    /// [`CommScheduler::enqueue_striped`]). Parameters are
+    /// [`CommScheduler::enqueue`]). Parameters are
     /// bit-identical at every width; the switch algorithm's fixed-point
     /// wire stays single-lane. Clamped into
     /// `1..=`[`MAX_CHANNELS`](crate::MAX_CHANNELS).
@@ -1025,12 +479,8 @@ impl StreamExecutor {
         self.params.len()
     }
 
-    /// The scheduler's completion log (job id = `iter * L + layer`).
-    pub fn completion_log(&self) -> Vec<u64> {
-        self.scheduler.completion_log()
-    }
-
-    /// The scheduler's structured completion records.
+    /// The scheduler's structured completion records (one-lane job id
+    /// = `iter * L + layer`).
     pub fn completion_events(&self) -> &[Completion] {
         self.scheduler.completion_events()
     }
@@ -1130,7 +580,7 @@ impl StreamExecutor {
                     self.scheduler
                         .enqueue_switch(id, class, self.group, &g, ReduceOp::Sum);
                 } else {
-                    self.scheduler.enqueue_striped(
+                    self.scheduler.enqueue(
                         id,
                         class,
                         self.group,
@@ -1171,66 +621,16 @@ impl StreamExecutor {
 mod tests {
     use super::*;
     use crate::collectives::ring_all_reduce;
-    use crate::comm::run_ranks;
-    use coconet_tensor::CounterRng;
+    use crate::comm::{run_ranks, WireMsg};
+    use coconet_tensor::{CounterRng, DType};
 
     fn group_of(k: usize) -> Group {
         Group { start: 0, size: k }
     }
 
-    /// A polled job reproduces the blocking ring bit for bit, for every
-    /// group size including the degenerate singleton.
-    #[test]
-    fn ring_job_matches_blocking_ring() {
-        for k in [1usize, 2, 3, 4] {
-            let results = run_ranks(k, move |comm| {
-                let rng = CounterRng::new(42);
-                let input = Tensor::randn([13], DType::F32, rng, (comm.rank() * 1000) as u64);
-                let reference = ring_all_reduce(&comm, group_of(k), &input, ReduceOp::Sum);
-                let mut sched = CommScheduler::new();
-                sched.enqueue(9, 0, group_of(k), &input, ReduceOp::Sum, WireFormat::Dense);
-                let got = sched.wait(&comm, 9);
-                (got, reference)
-            });
-            for (got, reference) in results {
-                assert_eq!(got.to_f32_vec(), reference.to_f32_vec(), "k={k}");
-                assert_eq!(got.shape(), reference.shape());
-            }
-        }
-    }
-
-    /// A streamed switch job reproduces the blocking switch AllReduce
-    /// bit for bit, for every group size including the singleton —
-    /// both paths fold in ascending position order.
-    #[test]
-    fn switch_job_matches_blocking_switch() {
-        use crate::switch::switch_all_reduce;
-        for k in [1usize, 2, 3, 4, 7] {
-            let results = run_ranks(k, move |comm| {
-                let rng = CounterRng::new(42);
-                let input = Tensor::randn([13], DType::F32, rng, (comm.rank() * 1000) as u64);
-                let reference = switch_all_reduce(&comm, group_of(k), &input, ReduceOp::Sum);
-                let mut sched = CommScheduler::new();
-                sched.enqueue_switch(9, 0, group_of(k), &input, ReduceOp::Sum);
-                let got = sched.wait(&comm, 9);
-                (got, reference)
-            });
-            for (got, reference) in results {
-                assert_eq!(
-                    got.to_f32_vec()
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>(),
-                    reference
-                        .to_f32_vec()
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>(),
-                    "k={k}"
-                );
-                assert_eq!(got.shape(), reference.shape());
-            }
-        }
+    /// Job ids in completion order.
+    fn completed_ids(events: &[Completion]) -> Vec<u64> {
+        events.iter().map(|c| c.id).collect()
     }
 
     /// Ring and switch jobs share one scheduler: the urgent switch job
@@ -1244,13 +644,28 @@ mod tests {
             let rng = CounterRng::new(7);
             let late = Tensor::randn([11], DType::F32, rng, (comm.rank() * 10) as u64);
             let urgent = Tensor::randn([11], DType::F32, rng, (comm.rank() * 10 + 5) as u64);
-            let ref_late = ring_all_reduce(&comm, group_of(k), &late, ReduceOp::Sum);
+            let ref_late = ring_all_reduce(
+                &comm,
+                group_of(k),
+                &late,
+                ReduceOp::Sum,
+                WireFormat::Dense,
+                1,
+            );
             let ref_urgent = switch_all_reduce(&comm, group_of(k), &urgent, ReduceOp::Sum);
             let mut sched = CommScheduler::new();
-            sched.enqueue(100, 5, group_of(k), &late, ReduceOp::Sum, WireFormat::Dense);
+            sched.enqueue(
+                100,
+                5,
+                group_of(k),
+                &late,
+                ReduceOp::Sum,
+                WireFormat::Dense,
+                1,
+            );
             sched.enqueue_switch(200, 0, group_of(k), &urgent, ReduceOp::Sum);
             sched.drain(&comm);
-            let log = sched.completion_log().to_vec();
+            let log = completed_ids(sched.completion_events());
             let got_urgent = sched.wait(&comm, 200);
             let got_late = sched.wait(&comm, 100);
             (log, got_urgent, ref_urgent, got_late, ref_late)
@@ -1324,12 +739,34 @@ mod tests {
             let rng = CounterRng::new(7);
             let late = Tensor::randn([11], DType::F32, rng, (comm.rank() * 10) as u64);
             let urgent = Tensor::randn([11], DType::F32, rng, (comm.rank() * 10 + 5) as u64);
-            let ref_late = ring_all_reduce(&comm, group_of(k), &late, ReduceOp::Sum);
-            let ref_urgent = ring_all_reduce(&comm, group_of(k), &urgent, ReduceOp::Sum);
+            let ref_late = ring_all_reduce(
+                &comm,
+                group_of(k),
+                &late,
+                ReduceOp::Sum,
+                WireFormat::Dense,
+                1,
+            );
+            let ref_urgent = ring_all_reduce(
+                &comm,
+                group_of(k),
+                &urgent,
+                ReduceOp::Sum,
+                WireFormat::Dense,
+                1,
+            );
             let mut sched = CommScheduler::new();
             // Enqueue order is backprop order: the last-consumed tensor
             // appears first.
-            sched.enqueue(100, 5, group_of(k), &late, ReduceOp::Sum, WireFormat::Dense);
+            sched.enqueue(
+                100,
+                5,
+                group_of(k),
+                &late,
+                ReduceOp::Sum,
+                WireFormat::Dense,
+                1,
+            );
             sched.enqueue(
                 200,
                 0,
@@ -1337,9 +774,10 @@ mod tests {
                 &urgent,
                 ReduceOp::Sum,
                 WireFormat::Dense,
+                1,
             );
             sched.drain(&comm);
-            let log = sched.completion_log().to_vec();
+            let log = completed_ids(sched.completion_events());
             let got_urgent = sched.wait(&comm, 200);
             let got_late = sched.wait(&comm, 100);
             (log, got_urgent, ref_urgent, got_late, ref_late)
@@ -1369,7 +807,15 @@ mod tests {
         let mut sched = CommScheduler::new();
         // Backprop order: the low-priority (last-consumed) gradient is
         // produced and enqueued first.
-        sched.enqueue(1, 5, group_of(k), &low_in, ReduceOp::Sum, WireFormat::Dense);
+        sched.enqueue(
+            1,
+            5,
+            group_of(k),
+            &low_in,
+            ReduceOp::Sum,
+            WireFormat::Dense,
+            1,
+        );
         sched.enqueue(
             2,
             0,
@@ -1377,6 +823,7 @@ mod tests {
             &urgent_in,
             ReduceOp::Sum,
             WireFormat::Dense,
+            1,
         );
 
         // Round 1: the class-0 job is serviced first — its RS chunk
@@ -1395,8 +842,8 @@ mod tests {
         // to completion with the low job parked on the wire.
         let peer_rs = Tensor::from_fn([4], DType::F32, |i| 100.0 + i as f32);
         let peer_ag = Tensor::from_fn([4], DType::F32, |i| 200.0 + i as f32);
-        peer.send_tagged(0, 2, 0, WireMsg::Tensor(peer_rs));
-        peer.send_tagged(0, 2, 0, WireMsg::Tensor(peer_ag));
+        peer.send_tagged(0, 2, Some(0), WireMsg::Tensor(peer_rs));
+        peer.send_tagged(0, 2, Some(0), WireMsg::Tensor(peer_ag));
         let urgent = sched.wait(&me, 2);
         // Chunk 0 is the local [0..4] folded with the peer's partial;
         // chunk 1 arrived verbatim from the peer's gather hop.
@@ -1417,14 +864,24 @@ mod tests {
             ledger.class_bytes_sent[5]
         );
         assert_eq!(sched.in_flight(), 1, "low job still in flight");
-        assert_eq!(sched.completion_log(), &[2]);
+        assert_eq!(completed_ids(sched.completion_events()), [2]);
 
         // Unblock the peer side (its RS partial, then its gather chunk)
         // so the low job can finish too.
-        peer.send_tagged(0, 1, 5, WireMsg::Tensor(Tensor::zeros([4], DType::F32)));
-        peer.send_tagged(0, 1, 5, WireMsg::Tensor(Tensor::zeros([4], DType::F32)));
+        peer.send_tagged(
+            0,
+            1,
+            Some(5),
+            WireMsg::Tensor(Tensor::zeros([4], DType::F32)),
+        );
+        peer.send_tagged(
+            0,
+            1,
+            Some(5),
+            WireMsg::Tensor(Tensor::zeros([4], DType::F32)),
+        );
         sched.drain(&me);
-        assert_eq!(sched.completion_log(), &[2, 1]);
+        assert_eq!(completed_ids(sched.completion_events()), [2, 1]);
         assert_eq!(me.ledger().class_bytes_sent[5], full_volume);
         // The scripted peer leaves its incoming chunks unread; that is
         // fine — channels are unbounded and the test owns both ends.
@@ -1450,9 +907,17 @@ mod tests {
                 let tiny = Tensor::randn([4], DType::F32, rng, (comm.rank() * 7 + 2) as u64);
                 let quant = Tensor::randn([8], DType::F32, rng, (comm.rank() * 7 + 3) as u64);
                 let mut sched = CommScheduler::new().with_xfer(xfer);
-                sched.enqueue(1, 1, group_of(k), &big, ReduceOp::Sum, WireFormat::Dense);
-                sched.enqueue(2, 3, group_of(k), &mid, ReduceOp::Sum, WireFormat::Fp16);
-                sched.enqueue(3, 2, group_of(k), &tiny, ReduceOp::Max, WireFormat::Dense);
+                sched.enqueue(1, 1, group_of(k), &big, ReduceOp::Sum, WireFormat::Dense, 1);
+                sched.enqueue(2, 3, group_of(k), &mid, ReduceOp::Sum, WireFormat::Fp16, 1);
+                sched.enqueue(
+                    3,
+                    2,
+                    group_of(k),
+                    &tiny,
+                    ReduceOp::Max,
+                    WireFormat::Dense,
+                    1,
+                );
                 sched.enqueue_switch(4, 0, group_of(k), &quant, ReduceOp::Sum);
                 sched.drain(&comm);
                 let outs: Vec<Vec<u32>> = (1..=4)
@@ -1482,62 +947,6 @@ mod tests {
         for ((ao, al), (bo, bl)) in aware.iter().zip(again.iter()) {
             assert_eq!(ao, bo);
             assert_eq!(al.class_bytes_sent, bl.class_bytes_sent);
-        }
-    }
-
-    /// A striped scheduler job reproduces the blocking ring bit for
-    /// bit at every lane width — including widths above the chunk
-    /// length — and moves exactly the single-lane byte volume.
-    #[test]
-    fn striped_job_matches_blocking_ring() {
-        for (k, n, channels) in [
-            (2usize, 8usize, 2usize),
-            (4, 13, 4),
-            (4, 13, 8),
-            (3, 5, 4),
-            (1, 7, 4), // singleton group delegates to the plain job
-        ] {
-            for wire in [WireFormat::Dense, WireFormat::Fp16] {
-                let results = run_ranks(k, move |comm| {
-                    let rng = CounterRng::new(42);
-                    let input = Tensor::randn([n], DType::F32, rng, (comm.rank() * 1000) as u64);
-                    let reference = crate::ring_all_reduce_wire(
-                        &comm,
-                        group_of(k),
-                        &input,
-                        ReduceOp::Sum,
-                        wire,
-                    );
-                    comm.reset_ledger();
-                    let single_bytes = {
-                        let before = comm.ledger().bytes_sent;
-                        let mut sched = CommScheduler::new();
-                        sched.enqueue(9, 0, group_of(k), &input, ReduceOp::Sum, wire);
-                        let _ = sched.wait(&comm, 9);
-                        comm.ledger().bytes_sent - before
-                    };
-                    let before = comm.ledger().bytes_sent;
-                    let mut sched = CommScheduler::new();
-                    sched.enqueue_striped(9, 0, group_of(k), &input, ReduceOp::Sum, wire, channels);
-                    let got = sched.wait(&comm, 9);
-                    let striped_bytes = comm.ledger().bytes_sent - before;
-                    (got, reference, striped_bytes, single_bytes)
-                });
-                for (r, (got, reference, striped_bytes, single_bytes)) in
-                    results.into_iter().enumerate()
-                {
-                    let label = format!("k={k} n={n} C={channels} {wire} rank={r}");
-                    assert_eq!(got.shape(), reference.shape(), "{label}");
-                    let bits = |t: &Tensor| {
-                        t.to_f32_vec()
-                            .iter()
-                            .map(|v| v.to_bits())
-                            .collect::<Vec<_>>()
-                    };
-                    assert_eq!(bits(&got), bits(&reference), "{label}");
-                    assert_eq!(striped_bytes, single_bytes, "{label}");
-                }
-            }
         }
     }
 
@@ -1627,7 +1036,7 @@ mod tests {
                         *p = step;
                     },
                 );
-                (exec.params(), exec.completion_log().to_vec())
+                (exec.params(), completed_ids(exec.completion_events()))
             })
         };
         let barriered = run(CommSched::Barriered);

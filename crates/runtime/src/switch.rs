@@ -16,27 +16,28 @@
 //! assertable for *every* worker, including the host.
 //!
 //! Determinism contract: saturating integer addition is not
-//! associative at the saturation boundary, so the fold always proceeds
-//! in ascending group-position order. The streamed
-//! [`SwitchJob`](crate::stream) path waits for all contributions and
-//! folds in the same order — streamed and blocking results are
-//! bit-for-bit identical.
+//! associative at the saturation boundary, so the dataplane waits for
+//! every contribution and folds them in ascending group-position
+//! order. The algorithm exists once, as the resumable `SwitchJob`:
+//! [`switch_all_reduce`] parks on the channel for each leg, the
+//! [`CommScheduler`](crate::CommScheduler) polls — same legs, same
+//! fold, bit-identical results.
 //!
 //! [`BytesLedger::switch_bytes_sent`]: crate::BytesLedger::switch_bytes_sent
 //! [`switch_bytes_recv`]: crate::BytesLedger::switch_bytes_recv
 
 use coconet_compress::QuantChunk;
-use coconet_tensor::{ReduceOp, Tensor};
+use coconet_tensor::{DType, ReduceOp, Shape, Tensor};
 use coconet_trace as trace;
 use coconet_trace::EventKind;
 
-use crate::collectives::Group;
+use crate::collectives::{lane_tag, Group};
 use crate::comm::{RankComm, WireMsg};
 
 /// Folds `contribs` in ascending position order — the one fold order
-/// both the blocking and streamed switch paths use, because saturating
-/// adds do not commute with reassociation at the boundary.
-pub(crate) fn fold_contributions(contribs: Vec<QuantChunk>, op: ReduceOp) -> QuantChunk {
+/// the switch uses, because saturating adds do not commute with
+/// reassociation at the boundary.
+fn fold_contributions(contribs: Vec<QuantChunk>, op: ReduceOp) -> QuantChunk {
     let _fold = trace::span(
         EventKind::CollectivePhase,
         "switch:fold",
@@ -51,13 +52,173 @@ pub(crate) fn fold_contributions(contribs: Vec<QuantChunk>, op: ReduceOp) -> Qua
     acc
 }
 
-/// Blocking AllReduce through the emulated aggregation switch.
+fn expect_quant(msg: WireMsg) -> QuantChunk {
+    match msg {
+        WireMsg::Quantized(c) => c,
+        other => unreachable!("switch jobs carry quantized chunks only, got {other:?}"),
+    }
+}
+
+/// An in-network switch AllReduce as a resumable state machine.
 ///
-/// Every worker (the position-0 host included, via a self-send)
-/// quantizes its whole tensor to `i32` fixed point and sends it to the
-/// switch; the switch folds the contributions in ascending position
-/// order and multicasts the folded chunk; every worker dequantizes the
-/// result back into the input's dtype and shape.
+/// Every worker (the position-0 host included, via a self-send) sends
+/// its quantized contribution up once; the position-0 rank's job
+/// additionally runs the emulated dataplane — gathering all
+/// contributions, folding them in ascending position order, and
+/// multicasting the folded chunk — and every worker dequantizes the
+/// multicast back into the input's dtype and shape. Worker legs are
+/// ledgered worker-side (per class when scheduled); dataplane legs land
+/// in the switch-attributed counters.
+#[derive(Debug)]
+pub(crate) struct SwitchJob {
+    tag: u64,
+    /// `Some` when scheduled, `None` for a blocking drive (hop
+    /// instants then carry [`trace::JOB_NONE`]).
+    class: Option<u8>,
+    group: Group,
+    op: ReduceOp,
+    dtype: DType,
+    shape: Shape,
+    /// Quantized input awaiting its up-send.
+    up: Option<QuantChunk>,
+    /// Dataplane gather slots (non-empty on the position-0 host only).
+    contribs: Vec<Option<QuantChunk>>,
+    gathered: usize,
+    multicast_done: bool,
+    /// The dequantized result once the down multicast landed.
+    result: Option<Tensor>,
+}
+
+impl SwitchJob {
+    /// A switch AllReduce of `input` over `group`, tagged `tag` on the
+    /// wire. The wire is always fixed-point `i32` — there is no
+    /// [`WireFormat`](coconet_compress::WireFormat) to pass. Performs
+    /// no communication.
+    pub(crate) fn new(
+        tag: u64,
+        class: Option<u8>,
+        group: Group,
+        input: &Tensor,
+        op: ReduceOp,
+    ) -> SwitchJob {
+        let _codec = trace::span(EventKind::Codec, "q15:quantize", input.numel() as u64, tag);
+        SwitchJob {
+            tag,
+            class,
+            group,
+            op,
+            dtype: input.dtype(),
+            shape: input.shape().clone(),
+            up: Some(QuantChunk::quantize(input)),
+            contribs: Vec::new(),
+            gathered: 0,
+            multicast_done: false,
+            result: None,
+        }
+    }
+
+    pub(crate) fn is_done(&self) -> bool {
+        self.result.is_some()
+    }
+
+    /// Legs still ahead of this job: the up-send, the dataplane
+    /// fold/multicast, and the down receive.
+    pub(crate) fn remaining_hops(&self) -> usize {
+        usize::from(self.up.is_some())
+            + usize::from(!self.multicast_done)
+            + usize::from(self.result.is_none())
+    }
+
+    pub(crate) fn take_result(self) -> Tensor {
+        self.result.expect("take_result on an unfinished job")
+    }
+
+    /// Advances the job: sends the up copy if still pending, runs the
+    /// dataplane gather/fold/multicast on the host, and takes the down
+    /// multicast. With `block` every receive parks on the channel, so
+    /// one call runs the job to completion; otherwise receives are
+    /// non-blocking polls. Returns `true` if anything moved.
+    pub(crate) fn advance(&mut self, comm: &RankComm, block: bool) -> bool {
+        let me = self.group.position(comm.rank());
+        let switch_rank = self.group.rank_at(0);
+        let id = self.class.map_or(trace::JOB_NONE, |_| self.tag);
+        let mut progressed = false;
+
+        if let Some(q) = self.up.take() {
+            trace::instant(EventKind::Hop, "switch:up", id, q.wire_bytes());
+            comm.send_tagged(switch_rank, self.tag, self.class, WireMsg::Quantized(q));
+            progressed = true;
+        }
+
+        if me == 0 && !self.multicast_done {
+            if self.contribs.is_empty() {
+                self.contribs = vec![None; self.group.size];
+            }
+            for pos in 0..self.group.size {
+                if self.contribs[pos].is_none() {
+                    let src = self.group.rank_at(pos);
+                    let msg = if block {
+                        Some(comm.recv_tagged_switch(src, self.tag))
+                    } else {
+                        comm.try_recv_tagged_switch(src, self.tag)
+                    };
+                    if let Some(msg) = msg {
+                        self.contribs[pos] = Some(expect_quant(msg));
+                        self.gathered += 1;
+                        progressed = true;
+                    }
+                }
+            }
+            if self.gathered == self.group.size {
+                let contribs = self
+                    .contribs
+                    .drain(..)
+                    .map(|c| c.expect("all gathered"))
+                    .collect();
+                let folded = fold_contributions(contribs, self.op);
+                for pos in 0..self.group.size {
+                    trace::instant(EventKind::Hop, "switch:multicast", id, folded.wire_bytes());
+                    comm.send_tagged_switch(
+                        self.group.rank_at(pos),
+                        self.tag,
+                        WireMsg::Quantized(folded.clone()),
+                    );
+                }
+                self.multicast_done = true;
+                progressed = true;
+            }
+        }
+
+        // The worker leg may only look for the down multicast once it
+        // can exist — on the host rank the up copy sits in the same
+        // self-channel under the same tag until the dataplane consumes
+        // it, so looking earlier would swallow it.
+        let down_may_exist = me != 0 || self.multicast_done;
+        if self.result.is_none() && down_may_exist {
+            let msg = if block {
+                Some(comm.recv_tagged(switch_rank, self.tag))
+            } else {
+                comm.try_recv_tagged(switch_rank, self.tag)
+            };
+            if let Some(msg) = msg {
+                let down = expect_quant(msg);
+                trace::instant(EventKind::Hop, "switch:down", id, down.wire_bytes());
+                let _codec = trace::span(EventKind::Codec, "q15:dequantize", down.len() as u64, id);
+                let out = down
+                    .dequantize(self.dtype)
+                    .reshape(self.shape.clone())
+                    .expect("dequantized chunk has the input's element count");
+                self.result = Some(out);
+                progressed = true;
+            }
+        }
+        progressed
+    }
+}
+
+/// Blocking AllReduce through the emulated aggregation switch: one
+/// switch job driven to completion on the calling rank thread, parked
+/// on the channel for each leg.
 ///
 /// Wire cost per worker: `n·4` bytes sent, `n·4` bytes received — see
 /// [`switch_all_reduce_wire_bytes`](crate::switch_all_reduce_wire_bytes).
@@ -68,46 +229,11 @@ pub(crate) fn fold_contributions(contribs: Vec<QuantChunk>, op: ReduceOp) -> Qua
 ///
 /// # Panics
 ///
-/// Panics if `comm.rank()` is not a member of `group`, or on a fabric
-/// protocol mismatch (a peer sent a non-quantized message).
+/// Panics if `comm.rank()` is not a member of `group`.
 pub fn switch_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
-    let me = group.position(comm.rank());
-    let switch_rank = group.rank_at(0);
-
-    // Up: one quantized copy of the tensor, worker-attributed.
-    let q = {
-        let _codec = trace::span(EventKind::Codec, "q15:quantize", input.numel() as u64, 0);
-        QuantChunk::quantize(input)
-    };
-    comm.send_msg(switch_rank, WireMsg::Quantized(q));
-
-    if me == 0 {
-        // Dataplane: gather in ascending position order, fold, multicast.
-        let contribs: Vec<QuantChunk> = (0..group.size)
-            .map(|pos| match comm.recv_switch(group.rank_at(pos)) {
-                WireMsg::Quantized(c) => c,
-                other => {
-                    panic!("position {pos} sent {other:?} where a quantized chunk was expected")
-                }
-            })
-            .collect();
-        let folded = fold_contributions(contribs, op);
-        for pos in 0..group.size {
-            comm.send_switch(group.rank_at(pos), WireMsg::Quantized(folded.clone()));
-        }
-    }
-
-    // Down: the folded chunk, worker-attributed (position 0 receives
-    // its own multicast — the channel is FIFO, so the up copy was
-    // already consumed by the dataplane above).
-    let down = match comm.recv_msg(switch_rank) {
-        WireMsg::Quantized(c) => c,
-        other => panic!("switch sent {other:?} where a quantized chunk was expected"),
-    };
-    let _codec = trace::span(EventKind::Codec, "q15:dequantize", input.numel() as u64, 0);
-    down.dequantize(input.dtype())
-        .reshape(input.shape().clone())
-        .expect("dequantized chunk has the input's element count")
+    let mut job = SwitchJob::new(lane_tag(None, 1, 0), None, group, input, op);
+    job.advance(comm, true);
+    job.take_result()
 }
 
 #[cfg(test)]
@@ -115,6 +241,7 @@ mod tests {
     use super::*;
     use crate::comm::run_ranks;
     use crate::ring_all_reduce;
+    use coconet_compress::WireFormat;
     use coconet_tensor::DType;
 
     #[test]
@@ -126,7 +253,8 @@ mod tests {
                     ((comm.rank() * 37 + i) as f32).sin() * 3.0
                 });
                 let via_switch = switch_all_reduce(&comm, group, &input, ReduceOp::Sum);
-                let via_ring = ring_all_reduce(&comm, group, &input, ReduceOp::Sum);
+                let via_ring =
+                    ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
                 (via_switch, via_ring)
             });
             for (rank, (s, r)) in results.iter().enumerate() {

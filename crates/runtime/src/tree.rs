@@ -18,34 +18,17 @@ use crate::collectives::{
 use crate::RankComm;
 
 /// Binomial-tree Reduce to group position 0, then binomial Broadcast —
-/// an AllReduce in `2·ceil(log2(k))` rounds.
-pub fn tree_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
-    tree_all_reduce_wire(comm, group, input, op, WireFormat::Dense)
-}
-
-/// [`tree_all_reduce`] with every payload encoded per `wire`. Under
-/// FP16 each reduce-phase partial rounds to half precision as it
+/// an AllReduce in `2·ceil(log2(k))` rounds, every payload encoded per
+/// `wire` and split into `channels` contiguous lane stripes.
+///
+/// Under FP16 each reduce-phase partial rounds to half precision as it
 /// travels, and the root rounds its final value once before the
 /// broadcast so every rank (the root included) returns the identical
-/// decoded tensor — the all-ranks-agree postcondition the dense tree
-/// has. The dense wire is byte- and allocation-identical to
-/// [`tree_all_reduce`].
-pub fn tree_all_reduce_wire(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    wire: WireFormat,
-) -> Tensor {
-    tree_all_reduce_wire_striped(comm, group, input, op, wire, 1)
-}
-
-/// [`tree_all_reduce_wire`] with every hop's payload split into
-/// `channels` contiguous lane stripes (zero-copy views of the encoded
-/// buffer, so the wire byte total is unchanged and the result is
-/// bit-identical at every width — stripes reassemble before each fold
-/// and each decode). `channels <= 1` sends whole payloads.
-pub fn tree_all_reduce_wire_striped(
+/// decoded tensor. Stripes are zero-copy views of the encoded buffer
+/// that reassemble before each fold and each decode, so the wire byte
+/// total is unchanged and the result bit-identical at every width;
+/// `channels <= 1` sends whole payloads.
+pub fn tree_all_reduce(
     comm: &RankComm,
     group: Group,
     input: &Tensor,
@@ -127,7 +110,7 @@ mod tests {
                     let group = Group { start: 0, size: k };
                     let input =
                         Tensor::from_fn([10], DType::F32, |i| ((comm.rank() + 1) * (i + 1)) as f32);
-                    tree_all_reduce(&comm, group, &input, ReduceOp::Sum)
+                    tree_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1)
                 })
             })
             .collect();
@@ -162,8 +145,16 @@ mod tests {
                     let group = Group { start: 0, size: k };
                     let input =
                         Tensor::from_fn([13], DType::F32, |i| (comm.rank() * 31 + i * 7) as f32);
-                    let tree = tree_all_reduce(&comm, group, &input, ReduceOp::Sum);
-                    let ring = crate::ring_all_reduce(&comm, group, &input, ReduceOp::Sum);
+                    let tree =
+                        tree_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
+                    let ring = crate::ring_all_reduce(
+                        &comm,
+                        group,
+                        &input,
+                        ReduceOp::Sum,
+                        WireFormat::Dense,
+                        1,
+                    );
                     (tree, ring)
                 })
             })
@@ -184,8 +175,10 @@ mod tests {
                 thread::spawn(move || {
                     let group = Group { start: 0, size: k };
                     let input = Tensor::full([3], DType::F32, comm.rank() as f32);
-                    let mn = tree_all_reduce(&comm, group, &input, ReduceOp::Min);
-                    let mx = tree_all_reduce(&comm, group, &input, ReduceOp::Max);
+                    let mn =
+                        tree_all_reduce(&comm, group, &input, ReduceOp::Min, WireFormat::Dense, 1);
+                    let mx =
+                        tree_all_reduce(&comm, group, &input, ReduceOp::Max, WireFormat::Dense, 1);
                     (mn, mx)
                 })
             })

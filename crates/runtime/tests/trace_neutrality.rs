@@ -19,8 +19,10 @@ use std::sync::Mutex;
 /// interleave — everything funnels through this gate.
 static GATE: Mutex<()> = Mutex::new(());
 
-/// One full observable outcome of a rank: final parameters, the
-/// completion-id sequence, and the complete byte ledger.
+/// One full observable outcome of a rank: final parameters, the set of
+/// completed job ids (sorted — under `Priority` the *order* in which
+/// jobs of different classes finish depends on when peers' chunks
+/// arrive, with or without tracing), and the complete byte ledger.
 type RankOutcome = (Vec<Tensor>, Vec<u64>, BytesLedger);
 
 /// Runs the streaming training loop at the given configuration and
@@ -62,14 +64,16 @@ fn run_loop(
                 *p = stepped;
             },
         );
-        (exec.params(), exec.completion_log(), comm.ledger())
+        let mut completed: Vec<u64> = exec.completion_events().iter().map(|c| c.id).collect();
+        completed.sort_unstable();
+        (exec.params(), completed, comm.ledger())
     })
 }
 
 fn assert_outcomes_identical(untraced: &[RankOutcome], traced: &[RankOutcome]) {
     assert_eq!(untraced.len(), traced.len());
     for (rank, ((pu, lu, bu), (pt, lt, bt))) in untraced.iter().zip(traced).enumerate() {
-        assert_eq!(lu, lt, "rank {rank}: completion order perturbed");
+        assert_eq!(lu, lt, "rank {rank}: completed jobs perturbed");
         assert_eq!(bu, bt, "rank {rank}: ledger counters perturbed");
         assert_eq!(pu.len(), pt.len());
         for (l, (a, b)) in pu.iter().zip(pt).enumerate() {
@@ -158,8 +162,7 @@ proptest! {
 
 /// A traced priority-schedule run produces a well-formed trace: spans
 /// nested per thread, record timestamps monotone, every scheduler
-/// enqueue matched by a completion — and the structured completion
-/// events agree with the compatibility id log.
+/// enqueue matched by a completion.
 #[test]
 fn priority_run_emits_a_well_formed_trace() {
     let _gate = GATE.lock().unwrap();
@@ -188,10 +191,10 @@ fn priority_run_emits_a_well_formed_trace() {
     trace::wellformed::check_well_formed(&events).expect("trace well-formed");
 }
 
-/// The structured completion events carry the same id sequence as the
-/// compatibility log, monotone timestamps, and the enqueue classes.
+/// The structured completion events come in priority order, with
+/// monotone timestamps and the enqueue classes.
 #[test]
-fn completion_events_match_the_id_log() {
+fn completion_events_record_priority_order_and_classes() {
     use coconet_runtime::CommScheduler;
     use coconet_tensor::ReduceOp;
 
@@ -202,24 +205,18 @@ fn completion_events_match_the_id_log() {
         let a = Tensor::from_fn([13], DType::F32, |i| (comm.rank() + i) as f32);
         let b = Tensor::from_fn([13], DType::F32, |i| (comm.rank() * 3 + i) as f32);
         let mut sched = CommScheduler::new();
-        sched.enqueue(10, 5, group, &a, ReduceOp::Sum, WireFormat::Dense);
-        sched.enqueue(20, 0, group, &b, ReduceOp::Sum, WireFormat::Dense);
+        sched.enqueue(10, 5, group, &a, ReduceOp::Sum, WireFormat::Dense, 1);
+        sched.enqueue(20, 0, group, &b, ReduceOp::Sum, WireFormat::Dense, 1);
         sched.drain(&comm);
-        let ids = sched.completion_log();
-        let events: Vec<(u64, u8, u64)> = sched
+        sched
             .completion_events()
             .iter()
             .map(|c| (c.id, c.class, c.ts_ns))
-            .collect();
-        (ids, events)
+            .collect::<Vec<_>>()
     });
-    for (ids, events) in results {
+    for events in results {
+        let ids: Vec<u64> = events.iter().map(|&(id, _, _)| id).collect();
         assert_eq!(ids, vec![20, 10], "priority order");
-        assert_eq!(
-            ids,
-            events.iter().map(|&(id, _, _)| id).collect::<Vec<_>>(),
-            "structured events and id log agree"
-        );
         assert_eq!(events[0].1, 0, "urgent job completed at class 0");
         assert_eq!(events[1].1, 5, "late job completed at class 5");
         assert!(events[0].2 <= events[1].2, "timestamps monotone");

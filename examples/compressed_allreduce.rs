@@ -14,7 +14,8 @@
 use coconet::compress::WireFormat;
 use coconet::core::{Autotuner, Binding, DType, ExecPlan, Layout, Program, ReduceOp};
 use coconet::runtime::{
-    all_reduce_wire, ring_all_reduce_wire_bytes, run_ranks, top_k_all_reduce_wire_bytes, Group,
+    all_reduce_wire_striped, ring_all_reduce_wire_bytes, run_ranks, top_k_all_reduce_wire_bytes,
+    Group,
 };
 use coconet::sim::Simulator;
 use coconet::tensor::Tensor;
@@ -81,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let rank = comm.rank() as f32;
             let input = Tensor::from_fn([n], DType::F32, move |i| rank + (i % 31) as f32);
             comm.reset_ledger();
-            let out = all_reduce_wire(
+            let out = all_reduce_wire_striped(
                 &comm,
                 group,
                 &input,
@@ -90,6 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 0,
                 format,
                 None,
+                1,
             );
             assert_eq!(out.numel(), n);
             comm.ledger()

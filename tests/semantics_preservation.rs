@@ -3,6 +3,7 @@
 //! the functional runtime and must reproduce the untransformed
 //! program's outputs.
 
+use coconet::compress::WireFormat;
 use coconet::core::xform::{fuse_all_reduce, overlap, reorder_all_gather, split_all_reduce};
 use coconet::core::{Autotuner, Binding, CollAlgo, DType, Layout, Program, ReduceOp};
 use coconet::models::model_parallel::{apply_block_schedule, Block, BlockSchedule};
@@ -310,9 +311,11 @@ proptest! {
             let input = Tensor::from_fn([numel], DType::F32, |i| {
                 ((seed as usize + comm.rank() * 31 + i * 7) % 17) as f32 - 8.0
             });
-            let reference = ring_all_reduce(&comm, group, &input, op);
-            let chunk = hierarchical_reduce_scatter(&comm, group, &input, op, node_size);
-            let gathered = hierarchical_all_gather(&comm, group, &chunk, node_size);
+            let wire = WireFormat::Dense;
+            let reference = ring_all_reduce(&comm, group, &input, op, wire, 1);
+            let chunk =
+                hierarchical_reduce_scatter(&comm, group, &input, op, node_size, wire, 1);
+            let gathered = hierarchical_all_gather(&comm, group, &chunk, node_size, wire, 1);
             let mut composed = Tensor::zeros([numel], DType::F32);
             let mut off = 0;
             for c in gathered {

@@ -2,9 +2,11 @@
 //! reordering of wire traffic. For random training-shaped programs
 //! (elementwise chains feeding trailing gradient AllReduces, with an
 //! optional *consumed* collective mixed in) and random per-step
-//! delays, `run_program_iterations` under the priority schedule
-//! produces bit-identical outputs to the same number of sequential
-//! barriered runs — semantics preservation under reordering.
+//! delays, `run_program_iterations` under the priority schedule — at
+//! any channel width, which the streamed sites must honour like the
+//! blocking ones — produces bit-identical outputs to the same number
+//! of sequential barriered single-channel runs: semantics preservation
+//! under reordering and striping.
 
 use coconet::core::{Binding, CommSched, DType, Layout, Program, ReduceOp, VarId};
 use coconet::runtime::{run_program_iterations, Inputs, RunOptions};
@@ -80,8 +82,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Barrier-free `run_iterations(n)` == n sequential barriered
-    /// runs, bit for bit, for every generated program, geometry, and
-    /// per-step delay bound.
+    /// runs, bit for bit, for every generated program, geometry,
+    /// channel width, and per-step delay bound.
     #[test]
     fn streamed_iterations_are_bit_identical_to_barriered(
         chains in prop::collection::vec(arb_chain(), 1..5),
@@ -89,6 +91,7 @@ proptest! {
         ranks in 2usize..5,
         elems in 3usize..24,
         iters in 1u64..5,
+        channels in 1usize..6,
         jitter_ns in 0u64..80_000,
         seed in any::<u64>(),
     ) {
@@ -126,7 +129,9 @@ proptest! {
             &program,
             &binding,
             &inputs,
-            opts.with_sched(CommSched::Priority).with_jitter_ns(jitter_ns),
+            opts.with_sched(CommSched::Priority)
+                .with_channels(channels)
+                .with_jitter_ns(jitter_ns),
             iters,
         )
         .unwrap();
@@ -142,10 +147,11 @@ proptest! {
             prop_assert_eq!(
                 got,
                 want,
-                "{} diverged under streaming (ranks {}, iters {}, jitter {} ns)",
+                "{} diverged under streaming (ranks {}, iters {}, channels {}, jitter {} ns)",
                 name,
                 ranks,
                 iters,
+                channels,
                 jitter_ns
             );
         }
