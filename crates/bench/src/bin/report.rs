@@ -1,79 +1,50 @@
-//! The benchmark trajectory reporter: runs the paper's headline
-//! experiments through the sim-backed evaluator and emits
-//! `BENCH_coconet.json`, the machine-readable perf record CI archives
-//! on every run.
+//! Regenerates or checks `BENCH_coconet.json`, the reproducible record
+//! of the simulator's paper-figure predictions (`costed` rows) and the
+//! runtime's exact byte/bit invariants (`invariant` rows).
 //!
 //! ```text
-//! report [--quick] [--out PATH] [--baseline PATH] [--tolerance FRACTION]
-//!        [--write-baseline] [--drift-against PATH] [--trace-out PATH]
+//! report [--out PATH] [--check] [--trace-out PATH]
 //! ```
 //!
-//! - `--quick`      CI mode: the fast experiment subset (still ≥ 6 rows)
-//! - `--out`        output path (default `BENCH_coconet.json`)
-//! - `--trace-out`  also write the `overlap_trace` experiment's Chrome
-//!   trace-event JSON (the priority run) to PATH — loadable in
-//!   Perfetto (ui.perfetto.dev) or `chrome://tracing`, one pid per
-//!   rank, one tid per stripe lane
-//! - `--baseline`   committed baseline to diff against; any experiment
-//!   whose speedup regresses beyond the tolerance fails the run
-//! - `--tolerance`  allowed speedup loss as a fraction (default `0.10`)
-//! - `--write-baseline` rewrite the baseline file (the `--baseline`
-//!   path, default `ci/bench_baseline.json`) from this run instead of
-//!   diffing against it — the supported way to regenerate the
-//!   committed baseline after an intentional perf change, replacing
-//!   hand edits. Implies `--quick`: the baseline describes the quick
-//!   set CI gates on, so a full-set baseline would make every `--quick`
-//!   gate report its extra rows as disappeared
-//! - `--drift-against` the CI staleness guard: compare this run
-//!   against the committed baseline at PATH in *both* directions —
-//!   an experiment missing from either side, or a speedup that moved
-//!   beyond the tolerance either way, means the committed file no
-//!   longer describes the code and must be regenerated with
-//!   `--write-baseline`. Implies `--quick` like `--write-baseline`
+//! - `--out`        the file (default `BENCH_coconet.json`)
+//! - `--check`      do not write: regenerate the document and fail on
+//!   any difference from the file, in either direction — a row on one
+//!   side only, a field added, removed, or changed in any digit
+//! - `--trace-out`  also write the `overlap_trace` priority run's
+//!   Chrome trace-event JSON to PATH — loadable in Perfetto
+//!   (ui.perfetto.dev) or `chrome://tracing`, one pid per rank, one
+//!   tid per stripe lane
 //!
-//! Exit status: `0` on success, `1` on a tuner-consistency failure
-//! (pruned and exhaustive searches disagreeing), a speedup regression
-//! against the baseline, or a stale committed baseline.
+//! Readings that depend on the host (hidden-communication fractions,
+//! sim-vs-measured drift, tuner walls and pruning counts) are printed,
+//! never written.
+//!
+//! Exit status: `0` on success; `1` when a row's check does not hold
+//! or, under `--check`, when the file is not what this build generates.
 
 use std::process::ExitCode;
 
 use coconet_bench::json::Json;
-use coconet_bench::{fmt_bytes, fmt_time, fmt_x, trajectory, Report};
+use coconet_bench::{fmt_time, fmt_x, trajectory, Kind, Report};
 
 struct Args {
-    quick: bool,
     out: String,
-    baseline: Option<String>,
-    tolerance: f64,
-    write_baseline: bool,
-    drift_against: Option<String>,
+    check: bool,
     trace_out: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        quick: false,
         out: "BENCH_coconet.json".to_string(),
-        baseline: None,
-        tolerance: 0.10,
-        write_baseline: false,
-        drift_against: None,
+        check: false,
         trace_out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
-            "--quick" => args.quick = true,
             "--out" => args.out = value("--out")?,
-            "--baseline" => args.baseline = Some(value("--baseline")?),
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("bad --tolerance: {e}"))?;
-            }
-            "--write-baseline" => args.write_baseline = true,
-            "--drift-against" => args.drift_against = Some(value("--drift-against")?),
+            "--check" => args.check = true,
             "--trace-out" => args.trace_out = Some(value("--trace-out")?),
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -82,148 +53,78 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn run() -> Result<(), String> {
-    let mut args = parse_args()?;
-    if (args.write_baseline || args.drift_against.is_some()) && !args.quick {
-        // The committed baseline describes the quick set CI gates on; a
-        // full-set baseline would fail every subsequent --quick check
-        // with "experiment disappeared".
-        println!("note: baseline modes imply --quick (the CI gate checks the quick set)");
-        args.quick = true;
-    }
-
-    let trajectory = trajectory::collect(args.quick)?;
-    let results = &trajectory.results;
-    let doc = trajectory::to_json(results);
+    let args = parse_args()?;
+    let trajectory = trajectory::collect()?;
+    let doc = trajectory.to_json();
 
     let mut table = Report::new(
-        if args.quick {
-            "Benchmark trajectory (quick)"
+        "BENCH_coconet.json",
+        &["row", "kind", "baseline", "coconet", "speedup", "checks"],
+    );
+    for r in &trajectory.rows {
+        let held = r.checks.iter().filter(|c| c.holds()).count();
+        let checks = if r.checks.is_empty() {
+            "-".to_string()
         } else {
-            "Benchmark trajectory"
-        },
-        &[
-            "experiment",
-            "baseline",
-            "coconet",
-            "speedup",
-            "schedules",
-            "configs",
-            "tune wall",
-        ],
-    );
-    for r in results {
-        // The ledger rows carry bytes — and the trace row a unitless
-        // fraction — in the baseline/coconet columns, not seconds;
-        // they say so via a `unit` field.
-        let unit = r.extra.iter().find_map(|(k, v)| match (k.as_str(), v) {
-            ("unit", Json::Str(s)) => Some(s.as_str()),
-            _ => None,
-        });
-        let fmt: fn(f64) -> String = match unit {
-            Some(u) if u.contains("bytes") => fmt_bytes,
-            Some(u) if u.contains("fraction") => |v| format!("{v:.3}"),
-            _ => fmt_time,
+            format!("{held}/{}", r.checks.len())
         };
-        table.row(&[
-            r.name.to_string(),
-            fmt(r.baseline_s),
-            fmt(r.coconet_s),
-            fmt_x(r.speedup()),
-            r.schedules_explored.to_string(),
-            r.configs_evaluated.to_string(),
-            if r.tune_wall_ms > 0.0 {
-                format!("{:.1} ms", r.tune_wall_ms)
-            } else {
-                "-".to_string()
-            },
-        ]);
-    }
-    table.note(
-        "tab3 rows: parallel pruned tuner, verified against the exhaustive search \
-         at the same worker count (identical winner, fewer configs, less wall-clock)",
-    );
-    if let Some(pc) = results.iter().find(|r| r.name == "plan_cache") {
-        let num = |key: &str| {
-            pc.extra
-                .iter()
-                .find_map(|(k, v)| if k == key { v.as_f64() } else { None })
-                .unwrap_or(0.0)
+        let [kind, baseline, coconet, speedup] = match r.kind {
+            Kind::Costed {
+                baseline_s,
+                coconet_s,
+            } => [
+                "costed".to_string(),
+                fmt_time(baseline_s),
+                fmt_time(coconet_s),
+                fmt_x(baseline_s / coconet_s),
+            ],
+            Kind::Invariant => ["invariant", "-", "-", "-"].map(String::from),
         };
-        table.note(format!(
-            "plan cache: {} hits / {} misses / {} evictions; cold sweep {} \
-             ({} configs) vs warm hit {} (0 configs, measured {})",
-            num("cache_hits"),
-            num("cache_misses"),
-            num("cache_evictions"),
-            fmt_time(num("cold_s")),
-            num("cold_configs_evaluated"),
-            fmt_time(pc.coconet_s),
-            fmt_x(num("measured_speedup")),
-        ));
+        table.row(&[r.name.to_string(), kind, baseline, coconet, speedup, checks]);
     }
     table.print();
 
-    // Write the trajectory before enforcing any gate so the file is
-    // available for diagnosis even on a failing run.
-    std::fs::write(&args.out, doc.render_pretty())
-        .map_err(|e| format!("writing {}: {e}", args.out))?;
-    println!("wrote {}", args.out);
+    let mut readings = Report::new(
+        "Host-dependent readings (printed, never written)",
+        &["row", "reading", "value"],
+    );
+    for r in &trajectory.rows {
+        for (label, value) in &r.readings {
+            readings.row(&[r.name.to_string(), label.clone(), value.clone()]);
+        }
+    }
+    readings.print();
 
     if let Some(path) = &args.trace_out {
-        let json = coconet_bench::tracebench::take_last_trace()
-            .ok_or("no trace was recorded (did the overlap_trace experiment run?)")?;
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, &trajectory.trace_json).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote {path} (load it at ui.perfetto.dev or chrome://tracing)");
     }
 
-    if !trajectory.gate_failures.is_empty() {
-        return Err(trajectory.gate_failures.join("\n"));
-    }
-
-    let baseline_path = args.baseline.clone().or_else(|| {
-        args.write_baseline
-            .then(|| "ci/bench_baseline.json".to_string())
-    });
-    if args.write_baseline {
-        // Regenerate the committed baseline from this run instead of
-        // diffing against it.
-        let path = baseline_path.expect("defaulted above");
-        std::fs::write(&path, doc.render_pretty()).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("rewrote baseline {path}");
-    } else if let Some(path) = &baseline_path {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let baseline = Json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        trajectory::regression_check(&doc, &baseline, args.tolerance)?;
-        println!(
-            "no speedup regression beyond {:.0} % vs {path}",
-            args.tolerance * 100.0
-        );
-    }
-
-    if let Some(path) = &args.drift_against {
+    let mut errors = trajectory.failures();
+    if args.check {
+        let path = &args.out;
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let committed = Json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        // Bidirectional: a regression in either direction — or a row
-        // present on only one side — means the committed file no
-        // longer describes the code.
-        let stale = trajectory::regression_check(&doc, &committed, args.tolerance)
-            .err()
-            .into_iter()
-            .chain(trajectory::regression_check(&committed, &doc, args.tolerance).err())
-            .collect::<Vec<_>>();
-        if !stale.is_empty() {
-            return Err(format!(
-                "committed baseline {path} is stale — regenerate it with \
-                 `report --write-baseline` and commit the result:\n{}",
-                stale.join("\n")
-            ));
+        match trajectory::check_against(&committed, &doc) {
+            Ok(()) => println!("{path} is exactly what this build generates"),
+            Err(diffs) => errors.push(format!(
+                "{path} is not what this build generates — rerun `report` and \
+                 commit the result if the change is intended:\n{diffs}"
+            )),
         }
-        println!(
-            "committed baseline {path} is fresh (within {:.0} % both ways)",
-            args.tolerance * 100.0
-        );
+    } else {
+        // Written whether or not every check held, so the file is
+        // there for diagnosis on a failing run.
+        std::fs::write(&args.out, doc.render_pretty())
+            .map_err(|e| format!("writing {}: {e}", args.out))?;
+        println!("wrote {}", args.out);
     }
-    Ok(())
+
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors.join("\n"))
+    }
 }
 
 fn main() -> ExitCode {

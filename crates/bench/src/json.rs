@@ -2,12 +2,11 @@
 //! and a small recursive-descent parser.
 //!
 //! The workspace vendors no serde (third-party policy, see
-//! `third_party/README.md`), and the benchmark trajectory file
-//! `BENCH_coconet.json` needs both emitting (the `report` binary) and
-//! parsing (the CI regression check against the committed baseline) —
-//! hence this module. Object keys keep insertion order so renders are
-//! deterministic and diffs against the committed baseline stay
-//! readable.
+//! `third_party/README.md`), and `BENCH_coconet.json` needs both
+//! emitting (`report`) and parsing (`report --check`, which compares
+//! the committed file with a fresh one) — hence this module. Object
+//! keys keep insertion order so renders are deterministic and diffs of
+//! the committed file stay readable.
 
 use std::fmt::Write as _;
 
@@ -84,7 +83,7 @@ impl Json {
     }
 
     /// Renders with two-space indentation and a trailing newline —
-    /// the stable format the committed baseline is diffed in.
+    /// the stable format the committed file is diffed in.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out, 0);

@@ -1,5 +1,5 @@
-//! The measured multi-tenant contention experiment behind the
-//! `multitenant_throughput` trajectory row.
+//! The multi-tenant contention experiment behind the costed
+//! `multitenant_throughput` row.
 //!
 //! A shared cluster rarely runs one tuned program at a time: K tenant
 //! jobs contend for the same fabric. This module tunes the Adam
@@ -16,7 +16,7 @@
 //!   communication (SRPT), the MLfabric-style policy the autotuner's
 //!   `xfer` dimension exposes.
 //!
-//! The gates are the scheduling-theory facts the simulator must
+//! The row's checks are the scheduling-theory facts the simulator must
 //! reproduce: SRPT strictly wins mean job-completion time on any
 //! non-degenerate size mix, both disciplines are work-conserving (so
 //! on this comm-dominated workload the aware makespan stays within a
@@ -28,6 +28,7 @@ use coconet_sim::{contention_report, MultiTenantReport, Simulator, TenantJob};
 use coconet_topology::MachineSpec;
 
 use crate::experiments::{self, DP_RANKS};
+use crate::trajectory::Check;
 
 /// Jobs sharing the fabric (the ISSUE's "K >= 4" regime).
 pub const MT_JOBS: usize = 4;
@@ -40,7 +41,7 @@ pub const MT_MAX_ELEMS: u64 = 1 << 26;
 /// agree up to compute edge effects; 5% bounds those.
 pub const MT_MAKESPAN_SLACK: f64 = 1.05;
 
-/// One measured K-job contention comparison.
+/// One K-job contention comparison.
 #[derive(Clone, Debug)]
 pub struct MultiTenantRow {
     /// Workload the tenants run (an [`experiments::autotune_setup`]
@@ -67,40 +68,31 @@ impl MultiTenantRow {
         self.report.aware.makespan_s
     }
 
-    /// Violations of the contention contract (empty when healthy).
-    pub fn violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        let fifo = &self.report.fifo;
-        let aware = &self.report.aware;
-        if aware.mean_completion_s >= fifo.mean_completion_s {
-            v.push(format!(
-                "aware mean completion {:.6e}s does not beat FIFO {:.6e}s — \
-                 SRPT must strictly win the mean on a mixed-size tenant set",
-                aware.mean_completion_s, fifo.mean_completion_s,
-            ));
-        }
-        if aware.makespan_s > fifo.makespan_s * MT_MAKESPAN_SLACK {
-            v.push(format!(
-                "aware makespan {:.6e}s exceeds FIFO {:.6e}s by more than {}x — \
-                 both disciplines are work-conserving",
-                aware.makespan_s, fifo.makespan_s, MT_MAKESPAN_SLACK,
-            ));
-        }
-        if aware.makespan_s >= self.report.serial_s {
-            v.push(format!(
-                "sharing ({:.6e}s) does not beat serial ({:.6e}s) — \
-                 compute/comm overlap across tenants must buy something",
-                aware.makespan_s, self.report.serial_s,
-            ));
-        }
-        if self.solo_s.len() != MT_JOBS {
-            v.push(format!(
-                "expected {} tenants, measured {}",
-                MT_JOBS,
-                self.solo_s.len(),
-            ));
-        }
-        v
+    /// The contention contract as checks over the costed seconds: SRPT
+    /// strictly wins the mean on a mixed-size tenant set, both
+    /// disciplines are work-conserving (makespans within
+    /// [`MT_MAKESPAN_SLACK`]), and the compute/comm overlap across
+    /// tenants makes sharing beat serial.
+    pub fn checks(&self) -> Vec<Check> {
+        let (fifo, aware) = (&self.report.fifo, &self.report.aware);
+        vec![
+            Check::lt(
+                "srpt_beats_fifo_mean_completion_s",
+                aware.mean_completion_s,
+                fifo.mean_completion_s,
+            ),
+            Check::lt(
+                "aware_makespan_s_within_slack_of_fifo",
+                aware.makespan_s,
+                fifo.makespan_s * MT_MAKESPAN_SLACK,
+            ),
+            Check::lt(
+                "sharing_beats_serial_s",
+                aware.makespan_s,
+                self.report.serial_s,
+            ),
+            Check::eq("tenants", self.solo_s.len(), MT_JOBS),
+        ]
     }
 }
 
@@ -165,12 +157,13 @@ mod tests {
     use super::*;
 
     /// The K=4 Adam tenant set sits in the comm-dominated regime, so
-    /// every gate holds: SRPT wins the mean, makespans agree within
+    /// every check holds: SRPT wins the mean, makespans agree within
     /// slack, sharing beats serial.
     #[test]
     fn multitenant_bench_is_healthy() {
         let row = multitenant_bench("adam", 2);
-        assert_eq!(row.violations(), Vec::<String>::new());
+        let failed: Vec<_> = row.checks().into_iter().filter(|c| !c.holds()).collect();
+        assert_eq!(failed, Vec::new());
         assert_eq!(row.solo_s.len(), MT_JOBS);
         // Solo times shrink with the problem size.
         for pair in row.solo_s.windows(2) {

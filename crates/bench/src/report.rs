@@ -96,21 +96,6 @@ pub fn fmt_x(factor: f64) -> String {
     format!("{factor:.2}x")
 }
 
-/// Formats a byte count with binary prefixes (for the ledger rows,
-/// whose baseline/coconet columns are bytes, not seconds).
-pub fn fmt_bytes(bytes: f64) -> String {
-    const KIB: f64 = 1024.0;
-    if bytes >= KIB * KIB * KIB {
-        format!("{:.2} GiB", bytes / (KIB * KIB * KIB))
-    } else if bytes >= KIB * KIB {
-        format!("{:.2} MiB", bytes / (KIB * KIB))
-    } else if bytes >= KIB {
-        format!("{:.2} KiB", bytes / KIB)
-    } else {
-        format!("{bytes:.0} B")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,13 +127,5 @@ mod tests {
         assert_eq!(fmt_time(0.0125), "12.500 ms");
         assert_eq!(fmt_time(42e-6), "42.0 us");
         assert_eq!(fmt_x(1.345), "1.34x");
-    }
-
-    #[test]
-    fn byte_formats() {
-        assert_eq!(fmt_bytes(512.0), "512 B");
-        assert_eq!(fmt_bytes(2048.0), "2.00 KiB");
-        assert_eq!(fmt_bytes(117_440_512.0), "112.00 MiB");
-        assert_eq!(fmt_bytes(3.5 * 1024.0 * 1024.0 * 1024.0), "3.50 GiB");
     }
 }

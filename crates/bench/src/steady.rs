@@ -1,41 +1,29 @@
 //! The steady-state experiment: a stream of data-parallel training
-//! iterations under the barriered and the barrier-free schedule, at
-//! the acceptance geometry (2^24 gradient elements over 8 ranks).
+//! iterations under the barriered and the barrier-free schedule.
 //!
-//! Two kinds of rows feed the trajectory, the same split every other
-//! experiment uses (simulated §6 rows + measured ledger rows):
+//! Two rows come out of it, one of each kind:
 //!
-//! - `steady_state_stream` — the *costed* iterations/sec comparison.
-//!   An 8-layer training iteration (per-layer backward kernel, then
-//!   the trailing gradient AllReduces) is timed by the simulator under
-//!   [`CommSched::Barriered`] (serial sum: communication on the
-//!   critical path after the compute, every iteration) and under
-//!   [`CommSched::Priority`] (the steady-state per-iteration time of
-//!   the same plan run as a pipelined stream, where iteration *i*'s
-//!   trailing collectives drain under iteration *i+1*'s compute).
-//!   The comparison is pure cost-model arithmetic — deterministic and
-//!   machine-independent, which is what lets CI gate the overlap win
-//!   without a wall-clock cap.
-//! - `ledger_priority_stream` — the *measured* witnesses. A real
+//! - `steady_state_stream` — *costed*. An 8-layer training iteration
+//!   (per-layer backward kernel, then the trailing gradient
+//!   AllReduces) at 2^24 gradient elements over 8 ranks is timed by
+//!   the simulator under [`CommSched::Barriered`] (serial sum:
+//!   communication on the critical path after the compute, every
+//!   iteration) and under [`CommSched::Priority`] (the steady-state
+//!   per-iteration time of the same plan run as a pipelined stream,
+//!   where iteration *i*'s trailing collectives drain under iteration
+//!   *i+1*'s compute). Pure cost-model arithmetic.
+//! - `ledger_priority_stream` — *invariant*. A real
 //!   [`StreamExecutor`] run on rank threads against the classic
 //!   blocking loop (forward, backward, then one blocking ring
-//!   AllReduce per layer — the seed executor's schedule), asserting
-//!   the three properties wall-clocks cannot prove on a shared CI
-//!   box: final parameters bit-identical between schedules, every
-//!   iteration's layer-0 gradient (produced *last* by backprop)
-//!   synchronized *before* its last-layer gradient, and each priority
-//!   class moving exactly its layer's analytic ring volume on the
-//!   per-class [`BytesLedger`] counters.
-//!   Violations of any witness are gate failures, the same treatment
-//!   as a ledger or tuner inconsistency.
+//!   AllReduce per layer — the seed executor's schedule), checking
+//!   what no wall-clock can show: final parameters bit-identical
+//!   between schedules, every iteration's layer-0 gradient (produced
+//!   *last* by backprop) synchronized *before* its last-layer
+//!   gradient, and each priority class moving exactly its layer's
+//!   analytic ring volume on the per-class [`BytesLedger`] counters.
 //!
-//! The measured run still reports both wall-clocks for transparency,
-//! but does not gate on them: rank threads time-share however many
-//! cores the runner has (possibly one), so measured overlap is a
-//! property of the machine, while the witnesses are properties of the
-//! schedule.
-
-use std::time::{Duration, Instant};
+//! How long either loop takes is not recorded here: `benchmark/`'s
+//! `stream_barriered` / `stream_priority` workloads measure that.
 
 use coconet_compress::WireFormat;
 use coconet_core::{
@@ -50,19 +38,16 @@ use coconet_sim::Simulator;
 use coconet_tensor::{DType, ReduceOp, Tensor};
 use coconet_topology::MachineSpec;
 
-/// Total gradient elements per iteration, across all layers: 2^24 —
-/// the acceptance size — in release builds (the source of every
-/// committed `BENCH_coconet.json`); 2^18 in debug builds so the unit
-/// tests stay fast. The simulated row always uses the acceptance
-/// size; only the measured witnesses run shrinks.
+use crate::trajectory::Check;
+
+/// Total gradient elements per iteration of the costed row, across
+/// all layers.
 pub const STEADY_ELEMS: usize = 1 << 24;
 
-/// Elements of the measured witnesses run.
-pub const STEADY_MEASURED_ELEMS: usize = if cfg!(debug_assertions) {
-    1 << 18
-} else {
-    1 << 24
-};
+/// Elements of the witnesses run. Bytes, order and bit-identity do not
+/// depend on the size, so it is small, and the same in every build
+/// profile: debug and release write the same row.
+pub const STEADY_MEASURED_ELEMS: usize = 1 << 18;
 
 /// Rank threads of the steady-state run.
 pub const STEADY_RANKS: usize = 8;
@@ -72,8 +57,8 @@ pub const STEADY_RANKS: usize = 8;
 /// metered by its own counter.
 pub const STEADY_LAYERS: usize = 8;
 
-/// Iterations of the measured witnesses run.
-pub const STEADY_ITERS: u64 = if cfg!(debug_assertions) { 4 } else { 10 };
+/// Iterations of the witnesses run.
+pub const STEADY_ITERS: u64 = 4;
 
 /// The simulated steady-state comparison: per-iteration seconds of
 /// the 8-layer training plan under each schedule, at the acceptance
@@ -165,8 +150,8 @@ pub(crate) fn steady_plan(elems: usize, sched: CommSched) -> ExecPlan {
     plan
 }
 
-/// One measured steady-state run: both wall-clocks plus rank 0's
-/// barrier-free witnesses.
+/// One witnesses run: rank 0's view of the barrier-free stream, plus
+/// how it compares with the blocking loop.
 #[derive(Clone, Debug)]
 pub struct SteadyRow {
     /// Total gradient elements per iteration.
@@ -177,18 +162,14 @@ pub struct SteadyRow {
     pub layers: usize,
     /// Iterations per schedule.
     pub iters: u64,
-    /// Blocking-loop wall-clock, seconds — max across ranks.
-    pub barriered_s: f64,
-    /// Barrier-free wall-clock, seconds — max across ranks.
-    pub streamed_s: f64,
     /// Rank 0's ledger over the barrier-free run (per-class counters).
     pub ledger: BytesLedger,
     /// Rank 0's job completion log over the barrier-free run
     /// (job id = `iter * layers + layer`).
     pub completion_log: Vec<u64>,
-    /// Whether the two schedules produced bit-identical final
-    /// parameters — the semantics-preservation half of the row.
-    pub params_match: bool,
+    /// Layers whose final parameters differ, in any bit, between the
+    /// two schedules.
+    pub diverged_layers: usize,
 }
 
 impl SteadyRow {
@@ -198,89 +179,74 @@ impl SteadyRow {
         self.iters * ring_all_reduce_wire_bytes(self.elems / self.layers, self.ranks, DType::F32)
     }
 
-    /// Total tagged bytes the barrier-free run sent per rank, summed
-    /// over every priority class.
-    pub fn class_bytes_total(&self) -> u64 {
-        self.ledger.class_bytes_sent.iter().sum()
-    }
-
-    /// Violations of the barrier-free witnesses (empty when the two
-    /// schedules agree bit for bit, the scheduler provably reordered
-    /// traffic into consumption order, and every priority class moved
-    /// exactly its analytic volume).
-    pub fn violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if !self.params_match {
-            v.push("schedules diverged: barrier-free parameters differ from barriered".into());
-        }
+    /// The barrier-free witnesses as checks: the two schedules agree
+    /// bit for bit, the scheduler reordered traffic into consumption
+    /// order, and every priority class moved exactly its analytic
+    /// volume.
+    pub fn checks(&self) -> Vec<Check> {
         // Every iteration's first-consumed gradient must synchronize
         // before its last-consumed one — the reordering the priority
         // queue exists for. Backprop produces them in the opposite
         // order, so an unscheduled fabric fails this immediately.
         let pos = |job: u64| self.completion_log.iter().position(|&j| j == job);
-        for it in 0..self.iters {
-            let first = it * self.layers as u64;
-            let last = first + self.layers as u64 - 1;
-            match (pos(first), pos(last)) {
-                (Some(f), Some(l)) if f < l => {}
-                (Some(f), Some(l)) => v.push(format!(
-                    "iteration {it}: layer-0 gradient completed at {f}, after last layer at {l}"
-                )),
-                _ => v.push(format!("iteration {it}: completion log lost a job")),
-            }
-        }
+        let layers = self.layers as u64;
+        let misordered = (0..self.iters)
+            .filter(|it| {
+                let (first, last) = (pos(it * layers), pos(it * layers + layers - 1));
+                !matches!((first, last), (Some(f), Some(l)) if f < l)
+            })
+            .count();
+        let mut checks = vec![
+            Check::eq(
+                "layers_diverged_from_the_blocking_loop",
+                self.diverged_layers,
+                0usize,
+            ),
+            Check::eq(
+                "jobs_completed",
+                self.completion_log.len(),
+                (self.iters * layers) as usize,
+            ),
+            Check::eq(
+                "iterations_syncing_the_last_layer_before_layer_0",
+                misordered,
+                0usize,
+            ),
+        ];
         // Per-class accounting: each layer rides its own priority
         // class (layers == PRIORITY_CLASSES) and must move exactly the
         // analytic ring volume — no class starved, none double-sent.
         assert_eq!(self.layers, PRIORITY_CLASSES);
         let want = self.class_analytic_bytes();
         for (class, &got) in self.ledger.class_bytes_sent.iter().enumerate() {
-            if got != want {
-                v.push(format!(
-                    "priority class {class} moved {got} bytes per rank, analytic volume is {want}"
-                ));
-            }
+            checks.push(Check::eq(format!("class{class}_bytes_sent"), got, want));
         }
-        v
+        checks
     }
 }
 
-/// Runs the measured witnesses experiment: [`STEADY_ITERS`] iterations
-/// of an 8-layer synthetic data-parallel loop under each schedule,
-/// fastest of `repeats` timings kept per schedule.
-pub fn steady_state_bench(repeats: usize) -> SteadyRow {
-    let mut barriered_s = f64::INFINITY;
-    let mut streamed_s = f64::INFINITY;
-    let mut ledger = BytesLedger::default();
-    let mut completion_log = Vec::new();
-    let mut params_match = true;
-    for _ in 0..repeats.max(1) {
-        let (bt, b_params, _, _) = timed_run(CommSched::Barriered);
-        barriered_s = barriered_s.min(bt);
-        let (st, s_params, l, log) = timed_run(CommSched::Priority);
-        if st < streamed_s {
-            streamed_s = st;
-            ledger = l;
-            completion_log = log;
-        }
-        // Semantics preservation: both runs are deterministic, so one
-        // bitwise comparison per repeat suffices.
-        params_match &= b_params.len() == s_params.len()
-            && b_params
-                .iter()
-                .zip(&s_params)
-                .all(|(b, s)| b.to_f32_vec() == s.to_f32_vec());
-    }
+/// Runs the witnesses experiment: [`STEADY_ITERS`] iterations of an
+/// 8-layer synthetic data-parallel loop under each schedule.
+pub fn steady_state_bench() -> SteadyRow {
+    let (b_params, ..) = witness_run(CommSched::Barriered);
+    let (s_params, ledger, completion_log) = witness_run(CommSched::Priority);
+    // Semantics preservation: both runs are deterministic, so one
+    // bitwise comparison suffices.
+    assert_eq!(b_params.len(), s_params.len());
+    let bits = |t: &Tensor| -> Vec<u32> { t.to_f32_vec().iter().map(|v| v.to_bits()).collect() };
+    let diverged_layers = b_params
+        .iter()
+        .zip(&s_params)
+        .filter(|(b, s)| bits(b) != bits(s))
+        .count();
     SteadyRow {
         elems: STEADY_MEASURED_ELEMS,
         ranks: STEADY_RANKS,
         layers: STEADY_LAYERS,
         iters: STEADY_ITERS,
-        barriered_s,
-        streamed_s,
         ledger,
         completion_log,
-        params_match,
+        diverged_layers,
     }
 }
 
@@ -315,12 +281,11 @@ pub(crate) fn apply_update(p: &mut Tensor, g: &Tensor) {
     *p = step;
 }
 
-/// One timed stream of [`STEADY_ITERS`] iterations over fresh rank
-/// threads; returns the slowest rank's wall-clock plus rank 0's
-/// final parameters, ledger, and completion log.
+/// One stream of [`STEADY_ITERS`] iterations over fresh rank threads;
+/// returns rank 0's final parameters, ledger, and completion log.
 ///
 /// The two schedules run the same arithmetic through different
-/// machinery, exactly the before/after of the refactor:
+/// machinery:
 ///
 /// - `Barriered` is the classic loop the seed executor ran: forward,
 ///   backward, then a *blocking* ring AllReduce per layer at the
@@ -329,7 +294,7 @@ pub(crate) fn apply_update(p: &mut Tensor, g: &Tensor) {
 /// - `Priority` is the [`StreamExecutor`]: all layers' gradients in
 ///   flight at once, serviced in consumption order at every kernel
 ///   boundary, next iteration gated per-parameter by ready-epoch.
-fn timed_run(sched: CommSched) -> (f64, Vec<Tensor>, BytesLedger, Vec<u64>) {
+fn witness_run(sched: CommSched) -> (Vec<Tensor>, BytesLedger, Vec<u64>) {
     let layer_elems = STEADY_MEASURED_ELEMS / STEADY_LAYERS;
     let results = run_ranks(STEADY_RANKS, move |comm| {
         let group = Group {
@@ -344,10 +309,8 @@ fn timed_run(sched: CommSched) -> (f64, Vec<Tensor>, BytesLedger, Vec<u64>) {
         // Keep the forward's reduction alive so the compute cannot be
         // optimized away.
         let mut sink = 0.0f32;
-        let start;
         let (final_params, log) = if sched == CommSched::Barriered {
             let mut params = params;
-            start = Instant::now();
             for iter in 0..STEADY_ITERS {
                 for p in &params {
                     sink += forward_pass(p);
@@ -373,7 +336,6 @@ fn timed_run(sched: CommSched) -> (f64, Vec<Tensor>, BytesLedger, Vec<u64>) {
             (params, Vec::new())
         } else {
             let mut exec = StreamExecutor::new(group, params, sched, WireFormat::Dense);
-            start = Instant::now();
             exec.run_iterations(
                 &comm,
                 STEADY_ITERS,
@@ -384,17 +346,10 @@ fn timed_run(sched: CommSched) -> (f64, Vec<Tensor>, BytesLedger, Vec<u64>) {
             let log: Vec<u64> = exec.completion_events().iter().map(|c| c.id).collect();
             (exec.params(), log)
         };
-        let wall = start.elapsed();
         assert!(sink.is_finite());
-        (wall, final_params, comm.ledger(), log)
+        (final_params, comm.ledger(), log)
     });
-    let wall = results
-        .iter()
-        .map(|(t, ..)| *t)
-        .max()
-        .unwrap_or(Duration::ZERO);
-    let (_, params, ledger, log) = results.into_iter().next().expect("rank 0 ran");
-    (wall.as_secs_f64(), params, ledger, log)
+    results.into_iter().next().expect("rank 0 ran")
 }
 
 #[cfg(test)]
@@ -417,22 +372,22 @@ mod tests {
         assert!(sim.speedup() <= 2.0 + 1e-9, "speedup {}", sim.speedup());
     }
 
-    /// The debug-size measured run: bit-identical parameters, the
-    /// completion log shows consumption-order synchronization, and
-    /// every priority class moved exactly its analytic volume.
+    /// The witnesses run: bit-identical parameters, the completion log
+    /// shows consumption-order synchronization, and every priority
+    /// class moved exactly its analytic volume.
     #[test]
     fn steady_state_witnesses_hold() {
-        let row = steady_state_bench(1);
-        assert_eq!(row.violations(), Vec::<String>::new());
+        let row = steady_state_bench();
+        let failed: Vec<_> = row.checks().into_iter().filter(|c| !c.holds()).collect();
+        assert_eq!(failed, Vec::new());
         assert_eq!(
             row.completion_log.len() as u64,
             row.iters * row.layers as u64,
             "every job completes exactly once"
         );
         assert_eq!(
-            row.class_bytes_total(),
+            row.ledger.class_bytes_sent.iter().sum::<u64>(),
             row.class_analytic_bytes() * row.layers as u64
         );
-        assert!(row.barriered_s > 0.0 && row.streamed_s > 0.0);
     }
 }

@@ -1,29 +1,29 @@
 //! The traced overlap experiment (`overlap_trace`): runs the
 //! steady-state training loop through the [`StreamExecutor`] under the
 //! barriered and the barrier-free schedule *with span recording on*,
-//! and distills the traces into the three observability artifacts this
-//! row gates:
+//! and distills the traces into what the row checks:
 //!
 //! - the **overlap profile** — the fraction of collective in-flight
 //!   time hidden under compute spans, per schedule. The barriered loop
 //!   services every hop inside the end-of-iteration drain (no compute
 //!   runs concurrently), while the priority stream keeps jobs in
-//!   flight under the next iteration's forward — so the measured
-//!   hidden fraction under [`CommSched::Priority`] must strictly
-//!   exceed [`CommSched::Barriered`]'s, and that ordering is the gate;
+//!   flight under the next iteration's forward — so the hidden
+//!   fraction under [`CommSched::Priority`] must strictly exceed
+//!   [`CommSched::Barriered`]'s. The fractions themselves depend on
+//!   the host: they are readings, only the ordering is checked;
 //! - the **sim-vs-measured drift report** — the simulator's per-step
 //!   predictions for the same plan (`bwd{l}` backward kernels,
 //!   `grad{l}` gradient AllReduces) aligned against traced actuals
 //!   (mean backward-span duration per layer; mean first-hop-to-
 //!   completion in-flight time per layer's job stream). Every step
-//!   must align — an unmatched label means the trace lost a step;
-//! - the **well-formedness check** — both traces must have properly
-//!   nested spans, per-thread monotone records, and every scheduler
-//!   enqueue matched by a completion.
-//!
-//! The priority run's Chrome trace-event JSON (Perfetto-loadable) is
-//! stashed for the `report` binary's `--trace-out` flag via
-//! [`take_last_trace`].
+//!   must align — an unmatched label means the trace lost a step. The
+//!   drift itself is a reading;
+//! - **well-formedness** — both traces must have properly nested
+//!   spans, per-thread monotone records, every scheduler enqueue
+//!   matched by a completion, and no dropped event; and the priority
+//!   run's Chrome trace-event export (Perfetto-loadable, `report
+//!   --trace-out`) must have the trace-event structure
+//!   ([`chrome_trace_check`]).
 //!
 //! Tracing is process-global, so the experiment serializes behind a
 //! gate and filters the snapshot down to the rank threads it spawned —
@@ -43,35 +43,23 @@ use coconet_trace as trace;
 use coconet_trace::drift::{drift_report, DriftReport};
 use coconet_trace::{Event, EventKind, JOB_NONE};
 
+use crate::json::Json;
 use crate::steady::{
     apply_update, forward_pass, init_param, local_grad, steady_plan, STEADY_ITERS, STEADY_LAYERS,
     STEADY_MEASURED_ELEMS, STEADY_RANKS,
 };
+use crate::trajectory::{Check, Operand};
 
 /// Serializes traced sections within the process: the enable flag is
 /// global, and two interleaved experiments would see each other's
 /// clears.
 static ENABLE_GATE: Mutex<()> = Mutex::new(());
 
-/// The most recent experiment's Chrome trace-event JSON (the priority
-/// run), for `report --trace-out`.
-static LAST_TRACE: Mutex<Option<String>> = Mutex::new(None);
-
-/// Takes the Chrome trace JSON stashed by the last
-/// [`overlap_trace_bench`] run, if any.
-pub fn take_last_trace() -> Option<String> {
-    LAST_TRACE.lock().expect("trace stash poisoned").take()
-}
-
 /// One schedule's traced run, distilled.
 #[derive(Clone, Debug)]
 pub struct TraceRun {
     /// Fraction of collective in-flight time hidden under compute.
     pub hidden_fraction: f64,
-    /// Summed per-rank collective in-flight seconds.
-    pub comm_busy_s: f64,
-    /// Summed seconds of that time overlapped with compute spans.
-    pub hidden_s: f64,
     /// Events recorded on the run's rank threads.
     pub events: usize,
     /// Global dropped-event count over the run's window.
@@ -97,44 +85,163 @@ pub struct TraceRow {
     pub priority: TraceRun,
     /// Sim-vs-measured per-step drift, from the priority run.
     pub drift: DriftReport,
+    /// The priority run's Chrome trace-event JSON.
+    pub chrome_json: String,
+    /// [`chrome_trace_check`]'s verdict on it.
+    pub chrome_export: Result<String, String>,
 }
 
 impl TraceRow {
-    /// Violations of the trace gates (empty for a healthy run): the
-    /// priority schedule must hide strictly more communication than
-    /// the barriered one (and a nonzero amount), every simulated step
-    /// must align with a measured one, and both traces must be well
-    /// formed.
-    pub fn violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if self.priority.hidden_fraction <= self.barriered.hidden_fraction {
-            v.push(format!(
-                "priority schedule hid {:.4} of collective time, not above barriered {:.4}",
-                self.priority.hidden_fraction, self.barriered.hidden_fraction
-            ));
-        }
-        if self.priority.hidden_fraction <= 0.0 {
-            v.push("priority schedule hid no collective time at all".into());
-        }
-        if self.drift.steps.is_empty() {
-            v.push("drift report aligned no steps".into());
-        }
-        if !self.drift.unmatched.is_empty() {
-            v.push(format!(
-                "drift report left steps unmatched: {:?}",
-                self.drift.unmatched
+    /// The trace gates as checks: the priority schedule hides strictly
+    /// more communication than the barriered one (so a nonzero
+    /// amount), every simulated step aligns with a measured one,
+    /// nothing was dropped, and both traces and the Chrome export are
+    /// well formed.
+    pub fn checks(&self) -> Vec<Check> {
+        let runs = [&self.barriered, &self.priority];
+        vec![
+            Check::lt(
+                "priority_hides_more_comm_than_barriered",
+                Operand::Host(self.barriered.hidden_fraction),
+                Operand::Host(self.priority.hidden_fraction),
+            ),
+            Check::eq(
+                "sim_steps_aligned_with_the_trace",
+                self.drift.steps.len(),
+                2 * self.layers,
+            ),
+            Check::eq(
+                "sim_steps_unmatched_in_the_trace",
+                self.drift.unmatched.len(),
+                0usize,
+            ),
+            Check::eq(
+                "dropped_events",
+                self.barriered.dropped + self.priority.dropped,
+                0u64,
+            ),
+            Check::eq(
+                "runs_without_events",
+                runs.iter().filter(|r| r.events == 0).count(),
+                0usize,
+            ),
+            Check::eq(
+                "malformed_traces",
+                runs.iter().filter(|r| r.wellformed.is_err()).count(),
+                0usize,
+            ),
+            Check::eq(
+                "malformed_chrome_exports",
+                usize::from(self.chrome_export.is_err()),
+                0usize,
+            ),
+        ]
+    }
+
+    /// What the run measured on this host, for `report` to print: the
+    /// hidden fractions, the drift summary and per-step drift, event
+    /// counts, and why a trace or export is malformed if one is.
+    pub fn readings(&self) -> Vec<(String, String)> {
+        let mut out = vec![
+            (
+                "hidden fraction barriered".to_string(),
+                format!("{:.3}", self.barriered.hidden_fraction),
+            ),
+            (
+                "hidden fraction priority".into(),
+                format!("{:.3}", self.priority.hidden_fraction),
+            ),
+            (
+                "events barriered / priority".into(),
+                format!("{} / {}", self.barriered.events, self.priority.events),
+            ),
+            (
+                "drift scale / mean / max rel err".into(),
+                format!(
+                    "{:.1}x / {:.2} / {:.2}",
+                    self.drift.scale,
+                    self.drift.mean_abs_rel_err(),
+                    self.drift.max_abs_rel_err()
+                ),
+            ),
+        ];
+        for s in &self.drift.steps {
+            out.push((
+                format!("drift {}", s.label),
+                format!(
+                    "predicted {:.3e} s, measured {:.3e} s, rel err {:.2}",
+                    s.predicted_s, s.measured_s, s.rel_err
+                ),
             ));
         }
         for (label, run) in [("barriered", &self.barriered), ("priority", &self.priority)] {
             if let Err(e) = &run.wellformed {
-                v.push(format!("{label} trace is malformed: {e}"));
-            }
-            if run.events == 0 {
-                v.push(format!("{label} run recorded no events"));
+                out.push((format!("{label} trace malformed"), e.clone()));
             }
         }
-        v
+        match &self.chrome_export {
+            Ok(summary) => out.push(("chrome export".into(), summary.clone())),
+            Err(e) => out.push(("chrome export malformed".into(), e.clone())),
+        }
+        out
     }
+}
+
+/// Checks a Chrome trace-event document's structure: a root object
+/// whose `traceEvents` is a non-empty array in which every event
+/// carries a string `ph` and `name`, numeric `pid` and `tid`, a
+/// numeric `ts` on every non-metadata phase, and a numeric `dur` on
+/// every `"X"` complete event. At least one complete event and one
+/// instant must be present (a trace with only metadata rows means the
+/// recorder captured nothing). Returns a one-line summary.
+///
+/// # Errors
+///
+/// Returns what is wrong with the first offending event.
+pub fn chrome_trace_check(text: &str) -> Result<String, String> {
+    let doc = Json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        return Err("root object has no `traceEvents` array".into());
+    };
+    let (mut complete, mut instants, mut metadata) = (0usize, 0usize, 0usize);
+    for (i, ev) in events.iter().enumerate() {
+        let ph = ev
+            .get("ph")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("event {i}: no string `ph`"))?;
+        ev.get("name")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("event {i}: no string `name`"))?;
+        let numeric = |field: &str| {
+            ev.get(field)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("event {i} (`{ph}`): no numeric `{field}`"))
+        };
+        numeric("pid")?;
+        numeric("tid")?;
+        match ph {
+            "M" => metadata += 1,
+            "X" => {
+                numeric("ts")?;
+                numeric("dur")?;
+                complete += 1;
+            }
+            "i" => {
+                numeric("ts")?;
+                instants += 1;
+            }
+            other => return Err(format!("event {i}: unexpected phase `{other}`")),
+        }
+    }
+    if complete == 0 {
+        return Err("no complete (`X`) span events in the trace".into());
+    }
+    if instants == 0 {
+        return Err("no instant (`i`) events in the trace".into());
+    }
+    Ok(format!(
+        "{complete} spans, {instants} instants, {metadata} metadata rows"
+    ))
 }
 
 /// Runs the steady-state loop under `sched` with tracing on and
@@ -185,8 +292,6 @@ fn profile(events: Vec<Event>, dropped: u64) -> (TraceRun, Vec<Event>) {
     let summary = trace::overlap::hidden_comm_fraction(&events);
     let run = TraceRun {
         hidden_fraction: summary.hidden_fraction(),
-        comm_busy_s: summary.comm_busy_s,
-        hidden_s: summary.hidden_s,
         events: events.len(),
         dropped,
         wellformed: trace::wellformed::check_well_formed(&events),
@@ -258,8 +363,7 @@ fn measured_steps(events: &[Event]) -> Vec<(String, f64)> {
 /// Runs the traced overlap experiment: one barriered and one
 /// barrier-free steady-state stream with recording on, profiled for
 /// hidden-communication fraction, checked for well-formedness, and
-/// aligned against the simulator's per-step predictions. Stashes the
-/// priority run's Chrome trace JSON for [`take_last_trace`].
+/// aligned against the simulator's per-step predictions.
 pub fn overlap_trace_bench() -> TraceRow {
     let _gate = ENABLE_GATE.lock().expect("trace gate poisoned");
     let (b_events, b_dropped) = traced_run(CommSched::Barriered);
@@ -276,9 +380,7 @@ pub fn overlap_trace_bench() -> TraceRow {
         .map(|s| (s.label.clone(), s.seconds))
         .collect();
     let drift = drift_report(&predicted, &measured_steps(&p_events));
-
-    *LAST_TRACE.lock().expect("trace stash poisoned") =
-        Some(trace::chrome::chrome_trace_json(&p_events));
+    let chrome_json = trace::chrome::chrome_trace_json(&p_events);
 
     TraceRow {
         elems: STEADY_MEASURED_ELEMS,
@@ -288,6 +390,8 @@ pub fn overlap_trace_bench() -> TraceRow {
         barriered,
         priority,
         drift,
+        chrome_export: chrome_trace_check(&chrome_json),
+        chrome_json,
     }
 }
 
@@ -295,23 +399,43 @@ pub fn overlap_trace_bench() -> TraceRow {
 mod tests {
     use super::*;
 
-    /// The debug-size traced experiment upholds every gate: priority
-    /// hides strictly more communication than barriered, all sixteen
-    /// plan steps align with measured actuals, and both traces are
-    /// well formed.
+    /// The traced experiment upholds every check: priority hides
+    /// strictly more communication than barriered, all sixteen plan
+    /// steps align with measured actuals, both traces and the Chrome
+    /// export are well formed.
     #[test]
     fn traced_overlap_gates_hold() {
         let row = overlap_trace_bench();
-        assert_eq!(row.violations(), Vec::<String>::new());
+        let failed: Vec<_> = row.checks().into_iter().filter(|c| !c.holds()).collect();
+        assert_eq!(failed, Vec::new());
         assert!(row.priority.hidden_fraction > row.barriered.hidden_fraction);
         assert_eq!(row.drift.steps.len(), 2 * STEADY_LAYERS);
         assert!(row.drift.scale > 0.0);
-        assert!(row.priority.comm_busy_s > 0.0);
-        // The stashed Chrome export is parseable, non-trivial JSON.
-        let json = take_last_trace().expect("trace stashed");
-        let doc = crate::json::Json::parse(&json).expect("chrome export parses");
+        // The Chrome export is parseable, non-trivial JSON.
+        let doc = Json::parse(&row.chrome_json).expect("chrome export parses");
         let events = doc.get("traceEvents").expect("traceEvents present");
-        assert!(matches!(events, crate::json::Json::Arr(a) if !a.is_empty()));
-        assert!(take_last_trace().is_none(), "take_last_trace drains");
+        assert!(matches!(events, Json::Arr(a) if !a.is_empty()));
+    }
+
+    /// The structure check names what is wrong with an export.
+    #[test]
+    fn chrome_trace_check_rejects_broken_exports() {
+        let ev = |ph: &str, extra: &str| {
+            format!(r#"{{"ph": "{ph}", "name": "n", "pid": 0, "tid": 1{extra}}}"#)
+        };
+        let doc = |events: &[String]| format!(r#"{{"traceEvents": [{}]}}"#, events.join(", "));
+        let span = ev("X", r#", "ts": 1, "dur": 2"#);
+        let instant = ev("i", r#", "ts": 3"#);
+        let ok = doc(&[ev("M", ""), span.clone(), instant.clone()]);
+        assert_eq!(
+            chrome_trace_check(&ok).unwrap(),
+            "1 spans, 1 instants, 1 metadata rows"
+        );
+        let err = |text: String| chrome_trace_check(&text).unwrap_err();
+        assert!(err("[]".into()).contains("no `traceEvents`"));
+        assert!(err(doc(&[])).contains("no complete"));
+        assert!(err(doc(std::slice::from_ref(&span))).contains("no instant"));
+        assert!(err(doc(&[ev("X", r#", "ts": 1"#), instant.clone()])).contains("`dur`"));
+        assert!(err(doc(&[ev("B", ""), span, instant])).contains("unexpected phase `B`"));
     }
 }
