@@ -4,8 +4,8 @@
 //! the bench targets print them next to the paper's reported values.
 
 use coconet_core::{
-    lower, Binding, CollAlgo, CollKind, CollectiveStep, CommConfig, DType, FixedStep,
-    FusedCollectiveStep, KernelStep, Protocol, ReduceOp, ScatterInfo, Step, WireFormat,
+    lower, Binding, CollAlgo, CollKind, CommConfig, DType, FusedCollectiveStep, KernelStep,
+    Protocol, ScatterInfo, WireFormat,
 };
 use coconet_models::inference::{
     model_parallel_epilogue_time, model_parallel_inference_speedup, pipeline_epilogue_time,
@@ -876,29 +876,6 @@ pub fn standalone_pipeline_speedup(batch: usize) -> f64 {
     let cfg = ModelConfig::gpt3_175b();
     pipeline_epilogue_time(&cfg, batch, 16, 16, PipelineSchedule::Megatron)
         / pipeline_epilogue_time(&cfg, batch, 16, 16, PipelineSchedule::Overlap)
-}
-
-/// A trivially-costed plan used by the criterion micro-benchmarks.
-pub fn demo_plan() -> coconet_core::ExecPlan {
-    coconet_core::ExecPlan {
-        name: "demo".into(),
-        steps: vec![
-            Step::Collective(CollectiveStep {
-                label: "ar".into(),
-                kind: CollKind::AllReduce,
-                op: ReduceOp::Sum,
-                algo: CollAlgo::Ring,
-                elems: 1 << 24,
-                dtype: DType::F16,
-                scattered: None,
-            }),
-            Step::Fixed(FixedStep {
-                label: "fixed".into(),
-                seconds: 1e-6,
-            }),
-        ],
-        config: CommConfig::default(),
-    }
 }
 
 /// Geometry helper for tests.

@@ -30,9 +30,9 @@ pub use layout::{Layout, SliceDim};
 pub use lower::lower;
 pub use op::{BinaryOp, OpKind, PeerSelector, UnaryOp, VarId};
 pub use plan::{
-    CollAlgo, CollKind, CollectiveStep, CommConfig, CommSched, ExecPlan, FixedStep,
-    FusedCollectiveStep, KernelStep, MatMulStep, OverlapStage, OverlappedStep, Protocol,
-    ScatterInfo, SendRecvStep, Step, XferSched,
+    lane_count, nodes_spanned, CollAlgo, CollKind, CollSite, CollectiveStep, CommConfig, CommSched,
+    ExecPlan, Executed, FixedStep, FusedCollectiveStep, KernelStep, MatMulStep, OverlapStage,
+    OverlappedStep, Protocol, ScatterInfo, SendRecvStep, Step, XferSched, MAX_CHANNELS,
 };
 pub use plancache::{CacheStats, PlanCache, PlanKey};
 pub use types::TensorType;

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use coconet_compress::WireFormat;
+use coconet_compress::{sparse_beats_dense, WireFormat};
 use coconet_tensor::{DType, ReduceOp};
 
 /// NCCL communication protocol (§5.1). Protocols trade latency for
@@ -234,6 +234,82 @@ impl CommConfig {
     pub fn with_xfer(self, xfer: XferSched) -> CommConfig {
         CommConfig { xfer, ..self }
     }
+
+    /// What this configuration really runs as at `site` — the single
+    /// owner of every "the requested cell executes as another one"
+    /// rule. The cost model prices the result and the runtime
+    /// dispatches on it, so a tuned winner names what executes. It is
+    /// per site, not per program: one program runs its AllReduce on the
+    /// tree and its ReduceScatter on the ring.
+    ///
+    /// 1. Broadcast/Reduce have one root-based implementation: ring,
+    ///    dense, one lane.
+    /// 2. There is no tree or switch ReduceScatter/AllGather (NCCL
+    ///    builds no such tree; a switch folds and multicasts, it cannot
+    ///    scatter): both run the ring.
+    /// 3. The hierarchical algorithm on a single node *is* the ring.
+    /// 4. Top-k runs only for a non-fused sum AllReduce of a non-empty
+    ///    tensor whose sparse exchange [`sparse_beats_dense`] (a
+    ///    dropped entry is additively neutral only; a fused kernel
+    ///    computes between two halves the exchange does not have);
+    ///    everywhere else it runs dense.
+    /// 5. An active top-k replaces the algorithm with the one-lane
+    ///    sparse exchange (reported as `Ring` + `TopK`).
+    /// 6. A switch AllReduce ships fixed-point words whatever the
+    ///    format, on one in-network lane (reported as `Dense`).
+    /// 7. Lanes clamp into `1..=`[`MAX_CHANNELS`]; a singleton group
+    ///    runs one ([`lane_count`]).
+    /// 8. Only a ring or switch AllReduce without active top-k exists
+    ///    as a resumable job a scheduler can stream.
+    ///
+    /// `protocol`, `sched` and `xfer` never enter: they change how a
+    /// plan is priced and how jobs are serviced, not what a site runs.
+    pub fn executed_as(&self, site: &CollSite) -> Executed {
+        let one_lane = |algo, format, streamable| Executed {
+            algo,
+            format,
+            lanes: 1,
+            streamable,
+        };
+        if matches!(site.kind, CollKind::Broadcast | CollKind::Reduce) {
+            return one_lane(CollAlgo::Ring, WireFormat::Dense, false);
+        }
+        let all_reduce = site.kind == CollKind::AllReduce;
+        let top_k = matches!(self.format, WireFormat::TopK { .. });
+        if top_k
+            && all_reduce
+            && !site.fused
+            && site.op == ReduceOp::Sum
+            && site.elems > 0
+            && sparse_beats_dense(
+                site.elems,
+                site.group_size as u64,
+                self.format.k_for(site.elems),
+                site.dtype,
+            )
+        {
+            return one_lane(CollAlgo::Ring, self.format, false);
+        }
+        let format = if top_k {
+            WireFormat::Dense
+        } else {
+            self.format
+        };
+        let algo = match self.algo {
+            CollAlgo::Tree | CollAlgo::Switch if !all_reduce => CollAlgo::Ring,
+            CollAlgo::Hierarchical if site.nodes_spanned <= 1 => CollAlgo::Ring,
+            algo => algo,
+        };
+        if algo == CollAlgo::Switch {
+            return one_lane(algo, WireFormat::Dense, true);
+        }
+        Executed {
+            algo,
+            format,
+            lanes: lane_count(site.group_size, self.channels),
+            streamable: all_reduce && algo == CollAlgo::Ring,
+        }
+    }
 }
 
 impl Default for CommConfig {
@@ -293,6 +369,108 @@ impl fmt::Display for CollKind {
             CollKind::Broadcast => write!(f, "Broadcast"),
             CollKind::Reduce => write!(f, "Reduce"),
         }
+    }
+}
+
+/// The most lanes a collective stripes across: wire tags reserve six
+/// bits for the lane index, and the autotuner's grid tops out here too.
+pub const MAX_CHANNELS: usize = 64;
+
+/// Lanes a striped collective over `group_size` ranks runs under a
+/// requested channel count: clamped into `1..=`[`MAX_CHANNELS`], except
+/// that a singleton group (no hops to stripe) stays whole.
+pub fn lane_count(group_size: usize, channels: usize) -> usize {
+    if group_size <= 1 {
+        1
+    } else {
+        channels.clamp(1, MAX_CHANNELS)
+    }
+}
+
+/// Nodes a group of `group_size` consecutive ranks spans when
+/// `ranks_per_node` of them share a node. `0` means "no node geometry":
+/// the whole group is one node.
+pub fn nodes_spanned(group_size: usize, ranks_per_node: usize) -> usize {
+    if ranks_per_node == 0 {
+        1
+    } else {
+        group_size.div_ceil(ranks_per_node).max(1)
+    }
+}
+
+/// One collective site: everything [`CommConfig::executed_as`] needs to
+/// know about *where* a configuration is asked to run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CollSite {
+    /// Which collective runs here.
+    pub kind: CollKind,
+    /// Its reduction operator (`Sum` for the kinds that fold nothing).
+    pub op: ReduceOp,
+    /// Global element count of the communicated tensor.
+    pub elems: u64,
+    /// Element type of the payload.
+    pub dtype: DType,
+    /// Ranks in the process group.
+    pub group_size: usize,
+    /// Distinct nodes the group spans (see [`nodes_spanned`]).
+    pub nodes_spanned: usize,
+    /// Whether computation is fused between the collective's
+    /// ReduceScatter and AllGather halves (§5.2).
+    pub fused: bool,
+}
+
+impl CollSite {
+    /// A plain (non-fused) collective site.
+    pub fn new(
+        kind: CollKind,
+        op: ReduceOp,
+        elems: u64,
+        dtype: DType,
+        group_size: usize,
+        nodes_spanned: usize,
+    ) -> CollSite {
+        CollSite {
+            kind,
+            op,
+            elems,
+            dtype,
+            group_size,
+            nodes_spanned,
+            fused: false,
+        }
+    }
+
+    /// The same site with computation fused into the collective.
+    pub fn fused(self) -> CollSite {
+        CollSite {
+            fused: true,
+            ..self
+        }
+    }
+}
+
+/// What really runs at a [`CollSite`] under a [`CommConfig`]. Two
+/// configurations with equal `Executed` at a site are indistinguishable
+/// there: same output bits, same bytes, same messages.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Executed {
+    /// The algorithm that runs ([`CollAlgo::Ring`] carries the sparse
+    /// exchange when `format` is top-k).
+    pub algo: CollAlgo,
+    /// The wire format that runs. [`WireFormat::TopK`] here means the
+    /// sparse exchange *is* active — see [`Executed::is_sparse`].
+    pub format: WireFormat,
+    /// Lanes every hop is striped across.
+    pub lanes: usize,
+    /// Whether the site exists as a resumable job a priority scheduler
+    /// can stream; everything else runs as a blocking call.
+    pub streamable: bool,
+}
+
+impl Executed {
+    /// Whether the one-lane sparse top-k exchange runs here.
+    pub fn is_sparse(&self) -> bool {
+        matches!(self.format, WireFormat::TopK { .. })
     }
 }
 
@@ -702,6 +880,88 @@ mod tests {
             .with_sched(CommSched::Priority)
             .with_xfer(XferSched::Aware);
         assert_eq!(both.to_string(), "Ring/Simple/16ch/Dense/Priority/Aware");
+    }
+
+    /// The eight rules of [`CommConfig::executed_as`], one row each
+    /// (plus the pass-through cases that bound them): 16 ranks on 2
+    /// nodes unless the row says otherwise.
+    #[test]
+    fn executed_as_rule_table() {
+        use CollAlgo::{Hierarchical as Hier, Ring, Switch, Tree};
+        use CollKind::{AllGather, AllReduce, Broadcast, Reduce, ReduceScatter};
+        use WireFormat::{Dense, Fp16};
+        const TOP: WireFormat = WireFormat::TopK { k_permille: 10 };
+        let site = CollSite::new(AllReduce, ReduceOp::Sum, 1 << 20, DType::F32, 16, 2);
+        let of = |kind| CollSite { kind, ..site };
+        let cfg = |algo, format, channels| CommConfig {
+            algo,
+            format,
+            channels,
+            ..CommConfig::default()
+        };
+        let ran = |algo, format, lanes, streamable| Executed {
+            algo,
+            format,
+            lanes,
+            streamable,
+        };
+        #[rustfmt::skip]
+        let table = [
+            // (1) Broadcast/Reduce: ring, dense, one lane — always.
+            (cfg(Tree, Fp16, 8), of(Broadcast), ran(Ring, Dense, 1, false)),
+            (cfg(Hier, TOP, 8), of(Reduce), ran(Ring, Dense, 1, false)),
+            (cfg(Switch, Dense, 8), of(Broadcast), ran(Ring, Dense, 1, false)),
+            // (2) no tree/switch ReduceScatter/AllGather.
+            (cfg(Tree, Fp16, 4), of(ReduceScatter), ran(Ring, Fp16, 4, false)),
+            (cfg(Switch, Dense, 4), of(AllGather), ran(Ring, Dense, 4, false)),
+            (cfg(Hier, Dense, 4), of(ReduceScatter), ran(Hier, Dense, 4, false)),
+            (cfg(Tree, Dense, 4), site, ran(Tree, Dense, 4, false)),
+            // (3) hierarchical on one node is the ring.
+            (cfg(Hier, Dense, 4), CollSite { nodes_spanned: 1, ..site }, ran(Ring, Dense, 4, true)),
+            (cfg(Hier, Dense, 4), site, ran(Hier, Dense, 4, false)),
+            // (4) top-k only for a non-fused sum AllReduce that beats dense.
+            (cfg(Ring, TOP, 4), of(ReduceScatter), ran(Ring, Dense, 4, false)),
+            (cfg(Ring, TOP, 4), of(AllGather), ran(Ring, Dense, 4, false)),
+            (cfg(Ring, TOP, 4), site.fused(), ran(Ring, Dense, 4, true)),
+            (cfg(Ring, TOP, 4), CollSite { op: ReduceOp::Max, ..site }, ran(Ring, Dense, 4, true)),
+            (cfg(Ring, TOP, 4), CollSite { op: ReduceOp::Min, ..site }, ran(Ring, Dense, 4, true)),
+            (cfg(Ring, TOP, 4), CollSite { elems: 0, ..site }, ran(Ring, Dense, 4, true)),
+            (cfg(Ring, WireFormat::TopK { k_permille: 500 }, 4),
+             CollSite { dtype: DType::F16, ..site }, ran(Ring, Dense, 4, true)),
+            (cfg(Ring, Fp16, 4), site.fused(), ran(Ring, Fp16, 4, true)),
+            (cfg(Ring, Fp16, 4), CollSite { op: ReduceOp::Min, ..site }, ran(Ring, Fp16, 4, true)),
+            // (5) an active top-k replaces every algorithm, on one lane.
+            (cfg(Ring, TOP, 4), site, ran(Ring, TOP, 1, false)),
+            (cfg(Tree, TOP, 8), site, ran(Ring, TOP, 1, false)),
+            (cfg(Hier, TOP, 8), site, ran(Ring, TOP, 1, false)),
+            (cfg(Switch, TOP, 8), site, ran(Ring, TOP, 1, false)),
+            // (6) a switch AllReduce ignores format and channels.
+            (cfg(Switch, Fp16, 8), site, ran(Switch, Dense, 1, true)),
+            (cfg(Switch, TOP, 8), CollSite { op: ReduceOp::Max, ..site }, ran(Switch, Dense, 1, true)),
+            // (7) lanes clamp; a singleton group runs one.
+            (cfg(Ring, Dense, 0), site, ran(Ring, Dense, 1, true)),
+            (cfg(Ring, Dense, 999), site, ran(Ring, Dense, MAX_CHANNELS, true)),
+            (cfg(Ring, Dense, 8), CollSite { group_size: 1, nodes_spanned: 1, ..site },
+             ran(Ring, Dense, 1, true)),
+            // (8) streamable: ring or switch AllReduce, no active top-k.
+            (cfg(Ring, Fp16, 2), site, ran(Ring, Fp16, 2, true)),
+            (cfg(Ring, Dense, 2), of(ReduceScatter), ran(Ring, Dense, 2, false)),
+        ];
+        for (config, site, want) in table {
+            assert_eq!(config.executed_as(&site), want, "{config} at {site:?}");
+            // Protocol and the two scheduling disciplines never enter.
+            for protocol in Protocol::ALL {
+                let other = CommConfig {
+                    protocol,
+                    sched: CommSched::Priority,
+                    xfer: XferSched::Aware,
+                    ..config
+                };
+                assert_eq!(other.executed_as(&site), want, "{other} at {site:?}");
+            }
+        }
+        assert_eq!((nodes_spanned(16, 0), nodes_spanned(16, 16)), (1, 1));
+        assert_eq!((nodes_spanned(16, 8), nodes_spanned(5, 2)), (2, 3));
     }
 
     #[test]

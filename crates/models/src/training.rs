@@ -10,8 +10,8 @@
 //! `fuse(RS-Opt-AG)` kernel.
 
 use coconet_core::{
-    CollAlgo, CollKind, CommConfig, CommSched, DType, FusedCollectiveStep, KernelStep, Protocol,
-    ReduceOp, ScatterInfo, WireFormat,
+    CollAlgo, CollKind, CollSite, CommConfig, CommSched, DType, FusedCollectiveStep, KernelStep,
+    Protocol, ReduceOp, ScatterInfo, WireFormat,
 };
 use coconet_sim::{GroupGeom, Simulator};
 
@@ -228,9 +228,9 @@ pub struct DataParallelSpec {
     /// [`StreamExecutor`](coconet_runtime::StreamExecutor), whose
     /// gradient jobs drain on the priority-scheduled fabric while the
     /// next iteration's forward proceeds. Results are bit-identical;
-    /// the top-k wire has no streaming ring form and keeps the
-    /// blocking loop (its sparse exchange carries the error-feedback
-    /// residual).
+    /// an active top-k wire is not `streamable`
+    /// ([`CommConfig::executed_as`]) and keeps the blocking loop (its
+    /// sparse exchange carries the error-feedback residual).
     pub sched: CommSched,
 }
 
@@ -316,8 +316,19 @@ pub fn train_data_parallel(spec: &DataParallelSpec) -> DataParallelRun {
         // bit-identical to the blocking one, so losses and weights
         // match the barriered loop exactly; the per-class ledger
         // counters (instead of per-iteration resets) meter the
-        // gradient traffic, since iteration boundaries overlap.
-        if s.sched == CommSched::Priority && !matches!(s.format, WireFormat::TopK { .. }) {
+        // gradient traffic, since iteration boundaries overlap. A site
+        // that is not streamable (an active top-k) keeps the blocking
+        // loop, which owns the error-feedback residual.
+        let config = CommConfig::default().with_format(s.format);
+        let site = CollSite::new(
+            CollKind::AllReduce,
+            ReduceOp::Sum,
+            d as u64,
+            DType::F32,
+            p,
+            1,
+        );
+        if s.sched == CommSched::Priority && config.executed_as(&site).streamable {
             let mut exec = StreamExecutor::new(
                 group,
                 vec![Tensor::zeros([d], DType::F32)],

@@ -19,6 +19,7 @@
 //! which is what the [`BytesLedger`](crate::BytesLedger) suite asserts.
 
 use coconet_compress::WireFormat;
+use coconet_core::lane_count;
 use coconet_tensor::{kernels, DType, ReduceOp, Shape, Tensor, F16};
 use coconet_trace as trace;
 use coconet_trace::metrics::Counter;
@@ -27,12 +28,12 @@ use coconet_trace::EventKind;
 use crate::comm::WireMsg;
 use crate::RankComm;
 
-/// The most lanes a collective will stripe across. Wire tags reserve
-/// six bits for the lane index (see `lane_tag`), so wider requests
-/// clamp here (the autotuner's grid tops out at 64 as well).
-pub const MAX_CHANNELS: usize = 64;
+pub use coconet_core::MAX_CHANNELS;
 
-/// Clamps a requested channel count into the executable `1..=64` range.
+/// Clamps a requested channel count into the executable
+/// `1..=`[`MAX_CHANNELS`] range (the guard of the directly callable
+/// collectives; configured runs are clamped by
+/// [`CommConfig::executed_as`](coconet_core::CommConfig::executed_as)).
 pub fn clamp_channels(channels: usize) -> usize {
     channels.clamp(1, MAX_CHANNELS)
 }
@@ -153,9 +154,10 @@ const LANE_BITS: u32 = MAX_CHANNELS.trailing_zeros();
 
 /// Every wire tag with this bit set belongs to a blocking drive; no
 /// scheduler job may carry it, so a blocking collective running while
-/// scheduled jobs are in flight (a consumed AllReduce inside
-/// [`run_program_iterations`](crate::run_program_iterations)) can never
-/// swallow their chunks, nor they its.
+/// scheduled jobs are in flight (the loss [`all_reduce_scalar`] that
+/// `coconet_models::train_data_parallel`'s streamed loop runs inside
+/// its `grad` callback — `streamed_training_is_bit_identical_to_barriered`)
+/// can never swallow their chunks, nor they its.
 const BLOCKING_TAGS: u64 = 1 << 63;
 
 /// The single owner of the wire-tag layout of lane `lane` of `lanes`.
@@ -193,17 +195,6 @@ pub(crate) fn lane_tag(job: Option<u64>, lanes: usize, lane: usize) -> u64 {
             );
             (id << LANE_BITS) | lane as u64
         }
-    }
-}
-
-/// Lanes a ring collective over `group` actually runs: the clamped
-/// channel count, except that a singleton group (no hops to stripe)
-/// stays whole.
-pub(crate) fn lane_count(group: Group, channels: usize) -> usize {
-    if group.size == 1 {
-        1
-    } else {
-        clamp_channels(channels)
     }
 }
 
@@ -520,7 +511,7 @@ fn drive(
     wire: WireFormat,
     channels: usize,
 ) -> Vec<RingLane> {
-    let lanes = lane_count(group, channels);
+    let lanes = lane_count(group.size, channels);
     let label = match phase {
         RingPhase::ReduceScatter => "ring:rs",
         RingPhase::AllGather => "ring:ag",

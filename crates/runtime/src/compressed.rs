@@ -13,61 +13,69 @@
 //! data-independent and the [`BytesLedger`](crate::BytesLedger) can
 //! assert it equals [`sparse_all_reduce_wire_bytes`] to the byte.
 //!
-//! [`all_reduce_wire_striped`] is the dispatch the executor and the
-//! training loop share: it resolves the configured [`WireFormat`]
-//! exactly like the simulator's cost model does (top-k only for sum
-//! AllReduces, automatic dense switchover past the density where sparse
-//! is larger), so what the tuner priced is what runs.
+//! [`all_reduce_wire_striped`], [`reduce_scatter_wire_striped`] and
+//! [`all_gather_wire_striped`] are the dispatch the executor, the
+//! streaming loop and the training loop share: each asks
+//! [`CommConfig::executed_as`] what the configured algorithm, format and
+//! channel count really run as at this site — once per call, never per
+//! hop — and runs exactly that, so what the tuner priced is what runs.
 
-use coconet_compress::{sparse_beats_dense, sparsify_top_k, ErrorFeedback, WireFormat};
-use coconet_core::CollAlgo;
+use coconet_compress::{sparsify_top_k, ErrorFeedback, WireFormat};
+use coconet_core::{nodes_spanned, CollAlgo, CollKind, CollSite, CommConfig, Executed};
 use coconet_tensor::{ReduceOp, SparseChunk, Tensor};
 
-use crate::collectives::{ring_all_reduce, Group};
-use crate::hierarchical::hierarchical_all_reduce;
+use crate::collectives::{ring_all_gather, ring_all_reduce, ring_reduce_scatter, Group};
+use crate::hierarchical::{
+    hierarchical_all_gather, hierarchical_all_reduce, hierarchical_reduce_scatter,
+};
 use crate::switch::switch_all_reduce;
 use crate::tree::tree_all_reduce;
 use crate::RankComm;
 
-/// The wire format an AllReduce of `numel` elements actually runs
-/// under — the runtime twin of the cost model's resolution: top-k
-/// needs a sum reduction and must beat the dense ring volume
-/// (otherwise the dense switchover takes it), FP16 and dense pass
-/// through.
-pub fn resolve_all_reduce_format(
-    format: WireFormat,
-    numel: usize,
-    group_size: usize,
+/// What `config` runs as for a `kind` collective of `payload` over
+/// `group`, `ranks_per_node` consecutive ranks sharing a node (`0`: the
+/// whole group is one node). Only `config.{algo, format, channels}`
+/// enter. An AllGather's payload is the local chunk — immaterial, since
+/// only the AllReduce rules read the element count.
+pub(crate) fn executed(
+    config: CommConfig,
+    kind: CollKind,
     op: ReduceOp,
-    dtype: coconet_tensor::DType,
-) -> WireFormat {
-    match format {
-        WireFormat::TopK { .. } => {
-            let k = format.k_for(numel as u64);
-            if op == ReduceOp::Sum
-                && numel > 0
-                && sparse_beats_dense(numel as u64, group_size as u64, k, dtype)
-            {
-                format
-            } else {
-                WireFormat::Dense
-            }
-        }
-        f => f,
+    payload: &Tensor,
+    group: Group,
+    ranks_per_node: usize,
+) -> Executed {
+    config.executed_as(&CollSite::new(
+        kind,
+        op,
+        payload.numel() as u64,
+        payload.dtype(),
+        group.size,
+        nodes_spanned(group.size, ranks_per_node),
+    ))
+}
+
+/// The configuration a positional `(algo, format, channels)` triple
+/// names (the dimensions a site's [`Executed`] depends on).
+fn config_of(algo: CollAlgo, format: WireFormat, channels: usize) -> CommConfig {
+    CommConfig {
+        algo,
+        format,
+        channels,
+        ..CommConfig::default()
     }
 }
 
-/// AllReduce under a full communication configuration: the collective
-/// algorithm, the wire format (with the top-k/dense switchover
-/// applied), and the lane count. `feedback` carries the per-rank
-/// error-feedback residual across iterations; pass `None` for one-shot
-/// collectives (the dropped mass is discarded).
+/// AllReduce under a full communication configuration — whatever
+/// [`CommConfig::executed_as`] resolves `algo`, `format` and `channels`
+/// to at this site: the sparse exchange when top-k is active, the
+/// one-lane fixed-point switch, or the ring, tree or hierarchical
+/// algorithm striped over the resolved lanes. `feedback` carries the
+/// per-rank error-feedback residual across iterations; pass `None` for
+/// one-shot collectives (the dropped mass is discarded).
 ///
-/// The ring, tree, and hierarchical paths stripe over `channels`
-/// concurrent lanes; the sparse top-k exchange and the in-network
-/// switch keep their single-lane wire (fixed-`k` chunks and fixed-point
-/// superchunks don't stripe). Results are bit-identical to `channels =
-/// 1` at every width and the per-rank byte totals are unchanged.
+/// Results are bit-identical to `channels = 1` at every width and the
+/// per-rank byte totals are unchanged.
 #[allow(clippy::too_many_arguments)]
 pub fn all_reduce_wire_striped(
     comm: &RankComm,
@@ -80,21 +88,102 @@ pub fn all_reduce_wire_striped(
     feedback: Option<&mut ErrorFeedback>,
     channels: usize,
 ) -> Tensor {
-    let format = resolve_all_reduce_format(format, input.numel(), group.size, op, input.dtype());
-    if let WireFormat::TopK { .. } = format {
-        return sparse_all_reduce(comm, group, input, format, feedback);
+    let config = config_of(algo, format, channels);
+    let run = executed(
+        config,
+        CollKind::AllReduce,
+        op,
+        input,
+        group,
+        ranks_per_node,
+    );
+    run_all_reduce(comm, group, input, op, run, ranks_per_node, feedback)
+}
+
+/// Runs an already-resolved AllReduce (see [`executed`]).
+pub(crate) fn run_all_reduce(
+    comm: &RankComm,
+    group: Group,
+    input: &Tensor,
+    op: ReduceOp,
+    run: Executed,
+    ranks_per_node: usize,
+    feedback: Option<&mut ErrorFeedback>,
+) -> Tensor {
+    if run.is_sparse() {
+        return sparse_all_reduce(comm, group, input, run.format, feedback);
     }
-    match algo {
-        CollAlgo::Ring => ring_all_reduce(comm, group, input, op, format, channels),
-        CollAlgo::Tree => tree_all_reduce(comm, group, input, op, format, channels),
-        CollAlgo::Hierarchical => {
-            hierarchical_all_reduce(comm, group, input, op, ranks_per_node, format, channels)
-        }
-        // The switch wire is fixed-point i32 regardless of the
-        // configured dense format — FP16 neither helps nor hurts it,
-        // exactly as the cost model prices. Its aggregation tree is a
-        // single in-network lane, so channels don't apply either.
+    match run.algo {
+        CollAlgo::Ring => ring_all_reduce(comm, group, input, op, run.format, run.lanes),
+        CollAlgo::Tree => tree_all_reduce(comm, group, input, op, run.format, run.lanes),
+        CollAlgo::Hierarchical => hierarchical_all_reduce(
+            comm,
+            group,
+            input,
+            op,
+            ranks_per_node,
+            run.format,
+            run.lanes,
+        ),
         CollAlgo::Switch => switch_all_reduce(comm, group, input, op),
+    }
+}
+
+/// ReduceScatter under a full communication configuration: group
+/// position `i` returns the fully reduced flat chunk `i` of `input`
+/// (see [`ring_reduce_scatter`]). The tree and the switch have no
+/// scatter form and top-k no sparse one; what runs is the ring or the
+/// hierarchical algorithm on the dense or FP16 wire.
+#[allow(clippy::too_many_arguments)]
+pub fn reduce_scatter_wire_striped(
+    comm: &RankComm,
+    group: Group,
+    input: &Tensor,
+    op: ReduceOp,
+    algo: CollAlgo,
+    ranks_per_node: usize,
+    format: WireFormat,
+    channels: usize,
+) -> Tensor {
+    let config = config_of(algo, format, channels);
+    let kind = CollKind::ReduceScatter;
+    let run = executed(config, kind, op, input, group, ranks_per_node);
+    match run.algo {
+        CollAlgo::Ring => ring_reduce_scatter(comm, group, input, op, run.format, run.lanes),
+        CollAlgo::Hierarchical => hierarchical_reduce_scatter(
+            comm,
+            group,
+            input,
+            op,
+            ranks_per_node,
+            run.format,
+            run.lanes,
+        ),
+        CollAlgo::Tree | CollAlgo::Switch => unreachable!("{kind} resolves to the ring"),
+    }
+}
+
+/// AllGather under a full communication configuration: returns every
+/// position's chunk in position order (see [`ring_all_gather`]);
+/// resolved like [`reduce_scatter_wire_striped`].
+pub fn all_gather_wire_striped(
+    comm: &RankComm,
+    group: Group,
+    chunk: &Tensor,
+    algo: CollAlgo,
+    ranks_per_node: usize,
+    format: WireFormat,
+    channels: usize,
+) -> Vec<Tensor> {
+    let config = config_of(algo, format, channels);
+    let kind = CollKind::AllGather;
+    let run = executed(config, kind, ReduceOp::Sum, chunk, group, ranks_per_node);
+    match run.algo {
+        CollAlgo::Ring => ring_all_gather(comm, group, chunk, run.format, run.lanes),
+        CollAlgo::Hierarchical => {
+            hierarchical_all_gather(comm, group, chunk, ranks_per_node, run.format, run.lanes)
+        }
+        CollAlgo::Tree | CollAlgo::Switch => unreachable!("{kind} resolves to the ring"),
     }
 }
 
@@ -328,46 +417,6 @@ mod tests {
             // And feedback never over-delivers.
             assert!(total(fed) <= dense_total * 1.001);
         }
-    }
-
-    /// The dispatch applies the dense switchover and the sum-only rule.
-    #[test]
-    fn dispatch_switches_to_dense_when_sparse_is_larger() {
-        // 500 ‰ on FP16 payloads is past the crossover; Max reductions
-        // have no sparse form at all.
-        assert_eq!(
-            resolve_all_reduce_format(
-                WireFormat::TopK { k_permille: 500 },
-                1 << 12,
-                8,
-                ReduceOp::Sum,
-                DType::F16
-            ),
-            WireFormat::Dense
-        );
-        assert_eq!(
-            resolve_all_reduce_format(
-                WireFormat::TopK { k_permille: 10 },
-                1 << 12,
-                8,
-                ReduceOp::Max,
-                DType::F32
-            ),
-            WireFormat::Dense
-        );
-        let active = resolve_all_reduce_format(
-            WireFormat::TopK { k_permille: 10 },
-            1 << 12,
-            8,
-            ReduceOp::Sum,
-            DType::F32,
-        );
-        assert_eq!(active, WireFormat::TopK { k_permille: 10 });
-        // FP16 and dense pass through untouched.
-        assert_eq!(
-            resolve_all_reduce_format(WireFormat::Fp16, 4, 2, ReduceOp::Min, DType::F32),
-            WireFormat::Fp16
-        );
     }
 
     /// `all_reduce_wire` agrees with the dense reference within the

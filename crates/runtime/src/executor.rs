@@ -18,19 +18,14 @@ use std::collections::HashMap;
 use std::thread;
 
 use coconet_compress::WireFormat;
-use coconet_core::{
-    Binding, CollAlgo, CommConfig, CommSched, Layout, OpKind, Program, SliceDim, VarId, XferSched,
-};
+use coconet_core::{Binding, CollAlgo, CommConfig, Layout, OpKind, Program, SliceDim, VarId};
 use coconet_tensor::{CounterRng, ReduceOp, Shape, Tensor};
 use coconet_topology::Cluster;
 
-use crate::collectives::{
-    all_reduce_scalar, broadcast, clamp_channels, reduce, ring_all_gather, ring_reduce_scatter,
-    Group,
+use crate::collectives::{all_reduce_scalar, broadcast, reduce, Group};
+use crate::compressed::{
+    all_gather_wire_striped, all_reduce_wire_striped, reduce_scatter_wire_striped,
 };
-use crate::compressed::all_reduce_wire_striped;
-use crate::hierarchical::{hierarchical_all_gather, hierarchical_reduce_scatter};
-use crate::stream::CommScheduler;
 use crate::{DistValue, RankComm, RuntimeError};
 
 /// How to initialize a declared input tensor.
@@ -101,34 +96,14 @@ pub struct RunOptions {
     /// the automatic dense switchover); one-shot program runs discard
     /// the error-feedback residual.
     pub format: WireFormat,
-    /// Communication scheduling discipline — the runtime counterpart of
-    /// a tuned plan's [`CommConfig::sched`]. Under
-    /// [`CommSched::Priority`], [`run_program_iterations`] streams each
-    /// iteration's *trailing* collectives (AllReduces whose results
-    /// feed only program outputs) across the iteration boundary instead
-    /// of barriering on them. Single-shot [`run_program`] calls behave
-    /// identically either way.
-    pub sched: CommSched,
-    /// Cross-job transfer discipline of the streaming scheduler — the
-    /// runtime counterpart of a tuned plan's
-    /// [`CommConfig::xfer`](coconet_core::CommConfig). Service order
-    /// only: outputs and per-class ledger totals are bit-identical
-    /// under either discipline.
-    pub xfer: XferSched,
     /// Concurrent lanes every dense collective stripes its payload
     /// across — the runtime counterpart of a tuned plan's
     /// [`CommConfig::channels`]. `1` (the default) moves every hop as
     /// one message; wider counts split it into contiguous stripe
-    /// messages with bit-identical results and unchanged byte totals —
-    /// on blocking and streamed collectives alike.
-    /// Values clamp into `1..=`[`MAX_CHANNELS`](crate::MAX_CHANNELS).
+    /// messages with bit-identical results and unchanged byte totals.
+    /// Values clamp into `1..=`[`MAX_CHANNELS`](crate::MAX_CHANNELS)
+    /// when a collective runs.
     pub channels: usize,
-    /// When nonzero, every step of every rank sleeps a deterministic
-    /// pseudo-random duration in `[0, jitter_ns)` nanoseconds, keyed by
-    /// `(seed, rank, iteration, step)`. Exercises the
-    /// completion-order-independent paths: results must be bit-identical
-    /// at any jitter.
-    pub jitter_ns: u64,
 }
 
 impl Default for RunOptions {
@@ -138,10 +113,7 @@ impl Default for RunOptions {
             algo: CollAlgo::Ring,
             ranks_per_node: 0,
             format: WireFormat::Dense,
-            sched: CommSched::Barriered,
-            xfer: XferSched::Fifo,
             channels: 1,
-            jitter_ns: 0,
         }
     }
 }
@@ -171,28 +143,10 @@ impl RunOptions {
         self
     }
 
-    /// A communication scheduling discipline (builder style).
-    pub fn with_sched(mut self, sched: CommSched) -> RunOptions {
-        self.sched = sched;
-        self
-    }
-
-    /// A cross-job transfer discipline (builder style).
-    pub fn with_xfer(mut self, xfer: XferSched) -> RunOptions {
-        self.xfer = xfer;
-        self
-    }
-
     /// A channel (lane) count for the dense collectives (builder
-    /// style); clamped into `1..=`[`MAX_CHANNELS`](crate::MAX_CHANNELS).
+    /// style).
     pub fn with_channels(mut self, channels: usize) -> RunOptions {
-        self.channels = clamp_channels(channels);
-        self
-    }
-
-    /// A per-step jitter bound in nanoseconds (builder style).
-    pub fn with_jitter_ns(mut self, jitter_ns: u64) -> RunOptions {
-        self.jitter_ns = jitter_ns;
+        self.channels = channels;
         self
     }
 
@@ -205,11 +159,17 @@ impl RunOptions {
     /// [`with_ranks_per_node`](RunOptions::with_ranks_per_node), or
     /// use [`for_cluster`](RunOptions::for_cluster) to take both from
     /// the machine in one step.
+    ///
+    /// `protocol`, `sched` and `xfer` do not apply to a single-shot
+    /// run: the protocol is a pricing parameter of the simulated
+    /// fabric, and the two scheduling disciplines order jobs *across*
+    /// iterations, which only
+    /// [`StreamExecutor::run_iterations`](crate::StreamExecutor::run_iterations)
+    /// has. None of them changes what a collective site executes as
+    /// ([`CommConfig::executed_as`]).
     pub fn with_comm(self, config: CommConfig) -> RunOptions {
         self.with_algo(config.algo)
             .with_format(config.format)
-            .with_sched(config.sched)
-            .with_xfer(config.xfer)
             .with_channels(config.channels)
     }
 
@@ -284,7 +244,9 @@ impl RunResult {
     }
 }
 
-/// Executes `program` SPMD on `binding.world_size()` rank threads.
+/// Executes `program` once, SPMD on `binding.world_size()` rank
+/// threads. (Multi-iteration, barrier-free execution is
+/// [`StreamExecutor::run_iterations`](crate::StreamExecutor::run_iterations).)
 ///
 /// # Errors
 ///
@@ -296,40 +258,7 @@ pub fn run_program(
     inputs: &Inputs,
     opts: RunOptions,
 ) -> Result<RunResult, RuntimeError> {
-    run_program_iterations(program, binding, inputs, opts, 1)
-}
-
-/// Steady-state entry point: executes `program` `iters` times on
-/// persistent rank threads and returns the final iteration's outputs.
-///
-/// Under [`CommSched::Barriered`] every iteration ends with its
-/// collectives fully drained — `iters` barriered runs back to back.
-/// Under [`CommSched::Priority`] (with the ring algorithm on a dense or
-/// FP16 wire) each iteration's *trailing* collectives — AllReduces
-/// whose results feed only program outputs, the shape a training step's
-/// gradient syncs take — are enqueued on the priority scheduler and
-/// keep draining while the next iteration's compute steps run. The next
-/// iteration blocks per collective site, and only when it relaunches
-/// that site — the executor-level ready-epoch gate — so first-consumed
-/// tensors are synchronized first and the global barrier disappears.
-/// Outputs are bit-identical to the barriered schedule: the scheduler
-/// reorders wire traffic, never a data dependence.
-///
-/// `iters` is clamped to at least 1.
-///
-/// # Errors
-///
-/// Returns initializer errors before spawning, and
-/// [`RuntimeError::RankPanicked`] if a rank thread dies.
-pub fn run_program_iterations(
-    program: &Program,
-    binding: &Binding,
-    inputs: &Inputs,
-    opts: RunOptions,
-    iters: u64,
-) -> Result<RunResult, RuntimeError> {
     program.validate()?;
-    let iters = iters.max(1);
     let world = binding.world_size();
     // Validate initializers up front for better errors, and reject
     // geometries where a sliced tensor does not divide across the
@@ -360,7 +289,7 @@ pub fn run_program_iterations(
             .map(|comm| {
                 s.spawn(move || {
                     coconet_trace::set_thread_rank(comm.rank() as u32);
-                    execute_rank(program, binding, inputs, comm, opts, iters)
+                    execute_rank(program, binding, inputs, &comm, opts)
                 })
             })
             .collect();
@@ -387,26 +316,6 @@ pub fn run_program_iterations(
     }
 }
 
-/// The trailing collectives of `program`: AllReduce nodes whose results
-/// feed only program outputs — the gradient-sync shape that may drain
-/// across an iteration boundary without reordering any data dependence.
-/// Maps each site to `(ordinal, priority class)`, where the ordinal is
-/// the site's position in topological (= next-iteration consumption)
-/// order.
-fn trailing_all_reduces(program: &Program) -> HashMap<VarId, (u64, u8)> {
-    let mut sites = HashMap::new();
-    for v in program.topo_order() {
-        if matches!(program.op(v), Ok(OpKind::AllReduce(..)))
-            && program.outputs().contains(&v)
-            && program.consumers(v).is_empty()
-        {
-            let ordinal = sites.len() as u64;
-            sites.insert(v, (ordinal, ordinal.min(u8::MAX as u64) as u8));
-        }
-    }
-    sites
-}
-
 /// Static trace label of a DFG step — the name its span renders under
 /// in an exported trace.
 fn op_trace_label(op: &OpKind) -> &'static str {
@@ -431,25 +340,21 @@ fn op_trace_label(op: &OpKind) -> &'static str {
     }
 }
 
-/// Deterministic per-step jitter: a splitmix64 hash of the key, scaled
-/// into `[0, max_ns)`.
-fn jitter_delay_ns(seed: u64, key: u64, max_ns: u64) -> u64 {
-    let mut z = seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) % max_ns
-}
-
 fn execute_rank(
     program: &Program,
     binding: &Binding,
     inputs: &Inputs,
-    comm: RankComm,
+    comm: &RankComm,
     opts: RunOptions,
-    iters: u64,
 ) -> Result<HashMap<String, DistValue>, RuntimeError> {
     let gs = binding.group_size;
-    let pos = comm.rank() % gs;
+    let rank = comm.rank();
+    let group_idx = rank / gs;
+    let pos = rank % gs;
+    let group = Group {
+        start: group_idx * gs,
+        size: gs,
+    };
 
     // Stable dropout ordinals: schedules do not add or remove dropouts.
     let mut dropout_ordinal: HashMap<VarId, u64> = HashMap::new();
@@ -460,26 +365,6 @@ fn execute_rank(
         }
     }
 
-    // Priority streaming applies to the algorithms that exist as
-    // schedulable state machines — the ring (dense/FP16 wire) and the
-    // in-network switch, each the very job its blocking call drives;
-    // everything else keeps the blocking collectives, which is always
-    // semantically safe — Barriered is the identity schedule.
-    let streaming = opts.sched == CommSched::Priority
-        && matches!(opts.algo, CollAlgo::Ring | CollAlgo::Switch)
-        && !matches!(opts.format, WireFormat::TopK { .. });
-    let trailing = if streaming {
-        trailing_all_reduces(program)
-    } else {
-        HashMap::new()
-    };
-    let n_sites = trailing.len() as u64;
-    let mut sched = CommScheduler::new().with_xfer(opts.xfer);
-    // Per-site in-flight gradient job — the executor-level ready-epoch:
-    // a site relaunching in iteration i+1 first waits its iteration-i
-    // job, and nothing else.
-    let mut pending: HashMap<VarId, u64> = HashMap::new();
-
     let n_nodes = program
         .topo_order()
         .iter()
@@ -488,74 +373,7 @@ fn execute_rank(
         .map_or(0, |m| m + 1);
     let mut values: Vec<Option<DistValue>> = vec![None; n_nodes];
 
-    for iter in 0..iters {
-        values = execute_iteration(
-            program,
-            binding,
-            inputs,
-            &comm,
-            opts,
-            iter,
-            n_nodes,
-            &dropout_ordinal,
-            &trailing,
-            n_sites,
-            &mut sched,
-            &mut pending,
-        )?;
-    }
-
-    // End of the stream: the final iteration's trailing collectives
-    // land now — one settle instead of `iters` barriers.
-    for (v, job) in pending.drain() {
-        let reduced = sched.wait(&comm, job);
-        values[v.index()] = Some(DistValue::replicated(reduced, pos, gs));
-    }
-
-    let mut outputs = HashMap::new();
-    for &out in program.outputs() {
-        let name = program.node(out)?.name().to_string();
-        if let Some(val) = values[out.index()].take() {
-            outputs.insert(name, val);
-        }
-    }
-    Ok(outputs)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_iteration(
-    program: &Program,
-    binding: &Binding,
-    inputs: &Inputs,
-    comm: &RankComm,
-    opts: RunOptions,
-    iter: u64,
-    n_nodes: usize,
-    dropout_ordinal: &HashMap<VarId, u64>,
-    trailing: &HashMap<VarId, (u64, u8)>,
-    n_sites: u64,
-    sched: &mut CommScheduler,
-    pending: &mut HashMap<VarId, u64>,
-) -> Result<Vec<Option<DistValue>>, RuntimeError> {
-    let gs = binding.group_size;
-    let rank = comm.rank();
-    let group_idx = rank / gs;
-    let pos = rank % gs;
-    let group = Group {
-        start: group_idx * gs,
-        size: gs,
-    };
-    let mut values: Vec<Option<DistValue>> = vec![None; n_nodes];
-
     for (step, v) in program.topo_order().into_iter().enumerate() {
-        if opts.jitter_ns > 0 {
-            let key = ((rank as u64) << 48) ^ (iter << 24) ^ step as u64;
-            std::thread::sleep(std::time::Duration::from_nanos(jitter_delay_ns(
-                opts.seed,
-                key,
-                opts.jitter_ns,
-            )));
-        }
         let node = program.node(v)?;
         let ty = node.ty().clone();
         let out_layout = ty.layout;
@@ -566,7 +384,7 @@ fn execute_iteration(
             coconet_trace::EventKind::Compute,
             op_trace_label(node.op()),
             step as u64,
-            iter,
+            0,
         );
         let value: Option<DistValue> = match node.op().clone() {
             OpKind::Input => Some(materialize_input(
@@ -677,42 +495,32 @@ fn execute_iteration(
             OpKind::ReduceTensor(op, a) => {
                 eval_full_reduction(&values, a, comm, group, pos, gs, op, false)
             }
-            OpKind::AllReduce(op, a) => match (values[a.index()].as_ref(), trailing.get(&v)) {
-                (None, _) => None,
-                (Some(input), Some(&(ordinal, class))) => {
-                    // Streamed trailing collective: gate on this site's
-                    // previous-iteration job (the ready-epoch), then
-                    // relaunch at the priority of its consumption
-                    // position. The result materializes when the stream
-                    // settles — the next compute step does not wait.
-                    if let Some(prev) = pending.remove(&v) {
-                        let _ = sched.wait(comm, prev);
-                    }
-                    let id = iter * n_sites + ordinal;
-                    if opts.algo == CollAlgo::Switch {
-                        sched.enqueue_switch(id, class, group, &input.local, op);
-                    } else {
-                        sched.enqueue(
-                            id,
-                            class,
-                            group,
-                            &input.local,
-                            op,
-                            opts.format,
-                            opts.channels,
-                        );
-                    }
-                    pending.insert(v, id);
-                    None
-                }
-                (Some(input), None) => Some(DistValue::replicated(
-                    all_reduce(comm, group, &input.local, op, opts),
-                    pos,
-                    gs,
-                )),
-            },
+            // One-shot program runs carry no error-feedback residual.
+            OpKind::AllReduce(op, a) => values[a.index()].as_ref().map(|input| {
+                let reduced = all_reduce_wire_striped(
+                    comm,
+                    group,
+                    &input.local,
+                    op,
+                    opts.algo,
+                    opts.ranks_per_node,
+                    opts.format,
+                    None,
+                    opts.channels,
+                );
+                DistValue::replicated(reduced, pos, gs)
+            }),
             OpKind::ReduceScatter(op, a) => values[a.index()].as_ref().map(|input| {
-                let chunk = reduce_scatter(comm, group, &input.local, op, opts);
+                let chunk = reduce_scatter_wire_striped(
+                    comm,
+                    group,
+                    &input.local,
+                    op,
+                    opts.algo,
+                    opts.ranks_per_node,
+                    opts.format,
+                    opts.channels,
+                );
                 DistValue {
                     global_shape: input.global_shape.clone(),
                     layout: Layout::sliced_flat(),
@@ -724,7 +532,15 @@ fn execute_iteration(
             OpKind::AllGather(a) => match values[a.index()].as_ref() {
                 None => None,
                 Some(input) => {
-                    let chunks = all_gather(comm, group, &input.local, opts);
+                    let chunks = all_gather_wire_striped(
+                        comm,
+                        group,
+                        &input.local,
+                        opts.algo,
+                        opts.ranks_per_node,
+                        opts.format,
+                        opts.channels,
+                    );
                     let refs: Vec<&Tensor> = chunks.iter().collect();
                     let full = match input.layout {
                         Layout::Sliced(SliceDim::Dim(d)) => Tensor::concat(&refs, d)?,
@@ -780,86 +596,15 @@ fn execute_iteration(
         };
         values[v.index()] = value;
     }
-    Ok(values)
-}
 
-/// AllReduce under the options' algorithm and wire format (the tree is
-/// §5.1's second logical topology; the hierarchical variant splits
-/// intra/inter-node; top-k rides the sparse exchange when active).
-/// One-shot program runs carry no error-feedback residual.
-fn all_reduce(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    opts: RunOptions,
-) -> Tensor {
-    all_reduce_wire_striped(
-        comm,
-        group,
-        input,
-        op,
-        opts.algo,
-        opts.ranks_per_node,
-        opts.format,
-        None,
-        opts.channels,
-    )
-}
-
-/// ReduceScatter under the options' algorithm and wire format. There
-/// is no binomial tree ReduceScatter (the tree algorithm uses the
-/// ring's, which has the identical postcondition), and no sparse one —
-/// top-k resolves to the dense wire here, exactly as the cost model
-/// prices it.
-fn reduce_scatter(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    opts: RunOptions,
-) -> Tensor {
-    let wire = rs_ag_format(opts.format);
-    match opts.algo {
-        // The switch aggregates whole tensors; like the tree it has no
-        // scatter/gather form and falls back to the ring (mirroring the
-        // cost model's `effective_algo`).
-        CollAlgo::Ring | CollAlgo::Tree | CollAlgo::Switch => {
-            ring_reduce_scatter(comm, group, input, op, wire, opts.channels)
-        }
-        CollAlgo::Hierarchical => hierarchical_reduce_scatter(
-            comm,
-            group,
-            input,
-            op,
-            opts.ranks_per_node,
-            wire,
-            opts.channels,
-        ),
-    }
-}
-
-/// AllGather under the options' algorithm and wire format (tree falls
-/// back to ring and top-k to dense, like ReduceScatter).
-fn all_gather(comm: &RankComm, group: Group, chunk: &Tensor, opts: RunOptions) -> Vec<Tensor> {
-    let wire = rs_ag_format(opts.format);
-    match opts.algo {
-        CollAlgo::Ring | CollAlgo::Tree | CollAlgo::Switch => {
-            ring_all_gather(comm, group, chunk, wire, opts.channels)
-        }
-        CollAlgo::Hierarchical => {
-            hierarchical_all_gather(comm, group, chunk, opts.ranks_per_node, wire, opts.channels)
+    let mut outputs = HashMap::new();
+    for &out in program.outputs() {
+        let name = program.node(out)?.name().to_string();
+        if let Some(val) = values[out.index()].take() {
+            outputs.insert(name, val);
         }
     }
-}
-
-/// The wire format ReduceScatter/AllGather run under: FP16 passes
-/// through, top-k has no sparse RS/AG form and runs dense.
-fn rs_ag_format(format: WireFormat) -> WireFormat {
-    match format {
-        WireFormat::TopK { .. } => WireFormat::Dense,
-        f => f,
-    }
+    Ok(outputs)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1315,86 +1060,6 @@ mod tests {
             ),
             "got {err:?}"
         );
-    }
-
-    /// A training-shaped program (compute feeding trailing gradient
-    /// AllReduces) streamed over many iterations produces bit-identical
-    /// outputs to the barriered schedule, at any per-step jitter.
-    #[test]
-    fn streamed_iterations_match_barriered_bit_for_bit() {
-        // Two "layers": g0 and g1 are local gradients; their AllReduces
-        // feed only outputs — the trailing shape that streams.
-        let mut p = Program::new("grad_sync");
-        let g0 = p.input("g0", DType::F32, ["N"], Layout::Local);
-        let g1 = p.input("g1", DType::F32, ["N"], Layout::Local);
-        let two = p.constant(2.0);
-        let h0 = p.mul(g0, two).unwrap();
-        let h1 = p.add(g1, two).unwrap();
-        let s0 = p.all_reduce(ReduceOp::Sum, h0).unwrap();
-        let s1 = p.all_reduce(ReduceOp::Sum, h1).unwrap();
-        p.set_name(s0, "sync0").unwrap();
-        p.set_name(s1, "sync1").unwrap();
-        p.set_io(&[g0, g1], &[s0, s1]).unwrap();
-
-        let binding = Binding::new(4).bind("N", 9);
-        let rng = CounterRng::new(3);
-        let inputs = Inputs::new()
-            .per_rank(
-                "g0",
-                (0..4)
-                    .map(|r| Tensor::randn([9], DType::F32, rng, r as u64))
-                    .collect(),
-            )
-            .per_rank(
-                "g1",
-                (0..4)
-                    .map(|r| Tensor::randn([9], DType::F32, rng, 100 + r as u64))
-                    .collect(),
-            );
-
-        let barriered = run_program(&p, &binding, &inputs, RunOptions::default()).unwrap();
-        let streamed = run_program_iterations(
-            &p,
-            &binding,
-            &inputs,
-            RunOptions::default()
-                .with_sched(coconet_core::CommSched::Priority)
-                .with_jitter_ns(40_000),
-            6,
-        )
-        .unwrap();
-        for name in ["sync0", "sync1"] {
-            assert_eq!(
-                streamed.global(name).unwrap().to_f32_vec(),
-                barriered.global(name).unwrap().to_f32_vec(),
-                "{name} diverged under streaming"
-            );
-        }
-    }
-
-    /// Priority scheduling on a program whose AllReduce is *consumed*
-    /// downstream (Figure 3) falls back to the blocking path — the
-    /// stream never reorders a data dependence.
-    #[test]
-    fn priority_never_reorders_a_consumed_collective() {
-        let (p, _) = figure3();
-        let (binding, inputs) = figure3_inputs();
-        let opts = RunOptions::default().with_seed(77);
-        let reference = run_program(&p, &binding, &inputs, opts)
-            .unwrap()
-            .global("out")
-            .unwrap();
-        let streamed = run_program_iterations(
-            &p,
-            &binding,
-            &inputs,
-            opts.with_sched(coconet_core::CommSched::Priority),
-            3,
-        )
-        .unwrap()
-        .global("out")
-        .unwrap();
-        assert_eq!(streamed.to_f32_vec(), reference.to_f32_vec());
     }
 
     #[test]

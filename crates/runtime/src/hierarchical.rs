@@ -89,7 +89,7 @@ fn slice_or_empty(t: &Tensor, off: usize, len: usize) -> Tensor {
 
 /// Whether `node_size` actually splits the group into multiple nodes.
 fn is_flat(group: Group, node_size: usize) -> bool {
-    node_size == 0 || node_size >= group.size
+    coconet_core::nodes_spanned(group.size, node_size) <= 1
 }
 
 /// Hierarchical ReduceScatter: intra-node ring ReduceScatter, chunk

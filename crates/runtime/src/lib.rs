@@ -61,10 +61,13 @@ pub use collectives::{
     ring_all_reduce, ring_reduce_scatter, Group, MAX_CHANNELS,
 };
 pub use comm::{run_ranks, RankComm, WireMsg};
-pub use compressed::{all_reduce_wire_striped, resolve_all_reduce_format, sparse_all_reduce};
+pub use compressed::{
+    all_gather_wire_striped, all_reduce_wire_striped, reduce_scatter_wire_striped,
+    sparse_all_reduce,
+};
 pub use dist::DistValue;
 pub use error::RuntimeError;
-pub use executor::{run_program, run_program_iterations, InitValue, Inputs, RunOptions, RunResult};
+pub use executor::{run_program, InitValue, Inputs, RunOptions, RunResult};
 pub use hierarchical::{
     hierarchical_all_gather, hierarchical_all_reduce, hierarchical_reduce_scatter,
 };

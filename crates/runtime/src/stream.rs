@@ -33,17 +33,16 @@
 //! the rest.
 
 use coconet_compress::WireFormat;
-use coconet_core::{CollAlgo, CommSched, XferSched};
+use coconet_core::{lane_count, CollAlgo, CollKind, CommConfig, CommSched, Executed, XferSched};
 use coconet_tensor::{ReduceOp, Tensor};
 use coconet_trace as trace;
 use coconet_trace::EventKind;
 
 use std::collections::HashMap;
 
-use crate::collectives::{
-    all_reduce_result, clamp_channels, lane_count, lane_tag, Group, RingLane, RingPhase,
-};
+use crate::collectives::{all_reduce_result, lane_tag, Group, RingLane, RingPhase};
 use crate::comm::RankComm;
+use crate::compressed::{executed, run_all_reduce};
 use crate::ledger::PRIORITY_CLASSES;
 use crate::switch::SwitchJob;
 
@@ -181,7 +180,7 @@ impl CommScheduler {
         channels: usize,
     ) {
         let class = class.min(PRIORITY_CLASSES as u8 - 1);
-        let lanes = lane_count(group, channels);
+        let lanes = lane_count(group.size, channels);
         for lane in 0..lanes {
             let tag = lane_tag(Some(id), lanes, lane);
             let job = RingLane::new(
@@ -217,18 +216,34 @@ impl CommScheduler {
         self.admit(tag, id, class, Job::Switch(job));
     }
 
-    fn admit(&mut self, id: u64, logical: u64, class: u8, job: Job) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        // The single choke point every physical job passes through —
-        // striped lanes and switch jobs included — so every enqueue
-        // event has a matching completion event with the same id.
+    /// Files `result` as job `id`, finished at enqueue time: the
+    /// collective of a site with no resumable job ran as a blocking
+    /// call at its enqueue point (Barriered is the identity schedule),
+    /// and [`wait`](CommScheduler::wait) and the completion log treat
+    /// it like every other job.
+    pub(crate) fn enqueue_finished(&mut self, id: u64, class: u8, result: Tensor) {
+        let class = class.min(PRIORITY_CLASSES as u8 - 1);
+        self.trace_enqueue(id, class);
+        self.record_completion(id, class);
+        self.completed.push((id, result));
+    }
+
+    /// The single choke point every job passes through — striped
+    /// lanes, switch jobs and born-finished ones included — so every
+    /// enqueue event has a matching completion event with the same id.
+    fn trace_enqueue(&self, id: u64, class: u8) {
         trace::instant(
             EventKind::SchedEnqueue,
             "sched:enqueue",
             id,
             u64::from(class),
         );
+    }
+
+    fn admit(&mut self, id: u64, logical: u64, class: u8, job: Job) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.trace_enqueue(id, class);
         let queued = Queued {
             id,
             logical,
@@ -247,26 +262,26 @@ impl CommScheduler {
         self.jobs.insert(at, queued);
     }
 
-    /// Files a finished job: its structured completion record (and
-    /// trace instant), then its result for
-    /// [`wait`](CommScheduler::wait) — assembled as soon as the last
-    /// lane of the logical job lands, so finished lanes do not pin
-    /// their peers' buffers until somebody waits. The timestamp is read
-    /// unconditionally — a clock read touches no data, so
-    /// disabled-tracing runs stay bit-identical.
-    fn complete(&mut self, done: Queued) {
+    /// The structured completion record (and trace instant) of job
+    /// `id`. The timestamp is read unconditionally — a clock read
+    /// touches no data, so disabled-tracing runs stay bit-identical.
+    fn record_completion(&mut self, id: u64, class: u8) {
         let ts_ns = trace::now_ns();
         trace::instant(
             EventKind::SchedComplete,
             "sched:complete",
-            done.id,
-            u64::from(done.class),
+            id,
+            u64::from(class),
         );
-        self.completions.push(Completion {
-            id: done.id,
-            class: done.class,
-            ts_ns,
-        });
+        self.completions.push(Completion { id, class, ts_ns });
+    }
+
+    /// Files a finished job: its completion record, then its result
+    /// for [`wait`](CommScheduler::wait) — assembled as soon as the
+    /// last lane of the logical job lands, so finished lanes do not pin
+    /// their peers' buffers until somebody waits.
+    fn complete(&mut self, done: Queued) {
+        self.record_completion(done.id, done.class);
         let result = match done.job {
             Job::Switch(job) => job.take_result(),
             Job::Ring(lane) => {
@@ -409,13 +424,21 @@ struct StreamParam {
 /// and applies every update at each iteration's end — the classic
 /// barrier, kept as the baseline the steady-state experiment measures
 /// against.
+///
+/// What each layer's AllReduce runs as is
+/// [`CommConfig::executed_as`]'s answer for the configured algorithm,
+/// format and channels at that layer's size (a group without node
+/// geometry, so the hierarchical algorithm *is* the ring). A
+/// `streamable` site rides the scheduler; any other — the tree, an
+/// active top-k — runs the *requested* algorithm's blocking collective
+/// at the enqueue point and is filed as a finished job: Barriered is
+/// the identity schedule, so parameters still match a blocking loop of
+/// that algorithm bit for bit.
 #[derive(Debug)]
 pub struct StreamExecutor {
     group: Group,
-    sched: CommSched,
-    wire: WireFormat,
-    algo: CollAlgo,
-    channels: usize,
+    /// The requested `sched`, `algo`, `format` and `channels`.
+    config: CommConfig,
     scheduler: CommScheduler,
     params: Vec<StreamParam>,
     /// Iterations fully applied to every parameter.
@@ -426,12 +449,15 @@ impl StreamExecutor {
     /// A streaming executor over `params` (one tensor per layer, in
     /// forward order) for the group `comm` belongs to.
     pub fn new(group: Group, params: Vec<Tensor>, sched: CommSched, wire: WireFormat) -> Self {
+        let config = CommConfig {
+            sched,
+            format: wire,
+            channels: 1,
+            ..CommConfig::default()
+        };
         StreamExecutor {
             group,
-            sched,
-            wire,
-            algo: CollAlgo::Ring,
-            channels: 1,
+            config,
             scheduler: CommScheduler::new(),
             params: params
                 .into_iter()
@@ -445,13 +471,11 @@ impl StreamExecutor {
         }
     }
 
-    /// Routes gradient AllReduces through `algo`:
-    /// [`CollAlgo::Switch`] streams switch jobs (fixed-point wire;
-    /// results match the *blocking switch* bit for bit, carrying its
-    /// quantization error versus the ring); every other algorithm
-    /// streams the ring, matching the blocking executor's fallback.
+    /// Routes gradient AllReduces through `algo`. Whatever runs matches
+    /// the *blocking* collective of that algorithm bit for bit (the
+    /// switch carries its quantization error versus the ring).
     pub fn with_algo(mut self, algo: CollAlgo) -> Self {
-        self.algo = algo;
+        self.config.algo = algo;
         self
     }
 
@@ -462,7 +486,7 @@ impl StreamExecutor {
     /// wire stays single-lane. Clamped into
     /// `1..=`[`MAX_CHANNELS`](crate::MAX_CHANNELS).
     pub fn with_channels(mut self, channels: usize) -> Self {
-        self.channels = clamp_channels(channels);
+        self.config.channels = channels;
         self
     }
 
@@ -523,7 +547,7 @@ impl StreamExecutor {
     /// moves inside the end-of-iteration drain, which is exactly the
     /// serialization the steady-state experiment measures against.
     fn tick(&mut self, comm: &RankComm) {
-        if self.sched == CommSched::Priority {
+        if self.config.sched == CommSched::Priority {
             while self.scheduler.poll(comm) {}
         }
     }
@@ -550,6 +574,20 @@ impl StreamExecutor {
         mut apply: impl FnMut(usize, &mut Tensor, &Tensor),
     ) {
         let layers = self.params.len();
+        // What each layer's AllReduce runs as — resolved once per run,
+        // never per hop; gradients have their parameter's size and type.
+        let sum = ReduceOp::Sum;
+        let resolve = |p: &StreamParam| {
+            executed(
+                self.config,
+                CollKind::AllReduce,
+                sum,
+                &p.value,
+                self.group,
+                0,
+            )
+        };
+        let runs: Vec<Executed> = self.params.iter().map(resolve).collect();
         for _ in 0..iters {
             let iter = self.epoch;
             // Forward: first layers first, each gated on its own
@@ -576,23 +614,20 @@ impl StreamExecutor {
                 };
                 let id = self.job_id(iter, l);
                 let class = l.min(PRIORITY_CLASSES - 1) as u8;
-                if self.algo == CollAlgo::Switch {
+                let run = runs[l];
+                if !run.streamable {
+                    let reduced = run_all_reduce(comm, self.group, &g, sum, run, 0, None);
+                    self.scheduler.enqueue_finished(id, class, reduced);
+                } else if run.algo == CollAlgo::Switch {
                     self.scheduler
-                        .enqueue_switch(id, class, self.group, &g, ReduceOp::Sum);
+                        .enqueue_switch(id, class, self.group, &g, sum);
                 } else {
-                    self.scheduler.enqueue(
-                        id,
-                        class,
-                        self.group,
-                        &g,
-                        ReduceOp::Sum,
-                        self.wire,
-                        self.channels,
-                    );
+                    self.scheduler
+                        .enqueue(id, class, self.group, &g, sum, run.format, run.lanes);
                 }
                 self.params[l].pending = Some(id);
             }
-            if self.sched == CommSched::Barriered {
+            if self.config.sched == CommSched::Barriered {
                 // The classic end-of-iteration barrier: drain the
                 // fabric and update every parameter before the next
                 // forward may start.
@@ -677,13 +712,13 @@ mod tests {
         }
     }
 
-    /// The streaming switch loop matches the blocking switch loop: a
-    /// [`StreamExecutor`] routed through [`CollAlgo::Switch`] produces
-    /// the same parameters as manually calling the blocking switch
-    /// AllReduce per iteration.
-    #[test]
-    fn stream_executor_switch_matches_blocking_switch_loop() {
-        use crate::switch::switch_all_reduce;
+    /// A [`StreamExecutor`] routed through `algo` produces the same
+    /// parameters as a loop calling `blocking` — that algorithm's
+    /// blocking AllReduce — once per iteration, bit for bit.
+    fn assert_stream_matches_blocking_loop(
+        algo: CollAlgo,
+        blocking: fn(&RankComm, Group, &Tensor) -> Tensor,
+    ) {
         let k = 4usize;
         let iters = 3u64;
         let results = run_ranks(k, move |comm| {
@@ -698,7 +733,7 @@ mod tests {
                 CommSched::Priority,
                 WireFormat::Dense,
             )
-            .with_algo(CollAlgo::Switch);
+            .with_algo(algo);
             exec.run_iterations(
                 &comm,
                 iters,
@@ -714,19 +749,37 @@ mod tests {
             );
             let streamed = exec.params().swap_remove(0);
 
-            // Blocking reference: same recurrence, blocking switch.
+            // Blocking reference: same recurrence, blocking collective.
             let mut w = init;
             for iter in 0..iters {
                 let scale = (rank + 1) as f32 * 0.01 + iter as f32 * 0.001;
                 let g = Tensor::from_fn([6], DType::F32, |i| w.get(i) * scale + i as f32 * 0.1);
-                let reduced = switch_all_reduce(&comm, group_of(k), &g, ReduceOp::Sum);
+                let reduced = blocking(&comm, group_of(k), &g);
                 w = Tensor::from_fn([6], DType::F32, |i| w.get(i) - 0.05 * reduced.get(i));
             }
             (streamed, w)
         });
         for (streamed, blocking) in results {
-            assert_eq!(streamed.to_f32_vec(), blocking.to_f32_vec());
+            assert_eq!(streamed.to_f32_vec(), blocking.to_f32_vec(), "{algo}");
         }
+    }
+
+    /// The streaming switch loop matches the blocking switch loop.
+    #[test]
+    fn stream_executor_switch_matches_blocking_switch_loop() {
+        assert_stream_matches_blocking_loop(CollAlgo::Switch, |comm, group, g| {
+            crate::switch::switch_all_reduce(comm, group, g, ReduceOp::Sum)
+        });
+    }
+
+    /// The tree has no resumable job: under a [`StreamExecutor`] it
+    /// runs as the blocking tree at the enqueue point — never as the
+    /// ring, whose fold order (and so whose bits) differ.
+    #[test]
+    fn stream_executor_tree_matches_blocking_tree_loop() {
+        assert_stream_matches_blocking_loop(CollAlgo::Tree, |comm, group, g| {
+            crate::tree::tree_all_reduce(comm, group, g, ReduceOp::Sum, WireFormat::Dense, 1)
+        });
     }
 
     /// Two concurrent jobs of different classes complete in *priority*
@@ -1004,13 +1057,22 @@ mod tests {
     }
 
     /// The streaming loop produces bit-identical parameters to the
-    /// barriered loop, while its completion log proves first-consumed
-    /// gradients synchronized first.
+    /// barriered loop — whatever order peers' chunks complete in: every
+    /// `forward` and `grad` sleeps a seeded pseudo-random time keyed by
+    /// `(rank, iter, layer)`, so ranks drift apart differently at every
+    /// step — while its completion log proves first-consumed gradients
+    /// synchronized first.
     #[test]
     fn stream_executor_matches_barriered_and_reorders() {
         let k = 4usize;
         let layers = 3usize;
         let iters = 5u64;
+        // Up to 40 µs, from the counter RNG's stream.
+        let delay = |salt: u64, rank: usize, iter: u64, l: usize| {
+            let key = (salt << 40) | ((rank as u64) << 32) | (iter << 8) | l as u64;
+            let ns = CounterRng::new(0x5eed).u64_at(key) % 40_000;
+            std::thread::sleep(std::time::Duration::from_nanos(ns));
+        };
         let run = move |sched_kind: CommSched| {
             run_ranks(k, move |comm| {
                 let rng = CounterRng::new(11);
@@ -1023,8 +1085,9 @@ mod tests {
                 exec.run_iterations(
                     &comm,
                     iters,
-                    |_, _, _| {},
+                    move |l, iter, _| delay(0, rank, iter, l),
                     move |l, iter, p| {
+                        delay(1, rank, iter, l);
                         // Rank- and iteration-dependent local gradient.
                         let scale = (rank + 1) as f32 * 0.01 + iter as f32 * 0.001;
                         let lf = l as f32;

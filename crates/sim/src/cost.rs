@@ -10,12 +10,12 @@
 //! §6.1.1).
 
 use coconet_compress::{
-    sparse_all_reduce_rounds, sparse_all_reduce_wire_bytes, sparse_beats_dense,
-    switch_all_reduce_wire_bytes, QUANT_WORD_BYTES,
+    sparse_all_reduce_rounds, sparse_all_reduce_wire_bytes, switch_all_reduce_wire_bytes,
+    QUANT_WORD_BYTES,
 };
 use coconet_core::{
-    CollAlgo, CollKind, CommConfig, DType, FusedCollectiveStep, KernelStep, MatMulStep,
-    SendRecvStep, WireFormat,
+    CollAlgo, CollKind, CollSite, CommConfig, DType, FusedCollectiveStep, KernelStep, MatMulStep,
+    ReduceOp, SendRecvStep, WireFormat,
 };
 use coconet_topology::MachineSpec;
 
@@ -67,6 +67,14 @@ pub struct GroupGeom {
     /// Ranks of the group residing on each node (= senders sharing one
     /// node's NICs during a cross-node P2P).
     pub ranks_per_node: usize,
+}
+
+impl GroupGeom {
+    /// The (non-fused) collective site of `kind` over this group — what
+    /// [`CommConfig::executed_as`] resolves a configuration against.
+    pub fn site(self, kind: CollKind, op: ReduceOp, elems: u64, dtype: DType) -> CollSite {
+        CollSite::new(kind, op, elems, dtype, self.size, self.nodes_spanned)
+    }
 }
 
 /// Tunable second-order knobs, with defaults calibrated in DESIGN.md.
@@ -206,8 +214,8 @@ impl CostModel {
     /// Each round ships the whole payload over one link pair, which is
     /// what makes trees bandwidth-poor but latency-rich. Only the
     /// AllReduce has a tree form the runtime executes; every other
-    /// kind resolves to the ring via
-    /// [`effective_algo`](Self::effective_algo) before reaching here.
+    /// kind resolves to the ring in [`CommConfig::executed_as`] before
+    /// reaching here.
     fn tree_rounds(kind: CollKind, k: f64) -> f64 {
         match kind {
             CollKind::AllReduce => 2.0 * k.log2().ceil(),
@@ -217,88 +225,6 @@ impl CostModel {
             | CollKind::Reduce => {
                 unreachable!("non-AllReduce tree collectives are costed as the ring")
             }
-        }
-    }
-
-    /// The algorithm a collective kind actually runs under. The cost
-    /// model only prices algorithms the runtime executes, so a tuned
-    /// configuration's predicted time is the time of what runs:
-    /// Broadcast/Reduce have a single root-based implementation (the
-    /// algorithm dimension does not apply to them), there is no tree
-    /// ReduceScatter/AllGather (NCCL builds none either), and on a
-    /// single-node group the two-level hierarchical algorithm *is* the
-    /// flat intra-node ring — all of those resolve to the ring. The
-    /// aggregation switch serves only whole AllReduces (there is no
-    /// switch ReduceScatter/AllGather — the dataplane folds and
-    /// multicasts, it cannot scatter), so those resolve to the ring
-    /// under `Switch` exactly as under `Tree`.
-    fn effective_algo(algo: CollAlgo, kind: CollKind, group: GroupGeom) -> CollAlgo {
-        match (algo, kind) {
-            (_, CollKind::Broadcast | CollKind::Reduce) => CollAlgo::Ring,
-            (CollAlgo::Tree | CollAlgo::Switch, CollKind::ReduceScatter | CollKind::AllGather) => {
-                CollAlgo::Ring
-            }
-            (CollAlgo::Hierarchical, _) if group.nodes_spanned <= 1 => CollAlgo::Ring,
-            _ => algo,
-        }
-    }
-
-    /// The wire format a collective kind actually runs under — the
-    /// cost-model twin of the runtime dispatch, so the tuner always
-    /// prices exactly what runs:
-    ///
-    /// - Broadcast/Reduce ship dense (they are root-based fan-outs off
-    ///   the gradient path; the runtime does not compress them);
-    /// - the sparse top-k exchange exists only for the AllReduce, and
-    ///   only while it is strictly smaller than the dense ring volume
-    ///   (the automatic dense switchover) — everything else resolves
-    ///   to dense;
-    /// - FP16 applies to AllReduce/ReduceScatter/AllGather.
-    pub fn effective_wire_format(
-        format: WireFormat,
-        kind: CollKind,
-        elems: u64,
-        dtype: DType,
-        group: GroupGeom,
-    ) -> WireFormat {
-        match (format, kind) {
-            (_, CollKind::Broadcast | CollKind::Reduce) => WireFormat::Dense,
-            (WireFormat::TopK { .. }, CollKind::AllReduce)
-                if sparse_beats_dense(elems, group.size as u64, format.k_for(elems), dtype) =>
-            {
-                format
-            }
-            (WireFormat::TopK { .. }, _) => WireFormat::Dense,
-            (f, _) => f,
-        }
-    }
-
-    /// Whether a (resolved) format runs the sparse exchange for `kind`.
-    fn sparse_active(format: WireFormat, kind: CollKind) -> bool {
-        matches!(format, WireFormat::TopK { .. }) && kind == CollKind::AllReduce
-    }
-
-    /// The wire format a *fused* collective runs under: top-k cannot
-    /// fuse (no RS/AG phase to compute between), FP16 and dense pass
-    /// through.
-    pub fn fused_wire_format(format: WireFormat) -> WireFormat {
-        match format {
-            WireFormat::TopK { .. } => WireFormat::Dense,
-            f => f,
-        }
-    }
-
-    /// The wire format a plain collective step runs under given its
-    /// reduction operator: the sparse exchange only *sums* (a dropped
-    /// entry is additively neutral, not min/max-neutral), so non-sum
-    /// steps resolve top-k to dense — the cost-model twin of the
-    /// runtime dispatch's `op == Sum` requirement, keeping "the tuner
-    /// prices what runs" true for Min/Max AllReduces.
-    pub fn step_wire_format(format: WireFormat, op: coconet_core::ReduceOp) -> WireFormat {
-        if op == coconet_core::ReduceOp::Sum {
-            format
-        } else {
-            Self::fused_wire_format(format)
         }
     }
 
@@ -369,16 +295,15 @@ impl CostModel {
             * self.knobs.fabric_efficiency
     }
 
-    /// The per-rank wire bytes one collective moves under `algo` and
-    /// `format`, split by fabric segment (see [`WireBytes`]). This is
-    /// the configuration-independent numerator of the bandwidth floor;
-    /// one walk over a plan's steps computes it for all three
-    /// algorithms at once, which is what lets [`lower_bound_sweep`]
-    /// answer the whole `algo × protocol × channels` slice of one
-    /// format's grid from a single pass.
+    /// The per-rank wire bytes the collective at `site` moves under
+    /// `config`, split by fabric segment (see [`WireBytes`]). This is
+    /// the numerator of the bandwidth floor; only `config.algo` and
+    /// `config.format` enter, so one walk over a plan's steps computes
+    /// it for every algorithm at once, which is what lets
+    /// [`lower_bound_sweep`] answer the whole `algo × protocol ×
+    /// channels` slice of one format's grid from a single pass.
     ///
-    /// The format resolves through
-    /// [`effective_wire_format`](Self::effective_wire_format) first:
+    /// What is priced is what [`CommConfig::executed_as`] says runs:
     /// FP16 scales every payload to two bytes per element, and an
     /// active top-k AllReduce replaces the topology's pattern entirely
     /// with the sparse exchange volume (identical for every algorithm —
@@ -388,28 +313,28 @@ impl CostModel {
     /// [`lower_bound_sweep`]: coconet_core::PlanEvaluator::lower_bound_sweep
     pub fn collective_wire(
         &self,
-        algo: CollAlgo,
-        kind: CollKind,
-        elems: u64,
-        dtype: DType,
+        site: &CollSite,
         group: GroupGeom,
-        format: WireFormat,
+        config: CommConfig,
     ) -> WireBytes {
-        let algo = Self::effective_algo(algo, kind, group);
-        let format = Self::effective_wire_format(format, kind, elems, dtype, group);
+        let run = config.executed_as(site);
+        let (kind, elems) = (site.kind, site.elems);
         let k = group.size as f64;
         if group.size <= 1 {
             return WireBytes::default();
         }
-        if Self::sparse_active(format, kind) {
+        if run.is_sparse() {
             return WireBytes {
-                edge: sparse_all_reduce_wire_bytes(elems, group.size as u64, format.k_for(elems))
-                    as f64,
+                edge: sparse_all_reduce_wire_bytes(
+                    elems,
+                    group.size as u64,
+                    run.format.k_for(elems),
+                ) as f64,
                 ..WireBytes::default()
             };
         }
-        let bytes = format.payload_bytes(elems, dtype) as f64;
-        match algo {
+        let bytes = run.format.payload_bytes(elems, site.dtype) as f64;
+        match run.algo {
             CollAlgo::Ring => WireBytes {
                 edge: Self::ring_steps(kind, k) * bytes / k,
                 ..WireBytes::default()
@@ -427,14 +352,14 @@ impl CostModel {
                 edge: switch_all_reduce_wire_bytes(elems) as f64,
                 ..WireBytes::default()
             },
-            // `effective_algo` resolved single-node groups to Ring,
-            // so this arm always has a genuine two-level split.
+            // Single-node groups resolved to Ring, so this arm always
+            // has a genuine two-level split.
             CollAlgo::Hierarchical => {
                 let m = group.ranks_per_node.max(1) as f64;
                 let n = group.nodes_spanned as f64;
                 // AllReduce runs both phases twice (reduce + gather
                 // directions); ReduceScatter/AllGather once. Other
-                // kinds resolved to the ring in `effective_algo`.
+                // kinds resolved to the ring.
                 let phases = match kind {
                     CollKind::AllReduce => 2.0,
                     _ => 1.0,
@@ -481,28 +406,11 @@ impl CostModel {
         ch * edge_bw * proto.bw_factor * self.knobs.fabric_efficiency
     }
 
-    /// The wire-transfer term of [`collective_time`] alone — no
-    /// launch, base-latency, per-hop latency, or sync terms — under the
-    /// configuration's algorithm. This is the irreducible cost a
-    /// schedule transformation cannot remove, which makes it the
-    /// building block of the autotuner's beam-pruning lower bound.
-    ///
-    /// [`collective_time`]: CostModel::collective_time
-    pub fn collective_bandwidth_floor(
-        &self,
-        kind: CollKind,
-        elems: u64,
-        dtype: DType,
-        group: GroupGeom,
-        config: CommConfig,
-    ) -> f64 {
-        let wire = self.collective_wire(config.algo, kind, elems, dtype, group, config.format);
-        self.wire_time(wire, group, config)
-    }
-
-    /// Time for a collective over `group` under the configuration's
-    /// algorithm (ring / tree / hierarchical — §5.1's logical
-    /// topologies, promoted to a tuned dimension).
+    /// Time for a plain (non-fused, sum) collective over `group` under
+    /// the configuration's algorithm (ring / tree / hierarchical —
+    /// §5.1's logical topologies, promoted to a tuned dimension):
+    /// shorthand for [`site_time`](Self::site_time) at
+    /// [`GroupGeom::site`].
     pub fn collective_time(
         &self,
         kind: CollKind,
@@ -511,33 +419,40 @@ impl CostModel {
         group: GroupGeom,
         config: CommConfig,
     ) -> f64 {
-        let config = config
-            .with_algo(Self::effective_algo(config.algo, kind, group))
-            .with_format(Self::effective_wire_format(
-                config.format,
-                kind,
-                elems,
-                dtype,
-                group,
-            ));
+        self.site_time(
+            &group.site(kind, ReduceOp::Sum, elems, dtype),
+            group,
+            config,
+        )
+    }
+
+    /// Time for the collective at `site`, priced as what
+    /// [`CommConfig::executed_as`] says runs there. The wire-transfer
+    /// term alone (`wire_time` of [`collective_wire`]) is the
+    /// irreducible cost a schedule transformation cannot remove — the
+    /// building block of the autotuner's beam-pruning lower bound.
+    ///
+    /// [`collective_wire`]: CostModel::collective_wire
+    pub fn site_time(&self, site: &CollSite, group: GroupGeom, config: CommConfig) -> f64 {
+        let run = config.executed_as(site);
+        let (kind, elems, dtype) = (site.kind, site.elems, site.dtype);
         let k = group.size as f64;
         if group.size <= 1 {
             return self.launch();
         }
         let proto = protocol::params(config.protocol);
-        let t_bw = self.collective_bandwidth_floor(kind, elems, dtype, group, config);
+        let t_bw = self.wire_time(self.collective_wire(site, group, config), group, config);
         // The switch path replaces the wire-format codec with its own
         // fixed-point quantize/dequantize kernels (an active sparse
         // exchange replaces the topology entirely, switch included, so
         // it keeps the top-k codec).
-        let t_codec =
-            if config.algo == CollAlgo::Switch && !Self::sparse_active(config.format, kind) {
-                self.switch_codec_time(elems, dtype)
-            } else {
-                self.codec_time(config.format, elems, dtype, group)
-            };
+        let t_codec = if run.algo == CollAlgo::Switch {
+            self.switch_codec_time(elems, dtype)
+        } else {
+            self.codec_time(run.format, elems, dtype, group)
+        };
 
-        let t_lat = if Self::sparse_active(config.format, kind) {
+        let t_lat = if run.is_sparse() {
             // The sparse exchange's pairwise/ring rounds; later rounds
             // cross nodes on multi-node groups, like the tree's.
             let alpha = if group.nodes_spanned > 1 {
@@ -547,7 +462,7 @@ impl CostModel {
             };
             sparse_all_reduce_rounds(group.size as u64) as f64 * alpha
         } else {
-            match config.algo {
+            match run.algo {
                 // Ring: per-step hop latency, averaged over the ring's
                 // intra- and inter-node edges.
                 CollAlgo::Ring => {
@@ -585,7 +500,7 @@ impl CostModel {
                 }
                 // Hierarchical: intra-node ring hops plus the leader
                 // exchange's inter-node hops, per phase (single-node
-                // groups were resolved to Ring by `effective_algo`).
+                // groups resolved to Ring).
                 CollAlgo::Hierarchical => {
                     let m = group.ranks_per_node.max(1) as f64;
                     let n = group.nodes_spanned as f64;
@@ -606,30 +521,6 @@ impl CostModel {
         // stays admissible.
         let t_channels = self.knobs.channel_setup * (config.channels.max(1) - 1) as f64;
         self.launch() + proto.base_latency + sync + t_lat + t_bw + t_codec + t_channels
-    }
-
-    /// Tree-algorithm AllReduce time (§5.1's second logical topology):
-    /// a binomial reduce + broadcast in `2·log2(k)` rounds. Each round
-    /// moves the *whole* payload, so trees lose to rings on bandwidth
-    /// but win on latency at small sizes and large rank counts.
-    /// Convenience wrapper over [`collective_time`] with the
-    /// configuration forced to [`CollAlgo::Tree`].
-    ///
-    /// [`collective_time`]: CostModel::collective_time
-    pub fn tree_all_reduce_time(
-        &self,
-        elems: u64,
-        dtype: DType,
-        group: GroupGeom,
-        config: CommConfig,
-    ) -> f64 {
-        self.collective_time(
-            CollKind::AllReduce,
-            elems,
-            dtype,
-            group,
-            config.with_algo(CollAlgo::Tree),
-        )
     }
 
     /// Extra cost of walking scattered tensors through bucket tables
@@ -654,12 +545,14 @@ impl CostModel {
         group: GroupGeom,
         config: CommConfig,
     ) -> f64 {
-        // The fused kernel computes *between* the ReduceScatter and
-        // AllGather phases, which the gather-based sparse exchange does
-        // not have — a top-k configuration runs fused collectives on
-        // the dense wire (FP16 still applies).
-        let config = config.with_format(Self::fused_wire_format(config.format));
-        let base = self.collective_time(CollKind::AllReduce, step.elems, step.dtype, group, config);
+        // A fused site: the kernel computes *between* the ReduceScatter
+        // and AllGather phases, which the gather-based sparse exchange
+        // does not have — a top-k configuration runs it on the dense
+        // wire (FP16 still applies).
+        let site = group
+            .site(CollKind::AllReduce, ReduceOp::Sum, step.elems, step.dtype)
+            .fused();
+        let base = self.site_time(&site, group, config);
         let launch = self.launch();
         let comm = base - launch;
         // Register pressure caps thread-level parallelism: a fixed
@@ -729,6 +622,33 @@ mod tests {
 
     fn model() -> CostModel {
         CostModel::new(MachineSpec::dgx2_cluster(16))
+    }
+
+    /// Wire bytes of a plain sum collective under `algo` and `format`.
+    fn wire_of(
+        m: &CostModel,
+        algo: CollAlgo,
+        kind: CollKind,
+        elems: u64,
+        dtype: DType,
+        g: GroupGeom,
+        format: WireFormat,
+    ) -> WireBytes {
+        let config = CommConfig::default().with_algo(algo).with_format(format);
+        m.collective_wire(&g.site(kind, ReduceOp::Sum, elems, dtype), g, config)
+    }
+
+    /// The wire-transfer term of `collective_time` alone.
+    fn floor(
+        m: &CostModel,
+        kind: CollKind,
+        elems: u64,
+        dtype: DType,
+        g: GroupGeom,
+        config: CommConfig,
+    ) -> f64 {
+        let site = g.site(kind, ReduceOp::Sum, elems, dtype);
+        m.wire_time(m.collective_wire(&site, g, config), g, config)
     }
 
     fn intra_group() -> GroupGeom {
@@ -1032,9 +952,10 @@ mod tests {
     }
 
     #[test]
-    fn wire_matches_bandwidth_floor_per_algo() {
-        // The floor is exactly the wire bytes at the effective rates —
-        // the invariant the autotuner's pruning admissibility rests on.
+    fn bandwidth_floor_never_exceeds_the_time_per_algo() {
+        // The floor is the wire bytes at the effective rates, and the
+        // full time only adds to it — the invariant the autotuner's
+        // pruning admissibility rests on.
         let m = model();
         let g = world_group();
         for algo in CollAlgo::ALL {
@@ -1047,19 +968,12 @@ mod tests {
                     ..CommConfig::default()
                 };
                 let elems = 1u64 << 22;
-                let wire = m.collective_wire(
-                    algo,
-                    CollKind::AllReduce,
-                    elems,
-                    DType::F16,
-                    g,
-                    config.format,
-                );
-                let floor =
-                    m.collective_bandwidth_floor(CollKind::AllReduce, elems, DType::F16, g, config);
-                assert!((m.wire_time(wire, g, config) - floor).abs() < 1e-15);
+                let floor = floor(&m, CollKind::AllReduce, elems, DType::F16, g, config);
                 let t = m.collective_time(CollKind::AllReduce, elems, DType::F16, g, config);
-                assert!(floor <= t, "{algo}: floor {floor} !<= time {t}");
+                assert!(
+                    0.0 < floor && floor <= t,
+                    "{algo}: floor {floor} !<= time {t}"
+                );
             }
         }
     }
@@ -1090,7 +1004,8 @@ mod tests {
                         let t = m.collective_time(kind, elems, DType::F16, g, algo_cfg(algo));
                         assert_eq!(ring_time(kind), t, "{algo} {kind}, elems {elems}");
                         assert_eq!(
-                            m.collective_wire(
+                            wire_of(
+                                &m,
                                 CollAlgo::Ring,
                                 kind,
                                 elems,
@@ -1098,7 +1013,7 @@ mod tests {
                                 g,
                                 WireFormat::Dense
                             ),
-                            m.collective_wire(algo, kind, elems, DType::F16, g, WireFormat::Dense),
+                            wire_of(&m, algo, kind, elems, DType::F16, g, WireFormat::Dense),
                         );
                     }
                 }
@@ -1131,14 +1046,13 @@ mod tests {
                 CollKind::ReduceScatter,
                 CollKind::AllGather,
             ] {
-                let dense = m.collective_wire(algo, kind, elems, DType::F32, g, WireFormat::Dense);
-                let fp16 = m.collective_wire(algo, kind, elems, DType::F32, g, WireFormat::Fp16);
+                let dense = wire_of(&m, algo, kind, elems, DType::F32, g, WireFormat::Dense);
+                let fp16 = wire_of(&m, algo, kind, elems, DType::F32, g, WireFormat::Fp16);
                 assert_eq!(fp16.edge * 2.0, dense.edge, "{algo} {kind}");
                 assert_eq!(fp16.intra * 2.0, dense.intra, "{algo} {kind}");
                 assert_eq!(fp16.inter * 2.0, dense.inter, "{algo} {kind}");
-                let dense_h =
-                    m.collective_wire(algo, kind, elems, DType::F16, g, WireFormat::Dense);
-                let fp16_h = m.collective_wire(algo, kind, elems, DType::F16, g, WireFormat::Fp16);
+                let dense_h = wire_of(&m, algo, kind, elems, DType::F16, g, WireFormat::Dense);
+                let fp16_h = wire_of(&m, algo, kind, elems, DType::F16, g, WireFormat::Fp16);
                 assert_eq!(dense_h, fp16_h, "{algo} {kind}: FP16-on-FP16 is dense");
             }
         }
@@ -1164,7 +1078,8 @@ mod tests {
                 (WireFormat::Dense, DType::F16),
                 (WireFormat::Fp16, DType::F32),
             ] {
-                let wire = m.collective_wire(
+                let wire = wire_of(
+                    &m,
                     CollAlgo::Switch,
                     CollKind::AllReduce,
                     elems,
@@ -1177,7 +1092,8 @@ mod tests {
             }
             // Active top-k replaces the topology, switch included.
             let topk = WireFormat::TopK { k_permille: 10 };
-            let wire = m.collective_wire(
+            let wire = wire_of(
+                &m,
                 CollAlgo::Switch,
                 CollKind::AllReduce,
                 elems,
@@ -1258,7 +1174,7 @@ mod tests {
         // Every algorithm prices the same sparse exchange — the sparse
         // wire replaces the logical topology.
         for algo in CollAlgo::ALL {
-            let wire = m.collective_wire(algo, CollKind::AllReduce, elems, DType::F32, g, topk);
+            let wire = wire_of(&m, algo, CollKind::AllReduce, elems, DType::F32, g, topk);
             assert_eq!(
                 wire.edge,
                 coconet_compress::sparse_all_reduce_wire_bytes(elems, g.size as u64, k) as f64,
@@ -1268,7 +1184,8 @@ mod tests {
             // And it undercuts the dense wire at 10 ‰ (the < 5 %
             // acceptance ratio is an 8-rank number; at 256 ranks the
             // log2(p) rounds still win by an order of magnitude less).
-            let dense = m.collective_wire(
+            let dense = wire_of(
+                &m,
                 algo,
                 CollKind::AllReduce,
                 elems,
@@ -1281,8 +1198,9 @@ mod tests {
         // Non-AllReduce kinds fall back to the dense wire under top-k.
         for kind in [CollKind::ReduceScatter, CollKind::AllGather] {
             assert_eq!(
-                m.collective_wire(CollAlgo::Ring, kind, elems, DType::F32, g, topk),
-                m.collective_wire(
+                wire_of(&m, CollAlgo::Ring, kind, elems, DType::F32, g, topk),
+                wire_of(
+                    &m,
                     CollAlgo::Ring,
                     kind,
                     elems,
@@ -1297,7 +1215,8 @@ mod tests {
         // form is larger, so the collective prices (and runs) dense.
         let heavy = WireFormat::TopK { k_permille: 200 };
         assert_eq!(
-            m.collective_wire(
+            wire_of(
+                &m,
                 CollAlgo::Ring,
                 CollKind::AllReduce,
                 elems,
@@ -1305,7 +1224,8 @@ mod tests {
                 g,
                 heavy
             ),
-            m.collective_wire(
+            wire_of(
+                &m,
                 CollAlgo::Ring,
                 CollKind::AllReduce,
                 elems,
@@ -1334,13 +1254,8 @@ mod tests {
                             ..CommConfig::default()
                         };
                         for elems in [1u64 << 10, 1 << 24] {
-                            let floor = m.collective_bandwidth_floor(
-                                CollKind::AllReduce,
-                                elems,
-                                DType::F32,
-                                g,
-                                config,
-                            );
+                            let floor =
+                                floor(&m, CollKind::AllReduce, elems, DType::F32, g, config);
                             let t = m.collective_time(
                                 CollKind::AllReduce,
                                 elems,
@@ -1395,14 +1310,6 @@ mod tests {
             at(WireFormat::Dense)
         );
         assert!(at(WireFormat::Fp16) < at(WireFormat::Dense));
-        assert_eq!(
-            CostModel::fused_wire_format(WireFormat::TopK { k_permille: 1 }),
-            WireFormat::Dense
-        );
-        assert_eq!(
-            CostModel::fused_wire_format(WireFormat::Fp16),
-            WireFormat::Fp16
-        );
     }
 
     #[test]

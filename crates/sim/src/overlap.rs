@@ -114,14 +114,10 @@ pub fn simulate_overlap_with_tiles(
         .map(|s| {
             let t = match s {
                 OverlapStage::MatMul(mm) => cost.matmul_time(mm),
-                OverlapStage::Collective(c) => cost.collective_time(
-                    c.kind,
-                    c.elems,
-                    c.dtype,
+                OverlapStage::Collective(c) => cost.site_time(
+                    &geom.site(c.kind, c.op, c.elems, c.dtype),
                     geom,
-                    config
-                        .with_algo(c.algo)
-                        .with_format(CostModel::step_wire_format(config.format, c.op)),
+                    config.with_algo(c.algo),
                 ),
                 OverlapStage::FusedCollective(f) => {
                     cost.fused_collective_time(f, geom, config.with_algo(f.algo))

@@ -2,8 +2,8 @@
 //! and benchmarks use.
 
 use coconet_core::{
-    CollAlgo, CollKind, CommConfig, CommSched, ExecPlan, OverlapStage, PlanEvaluator, Step,
-    WireFormat,
+    CollAlgo, CollKind, CollSite, CommConfig, CommSched, ExecPlan, FusedCollectiveStep,
+    OverlapStage, PlanEvaluator, ReduceOp, Step, WireFormat,
 };
 use coconet_topology::{Cluster, MachineSpec};
 
@@ -148,17 +148,13 @@ impl Simulator {
             Step::Collective(c) => {
                 // The step's stamped algorithm wins over the plan-level
                 // configuration (lowering keeps them consistent; the
-                // stamp is authoritative for hand-built plans), and a
-                // non-sum reduction strips the sparse wire the runtime
-                // would refuse to run.
-                let mut t = self.cost.collective_time(
-                    c.kind,
-                    c.elems,
-                    c.dtype,
+                // stamp is authoritative for hand-built plans); the
+                // site carries the operator, so a non-sum reduction is
+                // priced on the dense wire the runtime runs it on.
+                let mut t = self.cost.site_time(
+                    &geom.site(c.kind, c.op, c.elems, c.dtype),
                     geom,
-                    config
-                        .with_algo(c.algo)
-                        .with_format(CostModel::step_wire_format(config.format, c.op)),
+                    config.with_algo(c.algo),
                 );
                 if let Some(s) = c.scattered {
                     t += self.cost.scattered_overhead(s.n_tensors, s.n_buckets);
@@ -372,68 +368,53 @@ impl Simulator {
     pub fn floor_profile(&self, plan: &ExecPlan, format: WireFormat) -> FloorProfile {
         let geom = self.group_geom();
         let launch = self.cost_model().machine().gpu.launch_overhead;
-        // Fused collectives cannot run the sparse exchange; their wire
-        // resolves top-k to dense (`CostModel::fused_wire_format`).
-        let fused_fmt = CostModel::fused_wire_format(format);
-        let wire = |algo: CollAlgo, kind: CollKind, elems: u64, dtype, f: WireFormat| {
-            self.cost.collective_wire(algo, kind, elems, dtype, geom, f)
+        let wire = |algo: CollAlgo, site: &CollSite| {
+            let config = CommConfig::default().with_algo(algo).with_format(format);
+            self.cost.collective_wire(site, geom, config)
         };
+        // Indexed by `CollAlgo::index`, the position in `CollAlgo::ALL`.
+        let per_algo = |site: &CollSite| CollAlgo::ALL.map(|algo| wire(algo, site));
         // What of a step's volume survives every further
         // transformation: an AllReduce may split (and an overlapped
         // pipeline is bounded only by its largest stage), so it keeps
-        // only its ReduceScatter half — on the dense wire when the
-        // configuration is top-k (there is no sparse ReduceScatter) —
-        // or, staying a plain AllReduce, the sparse exchange volume;
-        // an AllGather can be eliminated entirely (`asSlice` + `dead`)
-        // and a send can shrink by the group size once slicing
-        // applies, so both keep nothing.
-        let durable_entry =
-            |kind: CollKind, elems: u64, dtype, f: WireFormat| -> Option<DurableFloor> {
-                match kind {
-                    CollKind::AllGather => None,
-                    CollKind::AllReduce => {
-                        let rs_format = CostModel::fused_wire_format(f);
-                        let mut dense = [WireBytes::default(); N_ALGOS];
-                        for algo in CollAlgo::ALL {
-                            dense[algo.index()] =
-                                wire(algo, CollKind::ReduceScatter, elems, dtype, rs_format);
-                        }
-                        // The sparse alternative, when the switchover
-                        // keeps it active for this size.
-                        let resolved = CostModel::effective_wire_format(
-                            f,
-                            CollKind::AllReduce,
-                            elems,
-                            dtype,
-                            geom,
-                        );
-                        let sparse_bytes = match resolved {
-                            WireFormat::TopK { .. } => {
-                                Some(coconet_compress::sparse_all_reduce_wire_bytes(
-                                    elems,
-                                    geom.size as u64,
-                                    resolved.k_for(elems),
-                                ) as f64)
-                            }
-                            _ => None,
-                        };
-                        Some(DurableFloor {
-                            dense,
-                            sparse_bytes,
-                        })
-                    }
-                    k => {
-                        let mut dense = [WireBytes::default(); N_ALGOS];
-                        for algo in CollAlgo::ALL {
-                            dense[algo.index()] = wire(algo, k, elems, dtype, f);
-                        }
-                        Some(DurableFloor {
-                            dense,
-                            sparse_bytes: None,
-                        })
-                    }
+        // only its ReduceScatter half — which `executed_as` puts on
+        // the dense wire under a top-k configuration (there is no
+        // sparse ReduceScatter) — or, staying a plain AllReduce, the
+        // sparse exchange volume when that is what runs; an AllGather
+        // can be eliminated entirely (`asSlice` + `dead`) and a send
+        // can shrink by the group size once slicing applies, so both
+        // keep nothing.
+        let durable_entry = |site: &CollSite| -> Option<DurableFloor> {
+            match site.kind {
+                CollKind::AllGather => None,
+                CollKind::AllReduce => {
+                    let rs_half = CollSite {
+                        kind: CollKind::ReduceScatter,
+                        ..*site
+                    };
+                    let run = CommConfig::default().with_format(format).executed_as(site);
+                    Some(DurableFloor {
+                        dense: per_algo(&rs_half),
+                        sparse_bytes: run.is_sparse().then(|| wire(CollAlgo::Ring, site).edge),
+                    })
                 }
-            };
+                _ => Some(DurableFloor {
+                    dense: per_algo(site),
+                    sparse_bytes: None,
+                }),
+            }
+        };
+        let fused_site = |f: &FusedCollectiveStep| {
+            geom.site(CollKind::AllReduce, ReduceOp::Sum, f.elems, f.dtype)
+                .fused()
+        };
+        let add_plain = |profile: &mut FloorProfile, site: CollSite| {
+            profile.fixed_s += launch;
+            for (acc, w) in profile.wire.iter_mut().zip(per_algo(&site)) {
+                acc.accumulate(w);
+            }
+            profile.durable.extend(durable_entry(&site));
+        };
         let mut profile = FloorProfile {
             format,
             fixed_s: 0.0,
@@ -444,35 +425,9 @@ impl Simulator {
         for step in &plan.steps {
             match step {
                 Step::Collective(c) => {
-                    profile.fixed_s += launch;
-                    let f = CostModel::step_wire_format(format, c.op);
-                    for algo in CollAlgo::ALL {
-                        let i = algo.index();
-                        profile.wire[i].accumulate(wire(algo, c.kind, c.elems, c.dtype, f));
-                    }
-                    profile
-                        .durable
-                        .extend(durable_entry(c.kind, c.elems, c.dtype, f));
+                    add_plain(&mut profile, geom.site(c.kind, c.op, c.elems, c.dtype));
                 }
-                Step::FusedCollective(f) => {
-                    profile.fixed_s += launch;
-                    for algo in CollAlgo::ALL {
-                        let i = algo.index();
-                        profile.wire[i].accumulate(wire(
-                            algo,
-                            CollKind::AllReduce,
-                            f.elems,
-                            f.dtype,
-                            fused_fmt,
-                        ));
-                    }
-                    profile.durable.extend(durable_entry(
-                        CollKind::AllReduce,
-                        f.elems,
-                        f.dtype,
-                        fused_fmt,
-                    ));
-                }
+                Step::FusedCollective(f) => add_plain(&mut profile, fused_site(f)),
                 // The pipeline can hide everything but its largest
                 // communication stage (launch amortization inside the
                 // pipeline is the overlap engine's business, so no
@@ -483,23 +438,17 @@ impl Simulator {
                 Step::Overlapped(ol) => {
                     let mut stage_max = [WireBytes::default(); N_ALGOS];
                     for st in &ol.stages {
-                        let (kind, elems, dtype, f) = match st {
-                            OverlapStage::Collective(c) => (
-                                c.kind,
-                                c.elems,
-                                c.dtype,
-                                CostModel::step_wire_format(format, c.op),
-                            ),
-                            OverlapStage::FusedCollective(f) => {
-                                (CollKind::AllReduce, f.elems, f.dtype, fused_fmt)
+                        let site = match st {
+                            OverlapStage::Collective(c) => {
+                                geom.site(c.kind, c.op, c.elems, c.dtype)
                             }
+                            OverlapStage::FusedCollective(f) => fused_site(f),
                             OverlapStage::MatMul(_) | OverlapStage::SendRecv(_) => continue,
                         };
-                        for algo in CollAlgo::ALL {
-                            let i = algo.index();
-                            stage_max[i] = stage_max[i].max(wire(algo, kind, elems, dtype, f));
+                        for (acc, w) in stage_max.iter_mut().zip(per_algo(&site)) {
+                            *acc = acc.max(w);
                         }
-                        profile.durable.extend(durable_entry(kind, elems, dtype, f));
+                        profile.durable.extend(durable_entry(&site));
                     }
                     profile.overlap_wire.push(stage_max);
                 }

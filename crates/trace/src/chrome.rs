@@ -9,7 +9,8 @@
 //! Metadata events name every process and thread. The document is a
 //! single `{"traceEvents": [...]}` object, the strictest of the
 //! format's accepted containers — and the one the in-repo JSON parser
-//! (and CI's `trace_check`) validates.
+//! and `coconet-bench`'s `chrome_trace_check` (the `overlap_trace`
+//! row's `malformed_chrome_exports` check) validate.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
