@@ -429,7 +429,9 @@ pub fn table2(opt: Optimizer) -> (f64, f64) {
 pub struct Tab3Row {
     /// Schedule label.
     pub schedule: String,
-    /// Generated CUDA lines.
+    /// Schedule-dependent generated CUDA lines: protocol, transport and
+    /// GEMM primitives are `#include`d by the generated code, not
+    /// counted.
     pub generated_cuda: usize,
     /// DSL program + schedule lines.
     pub program_loc: usize,
@@ -437,7 +439,6 @@ pub struct Tab3Row {
 
 /// Table 3a: the Adam/LAMB schedules.
 pub fn table3a(opt: Optimizer) -> Vec<Tab3Row> {
-    let binding = Binding::new(DP_RANKS).bind("N", 1 << 26);
     [
         OptimizerSchedule::ArOpt,
         OptimizerSchedule::RsOptAg,
@@ -448,7 +449,7 @@ pub fn table3a(opt: Optimizer) -> Vec<Tab3Row> {
         let (p, log) =
             optimizers::apply_optimizer_schedule(opt, coconet_models::Hyper::default(), s)
                 .expect("fixed schedule");
-        let code = coconet_core::generate_cuda(&p, &binding).expect("generates");
+        let code = coconet_core::generate_cuda(&p).expect("generates");
         Tab3Row {
             schedule: s.label(opt),
             generated_cuda: code.total_loc(),
@@ -460,11 +461,6 @@ pub fn table3a(opt: Optimizer) -> Vec<Tab3Row> {
 
 /// Table 3b: the model-parallel schedules.
 pub fn table3b() -> Vec<Tab3Row> {
-    let binding = Binding::new(16)
-        .bind("B", 8)
-        .bind("S", 1024)
-        .bind("H", 3072)
-        .bind("H4", 4 * 3072);
     [
         BlockSchedule::MmArC,
         BlockSchedule::MmRsCAg,
@@ -473,7 +469,7 @@ pub fn table3b() -> Vec<Tab3Row> {
     .into_iter()
     .map(|s| {
         let (p, log, _) = apply_block_schedule(Block::SelfAttention, s).expect("fixed schedule");
-        let code = coconet_core::generate_cuda(&p, &binding).expect("generates");
+        let code = coconet_core::generate_cuda(&p).expect("generates");
         Tab3Row {
             schedule: s.label().to_string(),
             generated_cuda: code.total_loc(),
@@ -485,11 +481,6 @@ pub fn table3b() -> Vec<Tab3Row> {
 
 /// Table 3c: the pipeline-parallel schedules.
 pub fn table3c() -> Vec<Tab3Row> {
-    let binding = Binding::new(16)
-        .with_groups(16)
-        .bind("B", 2)
-        .bind("S", 2048)
-        .bind("H", 12288);
     [
         PipelineSchedule::ArCP2pAg,
         PipelineSchedule::RsCP2pAg,
@@ -498,7 +489,7 @@ pub fn table3c() -> Vec<Tab3Row> {
     .into_iter()
     .map(|s| {
         let (p, log, _) = apply_pipeline_schedule(s).expect("fixed schedule");
-        let code = coconet_core::generate_cuda(&p, &binding).expect("generates");
+        let code = coconet_core::generate_cuda(&p).expect("generates");
         Tab3Row {
             schedule: s.label().to_string(),
             generated_cuda: code.total_loc(),
@@ -954,11 +945,26 @@ mod tests {
 
     #[test]
     fn table3_fused_generates_most_code() {
-        let rows = table3a(Optimizer::Adam);
-        assert!(rows[2].generated_cuda > rows[0].generated_cuda);
-        assert!(rows[2].generated_cuda > rows[1].generated_cuda);
-        let rows = table3b();
-        assert!(rows[2].generated_cuda > 1000, "overlap is ~2k lines");
+        // Per family the most transformed schedule (fused, then
+        // overlapped) generates the most code.
+        for rows in [
+            table3a(Optimizer::Adam),
+            table3a(Optimizer::Lamb),
+            table3b(),
+            table3c(),
+        ] {
+            let last = &rows[2];
+            for r in &rows[..2] {
+                assert!(
+                    last.generated_cuda > r.generated_cuda,
+                    "{} ({}) !> {} ({})",
+                    last.schedule,
+                    last.generated_cuda,
+                    r.schedule,
+                    r.generated_cuda
+                );
+            }
+        }
         for r in table3c() {
             assert!(r.program_loc < 60, "{}: {}", r.schedule, r.program_loc);
         }

@@ -1,741 +1,128 @@
-//! Emission of overlapped MatMul + collective implementations (§5.3).
+//! Emission of overlap groups (§5.3): the pipeline file every stage's
+//! kernel is printed into.
 //!
-//! This is the code the paper says takes "~2k lines of CUDA" to write
-//! by hand (§1): a CUTLASS-based GEMM whose epilogue publishes 2-D
-//! chunks in ring order through spin-locks, chunked collective kernels
-//! for every NCCL protocol that wake as chunks arrive, and the host
-//! orchestration that launches each kernel exactly once on its own
-//! stream.
+//! A stage is an ordinary unit — the GEMM, a (fused) ring collective,
+//! a (fused) send — emitted by the ordinary unit emitter with a
+//! [`Gate`]: its kernel walks buffer tiles, spin-waits on the flags
+//! the previous stage posts and posts its own. This module prints what
+//! only an overlap group has: the configuration struct, the spin-lock,
+//! the 2-D chunk iterators, the GEMM epilogue that publishes 2-D chunks in
+//! ring order, and the host orchestration that launches each stage
+//! exactly once on its own stream.
 
 use std::fmt::Write as _;
 
-use crate::{CoreError, OpKind, OverlapGroup, Program, VarId};
+use crate::lower::{label_of, Unit, UnitKind};
+use crate::{CoreError, OpKind, Program, VarId};
 
-/// GEMM tile configurations CUTLASS instantiates; the autotuner picks
-/// among them ("to provide opportunities to tune the 2-D tile sizes of
-/// the MatMul kernel", §5.3).
-const TILE_CONFIGS: [(usize, usize, usize); 4] =
-    [(256, 128, 32), (128, 128, 32), (128, 64, 32), (64, 64, 32)];
+use super::{cuda_type, emit_unit, UnitCode};
 
-/// Emits the overlapped implementation for one overlap group. Returns
-/// the file and the host call that invokes the orchestration.
+/// The chunk gate an overlap group puts on a stage's kernel (§5.3).
+pub(crate) struct Gate {
+    /// Overlap group index: names `OverlapConfig_{og}`.
+    pub(crate) og: usize,
+    /// Position in the pipeline; stage 0 has no producer to wait for.
+    pub(crate) stage: usize,
+    /// Whether tiles are 2-D chunks of a GEMM output (a MatMul is one
+    /// of the stages) rather than 1-D ranges.
+    pub(crate) two_d: bool,
+}
+
+impl Gate {
+    /// Opens the per-tile loop of a gated kernel — waiting, past stage
+    /// 0, until the producer publishes the tile — and returns the
+    /// indentation of its body.
+    pub(crate) fn open(&self, src: &mut String) -> &'static str {
+        let _ = writeln!(
+            src,
+            "  for (int tile = 0; tile < args.cfg.ntiles; ++tile) {{"
+        );
+        if self.stage > 0 {
+            let _ = writeln!(
+                src,
+                "    // Wake as soon as the producer publishes this tile (T=2..6 in Fig. 9)."
+            );
+            let _ = writeln!(src, "    spin_wait(&args.cfg.chunkReady[tile], 1);");
+        }
+        "    "
+    }
+
+    /// Posts the tile to the next stage and closes the loop.
+    pub(crate) fn close(&self, src: &mut String) {
+        let _ = writeln!(
+            src,
+            "    spin_post(&args.cfg.chunkDone[tile]); // let the next stage advance"
+        );
+        let _ = writeln!(src, "  }}");
+    }
+}
+
+/// Emits the pipeline file of one overlap group: every stage unit
+/// through [`emit_unit`] with its gate, then the orchestration that
+/// launches them.
 pub(crate) fn emit_overlapped(
     p: &Program,
-    group: &OverlapGroup,
-    idx: usize,
-) -> Result<((String, String), String), CoreError> {
-    let mut src = String::new();
-    let has_matmul = group
-        .members
+    units: &[Unit],
+    stages: &[usize],
+    og: usize,
+) -> Result<UnitCode, CoreError> {
+    let two_d = stages.iter().any(|&u| {
+        units[u].kind == UnitKind::Single
+            && matches!(p.op(units[u].members[0]), Ok(OpKind::MatMul(..)))
+    });
+    let labels: Vec<String> = stages
         .iter()
-        .any(|&m| matches!(p.op(m), Ok(OpKind::MatMul(..))));
-    let comm_stages: Vec<VarId> = group
-        .members
-        .iter()
-        .filter(|&&m| p.op(m).map(|o| o.is_communication()).unwrap_or(false))
-        .copied()
+        .map(|&u| label_of(p, &units[u].members))
         .collect();
-
-    emit_header(&mut src, p, group, idx);
-    emit_device_library(&mut src);
-    emit_protocol_primitives(&mut src);
+    let mut src = String::new();
+    emit_header(&mut src, &labels, og, two_d);
     emit_spinlock(&mut src);
-    emit_chunk_iterators(&mut src, has_matmul);
-    emit_transport_setup(&mut src, idx);
-    emit_support_functions(&mut src, idx, has_matmul);
-    if has_matmul {
-        emit_gemm_fragments(&mut src, idx);
-        emit_cutlass_gemm(&mut src, idx);
-        emit_tile_scheduler(&mut src, idx);
-        emit_gemm_host_wrappers(&mut src, idx);
+    if two_d {
+        emit_chunk_iterators(&mut src);
     }
-    for (s, &stage) in comm_stages.iter().enumerate() {
-        let stage_name = p.node(stage)?.name().to_string();
-        let kind = p.op(stage)?.mnemonic();
-        let is_p2p = matches!(p.op(stage)?, OpKind::Send(..));
-        let transports: &[&str] = if is_p2p {
-            &["IbVerbs", "GpuDirect"]
-        } else {
-            &["NvLink"]
-        };
-        for transport in transports {
-            for proto in ["LL", "LL128", "Simple"] {
-                emit_chunked_comm_kernel(
-                    &mut src,
-                    idx,
-                    s,
-                    &stage_name,
-                    &kind,
-                    proto,
-                    transport,
-                    has_matmul,
-                );
-            }
+    let mut launches = Vec::new();
+    for (stage, (&u, label)) in stages.iter().zip(&labels).enumerate() {
+        let gate = Gate { og, stage, two_d };
+        let UnitCode { kernel, calls } = emit_unit(p, &units[u], u, Some(&gate))?;
+        let _ = writeln!(src, "// ---- stage {stage}: {label}");
+        if let Some((_, body)) = kernel {
+            src.push_str(&body);
         }
-        emit_stage_dispatch(&mut src, idx, s, &stage_name, transports);
+        launches.push(calls);
     }
-    if has_matmul {
-        // The paper's 2-D AllReduce needs 1-D fallbacks for remainder
-        // chunks whose rows do not tile evenly.
-        emit_remainder_kernels(&mut src, idx);
-    }
-    emit_proxy_engine(&mut src, idx, &comm_stages, p)?;
-    emit_host_orchestration(&mut src, p, group, idx, has_matmul, &comm_stages)?;
-
-    let call = format!("launchOverlapped_{idx}(ctx, args); // one launch per stage (§5.3)");
-    Ok(((format!("overlapped_{idx}.cu"), src), call))
+    emit_host_orchestration(&mut src, og, &launches);
+    let call = format!("launchOverlapped_{og}(ctx, args); // one launch per stage (§5.3)");
+    Ok(UnitCode {
+        kernel: Some((format!("overlapped_{og}"), src)),
+        calls: vec![call],
+    })
 }
 
-fn emit_header(src: &mut String, p: &Program, group: &OverlapGroup, idx: usize) {
-    let names: Vec<String> = group
-        .members
-        .iter()
-        .filter_map(|&m| p.node(m).ok().map(|n| n.name().to_string()))
-        .collect();
-    let _ = writeln!(src, "// Overlapped pipeline {idx}: {}.", names.join(" -> "));
+fn emit_header(src: &mut String, labels: &[String], og: usize, two_d: bool) {
+    let _ = writeln!(src, "// Overlapped pipeline {og}: {}.", labels.join(" -> "));
     let _ = writeln!(
         src,
-        "// Generated by CoCoNet (§5.3): each stage kernel is launched"
+        "// Buffer tiles stream between the stage kernels through spin-locks (§5.3)."
     );
-    let _ = writeln!(
-        src,
-        "// once; buffer tiles stream through spin-lock synchronization."
-    );
-    let _ = writeln!(src, "#include <cutlass/gemm/device/gemm.h>");
+    if two_d {
+        let _ = writeln!(src, "#include <cutlass/gemm/device/gemm.h>");
+    }
     let _ = writeln!(src, "#include \"nccl_device_glue.cuh\"");
     let _ = writeln!(src, "namespace coconet {{");
-    let _ = writeln!(src, "struct OverlapConfig_{idx} {{");
-    let _ = writeln!(src, "  int nranks;");
-    let _ = writeln!(src, "  int rank;");
-    let _ = writeln!(src, "  int nchannels;");
-    let _ = writeln!(src, "  int protocol;");
-    let _ = writeln!(src, "  size_t chunkRows;");
-    let _ = writeln!(src, "  size_t chunkCols;");
-    let _ = writeln!(src, "  size_t tilesPerChunk;");
-    let _ = writeln!(src, "  volatile int* chunkReady; // spin-lock buffer");
-    let _ = writeln!(src, "  volatile int* chunkDone;");
-    let _ = writeln!(src, "}};");
-}
-
-/// The device-side support library every overlapped file carries:
-/// pack conversions for each (element type, pack type) pair, warp and
-/// block reductions, and ring-position arithmetic.
-fn emit_device_library(src: &mut String) {
-    let _ = writeln!(
-        src,
-        "// ---- device support library -------------------------------------"
-    );
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ size_t divUp(size_t a, size_t b) {{ return (a + b - 1) / b; }}"
-    );
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ int tid() {{ return threadIdx.x; }}"
-    );
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ int nthreads() {{ return blockDim.x; }}"
-    );
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ int laneId() {{ return threadIdx.x & 31; }}"
-    );
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ int warpId() {{ return threadIdx.x >> 5; }}"
-    );
-    // Conversions for each element type.
-    for (ty, to_f, from_f) in [
-        ("half", "__half2float(v)", "__float2half_rn(v)"),
-        ("float", "v", "v"),
-    ] {
-        let _ = writeln!(
-            src,
-            "__device__ __forceinline__ float toFloat({ty} v) {{ return {to_f}; }}"
-        );
-        let _ = writeln!(
-            src,
-            "__device__ __forceinline__ {ty} fromFloat_{ty}(float v) {{ return {from_f}; }}"
-        );
-    }
-    // Pack reduce/convert for the three protocol pack types.
-    for (pack, elts16, elts32) in [("uint64_t", 4, 2), ("ulong2", 8, 4), ("uint4", 8, 4)] {
-        for (ty, elts) in [("half", elts16), ("float", elts32)] {
-            let _ = writeln!(src, "template <>");
-            let _ = writeln!(
-                src,
-                "__device__ __forceinline__ {pack} reducePack<{ty}, {pack}>({pack} a, {pack} b) {{"
-            );
-            let _ = writeln!(src, "  {ty}* ea = reinterpret_cast<{ty}*>(&a);");
-            let _ = writeln!(src, "  {ty}* eb = reinterpret_cast<{ty}*>(&b);");
-            let _ = writeln!(src, "  #pragma unroll");
-            let _ = writeln!(src, "  for (int e = 0; e < {elts}; ++e) {{");
-            let _ = writeln!(
-                src,
-                "    ea[e] = fromFloat_{ty}(toFloat(ea[e]) + toFloat(eb[e]));"
-            );
-            let _ = writeln!(src, "  }}");
-            let _ = writeln!(src, "  return a;");
-            let _ = writeln!(src, "}}");
-        }
-    }
-    // Warp/block reductions.
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ float warpReduceSum(float v) {{"
-    );
-    let _ = writeln!(src, "  #pragma unroll");
-    let _ = writeln!(src, "  for (int d = 16; d > 0; d >>= 1) {{");
-    let _ = writeln!(src, "    v += __shfl_down_sync(0xffffffff, v, d);");
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "  return v;");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(src, "__device__ float blockReduceSum(float v) {{");
-    let _ = writeln!(src, "  __shared__ float partials[32];");
-    let _ = writeln!(src, "  v = warpReduceSum(v);");
-    let _ = writeln!(src, "  if (laneId() == 0) partials[warpId()] = v;");
-    let _ = writeln!(src, "  __syncthreads();");
-    let _ = writeln!(
-        src,
-        "  v = (tid() < (nthreads() >> 5)) ? partials[laneId()] : 0.0f;"
-    );
-    let _ = writeln!(src, "  if (warpId() == 0) v = warpReduceSum(v);");
-    let _ = writeln!(src, "  return v;");
-    let _ = writeln!(src, "}}");
-    // Ring-position arithmetic: rank r sends chunk (r - step) mod k in
-    // the ReduceScatter phase, (r + 1 - step) mod k while gathering.
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ int ringChunk(int ringPos, int step, int nranks) {{"
-    );
-    let _ = writeln!(src, "  if (step < nranks - 1) {{");
-    let _ = writeln!(
-        src,
-        "    return (ringPos - step % nranks + nranks) % nranks; // reduce-scatter phase"
-    );
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(
-        src,
-        "  return (ringPos + 1 - (step - (nranks - 1)) + 2 * nranks) % nranks; // all-gather phase"
-    );
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ int ringSteps(CollKind kind, int nranks) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  return kind == kAllReduce ? 2 * (nranks - 1) : (nranks - 1);"
-    );
-    let _ = writeln!(src, "}}");
-}
-
-/// The protocol load/store primitives (§5.1/§5.2): LL interleaves a
-/// 4-byte flag with every 4 bytes of data; LL128 stages 128-byte lines
-/// through shared memory with a flag per line; Simple uses full-rate
-/// vectorized accesses guarded by memory fences.
-fn emit_protocol_primitives(src: &mut String) {
-    let _ = writeln!(
-        src,
-        "// ---- protocol primitives ----------------------------------------"
-    );
-    // LL: 8-byte packs (data lo, flag lo, data hi, flag hi).
-    let _ = writeln!(
-        src,
-        "union LLPack {{ uint64_t v; struct {{ uint32_t dataLo; uint32_t flagLo; }} parts; }};"
-    );
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ uint64_t readLL(void* buff, size_t idx, uint32_t flag) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  uint64_t* src64 = reinterpret_cast<uint64_t*>(buff) + 2 * idx;"
-    );
-    let _ = writeln!(src, "  uint32_t dataLo, flagLo, dataHi, flagHi;");
-    let _ = writeln!(src, "  do {{");
-    let _ = writeln!(
-        src,
-        "    asm volatile(\"ld.volatile.global.v4.u32 {{%0,%1,%2,%3}}, [%4];\""
-    );
-    let _ = writeln!(
-        src,
-        "                 : \"=r\"(dataLo), \"=r\"(flagLo), \"=r\"(dataHi), \"=r\"(flagHi)"
-    );
-    let _ = writeln!(src, "                 : \"l\"(src64));");
-    let _ = writeln!(
-        src,
-        "  }} while (flagLo != flag || flagHi != flag); // spin until the pack lands"
-    );
-    let _ = writeln!(src, "  return ((uint64_t)dataHi << 32) | dataLo;");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(src, "__device__ __forceinline__ void writeLL(void* buff, size_t idx, uint64_t v, uint32_t flag) {{");
-    let _ = writeln!(
-        src,
-        "  uint64_t* dst64 = reinterpret_cast<uint64_t*>(buff) + 2 * idx;"
-    );
-    let _ = writeln!(
-        src,
-        "  asm volatile(\"st.volatile.global.v4.u32 [%0], {{%1,%2,%3,%4}};\""
-    );
-    let _ = writeln!(
-        src,
-        "               :: \"l\"(dst64), \"r\"((uint32_t)v), \"r\"(flag),"
-    );
-    let _ = writeln!(
-        src,
-        "                  \"r\"((uint32_t)(v >> 32)), \"r\"(flag));"
-    );
-    let _ = writeln!(src, "}}");
-    // LL128: 128-byte lines, one flag word per line, staged in shmem.
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ ulong2 readLL128(void* buff, size_t idx, void* shmem) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  ulong2* line = reinterpret_cast<ulong2*>(buff) + idx;"
-    );
-    let _ = writeln!(src, "  ulong2 v;");
-    let _ = writeln!(src, "  do {{");
-    let _ = writeln!(
-        src,
-        "    asm volatile(\"ld.volatile.global.v2.u64 {{%0,%1}}, [%2];\""
-    );
-    let _ = writeln!(
-        src,
-        "                 : \"=l\"(v.x), \"=l\"(v.y) : \"l\"(line));"
-    );
-    let _ = writeln!(src, "  }} while (v.y == LL128_FLAG_PENDING);");
-    let _ = writeln!(
-        src,
-        "  // Shuffle the flag word out through shared memory (warp-cooperative)."
-    );
-    let _ = writeln!(src, "  reinterpret_cast<ulong2*>(shmem)[laneId()] = v;");
-    let _ = writeln!(src, "  __syncwarp();");
-    let _ = writeln!(src, "  return reinterpret_cast<ulong2*>(shmem)[laneId()];");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(src, "__device__ __forceinline__ void writeLL128(void* buff, size_t idx, ulong2 v, void* shmem) {{");
-    let _ = writeln!(src, "  reinterpret_cast<ulong2*>(shmem)[laneId()] = v;");
-    let _ = writeln!(src, "  __syncwarp();");
-    let _ = writeln!(
-        src,
-        "  ulong2 staged = reinterpret_cast<ulong2*>(shmem)[laneId()];"
-    );
-    let _ = writeln!(
-        src,
-        "  asm volatile(\"st.volatile.global.v2.u64 [%0], {{%1,%2}};\""
-    );
-    let _ = writeln!(src, "               :: \"l\"(reinterpret_cast<ulong2*>(buff) + idx), \"l\"(staged.x), \"l\"(staged.y));");
-    let _ = writeln!(src, "}}");
-    // Simple: vectorized full-rate loads/stores with fences per chunk.
-    let _ = writeln!(src, "template <typename PackT>");
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ PackT loadGlobal(void* buff, size_t idx) {{"
-    );
-    let _ = writeln!(src, "  return reinterpret_cast<PackT*>(buff)[idx];");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(src, "template <typename PackT>");
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ void storeGlobal(void* buff, size_t idx, PackT v) {{"
-    );
-    let _ = writeln!(src, "  reinterpret_cast<PackT*>(buff)[idx] = v;");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(src, "template <typename PackT>");
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ PackT loadLocal(const void* buff, size_t idx) {{"
-    );
-    let _ = writeln!(src, "  return reinterpret_cast<const PackT*>(buff)[idx];");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ void waitPeer(CommHandle* h, int step) {{"
-    );
-    let _ = writeln!(src, "  if (threadIdx.x == 0) {{");
-    let _ = writeln!(
-        src,
-        "    while (*h->peerTail < h->opCount * MAX_STEPS + step) {{ }}"
-    );
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "  __syncthreads();");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ void postPeer(CommHandle* h, int step) {{"
-    );
-    let _ = writeln!(src, "  __threadfence_system();");
-    let _ = writeln!(src, "  if (threadIdx.x == 0) {{");
-    let _ = writeln!(
-        src,
-        "    *h->localHead = h->opCount * MAX_STEPS + step + 1;"
-    );
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ void ringBarrier(CommHandle* h) {{"
-    );
-    let _ = writeln!(src, "  __syncthreads();");
-    let _ = writeln!(src, "  if (threadIdx.x == 0) {{");
-    let _ = writeln!(src, "    int arrived = atomicAdd(h->barrierCount, 1) + 1;");
-    let _ = writeln!(src, "    if (arrived == h->nranks) *h->barrierEpoch += 1;");
-    let _ = writeln!(src, "    int epoch = *h->barrierEpoch;");
-    let _ = writeln!(
-        src,
-        "    while (*h->barrierEpoch == epoch && arrived != h->nranks) {{ }}"
-    );
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "  __syncthreads();");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "__device__ void scalarRingAllReduce(CommHandle* h, volatile float* slot) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  // Tree reduction over the already-open ring connections."
-    );
-    let _ = writeln!(src, "  for (int d = 1; d < h->nranks; d <<= 1) {{");
-    let _ = writeln!(
-        src,
-        "    if (threadIdx.x == 0 && (h->rank & (2 * d - 1)) == 0) {{"
-    );
-    let _ = writeln!(src, "      *slot += peerScratch(h, h->rank + d);");
-    let _ = writeln!(src, "    }}");
-    let _ = writeln!(src, "    ringBarrier(h);");
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "}}");
-}
-
-/// Host-side transport construction: NVLink peer mappings, GPUDirect
-/// registration, and IB queue pairs (NCCL's transport layer, §5.1).
-fn emit_transport_setup(src: &mut String, idx: usize) {
-    let _ = writeln!(
-        src,
-        "// ---- transport setup --------------------------------------------"
-    );
-    let _ = writeln!(src, "struct CommHandle {{");
-    let _ = writeln!(src, "  int rank, nranks, ringPos;");
-    let _ = writeln!(src, "  uint32_t flag;");
-    let _ = writeln!(src, "  uint64_t opCount;");
-    let _ = writeln!(src, "  void* recvBuff;");
-    let _ = writeln!(src, "  void* sendBuff;");
-    let _ = writeln!(src, "  void* peerMap;      // NVLink-mapped peer buffer");
-    let _ = writeln!(src, "  void* gdrWindow;    // GPUDirect RDMA window");
-    let _ = writeln!(src, "  void* proxyBounce;  // host proxy bounce buffer");
-    let _ = writeln!(src, "  void* shmem;");
-    let _ = writeln!(src, "  volatile uint64_t* peerTail;");
-    let _ = writeln!(src, "  volatile uint64_t* localHead;");
-    let _ = writeln!(src, "  int* barrierCount;");
-    let _ = writeln!(src, "  volatile int* barrierEpoch;");
-    let _ = writeln!(src, "  volatile int* peerBarrier;");
-    let _ = writeln!(src, "  float* scratch;");
-    let _ = writeln!(src, "  int llChunkSize, ll128ChunkSize, simpleChunkSize;");
-    let _ = writeln!(src, "}};");
-    let _ = writeln!(
-        src,
-        "static CommHandle* setupTransports_{idx}(CoconetContext* ctx) {{"
-    );
-    let _ = writeln!(src, "  CommHandle* handles;");
-    let _ = writeln!(
-        src,
-        "  CUDACHECK(cudaMallocHost(&handles, sizeof(CommHandle) * ctx->channels));"
-    );
-    let _ = writeln!(src, "  for (int c = 0; c < ctx->channels; ++c) {{");
-    let _ = writeln!(src, "    CommHandle& h = handles[c];");
-    let _ = writeln!(
-        src,
-        "    h.rank = ctx->rank; h.nranks = ctx->nranks; h.ringPos = ringPosition(ctx, c);"
-    );
-    let _ = writeln!(
-        src,
-        "    CUDACHECK(cudaMalloc(&h.recvBuff, ctx->buffBytes));"
-    );
-    let _ = writeln!(
-        src,
-        "    CUDACHECK(cudaMalloc(&h.sendBuff, ctx->buffBytes));"
-    );
-    let _ = writeln!(src, "    if (sameNode(ctx, nextRank(ctx, c))) {{");
-    let _ = writeln!(
-        src,
-        "      // NVLink: exchange IPC handles and map the peer's buffer."
-    );
-    let _ = writeln!(src, "      cudaIpcMemHandle_t ipc;");
-    let _ = writeln!(
-        src,
-        "      CUDACHECK(cudaIpcGetMemHandle(&ipc, h.sendBuff));"
-    );
-    let _ = writeln!(src, "      exchangeIpcHandle(ctx, c, &ipc);");
-    let _ = writeln!(
-        src,
-        "      CUDACHECK(cudaIpcOpenMemHandle(&h.peerMap, ipc, cudaIpcMemLazyEnablePeerAccess));"
-    );
-    let _ = writeln!(src, "    }} else {{");
-    let _ = writeln!(
-        src,
-        "      // InfiniBand: create a QP per channel bound to NIC c % nNics."
-    );
-    let _ = writeln!(src, "      struct ibv_qp_init_attr qpa = {{}};");
-    let _ = writeln!(src, "      qpa.send_cq = ctx->cq[c % ctx->nNics];");
-    let _ = writeln!(src, "      qpa.recv_cq = ctx->cq[c % ctx->nNics];");
-    let _ = writeln!(src, "      qpa.qp_type = IBV_QPT_RC;");
-    let _ = writeln!(src, "      ctx->qp[c] = ibv_create_qp(ctx->pd, &qpa);");
-    let _ = writeln!(src, "      if (gdrSupported(ctx)) {{");
-    let _ = writeln!(
-        src,
-        "        // GPUDirect: register device memory with the HCA."
-    );
-    let _ = writeln!(
-        src,
-        "        ctx->mr[c] = ibv_reg_mr(ctx->pd, h.sendBuff, ctx->buffBytes,"
-    );
-    let _ = writeln!(
-        src,
-        "                                IBV_ACCESS_LOCAL_WRITE | IBV_ACCESS_REMOTE_WRITE);"
-    );
-    let _ = writeln!(src, "        h.gdrWindow = h.sendBuff;");
-    let _ = writeln!(src, "      }} else {{");
-    let _ = writeln!(
-        src,
-        "        CUDACHECK(cudaMallocHost(&h.proxyBounce, ctx->buffBytes));"
-    );
-    let _ = writeln!(
-        src,
-        "        ctx->mr[c] = ibv_reg_mr(ctx->pd, h.proxyBounce, ctx->buffBytes,"
-    );
-    let _ = writeln!(
-        src,
-        "                                IBV_ACCESS_LOCAL_WRITE | IBV_ACCESS_REMOTE_WRITE);"
-    );
-    let _ = writeln!(src, "      }}");
-    let _ = writeln!(src, "      exchangeQpInfo(ctx, c);");
-    let _ = writeln!(src, "    }}");
-    let _ = writeln!(
-        src,
-        "    CUDACHECK(cudaMalloc((void**)&h.scratch, 64 * sizeof(float)));"
-    );
-    let _ = writeln!(
-        src,
-        "    CUDACHECK(cudaMemset((void*)h.scratch, 0, 64 * sizeof(float)));"
-    );
-    let _ = writeln!(
-        src,
-        "    h.llChunkSize = ctx->buffBytes / (2 * ctx->nranks * 8);"
-    );
-    let _ = writeln!(
-        src,
-        "    h.ll128ChunkSize = ctx->buffBytes * 120 / (128 * ctx->nranks * 16);"
-    );
-    let _ = writeln!(
-        src,
-        "    h.simpleChunkSize = ctx->buffBytes / (ctx->nranks * 16);"
-    );
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "  return handles;");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "static void teardownTransports_{idx}(CoconetContext* ctx, CommHandle* handles) {{"
-    );
-    let _ = writeln!(src, "  for (int c = 0; c < ctx->channels; ++c) {{");
-    let _ = writeln!(
-        src,
-        "    if (handles[c].peerMap) CUDACHECK(cudaIpcCloseMemHandle(handles[c].peerMap));"
-    );
-    let _ = writeln!(
-        src,
-        "    if (ctx->mr[c]) IBCHECK(ibv_dereg_mr(ctx->mr[c]));"
-    );
-    let _ = writeln!(
-        src,
-        "    if (ctx->qp[c]) IBCHECK(ibv_destroy_qp(ctx->qp[c]));"
-    );
-    let _ = writeln!(src, "    CUDACHECK(cudaFree(handles[c].recvBuff));");
-    let _ = writeln!(src, "    CUDACHECK(cudaFree(handles[c].sendBuff));");
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "  CUDACHECK(cudaFreeHost(handles));");
-    let _ = writeln!(src, "}}");
-}
-
-/// Definitions for the helpers the kernels and host code reference:
-/// argument structs, rank/ring arithmetic on the host, bootstrap
-/// exchange, and the fallback path for degenerate tilings.
-fn emit_support_functions(src: &mut String, idx: usize, has_matmul: bool) {
-    let _ = writeln!(
-        src,
-        "// ---- support functions ------------------------------------------"
-    );
-    let _ = writeln!(src, "struct StageArgs_{idx} {{");
-    let _ = writeln!(src, "  void* comm;");
-    let _ = writeln!(src, "  const void* input;");
-    let _ = writeln!(src, "  void* output;");
-    let _ = writeln!(src, "  CollKind kind;");
-    let _ = writeln!(src, "  int transport;");
+    let _ = writeln!(src, "struct OverlapConfig_{og} {{");
     let _ = writeln!(src, "  int ntiles;");
-    let _ = writeln!(src, "  size_t count;");
-    let _ = writeln!(src, "  size_t remainderCount;");
-    let _ = writeln!(src, "  size_t m, n, ld;");
-    let _ = writeln!(src, "  int chunksPerRow;");
-    let _ = writeln!(src, "  size_t tileBytes;");
-    let _ = writeln!(src, "  struct ibv_qp* qp;");
-    let _ = writeln!(
-        src,
-        "  void* tileBuff(int t) const {{ return (char*)output + t * tileBytes; }}"
-    );
-    let _ = writeln!(src, "}};");
-    let _ = writeln!(
-        src,
-        "static inline int divUpHost(int a, int b) {{ return (a + b - 1) / b; }}"
-    );
-    let _ = writeln!(src, "static inline int smCount() {{");
-    let _ = writeln!(src, "  int dev, sms;");
-    let _ = writeln!(src, "  CUDACHECK(cudaGetDevice(&dev));");
-    let _ = writeln!(
-        src,
-        "  CUDACHECK(cudaDeviceGetAttribute(&sms, cudaDevAttrMultiProcessorCount, dev));"
-    );
-    let _ = writeln!(src, "  return sms;");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "static inline int ringPosition(CoconetContext* ctx, int channel) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  // Channel c rotates the ring so channels spread over the NICs."
-    );
-    let _ = writeln!(src, "  return (ctx->rank + channel) % ctx->nranks;");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "static inline int nextRank(CoconetContext* ctx, int channel) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  return (ringPosition(ctx, channel) + 1) % ctx->nranks;"
-    );
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "static inline bool sameNode(CoconetContext* ctx, int peer) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  return peer / ctx->gpusPerNode == ctx->rank / ctx->gpusPerNode;"
-    );
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "static inline size_t flagBytes(const OverlapConfig_{idx}& cfg) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  return sizeof(int) * (cfg.chunkRows * cfg.chunkCols + 1);"
-    );
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "static void exchangeIpcHandle(CoconetContext* ctx, int channel, cudaIpcMemHandle_t* h) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  // Bootstrap over the existing MPI communicator (§5.5: reuse"
-    );
-    let _ = writeln!(src, "  // torch.distributed's NCCL initialization).");
-    let _ = writeln!(
-        src,
-        "  MPICHECK(MPI_Sendrecv_replace(h, sizeof(*h), MPI_BYTE,"
-    );
-    let _ = writeln!(
-        src,
-        "      nextRank(ctx, channel), 0, prevRank(ctx, channel), 0,"
-    );
-    let _ = writeln!(src, "      ctx->mpiComm, MPI_STATUS_IGNORE));");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "static void exchangeQpInfo(CoconetContext* ctx, int channel) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  QpInfo info{{ctx->qp[channel]->qp_num, ctx->lid, ctx->mr[channel]->rkey}};"
-    );
-    let _ = writeln!(
-        src,
-        "  MPICHECK(MPI_Sendrecv_replace(&info, sizeof(info), MPI_BYTE,"
-    );
-    let _ = writeln!(
-        src,
-        "      nextRank(ctx, channel), 1, prevRank(ctx, channel), 1,"
-    );
-    let _ = writeln!(src, "      ctx->mpiComm, MPI_STATUS_IGNORE));");
-    let _ = writeln!(src, "  connectQp(ctx->qp[channel], info);");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ float peerScratch(CommHandle* h, int peer) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  return reinterpret_cast<float*>(h->peerMap)[peer & 63];"
-    );
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ void signalProxy(CommHandle* h, int tile, int step) {{"
-    );
-    let _ = writeln!(src, "  if (threadIdx.x == 0) {{");
-    let _ = writeln!(src, "    __threadfence_system();");
-    let _ = writeln!(
-        src,
-        "    *h->localHead = ((uint64_t)tile << 32) | (uint32_t)step;"
-    );
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "}}");
-    if has_matmul {
-        let _ = writeln!(src, "__device__ __forceinline__ int tileToChunk(int tileRow, int tileCol, size_t tilesPerChunkM, size_t tilesPerChunkN) {{");
-        let _ = writeln!(
-            src,
-            "  return (int)((tileRow / tilesPerChunkM) * gridDim.y + tileCol / tilesPerChunkN);"
-        );
-        let _ = writeln!(src, "}}");
-        let _ = writeln!(
-            src,
-            "static void runGemmFallback(TensorArgs* args, cudaStream_t s) {{"
-        );
-        let _ = writeln!(
-            src,
-            "  // Degenerate tiling: fall back to cuBLAS + unoverlapped NCCL."
-        );
-        let _ = writeln!(src, "  CUBLASCHECK(cublasSetStream(args->cublas, s));");
-        let _ = writeln!(
-            src,
-            "  CUBLASCHECK(cublasGemmEx(args->cublas, CUBLAS_OP_N, CUBLAS_OP_N,"
-        );
-        let _ = writeln!(
-            src,
-            "      args->n, args->m, args->k, &args->alpha, args->b, CUDA_R_16F, args->ldb,"
-        );
-        let _ = writeln!(
-            src,
-            "      args->a, CUDA_R_16F, args->lda, &args->beta, args->c, CUDA_R_16F, args->ldc,"
-        );
-        let _ = writeln!(src, "      CUDA_R_32F, CUBLAS_GEMM_DEFAULT_TENSOR_OP));");
-        let _ = writeln!(src, "}}");
+    if two_d {
+        let _ = writeln!(src, "  size_t chunkRows, chunkCols, tilesPerChunk;");
     }
     let _ = writeln!(
         src,
-        "static inline int prevRank(CoconetContext* ctx, int channel) {{"
+        "  volatile int* chunkReady; // spin-lock buffer the producer stage posts"
     );
     let _ = writeln!(
         src,
-        "  return (ringPosition(ctx, channel) + ctx->nranks - 1) % ctx->nranks;"
+        "  volatile int* chunkDone;  // spin-lock buffer this stage posts"
     );
-    let _ = writeln!(src, "}}");
+    let _ = writeln!(src, "}};");
 }
 
 fn emit_spinlock(src: &mut String) {
@@ -767,714 +154,132 @@ fn emit_spinlock(src: &mut String) {
     let _ = writeln!(src, "}}");
 }
 
-fn emit_chunk_iterators(src: &mut String, two_d: bool) {
+/// 2-D chunk iterators: NCCL communicates 1-D ranges (`chunkAt` in the
+/// glue header); an AllReduce overlapped with a GEMM works on 2-D
+/// chunks of its output so the GEMM tile sizes stay tunable (§5.3).
+fn emit_chunk_iterators(src: &mut String) {
     let _ = writeln!(
         src,
-        "// Chunk iterators: NCCL communicates 1-D ranges; the overlapped"
+        "// 2-D chunk iterators: the collective walks chunks of the GEMM output,"
     );
+    let _ = writeln!(src, "// so GEMM tile sizes stay tunable (§5.3).");
     let _ = writeln!(
         src,
-        "// AllReduce works on 2-D chunks so GEMM tile sizes stay tunable (§5.3)."
+        "struct Chunk2D {{ size_t row; size_t col; size_t rows; size_t cols; size_t ld; }};"
     );
-    let _ = writeln!(src, "struct Chunk1D {{ size_t off; size_t len; }};");
-    let _ = writeln!(
-        src,
-        "__device__ Chunk1D chunkAt(size_t total, int chunk, int nchunks) {{"
-    );
-    let _ = writeln!(src, "  size_t per = divUp(total, (size_t)nchunks);");
-    let _ = writeln!(src, "  size_t off = (size_t)chunk * per;");
-    let _ = writeln!(src, "  return Chunk1D{{ off, min(per, total - off) }};");
+    let _ = writeln!(src, "static __device__ Chunk2D chunk2DAt(size_t m, size_t n, size_t ld, int chunk, int chunksPerRow) {{");
+    let _ = writeln!(src, "  size_t cr = chunk / chunksPerRow;");
+    let _ = writeln!(src, "  size_t cc = chunk % chunksPerRow;");
+    let _ = writeln!(src, "  Chunk2D c;");
+    let _ = writeln!(src, "  c.row = cr * CHUNK_ROWS; c.col = cc * CHUNK_COLS;");
+    let _ = writeln!(src, "  c.rows = min((size_t)CHUNK_ROWS, m - c.row);");
+    let _ = writeln!(src, "  c.cols = min((size_t)CHUNK_COLS, n - c.col);");
+    let _ = writeln!(src, "  c.ld = ld;");
+    let _ = writeln!(src, "  return c;");
     let _ = writeln!(src, "}}");
-    if two_d {
-        let _ = writeln!(
-            src,
-            "struct Chunk2D {{ size_t row; size_t col; size_t rows; size_t cols; size_t ld; }};"
-        );
-        let _ = writeln!(src, "__device__ Chunk2D chunk2DAt(size_t m, size_t n, size_t ld, int chunk, int chunksPerRow) {{");
-        let _ = writeln!(src, "  size_t cr = chunk / chunksPerRow;");
-        let _ = writeln!(src, "  size_t cc = chunk % chunksPerRow;");
-        let _ = writeln!(src, "  Chunk2D c;");
-        let _ = writeln!(src, "  c.row = cr * CHUNK_ROWS; c.col = cc * CHUNK_COLS;");
-        let _ = writeln!(src, "  c.rows = min((size_t)CHUNK_ROWS, m - c.row);");
-        let _ = writeln!(src, "  c.cols = min((size_t)CHUNK_COLS, n - c.col);");
-        let _ = writeln!(src, "  c.ld = ld;");
-        let _ = writeln!(src, "  return c;");
-        let _ = writeln!(src, "}}");
-        let _ = writeln!(
-            src,
-            "__device__ __forceinline__ size_t chunk2DIndex(const Chunk2D& c, size_t i) {{"
-        );
-        let _ = writeln!(
-            src,
-            "  return (c.row + i / c.cols) * c.ld + c.col + (i % c.cols);"
-        );
-        let _ = writeln!(src, "}}");
-    }
-}
-
-/// Shared-memory fragment iterators used by every GEMM instantiation
-/// (the CUTLASS warp/thread-level tiling machinery).
-fn emit_gemm_fragments(src: &mut String, idx: usize) {
     let _ = writeln!(
         src,
-        "// ---- GEMM fragment machinery ------------------------------------"
-    );
-    let _ = writeln!(src, "struct FragA {{ half regs[8]; }};");
-    let _ = writeln!(src, "struct FragB {{ half regs[8]; }};");
-    let _ = writeln!(src, "struct AccumFrag {{ float regs[64]; }};");
-    for (frag, stride) in [("A", "Shape::kK"), ("B", "Shape::kN")] {
-        let _ = writeln!(src, "template <typename Shape>");
-        let _ = writeln!(
-            src,
-            "__device__ __forceinline__ Frag{frag} loadFrag{frag}_{idx}(const half* smem, int kk) {{"
-        );
-        let _ = writeln!(src, "  Frag{frag} f;");
-        let _ = writeln!(src, "  int lane = laneId();");
-        let _ = writeln!(src, "  #pragma unroll");
-        let _ = writeln!(src, "  for (int e = 0; e < 8; ++e) {{");
-        let _ = writeln!(
-            src,
-            "    f.regs[e] = smem[(kk + (e >> 2)) * {stride} + ((lane << 2) | (e & 3))];"
-        );
-        let _ = writeln!(src, "  }}");
-        let _ = writeln!(src, "  return f;");
-        let _ = writeln!(src, "}}");
-    }
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ void mma_sync_{idx}(AccumFrag& d, FragA a, FragB b) {{"
-    );
-    let _ = writeln!(src, "  // 8x8x4 HMMA tensor-core op per quad-pair (Sm70).");
-    let _ = writeln!(src, "  #pragma unroll");
-    let _ = writeln!(src, "  for (int m = 0; m < 2; ++m) {{");
-    let _ = writeln!(src, "    #pragma unroll");
-    let _ = writeln!(src, "    for (int n = 0; n < 2; ++n) {{");
-    let _ = writeln!(
-        src,
-        "      asm volatile(\"mma.sync.aligned.m8n8k4.row.row.f32.f16.f16.f32 \""
+        "static __device__ __forceinline__ size_t chunk2DIndex(const Chunk2D& c, size_t i) {{"
     );
     let _ = writeln!(
         src,
-        "                   \"{{%0,%1,%2,%3,%4,%5,%6,%7}}, {{%8,%9}}, {{%10,%11}}, \""
+        "  return (c.row + i / c.cols) * c.ld + c.col + (i % c.cols);"
     );
-    let _ = writeln!(src, "                   \"{{%0,%1,%2,%3,%4,%5,%6,%7}};\"");
-    let _ = writeln!(
-        src,
-        "                   : \"+f\"(d.regs[m*16+n*8+0]), \"+f\"(d.regs[m*16+n*8+1]),"
-    );
-    let _ = writeln!(
-        src,
-        "                     \"+f\"(d.regs[m*16+n*8+2]), \"+f\"(d.regs[m*16+n*8+3]),"
-    );
-    let _ = writeln!(
-        src,
-        "                     \"+f\"(d.regs[m*16+n*8+4]), \"+f\"(d.regs[m*16+n*8+5]),"
-    );
-    let _ = writeln!(
-        src,
-        "                     \"+f\"(d.regs[m*16+n*8+6]), \"+f\"(d.regs[m*16+n*8+7])"
-    );
-    let _ = writeln!(
-        src,
-        "                   : \"r\"(pack(a.regs, m)), \"r\"(pack(a.regs, m + 2)),"
-    );
-    let _ = writeln!(
-        src,
-        "                     \"r\"(pack(b.regs, n)), \"r\"(pack(b.regs, n + 2)));"
-    );
-    let _ = writeln!(src, "    }}");
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "}}");
-    // Global->shared tile copy with cp.async-style double buffering.
-    let _ = writeln!(src, "template <typename Shape>");
-    let _ = writeln!(
-        src,
-        "__device__ void copyTileGlobalToShared_{idx}(const half* g, int ld, half* smem) {{"
-    );
-    let _ = writeln!(src, "  #pragma unroll");
-    let _ = writeln!(
-        src,
-        "  for (int i = tid() * 8; i < Shape::kM * Shape::kK; i += nthreads() * 8) {{"
-    );
-    let _ = writeln!(src, "    int row = i / Shape::kK, col = i % Shape::kK;");
-    let _ = writeln!(src, "    *reinterpret_cast<uint4*>(&smem[i]) =");
-    let _ = writeln!(
-        src,
-        "        *reinterpret_cast<const uint4*>(&g[row * ld + col]);"
-    );
-    let _ = writeln!(src, "  }}");
     let _ = writeln!(src, "}}");
 }
 
-/// The CUTLASS-style GEMM whose epilogue publishes chunks in the ring
-/// consumption order of the local rank. One complete kernel per tile
-/// configuration — "to provide opportunities to tune the 2-D tile
-/// sizes of the MatMul kernel" (§5.3).
-fn emit_cutlass_gemm(src: &mut String, idx: usize) {
+/// Emits the MatMul stage of an overlap group: the CUTLASS GEMM the
+/// file `#include`s, instantiated with an epilogue that counts tile
+/// completions per chunk and publishes each finished chunk, and the
+/// threadblock swizzle that walks tiles in the order the local rank's
+/// ring sends chunks (Figure 9).
+pub(crate) fn emit_gemm_stage(
+    p: &Program,
+    v: VarId,
+    (a, w): (VarId, VarId),
+    gate: &Gate,
+) -> Result<UnitCode, CoreError> {
+    let Gate { og, stage, .. } = *gate;
+    let ty = cuda_type(p, v)?;
+    let name = p.node(v)?.name();
+    let mut src = String::new();
     let _ = writeln!(
         src,
-        "// ---- chunk-ordered GEMM kernels ---------------------------------"
+        "// Chunk-ordered GEMM `{name}`: once CUTLASS's epilogue has stored a tile,"
     );
     let _ = writeln!(
         src,
-        "// The threadblock swizzle walks output tiles in the order rank r"
+        "// count tile completions per chunk and publish the chunk when all are in."
     );
-    let _ = writeln!(src, "// sends chunks (starting from chunk r, Figure 9).");
-    // Epilogue template: accumulate, store, count tile completions per
-    // chunk, publish when a chunk's tiles are all done.
-    let _ = writeln!(src, "template <int TileM, int TileN>");
-    let _ = writeln!(src, "struct ChunkOrderedEpilogue_{idx} {{");
-    let _ = writeln!(src, "  OverlapConfig_{idx}* cfg;");
+    let _ = writeln!(src, "template <typename Epilogue>");
+    let _ = writeln!(src, "struct ChunkOrderedEpilogue_{og} : Epilogue {{");
+    let _ = writeln!(src, "  OverlapConfig_{og} cfg;");
     let _ = writeln!(src, "  int* tileCounters;");
-    let _ = writeln!(src, "  half* C;");
-    let _ = writeln!(src, "  int ldc;");
+    let _ = writeln!(src, "  template <typename... Tile>");
     let _ = writeln!(
         src,
-        "  __device__ void store(AccumFrag const& acc, int tileRow, int tileCol) {{"
+        "  __device__ void operator()(int tileRow, int tileCol, Tile&&... tile) {{"
     );
-    let _ = writeln!(src, "    int lane = laneId();");
-    let _ = writeln!(src, "    #pragma unroll");
-    let _ = writeln!(src, "    for (int e = 0; e < 64; ++e) {{");
-    let _ = writeln!(
-        src,
-        "      int r = tileRow * TileM + (warpId() << 3) + (e >> 3);"
-    );
-    let _ = writeln!(
-        src,
-        "      int c = tileCol * TileN + (lane << 1) + (e & 7);"
-    );
-    let _ = writeln!(src, "      C[r * ldc + c] = fromFloat_half(acc.regs[e]);");
-    let _ = writeln!(src, "    }}");
+    let _ = writeln!(src, "    Epilogue::operator()(tile...);");
     let _ = writeln!(src, "    __threadfence();");
-    let _ = writeln!(src, "    int chunk = tileToChunk(tileRow, tileCol, cfg->chunkRows / TileM, cfg->chunkCols / TileN);");
+    let _ = writeln!(
+        src,
+        "    int chunk = tileToChunk(tileRow, tileCol, cfg.chunkRows, cfg.chunkCols);"
+    );
     let _ = writeln!(src, "    if (threadIdx.x == 0) {{");
     let _ = writeln!(
         src,
         "      int done = atomicAdd(&tileCounters[chunk], 1) + 1;"
     );
-    let _ = writeln!(src, "      if (done == (int)cfg->tilesPerChunk) {{");
+    let _ = writeln!(src, "      if (done == (int)cfg.tilesPerChunk) {{");
     let _ = writeln!(
         src,
-        "        spin_post(&cfg->chunkReady[chunk]); // wake the collective (T=2 in Fig. 9)"
+        "        spin_post(&cfg.chunkDone[chunk]); // wake the next stage (T=2 in Fig. 9)"
     );
     let _ = writeln!(src, "      }}");
     let _ = writeln!(src, "    }}");
     let _ = writeln!(src, "  }}");
     let _ = writeln!(src, "}};");
-
-    for (ti, (tm, tn, tk)) in TILE_CONFIGS.iter().enumerate() {
-        let _ = writeln!(
-            src,
-            "// GEMM instantiation {ti}: {tm}x{tn}x{tk} threadblock tile."
-        );
-        let _ = writeln!(src, "struct GemmShape_{idx}_{ti} {{");
-        let _ = writeln!(src, "  static constexpr int kM = {tm};");
-        let _ = writeln!(src, "  static constexpr int kN = {tn};");
-        let _ = writeln!(src, "  static constexpr int kK = {tk};");
-        let _ = writeln!(src, "}};");
-        let _ = writeln!(src, "__global__ __launch_bounds__(256, 2)");
-        let _ = writeln!(
-            src,
-            "void gemmChunkOrdered_{idx}_{ti}(GemmParams_{idx} p, OverlapConfig_{idx} cfg) {{"
-        );
-        let _ = writeln!(src, "  using Shape = GemmShape_{idx}_{ti};");
-        let _ = writeln!(src, "  __shared__ half smemA[2][Shape::kM * Shape::kK];");
-        let _ = writeln!(src, "  __shared__ half smemB[2][Shape::kK * Shape::kN];");
-        let _ = writeln!(src, "  RingOrderSwizzle_{idx} swz{{cfg.rank, cfg.nranks, (int)(cfg.chunkRows * cfg.chunkCols)}};");
-        let _ = writeln!(
-            src,
-            "  for (int blk = blockIdx.x; blk < p.tilesM * p.tilesN; blk += gridDim.x) {{"
-        );
-        let _ = writeln!(
-            src,
-            "    auto tile = swz.tileForBlock(blk, p.tilesM, p.tilesN);"
-        );
-        let _ = writeln!(src, "    AccumFrag acc = {{}};");
-        let _ = writeln!(src, "    // Prologue: stage the first K-block of A and B.");
-        let _ = writeln!(src, "    copyTileGlobalToShared_{idx}<Shape>(p.A + tile.row * Shape::kM * p.lda, p.lda, smemA[0]);");
-        let _ = writeln!(
-            src,
-            "    copyTileGlobalToShared_{idx}<Shape>(p.B + tile.col * Shape::kN, p.ldb, smemB[0]);"
-        );
-        let _ = writeln!(src, "    __syncthreads();");
-        let _ = writeln!(src, "    int write = 0, read = 1;");
-        let _ = writeln!(src, "    // Mainloop: software-pipelined over K-blocks.");
-        let _ = writeln!(src, "    for (int kb = 0; kb < p.k / Shape::kK; ++kb) {{");
-        let _ = writeln!(src, "      write ^= 1; read ^= 1;");
-        let _ = writeln!(src, "      if (kb + 1 < p.k / Shape::kK) {{");
-        let _ = writeln!(src, "        copyTileGlobalToShared_{idx}<Shape>(p.A + (kb + 1) * Shape::kK, p.lda, smemA[write]);");
-        let _ = writeln!(src, "        copyTileGlobalToShared_{idx}<Shape>(p.B + (kb + 1) * Shape::kK * p.ldb, p.ldb, smemB[write]);");
-        let _ = writeln!(src, "      }}");
-        let _ = writeln!(src, "      #pragma unroll");
-        let _ = writeln!(src, "      for (int kk = 0; kk < Shape::kK; kk += 4) {{");
-        let _ = writeln!(
-            src,
-            "        FragA fa = loadFragA_{idx}<Shape>(smemA[read], kk);"
-        );
-        let _ = writeln!(
-            src,
-            "        FragB fb = loadFragB_{idx}<Shape>(smemB[read], kk);"
-        );
-        let _ = writeln!(src, "        mma_sync_{idx}(acc, fa, fb);");
-        let _ = writeln!(src, "      }}");
-        let _ = writeln!(src, "      __syncthreads();");
-        let _ = writeln!(src, "    }}");
-        let _ = writeln!(src, "    // Epilogue: store and publish in chunk order.");
-        let _ = writeln!(src, "    ChunkOrderedEpilogue_{idx}<Shape::kM, Shape::kN> epi{{&cfg, p.tileCounters, p.C, p.ldc}};");
-        let _ = writeln!(src, "    epi.store(acc, tile.row, tile.col);");
-        let _ = writeln!(src, "  }}");
-        let _ = writeln!(src, "}}");
-    }
+    let _ = writeln!(
+        src,
+        "// Threadblock tiles stay template arguments so they can be tuned (§5.3);"
+    );
+    let _ = writeln!(
+        src,
+        "// the swizzle walks them in the order rank r's ring sends chunks (r, r-1, ...)."
+    );
+    let _ = writeln!(
+        src,
+        "using GemmChunkOrdered_{og} = cutlass::gemm::device::Gemm<"
+    );
+    let _ = writeln!(
+        src,
+        "    {ty}, cutlass::layout::RowMajor, {ty}, cutlass::layout::RowMajor, {ty}, cutlass::layout::RowMajor,"
+    );
+    let _ = writeln!(
+        src,
+        "    float, cutlass::arch::OpClassTensorOp, cutlass::arch::Sm70, GemmTile, WarpTile, InstructionTile,"
+    );
+    let _ = writeln!(
+        src,
+        "    ChunkOrderedEpilogue_{og}<cutlass::epilogue::thread::LinearCombination<{ty}, 8, float, float>>,"
+    );
+    let _ = writeln!(src, "    RingOrderSwizzle>;");
+    let call = format!(
+        "CUTLASSCHECK(GemmChunkOrdered_{og}()(gemmArguments(args, {}, {}, out_{name}, cfg), nullptr, ctx->streams[{stage}]));",
+        p.node(a)?.name(),
+        p.node(w)?.name()
+    );
+    Ok(UnitCode {
+        kernel: Some((format!("gemmChunkOrdered_{og}"), src)),
+        calls: vec![call],
+    })
 }
 
-/// The tile scheduler: rank r computes chunks in the order the ring
-/// sends them — r, r-1, ..., wrapping (Figure 9).
-fn emit_tile_scheduler(src: &mut String, idx: usize) {
-    let _ = writeln!(src, "struct RingOrderSwizzle_{idx} {{");
-    let _ = writeln!(src, "  int rank, nranks, chunksTotal;");
-    let _ = writeln!(
-        src,
-        "  __device__ int chunkForBlock(int block, int nblocks) const {{"
-    );
-    let _ = writeln!(
-        src,
-        "    // Rank r publishes chunk r first, then r-1, ... (ring send order)."
-    );
-    let _ = writeln!(src, "    int seq = block * chunksTotal / nblocks;");
-    let _ = writeln!(
-        src,
-        "    return (rank - seq % chunksTotal + chunksTotal) % chunksTotal;"
-    );
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "  struct Tile {{ int row; int col; }};");
-    let _ = writeln!(
-        src,
-        "  __device__ Tile tileForBlock(int block, int tilesM, int tilesN) const {{"
-    );
-    let _ = writeln!(
-        src,
-        "    int chunk = chunkForBlock(block, tilesM * tilesN);"
-    );
-    let _ = writeln!(
-        src,
-        "    int within = block % max(1, (tilesM * tilesN) / chunksTotal);"
-    );
-    let _ = writeln!(
-        src,
-        "    int tilesPerChunkRow = max(1, tilesN / chunksTotal);"
-    );
-    let _ = writeln!(
-        src,
-        "    return Tile{{ chunk * tilesPerChunkRow + within / tilesN,"
-    );
-    let _ = writeln!(src, "                  within % tilesN }};");
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "}};");
-}
-
-/// Host wrappers that configure and launch each GEMM instantiation
-/// (grid sizing, tile-counter allocation, occupancy checks).
-fn emit_gemm_host_wrappers(src: &mut String, idx: usize) {
-    let _ = writeln!(
-        src,
-        "// ---- GEMM host wrappers -----------------------------------------"
-    );
-    let _ = writeln!(src, "struct GemmParams_{idx} {{");
-    let _ = writeln!(src, "  const half* A; const half* B; half* C;");
-    let _ = writeln!(src, "  int lda, ldb, ldc;");
-    let _ = writeln!(src, "  int m, n, k;");
-    let _ = writeln!(src, "  int tilesM, tilesN;");
-    let _ = writeln!(src, "  int* tileCounters;");
-    let _ = writeln!(src, "}};");
-    for (ti, (tm, tn, tk)) in TILE_CONFIGS.iter().enumerate() {
-        let _ = writeln!(src, "static void runGemm_{idx}_{ti}(TensorArgs* args, OverlapConfig_{idx}& cfg, cudaStream_t s) {{");
-        let _ = writeln!(src, "  GemmParams_{idx} p;");
-        let _ = writeln!(src, "  p.A = args->a; p.B = args->b; p.C = args->c;");
-        let _ = writeln!(src, "  p.m = args->m; p.n = args->n; p.k = args->k;");
-        let _ = writeln!(src, "  p.lda = args->k; p.ldb = args->n; p.ldc = args->n;");
-        let _ = writeln!(src, "  p.tilesM = divUpHost(p.m, {tm});");
-        let _ = writeln!(src, "  p.tilesN = divUpHost(p.n, {tn});");
-        let _ = writeln!(
-            src,
-            "  if (p.k % {tk} != 0) {{ runGemmFallback(args, s); return; }}"
-        );
-        let _ = writeln!(src, "  CUDACHECK(cudaMalloc(&p.tileCounters, sizeof(int) * cfg.chunkRows * cfg.chunkCols));");
-        let _ = writeln!(src, "  CUDACHECK(cudaMemsetAsync(p.tileCounters, 0, sizeof(int) * cfg.chunkRows * cfg.chunkCols, s));");
-        let _ = writeln!(src, "  int grid = min(p.tilesM * p.tilesN, 2 * smCount());");
-        let _ = writeln!(
-            src,
-            "  gemmChunkOrdered_{idx}_{ti}<<<grid, 256, 0, s>>>(p, cfg);"
-        );
-        let _ = writeln!(src, "}}");
-    }
-}
-
-/// 1-D fallback kernels for remainder chunks whose rows do not tile
-/// evenly into the 2-D chunk shape.
-fn emit_remainder_kernels(src: &mut String, idx: usize) {
-    let _ = writeln!(
-        src,
-        "// ---- remainder handling -----------------------------------------"
-    );
-    for proto in ["LL", "LL128", "Simple"] {
-        let _ = writeln!(src, "template <typename T>");
-        let _ = writeln!(
-            src,
-            "__global__ void remainderChunk{proto}_{idx}(OverlapConfig_{idx} cfg, StageArgs_{idx} args) {{"
-        );
-        let _ = writeln!(src, "  CommHandle* h = commHandle(args.comm, blockIdx.x);");
-        let _ = writeln!(
-            src,
-            "  Chunk1D c = chunkAt(args.remainderCount, h->ringPos, cfg.nranks);"
-        );
-        let _ = writeln!(src, "  spin_wait(&cfg.chunkReady[args.ntiles], 1);");
-        let _ = writeln!(
-            src,
-            "  for (size_t i = tid(); i < c.len; i += nthreads()) {{"
-        );
-        match proto {
-            "LL" => {
-                let _ = writeln!(
-                    src,
-                    "    uint64_t v = readLL(h->recvBuff, c.off + i, h->flag);"
-                );
-                let _ = writeln!(src, "    writeLL(h->sendBuff, c.off + i, reducePack<T, uint64_t>(v, loadLocal<uint64_t>(args.input, c.off + i)), h->flag);");
-            }
-            "LL128" => {
-                let _ = writeln!(
-                    src,
-                    "    ulong2 v = readLL128(h->recvBuff, c.off + i, h->shmem);"
-                );
-                let _ = writeln!(src, "    writeLL128(h->sendBuff, c.off + i, reducePack<T, ulong2>(v, loadLocal<ulong2>(args.input, c.off + i)), h->shmem);");
-            }
-            _ => {
-                let _ = writeln!(
-                    src,
-                    "    uint4 v = loadGlobal<uint4>(h->recvBuff, c.off + i);"
-                );
-                let _ = writeln!(src, "    storeGlobal<uint4>(h->sendBuff, c.off + i, reducePack<T, uint4>(v, loadLocal<uint4>(args.input, c.off + i)));");
-            }
-        }
-        let _ = writeln!(src, "  }}");
-        let _ = writeln!(src, "  spin_post(&cfg.chunkDone[args.ntiles]);");
-        let _ = writeln!(src, "}}");
-    }
-}
-
-/// The host-side proxy engine: a progress thread per NIC posting
-/// InfiniBand work requests as chunks become ready (NCCL's net proxy,
-/// required because GPUs cannot drive the HCA directly).
-fn emit_proxy_engine(
-    src: &mut String,
-    idx: usize,
-    comm_stages: &[VarId],
-    p: &Program,
-) -> Result<(), CoreError> {
-    let _ = writeln!(
-        src,
-        "// ---- host proxy engine ------------------------------------------"
-    );
-    let _ = writeln!(src, "struct ProxyOp_{idx} {{");
-    let _ = writeln!(src, "  int stage;");
-    let _ = writeln!(src, "  int tile;");
-    let _ = writeln!(src, "  size_t bytes;");
-    let _ = writeln!(src, "  void* buff;");
-    let _ = writeln!(src, "  struct ibv_qp* qp;");
-    let _ = writeln!(src, "}};");
-    let _ = writeln!(src, "struct ProxyState_{idx} {{");
-    let _ = writeln!(src, "  std::deque<ProxyOp_{idx}> pending;");
-    let _ = writeln!(src, "  std::mutex lock;");
-    let _ = writeln!(src, "  std::atomic<bool> stop{{false}};");
-    let _ = writeln!(
-        src,
-        "  volatile int* chunkReady[{}];",
-        comm_stages.len().max(1)
-    );
-    let _ = writeln!(src, "}};");
-    let _ = writeln!(
-        src,
-        "static void proxyProgress_{idx}(ProxyState_{idx}* st) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  while (!st->stop.load(std::memory_order_acquire)) {{"
-    );
-    let _ = writeln!(src, "    std::unique_lock<std::mutex> g(st->lock);");
-    let _ = writeln!(
-        src,
-        "    if (st->pending.empty()) {{ g.unlock(); sched_yield(); continue; }}"
-    );
-    let _ = writeln!(src, "    ProxyOp_{idx} op = st->pending.front();");
-    let _ = writeln!(
-        src,
-        "    // Wait for the device side to publish the tile, then post the WR."
-    );
-    let _ = writeln!(src, "    if (op.tile >= 0 && st->chunkReady[op.stage][op.tile] == 0) {{ g.unlock(); continue; }}");
-    let _ = writeln!(src, "    st->pending.pop_front();");
-    let _ = writeln!(src, "    g.unlock();");
-    let _ = writeln!(
-        src,
-        "    struct ibv_sge sge{{(uintptr_t)op.buff, (uint32_t)op.bytes, 0}};"
-    );
-    let _ = writeln!(src, "    struct ibv_send_wr wr{{}}, *bad;");
-    let _ = writeln!(
-        src,
-        "    wr.sg_list = &sge; wr.num_sge = 1; wr.opcode = IBV_WR_RDMA_WRITE;"
-    );
-    let _ = writeln!(src, "    IBCHECK(ibv_post_send(op.qp, &wr, &bad));");
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "}}");
-    for (s, &stage) in comm_stages.iter().enumerate() {
-        let name = p.node(stage)?.name();
-        let _ = writeln!(
-            src,
-            "static void enqueueProxyOps_{idx}_{s}(ProxyState_{idx}* st, StageArgs_{idx}& args) {{"
-        );
-        let _ = writeln!(
-            src,
-            "  // `{name}`: one RDMA write per tile, in publish order."
-        );
-        let _ = writeln!(src, "  for (int t = 0; t < args.ntiles; ++t) {{");
-        let _ = writeln!(src, "    std::lock_guard<std::mutex> g(st->lock);");
-        let _ = writeln!(src, "    st->pending.push_back(ProxyOp_{idx}{{{s}, t, args.tileBytes, args.tileBuff(t), args.qp}});");
-        let _ = writeln!(src, "  }}");
-        let _ = writeln!(src, "}}");
-    }
-    Ok(())
-}
-
-/// A chunked collective kernel for one (protocol, transport) pair:
-/// identical ring logic to NCCL's, plus a spin-wait on the producer's
-/// chunk flags. Transports differ in how the peer buffer is reached
-/// (NVLink peer map, GPUDirect RDMA window, or a host proxy bounce
-/// buffer for plain IB verbs).
-#[allow(clippy::too_many_arguments)]
-fn emit_chunked_comm_kernel(
-    src: &mut String,
-    idx: usize,
-    stage: usize,
-    stage_name: &str,
-    kind: &str,
-    proto: &str,
-    transport: &str,
-    two_d: bool,
-) {
-    let pack = match proto {
-        "LL" => "uint64_t",
-        "LL128" => "ulong2",
-        _ => "uint4",
-    };
-    let _ = writeln!(
-        src,
-        "// Stage {stage} `{stage_name}` ({kind}) under protocol {proto}, transport {transport}."
-    );
-    let _ = writeln!(src, "template <typename T>");
-    let _ = writeln!(
-        src,
-        "__global__ void overlapStage{stage}_{proto}{transport}_{idx}(OverlapConfig_{idx} cfg, StageArgs_{idx} args) {{"
-    );
-    let _ = writeln!(src, "  using PackT = {pack};");
-    let _ = writeln!(src, "  CommHandle* h = commHandle(args.comm, blockIdx.x);");
-    match transport {
-        "IbVerbs" => {
-            let _ = writeln!(
-                src,
-                "  // IB verbs: stage into the proxy bounce buffer; the host"
-            );
-            let _ = writeln!(
-                src,
-                "  // progress thread posts the RDMA writes (see proxy engine)."
-            );
-            let _ = writeln!(
-                src,
-                "  PackT* peerBuff = reinterpret_cast<PackT*>(h->proxyBounce);"
-            );
-        }
-        "GpuDirect" => {
-            let _ = writeln!(
-                src,
-                "  // GPUDirect RDMA: the HCA maps device memory; write directly"
-            );
-            let _ = writeln!(src, "  // into the registered window (§5.1).");
-            let _ = writeln!(
-                src,
-                "  PackT* peerBuff = reinterpret_cast<PackT*>(h->gdrWindow);"
-            );
-        }
-        _ => {
-            let _ = writeln!(
-                src,
-                "  // NVLink: the peer's buffer is mapped into our address space."
-            );
-            let _ = writeln!(
-                src,
-                "  PackT* peerBuff = reinterpret_cast<PackT*>(h->peerMap);"
-            );
-        }
-    }
-    let _ = writeln!(src, "  const int nranks = cfg.nranks;");
-    let _ = writeln!(src, "  const int nchunks = nranks * cfg.nchannels;");
-    let _ = writeln!(src, "  for (int tile = 0; tile < args.ntiles; ++tile) {{");
-    let _ = writeln!(
-        src,
-        "    // Wait until the producer publishes this tile (T=2..6 in Fig. 9)."
-    );
-    let _ = writeln!(src, "    spin_wait(&cfg.chunkReady[tile], 1);");
-
-    // Emit the chunk-addressing prologue shared by both phases.
-    let chunk_addr = |src: &mut String| {
-        if two_d {
-            let _ = writeln!(
-                src,
-                "      Chunk2D c = chunk2DAt(args.m, args.n, args.ld, chunk, args.chunksPerRow);"
-            );
-            let _ = writeln!(
-                src,
-                "      for (size_t i = tid(); i < c.rows * c.cols; i += nthreads()) {{"
-            );
-            let _ = writeln!(src, "        size_t gi = chunk2DIndex(c, i);");
-        } else {
-            let _ = writeln!(
-                src,
-                "      Chunk1D c = chunkAt(args.count, chunk, nchunks);"
-            );
-            let _ = writeln!(
-                src,
-                "      for (size_t i = tid(); i < c.len; i += nthreads()) {{"
-            );
-            let _ = writeln!(src, "        size_t gi = c.off + i;");
-        }
-    };
-    let load = |src: &mut String| match proto {
-        "LL" => {
-            let _ = writeln!(src, "        PackT v = readLL(h->recvBuff, gi, h->flag);");
-        }
-        "LL128" => {
-            let _ = writeln!(
-                src,
-                "        PackT v = readLL128(h->recvBuff, gi, h->shmem);"
-            );
-        }
-        _ => {
-            let _ = writeln!(src, "        PackT v = loadGlobal<PackT>(h->recvBuff, gi);");
-        }
-    };
-    let store = |src: &mut String| match proto {
-        "LL" => {
-            let _ = writeln!(src, "        writeLL(peerBuff, gi, v, h->flag);");
-        }
-        "LL128" => {
-            let _ = writeln!(src, "        writeLL128(peerBuff, gi, v, h->shmem);");
-        }
-        _ => {
-            let _ = writeln!(src, "        storeGlobal<PackT>(peerBuff, gi, v);");
-        }
-    };
-    let step_epilogue = |src: &mut String| {
-        if proto == "Simple" {
-            let _ = writeln!(src, "      postPeer(h, step);");
-        }
-        if transport == "IbVerbs" {
-            let _ = writeln!(
-                src,
-                "      signalProxy(h, tile, step); // host thread posts the WR"
-            );
-        }
-    };
-
-    // Phase 1: reduce phase — combine the incoming pack with the local
-    // contribution before forwarding.
-    let _ = writeln!(
-        src,
-        "    // Phase 1: reduce (steps 0 .. k-2): combine and forward."
-    );
-    let _ = writeln!(src, "    for (int step = 0; step < nranks - 1; ++step) {{");
-    let _ = writeln!(
-        src,
-        "      int chunk = ringChunk(h->ringPos, step, nranks);"
-    );
-    chunk_addr(&mut *src);
-    load(&mut *src);
-    let _ = writeln!(
-        src,
-        "        v = reducePack<T, PackT>(v, loadLocal<PackT>(args.input, gi));"
-    );
-    store(&mut *src);
-    let _ = writeln!(src, "      }}");
-    step_epilogue(&mut *src);
-    let _ = writeln!(src, "    }}");
-    // Phase 2: gather phase — pure copy of already-reduced chunks, plus
-    // the final store into the output tensor.
-    let _ = writeln!(
-        src,
-        "    // Phase 2: gather (steps k-1 .. 2k-3): copy reduced chunks"
-    );
-    let _ = writeln!(src, "    // forward and commit them to the output buffer.");
-    let _ = writeln!(
-        src,
-        "    for (int step = nranks - 1; step < ringSteps(args.kind, nranks); ++step) {{"
-    );
-    let _ = writeln!(
-        src,
-        "      int chunk = ringChunk(h->ringPos, step, nranks);"
-    );
-    chunk_addr(&mut *src);
-    load(&mut *src);
-    store(&mut *src);
-    let _ = writeln!(src, "        storeGlobal<PackT>(args.output, gi, v);");
-    let _ = writeln!(src, "      }}");
-    step_epilogue(&mut *src);
-    let _ = writeln!(src, "    }}");
-    let _ = writeln!(
-        src,
-        "    spin_post(&cfg.chunkDone[tile]); // let the next stage advance"
-    );
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "}}");
-}
-
-fn emit_stage_dispatch(
-    src: &mut String,
-    idx: usize,
-    stage: usize,
-    stage_name: &str,
-    transports: &[&str],
-) {
-    let _ = writeln!(src, "void launchStage{stage}_{idx}(OverlapConfig_{idx}& cfg, StageArgs_{idx}& args, cudaStream_t s) {{");
-    let _ = writeln!(
-        src,
-        "  // `{stage_name}`: one launch; tiles stream through spin-locks."
-    );
-    for transport in transports {
-        if transports.len() > 1 {
-            let _ = writeln!(src, "  if (args.transport == Transport{transport}) {{");
-        }
-        let indent = if transports.len() > 1 { "  " } else { "" };
-        let _ = writeln!(src, "{indent}  switch (cfg.protocol) {{");
-        for proto in ["LL", "LL128", "Simple"] {
-            let _ = writeln!(src, "{indent}    case Proto{proto}:");
-            let _ = writeln!(
-                src,
-                "{indent}      overlapStage{stage}_{proto}{transport}_{idx}<half><<<cfg.nchannels, NCCL_NTHREADS, 0, s>>>(cfg, args);"
-            );
-            let _ = writeln!(src, "{indent}      break;");
-        }
-        let _ = writeln!(src, "{indent}  }}");
-        if transports.len() > 1 {
-            let _ = writeln!(src, "  }}");
-        }
-    }
-    let _ = writeln!(src, "}}");
-}
-
-fn emit_host_orchestration(
-    src: &mut String,
-    p: &Program,
-    _group: &OverlapGroup,
-    idx: usize,
-    has_matmul: bool,
-    comm_stages: &[VarId],
-) -> Result<(), CoreError> {
+/// Host orchestration: the spin-lock buffers are cleared up front
+/// (§5.5), then every stage launches exactly once on its own stream,
+/// its `chunkReady` wired to the previous stage's `chunkDone`.
+fn emit_host_orchestration(src: &mut String, og: usize, launches: &[Vec<String>]) {
     let _ = writeln!(
         src,
         "// Host orchestration: every stage launches exactly once on its own"
@@ -1485,46 +290,32 @@ fn emit_host_orchestration(
     );
     let _ = writeln!(
         src,
-        "void launchOverlapped_{idx}(CoconetContext* ctx, TensorArgs* args) {{"
+        "void launchOverlapped_{og}(CoconetContext* ctx, TensorArgs* args) {{"
     );
-    let _ = writeln!(src, "  OverlapConfig_{idx} cfg = makeConfig_{idx}(ctx);");
+    let _ = writeln!(src, "  OverlapConfig_{og} cfg = makeConfig_{og}(ctx);");
     let _ = writeln!(
         src,
-        "  CUDACHECK(cudaMemsetAsync((void*)cfg.chunkReady, 0, flagBytes(cfg), ctx->stream));"
+        "  volatile int* flags = stageFlags(ctx, /*stages=*/{}, cfg.ntiles);",
+        launches.len()
     );
     let _ = writeln!(
         src,
-        "  CUDACHECK(cudaMemsetAsync((void*)cfg.chunkDone, 0, flagBytes(cfg), ctx->stream));"
+        "  CUDACHECK(cudaMemsetAsync((void*)flags, 0, sizeof(int) * {} * cfg.ntiles, ctx->stream));",
+        launches.len()
     );
     let _ = writeln!(src, "  CUDACHECK(cudaStreamSynchronize(ctx->stream));");
-    if has_matmul {
-        let _ = writeln!(
-            src,
-            "  // Pick the GEMM tile config the autotuner selected."
-        );
-        let _ = writeln!(src, "  switch (ctx->gemmConfig) {{");
-        for (ti, (tm, tn, tk)) in TILE_CONFIGS.iter().enumerate() {
-            let _ = writeln!(src, "    case {ti}: // {tm}x{tn}x{tk}");
-            let _ = writeln!(
-                src,
-                "      runGemm_{idx}_{ti}(args, cfg, ctx->streams[0]); break;"
-            );
+    for (stage, calls) in launches.iter().enumerate() {
+        let ready = match stage {
+            0 => "nullptr".to_string(),
+            s => format!("flags + {} * cfg.ntiles", s - 1),
+        };
+        let _ = writeln!(src, "  cfg.chunkReady = {ready};");
+        let _ = writeln!(src, "  cfg.chunkDone = flags + {stage} * cfg.ntiles;");
+        for call in calls {
+            let _ = writeln!(src, "  {call}");
         }
-        let _ = writeln!(src, "  }}");
     }
-    for (s, &stage) in comm_stages.iter().enumerate() {
-        let name = p.node(stage)?.name();
-        let _ = writeln!(
-            src,
-            "  launchStage{s}_{idx}(cfg, makeStageArgs_{idx}(ctx, {s} /* {name} */), ctx->streams[{}]);",
-            s + 1
-        );
-    }
-    let _ = writeln!(
-        src,
-        "  for (int s = 0; s < {}; ++s) {{",
-        comm_stages.len() + 1
-    );
+    let _ = writeln!(src, "  for (int s = 0; s < {}; ++s) {{", launches.len());
     let _ = writeln!(
         src,
         "    CUDACHECK(cudaStreamSynchronize(ctx->streams[s]));"
@@ -1532,5 +323,4 @@ fn emit_host_orchestration(
     let _ = writeln!(src, "  }}");
     let _ = writeln!(src, "}}");
     let _ = writeln!(src, "}} // namespace coconet");
-    Ok(())
 }

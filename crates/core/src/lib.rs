@@ -22,7 +22,7 @@ pub use coconet_compress::WireFormat;
 pub use coconet_tensor::{Conv2dParams, DType, ReduceOp};
 
 pub use autotune::{structural_hash, Autotuner, Candidate, PlanEvaluator, TuneReport};
-pub use codegen::{braces_balanced, generate_cuda, GeneratedCode};
+pub use codegen::{generate_cuda, GeneratedCode};
 pub use dim::{Binding, Dim, SymShape};
 pub use error::CoreError;
 pub use graph::{FuseKind, FusionGroup, Node, OverlapGroup, Program};

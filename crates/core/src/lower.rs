@@ -6,6 +6,9 @@
 //! exactly how launch counts and memory round-trips differ between the
 //! paper's schedules (an unfused optimizer is a long sequence of
 //! kernel launches; `fuse(RS-Opt-AG)` is one).
+//!
+//! [`partition`] decides what the units are and when they run; `lower`
+//! prices them and [`crate::codegen`] prints them.
 
 use std::collections::{HashMap, HashSet};
 
@@ -15,34 +18,48 @@ use crate::{
     SliceDim, Step, VarId,
 };
 
+/// How a unit's members were grouped.
 #[derive(Clone, Debug, PartialEq, Eq)]
-enum UnitKind {
+pub(crate) enum UnitKind {
     Single,
     Fused(FuseKind),
 }
 
+/// One schedulable unit: a whole fusion group, or one operation no
+/// fusion group claims.
 #[derive(Clone, Debug)]
-struct Unit {
-    kind: UnitKind,
-    members: Vec<VarId>,
+pub(crate) struct Unit {
+    pub(crate) kind: UnitKind,
+    pub(crate) members: Vec<VarId>,
 }
 
-/// Lowers a validated program to an executable plan under a binding
-/// and communication configuration. The configuration's collective
-/// algorithm is stamped into every collective step it emits.
-///
-/// # Errors
-///
-/// Propagates validation/binding errors, and returns
-/// [`CoreError::InvalidTransform`] when an overlap group contains a
-/// stage that cannot be pipelined (plain pointwise kernels must be
-/// fused into a collective before overlapping).
-pub fn lower(p: &Program, binding: &Binding, config: CommConfig) -> Result<ExecPlan, CoreError> {
+/// One entry of the execution order, as indices into
+/// [`Partition::units`].
+pub(crate) enum Scheduled {
+    /// A unit that runs on its own.
+    Unit(usize),
+    /// The units of one overlap group, in pipeline order.
+    Overlap(Vec<usize>),
+}
+
+/// What a schedule makes of a program: its units and the order they
+/// execute in. `lower` prices it and `codegen` prints it, so the two
+/// cannot disagree on what a kernel is or when it launches.
+pub(crate) struct Partition {
+    /// Every fusion group (in declaration order), then every remaining
+    /// operation (in topological order).
+    pub(crate) units: Vec<Unit>,
+    /// Execution order, by each unit's first member in topological
+    /// order; an overlap group runs where its first unit would.
+    pub(crate) order: Vec<Scheduled>,
+}
+
+/// Validates `p` and partitions it into scheduled units.
+pub(crate) fn partition(p: &Program) -> Result<Partition, CoreError> {
     p.validate()?;
     let topo = p.topo_order();
     let position: HashMap<VarId, usize> = topo.iter().enumerate().map(|(i, &v)| (v, i)).collect();
 
-    // ---- build units -----------------------------------------------------
     let mut unit_of: HashMap<VarId, usize> = HashMap::new();
     let mut units: Vec<Unit> = Vec::new();
     for g in p.fusion_groups() {
@@ -74,16 +91,16 @@ pub fn lower(p: &Program, binding: &Binding, config: CommConfig) -> Result<ExecP
         unit_of.insert(v, idx);
     }
 
-    // Execution order: by first member position in topo order.
-    let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by_key(|&u| {
+    let first_position = |u: usize| {
         units[u]
             .members
             .iter()
             .map(|m| position[m])
             .min()
             .unwrap_or(usize::MAX)
-    });
+    };
+    let mut by_position: Vec<usize> = (0..units.len()).collect();
+    by_position.sort_by_key(|&u| first_position(u));
 
     // Overlap groups -> sets of unit indices.
     let mut overlap_units: Vec<Vec<usize>> = Vec::new();
@@ -97,32 +114,46 @@ pub fn lower(p: &Program, binding: &Binding, config: CommConfig) -> Result<ExecP
                 }
             }
         }
-        covered.sort_by_key(|&u| {
-            units[u]
-                .members
-                .iter()
-                .map(|m| position[m])
-                .min()
-                .unwrap_or(usize::MAX)
-        });
-        let idx = overlap_units.len();
+        covered.sort_by_key(|&u| first_position(u));
         for &u in &covered {
-            unit_overlap.insert(u, idx);
+            unit_overlap.insert(u, overlap_units.len());
         }
         overlap_units.push(covered);
     }
 
-    // ---- emit steps -------------------------------------------------------
+    let mut order: Vec<Scheduled> = Vec::new();
+    for u in by_position {
+        match unit_overlap.get(&u) {
+            // Already scheduled, where the group's first unit ran.
+            Some(&og) if overlap_units[og].is_empty() => {}
+            Some(&og) => order.push(Scheduled::Overlap(std::mem::take(&mut overlap_units[og]))),
+            None => order.push(Scheduled::Unit(u)),
+        }
+    }
+    Ok(Partition { units, order })
+}
+
+/// Lowers a validated program to an executable plan under a binding
+/// and communication configuration. The configuration's collective
+/// algorithm is stamped into every collective step it emits.
+///
+/// # Errors
+///
+/// Propagates validation/binding errors, and returns
+/// [`CoreError::InvalidTransform`] when an overlap group contains a
+/// stage that cannot be pipelined (plain pointwise kernels must be
+/// fused into a collective before overlapping).
+pub fn lower(p: &Program, binding: &Binding, config: CommConfig) -> Result<ExecPlan, CoreError> {
+    let Partition { units, order } = partition(p)?;
     let mut steps: Vec<Step> = Vec::new();
-    let mut emitted_overlaps: HashSet<usize> = HashSet::new();
-    for &u in &order {
-        if let Some(&og) = unit_overlap.get(&u) {
-            if emitted_overlaps.insert(og) {
+    for scheduled in &order {
+        match scheduled {
+            Scheduled::Unit(u) => steps.extend(lower_unit(p, binding, config.algo, &units[*u])?),
+            Scheduled::Overlap(stage_units) => {
                 let mut stages = Vec::new();
                 let mut labels = Vec::new();
-                for &cu in &overlap_units[og] {
-                    let sub = lower_unit(p, binding, config.algo, &units[cu])?;
-                    for s in sub {
+                for &u in stage_units {
+                    for s in lower_unit(p, binding, config.algo, &units[u])? {
                         labels.push(s.label().to_string());
                         stages.push(step_to_stage(s)?);
                     }
@@ -132,9 +163,7 @@ pub fn lower(p: &Program, binding: &Binding, config: CommConfig) -> Result<ExecP
                     stages,
                 }));
             }
-            continue;
         }
-        steps.extend(lower_unit(p, binding, config.algo, &units[u])?);
     }
 
     Ok(ExecPlan {
@@ -150,14 +179,18 @@ fn step_to_stage(step: Step) -> Result<OverlapStage, CoreError> {
         Step::Collective(s) => Ok(OverlapStage::Collective(s)),
         Step::FusedCollective(s) => Ok(OverlapStage::FusedCollective(s)),
         Step::SendRecv(s) => Ok(OverlapStage::SendRecv(s)),
-        other => Err(CoreError::InvalidTransform {
-            transform: "overlap".into(),
-            detail: format!(
-                "stage `{}` cannot be pipelined; fuse computations into a \
-                 collective before overlapping",
-                other.label()
-            ),
-        }),
+        other => Err(not_a_stage(other.label())),
+    }
+}
+
+/// The error for an overlap stage that has no chunked form.
+pub(crate) fn not_a_stage(label: &str) -> CoreError {
+    CoreError::InvalidTransform {
+        transform: "overlap".into(),
+        detail: format!(
+            "stage `{label}` cannot be pipelined; fuse computations into a \
+             collective before overlapping"
+        ),
     }
 }
 
@@ -260,6 +293,40 @@ fn compute_flops(
     Ok(flops)
 }
 
+/// The members that reduce a *sliced* tensor to a scalar: each rank
+/// holds a partial, so a scalar AllReduce follows the kernel.
+pub(crate) fn sliced_reductions(p: &Program, members: &[VarId]) -> Result<Vec<VarId>, CoreError> {
+    let mut reductions = Vec::new();
+    for &m in members {
+        if let OpKind::Norm(x) | OpKind::ReduceTensor(_, x) = p.op(m)? {
+            if p.ty(*x)?.layout.is_sliced() {
+                reductions.push(m);
+            }
+        }
+    }
+    Ok(reductions)
+}
+
+fn norm_all_reduces(
+    p: &Program,
+    members: &[VarId],
+    algo: CollAlgo,
+) -> Result<Vec<Step>, CoreError> {
+    let mut steps = Vec::new();
+    for m in sliced_reductions(p, members)? {
+        steps.push(Step::Collective(crate::CollectiveStep {
+            label: format!("norm-allreduce[{}]", p.node(m)?.name()),
+            kind: CollKind::AllReduce,
+            op: crate::ReduceOp::Sum,
+            algo,
+            elems: 1,
+            dtype: crate::DType::F32,
+            scattered: None,
+        }));
+    }
+    Ok(steps)
+}
+
 fn count_norms(p: &Program, members: &[VarId]) -> Result<usize, CoreError> {
     let mut n = 0;
     for &m in members {
@@ -270,7 +337,7 @@ fn count_norms(p: &Program, members: &[VarId]) -> Result<usize, CoreError> {
     Ok(n)
 }
 
-fn label_of(p: &Program, members: &[VarId]) -> String {
+pub(crate) fn label_of(p: &Program, members: &[VarId]) -> String {
     members
         .iter()
         .filter_map(|&m| p.node(m).ok())
@@ -304,22 +371,7 @@ fn lower_unit(
                 flops,
                 n_ops,
             })];
-            // Sliced norms need a scalar AllReduce between kernels.
-            for &m in &unit.members {
-                if let OpKind::Norm(x) | OpKind::ReduceTensor(_, x) = p.op(m)? {
-                    if p.ty(*x)?.layout.is_sliced() {
-                        steps.push(Step::Collective(crate::CollectiveStep {
-                            label: format!("norm-allreduce[{}]", p.node(m)?.name()),
-                            kind: CollKind::AllReduce,
-                            op: crate::ReduceOp::Sum,
-                            algo,
-                            elems: 1,
-                            dtype: crate::DType::F32,
-                            scattered: None,
-                        }));
-                    }
-                }
-            }
+            steps.extend(norm_all_reduces(p, &unit.members, algo)?);
             Ok(steps)
         }
         UnitKind::Fused(FuseKind::AllReduce) => {
@@ -494,19 +546,7 @@ fn lower_single(
                 flops,
                 n_ops: 1,
             })];
-            if let OpKind::Norm(x) | OpKind::ReduceTensor(_, x) = op {
-                if p.ty(x)?.layout.is_sliced() {
-                    steps.push(Step::Collective(crate::CollectiveStep {
-                        label: format!("norm-allreduce[{name}]"),
-                        kind: CollKind::AllReduce,
-                        op: crate::ReduceOp::Sum,
-                        algo,
-                        elems: 1,
-                        dtype: crate::DType::F32,
-                        scattered: None,
-                    }));
-                }
-            }
+            steps.extend(norm_all_reduces(p, &[v], algo)?);
             Ok(steps)
         }
         other => Err(CoreError::MalformedProgram(format!(

@@ -1,24 +1,24 @@
 //! Inspect the CUDA source CoCoNet generates for each schedule of the
-//! model-parallel self-attention block (§5): library glue for the
-//! baseline, a protocol-specialized FusedAllReduce for the fused
-//! schedule, and the ~1k-line chunk-ordered GEMM + spin-lock pipeline
-//! for the overlapped one.
+//! model-parallel self-attention block (§5): library glue and
+//! pointwise kernels for the unfused schedules, and for the overlapped
+//! one the pipeline file — a chunk-ordered CUTLASS GEMM epilogue and
+//! the protocol-specialized FusedAllReduce, with bias-add, dropout and
+//! residual fused in, gated on its spin-lock flags.
+//!
+//! The counts are schedule-dependent lines: protocol, transport and
+//! GEMM primitives are `#include`d (`nccl_device_glue.cuh`,
+//! `<cutlass/gemm/device/gemm.h>`), not re-emitted per file.
 //!
 //! Run with: `cargo run --example codegen_inspect [-- --dump]`
 
-use coconet::core::{generate_cuda, Binding};
+use coconet::core::generate_cuda;
 use coconet::models::model_parallel::{apply_block_schedule, Block, BlockSchedule};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dump = std::env::args().any(|a| a == "--dump");
-    let binding = Binding::new(16)
-        .bind("B", 8)
-        .bind("S", 1024)
-        .bind("H", 3072)
-        .bind("H4", 4 * 3072);
     for schedule in BlockSchedule::ALL {
         let (p, log, _) = apply_block_schedule(Block::SelfAttention, schedule)?;
-        let code = generate_cuda(&p, &binding)?;
+        let code = generate_cuda(&p)?;
         println!(
             "{:>24}: {:>5} generated CUDA lines in {} file(s), {} DSL lines (+{} schedule)",
             schedule.label(),
