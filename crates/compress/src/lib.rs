@@ -128,9 +128,8 @@ impl fmt::Display for WireFormat {
 }
 
 /// The analytic per-rank send volume of the *dense* ring AllReduce —
-/// `2·(p−1)/p · n · dtype_size` — duplicated from the runtime ledger
-/// (which sits above this crate) so the switchover rule can compare
-/// against it without a dependency cycle.
+/// `2·(p−1)/p · n · dtype_size` (exact when `p` divides `n`) — what the
+/// switchover rule compares against and the runtime ledger asserts.
 pub fn dense_ring_all_reduce_wire_bytes(n: u64, p: u64, dtype: DType) -> u64 {
     if p <= 1 {
         return 0;

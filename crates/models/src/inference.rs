@@ -16,14 +16,8 @@ use coconet_topology::MachineSpec;
 
 use crate::model_parallel::{apply_block_schedule, Block, BlockSchedule};
 use crate::pipeline::{apply_pipeline_schedule, PipelineSchedule};
+use crate::training::gemm_efficiency;
 use crate::ModelConfig;
-
-/// GEMM efficiency as a function of the activation row count
-/// (`batch * seq`): fewer rows leave tensor-core tiles idle.
-fn gemm_efficiency(rows: usize) -> f64 {
-    let r = rows as f64;
-    0.55 * r / (r + 2000.0)
-}
 
 /// Time of the transformer-layer GEMMs (everything except the modeled
 /// epilogues) for one layer on `mp` model-parallel ranks.

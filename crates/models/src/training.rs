@@ -10,8 +10,8 @@
 //! `fuse(RS-Opt-AG)` kernel.
 
 use coconet_core::{
-    CollAlgo, CollKind, CollSite, CommConfig, CommSched, DType, FusedCollectiveStep, KernelStep,
-    Protocol, ReduceOp, ScatterInfo, WireFormat,
+    CollAlgo, CollKind, CommConfig, CommSched, DType, FusedCollectiveStep, KernelStep, Protocol,
+    ReduceOp, ScatterInfo, WireFormat,
 };
 use coconet_sim::{GroupGeom, Simulator};
 
@@ -44,10 +44,10 @@ impl TrainingEstimate {
     }
 }
 
-/// GEMM efficiency as a function of micro batch: small batches
-/// underutilize tensor cores (the reason larger micro batches train
-/// faster at equal total work, §6.1.2).
-fn gemm_efficiency(rows: usize) -> f64 {
+/// GEMM efficiency as a function of the activation row count
+/// (`batch * seq`): small batches underutilize tensor cores (the reason
+/// larger micro batches train faster at equal total work, §6.1.2).
+pub(crate) fn gemm_efficiency(rows: usize) -> f64 {
     let r = rows as f64;
     0.55 * r / (r + 2000.0)
 }
@@ -222,15 +222,16 @@ pub struct DataParallelSpec {
     pub seed: u64,
     /// Wire format of the gradient AllReduce.
     pub format: WireFormat,
-    /// Communication schedule of the gradient exchange. `Barriered`
-    /// runs the classic blocking loop; `Priority` drives the loop
-    /// through the barrier-free
-    /// [`StreamExecutor`](coconet_runtime::StreamExecutor), whose
-    /// gradient jobs drain on the priority-scheduled fabric while the
-    /// next iteration's forward proceeds. Results are bit-identical;
-    /// an active top-k wire is not `streamable`
-    /// ([`CommConfig::executed_as`]) and keeps the blocking loop (its
-    /// sparse exchange carries the error-feedback residual).
+    /// Communication schedule of the gradient exchange, handed to the
+    /// one [`StreamExecutor`](coconet_runtime::StreamExecutor) loop:
+    /// `Barriered` drains and applies every gradient at each
+    /// iteration's end; under `Priority` the gradient jobs drain on the
+    /// priority-scheduled fabric while the next iteration's forward
+    /// proceeds. Results are bit-identical for every format (an active
+    /// top-k wire is not `streamable` —
+    /// [`CommConfig::executed_as`] — and runs its sparse exchange,
+    /// error-feedback residual included, at the enqueue point under
+    /// either schedule).
     pub sched: CommSched,
 }
 
@@ -276,18 +277,15 @@ impl DataParallelRun {
 /// `spec.ranks` real rank threads. Each rank holds its own shard of a
 /// common synthetic regression problem (`y = X·w* + noise`, all drawn
 /// from the deterministic counter RNG), computes its local gradient,
-/// and the gradient mean travels through
-/// [`all_reduce_wire_striped`](coconet_runtime::all_reduce_wire_striped) under
-/// `spec.format` — with a *persistent per-rank
+/// and the gradient mean travels through the one
+/// [`StreamExecutor`](coconet_runtime::StreamExecutor) loop under
+/// `spec.sched` and `spec.format` — which keeps a *persistent per-rank
 /// [`ErrorFeedback`](coconet_compress::ErrorFeedback) residual*, so
 /// the top-k wire re-injects everything it ever dropped. Every rank
 /// applies the identical replicated update, so the weights stay
 /// replicated throughout.
 pub fn train_data_parallel(spec: &DataParallelSpec) -> DataParallelRun {
-    use coconet_compress::ErrorFeedback;
-    use coconet_runtime::{
-        all_reduce_scalar, all_reduce_wire_striped, run_ranks, Group, StreamExecutor,
-    };
+    use coconet_runtime::{all_reduce_scalar, run_ranks, Group, StreamExecutor};
     use coconet_tensor::{CounterRng, Tensor};
 
     let s = *spec;
@@ -310,102 +308,46 @@ pub fn train_data_parallel(spec: &DataParallelSpec) -> DataParallelRun {
                 + 0.1 * noise.get(i)
         });
 
-        // Barrier-free path: the same synchronous-SGD recurrence, but
-        // the gradient AllReduce is a priority-scheduled streaming job
-        // instead of a blocking call. The streamed ring is
-        // bit-identical to the blocking one, so losses and weights
-        // match the barriered loop exactly; the per-class ledger
-        // counters (instead of per-iteration resets) meter the
-        // gradient traffic, since iteration boundaries overlap. A site
-        // that is not streamable (an active top-k) keeps the blocking
-        // loop, which owns the error-feedback residual.
-        let config = CommConfig::default().with_format(s.format);
-        let site = CollSite::new(
-            CollKind::AllReduce,
-            ReduceOp::Sum,
-            d as u64,
-            DType::F32,
-            p,
-            1,
-        );
-        if s.sched == CommSched::Priority && config.executed_as(&site).streamable {
-            let mut exec = StreamExecutor::new(
-                group,
-                vec![Tensor::zeros([d], DType::F32)],
-                CommSched::Priority,
-                s.format,
-            );
-            let mut losses = Vec::with_capacity(s.iters);
-            let mut apply_iter = 0u64;
-            exec.run_iterations(
-                &comm,
-                s.iters as u64,
-                |_, _, _| {},
-                |_, _, w| {
-                    let residual = Tensor::from_fn([m], DType::F32, |i| {
-                        (0..d).map(|j| x.get(i * d + j) * w.get(j)).sum::<f32>() - y.get(i)
-                    });
-                    let grad = Tensor::from_fn([d], DType::F32, |j| {
-                        (2.0 / total as f32)
-                            * (0..m)
-                                .map(|i| x.get(i * d + j) * residual.get(i))
-                                .sum::<f32>()
-                    });
-                    let sse: f64 = (0..m).map(|i| f64::from(residual.get(i)).powi(2)).sum();
-                    losses.push(all_reduce_scalar(&comm, group, sse, ReduceOp::Sum) / total);
-                    grad
-                },
-                |_, w, g| {
-                    let step = s.lr / (1.0 + s.lr_decay * apply_iter as f32);
-                    apply_iter += 1;
-                    for j in 0..d {
-                        w.set(j, w.get(j) - step * g.get(j));
-                    }
-                },
-            );
-            let weights = exec.params().swap_remove(0);
-            let grad_bytes: u64 = comm.ledger().class_bytes_sent.iter().sum();
-            return (losses, weights, grad_bytes);
-        }
-
-        let mut w = Tensor::zeros([d], DType::F32);
-        let mut feedback = ErrorFeedback::new();
+        let weights = vec![Tensor::zeros([d], DType::F32)];
+        let mut exec = StreamExecutor::new(group, weights, s.sched, s.format);
         let mut losses = Vec::with_capacity(s.iters);
-        let mut grad_bytes = 0u64;
-        for t in 0..s.iters {
-            // Residuals and local gradient of the global MSE
-            // (1/M)·Σ (x·w − y)²: grad = (2/M)·Xᵀr, summed exactly by
-            // the AllReduce because each rank scales by 1/M.
-            let residual = Tensor::from_fn([m], DType::F32, |i| {
-                (0..d).map(|j| x.get(i * d + j) * w.get(j)).sum::<f32>() - y.get(i)
-            });
-            let grad = Tensor::from_fn([d], DType::F32, |j| {
-                (2.0 / total as f32)
-                    * (0..m)
-                        .map(|i| x.get(i * d + j) * residual.get(i))
-                        .sum::<f32>()
-            });
-            comm.reset_ledger();
-            let global_grad = all_reduce_wire_striped(
-                &comm,
-                group,
-                &grad,
-                ReduceOp::Sum,
-                CollAlgo::Ring,
-                0,
-                s.format,
-                Some(&mut feedback),
-                1,
-            );
-            grad_bytes += comm.ledger().bytes_sent;
-            let step = s.lr / (1.0 + s.lr_decay * t as f32);
-            for j in 0..d {
-                w.set(j, w.get(j) - step * global_grad.get(j));
-            }
-            let sse: f64 = (0..m).map(|i| f64::from(residual.get(i)).powi(2)).sum();
-            losses.push(all_reduce_scalar(&comm, group, sse, ReduceOp::Sum) / total);
-        }
-        (losses, w, grad_bytes)
+        let mut loss_bytes = 0u64;
+        let mut apply_iter = 0u64;
+        exec.run_iterations(
+            &comm,
+            s.iters as u64,
+            |_, _, _| {},
+            |_, _, w| {
+                // Residuals and local gradient of the global MSE
+                // (1/M)·Σ (x·w − y)²: grad = (2/M)·Xᵀr, summed exactly
+                // by the AllReduce because each rank scales by 1/M.
+                let residual = Tensor::from_fn([m], DType::F32, |i| {
+                    (0..d).map(|j| x.get(i * d + j) * w.get(j)).sum::<f32>() - y.get(i)
+                });
+                let grad = Tensor::from_fn([d], DType::F32, |j| {
+                    (2.0 / total as f32)
+                        * (0..m)
+                            .map(|i| x.get(i * d + j) * residual.get(i))
+                            .sum::<f32>()
+                });
+                let sse: f64 = (0..m).map(|i| f64::from(residual.get(i)).powi(2)).sum();
+                // The loss reduction is a blocking call on this rank's
+                // thread: what it sends is metered out of the total.
+                let before = comm.ledger().bytes_sent;
+                losses.push(all_reduce_scalar(&comm, group, sse, ReduceOp::Sum) / total);
+                loss_bytes += comm.ledger().bytes_sent - before;
+                grad
+            },
+            |_, w, g| {
+                let step = s.lr / (1.0 + s.lr_decay * apply_iter as f32);
+                apply_iter += 1;
+                for j in 0..d {
+                    w.set(j, w.get(j) - step * g.get(j));
+                }
+            },
+        );
+        let weights = exec.params().swap_remove(0);
+        (losses, weights, comm.ledger().bytes_sent - loss_bytes)
     });
     let (losses, weights, grad_bytes_per_rank) = results.swap_remove(0);
     DataParallelRun {
@@ -643,11 +585,10 @@ mod tests {
         assert!(topk.grad_bytes_per_rank < dense.grad_bytes_per_rank / 4);
     }
 
-    /// The barrier-free streaming path is a pure scheduling change:
-    /// losses and weights are bit-identical to the barriered loop, and
-    /// the gradient stream still moves exactly the analytic ring
-    /// volume — now metered by the per-class ledger counters, since
-    /// iteration boundaries overlap and per-iteration resets are gone.
+    /// The barrier-free schedule is a pure scheduling change: losses
+    /// and weights are bit-identical to the barriered schedule of the
+    /// same loop, and the gradient stream still moves exactly the
+    /// analytic ring volume.
     #[test]
     fn streamed_training_is_bit_identical_to_barriered() {
         let spec = DataParallelSpec {

@@ -9,7 +9,7 @@
 //! The ring exists once, as the resumable `RingLane` state machine:
 //! wire format and channel count are parameters of it, and blocking
 //! versus scheduled execution is only a choice of who waits for the
-//! next hop (`drive` here, the [`CommScheduler`](crate::CommScheduler)
+//! next hop (`run_blocking` here, the [`CommScheduler`](crate::CommScheduler)
 //! elsewhere).
 //!
 //! Data movement is minimal by construction: chunks travel as
@@ -155,9 +155,10 @@ const LANE_BITS: u32 = MAX_CHANNELS.trailing_zeros();
 /// Every wire tag with this bit set belongs to a blocking drive; no
 /// scheduler job may carry it, so a blocking collective running while
 /// scheduled jobs are in flight (the loss [`all_reduce_scalar`] that
-/// `coconet_models::train_data_parallel`'s streamed loop runs inside
-/// its `grad` callback — `streamed_training_is_bit_identical_to_barriered`)
-/// can never swallow their chunks, nor they its.
+/// `coconet_models::train_data_parallel` runs inside its `grad`
+/// callback, an
+/// [`overlapped_matmul_all_reduce`](crate::overlapped_matmul_all_reduce)
+/// inside a `forward`) can never swallow their chunks, nor they its.
 const BLOCKING_TAGS: u64 = 1 << 63;
 
 /// The single owner of the wire-tag layout of lane `lane` of `lanes`.
@@ -258,7 +259,7 @@ fn fold(local: &Tensor, incoming: &Tensor, op: ReduceOp) -> Tensor {
 /// `step` for virtual position `j` of `k`. AllGather runs it at
 /// `j = me`; ReduceScatter at `j = me − 1`, which shifts the textbook
 /// schedule so position `i` ends owning chunk `i`.
-fn ring_schedule(j: usize, k: usize, step: usize) -> (usize, usize) {
+pub(crate) fn ring_schedule(j: usize, k: usize, step: usize) -> (usize, usize) {
     ((j + k - step % k) % k, (j + k - step - 1) % k)
 }
 
@@ -274,12 +275,31 @@ pub(crate) enum RingPhase {
     AllReduce,
 }
 
+/// Where a [`RingLane`] reads its local chunks from.
+pub(crate) enum ChunkSource {
+    /// The whole local tensor: every read is a zero-copy stripe view.
+    Whole(Tensor),
+    /// A producer of the flat ring chunks of a tensor of this shape and
+    /// type that is never resident whole: the lane calls it exactly
+    /// once per chunk, at the point it first reads that chunk.
+    Produced(Shape, DType, Box<dyn FnMut(usize) -> Tensor + Send>),
+}
+
+impl std::fmt::Debug for ChunkSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ChunkSource::Whole(t) => f.debug_tuple("Whole").field(t).finish(),
+            ChunkSource::Produced(shape, ..) => f.debug_tuple("Produced").field(shape).finish(),
+        }
+    }
+}
+
 /// One lane of a ring collective: a resumable state machine moving
 /// stripe `chunk_range(chunk_len, lanes, lane)` of *every* ring chunk,
 /// one hop per step. It is the only ring implementation in the crate —
 /// a blocking collective parks on the channel for each hop
-/// (`drive`), the [`CommScheduler`](crate::CommScheduler) polls; both
-/// run [`advance`](RingLane::advance).
+/// (`run_blocking`), the [`CommScheduler`](crate::CommScheduler) polls;
+/// both run [`advance`](RingLane::advance).
 ///
 /// The invariants that make results bit-identical at every width,
 /// under every schedule, live here and nowhere else:
@@ -293,7 +313,14 @@ pub(crate) enum RingPhase {
 ///   before its fold; the owned stripe is encoded once as the AllGather
 ///   starts, travels the ring as that encoded handle, and every rank —
 ///   its owner included — keeps the decoding of the same encoded
-///   buffer, so all ranks hold identical bits.
+///   buffer, so all ranks hold identical bits;
+/// * **chunk-read order** — position `me` reads each local chunk of its
+///   [`ChunkSource`] exactly once: chunk `me−1` for its first send,
+///   then `me−2, …, me` for its `k−1` folds — the order the §5.3
+///   overlapped MatMul must produce chunks in
+///   ([`production_order`](crate::production_order)). A fold's local
+///   chunk is read *after* that step's send and *before* its receive,
+///   so a producer computes it while the wire is busy.
 #[derive(Debug)]
 pub(crate) struct RingLane {
     phase: RingPhase,
@@ -311,9 +338,12 @@ pub(crate) struct RingLane {
     /// Shape of the source tensor — an AllReduce's result shape.
     shape: Shape,
     /// The local contribution, held while ReduceScatter hops read it.
-    src: Option<Tensor>,
+    source: Option<ChunkSource>,
     step: usize,
     sent: bool,
+    /// This step's fold operand, read from the source once its send is
+    /// on the wire.
+    local: Option<Tensor>,
     /// The next outgoing stripe: the previous ReduceScatter fold
     /// (working dtype) or the AllGather stripe to forward (encoded).
     carry: Option<Tensor>,
@@ -323,7 +353,7 @@ pub(crate) struct RingLane {
 
 impl RingLane {
     /// Lane `lane` of a `lanes`-wide ring collective over `group`.
-    /// `src` is the local input (the owned chunk for
+    /// `source` is the local input (the owned chunk, whole, for
     /// [`RingPhase::AllGather`], which ignores `op`); `tag` comes from
     /// [`lane_tag`]. Performs no communication.
     #[allow(clippy::too_many_arguments)]
@@ -332,12 +362,16 @@ impl RingLane {
         tag: u64,
         class: Option<u8>,
         group: Group,
-        src: &Tensor,
+        source: ChunkSource,
         op: ReduceOp,
         wire: WireFormat,
         lanes: usize,
         lane: usize,
     ) -> RingLane {
+        let (shape, dtype) = match &source {
+            ChunkSource::Whole(t) => (t.shape().clone(), t.dtype()),
+            ChunkSource::Produced(shape, dtype, _) => (shape.clone(), *dtype),
+        };
         let mut l = RingLane {
             phase,
             tag,
@@ -347,47 +381,54 @@ impl RingLane {
             group,
             op,
             wire,
-            dtype: src.dtype(),
-            shape: src.shape().clone(),
-            src: Some(src.clone()),
+            dtype,
+            shape,
+            source: Some(source),
             step: 0,
             sent: false,
+            local: None,
             carry: None,
             stripes: vec![None; group.size],
         };
         if phase == RingPhase::AllGather {
-            // One lane forwards the chunk whole, shape and all.
-            l.carry = Some(if lanes == 1 {
-                src.clone()
-            } else {
-                l.stripe(0, src.numel())
+            // The source is the owned chunk itself; one lane forwards it
+            // whole, shape and all.
+            let Some(ChunkSource::Whole(chunk)) = l.source.take() else {
+                unreachable!("an AllGather forwards a resident chunk")
+            };
+            let (off, len) = chunk_range(chunk.numel(), lanes, lane);
+            l.carry = Some(match lanes {
+                1 => chunk,
+                _ => chunk.slice_flat(off, len).expect("in range"),
             });
-            l.src = None;
         }
         if group.size == 1 {
             // No hops: the lane is born finished, its stripe untouched
             // by the codec.
-            let own = l.carry.take().unwrap_or_else(|| l.stripe(0, src.numel()));
+            let own = l.carry.take().unwrap_or_else(|| l.chunk_stripe(0));
             match phase {
                 RingPhase::ReduceScatter => l.carry = Some(own),
                 _ => l.stripes[0] = Some(own),
             }
-            l.src = None;
+            l.source = None;
         }
         l
     }
 
-    /// This lane's zero-copy stripe of the source window `off..off+len`.
-    fn stripe(&self, off: usize, len: usize) -> Tensor {
-        let (s_off, s_len) = chunk_range(len, self.lanes, self.lane);
-        let src = self.src.as_ref().expect("source held while it is read");
-        src.slice_flat(off + s_off, s_len).expect("in range")
-    }
-
-    /// This lane's stripe of ring chunk `c` of the source.
-    fn chunk_stripe(&self, c: usize) -> Tensor {
+    /// This lane's stripe of ring chunk `c` of the source — the one
+    /// place a ReduceScatter's source is read.
+    fn chunk_stripe(&mut self, c: usize) -> Tensor {
         let (off, len) = chunk_range(self.shape.numel(), self.group.size, c);
-        self.stripe(off, len)
+        let (s_off, s_len) = chunk_range(len, self.lanes, self.lane);
+        let stripe = match self.source.as_mut().expect("source held while it is read") {
+            ChunkSource::Whole(t) => t.slice_flat(off + s_off, s_len),
+            ChunkSource::Produced(.., produce) => {
+                let chunk = produce(c);
+                assert_eq!(chunk.numel(), len, "producer returned another chunk");
+                chunk.slice_flat(s_off, s_len)
+            }
+        };
+        stripe.expect("in range")
     }
 
     /// Folding hops ahead of the forwarding ones.
@@ -457,14 +498,9 @@ impl RingLane {
     fn recv_step(&mut self, me: usize, incoming: Tensor) {
         let k = self.group.size;
         if self.step < self.rs_hops() {
-            let (_, recv_c) = ring_schedule((me + k - 1) % k, k, self.step);
             let incoming = wire_decode(incoming, self.wire, self.dtype);
-            self.carry = Some(fold(&self.chunk_stripe(recv_c), &incoming, self.op));
-            if self.step + 1 == self.rs_hops() {
-                // `carry` is now this lane's stripe of the fully
-                // reduced chunk `me`; the input is no longer read.
-                self.src = None;
-            }
+            let local = self.local.take().expect("read before the receive");
+            self.carry = Some(fold(&local, &incoming, self.op));
         } else {
             let (_, recv_c) = ring_schedule(me, k, self.step - self.rs_hops());
             self.stripes[recv_c] = Some(wire_decode(incoming.clone(), self.wire, self.dtype));
@@ -475,14 +511,24 @@ impl RingLane {
     }
 
     /// Advances by at most one hop: sends this step's stripe if it is
-    /// not on the wire yet, then takes the incoming one — parked on the
-    /// channel when `block`, a non-blocking poll otherwise. Returns
-    /// whether anything moved.
+    /// not on the wire yet, reads the local chunk of the coming fold,
+    /// then takes the incoming stripe — parked on the channel when
+    /// `block`, a non-blocking poll otherwise. Returns whether anything
+    /// moved.
     pub(crate) fn advance(&mut self, comm: &RankComm, block: bool) -> bool {
         if self.is_done() {
             return false;
         }
         let sent = self.send_step(comm);
+        let (k, me) = (self.group.size, self.group.position(comm.rank()));
+        if self.local.is_none() && self.step < self.rs_hops() {
+            let (_, recv_c) = ring_schedule((me + k - 1) % k, k, self.step);
+            self.local = Some(self.chunk_stripe(recv_c));
+            if self.step + 1 == self.rs_hops() {
+                // That was the last local read.
+                self.source = None;
+            }
+        }
         let prev = self.group.prev(comm.rank());
         let msg = if block {
             Some(comm.recv_tagged(prev, self.tag))
@@ -493,15 +539,14 @@ impl RingLane {
         let WireMsg::Tensor(incoming) = msg else {
             unreachable!("ring lanes carry dense payloads only, got {msg:?}")
         };
-        self.recv_step(self.group.position(comm.rank()), incoming);
+        self.recv_step(me, incoming);
         true
     }
 }
 
-/// Runs a ring collective to completion on the calling rank thread —
-/// the blocking drive: build the lanes, then per hop send every lane's
-/// stripe and receive each lane's incoming one with a blocking tagged
-/// receive. Lanes share a hop count, so they step in lockstep.
+/// Runs a ring collective over the whole tensor `src` to completion on
+/// the calling rank thread: builds the `channels` lanes under the
+/// blocking tags and hands them to [`run_blocking`].
 fn drive(
     comm: &RankComm,
     phase: RingPhase,
@@ -512,7 +557,20 @@ fn drive(
     channels: usize,
 ) -> Vec<RingLane> {
     let lanes = lane_count(group.size, channels);
-    let label = match phase {
+    let ring = (0..lanes)
+        .map(|s| {
+            let (tag, source) = (lane_tag(None, lanes, s), ChunkSource::Whole(src.clone()));
+            RingLane::new(phase, tag, None, group, source, op, wire, lanes, s)
+        })
+        .collect();
+    run_blocking(comm, ring)
+}
+
+/// The blocking drive: per hop, send every lane's stripe and receive
+/// each lane's incoming one with a blocking tagged receive. Lanes share
+/// a hop count, so they step in lockstep.
+pub(crate) fn run_blocking(comm: &RankComm, mut ring: Vec<RingLane>) -> Vec<RingLane> {
+    let label = match ring[0].phase {
         RingPhase::ReduceScatter => "ring:rs",
         RingPhase::AllGather => "ring:ag",
         RingPhase::AllReduce => "ring:ar",
@@ -520,15 +578,9 @@ fn drive(
     let _phase = trace::span(
         EventKind::CollectivePhase,
         label,
-        src.numel() as u64,
-        lanes as u64,
+        ring[0].shape.numel() as u64,
+        ring.len() as u64,
     );
-    let mut ring: Vec<RingLane> = (0..lanes)
-        .map(|s| {
-            let tag = lane_tag(None, lanes, s);
-            RingLane::new(phase, tag, None, group, src, op, wire, lanes, s)
-        })
-        .collect();
     while !ring[0].is_done() {
         for lane in &mut ring {
             lane.send_step(comm);

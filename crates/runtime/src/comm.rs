@@ -54,8 +54,8 @@ impl WireMsg {
 /// exchange, pipeline sends), or a *tagged* message — one hop of a
 /// ring lane or switch job, whether a blocking drive or the priority
 /// scheduler runs it. Tags let a receiver pull messages for one job
-/// without disturbing the FIFO stream of another — the substrate of
-/// completion-order independence.
+/// without disturbing the FIFO stream of another, so jobs complete in
+/// any order.
 #[derive(Clone, Debug)]
 enum Packet {
     /// An untagged message, delivered in per-source FIFO order.

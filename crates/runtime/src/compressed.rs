@@ -24,7 +24,9 @@ use coconet_compress::{sparsify_top_k, ErrorFeedback, WireFormat};
 use coconet_core::{nodes_spanned, CollAlgo, CollKind, CollSite, CommConfig, Executed};
 use coconet_tensor::{ReduceOp, SparseChunk, Tensor};
 
-use crate::collectives::{ring_all_gather, ring_all_reduce, ring_reduce_scatter, Group};
+use crate::collectives::{
+    ring_all_gather, ring_all_reduce, ring_reduce_scatter, ring_schedule, Group,
+};
 use crate::hierarchical::{
     hierarchical_all_gather, hierarchical_all_reduce, hierarchical_reduce_scatter,
 };
@@ -272,8 +274,7 @@ pub fn sparse_all_reduce(
         let mut chunks: Vec<Option<SparseChunk>> = vec![None; p];
         chunks[me] = Some(own);
         for step in 0..p - 1 {
-            let send_c = (me + p - step % p) % p;
-            let recv_c = (me + p - step - 1) % p;
+            let (send_c, recv_c) = ring_schedule(me, p, step);
             let outgoing = chunks[send_c].clone().expect("chunk present by schedule");
             comm.send_sparse(group.next(comm.rank()), outgoing);
             chunks[recv_c] = Some(comm.recv_sparse(group.prev(comm.rank())));

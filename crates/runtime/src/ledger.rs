@@ -101,12 +101,10 @@ impl BytesLedger {
 /// The analytic per-rank send volume of a ring AllReduce: ReduceScatter
 /// plus AllGather each ship `(p−1)/p` of the tensor, so a rank sends
 /// `2·(p−1)/p · n · dtype_size` bytes (exact when `p` divides `n`;
-/// uneven chunks shift single elements between ranks).
+/// uneven chunks shift single elements between ranks). A `usize`
+/// wrapper over [`coconet_compress::dense_ring_all_reduce_wire_bytes`].
 pub fn ring_all_reduce_wire_bytes(n: usize, p: usize, dtype: DType) -> u64 {
-    if p <= 1 {
-        return 0;
-    }
-    (2 * (p - 1) * (n / p) * dtype.size_bytes()) as u64
+    coconet_compress::dense_ring_all_reduce_wire_bytes(n as u64, p as u64, dtype)
 }
 
 /// The analytic per-rank send volume of the top-k sparse AllReduce at

@@ -2,75 +2,37 @@
 //! (§5.3, Figure 9).
 //!
 //! The simulator times the overlapped pipeline; this module *executes*
-//! it, enforcing the exact chunk schedule the generated kernels use:
-//! the MatMul produces output chunks in the order the ring sends them
-//! (rank *n* starting from its own send position), and every ring step
-//! asserts — like the spin-lock would block — that the chunk it is
-//! about to touch has already been produced. If the paper's chunk
-//! ordering were wrong, these runs would panic or produce different
-//! results from the unoverlapped execution.
+//! it. The paper's overlap is "the MatMul produces chunks in the order
+//! the ring sends them"; here the ring *pulls* them: the AllReduce is
+//! one ordinary `RingLane` under the blocking drive whose
+//! `ChunkSource` is a producer — the GEMM of the row block covering
+//! the chunk it is asked for — instead of a resident tensor.
 //!
-//! # Completion-order independence
+//! # The producer contract
 //!
-//! An earlier version of this pipeline received with plain FIFO
-//! `recv`, implicitly assuming every hop *completes* in the order it
-//! was issued — true of the in-process channel, but not of a real
-//! async fabric, where a later-issued send can land first. Every hop
-//! is now a *tagged* message carrying the chunk index it transports
-//! (reduce-scatter hops tag `chunk`, all-gather hops tag `k + chunk`),
-//! and each step receives *by tag*: delivery order no longer matters,
-//! only data dependences do. The regression test
-//! `tolerates_chunks_delivered_out_of_issue_order` delivers a
-//! later-issued hop first and the result must stay bit-identical.
+//! The lane calls the producer exactly once per ring chunk, at the
+//! point it first reads that chunk: chunk `pos−1` for its first send,
+//! then, after each step's send and before that step's blocking
+//! receive, the chunk the step folds — `pos−2, …, pos`. That sequence
+//! is [`production_order`]: the Figure 9 order is a fact of the one
+//! ring schedule, not a second schedule checked against it, and "after
+//! the send, before the receive" is where the MatMul computes its next
+//! chunk while the wire is busy (T=2..5 in the figure). The product is
+//! never resident whole.
+//!
+//! A GEMM row block is bit-identical to the same rows of the full
+//! product (every element accumulates over the contraction dimension in
+//! the same order), so the result is
+//! `ring_all_reduce(a.matmul(w))` bit for bit — wire tags, ledger
+//! class and trace events included.
 
-use coconet_tensor::{ReduceOp, Tensor, TensorError};
+use coconet_compress::WireFormat;
+use coconet_tensor::{DType, ReduceOp, Shape, Tensor, TensorError};
 
-use crate::collectives::{chunk_range, Group};
-use crate::comm::WireMsg;
+use crate::collectives::{
+    all_reduce_result, chunk_range, lane_tag, run_blocking, ChunkSource, Group, RingLane, RingPhase,
+};
 use crate::RankComm;
-
-/// Receives the tagged hop `tag` from `src`, unwrapping the dense
-/// payload (the overlap pipeline never rides the sparse wire).
-fn recv_chunk(comm: &RankComm, src: usize, tag: u64) -> Tensor {
-    match comm.recv_tagged(src, tag) {
-        WireMsg::Tensor(t) => t,
-        other => unreachable!("overlap hops are dense, got {other:?}"),
-    }
-}
-
-/// A lazily produced output tensor: chunks materialize in a fixed
-/// production order, and reads assert availability (the functional
-/// analogue of the §5.3 spin-lock).
-struct ChunkedProducer {
-    out: Tensor,
-    produced: Vec<bool>,
-    k: usize,
-}
-
-impl ChunkedProducer {
-    fn new(full: Tensor, k: usize) -> ChunkedProducer {
-        ChunkedProducer {
-            out: full,
-            produced: vec![false; k],
-            k,
-        }
-    }
-
-    fn produce(&mut self, chunk: usize) {
-        self.produced[chunk] = true;
-    }
-
-    /// A zero-copy view of an already-produced chunk.
-    fn read_chunk(&self, chunk: usize) -> Tensor {
-        assert!(
-            self.produced[chunk],
-            "ring step touched chunk {chunk} before the MatMul produced it \
-             (the Figure 9 schedule would deadlock here)"
-        );
-        let (off, len) = chunk_range(self.out.numel(), self.k, chunk);
-        self.out.slice_flat(off, len).expect("chunk in range")
-    }
-}
 
 /// The order rank position `pos` must produce chunks so the ring
 /// AllReduce never waits: the ring's send order for this position —
@@ -78,25 +40,17 @@ impl ChunkedProducer {
 /// with rank `pos` owning chunk `pos`; it is the paper's "rank n sends
 /// chunks starting from chunk n" modulo the chunk relabeling).
 pub fn production_order(pos: usize, k: usize) -> Vec<usize> {
-    let mut order = Vec::with_capacity(k);
-    for s in 0..k {
-        order.push((pos + 2 * k - 1 - s) % k);
-    }
-    order
+    (0..k).map(|s| (pos + 2 * k - 1 - s) % k).collect()
 }
 
 /// Executes `AllReduce(op, a @ w)` with the fine-grained overlap
-/// schedule: chunk-ordered MatMul production interleaved with the ring
-/// steps. Returns the replicated result.
+/// schedule: the ring pulls each output chunk from the MatMul as it
+/// first needs it (see the module docs). Returns the replicated result,
+/// bit-identical to `ring_all_reduce(a.matmul(w))`.
 ///
 /// # Errors
 ///
-/// Propagates matmul/tensor errors.
-///
-/// # Panics
-///
-/// Panics if the chunk schedule would require a chunk that has not
-/// been produced yet — i.e. if the §5.3 ordering were incorrect.
+/// Returns [`TensorError::MatMulDims`] as [`Tensor::matmul`] does.
 pub fn overlapped_matmul_all_reduce(
     comm: &RankComm,
     group: Group,
@@ -104,93 +58,61 @@ pub fn overlapped_matmul_all_reduce(
     w: &Tensor,
     op: ReduceOp,
 ) -> Result<Tensor, TensorError> {
-    let k = group.size;
-    let pos = group.position(comm.rank());
-    let full = a.matmul(w)?; // the values; production order enforced below
-    let out_shape = full.shape().clone();
-    let out_dtype = full.dtype();
-    let n = full.numel();
-    let mut producer = ChunkedProducer::new(full, k);
-    let order = production_order(pos, k);
-    let mut next_to_produce = 0usize;
-
-    if k == 1 {
-        producer.produce(order[0]);
-        return producer.read_chunk(0).reshape(out_shape);
+    let (lhs, rhs) = (a.shape(), w.shape());
+    if rhs.rank() != 2 || lhs.dims().last() != Some(&rhs.dim(0)) {
+        return Err(TensorError::MatMulDims {
+            lhs: lhs.clone(),
+            rhs: rhs.clone(),
+        });
     }
-
-    // T=1 in Figure 9: the MatMul produces the first chunk before any
-    // communication can start.
-    producer.produce(order[next_to_produce]);
-    next_to_produce += 1;
-
-    // Reduce-scatter phase, chunk-granular: before each step, the
-    // MatMul has produced exactly the chunks the ring needs so far.
-    // Each reduced chunk starts as a view of the MatMul output and is
-    // detached (one chunk-sized copy) by its single in-place fold — no
-    // per-step accumulator rebuild.
-    let mut reduced: Vec<Option<Tensor>> = vec![None; k];
-    let j = (pos + k - 1) % k;
-    for step in 0..k - 1 {
-        let send_c = (j + k - step % k) % k;
-        let recv_c = (j + k - step - 1) % k;
-        // The chunk being sent must exist (spin_wait in the kernel).
-        let outgoing = if step == 0 {
-            producer.read_chunk(send_c)
-        } else {
-            // Forward the partially reduced chunk (a handle copy).
-            reduced[send_c].clone().expect("reduced by schedule")
-        };
-        comm.send_tagged(
-            group.next(comm.rank()),
-            send_c as u64,
-            Some(0),
-            WireMsg::Tensor(outgoing),
-        );
-        // Produce the next chunk while the wire is busy (T=2..5).
-        if next_to_produce < k {
-            producer.produce(order[next_to_produce]);
-            next_to_produce += 1;
+    let (inner, cols) = (rhs.dim(0), rhs.dim(1));
+    let mut dims = lhs.dims().to_vec();
+    *dims.last_mut().expect("rank >= 1") = cols;
+    let shape = Shape::new(dims);
+    let dtype = DType::promote(a.dtype(), w.dtype());
+    let (numel, k) = (shape.numel(), group.size);
+    let (a, w) = (a.clone(), w.clone());
+    // The GEMM of the rows covering flat chunk `c`, cut to the chunk.
+    let produce = move |c: usize| {
+        let (off, len) = chunk_range(numel, k, c);
+        if len == 0 {
+            return Tensor::zeros([0], dtype);
         }
-        let incoming = recv_chunk(comm, group.prev(comm.rank()), recv_c as u64);
-        // Each chunk is visited exactly once in this phase: fold the
-        // incoming partial into the local contribution in place.
-        let mut local = producer.read_chunk(recv_c);
-        local.reduce_assign(&incoming, op)?;
-        reduced[recv_c] = Some(local);
-    }
-
-    // All-gather phase over the fully reduced chunks (handle hops).
-    let me_chunk = pos;
-    let mut chunks: Vec<Option<Tensor>> = vec![None; k];
-    chunks[me_chunk] = reduced[me_chunk].take();
-    for step in 0..k - 1 {
-        let send_c = (me_chunk + k - step % k) % k;
-        let recv_c = (me_chunk + k - step - 1) % k;
-        let outgoing = chunks[send_c].clone().expect("present by schedule");
-        comm.send_tagged(
-            group.next(comm.rank()),
-            (k + send_c) as u64,
-            Some(0),
-            WireMsg::Tensor(outgoing),
-        );
-        let incoming = recv_chunk(comm, group.prev(comm.rank()), (k + recv_c) as u64);
-        chunks[recv_c] = Some(incoming);
-    }
-    let mut out = Tensor::zeros([n], out_dtype);
-    let mut offset = 0usize;
-    for c in chunks.into_iter().map(|c| c.expect("gathered")) {
-        out.write_flat(offset, &c)?;
-        offset += c.numel();
-    }
-    out.reshape(out_shape)
+        let (r0, r1) = (off / cols, (off + len).div_ceil(cols));
+        let rows = a
+            .slice_flat(r0 * inner, (r1 - r0) * inner)
+            .and_then(|rows| rows.reshape([r1 - r0, inner]))
+            .expect("row block in range");
+        let block = rows.matmul(&w).expect("dimensions checked above");
+        block
+            .slice_flat(off - r0 * cols, len)
+            .expect("chunk inside its row block")
+    };
+    let lane = RingLane::new(
+        RingPhase::AllReduce,
+        lane_tag(None, 1, 0),
+        None,
+        group,
+        ChunkSource::Produced(shape, dtype, Box::new(produce)),
+        op,
+        WireFormat::Dense,
+        1,
+        0,
+    );
+    Ok(all_reduce_result(&run_blocking(comm, vec![lane])))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coconet_tensor::{CounterRng, DType};
-    use std::thread;
+    use crate::comm::{run_ranks, WireMsg};
+    use crate::ring_all_reduce;
+    use coconet_tensor::CounterRng;
+    use std::sync::{Arc, Mutex};
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_f32_vec().iter().map(|v| v.to_bits()).collect()
+    }
 
     #[test]
     fn production_order_starts_at_own_chunk() {
@@ -202,109 +124,126 @@ mod tests {
         assert_eq!(o, (0..8).collect::<Vec<_>>());
     }
 
+    /// The chunk-read order is a fact of the one ring schedule: a lane
+    /// over a recording producer asks for exactly
+    /// `production_order(pos, k)` — each chunk once — at every position
+    /// of every group size, and reduces what a whole-tensor lane does.
+    #[test]
+    fn the_lane_pulls_chunks_in_production_order() {
+        for k in 1..=8usize {
+            let n = 2 * k + 3;
+            let results = run_ranks(k, move |comm| {
+                let group = Group { start: 0, size: k };
+                let input = Tensor::from_fn([n], DType::F32, |i| (comm.rank() * 31 + i) as f32);
+                let calls = Arc::new(Mutex::new(Vec::new()));
+                let (log, whole) = (calls.clone(), input.clone());
+                let produce = move |c: usize| {
+                    log.lock().unwrap().push(c);
+                    let (off, len) = chunk_range(n, k, c);
+                    whole.slice_flat(off, len).unwrap()
+                };
+                let lane = RingLane::new(
+                    RingPhase::AllReduce,
+                    lane_tag(None, 1, 0),
+                    None,
+                    group,
+                    ChunkSource::Produced(input.shape().clone(), DType::F32, Box::new(produce)),
+                    ReduceOp::Sum,
+                    WireFormat::Dense,
+                    1,
+                    0,
+                );
+                let pulled = all_reduce_result(&run_blocking(&comm, vec![lane]));
+                let whole =
+                    ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
+                let calls = calls.lock().unwrap().clone();
+                (calls, pulled, whole)
+            });
+            for (pos, (calls, pulled, whole)) in results.iter().enumerate() {
+                assert_eq!(calls, &production_order(pos, k), "k={k} pos={pos}");
+                assert_eq!(bits(pulled), bits(whole), "k={k} pos={pos}");
+            }
+        }
+    }
+
+    /// Bit for bit the unoverlapped execution — including what the
+    /// ledger sees: a blocking call records no priority class.
     #[test]
     fn overlapped_equals_sequential() {
         let k = 4usize;
         let (rows, inner, cols) = (4usize, 6usize, 8usize);
         let rng = CounterRng::new(17);
-        let world = RankComm::world(k);
-        let results: Vec<(Tensor, Tensor)> = world
-            .into_iter()
-            .map(|comm| {
-                let rank = comm.rank();
-                thread::spawn(move || {
-                    let group = Group { start: 0, size: k };
-                    let a = Tensor::randn([rows, inner], DType::F32, rng, (rank * 1000) as u64);
-                    let w = Tensor::randn([inner, cols], DType::F32, rng, 50_000);
-                    let overlapped =
-                        overlapped_matmul_all_reduce(&comm, group, &a, &w, ReduceOp::Sum).unwrap();
-                    let sequential = crate::ring_all_reduce(
-                        &comm,
-                        group,
-                        &a.matmul(&w).unwrap(),
-                        ReduceOp::Sum,
-                        coconet_compress::WireFormat::Dense,
-                        1,
-                    );
-                    (overlapped, sequential)
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect();
-        for (overlapped, sequential) in &results {
+        let results = run_ranks(k, move |comm| {
+            let group = Group { start: 0, size: k };
+            let a = Tensor::randn([rows, inner], DType::F32, rng, (comm.rank() * 1000) as u64);
+            let w = Tensor::randn([inner, cols], DType::F32, rng, 50_000);
+            comm.reset_ledger();
+            let overlapped =
+                overlapped_matmul_all_reduce(&comm, group, &a, &w, ReduceOp::Sum).unwrap();
+            let ledger = comm.ledger();
+            let product = a.matmul(&w).unwrap();
+            comm.reset_ledger();
+            let sequential =
+                ring_all_reduce(&comm, group, &product, ReduceOp::Sum, WireFormat::Dense, 1);
+            (overlapped, sequential, ledger, comm.ledger())
+        });
+        for (overlapped, sequential, ledger, ring_ledger) in &results {
             assert_eq!(overlapped.shape(), sequential.shape());
-            let diff = overlapped.max_abs_diff(sequential);
-            assert!(diff < 1e-4, "diff {diff}");
-        }
-        // All ranks agree.
-        for (o, _) in &results[1..] {
-            assert_eq!(o.to_f32_vec(), results[0].0.to_f32_vec());
+            assert_eq!(bits(overlapped), bits(sequential));
+            assert_eq!(ledger.class_bytes_sent, [0; crate::PRIORITY_CLASSES]);
+            assert_eq!(
+                (ledger.bytes_sent, ledger.sends),
+                (ring_ledger.bytes_sent, ring_ledger.sends)
+            );
         }
     }
 
-    /// Completion-order independence (the regression this module's
-    /// header documents): a scripted peer delivers a later-issued hop
-    /// — its all-gather chunks — *before* its reduce-scatter partials,
-    /// and the pipeline still produces the exact AllReduce result,
-    /// because every step receives by chunk tag instead of by arrival
-    /// order. Under the old FIFO `recv` this delivery order mis-folded
-    /// the chunks.
+    /// What the per-source FIFO fabric *can* do to the pipeline: the
+    /// scripted peer delivers both its hops before the lane has
+    /// produced its second chunk, with a foreign job's tagged chunk and
+    /// a plain message interleaved. The result is exact and the foreign
+    /// traffic is left for its owners.
     #[test]
-    fn tolerates_chunks_delivered_out_of_issue_order() {
-        let k = 3usize;
+    fn early_hops_and_foreign_traffic_leave_the_result_exact() {
         let (rows, inner, cols) = (3usize, 2usize, 3usize);
-        // Integer-valued inputs: every partial sum is exact in f32, so
-        // the assertion below is bitwise no matter the fold order.
-        let a: Vec<Tensor> = (0..k)
+        let a: Vec<Tensor> = (0..2)
             .map(|r| Tensor::from_fn([rows, inner], DType::F32, move |i| ((i + r) % 5) as f32))
             .collect();
         let w = Tensor::from_fn([inner, cols], DType::F32, |i| ((i % 3) + 1) as f32);
-        let p: Vec<Vec<f32>> = a
-            .iter()
-            .map(|ar| ar.matmul(&w).unwrap().to_f32_vec())
-            .collect();
+        let p: Vec<Tensor> = a.iter().map(|ar| ar.matmul(&w).unwrap()).collect();
         let n = rows * cols;
-        let chunk = |v: &[f32], c: usize| -> Vec<f32> {
-            let (off, len) = chunk_range(n, k, c);
-            v[off..off + len].to_vec()
+        let chunk = |t: &Tensor, c: usize| {
+            let (off, len) = chunk_range(n, 2, c);
+            t.slice_flat(off, len).unwrap()
         };
-        let add =
-            |x: &[f32], y: &[f32]| -> Vec<f32> { x.iter().zip(y).map(|(a, b)| a + b).collect() };
-        let total: Vec<f32> = (0..n).map(|i| p[0][i] + p[1][i] + p[2][i]).collect();
 
-        let mut world = RankComm::world(k);
-        let c2 = world.pop().unwrap(); // scripted sink (rank 1's next)
-        let c1 = world.pop().unwrap(); // runs the real pipeline
-        let c0 = world.pop().unwrap(); // scripted peer (rank 1's prev)
+        let mut world = RankComm::world(2);
+        let peer = world.pop().unwrap(); // rank 1, scripted
+        let me = world.pop().unwrap(); // rank 0, runs the real pipeline
+        let group = Group { start: 0, size: 2 };
 
-        let (a1, w1) = (a[1].clone(), w.clone());
-        let handle = thread::spawn(move || {
-            let group = Group { start: 0, size: k };
-            overlapped_matmul_all_reduce(&c1, group, &a1, &w1, ReduceOp::Sum).unwrap()
-        });
+        // The honest rank 1 sends its own chunk 0, then the chunk 1 it
+        // owns: its contribution folded with rank 0's partial.
+        let tag = lane_tag(None, 1, 0);
+        let foreign = Tensor::full([4], DType::F32, -1.0);
+        let reduced_1 = chunk(&p[1], 1).add(&chunk(&p[0], 1)).unwrap();
+        peer.send(0, foreign.clone());
+        peer.send_tagged(0, 0, Some(0), WireMsg::Tensor(foreign.clone()));
+        peer.send_tagged(0, tag, None, WireMsg::Tensor(chunk(&p[1], 0)));
+        peer.send_tagged(0, 1, Some(0), WireMsg::Tensor(foreign.clone()));
+        peer.send_tagged(0, tag, None, WireMsg::Tensor(reduced_1));
 
-        // What the honest rank 0 sends rank 1, per the ring schedule:
-        //   RS step 0 (tag 2): its own chunk 2.
-        //   RS step 1 (tag 1): chunk 1 folded with rank 2's partial.
-        //   AG step 0 (tag 3+0): the fully reduced chunk 0 it owns.
-        //   AG step 1 (tag 3+2): the fully reduced chunk 2 it forwards.
-        let msg = |vals: Vec<f32>| {
-            WireMsg::Tensor(Tensor::from_f32([vals.len()], DType::F32, &vals).unwrap())
-        };
-        // Deliver the later-issued hops FIRST: both all-gather chunks,
-        // then the reduce-scatter partials in reversed step order.
-        c0.send_tagged(1, (k + 2) as u64, Some(0), msg(chunk(&total, 2)));
-        c0.send_tagged(1, (k) as u64, Some(0), msg(chunk(&total, 0)));
-        c0.send_tagged(1, 1, Some(0), msg(add(&chunk(&p[0], 1), &chunk(&p[2], 1))));
-        c0.send_tagged(1, 2, Some(0), msg(chunk(&p[0], 2)));
-
-        let got = handle.join().unwrap();
-        assert_eq!(got.to_f32_vec(), total);
-        // Keep the sink alive until the pipeline has sent its hops.
-        drop(c2);
-        drop(c0);
+        let got = overlapped_matmul_all_reduce(&me, group, &a[0], &w, ReduceOp::Sum).unwrap();
+        assert_eq!(got.shape(), p[0].shape());
+        assert_eq!(bits(&got), bits(&p[0].add(&p[1]).unwrap()));
+        // Nothing foreign was swallowed.
+        for job in [0, 1] {
+            let WireMsg::Tensor(t) = me.recv_tagged(1, job) else {
+                panic!("job {job}'s chunk went missing")
+            };
+            assert_eq!(bits(&t), bits(&foreign));
+        }
+        assert_eq!(bits(&me.recv(1)), bits(&foreign));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! touches, so it completes; induction over the priority order covers
 //! the rest.
 
-use coconet_compress::WireFormat;
+use coconet_compress::{ErrorFeedback, WireFormat};
 use coconet_core::{lane_count, CollAlgo, CollKind, CommConfig, CommSched, Executed, XferSched};
 use coconet_tensor::{ReduceOp, Tensor};
 use coconet_trace as trace;
@@ -40,7 +40,7 @@ use coconet_trace::EventKind;
 
 use std::collections::HashMap;
 
-use crate::collectives::{all_reduce_result, lane_tag, Group, RingLane, RingPhase};
+use crate::collectives::{all_reduce_result, lane_tag, ChunkSource, Group, RingLane, RingPhase};
 use crate::comm::RankComm;
 use crate::compressed::{executed, run_all_reduce};
 use crate::ledger::PRIORITY_CLASSES;
@@ -188,7 +188,7 @@ impl CommScheduler {
                 tag,
                 Some(class),
                 group,
-                input,
+                ChunkSource::Whole(input.clone()),
                 op,
                 wire,
                 lanes,
@@ -405,6 +405,9 @@ struct StreamParam {
     /// The in-flight gradient job that must land before the *next*
     /// forward may touch this parameter.
     pending: Option<u64>,
+    /// What the top-k wire has dropped of this layer's gradients so
+    /// far, re-injected into the next one (unread by other formats).
+    feedback: ErrorFeedback,
 }
 
 /// The barrier-free multi-iteration executor: a data-parallel training
@@ -431,9 +434,12 @@ struct StreamParam {
 /// geometry, so the hierarchical algorithm *is* the ring). A
 /// `streamable` site rides the scheduler; any other — the tree, an
 /// active top-k — runs the *requested* algorithm's blocking collective
-/// at the enqueue point and is filed as a finished job: Barriered is
-/// the identity schedule, so parameters still match a blocking loop of
-/// that algorithm bit for bit.
+/// at the enqueue point and is filed as a finished job. Every layer
+/// keeps its own persistent [`ErrorFeedback`] residual across
+/// iterations, so an active top-k stream re-injects what it dropped
+/// exactly as a blocking loop holding one residual per tensor does:
+/// Barriered is the identity schedule for every algorithm and format,
+/// and parameters match that blocking loop bit for bit.
 #[derive(Debug)]
 pub struct StreamExecutor {
     group: Group,
@@ -465,6 +471,7 @@ impl StreamExecutor {
                     value,
                     ready_epoch: 0,
                     pending: None,
+                    feedback: ErrorFeedback::new(),
                 })
                 .collect(),
             epoch: 0,
@@ -616,7 +623,8 @@ impl StreamExecutor {
                 let class = l.min(PRIORITY_CLASSES - 1) as u8;
                 let run = runs[l];
                 if !run.streamable {
-                    let reduced = run_all_reduce(comm, self.group, &g, sum, run, 0, None);
+                    let feedback = Some(&mut self.params[l].feedback);
+                    let reduced = run_all_reduce(comm, self.group, &g, sum, run, 0, feedback);
                     self.scheduler.enqueue_finished(id, class, reduced);
                 } else if run.algo == CollAlgo::Switch {
                     self.scheduler
@@ -712,38 +720,38 @@ mod tests {
         }
     }
 
-    /// A [`StreamExecutor`] routed through `algo` produces the same
-    /// parameters as a loop calling `blocking` — that algorithm's
-    /// blocking AllReduce — once per iteration, bit for bit.
+    /// A [`StreamExecutor`] of one `n`-element layer under `sched`,
+    /// routed through `algo` on `wire`, produces the same parameters as
+    /// a loop calling `blocking` — that configuration's blocking
+    /// AllReduce, handed one persistent residual — once per iteration,
+    /// bit for bit.
     fn assert_stream_matches_blocking_loop(
+        sched: CommSched,
         algo: CollAlgo,
-        blocking: fn(&RankComm, Group, &Tensor) -> Tensor,
+        wire: WireFormat,
+        n: usize,
+        blocking: fn(&RankComm, Group, &Tensor, &mut ErrorFeedback) -> Tensor,
     ) {
         let k = 4usize;
-        let iters = 3u64;
+        let iters = 6u64;
         let results = run_ranks(k, move |comm| {
             let rng = CounterRng::new(23);
-            let init = Tensor::randn([6], DType::F32, rng, 1);
+            let init = Tensor::randn([n], DType::F32, rng, 1);
             let rank = comm.rank();
 
             // Streamed.
-            let mut exec = StreamExecutor::new(
-                group_of(k),
-                vec![init.clone()],
-                CommSched::Priority,
-                WireFormat::Dense,
-            )
-            .with_algo(algo);
+            let mut exec =
+                StreamExecutor::new(group_of(k), vec![init.clone()], sched, wire).with_algo(algo);
             exec.run_iterations(
                 &comm,
                 iters,
                 |_, _, _| {},
                 move |_, iter, p| {
                     let scale = (rank + 1) as f32 * 0.01 + iter as f32 * 0.001;
-                    Tensor::from_fn([6], DType::F32, |i| p.get(i) * scale + i as f32 * 0.1)
+                    Tensor::from_fn([n], DType::F32, |i| p.get(i) * scale + i as f32 * 0.1)
                 },
                 |_, p, g| {
-                    let step = Tensor::from_fn([6], DType::F32, |i| p.get(i) - 0.05 * g.get(i));
+                    let step = Tensor::from_fn([n], DType::F32, |i| p.get(i) - 0.05 * g.get(i));
                     *p = step;
                 },
             );
@@ -751,25 +759,34 @@ mod tests {
 
             // Blocking reference: same recurrence, blocking collective.
             let mut w = init;
+            let mut feedback = ErrorFeedback::new();
             for iter in 0..iters {
                 let scale = (rank + 1) as f32 * 0.01 + iter as f32 * 0.001;
-                let g = Tensor::from_fn([6], DType::F32, |i| w.get(i) * scale + i as f32 * 0.1);
-                let reduced = blocking(&comm, group_of(k), &g);
-                w = Tensor::from_fn([6], DType::F32, |i| w.get(i) - 0.05 * reduced.get(i));
+                let g = Tensor::from_fn([n], DType::F32, |i| w.get(i) * scale + i as f32 * 0.1);
+                let reduced = blocking(&comm, group_of(k), &g, &mut feedback);
+                w = Tensor::from_fn([n], DType::F32, |i| w.get(i) - 0.05 * reduced.get(i));
             }
             (streamed, w)
         });
         for (streamed, blocking) in results {
-            assert_eq!(streamed.to_f32_vec(), blocking.to_f32_vec(), "{algo}");
+            assert_eq!(
+                streamed.to_f32_vec(),
+                blocking.to_f32_vec(),
+                "{sched} {algo} {wire}"
+            );
         }
     }
 
     /// The streaming switch loop matches the blocking switch loop.
     #[test]
     fn stream_executor_switch_matches_blocking_switch_loop() {
-        assert_stream_matches_blocking_loop(CollAlgo::Switch, |comm, group, g| {
-            crate::switch::switch_all_reduce(comm, group, g, ReduceOp::Sum)
-        });
+        assert_stream_matches_blocking_loop(
+            CommSched::Priority,
+            CollAlgo::Switch,
+            WireFormat::Dense,
+            6,
+            |comm, group, g, _| crate::switch::switch_all_reduce(comm, group, g, ReduceOp::Sum),
+        );
     }
 
     /// The tree has no resumable job: under a [`StreamExecutor`] it
@@ -777,9 +794,156 @@ mod tests {
     /// ring, whose fold order (and so whose bits) differ.
     #[test]
     fn stream_executor_tree_matches_blocking_tree_loop() {
-        assert_stream_matches_blocking_loop(CollAlgo::Tree, |comm, group, g| {
-            crate::tree::tree_all_reduce(comm, group, g, ReduceOp::Sum, WireFormat::Dense, 1)
+        assert_stream_matches_blocking_loop(
+            CommSched::Priority,
+            CollAlgo::Tree,
+            WireFormat::Dense,
+            6,
+            |comm, group, g, _| {
+                crate::tree::tree_all_reduce(comm, group, g, ReduceOp::Sum, WireFormat::Dense, 1)
+            },
+        );
+    }
+
+    /// An active top-k is not streamable either, and its sparse
+    /// exchange carries state across iterations: the executor keeps one
+    /// error-feedback residual per layer, so under either schedule it
+    /// equals the blocking dispatch loop holding one persistent
+    /// residual — what the wire dropped in iteration `i` is re-injected
+    /// in iteration `i+1`.
+    #[test]
+    fn stream_executor_top_k_keeps_its_error_feedback_residual() {
+        const TOP_K: WireFormat = WireFormat::TopK { k_permille: 100 };
+        for sched in CommSched::ALL {
+            assert_stream_matches_blocking_loop(
+                sched,
+                CollAlgo::Ring,
+                TOP_K,
+                64,
+                |c, group, g, ef| {
+                    let (sum, ring) = (ReduceOp::Sum, CollAlgo::Ring);
+                    crate::all_reduce_wire_striped(c, group, g, sum, ring, 0, TOP_K, Some(ef), 1)
+                },
+            );
+        }
+    }
+
+    /// The blocking overlapped MatMul+AllReduce runs under the blocking
+    /// tags, not under tags `0..2k` that alias
+    /// [`StreamExecutor::job_id`]`(0, layer)`: with gradient jobs
+    /// `0..L` in flight — rank 0 has every job's first chunk on the
+    /// wire, rank 1 has consumed none — the call takes only its own
+    /// chunks, and both it and the jobs finish exact.
+    #[test]
+    fn overlapped_call_shares_no_tag_with_in_flight_gradient_jobs() {
+        let k = 2usize;
+        let layers = 4usize;
+        let gate = std::sync::Arc::new(std::sync::Barrier::new(k));
+        let results = run_ranks(k, move |comm| {
+            let rng = CounterRng::new(5);
+            let rank = comm.rank() as u64;
+            let (sum, dense) = (ReduceOp::Sum, WireFormat::Dense);
+            let a = Tensor::randn([3, 2], DType::F32, rng, 100 + rank);
+            let w = Tensor::randn([2, 5], DType::F32, rng, 200 + rank);
+            let grads: Vec<Tensor> = (0..layers as u64)
+                .map(|l| Tensor::randn([6], DType::F32, rng, 10 * rank + l))
+                .collect();
+            let mut want: Vec<Tensor> = grads
+                .iter()
+                .map(|g| ring_all_reduce(&comm, group_of(k), g, sum, dense, 1))
+                .collect();
+            want.push(ring_all_reduce(
+                &comm,
+                group_of(k),
+                &a.matmul(&w).unwrap(),
+                sum,
+                dense,
+                1,
+            ));
+
+            let mut sched = CommScheduler::new();
+            for (l, g) in grads.iter().enumerate().rev() {
+                sched.enqueue(l as u64, l as u8, group_of(k), g, sum, dense, 1);
+            }
+            if rank == 0 {
+                while sched.poll(&comm) {}
+            }
+            gate.wait();
+            let product =
+                crate::overlapped_matmul_all_reduce(&comm, group_of(k), &a, &w, sum).unwrap();
+            let mut got: Vec<Tensor> = (0..layers as u64).map(|l| sched.wait(&comm, l)).collect();
+            got.push(product);
+            (got, want)
         });
+        for (got, want) in results {
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.to_f32_vec(), w.to_f32_vec());
+            }
+        }
+    }
+
+    /// A blocking overlapped MatMul+AllReduce issued from a `forward`
+    /// callback while the previous iteration's gradient jobs `0..L` are
+    /// still in flight shares no wire tag with them (it runs under the
+    /// blocking tags, not under tags `0..2k`): its result and the
+    /// trained parameters are what each produces alone.
+    #[test]
+    fn overlapped_call_inside_forward_does_not_meet_gradient_jobs() {
+        use crate::overlapped_matmul_all_reduce;
+        let k = 2usize;
+        let layers = 4usize;
+        let run = move |overlap: bool| {
+            run_ranks(k, move |comm| {
+                let rng = CounterRng::new(5);
+                let rank = comm.rank();
+                let a = Tensor::randn([3, 2], DType::F32, rng, 100 + rank as u64);
+                let w = Tensor::randn([2, 5], DType::F32, rng, 200 + rank as u64);
+                let params: Vec<Tensor> = (0..layers)
+                    .map(|l| Tensor::randn([6], DType::F32, rng, l as u64))
+                    .collect();
+                let mut products = Vec::new();
+                let mut exec = StreamExecutor::new(
+                    group_of(k),
+                    params,
+                    CommSched::Priority,
+                    WireFormat::Dense,
+                );
+                exec.run_iterations(
+                    &comm,
+                    3,
+                    |_, _, _| {
+                        if overlap {
+                            let sum = ReduceOp::Sum;
+                            let c = overlapped_matmul_all_reduce(&comm, group_of(k), &a, &w, sum);
+                            products.push(c.unwrap().to_f32_vec());
+                        }
+                    },
+                    move |l, iter, p| {
+                        let scale = (rank + l + 1) as f32 * 0.01 + iter as f32 * 0.001;
+                        Tensor::from_fn([6], DType::F32, |i| p.get(i) * scale + i as f32 * 0.1)
+                    },
+                    |_, p, g| *p = p.sub(g).unwrap(),
+                );
+                let product = a.matmul(&w).unwrap();
+                let alone = ring_all_reduce(
+                    &comm,
+                    group_of(k),
+                    &product,
+                    ReduceOp::Sum,
+                    WireFormat::Dense,
+                    1,
+                );
+                (exec.params(), products, alone.to_f32_vec())
+            })
+        };
+        let (with, without) = (run(true), run(false));
+        for ((params, products, alone), (quiet_params, _, _)) in with.iter().zip(&without) {
+            assert_eq!(products.len(), 3 * layers);
+            assert!(products.iter().all(|c| c == alone));
+            for (p, q) in params.iter().zip(quiet_params) {
+                assert_eq!(p.to_f32_vec(), q.to_f32_vec());
+            }
+        }
     }
 
     /// Two concurrent jobs of different classes complete in *priority*

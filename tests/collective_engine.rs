@@ -14,12 +14,14 @@
 //! ReduceScatter/AllGather chunk ownership, for 1..=6 ranks, sizes on
 //! both sides of `n < k`, every lane width class (one, a few, more than
 //! the 64-lane clamp), under the blocking drive and under the priority
-//! scheduler beside a competing higher-class job.
+//! scheduler beside a competing higher-class job. The overlapped
+//! MatMul + AllReduce is one more input to the same ring oracle: each
+//! rank's contribution is its product, spelled out as a triple loop.
 
 use coconet::compress::WireFormat;
 use coconet::runtime::{
-    chunk_range, ring_all_gather, ring_all_reduce, ring_reduce_scatter, run_ranks,
-    switch_all_reduce, CommScheduler, Group,
+    chunk_range, overlapped_matmul_all_reduce, ring_all_gather, ring_all_reduce,
+    ring_reduce_scatter, run_ranks, switch_all_reduce, CommScheduler, Group,
 };
 use coconet::tensor::{DType, ReduceOp, Tensor};
 
@@ -281,6 +283,83 @@ fn blocking_ring_matches_the_scalar_reference() {
                 }
                 if (l.bytes_sent, l.sends) != (ag_sent(n, k, me) * eb, hops) {
                     failures.push(format!("{label}: all-gather ledger {l:?}"));
+                }
+            }
+            failures
+        });
+        let failures: Vec<String> = results.into_iter().flatten().collect();
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+}
+
+/// `[rows, inner] · [inner, cols]` shapes of the overlapped case: chunk
+/// boundaries that cut output rows (`[3,2]·[2,5]` on 4 ranks), fewer
+/// output elements than ranks, even tilings, and a single column.
+const GEMMS: [(usize, usize, usize); 7] = [
+    (3, 2, 5),
+    (1, 2, 3),
+    (1, 1, 1),
+    (4, 3, 4),
+    (8, 5, 8),
+    (5, 3, 1),
+    (7, 4, 9),
+];
+
+/// Row-major `a · w`, every element accumulated over the contraction
+/// dimension in ascending order from zero.
+fn product(a: &[f32], w: &[f32], rows: usize, inner: usize, cols: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; rows * cols];
+    for i in 0..rows {
+        for j in 0..cols {
+            for l in 0..inner {
+                c[i * cols + j] += a[i * inner + l] * w[l * cols + j];
+            }
+        }
+    }
+    c
+}
+
+/// The overlapped MatMul + AllReduce pulls its chunks out of the GEMM
+/// instead of a resident tensor and is otherwise the blocking ring:
+/// same fold order over the ranks' products, same per-rank ledger, no
+/// priority class.
+#[test]
+fn overlapped_matmul_all_reduce_matches_the_scalar_reference() {
+    for k in [1usize, 2, 3, 4, 5, 8] {
+        let results = run_ranks(k, move |comm| {
+            let group = Group { start: 0, size: k };
+            let me = comm.rank();
+            let dense = PATHS[0];
+            let mut failures: Vec<String> = Vec::new();
+            for (rows, inner, cols) in GEMMS {
+                for op in OPS {
+                    let label = format!("k={k} [{rows},{inner}]x[{inner},{cols}] {op:?} rank={me}");
+                    let lhs = |r: usize| (0..rows * inner).map(|i| value(r, i)).collect();
+                    let rhs = |r: usize| (0..inner * cols).map(|i| value(r + 11, i)).collect();
+                    let (a, w): (Vec<f32>, Vec<f32>) = (lhs(me), rhs(me));
+                    let products: Vec<Vec<f32>> = (0..k)
+                        .map(|r| product(&lhs(r), &rhs(r), rows, inner, cols))
+                        .collect();
+                    let a = Tensor::from_f32([rows, inner], DType::F32, &a).unwrap();
+                    let w = Tensor::from_f32([inner, cols], DType::F32, &w).unwrap();
+
+                    comm.reset_ledger();
+                    let out = overlapped_matmul_all_reduce(&comm, group, &a, &w, op).unwrap();
+                    let l = comm.ledger();
+                    let want = all_reduce_reference(&products, op, dense.rounding());
+                    if out.shape().dims() != [rows, cols] || bits(&out) != want_bits(&want) {
+                        failures.push(format!("{label}: overlapped all-reduce bits"));
+                    }
+                    let n = rows * cols;
+                    let sent = (rs_sent(n, k, me) + ag_sent(n, k, me)) * 4;
+                    let received = (rs_sent(n, k, me + k - 1) + ag_sent(n, k, me + k - 1)) * 4;
+                    let hops = 2 * (k as u64 - 1);
+                    if (l.bytes_sent, l.bytes_received, l.sends) != (sent, received, hops) {
+                        failures.push(format!("{label}: overlapped ledger {l:?}"));
+                    }
+                    if l.class_bytes_sent.iter().any(|&b| b != 0) {
+                        failures.push(format!("{label}: a blocking drive recorded a class"));
+                    }
                 }
             }
             failures
