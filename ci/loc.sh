@@ -2,15 +2,16 @@
 # Prints non-test source lines per crate: every `src/**/*.rs` up to its
 # first `#[cfg(test)]` line, `src/bin/` excluded — the recipe ROADMAP.md
 # and the line-count acceptance criteria of a `[simplicity]` PR quote.
-# `core/codegen` (the CUDA emitter, part of `core`) gets its own
-# sub-line.
+# `core/codegen` (the CUDA emitter, part of `core`) and
+# `runtime/executor.rs` (the schedule executor, part of `runtime`) get
+# their own sub-lines.
 #
 #   ci/loc.sh [repo-root]
 set -euo pipefail
 
 cd "${1:-$(dirname "$0")/..}"
 
-# Non-test lines of every `*.rs` under a directory.
+# Non-test lines of every `*.rs` under a directory (or of one file).
 count() {
     find "$1" -name '*.rs' -not -path '*/src/bin/*' -print0 |
         xargs -0 -n1 awk '/^#\[cfg\(test\)\]/{exit} {print}' | wc -l
@@ -20,9 +21,10 @@ total=0
 for crate in crates/*/; do
     n=$(count "$crate/src")
     printf '%-12s %6d\n' "$(basename "$crate")" "$n"
-    if [ "$(basename "$crate")" = core ]; then
-        printf '  %-12s %4d\n' core/codegen "$(count "$crate/src/codegen")"
-    fi
+    case "$(basename "$crate")" in
+        core) printf '  %-19s %4d\n' core/codegen "$(count "$crate/src/codegen")" ;;
+        runtime) printf '  %-19s %4d\n' runtime/executor.rs "$(count "$crate/src/executor.rs")" ;;
+    esac
     total=$((total + n))
 done
 printf '%-12s %6d\n' total "$total"

@@ -10,6 +10,7 @@ mod dim;
 mod error;
 mod graph;
 mod infer;
+pub mod kernel;
 mod layout;
 mod lower;
 mod op;
@@ -26,8 +27,9 @@ pub use codegen::{generate_cuda, GeneratedCode};
 pub use dim::{Binding, Dim, SymShape};
 pub use error::CoreError;
 pub use graph::{FuseKind, FusionGroup, Node, OverlapGroup, Program};
+pub use kernel::KernelIr;
 pub use layout::{Layout, SliceDim};
-pub use lower::lower;
+pub use lower::{lower, partition, Partition, Scheduled, Unit, UnitKind};
 pub use op::{BinaryOp, OpKind, PeerSelector, UnaryOp, VarId};
 pub use plan::{
     lane_count, nodes_spanned, CollAlgo, CollKind, CollSite, CollectiveStep, CommConfig, CommSched,

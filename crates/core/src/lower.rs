@@ -8,7 +8,8 @@
 //! kernel launches; `fuse(RS-Opt-AG)` is one).
 //!
 //! [`partition`] decides what the units are and when they run; `lower`
-//! prices them and [`crate::codegen`] prints them.
+//! prices them, [`crate::codegen`] prints them and the runtime's
+//! executor runs them.
 
 use std::collections::{HashMap, HashSet};
 
@@ -20,42 +21,65 @@ use crate::{
 
 /// How a unit's members were grouped.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum UnitKind {
+pub enum UnitKind {
+    /// One operation no fusion group claims.
     Single,
+    /// A whole fusion group of this kind.
     Fused(FuseKind),
 }
 
 /// One schedulable unit: a whole fusion group, or one operation no
 /// fusion group claims.
 #[derive(Clone, Debug)]
-pub(crate) struct Unit {
-    pub(crate) kind: UnitKind,
-    pub(crate) members: Vec<VarId>,
+pub struct Unit {
+    /// How the members were grouped.
+    pub kind: UnitKind,
+    /// The unit's operations, in topological order.
+    pub members: Vec<VarId>,
 }
 
 /// One entry of the execution order, as indices into
 /// [`Partition::units`].
-pub(crate) enum Scheduled {
+#[derive(Clone, Debug)]
+pub enum Scheduled {
     /// A unit that runs on its own.
     Unit(usize),
     /// The units of one overlap group, in pipeline order.
     Overlap(Vec<usize>),
 }
 
+impl Scheduled {
+    /// The entry's units, in execution order.
+    pub fn units(&self) -> &[usize] {
+        match self {
+            Scheduled::Unit(u) => std::slice::from_ref(u),
+            Scheduled::Overlap(us) => us,
+        }
+    }
+}
+
 /// What a schedule makes of a program: its units and the order they
-/// execute in. `lower` prices it and `codegen` prints it, so the two
-/// cannot disagree on what a kernel is or when it launches.
-pub(crate) struct Partition {
+/// execute in. `lower` prices it, `codegen` prints it and the runtime
+/// executes it, so the three cannot disagree on what a kernel is or
+/// when it launches.
+#[derive(Clone, Debug)]
+pub struct Partition {
     /// Every fusion group (in declaration order), then every remaining
-    /// operation (in topological order).
-    pub(crate) units: Vec<Unit>,
-    /// Execution order, by each unit's first member in topological
-    /// order; an overlap group runs where its first unit would.
-    pub(crate) order: Vec<Scheduled>,
+    /// operation (in topological order). Inputs, constants and slices
+    /// outside a fusion group are operands, not units.
+    pub units: Vec<Unit>,
+    /// Execution order: an entry runs after every entry it reads from,
+    /// ties broken by each entry's first member in topological order.
+    /// The units of an overlap group form one entry.
+    pub order: Vec<Scheduled>,
 }
 
 /// Validates `p` and partitions it into scheduled units.
-pub(crate) fn partition(p: &Program) -> Result<Partition, CoreError> {
+///
+/// # Errors
+///
+/// Propagates [`Program::validate`]'s errors.
+pub fn partition(p: &Program) -> Result<Partition, CoreError> {
     p.validate()?;
     let topo = p.topo_order();
     let position: HashMap<VarId, usize> = topo.iter().enumerate().map(|(i, &v)| (v, i)).collect();
@@ -99,36 +123,85 @@ pub(crate) fn partition(p: &Program) -> Result<Partition, CoreError> {
             .min()
             .unwrap_or(usize::MAX)
     };
-    let mut by_position: Vec<usize> = (0..units.len()).collect();
-    by_position.sort_by_key(|&u| first_position(u));
 
-    // Overlap groups -> sets of unit indices.
-    let mut overlap_units: Vec<Vec<usize>> = Vec::new();
-    let mut unit_overlap: HashMap<usize, usize> = HashMap::new();
+    // Schedule entries: one per overlap group (its units in pipeline
+    // order), one per remaining unit.
+    let mut entries: Vec<Scheduled> = Vec::new();
+    let mut entry_of: HashMap<usize, usize> = HashMap::new();
     for og in p.overlap_groups() {
         let mut covered: Vec<usize> = Vec::new();
         for m in &og.members {
             if let Some(&u) = unit_of.get(m) {
-                if !covered.contains(&u) {
+                if !covered.contains(&u) && !entry_of.contains_key(&u) {
                     covered.push(u);
                 }
             }
         }
+        if covered.is_empty() {
+            continue;
+        }
         covered.sort_by_key(|&u| first_position(u));
         for &u in &covered {
-            unit_overlap.insert(u, overlap_units.len());
+            entry_of.insert(u, entries.len());
         }
-        overlap_units.push(covered);
+        entries.push(Scheduled::Overlap(covered));
+    }
+    for u in 0..units.len() {
+        if let std::collections::hash_map::Entry::Vacant(slot) = entry_of.entry(u) {
+            slot.insert(entries.len());
+            entries.push(Scheduled::Unit(u));
+        }
     }
 
-    let mut order: Vec<Scheduled> = Vec::new();
-    for u in by_position {
-        match unit_overlap.get(&u) {
-            // Already scheduled, where the group's first unit ran.
-            Some(&og) if overlap_units[og].is_empty() => {}
-            Some(&og) => order.push(Scheduled::Overlap(std::mem::take(&mut overlap_units[og]))),
-            None => order.push(Scheduled::Unit(u)),
+    // The entries an entry reads from, looking through the operand
+    // nodes (slices of inputs) that belong to no unit.
+    let mut reads: Vec<HashSet<usize>> = vec![HashSet::new(); entries.len()];
+    for (e, entry) in entries.iter().enumerate() {
+        let mut pending: Vec<VarId> = Vec::new();
+        for &u in entry.units() {
+            for &m in &units[u].members {
+                pending.extend(p.op(m)?.inputs());
+            }
         }
+        let mut seen: HashSet<VarId> = HashSet::new();
+        while let Some(dep) = pending.pop() {
+            if !seen.insert(dep) {
+                continue;
+            }
+            match unit_of.get(&dep) {
+                Some(u) if entry_of[u] != e => {
+                    reads[e].insert(entry_of[u]);
+                }
+                Some(_) => {}
+                None => pending.extend(p.op(dep)?.inputs()),
+            }
+        }
+    }
+
+    // Kahn's algorithm, always taking the ready entry whose first
+    // member comes first. A fusion group is convex, so the entry graph
+    // is acyclic; should a hand-built group break that, the earliest
+    // remaining entry runs next, as a plain topological walk would.
+    let first_of = |e: usize| {
+        entries[e]
+            .units()
+            .iter()
+            .map(|&u| first_position(u))
+            .min()
+            .unwrap_or(usize::MAX)
+    };
+    let mut remaining: Vec<usize> = (0..entries.len()).collect();
+    remaining.sort_by_key(|&e| first_of(e));
+    let mut done: HashSet<usize> = HashSet::new();
+    let mut order: Vec<Scheduled> = Vec::with_capacity(entries.len());
+    while !remaining.is_empty() {
+        let at = remaining
+            .iter()
+            .position(|&e| reads[e].iter().all(|r| done.contains(r)))
+            .unwrap_or(0);
+        let e = remaining.remove(at);
+        done.insert(e);
+        order.push(entries[e].clone());
     }
     Ok(Partition { units, order })
 }

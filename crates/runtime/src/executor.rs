@@ -1,31 +1,48 @@
-//! SPMD interpretation of CoCoNet programs with real data movement.
+//! SPMD execution of CoCoNet programs with real data movement.
 //!
-//! Every rank thread walks the program's DFG in topological order,
-//! evaluating computations on its local data and dispatching
-//! communication operations onto the collective algorithm the run's
-//! [`RunOptions`] selects — the flat ring, the binomial tree, or the
-//! two-level hierarchical variant, mirroring how a tuned plan's
+//! Every rank thread runs the program's *schedule*: the units of
+//! [`partition`] — the same partition `lower` prices and the CUDA
+//! emitter prints — in their order. A `ComputationFuse` unit is one
+//! kernel of the block evaluator ([`crate::kernel`]): its members'
+//! [`KernelIr`] runs over blocks of lanes and only the members that
+//! escape it reach memory. An `AllReduceFuse` unit is a ReduceScatter,
+//! that kernel on the owned chunk (a sliced `Norm` keeps its scalar
+//! AllReduce between segments), and an AllGather, with no full-size
+//! intermediate. An unfused pointwise operation is a one-op kernel
+//! through the same evaluator; overlap groups and fused sends run
+//! their stages one after another.
+//!
+//! Communication operations dispatch onto the collective algorithm the
+//! run's [`RunOptions`] selects — the flat ring, the binomial tree, or
+//! the two-level hierarchical variant, mirroring how a tuned plan's
 //! [`CommConfig`](coconet_core::CommConfig) stamps its `CollAlgo` into
-//! every collective step. Because transformations only rewrite the
-//! graph (fusion/overlap are schedule annotations), the same
-//! interpreter executes a program *before and after* any schedule is
-//! applied — which is how the integration tests verify the
-//! transformations are semantics preserving, and because every
-//! algorithm implements the same collective contract, the tests also
-//! verify the algorithms agree with each other.
+//! every collective step.
+//!
+//! Transformations never change what a program computes per element,
+//! only how it is grouped, so the same executor runs a program *before
+//! and after* any schedule — which is how the integration tests verify
+//! the transformations are semantics preserving. The per-element
+//! interpreter the evaluator replaced survives as the tests' oracle
+//! ([`run_program_per_element`]): it walks the DFG one node and one
+//! element at a time, and every schedule must match it bit for bit.
 
 use std::collections::HashMap;
 use std::thread;
 
 use coconet_compress::WireFormat;
-use coconet_core::{Binding, CollAlgo, CommConfig, Layout, OpKind, Program, SliceDim, VarId};
-use coconet_tensor::{CounterRng, ReduceOp, Shape, Tensor};
+use coconet_core::kernel::Stage;
+use coconet_core::{
+    partition, Binding, CollAlgo, CommConfig, FuseKind, KernelIr, Layout, OpKind, Program,
+    SliceDim, Unit, UnitKind, VarId,
+};
+use coconet_tensor::{DType, ReduceOp, Shape, Tensor};
 use coconet_topology::Cluster;
 
 use crate::collectives::{all_reduce_scalar, broadcast, reduce, Group};
 use crate::compressed::{
     all_gather_wire_striped, all_reduce_wire_striped, reduce_scatter_wire_striped,
 };
+use crate::kernel::{run_segment, Site};
 use crate::{DistValue, RankComm, RuntimeError};
 
 /// How to initialize a declared input tensor.
@@ -184,14 +201,34 @@ impl RunOptions {
     }
 }
 
+/// What one executed kernel moved between memory and its registers,
+/// counted by the block evaluator as it ran — the measured counterpart
+/// of a lowered [`KernelStep`](coconet_core::KernelStep)'s
+/// `bytes_read` / `bytes_written`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct KernelStats {
+    /// The kernel's pointwise members, joined by `+`.
+    pub label: String,
+    /// Bytes loaded from operands, each in its stored dtype.
+    pub bytes_loaded: u64,
+    /// Bytes stored for the members that escape the kernel.
+    pub bytes_stored: u64,
+}
+
 /// The result of executing a program: per-rank output values.
 #[derive(Debug)]
 pub struct RunResult {
     per_rank: Vec<HashMap<String, DistValue>>,
+    kernels: Vec<Vec<KernelStats>>,
     group_size: usize,
 }
 
 impl RunResult {
+    /// The kernels a global rank executed, in execution order.
+    pub fn kernels(&self, rank: usize) -> &[KernelStats] {
+        self.kernels.get(rank).map_or(&[], Vec::as_slice)
+    }
+
     /// The local output value of `name` on a global rank, if present
     /// there (pipeline outputs are absent on the first group).
     pub fn local(&self, rank: usize, name: &str) -> Option<&DistValue> {
@@ -244,6 +281,98 @@ impl RunResult {
     }
 }
 
+/// One step of a rank's walk through the program.
+enum Action {
+    /// A DFG node executed whole: an input, a constant, a collective,
+    /// a send, a MatMul or a convolution.
+    Node(VarId),
+    /// The pointwise members of one unit, as one kernel.
+    Kernel { ir: KernelIr, label: String },
+    /// One pointwise node, one element at a time (the oracle).
+    PerElement(VarId),
+}
+
+/// The kernel of pointwise operations `members`.
+fn kernel_of(program: &Program, members: &[VarId]) -> Result<Action, RuntimeError> {
+    let names: Vec<&str> = members
+        .iter()
+        .filter_map(|&m| program.node(m).ok())
+        .map(|n| n.name())
+        .collect();
+    Ok(Action::Kernel {
+        ir: KernelIr::compile(program, members)?,
+        label: names.join("+"),
+    })
+}
+
+/// What executing `unit` takes. A fused send applies its computations
+/// one by one on the way out (ROADMAP 1(c)); every other unit is one
+/// kernel of all its pointwise members, after the ReduceScatter that
+/// feeds a fused collective and before the AllGathers that publish it
+/// (member order alone does not say so: `m * beta1` precedes the
+/// ReduceScatter in the DFG).
+fn actions_of(program: &Program, unit: &Unit) -> Result<Vec<Action>, RuntimeError> {
+    let is = |m: &VarId, what: fn(&OpKind) -> bool| program.op(*m).is_ok_and(what);
+    let (pointwise, collectives): (Vec<VarId>, Vec<VarId>) = unit
+        .members
+        .iter()
+        .partition(|m| is(m, OpKind::is_pointwise));
+    if unit.kind == UnitKind::Fused(FuseKind::Send) {
+        return unit
+            .members
+            .iter()
+            .map(|m| match pointwise.contains(m) {
+                true => kernel_of(program, &[*m]),
+                false => Ok(Action::Node(*m)),
+            })
+            .collect();
+    }
+    let (feeds, publishes): (Vec<VarId>, Vec<VarId>) = collectives
+        .into_iter()
+        .partition(|m| is(m, |op| matches!(op, OpKind::ReduceScatter(..))));
+    let mut actions: Vec<Action> = feeds.into_iter().map(Action::Node).collect();
+    if !pointwise.is_empty() {
+        actions.push(kernel_of(program, &pointwise)?);
+    }
+    actions.extend(publishes.into_iter().map(Action::Node));
+    Ok(actions)
+}
+
+/// The schedule of a (validated, by `partition`) `program`: its
+/// operands (inputs and constants), then `lower::partition`'s units in
+/// their order.
+fn schedule_of(program: &Program) -> Result<Vec<Action>, RuntimeError> {
+    let parts = partition(program)?;
+    let mut actions: Vec<Action> = program
+        .topo_order()
+        .into_iter()
+        .filter(|&v| matches!(program.op(v), Ok(OpKind::Input | OpKind::ConstScalar(_))))
+        .map(Action::Node)
+        .collect();
+    for &u in parts.order.iter().flat_map(|entry| entry.units()) {
+        actions.extend(actions_of(program, &parts.units[u])?);
+    }
+    Ok(actions)
+}
+
+/// The oracle's walk: the DFG in topological order, one node at a time.
+fn per_element_walk(program: &Program) -> Vec<Action> {
+    program
+        .topo_order()
+        .into_iter()
+        .map(|v| match program.op(v) {
+            Ok(
+                OpKind::Unary(..)
+                | OpKind::Binary(..)
+                | OpKind::Dropout(..)
+                | OpKind::Slice(_)
+                | OpKind::Update(..),
+            ) => Action::PerElement(v),
+            _ => Action::Node(v),
+        })
+        .collect()
+}
+
 /// Executes `program` once, SPMD on `binding.world_size()` rank
 /// threads. (Multi-iteration, barrier-free execution is
 /// [`StreamExecutor::run_iterations`](crate::StreamExecutor::run_iterations).)
@@ -258,7 +387,35 @@ pub fn run_program(
     inputs: &Inputs,
     opts: RunOptions,
 ) -> Result<RunResult, RuntimeError> {
+    run_actions(program, binding, inputs, opts, &schedule_of(program)?)
+}
+
+/// The oracle the tests compare [`run_program`] against, bit for bit:
+/// the per-element interpreter, which ignores the schedule, walks the
+/// DFG in topological order and computes every pointwise node one
+/// `f32` at a time through global indices.
+///
+/// # Errors
+///
+/// As [`run_program`].
+#[doc(hidden)]
+pub fn run_program_per_element(
+    program: &Program,
+    binding: &Binding,
+    inputs: &Inputs,
+    opts: RunOptions,
+) -> Result<RunResult, RuntimeError> {
     program.validate()?;
+    run_actions(program, binding, inputs, opts, &per_element_walk(program))
+}
+
+fn run_actions(
+    program: &Program,
+    binding: &Binding,
+    inputs: &Inputs,
+    opts: RunOptions,
+    actions: &[Action],
+) -> Result<RunResult, RuntimeError> {
     let world = binding.world_size();
     // Validate initializers up front for better errors, and reject
     // geometries where a sliced tensor does not divide across the
@@ -278,10 +435,22 @@ pub fn run_program(
         }
     }
 
-    // Scoped rank threads borrow the program, binding, and inputs
-    // directly — no deep copies, no reference counting at spawn time.
+    // Stable dropout ordinals: schedules do not add or remove dropouts.
+    let mut dropout_ordinal: HashMap<VarId, u64> = HashMap::new();
+    for v in program.topo_order() {
+        if matches!(program.op(v), Ok(OpKind::Dropout(..))) {
+            let next = dropout_ordinal.len() as u64;
+            dropout_ordinal.insert(v, next);
+        }
+    }
+    let dropout_ordinal = &dropout_ordinal;
+
+    // Scoped rank threads borrow the program, binding, inputs and
+    // schedule directly — no deep copies, no reference counting at
+    // spawn time.
     let comms = RankComm::world(world);
     let mut per_rank = Vec::with_capacity(world);
+    let mut kernels = Vec::with_capacity(world);
     let mut first_err = None;
     thread::scope(|s| {
         let handles: Vec<_> = comms
@@ -289,28 +458,31 @@ pub fn run_program(
             .map(|comm| {
                 s.spawn(move || {
                     coconet_trace::set_thread_rank(comm.rank() as u32);
-                    execute_rank(program, binding, inputs, &comm, opts)
+                    Rank::new(program, binding, inputs, &comm, opts, dropout_ordinal).run(actions)
                 })
             })
             .collect();
         for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(Ok(outputs)) => per_rank.push(outputs),
+            let (outputs, stats) = match h.join() {
+                Ok(Ok(done)) => done,
                 Ok(Err(e)) => {
-                    per_rank.push(HashMap::new());
                     first_err.get_or_insert(e);
+                    Default::default()
                 }
                 Err(_) => {
-                    per_rank.push(HashMap::new());
                     first_err.get_or_insert(RuntimeError::RankPanicked(rank));
+                    Default::default()
                 }
-            }
+            };
+            per_rank.push(outputs);
+            kernels.push(stats);
         }
     });
     match first_err {
         Some(e) => Err(e),
         None => Ok(RunResult {
             per_rank,
+            kernels,
             group_size: binding.group_size,
         }),
     }
@@ -340,163 +512,233 @@ fn op_trace_label(op: &OpKind) -> &'static str {
     }
 }
 
-fn execute_rank(
-    program: &Program,
-    binding: &Binding,
-    inputs: &Inputs,
-    comm: &RankComm,
-    opts: RunOptions,
-) -> Result<HashMap<String, DistValue>, RuntimeError> {
-    let gs = binding.group_size;
-    let rank = comm.rank();
-    let group_idx = rank / gs;
-    let pos = rank % gs;
-    let group = Group {
-        start: group_idx * gs,
-        size: gs,
-    };
+/// What a rank hands back: the program's outputs by name, and what
+/// every kernel it ran moved.
+type RankOutput = (HashMap<String, DistValue>, Vec<KernelStats>);
 
-    // Stable dropout ordinals: schedules do not add or remove dropouts.
-    let mut dropout_ordinal: HashMap<VarId, u64> = HashMap::new();
-    for v in program.topo_order() {
-        if matches!(program.op(v), Ok(OpKind::Dropout(..))) {
-            let next = dropout_ordinal.len() as u64;
-            dropout_ordinal.insert(v, next);
+/// One rank's execution state.
+struct Rank<'a> {
+    inputs: &'a Inputs,
+    comm: &'a RankComm,
+    opts: RunOptions,
+    site: Site<'a>,
+    group: Group,
+    group_idx: usize,
+    /// The value of every node computed so far, by node index.
+    values: Vec<Option<DistValue>>,
+    kernels: Vec<KernelStats>,
+}
+
+impl<'a> Rank<'a> {
+    fn new(
+        program: &'a Program,
+        binding: &'a Binding,
+        inputs: &'a Inputs,
+        comm: &'a RankComm,
+        opts: RunOptions,
+        dropout_ordinal: &'a HashMap<VarId, u64>,
+    ) -> Rank<'a> {
+        let gs = binding.group_size;
+        let group_idx = comm.rank() / gs;
+        let n_nodes = program.live_vars().last().map_or(0, |v| v.index() + 1);
+        Rank {
+            inputs,
+            comm,
+            opts,
+            site: Site {
+                program,
+                binding,
+                pos: comm.rank() % gs,
+                gs,
+                seed: opts.seed,
+                dropout_ordinal,
+            },
+            group: Group {
+                start: group_idx * gs,
+                size: gs,
+            },
+            group_idx,
+            values: vec![None; n_nodes],
+            kernels: Vec::new(),
         }
     }
 
-    let n_nodes = program
-        .topo_order()
-        .iter()
-        .map(|v| v.index())
-        .max()
-        .map_or(0, |m| m + 1);
-    let mut values: Vec<Option<DistValue>> = vec![None; n_nodes];
+    /// Runs the walk.
+    fn run(mut self, actions: &[Action]) -> Result<RankOutput, RuntimeError> {
+        for (step, action) in actions.iter().enumerate() {
+            let label = match action {
+                Action::Kernel { .. } => "kernel",
+                Action::Node(v) | Action::PerElement(v) => {
+                    op_trace_label(self.site.program.op(*v)?)
+                }
+            };
+            let _step_span =
+                coconet_trace::span(coconet_trace::EventKind::Compute, label, step as u64, 0);
+            match action {
+                Action::Node(v) => self.node(*v)?,
+                Action::Kernel { ir, label } => self.kernel(ir, label)?,
+                Action::PerElement(v) => self.per_element(*v)?,
+            }
+        }
+        let mut outputs = HashMap::new();
+        for &out in self.site.program.outputs() {
+            let name = self.site.program.node(out)?.name().to_string();
+            if let Some(val) = self.value(out)?.cloned() {
+                outputs.insert(name, val);
+            }
+        }
+        Ok((outputs, self.kernels))
+    }
 
-    for (step, v) in program.topo_order().into_iter().enumerate() {
-        let node = program.node(v)?;
-        let ty = node.ty().clone();
-        let out_layout = ty.layout;
-        let out_shape = ty.shape.eval(binding)?;
-        let out_dtype = ty.dtype;
+    /// The value of `v` in memory. A `Slice` no unit claims is an
+    /// addressing mode to the kernels that read through it; whoever
+    /// needs it as a tensor (a collective, a reduction, the program's
+    /// outputs) materializes it here, once.
+    fn value(&mut self, v: VarId) -> Result<Option<&DistValue>, RuntimeError> {
+        if self.values[v.index()].is_none() && matches!(self.site.program.op(v)?, OpKind::Slice(_))
+        {
+            let ir = KernelIr::compile(self.site.program, &[v])?;
+            for seg in ir.segments() {
+                run_segment(seg, &self.site, &mut self.values)?;
+            }
+        }
+        Ok(self.values[v.index()].as_ref())
+    }
 
-        let _step_span = coconet_trace::span(
-            coconet_trace::EventKind::Compute,
-            op_trace_label(node.op()),
-            step as u64,
-            0,
+    /// Runs one kernel: its segments through the block evaluator, its
+    /// reductions between them.
+    fn kernel(&mut self, ir: &KernelIr, label: &str) -> Result<(), RuntimeError> {
+        let mut stats = KernelStats {
+            label: label.to_string(),
+            bytes_loaded: 0,
+            bytes_stored: 0,
+        };
+        for stage in &ir.stages {
+            match stage {
+                Stage::Segment(seg) => {
+                    let moved = run_segment(seg, &self.site, &mut self.values)?;
+                    stats.bytes_loaded += moved.loaded;
+                    stats.bytes_stored += moved.stored;
+                    for m in seg.stores() {
+                        if let (OpKind::Update(target, _), Some(new)) =
+                            (self.site.program.op(m)?, &self.values[m.index()])
+                        {
+                            self.values[target.index()] = Some(new.clone());
+                        }
+                    }
+                }
+                // A reduction reads its operand once and writes a scalar.
+                Stage::Reduce(m) => {
+                    self.node(*m)?;
+                    let operand = self.site.program.op(*m)?.inputs()[0];
+                    let (read, wrote) = (&self.values[operand.index()], &self.values[m.index()]);
+                    if let (Some(read), Some(wrote)) = (read, wrote) {
+                        stats.bytes_loaded += read.local.size_bytes() as u64;
+                        stats.bytes_stored += wrote.local.size_bytes() as u64;
+                    }
+                }
+            }
+        }
+        self.kernels.push(stats);
+        Ok(())
+    }
+
+    /// Evaluates pointwise node `v` one element at a time, reading its
+    /// operands through global indices (with PyTorch broadcasting).
+    fn per_element(&mut self, v: VarId) -> Result<(), RuntimeError> {
+        let node = self.site.program.node(v)?;
+        let op = node.op().clone();
+        // An `Update` reads only its new value; the target is written.
+        let operands = match op {
+            OpKind::Update(_, x) => vec![x],
+            _ => op.inputs(),
+        };
+        let rng = match op {
+            OpKind::Dropout(..) => Some(self.site.dropout_rng(v)),
+            _ => None,
+        };
+        let value = eval_elementwise(
+            &self.values,
+            &operands,
+            &node.ty().shape.eval(self.site.binding)?,
+            node.ty().layout,
+            node.ty().dtype,
+            self.site.pos,
+            self.site.gs,
+            |args, gidx| match op {
+                OpKind::Unary(op, _) => op.apply(args[0]),
+                OpKind::Binary(op, ..) => op.apply(args[0], args[1]),
+                OpKind::Dropout(_, p) => {
+                    let rng = rng.expect("a dropout has its mask stream");
+                    if rng.keep_at(gidx as u64, p) {
+                        args[0] * (1.0 / (1.0 - p)) as f32
+                    } else {
+                        0.0
+                    }
+                }
+                _ => args[0],
+            },
         );
-        let value: Option<DistValue> = match node.op().clone() {
+        if let (OpKind::Update(target, _), Some(_)) = (&op, &value) {
+            self.values[target.index()] = value.clone();
+        }
+        self.values[v.index()] = value;
+        Ok(())
+    }
+
+    /// Executes node `v` whole: everything that is not a kernel.
+    fn node(&mut self, v: VarId) -> Result<(), RuntimeError> {
+        let node = self.site.program.node(v)?;
+        let ty = node.ty().clone();
+        let out_shape = ty.shape.eval(self.site.binding)?;
+        let (pos, gs) = (self.site.pos, self.site.gs);
+        let (comm, group, opts) = (self.comm, self.group, self.opts);
+        let op = node.op().clone();
+        for dep in op.inputs() {
+            self.value(dep)?;
+        }
+        let values = &self.values;
+        let at = |v: VarId| values[v.index()].as_ref();
+        let value: Option<DistValue> = match op {
             OpKind::Input => Some(materialize_input(
                 node.name(),
                 &out_shape,
-                out_layout,
-                out_dtype,
-                inputs,
-                rank,
+                ty.layout,
+                ty.dtype,
+                self.inputs,
+                comm.rank(),
                 pos,
                 gs,
             )?),
             OpKind::ConstScalar(c) => Some(DistValue::replicated(
-                Tensor::scalar(coconet_tensor::DType::F32, c as f32),
+                Tensor::scalar(DType::F32, c as f32),
                 pos,
                 gs,
             )),
-            OpKind::Unary(op, a) => eval_elementwise(
-                &values,
-                &[a],
-                &out_shape,
-                out_layout,
-                out_dtype,
-                pos,
-                gs,
-                |args, _| op.apply(args[0]),
-            ),
-            OpKind::Binary(op, a, b) => eval_elementwise(
-                &values,
-                &[a, b],
-                &out_shape,
-                out_layout,
-                out_dtype,
-                pos,
-                gs,
-                |args, _| op.apply(args[0], args[1]),
-            ),
-            OpKind::Dropout(a, p) => {
-                let rng = CounterRng::new(
-                    opts.seed
-                        .wrapping_add(dropout_ordinal[&v].wrapping_mul(0x9E37_79B9)),
-                );
-                let scale = (1.0 / (1.0 - p)) as f32;
-                eval_elementwise(
-                    &values,
-                    &[a],
-                    &out_shape,
-                    out_layout,
-                    out_dtype,
+            OpKind::MatMul(a, w) => match (at(a), at(w)) {
+                (Some(av), Some(wv)) => Some(DistValue {
+                    global_shape: out_shape,
+                    layout: ty.layout,
+                    local: av.local.matmul(&wv.local)?.cast(ty.dtype),
                     pos,
-                    gs,
-                    move |args, gidx| {
-                        if rng.keep_at(gidx as u64, p) {
-                            args[0] * scale
-                        } else {
-                            0.0
-                        }
-                    },
-                )
-            }
-            OpKind::Slice(a) => eval_elementwise(
-                &values,
-                &[a],
-                &out_shape,
-                out_layout,
-                out_dtype,
-                pos,
-                gs,
-                |args, _| args[0],
-            ),
-            OpKind::Update(target, x) => {
-                let out = eval_elementwise(
-                    &values,
-                    &[x],
-                    &out_shape,
-                    out_layout,
-                    out_dtype,
+                    group_size: gs,
+                }),
+                _ => None,
+            },
+            OpKind::Conv2d(x, w, params) => match (at(x), at(w)) {
+                (Some(xv), Some(wv)) => Some(DistValue {
+                    global_shape: out_shape,
+                    layout: ty.layout,
+                    local: xv.local.conv2d(&wv.local, params)?.cast(ty.dtype),
                     pos,
-                    gs,
-                    |args, _| args[0],
-                );
-                if let Some(val) = &out {
-                    values[target.index()] = Some(val.clone());
-                }
-                out
-            }
-            OpKind::MatMul(a, w) => {
-                eval_matmul(&values, a, w, &out_shape, out_layout, out_dtype, pos, gs)?
-            }
-            OpKind::Conv2d(x, w, params) => {
-                match (values[x.index()].as_ref(), values[w.index()].as_ref()) {
-                    (Some(xv), Some(wv)) => {
-                        let y = xv.local.conv2d(&wv.local, params)?.cast(out_dtype);
-                        Some(DistValue {
-                            global_shape: out_shape.clone(),
-                            layout: out_layout,
-                            local: y,
-                            pos,
-                            group_size: gs,
-                        })
-                    }
-                    _ => None,
-                }
-            }
-            OpKind::Norm(a) => {
-                eval_full_reduction(&values, a, comm, group, pos, gs, ReduceOp::Sum, true)
-            }
-            OpKind::ReduceTensor(op, a) => {
-                eval_full_reduction(&values, a, comm, group, pos, gs, op, false)
-            }
+                    group_size: gs,
+                }),
+                _ => None,
+            },
+            OpKind::Norm(a) => at(a).map(|x| full_reduction(x, comm, group, ReduceOp::Sum, true)),
+            OpKind::ReduceTensor(op, a) => at(a).map(|x| full_reduction(x, comm, group, op, false)),
             // One-shot program runs carry no error-feedback residual.
-            OpKind::AllReduce(op, a) => values[a.index()].as_ref().map(|input| {
+            OpKind::AllReduce(op, a) => at(a).map(|input| {
                 let reduced = all_reduce_wire_striped(
                     comm,
                     group,
@@ -510,7 +752,7 @@ fn execute_rank(
                 );
                 DistValue::replicated(reduced, pos, gs)
             }),
-            OpKind::ReduceScatter(op, a) => values[a.index()].as_ref().map(|input| {
+            OpKind::ReduceScatter(op, a) => at(a).map(|input| {
                 let chunk = reduce_scatter_wire_striped(
                     comm,
                     group,
@@ -529,7 +771,7 @@ fn execute_rank(
                     group_size: gs,
                 }
             }),
-            OpKind::AllGather(a) => match values[a.index()].as_ref() {
+            OpKind::AllGather(a) => match at(a) {
                 None => None,
                 Some(input) => {
                     let chunks = all_gather_wire_striped(
@@ -555,31 +797,29 @@ fn execute_rank(
                             out
                         }
                     };
-                    Some(DistValue::replicated(
-                        full.reshape(out_shape.clone())?,
-                        pos,
-                        gs,
-                    ))
+                    Some(DistValue::replicated(full.reshape(out_shape)?, pos, gs))
                 }
             },
-            OpKind::Broadcast(a, root) => values[a.index()].as_ref().map(|input| {
+            OpKind::Broadcast(a, root) => at(a).map(|input| {
                 DistValue::replicated(broadcast(comm, group, Some(&input.local), root), pos, gs)
             }),
-            OpKind::Reduce(op, a, root) => values[a.index()].as_ref().map(|input| {
+            OpKind::Reduce(op, a, root) => at(a).map(|input| {
                 DistValue::local(reduce(comm, group, &input.local, op, root), pos, gs)
             }),
             OpKind::Send(a, _) => {
                 let shift = ty.group_shift as usize;
-                let input = values[a.index()].as_ref();
+                let input = at(a);
+                let rank = comm.rank();
                 // Send to the peer in the next group if this group has
                 // the value and a next group exists.
-                if group_idx + 1 < binding.num_groups && group_idx + 1 >= shift {
+                if self.group_idx + 1 < self.site.binding.num_groups && self.group_idx + 1 >= shift
+                {
                     if let Some(val) = input {
                         comm.send(rank + gs, val.local.clone());
                     }
                 }
                 // Receive from the previous group if it sent.
-                if group_idx >= shift && group_idx >= 1 {
+                if self.group_idx >= shift && self.group_idx >= 1 {
                     let local = comm.recv(rank - gs);
                     let proto = input.expect("sender side had the value too");
                     Some(DistValue {
@@ -593,18 +833,11 @@ fn execute_rank(
                     None
                 }
             }
+            other => unreachable!("{} runs in a kernel", other.mnemonic()),
         };
-        values[v.index()] = value;
+        self.values[v.index()] = value;
+        Ok(())
     }
-
-    let mut outputs = HashMap::new();
-    for &out in program.outputs() {
-        let name = program.node(out)?.name().to_string();
-        if let Some(val) = values[out.index()].take() {
-            outputs.insert(name, val);
-        }
-    }
-    Ok(outputs)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -612,7 +845,7 @@ fn materialize_input(
     name: &str,
     global_shape: &Shape,
     layout: Layout,
-    dtype: coconet_tensor::DType,
+    dtype: DType,
     inputs: &Inputs,
     rank: usize,
     pos: usize,
@@ -621,8 +854,7 @@ fn materialize_input(
     let init = inputs
         .get(name)
         .ok_or_else(|| RuntimeError::MissingInput(name.into()))?;
-    let local_shape = DistValue::local_shape(global_shape, layout, gs);
-    match init {
+    let local = match init {
         InitValue::Global(t) => {
             if t.shape() != global_shape {
                 return Err(RuntimeError::BadInput {
@@ -634,55 +866,41 @@ fn materialize_input(
                 });
             }
             let t = t.cast(dtype);
-            // Replicated and Local layouts store the full tensor: every
-            // rank shares one buffer handle instead of copying the
-            // initializer world_size times (the old broadcast chain).
-            if matches!(layout, Layout::Replicated | Layout::Local) {
-                return Ok(DistValue {
-                    global_shape: global_shape.clone(),
-                    layout,
-                    local: t,
-                    pos,
-                    group_size: gs,
-                });
+            // Every rank shares the initializer's buffer: whole for
+            // `Replicated` / `Local`, a zero-copy view of this rank's
+            // share for flat and leading-dimension slices (an interior
+            // dimension copies its row runs).
+            match layout {
+                Layout::Replicated | Layout::Local => t,
+                Layout::Sliced(SliceDim::Flat) => {
+                    let chunk = t.numel() / gs;
+                    t.slice_flat(pos * chunk, chunk)?
+                }
+                Layout::Sliced(SliceDim::Dim(d)) => {
+                    let extent = global_shape.dim(d) / gs;
+                    t.slice_dim(d, pos * extent, extent)?
+                }
             }
-            // Sliced layouts build the local slice through the
-            // global-index mapping, in one allocation.
-            let local = Tensor::from_fn(local_shape.clone(), dtype, |l| {
-                t.get(DistValue::global_index_in(
-                    global_shape,
-                    layout,
-                    &local_shape,
-                    pos,
-                    gs,
-                    l,
-                ))
-            });
-            Ok(DistValue {
-                global_shape: global_shape.clone(),
-                layout,
-                local,
-                pos,
-                group_size: gs,
-            })
         }
         InitValue::PerRank(ts) => {
             let t = ts[rank].cast(dtype);
+            let local_shape = DistValue::local_shape(global_shape, layout, gs);
             if t.shape() != &local_shape {
                 return Err(RuntimeError::BadInput {
                     name: name.into(),
                     detail: format!("expected per-rank shape {local_shape}, got {}", t.shape()),
                 });
             }
-            Ok(DistValue {
-                global_shape: global_shape.clone(),
-                layout,
-                local: t,
-                pos,
-                group_size: gs,
-            })
+            t
         }
-    }
+    };
+    Ok(DistValue {
+        global_shape: global_shape.clone(),
+        layout,
+        local,
+        pos,
+        group_size: gs,
+    })
 }
 
 /// Evaluates a pointwise operation elementwise over the output's local
@@ -694,7 +912,7 @@ fn eval_elementwise(
     operands: &[VarId],
     out_shape: &Shape,
     out_layout: Layout,
-    out_dtype: coconet_tensor::DType,
+    out_dtype: DType,
     pos: usize,
     gs: usize,
     f: impl Fn(&[f32], usize) -> f32,
@@ -727,60 +945,35 @@ fn eval_elementwise(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn eval_matmul(
-    values: &[Option<DistValue>],
-    a: VarId,
-    w: VarId,
-    out_shape: &Shape,
-    out_layout: Layout,
-    out_dtype: coconet_tensor::DType,
-    pos: usize,
-    gs: usize,
-) -> Result<Option<DistValue>, RuntimeError> {
-    let (Some(av), Some(wv)) = (values[a.index()].as_ref(), values[w.index()].as_ref()) else {
-        return Ok(None);
-    };
-    let product = av.local.matmul(&wv.local)?.cast(out_dtype);
-    Ok(Some(DistValue {
-        global_shape: out_shape.clone(),
-        layout: out_layout,
-        local: product,
-        pos,
-        group_size: gs,
-    }))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_full_reduction(
-    values: &[Option<DistValue>],
-    a: VarId,
+/// `Norm` / `ReduceTensor`: one sequential `f64` pass over this rank's
+/// elements, then a scalar AllReduce when the operand is sliced.
+fn full_reduction(
+    input: &DistValue,
     comm: &RankComm,
     group: Group,
-    pos: usize,
-    gs: usize,
     op: ReduceOp,
     is_norm: bool,
-) -> Option<DistValue> {
-    let input = values[a.index()].as_ref()?;
+) -> DistValue {
     let mut partial: f64 = if is_norm {
         input.local.sum_squares()
     } else {
-        (0..input.local.numel())
-            .map(|i| f64::from(input.local.get(i)))
-            .fold(f64::from(op.identity()), |acc, x| {
-                f64::from(op.apply(acc as f32, x as f32))
+        let wide = input.local.cast(DType::F32);
+        wide.as_f32_slice()
+            .expect("cast to F32")
+            .iter()
+            .fold(f64::from(op.identity()), |acc, &x| {
+                f64::from(op.apply(acc as f32, x))
             })
     };
     if input.layout.is_sliced() {
         partial = all_reduce_scalar(comm, group, partial, op);
     }
     let total = if is_norm { partial.sqrt() } else { partial };
-    Some(DistValue::replicated(
-        Tensor::scalar(coconet_tensor::DType::F32, total as f32),
-        pos,
-        gs,
-    ))
+    DistValue::replicated(
+        Tensor::scalar(DType::F32, total as f32),
+        input.pos,
+        input.group_size,
+    )
 }
 
 #[cfg(test)]
@@ -1060,6 +1253,52 @@ mod tests {
             ),
             "got {err:?}"
         );
+    }
+
+    /// A `Slice` no unit claims is an addressing mode to kernels, but a
+    /// collective, a reduction and the program's outputs need it as a
+    /// tensor: it is materialized on demand, and everything agrees
+    /// with the per-element oracle.
+    #[test]
+    fn an_unscheduled_slice_is_materialized_for_whoever_needs_a_tensor() {
+        let mut p = Program::new("slices");
+        let r = p.input("r", DType::F32, ["N"], Layout::Replicated);
+        let s = p.slice(r).unwrap();
+        p.set_name(s, "s").unwrap();
+        let ag = p.all_gather(s).unwrap();
+        p.set_name(ag, "ag").unwrap();
+        let n = p.norm(s).unwrap();
+        p.set_name(n, "n").unwrap();
+        let two = p.constant(2.0);
+        let doubled = p.mul(s, two).unwrap();
+        p.set_name(doubled, "doubled").unwrap();
+        p.set_io(&[r], &[s, ag, n, doubled]).unwrap();
+
+        let binding = Binding::new(4).bind("N", 8);
+        let r0 = Tensor::from_fn([8], DType::F32, |i| i as f32 - 3.5);
+        let inputs = Inputs::new().global("r", r0.clone());
+        let got = run_program(&p, &binding, &inputs, RunOptions::default()).unwrap();
+        let want = run_program_per_element(&p, &binding, &inputs, RunOptions::default()).unwrap();
+        for name in ["s", "ag", "n", "doubled"] {
+            for rank in 0..4 {
+                let (g, w) = (
+                    got.local(rank, name).unwrap(),
+                    want.local(rank, name).unwrap(),
+                );
+                assert_eq!(g.layout, w.layout, "{name}");
+                assert_eq!(g.local, w.local, "{name} on rank {rank}");
+            }
+        }
+        assert_eq!(got.global("ag").unwrap(), r0);
+        // Two kernels ran: the norm over the materialized slice, and
+        // `doubled`, which reads `r` through the slice (two elements a
+        // rank).
+        let kernels: Vec<(&str, u64, u64)> = got
+            .kernels(0)
+            .iter()
+            .map(|k| (k.label.as_str(), k.bytes_loaded, k.bytes_stored))
+            .collect();
+        assert_eq!(kernels, vec![("n", 8, 4), ("doubled", 8, 8)]);
     }
 
     #[test]

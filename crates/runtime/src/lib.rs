@@ -49,6 +49,7 @@ mod dist;
 mod error;
 mod executor;
 mod hierarchical;
+mod kernel;
 mod ledger;
 mod overlap_exec;
 mod scattered;
@@ -67,7 +68,9 @@ pub use compressed::{
 };
 pub use dist::DistValue;
 pub use error::RuntimeError;
-pub use executor::{run_program, InitValue, Inputs, RunOptions, RunResult};
+pub use executor::{
+    run_program, run_program_per_element, InitValue, Inputs, KernelStats, RunOptions, RunResult,
+};
 pub use hierarchical::{
     hierarchical_all_gather, hierarchical_all_reduce, hierarchical_reduce_scatter,
 };

@@ -195,6 +195,39 @@ where
     }
 }
 
+/// [`parallel_for`] for a kernel that writes several outputs: every
+/// task gets its range of `0..len` and that same window of each output
+/// in `outs`, so a multi-output kernel (the runtime's block evaluator
+/// stores every escaping member of a fusion group) writes without
+/// sharing. Inline below [`PAR_THRESHOLD`] like every kernel here.
+///
+/// # Panics
+///
+/// Panics when an output's length is not `len`.
+pub fn parallel_for_outputs<F>(len: usize, outs: &mut [&mut [f32]], f: F)
+where
+    F: Fn(Range<usize>, &mut [&mut [f32]]) + Sync,
+{
+    for out in outs.iter() {
+        assert_eq!(out.len(), len, "kernel output length mismatch");
+    }
+    if len < PAR_THRESHOLD {
+        return f(0..len, outs);
+    }
+    let ptrs: Vec<SendPtr<f32>> = outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())).collect();
+    parallel_for(len, PAR_MIN_CHUNK, |r| {
+        // SAFETY: parallel_for ranges partition 0..len, so tasks take
+        // disjoint windows of each output (every output is `len` long,
+        // checked above), and the outputs are distinct `&mut` slices,
+        // so windows of different outputs never alias either.
+        let mut windows: Vec<&mut [f32]> = ptrs
+            .iter()
+            .map(|p| unsafe { std::slice::from_raw_parts_mut(p.get().add(r.start), r.len()) })
+            .collect();
+        f(r, &mut windows);
+    });
+}
+
 /// Serial monomorphic `acc[i] = op(acc[i], inc[i])` over `f32` slices:
 /// the operator match is hoisted out of the loop so each arm is a
 /// branch-free slice traversal the compiler auto-vectorizes.
@@ -535,6 +568,26 @@ mod tests {
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn parallel_for_outputs_hands_out_matching_windows() {
+        for len in [0usize, 300, PAR_THRESHOLD + 1234] {
+            let (mut a, mut b) = (vec![0.0f32; len], vec![0.0f32; len]);
+            parallel_for_outputs(len, &mut [&mut a, &mut b], |r, outs| {
+                let [x, y] = outs else { panic!("two outputs") };
+                assert_eq!((x.len(), y.len()), (r.len(), r.len()));
+                for (k, i) in r.enumerate() {
+                    x[k] += i as f32;
+                    y[k] -= i as f32;
+                }
+            });
+            assert!(a.iter().enumerate().all(|(i, &v)| v == i as f32), "{len}");
+            assert!(
+                b.iter().enumerate().all(|(i, &v)| v == -(i as f32)),
+                "{len}"
+            );
+        }
     }
 
     #[test]

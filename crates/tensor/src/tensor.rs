@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::{stats, CounterRng, DType, Shape, TensorError, F16};
+use crate::{kernels, stats, CounterRng, DType, Shape, TensorError, F16};
 
 /// The owned element storage, one variant per [`DType`].
 #[derive(Debug, PartialEq)]
@@ -469,12 +469,31 @@ impl Tensor {
         })
     }
 
-    /// Converts to another element type (no-op when equal).
+    /// Converts to another element type (no-op when equal). Widening
+    /// and narrowing run through the slice codecs
+    /// ([`kernels::f16_decode`](crate::kernels::f16_decode) /
+    /// [`kernels::f16_encode`](crate::kernels::f16_encode)): the same
+    /// per-element conversion as a [`get`](Tensor::get) /
+    /// [`set`](Tensor::set) round trip, without the per-element
+    /// dispatch.
     pub fn cast(&self, dtype: DType) -> Tensor {
-        if dtype == self.dtype() {
-            return self.clone();
+        let buf = match (self.buf.as_f32(), self.buf.as_f16()) {
+            (Some(src), _) if dtype == DType::F16 => {
+                let mut dst = vec![F16::ZERO; src.len()];
+                kernels::f16_encode(src, &mut dst);
+                Buffer::from_f16_vec(dst)
+            }
+            (_, Some(src)) if dtype == DType::F32 => {
+                let mut dst = vec![0.0f32; src.len()];
+                kernels::f16_decode(src, &mut dst);
+                Buffer::from_f32_vec(dst)
+            }
+            _ => return self.clone(),
+        };
+        Tensor {
+            shape: self.shape.clone(),
+            buf,
         }
-        Tensor::from_fn(self.shape.clone(), dtype, |i| self.get(i))
     }
 
     /// Elementwise comparison within mixed absolute/relative tolerance:
@@ -582,6 +601,23 @@ mod tests {
         assert_eq!(h.dtype(), DType::F16);
         let back = h.cast(DType::F32);
         assert_eq!(back.to_f32_vec(), t.to_f32_vec()); // exact for small values
+    }
+
+    /// The slice codecs behind `cast` convert exactly as a per-element
+    /// `get` / `set` round trip does, views included.
+    #[test]
+    fn cast_matches_the_per_element_conversion() {
+        let t = Tensor::from_fn([300], DType::F32, |i| (i as f32 * 0.731).sin() * 70_000.0);
+        for src in [t.clone(), t.slice_flat(7, 250).unwrap()] {
+            let half = src.cast(DType::F16);
+            let per_element = Tensor::from_fn(src.shape().clone(), DType::F16, |i| src.get(i));
+            assert_eq!(half, per_element);
+            let wide = half.cast(DType::F32);
+            assert_eq!(wide.dtype(), DType::F32);
+            for i in 0..src.numel() {
+                assert_eq!(wide.get(i).to_bits(), half.get(i).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use coconet::core::{generate_cuda, lower, Binding, CommConfig, OpKind, Program, Step};
+use coconet::core::{generate_cuda, lower, Binding, CollKind, CommConfig, OpKind, Program, Step};
 use coconet::models::model_parallel::{apply_block_schedule, Block, BlockSchedule};
 use coconet::models::optimizers::{apply_optimizer_schedule, OptimizerSchedule};
 use coconet::models::pipeline::{apply_pipeline_schedule, PipelineSchedule};
@@ -197,6 +197,45 @@ fn host_launches_follow_the_lowered_plan() {
                 }
             }
         }
+    }
+}
+
+/// `RS-Opt-AG` (ROADMAP 8(f)): the fused optimizer kernel reads the
+/// ReduceScatter's chunk, so the plan and the host file launch the
+/// ReduceScatter first — units are ordered by what they read, not by
+/// their first member (`v12 = m * c7` precedes `rsavg` in the DFG).
+#[test]
+fn reduce_scatter_launches_before_the_sliced_optimizer_kernel() {
+    for opt in [Optimizer::Adam, Optimizer::Lamb] {
+        let label = OptimizerSchedule::RsOptAg.label(opt);
+        let (program, _) =
+            apply_optimizer_schedule(opt, Hyper::default(), OptimizerSchedule::RsOptAg)
+                .expect("schedule applies");
+        let binding = Binding::new(16).bind("N", 1 << 20);
+        let plan = lower(&program, &binding, CommConfig::default()).expect("lowers");
+        let at = |what: &dyn Fn(&Step) -> bool| {
+            plan.steps
+                .iter()
+                .position(what)
+                .unwrap_or_else(|| panic!("{label}: step missing from {:?}", plan.steps))
+        };
+        let rs = at(&|s| matches!(s, Step::Collective(c) if c.kind == CollKind::ReduceScatter));
+        let kernel = at(&|s| matches!(s, Step::Kernel(_)));
+        let ag = at(&|s| matches!(s, Step::Collective(c) if c.kind == CollKind::AllGather));
+        assert!(rs < kernel && kernel < ag, "{label}: {:?}", plan.steps);
+
+        let code = generate_cuda(&program).expect("codegen succeeds");
+        let (_, host) = code.files.last().expect("host file");
+        let line = |needle: &str| {
+            host.lines()
+                .position(|l| l.contains(needle))
+                .unwrap_or_else(|| panic!("{label}: no `{needle}` in\n{host}"))
+        };
+        assert!(
+            line("ncclReduceScatter") < line("fused_compute_")
+                && line("fused_compute_") < line("ncclAllGather"),
+            "{label}:\n{host}"
+        );
     }
 }
 

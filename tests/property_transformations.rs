@@ -8,6 +8,9 @@ use coconet::runtime::{run_program, Inputs, RunOptions};
 use coconet::tensor::{CounterRng, Tensor};
 use proptest::prelude::*;
 
+mod common;
+use common::assert_matches_oracle;
+
 /// A recipe for one pointwise epilogue op applied after the AllReduce.
 #[derive(Clone, Debug)]
 enum EpilogueOp {
@@ -99,6 +102,8 @@ proptest! {
             .unwrap()
             .global("out")
             .unwrap();
+        // One-op kernels against the per-element oracle: every bit.
+        assert_matches_oracle(&format!("{ops:?} unscheduled"), &base, &binding, &inputs, opts);
 
         // split + reorder (+ fuse when there is anything to fuse).
         let (mut p, _, comps) = build_program(&ops);
@@ -113,6 +118,8 @@ proptest! {
         p.set_name(gathered, "final").unwrap();
         fuse_all_reduce(&mut p, rs, &result.sliced, &[gathered]).unwrap();
         p.validate().unwrap();
+        // The fused collective's one kernel against the oracle.
+        assert_matches_oracle(&format!("{ops:?} fused"), &p, &binding, &inputs, opts);
 
         let got = run_program(&p, &binding, &inputs, opts)
             .unwrap()

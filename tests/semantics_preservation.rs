@@ -19,6 +19,9 @@ use coconet::tensor::{CounterRng, Tensor};
 use coconet::topology::{Cluster, GpuSpec, InterconnectSpec, MachineSpec};
 use proptest::prelude::*;
 
+mod common;
+use common::assert_matches_oracle;
+
 /// The paper's running example at several group sizes: the fully
 /// scheduled program must match the baseline on every geometry.
 #[test]
@@ -283,6 +286,201 @@ fn pipeline_three_groups_all_schedules() {
             .unwrap();
         let diff = got.max_abs_diff(&reference);
         assert!(diff < 3e-2, "{}: {diff}", schedule.label());
+    }
+}
+
+/// The schedule executor against the per-element oracle, bit for bit:
+/// both optimizers, unscheduled and under every schedule, at group
+/// sizes 1, 2 and 4, with FP16 gradients. `N` is not a multiple of the
+/// evaluator's block (nor is any rank's share of it), so every kernel
+/// ends on a short block.
+#[test]
+fn optimizer_kernels_match_the_per_element_oracle_bit_for_bit() {
+    let hyper = Hyper::default();
+    let n = 4 * (256 + 13);
+    for opt in [Optimizer::Adam, Optimizer::Lamb] {
+        for k in [1usize, 2, 4] {
+            let binding = Binding::new(k).bind("N", n as u64);
+            let rng = CounterRng::new(17 + k as u64);
+            let inputs = Inputs::new()
+                .per_rank(
+                    "g",
+                    (0..k)
+                        .map(|r| Tensor::randn([n], DType::F16, rng, (r * n) as u64))
+                        .collect(),
+                )
+                .global("p", Tensor::randn([n], DType::F32, rng, 90_000))
+                .global("m", Tensor::randn([n], DType::F32, rng, 190_000))
+                .global("v", Tensor::full([n], DType::F32, 0.02))
+                .global("lr", Tensor::scalar(DType::F32, 0.02))
+                .global("t", Tensor::scalar(DType::F32, 2.0));
+            let (base, _) = optimizer_program(opt, hyper).unwrap();
+            let what = format!("{} unscheduled k={k}", opt.name());
+            assert_matches_oracle(&what, &base, &binding, &inputs, RunOptions::default());
+            for schedule in [
+                OptimizerSchedule::ArOpt,
+                OptimizerSchedule::RsOptAg,
+                OptimizerSchedule::FusedRsOptAg,
+            ] {
+                let (p, _) = apply_optimizer_schedule(opt, hyper, schedule).unwrap();
+                let what = format!("{} k={k}", schedule.label(opt));
+                assert_matches_oracle(&what, &p, &binding, &inputs, RunOptions::default());
+            }
+        }
+    }
+}
+
+/// The model-parallel blocks under every schedule: `in` and `w` are
+/// `Sliced(Dim)` inputs, the dropout draws by global index, and the
+/// `[H]` bias broadcasts into a flat-sliced `[B, S, H]` — no contiguous
+/// window exists for it, so its load takes the indexed fallback.
+#[test]
+fn model_parallel_kernels_match_the_per_element_oracle_bit_for_bit() {
+    for k in [2usize, 4] {
+        for block in [Block::SelfAttention, Block::Mlp] {
+            let h = (8 * k) as u64;
+            let binding = Binding::new(k)
+                .bind("B", 2)
+                .bind("S", 3)
+                .bind("H", h)
+                .bind("H4", 4 * h);
+            let rng = CounterRng::new(41);
+            let contract = match block {
+                Block::SelfAttention => h,
+                Block::Mlp => 4 * h,
+            } as usize;
+            let inputs = Inputs::new()
+                .global(
+                    "w",
+                    Tensor::randn([contract, h as usize], DType::F16, rng, 0),
+                )
+                .global("b", Tensor::randn([h as usize], DType::F16, rng, 10_000))
+                .global(
+                    "in",
+                    Tensor::randn([2, 3, contract], DType::F16, rng, 20_000),
+                )
+                .global(
+                    "r",
+                    Tensor::randn([2, 3, h as usize], DType::F16, rng, 30_000),
+                );
+            let opts = RunOptions::default().with_seed(11);
+            for schedule in BlockSchedule::ALL {
+                let (p, _, _) = apply_block_schedule(block, schedule).unwrap();
+                let what = format!("k={k} {block:?} {}", schedule.label());
+                assert_matches_oracle(&what, &p, &binding, &inputs, opts);
+            }
+        }
+    }
+}
+
+/// The three-group pipeline under every schedule (fused sends and
+/// overlap groups run their stages in order; groups that received
+/// nothing hold nothing, in both executors).
+#[test]
+fn pipeline_kernels_match_the_per_element_oracle_bit_for_bit() {
+    let k = 2usize;
+    let groups = 3usize;
+    let binding = Binding::new(k)
+        .with_groups(groups)
+        .bind("B", 2)
+        .bind("S", 2)
+        .bind("H", 8);
+    let rng = CounterRng::new(55);
+    let inputs = Inputs::new()
+        .per_rank(
+            "in",
+            (0..k * groups)
+                .map(|r| Tensor::randn([2, 2, 8], DType::F16, rng, (r * 64) as u64))
+                .collect(),
+        )
+        .global("b", Tensor::randn([8], DType::F16, rng, 1_000))
+        .global("r", Tensor::randn([2, 2, 8], DType::F16, rng, 2_000));
+    let opts = RunOptions::default().with_seed(31);
+    for schedule in PipelineSchedule::ALL {
+        let (p, _, _) = apply_pipeline_schedule(schedule).unwrap();
+        assert_matches_oracle(schedule.label(), &p, &binding, &inputs, opts);
+    }
+}
+
+/// The plan against the run (ROADMAP 1(e)): the bytes the evaluator
+/// counts while a kernel runs are the bytes `lower` prices for it.
+///
+/// * `AR-Adam`: every operand of the `ComputationFuse` kernel is
+///   full-size, and counted equals priced exactly — `avg` (FP16), `p`,
+///   `m`, `v`, `lr` and `t` in, `m_`, `v_` and `p_` out, no
+///   intermediate.
+/// * The sliced schedules: stores are equal; loads are *below* the
+///   price by exactly the replicated `p`. `lower` charges every input
+///   of every member, and `Update(p, ..)` lists its target `p` (full
+///   size) although a kernel only writes it; what the kernel reads of
+///   `p` is `Slice(p)`, one rank's share, which `lower` charges as
+///   well. (In `AR-Adam` the targets are also read, so the double
+///   listing deduplicates.) ROADMAP item 7 carries the finding.
+#[test]
+fn counted_kernel_bytes_match_the_lowered_plan() {
+    use coconet::core::{lower, CommConfig, Step};
+    let (n, k) = (4 * (256 + 13) as u64, 4usize);
+    let binding = Binding::new(k).bind("N", n);
+    let rng = CounterRng::new(3);
+    let inputs = Inputs::new()
+        .per_rank(
+            "g",
+            (0..k)
+                .map(|r| Tensor::randn([n as usize], DType::F16, rng, r as u64 * n))
+                .collect(),
+        )
+        .global("p", Tensor::randn([n as usize], DType::F32, rng, 90_000))
+        .global("m", Tensor::zeros([n as usize], DType::F32))
+        .global("v", Tensor::full([n as usize], DType::F32, 0.02))
+        .global("lr", Tensor::scalar(DType::F32, 0.02))
+        .global("t", Tensor::scalar(DType::F32, 2.0));
+    for schedule in [
+        OptimizerSchedule::ArOpt,
+        OptimizerSchedule::RsOptAg,
+        OptimizerSchedule::FusedRsOptAg,
+    ] {
+        let label = schedule.label(Optimizer::Adam);
+        let (p, _) = apply_optimizer_schedule(Optimizer::Adam, Hyper::default(), schedule).unwrap();
+        let plan = lower(&p, &binding, CommConfig::default()).unwrap();
+        let priced: Vec<(u64, u64)> = plan
+            .steps
+            .iter()
+            .filter_map(|s| match s {
+                Step::Kernel(k) => Some((k.bytes_read, k.bytes_written)),
+                Step::FusedCollective(f) => Some((f.extra_bytes_read, f.extra_bytes_written)),
+                _ => None,
+            })
+            .collect();
+        let result = run_program(&p, &binding, &inputs, RunOptions::default()).unwrap();
+        for rank in 0..k {
+            let counted: Vec<(u64, u64)> = result
+                .kernels(rank)
+                .iter()
+                .map(|k| (k.bytes_loaded, k.bytes_stored))
+                .collect();
+            assert_eq!(counted.len(), 1, "{label}: one kernel per rank");
+            assert_eq!(priced.len(), 1, "{label}: one priced kernel");
+            let ((loaded, stored), (read, written)) = (counted[0], priced[0]);
+            assert_eq!(stored, written, "{label} rank {rank}: bytes stored");
+            match schedule {
+                OptimizerSchedule::ArOpt => {
+                    assert_eq!(loaded, 14 * n + 8, "{label}: avg + p + m + v + lr + t");
+                    assert_eq!(loaded, read, "{label} rank {rank}: bytes loaded");
+                }
+                // The fused collective's price leaves the ReduceScatter's
+                // chunk (FP16) to the collective; the kernel loads it.
+                OptimizerSchedule::FusedRsOptAg => {
+                    assert_eq!(
+                        loaded - 2 * n / k as u64 + 4 * n,
+                        read,
+                        "{label} rank {rank}"
+                    );
+                }
+                OptimizerSchedule::RsOptAg => {
+                    assert_eq!(loaded + 4 * n, read, "{label} rank {rank}: replicated p");
+                }
+            }
+        }
     }
 }
 
