@@ -2,7 +2,8 @@
 # Prints non-test source lines per crate: every `src/**/*.rs` up to its
 # first `#[cfg(test)]` line, `src/bin/` excluded — the recipe ROADMAP.md
 # and the line-count acceptance criteria of a `[simplicity]` PR quote.
-# `core/codegen` (the CUDA emitter, part of `core`) and
+# `core/codegen` (the CUDA emitter, part of `core`), `core/kernel.rs`
+# (the kernel IR it prints and `lower` prices) and
 # `runtime/executor.rs` (the schedule executor, part of `runtime`) get
 # their own sub-lines.
 #
@@ -22,7 +23,10 @@ for crate in crates/*/; do
     n=$(count "$crate/src")
     printf '%-12s %6d\n' "$(basename "$crate")" "$n"
     case "$(basename "$crate")" in
-        core) printf '  %-19s %4d\n' core/codegen "$(count "$crate/src/codegen")" ;;
+        core)
+            printf '  %-19s %4d\n' core/codegen "$(count "$crate/src/codegen")"
+            printf '  %-19s %4d\n' core/kernel.rs "$(count "$crate/src/kernel.rs")"
+            ;;
         runtime) printf '  %-19s %4d\n' runtime/executor.rs "$(count "$crate/src/executor.rs")" ;;
     esac
     total=$((total + n))

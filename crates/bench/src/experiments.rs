@@ -4,8 +4,8 @@
 //! the bench targets print them next to the paper's reported values.
 
 use coconet_core::{
-    lower, Binding, CollAlgo, CollKind, CommConfig, DType, FusedCollectiveStep, KernelStep,
-    Protocol, ScatterInfo, WireFormat,
+    lower, Binding, CollAlgo, CollKind, CommConfig, DType, FusedCollectiveStep, Program, Protocol,
+    ScatterInfo, WireFormat,
 };
 use coconet_models::inference::{
     model_parallel_epilogue_time, model_parallel_inference_speedup, pipeline_epilogue_time,
@@ -15,7 +15,7 @@ use coconet_models::model_parallel::{apply_block_schedule, Block, BlockSchedule}
 use coconet_models::pipeline::{apply_pipeline_schedule, PipelineSchedule};
 use coconet_models::training::estimate_iteration;
 use coconet_models::{
-    optimizers, MemoryModel, ModelConfig, Optimizer, OptimizerSchedule, Strategy,
+    optimizers, Hyper, MemoryModel, ModelConfig, Optimizer, OptimizerSchedule, Strategy,
 };
 use coconet_sim::{default_protocol, simulate_overlap, GroupGeom, Simulator};
 use coconet_topology::MachineSpec;
@@ -151,7 +151,8 @@ pub struct Fig10Row {
 }
 
 /// Figure 10: optimizer schedules across tensor sizes on 256 GPUs.
-/// `exponents` selects which powers of two to evaluate.
+/// `exponents` selects which powers of two to evaluate. Every schedule
+/// is priced from `lower` of its program — the kernels that run.
 pub fn figure10(opt: Optimizer, exponents: &[u32]) -> Vec<Fig10Row> {
     let sim = Simulator::new(MachineSpec::paper_testbed(), DP_RANKS, 1);
     let geom = sim.group_geom();
@@ -160,68 +161,42 @@ pub fn figure10(opt: Optimizer, exponents: &[u32]) -> Vec<Fig10Row> {
         Optimizer::Adam => 0usize,
         Optimizer::Lamb => 2,
     };
+    let [ar_opt_p, gshard_p, fused_p] = [
+        OptimizerSchedule::ArOpt,
+        OptimizerSchedule::RsOptAg,
+        OptimizerSchedule::FusedRsOptAg,
+    ]
+    .map(|s| {
+        optimizers::apply_optimizer_schedule(opt, Hyper::default(), s)
+            .expect("fixed schedule")
+            .0
+    });
     exponents
         .iter()
         .map(|&e| {
             let n = 1u64 << e;
-            let bytes = 2 * n;
-            // Baseline: default NCCL config, AR + preprocessing + fused
-            // optimizer kernel.
+            let binding = Binding::new(DP_RANKS).bind("N", n);
+            let time = |p: &Program, c: CommConfig| {
+                sim.time_plan(&lower(p, &binding, c).expect("lowers")).total
+            };
+            // Baseline: AR-Opt's AllReduce and fused optimizer kernel
+            // under the default NCCL config, plus the Apex optimizers'
+            // preprocessing and separate norm kernels.
             let default_cfg = CommConfig {
                 algo: CollAlgo::Ring,
-                protocol: default_protocol(bytes),
+                protocol: default_protocol(2 * n),
                 channels: 16,
                 format: WireFormat::Dense,
                 ..CommConfig::default()
             };
-            let opt_kernel = KernelStep {
-                label: "opt".into(),
-                bytes_read: 14 * n,
-                bytes_written: 14 * n,
-                flops: 12 * n,
-                n_ops: 12,
-            };
-            let baseline =
-                cost.collective_time(CollKind::AllReduce, n, DType::F16, geom, default_cfg)
-                    + cost.kernel_time(&opt_kernel)
-                    + 25e-6
-                    + norms as f64 * 20e-6;
-
-            // AR-Opt: tuned AR + fused kernel, no preprocessing.
-            let (_, ar_opt) = best_config(|c| {
-                cost.collective_time(CollKind::AllReduce, n, DType::F16, geom, c)
-                    + cost.kernel_time(&opt_kernel)
-                    + norms as f64 * 20e-6
-            });
-            // GShard-Eq: RS + sliced kernel + AG (+ scalar ARs for norms).
-            let sliced_kernel = KernelStep {
-                label: "opt/k".into(),
-                bytes_read: 14 * n / DP_RANKS as u64,
-                bytes_written: 14 * n / DP_RANKS as u64,
-                flops: 12 * n / DP_RANKS as u64,
-                n_ops: 12,
-            };
-            let (_, gshard) = best_config(|c| {
-                cost.collective_time(CollKind::ReduceScatter, n, DType::F16, geom, c)
-                    + cost.kernel_time(&sliced_kernel)
-                    + cost.collective_time(CollKind::AllGather, n, DType::F16, geom, c)
-                    + norms as f64
-                        * cost.collective_time(CollKind::AllReduce, 1, DType::F32, geom, c)
-            });
+            let baseline = time(&ar_opt_p, default_cfg) + 25e-6 + norms as f64 * 20e-6;
+            // AR-Opt: tuned AR + fused kernel.
+            let (_, ar_opt) = best_config(|c| time(&ar_opt_p, c));
+            // GShard-Eq: RS + sliced kernel (+ scalar ARs for sliced
+            // norms) + AG.
+            let (_, gshard) = best_config(|c| time(&gshard_p, c));
             // fuse(RS-Opt-AG): one fused collective.
-            let fused_step = FusedCollectiveStep {
-                label: "fused".into(),
-                algo: CollAlgo::Ring,
-                elems: n,
-                dtype: DType::F16,
-                extra_bytes_read: 14 * n / DP_RANKS as u64,
-                extra_bytes_written: 14 * n / DP_RANKS as u64,
-                flops: 12 * n / DP_RANKS as u64,
-                embedded_scalar_allreduces: norms,
-                n_fused_ops: 12,
-                scattered: None,
-            };
-            let (_, fused) = best_config(|c| cost.fused_collective_time(&fused_step, geom, c));
+            let (_, fused) = best_config(|c| time(&fused_p, c));
             // Upper bound: the AllReduce alone, tuned.
             let (_, ub) =
                 best_config(|c| cost.collective_time(CollKind::AllReduce, n, DType::F16, geom, c));
@@ -447,8 +422,7 @@ pub fn table3a(opt: Optimizer) -> Vec<Tab3Row> {
     .into_iter()
     .map(|s| {
         let (p, log) =
-            optimizers::apply_optimizer_schedule(opt, coconet_models::Hyper::default(), s)
-                .expect("fixed schedule");
+            optimizers::apply_optimizer_schedule(opt, Hyper::default(), s).expect("fixed schedule");
         let code = coconet_core::generate_cuda(&p).expect("generates");
         Tab3Row {
             schedule: s.label(opt),
@@ -508,7 +482,7 @@ pub const AUTOTUNE_WORKLOADS: [&str; 4] = ["adam", "lamb", "model-parallel", "pi
 /// # Panics
 ///
 /// Panics on an unknown workload name.
-pub fn autotune_setup(which: &str) -> (coconet_core::Program, Binding, Simulator) {
+pub fn autotune_setup(which: &str) -> (Program, Binding, Simulator) {
     match which {
         "adam" | "lamb" => {
             let opt = if which == "adam" {
@@ -516,8 +490,7 @@ pub fn autotune_setup(which: &str) -> (coconet_core::Program, Binding, Simulator
             } else {
                 Optimizer::Lamb
             };
-            let (p, _) = optimizers::optimizer_program(opt, coconet_models::Hyper::default())
-                .expect("builds");
+            let (p, _) = optimizers::optimizer_program(opt, Hyper::default()).expect("builds");
             (
                 p,
                 Binding::new(DP_RANKS).bind("N", 1 << 26),

@@ -1,191 +1,221 @@
 //! Device-kernel emission: fused pointwise kernels, the one ring
 //! collective kernel (per NCCL protocol, §5.2; with an optional fused
 //! epilogue and an optional chunk gate, §5.3), and P2P send kernels.
+//!
+//! Every kernel body is its unit's [`KernelIr`] printed: one
+//! declaration of the register file, then one C statement per
+//! instruction — the instructions the runtime's block evaluator runs
+//! and `lower` prices.
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
+use crate::kernel::{Access, Instr, Segment, Stage};
 use crate::lower::sliced_reductions;
-use crate::{BinaryOp, CoreError, OpKind, Program, UnaryOp, VarId};
+use crate::{BinaryOp, CoreError, KernelIr, OpKind, Program, TensorType, UnaryOp, VarId};
 
 use super::overlap_gen::Gate;
 use super::{cuda_type, UnitCode};
 
-/// How a kernel body reaches memory: the pointer prefix (empty for
-/// kernel parameters, `a->` / `args.` for an argument struct), the
-/// element index expression, and the open call that reduces a value
-/// over the whole tensor.
+/// Where a kernel body runs: how it reaches memory, and which values
+/// arrive in registers or leave through its collective or channel.
 #[derive(Clone, Copy)]
-struct Mem<'a> {
+struct Frame<'a> {
+    /// Tensor pointer prefix (a kernel parameter, or a field of the
+    /// argument struct) and the lane's local element index.
     prefix: &'a str,
     index: &'a str,
+    /// The open call that reduces a value over the whole tensor.
     reduce: &'a str,
+    /// A fused collective's ReduceScatter chunk, which arrives in the
+    /// pack.
+    pack: Option<VarId>,
+    /// Stored values that leave through the open call `leave` instead
+    /// of memory.
+    leaving: &'a [VarId],
+    leave: &'a str,
 }
 
-/// The C statement that puts one value into `x_{name}`: the expression
-/// of a member the kernel computes, or the load of a value computed
-/// elsewhere (a slice loads through its source tensor either way).
-fn op_expression(p: &Program, v: VarId, mem: Mem, computed: bool) -> Result<String, CoreError> {
-    let node = p.node(v)?;
-    let name = node.name();
-    let Mem {
-        prefix,
-        index,
-        reduce,
-    } = mem;
-    let arg = |x: VarId| -> Result<String, CoreError> {
-        let n = p.node(x)?;
-        Ok(match n.op() {
-            OpKind::ConstScalar(c) => format!("{c}f"),
-            _ => format!("x_{}", n.name()),
-        })
+const POINTWISE: Frame = Frame {
+    prefix: "",
+    index: "idx",
+    reduce: "blockReduce(",
+    pack: None,
+    leaving: &[],
+    leave: "",
+};
+
+fn name(p: &Program, v: VarId) -> Result<&str, CoreError> {
+    Ok(p.node(v)?.name())
+}
+
+/// The value of `v` at this lane, widened to `float`: the element
+/// `access` addresses, or element 0 of a scalar (`access` is `None`).
+fn load(p: &Program, v: VarId, access: Option<Access>, f: Frame) -> Result<String, CoreError> {
+    if f.pack == Some(v) {
+        return Ok("toFloat(unpack<T>(pack, e))".into());
+    }
+    let (name, index) = (name(p, v)?, f.index);
+    let at = match access {
+        None => "0".to_string(),
+        Some(Access::Window) => index.to_string(),
+        Some(Access::SliceOffset) => format!("sliceOffset(rank, {index})"),
+        Some(Access::Gather) => "gidx".to_string(),
+        Some(Access::Broadcast) => format!("broadcastIndex(gidx, dims_{name})"),
     };
-    Ok(match node.op() {
-        OpKind::Slice(a) => format!(
-            "float x_{name} = (float){prefix}{}[sliceOffset(rank, {index})];",
-            p.node(*a)?.name()
-        ),
-        _ if !computed => format!("float x_{name} = (float){prefix}{name}[{index}];"),
-        OpKind::Unary(op, a) => {
+    Ok(format!("(float){}{name}[{at}]", f.prefix))
+}
+
+/// One instruction of `seg` as a C statement: a body instruction over
+/// `domain`, or (`domain` is `None`) a prologue one. The statement that
+/// defines a member ends in `// {name}`.
+fn statement(
+    p: &Program,
+    seg: &Segment,
+    domain: Option<&TensorType>,
+    instr: &Instr,
+    f: Frame,
+) -> Result<String, CoreError> {
+    let file = if domain.is_some() { "reg" } else { "sreg" };
+    let r = |i: usize| format!("{file}[{i}]");
+    let text = match *instr {
+        Instr::Const { dst, value } => format!("{} = {value:?}f", r(dst)),
+        Instr::Load { dst, operand } => {
+            let o = seg.operands[operand];
+            let access = domain.map(|d| p.ty(o).map(|t| Access::between(t, d)));
+            format!("{} = {}", r(dst), load(p, o, access.transpose()?, f)?)
+        }
+        Instr::Splat { dst, scalar } => format!("reg[{dst}] = sreg[{scalar}]"),
+        Instr::Unary { op, dst, a, .. } => {
             let f = match op {
                 UnaryOp::Sqrt => "sqrtf",
                 UnaryOp::Tanh => "tanhf",
                 UnaryOp::Relu => "reluf",
                 UnaryOp::Neg => "-",
             };
-            format!("float x_{name} = {f}({});", arg(*a)?)
+            format!("{} = {f}({})", r(dst), r(a))
         }
-        OpKind::Binary(op, a, b) => match op {
-            BinaryOp::Pow => format!("float x_{name} = powf({}, {});", arg(*a)?, arg(*b)?),
-            _ => format!(
-                "float x_{name} = {} {} {};",
-                arg(*a)?,
-                op.symbol(),
-                arg(*b)?
-            ),
-        },
-        OpKind::Dropout(a, prob) => format!(
-            "float x_{name} = coconet_keep(seed, gidx, {prob}f) ? {} * {:.6}f : 0.0f;",
-            arg(*a)?,
-            1.0 / (1.0 - prob)
-        ),
-        OpKind::Update(t, x) => format!(
-            "float x_{name} = {1}; {prefix}{0}[{index}] = ({2})x_{name};",
-            p.node(*t)?.name(),
-            arg(*x)?,
-            cuda_type(p, *t)?
-        ),
-        OpKind::Norm(a) => format!(
-            "float x_{name} = {reduce}Sum, {0} * {0}); // norm partial",
-            arg(*a)?
-        ),
-        OpKind::ReduceTensor(op, a) => {
-            format!("float x_{name} = {reduce}{op:?}, {});", arg(*a)?)
+        Instr::Binary {
+            op: BinaryOp::Pow,
+            dst,
+            a,
+            b,
+            ..
+        } => {
+            format!("{} = powf({}, {})", r(dst), r(a), r(b))
         }
-        other => {
-            return Err(CoreError::MalformedProgram(format!(
-                "cannot emit device expression for {}",
-                other.mnemonic()
-            )));
+        Instr::Binary { op, dst, a, b, .. } => {
+            format!("{} = {} {} {}", r(dst), r(a), op.symbol(), r(b))
         }
+        Instr::Dropout {
+            dst, a, p: prob, ..
+        } => {
+            let scale = (1.0 / (1.0 - prob)) as f32;
+            let keep = format!("coconet_keep(seed, gidx, {prob}f)");
+            format!("{} = {keep} ? {} * {scale:?}f : 0.0f", r(dst), r(a))
+        }
+        Instr::RoundF16 { dst, a } => format!("{} = roundHalf({})", r(dst), r(a)),
+        Instr::Store { src, member } if f.leaving.contains(&member) => {
+            format!("{}fromFloat<T>({}))", f.leave, r(src))
+        }
+        Instr::Store { src, member } => format!(
+            "{}out_{}[{}] = ({}){}",
+            f.prefix,
+            name(p, member)?,
+            if domain.is_some() { f.index } else { "0" },
+            cuda_type(p, member)?,
+            r(src)
+        ),
+    };
+    // An `Update` aliases its operand's register: its store defines it.
+    Ok(match *instr {
+        Instr::Unary { member, .. }
+        | Instr::Binary { member, .. }
+        | Instr::Dropout { member, .. } => format!("{text}; // {}", name(p, member)?),
+        Instr::Store { member, .. } if matches!(p.op(member)?, OpKind::Update(..)) => {
+            format!("{text}; // {}", name(p, member)?)
+        }
+        _ => format!("{text};"),
     })
 }
 
-/// External values a member set loads from device memory.
-fn external_loads(p: &Program, members: &[VarId]) -> Result<Vec<VarId>, CoreError> {
-    let set: HashSet<VarId> = members.iter().copied().collect();
-    let mut loads = Vec::new();
-    let mut seen = HashSet::new();
-    for &m in members {
-        for dep in p.op(m)?.inputs() {
-            if set.contains(&dep) || !seen.insert(dep) {
-                continue;
-            }
-            match p.op(dep)? {
-                OpKind::ConstScalar(_) => {}
-                OpKind::Slice(inner) => {
-                    if seen.insert(*inner) {
-                        loads.push(dep); // load via slice offset
+/// Prints `ir` and returns the tensor pointers it touches: one
+/// declaration of the register file, then one C statement per
+/// instruction, stage by stage. A reduction reads its operand (a
+/// `Slice` no member computes through what it slices) in the frame's
+/// reduce call and stores the scalar.
+fn emit_body(
+    src: &mut String,
+    p: &Program,
+    members: &[VarId],
+    ir: &KernelIr,
+    f: Frame,
+    ind: &str,
+) -> Result<Vec<String>, CoreError> {
+    let max = |regs: fn(&Segment) -> usize| ir.segments().map(regs).max().unwrap_or(0);
+    let files: Vec<String> = [
+        ("sreg", max(|s| s.prologue_regs)),
+        ("reg", max(|s| s.body_regs)),
+    ]
+    .into_iter()
+    .filter(|&(_, n)| n > 0)
+    .map(|(file, n)| format!("{file}[{n}]"))
+    .collect();
+    if !files.is_empty() {
+        let _ = writeln!(src, "{ind}float {};", files.join(", "));
+    }
+    let (mut loads, mut stores) = (Vec::new(), Vec::new());
+    for stage in &ir.stages {
+        match stage {
+            Stage::Segment(seg) => {
+                let domain = seg.domain.map(|d| p.ty(d)).transpose()?;
+                let code = [
+                    (None, &seg.prologue),
+                    (domain, &seg.pinned),
+                    (domain, &seg.body),
+                ];
+                for (domain, code) in code {
+                    for instr in code {
+                        let line = statement(p, seg, domain, instr, f)?;
+                        let _ = writeln!(src, "{ind}{line}");
                     }
                 }
-                _ => loads.push(dep),
+                loads.extend(seg.operands.iter().filter(|&&o| f.pack != Some(o)));
+                stores.extend(seg.stores().filter(|m| !f.leaving.contains(m)));
+            }
+            Stage::Reduce(m) => {
+                let x = p.op(*m)?.inputs()[0];
+                let (tensor, access) = match p.op(x)? {
+                    OpKind::Slice(a) if !members.contains(&x) => {
+                        (*a, Access::between(p.ty(*a)?, p.ty(x)?))
+                    }
+                    _ => (x, Access::Window),
+                };
+                let what = match p.op(*m)? {
+                    OpKind::ReduceTensor(op, _) => format!("{op:?}"),
+                    _ => "SumSquares".to_string(),
+                };
+                let (name, read) = (name(p, *m)?, load(p, tensor, Some(access), f)?);
+                let (prefix, reduce) = (f.prefix, f.reduce);
+                let _ = writeln!(
+                    src,
+                    "{ind}{prefix}out_{name}[0] = {reduce}{what}, {read}); // {name}"
+                );
+                loads.push(tensor);
+                stores.push(*m);
             }
         }
     }
-    Ok(loads)
-}
-
-/// Members whose value escapes the set (stored to memory).
-fn external_stores(p: &Program, members: &[VarId]) -> Result<Vec<VarId>, CoreError> {
-    let set: HashSet<VarId> = members.iter().copied().collect();
-    let mut stores = Vec::new();
-    for &m in members {
-        let escapes = p.outputs().contains(&m) || p.consumers(m).iter().any(|c| !set.contains(c));
-        if escapes && !matches!(p.op(m)?, OpKind::Update(..)) {
-            stores.push(m);
+    let mut params: Vec<String> = Vec::new();
+    for (prefix, vars) in [("const ", loads), ("", stores)] {
+        for v in vars {
+            let out = if prefix.is_empty() { "out_" } else { "" };
+            let param = format!("{prefix}{}* {out}{}", cuda_type(p, v)?, name(p, v)?);
+            if !params.contains(&param) {
+                params.push(param);
+            }
         }
-    }
-    Ok(stores)
-}
-
-/// Pointer declarations for every device tensor a member set touches:
-/// each load (a slice through its source), writable when an `Update`
-/// targets it, then one `out_` pointer per store.
-fn tensor_params(
-    p: &Program,
-    members: &[VarId],
-    loads: &[VarId],
-    stores: &[VarId],
-) -> Result<Vec<String>, CoreError> {
-    let mut targets = HashSet::new();
-    for &m in members {
-        if let OpKind::Update(t, _) = p.op(m)? {
-            targets.insert(*t);
-        }
-    }
-    let mut params = Vec::new();
-    for &l in loads {
-        let tensor = match p.op(l)? {
-            OpKind::Slice(source) => *source,
-            _ => l,
-        };
-        let constness = if targets.contains(&tensor) {
-            ""
-        } else {
-            "const "
-        };
-        params.push(format!(
-            "{constness}{}* {}",
-            cuda_type(p, tensor)?,
-            p.node(tensor)?.name()
-        ));
-    }
-    for &s in stores {
-        params.push(format!("{}* out_{}", cuda_type(p, s)?, p.node(s)?.name()));
     }
     Ok(params)
-}
-
-/// The straight-line body of a kernel: every external load, then the
-/// members in topological order.
-fn compute_body(
-    p: &Program,
-    loads: &[VarId],
-    members: &[VarId],
-    mem: Mem,
-    indent: &str,
-) -> Result<String, CoreError> {
-    let mut body = String::new();
-    let order = p.topo_order();
-    let loaded = loads.iter().map(|&l| (l, false));
-    let computed = order.iter().filter(|v| members.contains(v));
-    for (v, computed) in loaded.chain(computed.map(|&m| (m, true))) {
-        if matches!(p.op(v)?, OpKind::ConstScalar(_)) {
-            continue;
-        }
-        let _ = writeln!(body, "{indent}{}", op_expression(p, v, mem, computed)?);
-    }
-    Ok(body)
 }
 
 /// The host launch of a communication kernel: on the context's stream,
@@ -206,47 +236,36 @@ fn comm_launch(kernel: &str, idx: usize, gate: Option<&Gate>) -> String {
 /// prices after the kernel.
 pub(crate) fn emit_pointwise_kernel(
     p: &Program,
+    ir: &KernelIr,
     members: &[VarId],
     idx: usize,
 ) -> Result<UnitCode, CoreError> {
     let kernel_name = format!("fused_compute_{idx}");
-    let mem = Mem {
-        prefix: "",
-        index: "idx",
-        reduce: "blockReduce(",
-    };
-    let loads = external_loads(p, members)?;
-    let stores = external_stores(p, members)?;
-    let mut src = String::new();
-    let _ = writeln!(src, "// Fused pointwise kernel ({} ops).", members.len());
+    let mut body = String::new();
     let mut params: Vec<String> =
         vec!["size_t n".into(), "int rank".into(), "uint64_t seed".into()];
-    params.extend(tensor_params(p, members, &loads, &stores)?);
-    let _ = writeln!(
+    params.extend(emit_body(&mut body, p, members, ir, POINTWISE, "  ")?);
+    let mut src = String::new();
+    let _ = write!(
         src,
-        "__global__ void {kernel_name}({}) {{",
+        "// Fused pointwise kernel ({} ops).
+__global__ void {kernel_name}({}) {{
+  size_t idx = blockIdx.x * (size_t)blockDim.x + threadIdx.x;
+  if (idx >= n) return;
+  size_t gidx = globalOffset(rank, n) + idx;
+{body}}}
+",
+        ir.n_ops(),
         params.join(", ")
     );
-    let _ = writeln!(
-        src,
-        "  size_t idx = blockIdx.x * (size_t)blockDim.x + threadIdx.x;"
-    );
-    let _ = writeln!(src, "  if (idx >= n) return;");
-    let _ = writeln!(src, "  size_t gidx = globalOffset(rank, n) + idx;");
-    src.push_str(&compute_body(p, &loads, members, mem, "  ")?);
-    for &s in &stores {
-        let name = p.node(s)?.name();
-        let _ = writeln!(src, "  out_{name}[idx] = ({})x_{name};", cuda_type(p, s)?);
-    }
-    let _ = writeln!(src, "}}");
     let mut calls = vec![format!(
         "{kernel_name}<<<cdiv(n, 256), 256, 0, ctx->stream>>>(/* {} args */);",
         params.len()
     )];
-    for m in sliced_reductions(p, members)? {
+    for m in sliced_reductions(p, ir)? {
         calls.push(format!(
-            "NCCLCHECK(ncclAllReduce(norm_{0}, norm_{0}, 1, ncclFloat32, ncclSum, ctx->comm, ctx->stream));",
-            p.node(m)?.name()
+            "NCCLCHECK(ncclAllReduce(out_{0}, out_{0}, 1, ncclFloat32, ncclSum, ctx->comm, ctx->stream));",
+            name(p, m)?
         ));
     }
     Ok(UnitCode {
@@ -256,16 +275,16 @@ pub(crate) fn emit_pointwise_kernel(
 }
 
 /// Emits the ring kernel of a collective unit — a `FusedAllReduce`
-/// group (§5.2: ReduceScatter, the fused computation on the owned
+/// group (§5.2: ReduceScatter, the fused computation `ir` on the owned
 /// slice, AllGather) or, as an overlap stage, a plain AllReduce /
 /// ReduceScatter / AllGather — plus its host launch.
 pub(crate) fn emit_fused_collective(
     p: &Program,
+    ir: &KernelIr,
     members: &[VarId],
     idx: usize,
     gate: Option<&Gate>,
 ) -> Result<UnitCode, CoreError> {
-    let mut compute_members = Vec::new();
     let mut reduced = None; // the member whose value the reduce phase produces
     let mut gathered = Vec::new(); // the values the gather phase distributes
     let mut collective = "AllGather";
@@ -274,88 +293,65 @@ pub(crate) fn emit_fused_collective(
             OpKind::ReduceScatter(..) => (reduced, collective) = (Some(m), "ReduceScatter"),
             OpKind::AllReduce(..) => (reduced, collective) = (Some(m), "AllReduce"),
             OpKind::AllGather(x) => gathered.push(*x),
-            _ => compute_members.push(m),
+            _ => {}
         }
     }
-    let fused = !compute_members.is_empty();
+    let fused = !ir.stages.is_empty();
     let kernel = if fused {
         format!("fusedAllReduce_{idx}")
     } else {
         format!("ring{collective}_{idx}")
     };
+    let mut fields = Vec::new();
+    if gate.is_some_and(|g| g.two_d) {
+        fields.push("size_t m, n, ld, chunksPerRow".to_string());
+    }
+    let mut body = String::new();
+    if fused {
+        // Tensor reductions (§5.2): each rank reduces its slice, then an
+        // embedded scalar AllReduce over the established ring
+        // connections combines the partials.
+        let frame = Frame {
+            prefix: "a->",
+            index: "idx + e",
+            reduce: "embeddedAllReduce(h, ",
+            pack: Some(reduced.ok_or_else(|| {
+                CoreError::MalformedProgram("fused collective without ReduceScatter".into())
+            })?),
+            leaving: &gathered,
+            leave: "repack<T>(pack, e, ",
+        };
+        fields.extend(emit_body(&mut body, p, members, ir, frame, "    ")?);
+    }
     let mut src = String::new();
     let _ = writeln!(
         src,
         "// {kernel} (§5.2): one ring kernel with {} fused ops on the owned",
-        compute_members.len()
+        ir.n_ops()
     );
     let _ = writeln!(src, "// slice, specialized per NCCL protocol.");
-    let mut fields = Vec::new();
-    match gate {
-        Some(g) if g.two_d => fields.push("size_t m, n, ld, chunksPerRow".to_string()),
-        Some(_) => {}
-        None => {
-            let _ = writeln!(src, "#include \"nccl_device_glue.cuh\"");
-        }
+    if gate.is_none() {
+        let _ = writeln!(src, "#include \"nccl_device_glue.cuh\"");
     }
+    emit_args_struct(&mut src, idx, "RingArgs", gate, &fields);
     if fused {
-        let rs = reduced.ok_or_else(|| {
-            CoreError::MalformedProgram("fused collective without ReduceScatter".into())
-        })?;
-        // Tensor reductions (§5.2): each rank reduces its slice, then an
-        // embedded scalar AllReduce over the established ring
-        // connections combines the partials.
-        let mem = Mem {
-            prefix: "a->",
-            index: "idx + e",
-            reduce: "embeddedAllReduce(h, ",
-        };
-        let mut loads = external_loads(p, &compute_members)?;
-        loads.retain(|&l| l != rs); // arrives in the pack, not from memory
-        let mut stores = external_stores(p, &compute_members)?;
-        stores.retain(|s| !gathered.contains(s)); // leave in the pack
-        fields.extend(tensor_params(p, &compute_members, &loads, &stores)?);
-        emit_args_struct(&mut src, idx, "RingArgs", gate, &fields);
-
         // The compute epilogue applied to each rank's owned slice.
         // Mixed precision (§5.2): operands are widened to float on
         // load, results narrowed to the pack's element type.
-        let _ = writeln!(src, "template <typename T, typename PackT>");
-        let _ = writeln!(
+        let _ = write!(
             src,
-            "__device__ __forceinline__ void computeEpilogue_{idx}(PackT* pack, Args_{idx}* a, CommHandle* h, size_t idx) {{"
+            "template <typename T, typename PackT>
+__device__ __forceinline__ void computeEpilogue_{idx}(PackT* pack, Args_{idx}* a, CommHandle* h, size_t idx) {{
+  constexpr int kEltsPerPack = sizeof(PackT) / sizeof(T);
+  const int rank = h->rank;
+  const uint64_t seed = a->seed;
+  #pragma unroll
+  for (int e = 0; e < kEltsPerPack; ++e) {{
+    size_t gidx = h->gOff + idx + e;
+{body}  }}
+}}
+"
         );
-        let _ = writeln!(
-            src,
-            "  constexpr int kEltsPerPack = sizeof(PackT) / sizeof(T);"
-        );
-        let _ = writeln!(src, "  const int rank = h->rank;");
-        let _ = writeln!(src, "  const uint64_t seed = a->seed;");
-        let _ = writeln!(src, "  #pragma unroll");
-        let _ = writeln!(src, "  for (int e = 0; e < kEltsPerPack; ++e) {{");
-        let _ = writeln!(src, "    size_t gidx = h->gOff + idx + e;");
-        let _ = writeln!(
-            src,
-            "    float x_{} = toFloat(unpack<T>(pack, e));",
-            p.node(rs)?.name()
-        );
-        src.push_str(&compute_body(p, &loads, &compute_members, mem, "    ")?);
-        for &s in &stores {
-            let name = p.node(s)?.name();
-            let _ = writeln!(
-                src,
-                "    a->out_{name}[idx + e] = ({})x_{name};",
-                cuda_type(p, s)?
-            );
-        }
-        for &g in &gathered {
-            let name = p.node(g)?.name();
-            let _ = writeln!(src, "    repack<T>(pack, e, fromFloat<T>(x_{name}));");
-        }
-        let _ = writeln!(src, "  }}");
-        let _ = writeln!(src, "}}");
-    } else {
-        emit_args_struct(&mut src, idx, "RingArgs", gate, &fields);
     }
 
     let ring = RingKernel {
@@ -369,18 +365,19 @@ pub(crate) fn emit_fused_collective(
         emit_ring_loop(&mut src, &ring, proto);
     }
     // The entry point dispatches on the protocol the autotuner chose.
-    let _ = writeln!(src, "template <typename T>");
-    let _ = writeln!(src, "__global__ void {kernel}(Args_{idx} args) {{");
-    let _ = writeln!(src, "  CommHandle* h = commHandle(args.comm, blockIdx.x);");
-    let _ = writeln!(src, "  switch (args.protocol) {{");
-    for proto in ["LL", "LL128", "Simple"] {
-        let _ = writeln!(
-            src,
-            "    case Proto{proto}: run{proto}_{idx}<T>(args, h); break;"
-        );
-    }
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "}}");
+    let _ = write!(
+        src,
+        "template <typename T>
+__global__ void {kernel}(Args_{idx} args) {{
+  CommHandle* h = commHandle(args.comm, blockIdx.x);
+  switch (args.protocol) {{
+    case ProtoLL: runLL_{idx}<T>(args, h); break;
+    case ProtoLL128: runLL128_{idx}<T>(args, h); break;
+    case ProtoSimple: runSimple_{idx}<T>(args, h); break;
+  }}
+}}
+"
+    );
     let calls = vec![comm_launch(&kernel, idx, gate)];
     Ok(UnitCode {
         kernel: Some((kernel, src)),
@@ -450,16 +447,14 @@ fn emit_ring_loop(src: &mut String, k: &RingKernel, proto: &str) {
         ),
     };
     let fenced = proto == "Simple";
-    let _ = writeln!(src, "template <typename T>");
-    let _ = writeln!(
+    let _ = write!(
         src,
-        "__device__ void run{proto}_{idx}(Args_{idx}& args, CommHandle* h) {{"
-    );
-    let _ = writeln!(src, "  using PackT = {pack}; // {proto}: {note}");
-    let _ = writeln!(src, "  const int nranks = h->nranks;");
-    let _ = writeln!(
-        src,
-        "  ringConnect(h); // advance the flag epoch, wait for peers"
+        "template <typename T>
+__device__ void run{proto}_{idx}(Args_{idx}& args, CommHandle* h) {{
+  using PackT = {pack}; // {proto}: {note}
+  const int nranks = h->nranks;
+  ringConnect(h); // advance the flag epoch, wait for peers
+"
     );
     let ind = match k.gate {
         Some(g) => g.open(src),
@@ -473,13 +468,11 @@ fn emit_ring_loop(src: &mut String, k: &RingKernel, proto: &str) {
     } else {
         "nranks - 1"
     };
-    let _ = writeln!(
+    let _ = write!(
         src,
-        "{ind}for (int step = {first}; step < {last}; ++step) {{"
-    );
-    let _ = writeln!(
-        src,
-        "{ind}  int chunk = ringChunk(h->ringPos, step, nranks);"
+        "{ind}for (int step = {first}; step < {last}; ++step) {{
+{ind}  int chunk = ringChunk(h->ringPos, step, nranks);
+"
     );
     if fenced {
         let _ = writeln!(src, "{ind}  waitPeer(h, step);");
@@ -501,12 +494,13 @@ fn emit_ring_loop(src: &mut String, k: &RingKernel, proto: &str) {
             "c.off + i",
         ),
     };
-    let _ = writeln!(src, "{ind}  {chunk};");
-    let _ = writeln!(
+    let _ = write!(
         src,
-        "{ind}  for (size_t i = tid(); i < {len}; i += nthreads()) {{"
+        "{ind}  {chunk};
+{ind}  for (size_t i = tid(); i < {len}; i += nthreads()) {{
+{ind}    size_t gi = {index};
+"
     );
-    let _ = writeln!(src, "{ind}    size_t gi = {index};");
     if k.reduce {
         let in_phase = if k.gather {
             "if (step < nranks - 1) "
@@ -548,82 +542,83 @@ fn emit_ring_loop(src: &mut String, k: &RingKernel, proto: &str) {
     if let Some(g) = k.gate {
         g.close(src);
     }
-    let _ = writeln!(
-        src,
-        "  ringDrain(h); // make the final stores visible system-wide"
-    );
-    let _ = writeln!(src, "}}");
+    src.push_str("  ringDrain(h); // make the final stores visible system-wide\n}\n");
 }
 
-/// Emits a P2P send kernel — the fused computation applied as data
+/// Emits a P2P send kernel — the fused computation `ir` applied as data
 /// leaves (§4), tile by tile when it is an overlap stage — plus its
 /// host launch.
 pub(crate) fn emit_fused_send(
     p: &Program,
+    ir: &KernelIr,
     members: &[VarId],
     idx: usize,
     gate: Option<&Gate>,
 ) -> Result<UnitCode, CoreError> {
-    let mut compute_members = Vec::new();
-    let mut sent = None;
-    for &m in members {
-        match p.op(m)? {
-            OpKind::Send(x, _) => sent = Some(*x),
-            _ => compute_members.push(m),
-        }
-    }
-    let sent =
-        sent.ok_or_else(|| CoreError::MalformedProgram("Send unit without a Send".into()))?;
-    let kernel = format!("fusedSend_{idx}");
-    let mem = Mem {
+    let sent = members
+        .iter()
+        .find_map(|&m| match p.op(m) {
+            Ok(OpKind::Send(x, _)) => Some(*x),
+            _ => None,
+        })
+        .ok_or_else(|| CoreError::MalformedProgram("Send unit without a Send".into()))?;
+    let frame = Frame {
         prefix: "args.",
-        index: "idx",
-        reduce: "blockReduce(",
+        leaving: std::slice::from_ref(&sent),
+        leave: "sendElement<T>(h, idx, ",
+        ..POINTWISE
     };
-    // The Send reads the last fused value, or memory when nothing is fused.
-    let loads = external_loads(p, members)?;
-    let mut src = String::new();
-    let _ = writeln!(
-        src,
-        "// Fused P2P send (§4): {} ops applied to outgoing data.",
-        compute_members.len()
+    let kernel = format!("fusedSend_{idx}");
+    let mut func = String::new();
+    let _ = write!(
+        func,
+        "template <typename T>
+__global__ void {kernel}(Args_{idx} args) {{
+  CommHandle* h = p2pHandle(args.comm, blockIdx.x);
+  const int rank = h->rank;
+  const uint64_t seed = args.seed;
+"
     );
-    if gate.is_none() {
-        let _ = writeln!(src, "#include \"nccl_device_glue.cuh\"");
-    }
-    let tensors = tensor_params(p, &compute_members, &loads, &[])?;
-    emit_args_struct(&mut src, idx, "SendArgs", gate, &tensors);
-    let _ = writeln!(src, "template <typename T>");
-    let _ = writeln!(src, "__global__ void {kernel}(Args_{idx} args) {{");
-    let _ = writeln!(src, "  CommHandle* h = p2pHandle(args.comm, blockIdx.x);");
-    let _ = writeln!(src, "  const int rank = h->rank;");
-    let _ = writeln!(src, "  const uint64_t seed = args.seed;");
     let (ind, range) = match gate {
         Some(g) => {
-            let ind = g.open(&mut src);
+            let ind = g.open(&mut func);
             let _ = writeln!(
-                src,
+                func,
                 "{ind}Chunk1D c = chunkAt(args.count, tile, args.cfg.ntiles);"
             );
             (ind, "size_t idx = c.off + tid(); idx < c.off + c.len")
         }
         None => ("  ", "size_t idx = tid(); idx < args.count"),
     };
-    let _ = writeln!(src, "{ind}for ({range}; idx += nthreads()) {{");
-    let _ = writeln!(src, "{ind}  size_t gidx = args.sliceOff + idx;");
-    let body = compute_body(p, &loads, &compute_members, mem, &format!("{ind}  "))?;
-    src.push_str(&body);
+    let _ = writeln!(func, "{ind}for ({range}; idx += nthreads()) {{");
+    let _ = writeln!(func, "{ind}  size_t gidx = args.sliceOff + idx;");
+    let mut tensors = emit_body(&mut func, p, members, ir, frame, &format!("{ind}  "))?;
+    // The Send reads the last fused value, or memory when nothing is fused.
+    if !ir.segments().any(|s| s.stores().any(|m| m == sent)) {
+        tensors.push(format!("const {}* {}", cuda_type(p, sent)?, name(p, sent)?));
+        let value = load(p, sent, Some(Access::Window), frame)?;
+        let _ = writeln!(
+            func,
+            "{ind}  sendElement<T>(h, idx, fromFloat<T>({value}));"
+        );
+    }
+    let _ = writeln!(func, "{ind}}}");
+    let _ = writeln!(func, "{ind}flushSend(h);");
+    if let Some(g) = gate {
+        g.close(&mut func);
+    }
+    let _ = writeln!(func, "}}");
+    let mut src = String::new();
     let _ = writeln!(
         src,
-        "{ind}  sendElement<T>(h, idx, fromFloat<T>(x_{}));",
-        p.node(sent)?.name()
+        "// Fused P2P send (§4): {} ops applied to outgoing data.",
+        ir.n_ops()
     );
-    let _ = writeln!(src, "{ind}}}");
-    let _ = writeln!(src, "{ind}flushSend(h);");
-    if let Some(g) = gate {
-        g.close(&mut src);
+    if gate.is_none() {
+        let _ = writeln!(src, "#include \"nccl_device_glue.cuh\"");
     }
-    let _ = writeln!(src, "}}");
+    emit_args_struct(&mut src, idx, "SendArgs", gate, &tensors);
+    src.push_str(&func);
     let calls = vec![comm_launch(&kernel, idx, gate)];
     Ok(UnitCode {
         kernel: Some((kernel, src)),

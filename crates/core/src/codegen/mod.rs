@@ -10,8 +10,9 @@
 //! [`generate_cuda`] walks the same unit partition `lower` prices
 //! (`lower::partition`) in the same order, so every kernel it prints
 //! is a step of the plan and the host file launches them in step
-//! order. An overlap stage is the ordinary unit emitter called with a
-//! chunk gate.
+//! order. Every kernel body prints the unit's [`KernelIr`] — the
+//! instructions the runtime runs and `lower` prices. An overlap stage
+//! is the ordinary unit emitter called with a chunk gate.
 //!
 //! The text is not compiled (there is no CUDA toolchain in the loop);
 //! it documents precisely what each schedule's kernels do, and its
@@ -26,8 +27,9 @@ mod overlap_gen;
 
 use std::fmt::Write as _;
 
+use crate::kernel::Readers;
 use crate::lower::{label_of, not_a_stage, partition, Partition, Scheduled, Unit, UnitKind};
-use crate::{CoreError, FuseKind, OpKind, Program, VarId};
+use crate::{CoreError, FuseKind, KernelIr, OpKind, Program, VarId};
 
 use device::{emit_fused_collective, emit_fused_send, emit_pointwise_kernel};
 use overlap_gen::{emit_gemm_stage, emit_overlapped, Gate};
@@ -82,6 +84,7 @@ impl GeneratedCode {
 /// kernels).
 pub fn generate_cuda(p: &Program) -> Result<GeneratedCode, CoreError> {
     let Partition { units, order } = partition(p)?;
+    let readers = Readers::of(p)?;
     let mut files: Vec<(String, String)> = Vec::new();
     let mut host = String::new();
     let _ = writeln!(host, "// Host orchestration for `{}`.", p.name());
@@ -94,10 +97,10 @@ pub fn generate_cuda(p: &Program) -> Result<GeneratedCode, CoreError> {
     let mut overlaps = 0;
     for scheduled in &order {
         let UnitCode { kernel, calls } = match scheduled {
-            Scheduled::Unit(u) => emit_unit(p, &units[*u], *u, None)?,
+            Scheduled::Unit(u) => emit_unit(p, &readers, &units[*u], *u, None)?,
             Scheduled::Overlap(stages) => {
                 overlaps += 1;
-                emit_overlapped(p, &units, stages, overlaps - 1)?
+                emit_overlapped(p, &readers, &units, stages, overlaps - 1)?
             }
         };
         files.extend(kernel.map(|(name, src)| (format!("{name}.cu"), src)));
@@ -112,32 +115,36 @@ pub fn generate_cuda(p: &Program) -> Result<GeneratedCode, CoreError> {
 }
 
 /// Emits one unit — `lower_unit`'s mirror: the same `match`, printing
-/// the kernel where `lower` prices it. Under a `gate` the unit is an
-/// overlap stage and its kernel walks spin-lock-guarded tiles.
+/// the unit's [`KernelIr`] where `lower` prices it. Under a `gate` the
+/// unit is an overlap stage and its kernel walks spin-lock-guarded
+/// tiles.
 pub(crate) fn emit_unit(
     p: &Program,
+    readers: &Readers,
     unit: &Unit,
     idx: usize,
     gate: Option<&Gate>,
 ) -> Result<UnitCode, CoreError> {
+    let ir = KernelIr::compile(p, readers, &unit.members)?;
+    let members = &unit.members;
     match (&unit.kind, gate) {
-        (UnitKind::Single, _) => emit_single(p, unit.members[0], idx, gate),
-        (UnitKind::Fused(FuseKind::Compute), None) => emit_pointwise_kernel(p, &unit.members, idx),
-        (UnitKind::Fused(FuseKind::Compute), Some(_)) => {
-            Err(not_a_stage(&label_of(p, &unit.members)))
-        }
+        (UnitKind::Single, _) => emit_single(p, &ir, members[0], idx, gate),
+        (UnitKind::Fused(FuseKind::Compute), None) => emit_pointwise_kernel(p, &ir, members, idx),
+        (UnitKind::Fused(FuseKind::Compute), Some(_)) => Err(not_a_stage(&label_of(p, members))),
         (UnitKind::Fused(FuseKind::AllReduce), _) => {
-            emit_fused_collective(p, &unit.members, idx, gate)
+            emit_fused_collective(p, &ir, members, idx, gate)
         }
-        (UnitKind::Fused(FuseKind::Send), _) => emit_fused_send(p, &unit.members, idx, gate),
+        (UnitKind::Fused(FuseKind::Send), _) => emit_fused_send(p, &ir, members, idx, gate),
     }
 }
 
 /// Emits an operation no fusion group claims: a library call, a
 /// one-op pointwise kernel or — as an overlap stage — a chunked
-/// GEMM / ring / send kernel.
+/// GEMM / ring / send kernel. `ir` is the operation's kernel (empty
+/// unless it is pointwise).
 fn emit_single(
     p: &Program,
+    ir: &KernelIr,
     v: VarId,
     idx: usize,
     gate: Option<&Gate>,
@@ -161,9 +168,9 @@ fn emit_single(
     match (node.op(), gate) {
         (OpKind::MatMul(a, w), Some(g)) => emit_gemm_stage(p, v, (*a, *w), g),
         (OpKind::AllReduce(..) | OpKind::ReduceScatter(..) | OpKind::AllGather(_), Some(_)) => {
-            emit_fused_collective(p, &[v], idx, gate)
+            emit_fused_collective(p, ir, &[v], idx, gate)
         }
-        (OpKind::Send(..), Some(_)) => emit_fused_send(p, &[v], idx, gate),
+        (OpKind::Send(..), Some(_)) => emit_fused_send(p, ir, &[v], idx, gate),
         (_, Some(_)) => Err(not_a_stage(name)),
         (OpKind::MatMul(a, w), None) => library(vec![format!(
             "CUBLASCHECK(cublasGemmEx(ctx->cublas, {}, {}, out_{name}));",
@@ -198,7 +205,7 @@ fn emit_single(
                 ),
             ])
         }
-        (_, None) => emit_pointwise_kernel(p, &[v], idx),
+        (_, None) => emit_pointwise_kernel(p, ir, &[v], idx),
     }
 }
 

@@ -12,6 +12,7 @@
 
 use std::fmt::Write as _;
 
+use crate::kernel::Readers;
 use crate::lower::{label_of, Unit, UnitKind};
 use crate::{CoreError, OpKind, Program, VarId};
 
@@ -62,6 +63,7 @@ impl Gate {
 /// launches them.
 pub(crate) fn emit_overlapped(
     p: &Program,
+    readers: &Readers,
     units: &[Unit],
     stages: &[usize],
     og: usize,
@@ -83,7 +85,7 @@ pub(crate) fn emit_overlapped(
     let mut launches = Vec::new();
     for (stage, (&u, label)) in stages.iter().zip(&labels).enumerate() {
         let gate = Gate { og, stage, two_d };
-        let UnitCode { kernel, calls } = emit_unit(p, &units[u], u, Some(&gate))?;
+        let UnitCode { kernel, calls } = emit_unit(p, readers, &units[u], u, Some(&gate))?;
         let _ = writeln!(src, "// ---- stage {stage}: {label}");
         if let Some((_, body)) = kernel {
             src.push_str(&body);
@@ -99,93 +101,72 @@ pub(crate) fn emit_overlapped(
 }
 
 fn emit_header(src: &mut String, labels: &[String], og: usize, two_d: bool) {
-    let _ = writeln!(src, "// Overlapped pipeline {og}: {}.", labels.join(" -> "));
-    let _ = writeln!(
+    let (gemm, tiles) = match two_d {
+        true => (
+            "#include <cutlass/gemm/device/gemm.h>\n",
+            "  size_t chunkRows, chunkCols, tilesPerChunk;\n",
+        ),
+        false => ("", ""),
+    };
+    let _ = write!(
         src,
-        "// Buffer tiles stream between the stage kernels through spin-locks (§5.3)."
+        "// Overlapped pipeline {og}: {}.
+// Buffer tiles stream between the stage kernels through spin-locks (§5.3).
+{gemm}#include \"nccl_device_glue.cuh\"
+namespace coconet {{
+struct OverlapConfig_{og} {{
+  int ntiles;
+{tiles}  volatile int* chunkReady; // spin-lock buffer the producer stage posts
+  volatile int* chunkDone;  // spin-lock buffer this stage posts
+}};
+",
+        labels.join(" -> ")
     );
-    if two_d {
-        let _ = writeln!(src, "#include <cutlass/gemm/device/gemm.h>");
-    }
-    let _ = writeln!(src, "#include \"nccl_device_glue.cuh\"");
-    let _ = writeln!(src, "namespace coconet {{");
-    let _ = writeln!(src, "struct OverlapConfig_{og} {{");
-    let _ = writeln!(src, "  int ntiles;");
-    if two_d {
-        let _ = writeln!(src, "  size_t chunkRows, chunkCols, tilesPerChunk;");
-    }
-    let _ = writeln!(
-        src,
-        "  volatile int* chunkReady; // spin-lock buffer the producer stage posts"
-    );
-    let _ = writeln!(
-        src,
-        "  volatile int* chunkDone;  // spin-lock buffer this stage posts"
-    );
-    let _ = writeln!(src, "}};");
 }
 
 fn emit_spinlock(src: &mut String) {
-    let _ = writeln!(
-        src,
-        "// Fine-grained spin-lock on a memory buffer (§5.3): the"
+    src.push_str(
+        "// Fine-grained spin-lock on a memory buffer (§5.3): the
+// collective wakes as soon as the producer publishes a chunk.
+__device__ __forceinline__ void spin_wait(volatile int* flag, int expect) {
+  if (threadIdx.x == 0) {
+    while (atomicAdd((int*)flag, 0) < expect) {
+      __nanosleep(64);
+    }
+  }
+  __syncthreads();
+}
+__device__ __forceinline__ void spin_post(volatile int* flag) {
+  __threadfence_system();
+  if (threadIdx.x == 0) atomicAdd((int*)flag, 1);
+}
+",
     );
-    let _ = writeln!(
-        src,
-        "// collective wakes as soon as the producer publishes a chunk."
-    );
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ void spin_wait(volatile int* flag, int expect) {{"
-    );
-    let _ = writeln!(src, "  if (threadIdx.x == 0) {{");
-    let _ = writeln!(src, "    while (atomicAdd((int*)flag, 0) < expect) {{");
-    let _ = writeln!(src, "      __nanosleep(64);");
-    let _ = writeln!(src, "    }}");
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "  __syncthreads();");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "__device__ __forceinline__ void spin_post(volatile int* flag) {{"
-    );
-    let _ = writeln!(src, "  __threadfence_system();");
-    let _ = writeln!(src, "  if (threadIdx.x == 0) atomicAdd((int*)flag, 1);");
-    let _ = writeln!(src, "}}");
 }
 
 /// 2-D chunk iterators: NCCL communicates 1-D ranges (`chunkAt` in the
 /// glue header); an AllReduce overlapped with a GEMM works on 2-D
 /// chunks of its output so the GEMM tile sizes stay tunable (§5.3).
 fn emit_chunk_iterators(src: &mut String) {
-    let _ = writeln!(
-        src,
-        "// 2-D chunk iterators: the collective walks chunks of the GEMM output,"
+    src.push_str(
+        "// 2-D chunk iterators: the collective walks chunks of the GEMM output,
+// so GEMM tile sizes stay tunable (§5.3).
+struct Chunk2D { size_t row; size_t col; size_t rows; size_t cols; size_t ld; };
+static __device__ Chunk2D chunk2DAt(size_t m, size_t n, size_t ld, int chunk, int chunksPerRow) {
+  size_t cr = chunk / chunksPerRow;
+  size_t cc = chunk % chunksPerRow;
+  Chunk2D c;
+  c.row = cr * CHUNK_ROWS; c.col = cc * CHUNK_COLS;
+  c.rows = min((size_t)CHUNK_ROWS, m - c.row);
+  c.cols = min((size_t)CHUNK_COLS, n - c.col);
+  c.ld = ld;
+  return c;
+}
+static __device__ __forceinline__ size_t chunk2DIndex(const Chunk2D& c, size_t i) {
+  return (c.row + i / c.cols) * c.ld + c.col + (i % c.cols);
+}
+",
     );
-    let _ = writeln!(src, "// so GEMM tile sizes stay tunable (§5.3).");
-    let _ = writeln!(
-        src,
-        "struct Chunk2D {{ size_t row; size_t col; size_t rows; size_t cols; size_t ld; }};"
-    );
-    let _ = writeln!(src, "static __device__ Chunk2D chunk2DAt(size_t m, size_t n, size_t ld, int chunk, int chunksPerRow) {{");
-    let _ = writeln!(src, "  size_t cr = chunk / chunksPerRow;");
-    let _ = writeln!(src, "  size_t cc = chunk % chunksPerRow;");
-    let _ = writeln!(src, "  Chunk2D c;");
-    let _ = writeln!(src, "  c.row = cr * CHUNK_ROWS; c.col = cc * CHUNK_COLS;");
-    let _ = writeln!(src, "  c.rows = min((size_t)CHUNK_ROWS, m - c.row);");
-    let _ = writeln!(src, "  c.cols = min((size_t)CHUNK_COLS, n - c.col);");
-    let _ = writeln!(src, "  c.ld = ld;");
-    let _ = writeln!(src, "  return c;");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(
-        src,
-        "static __device__ __forceinline__ size_t chunk2DIndex(const Chunk2D& c, size_t i) {{"
-    );
-    let _ = writeln!(
-        src,
-        "  return (c.row + i / c.cols) * c.ld + c.col + (i % c.cols);"
-    );
-    let _ = writeln!(src, "}}");
 }
 
 /// Emits the MatMul stage of an overlap group: the CUTLASS GEMM the
@@ -202,69 +183,35 @@ pub(crate) fn emit_gemm_stage(
     let Gate { og, stage, .. } = *gate;
     let ty = cuda_type(p, v)?;
     let name = p.node(v)?.name();
-    let mut src = String::new();
-    let _ = writeln!(
-        src,
-        "// Chunk-ordered GEMM `{name}`: once CUTLASS's epilogue has stored a tile,"
+    let src = format!(
+        "// Chunk-ordered GEMM `{name}`: once CUTLASS's epilogue has stored a tile,
+// count tile completions per chunk and publish the chunk when all are in.
+template <typename Epilogue>
+struct ChunkOrderedEpilogue_{og} : Epilogue {{
+  OverlapConfig_{og} cfg;
+  int* tileCounters;
+  template <typename... Tile>
+  __device__ void operator()(int tileRow, int tileCol, Tile&&... tile) {{
+    Epilogue::operator()(tile...);
+    __threadfence();
+    int chunk = tileToChunk(tileRow, tileCol, cfg.chunkRows, cfg.chunkCols);
+    if (threadIdx.x == 0) {{
+      int done = atomicAdd(&tileCounters[chunk], 1) + 1;
+      if (done == (int)cfg.tilesPerChunk) {{
+        spin_post(&cfg.chunkDone[chunk]); // wake the next stage (T=2 in Fig. 9)
+      }}
+    }}
+  }}
+}};
+// Threadblock tiles stay template arguments so they can be tuned (§5.3);
+// the swizzle walks them in the order rank r's ring sends chunks (r, r-1, ...).
+using GemmChunkOrdered_{og} = cutlass::gemm::device::Gemm<
+    {ty}, cutlass::layout::RowMajor, {ty}, cutlass::layout::RowMajor, {ty}, cutlass::layout::RowMajor,
+    float, cutlass::arch::OpClassTensorOp, cutlass::arch::Sm70, GemmTile, WarpTile, InstructionTile,
+    ChunkOrderedEpilogue_{og}<cutlass::epilogue::thread::LinearCombination<{ty}, 8, float, float>>,
+    RingOrderSwizzle>;
+"
     );
-    let _ = writeln!(
-        src,
-        "// count tile completions per chunk and publish the chunk when all are in."
-    );
-    let _ = writeln!(src, "template <typename Epilogue>");
-    let _ = writeln!(src, "struct ChunkOrderedEpilogue_{og} : Epilogue {{");
-    let _ = writeln!(src, "  OverlapConfig_{og} cfg;");
-    let _ = writeln!(src, "  int* tileCounters;");
-    let _ = writeln!(src, "  template <typename... Tile>");
-    let _ = writeln!(
-        src,
-        "  __device__ void operator()(int tileRow, int tileCol, Tile&&... tile) {{"
-    );
-    let _ = writeln!(src, "    Epilogue::operator()(tile...);");
-    let _ = writeln!(src, "    __threadfence();");
-    let _ = writeln!(
-        src,
-        "    int chunk = tileToChunk(tileRow, tileCol, cfg.chunkRows, cfg.chunkCols);"
-    );
-    let _ = writeln!(src, "    if (threadIdx.x == 0) {{");
-    let _ = writeln!(
-        src,
-        "      int done = atomicAdd(&tileCounters[chunk], 1) + 1;"
-    );
-    let _ = writeln!(src, "      if (done == (int)cfg.tilesPerChunk) {{");
-    let _ = writeln!(
-        src,
-        "        spin_post(&cfg.chunkDone[chunk]); // wake the next stage (T=2 in Fig. 9)"
-    );
-    let _ = writeln!(src, "      }}");
-    let _ = writeln!(src, "    }}");
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "}};");
-    let _ = writeln!(
-        src,
-        "// Threadblock tiles stay template arguments so they can be tuned (§5.3);"
-    );
-    let _ = writeln!(
-        src,
-        "// the swizzle walks them in the order rank r's ring sends chunks (r, r-1, ...)."
-    );
-    let _ = writeln!(
-        src,
-        "using GemmChunkOrdered_{og} = cutlass::gemm::device::Gemm<"
-    );
-    let _ = writeln!(
-        src,
-        "    {ty}, cutlass::layout::RowMajor, {ty}, cutlass::layout::RowMajor, {ty}, cutlass::layout::RowMajor,"
-    );
-    let _ = writeln!(
-        src,
-        "    float, cutlass::arch::OpClassTensorOp, cutlass::arch::Sm70, GemmTile, WarpTile, InstructionTile,"
-    );
-    let _ = writeln!(
-        src,
-        "    ChunkOrderedEpilogue_{og}<cutlass::epilogue::thread::LinearCombination<{ty}, 8, float, float>>,"
-    );
-    let _ = writeln!(src, "    RingOrderSwizzle>;");
     let call = format!(
         "CUTLASSCHECK(GemmChunkOrdered_{og}()(gemmArguments(args, {}, {}, out_{name}, cfg), nullptr, ctx->streams[{stage}]));",
         p.node(a)?.name(),
@@ -280,30 +227,18 @@ pub(crate) fn emit_gemm_stage(
 /// (§5.5), then every stage launches exactly once on its own stream,
 /// its `chunkReady` wired to the previous stage's `chunkDone`.
 fn emit_host_orchestration(src: &mut String, og: usize, launches: &[Vec<String>]) {
-    let _ = writeln!(
+    let stages = launches.len();
+    let _ = write!(
         src,
-        "// Host orchestration: every stage launches exactly once on its own"
+        "// Host orchestration: every stage launches exactly once on its own
+// stream; the spin-lock buffers are cleared up front (§5.5).
+void launchOverlapped_{og}(CoconetContext* ctx, TensorArgs* args) {{
+  OverlapConfig_{og} cfg = makeConfig_{og}(ctx);
+  volatile int* flags = stageFlags(ctx, /*stages=*/{stages}, cfg.ntiles);
+  CUDACHECK(cudaMemsetAsync((void*)flags, 0, sizeof(int) * {stages} * cfg.ntiles, ctx->stream));
+  CUDACHECK(cudaStreamSynchronize(ctx->stream));
+"
     );
-    let _ = writeln!(
-        src,
-        "// stream; the spin-lock buffers are cleared up front (§5.5)."
-    );
-    let _ = writeln!(
-        src,
-        "void launchOverlapped_{og}(CoconetContext* ctx, TensorArgs* args) {{"
-    );
-    let _ = writeln!(src, "  OverlapConfig_{og} cfg = makeConfig_{og}(ctx);");
-    let _ = writeln!(
-        src,
-        "  volatile int* flags = stageFlags(ctx, /*stages=*/{}, cfg.ntiles);",
-        launches.len()
-    );
-    let _ = writeln!(
-        src,
-        "  CUDACHECK(cudaMemsetAsync((void*)flags, 0, sizeof(int) * {} * cfg.ntiles, ctx->stream));",
-        launches.len()
-    );
-    let _ = writeln!(src, "  CUDACHECK(cudaStreamSynchronize(ctx->stream));");
     for (stage, calls) in launches.iter().enumerate() {
         let ready = match stage {
             0 => "nullptr".to_string(),
@@ -315,12 +250,13 @@ fn emit_host_orchestration(src: &mut String, og: usize, launches: &[Vec<String>]
             let _ = writeln!(src, "  {call}");
         }
     }
-    let _ = writeln!(src, "  for (int s = 0; s < {}; ++s) {{", launches.len());
-    let _ = writeln!(
+    let _ = write!(
         src,
-        "    CUDACHECK(cudaStreamSynchronize(ctx->streams[s]));"
+        "  for (int s = 0; s < {stages}; ++s) {{
+    CUDACHECK(cudaStreamSynchronize(ctx->streams[s]));
+  }}
+}}
+}} // namespace coconet
+"
     );
-    let _ = writeln!(src, "  }}");
-    let _ = writeln!(src, "}}");
-    let _ = writeln!(src, "}} // namespace coconet");
 }

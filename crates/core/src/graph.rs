@@ -729,6 +729,12 @@ impl Program {
     /// Returns [`CoreError::MalformedProgram`] describing the first
     /// violation.
     pub fn validate(&self) -> Result<(), CoreError> {
+        self.validated_order().map(drop)
+    }
+
+    /// [`validate`](Program::validate), returning the topological order
+    /// the acyclicity check computes.
+    pub(crate) fn validated_order(&self) -> Result<Vec<VarId>, CoreError> {
         if !self.io_sealed {
             return Err(CoreError::MalformedProgram(
                 "program interface not sealed with set_io".into(),
@@ -775,8 +781,7 @@ impl Program {
                 }
             }
         }
-        let _ = self.topo_order(); // panics on a cycle
-        Ok(())
+        Ok(self.topo_order()) // panics on a cycle
     }
 
     /// Renders the program as DSL source in the style of the paper's

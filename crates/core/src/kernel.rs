@@ -1,13 +1,16 @@
 //! The kernel IR: what a unit's pointwise members compute, as a
-//! straight-line register program.
+//! straight-line register program — the one description of a kernel
+//! that is run, printed and priced.
 //!
 //! [`lower::partition`](crate::partition) decides *which* operations
 //! form a kernel; [`KernelIr::compile`] decides what that kernel does
 //! per element. The runtime's block evaluator executes the result over
 //! blocks of lanes (one register = one block of `f32` lanes), so a
 //! fusion group's intermediates live in registers and only the members
-//! something outside the kernel reads are stored — the memory traffic
-//! [`KernelStep`](crate::KernelStep) prices.
+//! something outside the kernel reads are stored. The CUDA emitter
+//! prints the same instructions, one C statement each, and
+//! [`KernelIr::price`] derives from them the memory traffic and flops
+//! that `lower` writes into the plan's steps.
 //!
 //! A kernel is a list of [`Stage`]s. A [`Segment`] is one loop over one
 //! iteration domain; `Norm` / `ReduceTensor` members reduce a whole
@@ -16,9 +19,10 @@
 //! *prologue* that runs once; the loop body reads their results as
 //! splats.
 
-use std::collections::{HashMap, HashSet};
-
-use crate::{BinaryOp, CoreError, DType, Dim, OpKind, Program, TensorType, UnaryOp, VarId};
+use crate::{
+    BinaryOp, Binding, CoreError, DType, Dim, KernelStep, Layout, OpKind, Program, SliceDim,
+    TensorType, UnaryOp, VarId,
+};
 
 /// A register index. Prologue and body instructions index separate
 /// register files.
@@ -52,7 +56,7 @@ pub enum Instr {
         /// Source (prologue) register.
         scalar: Reg,
     },
-    /// `dst = op(a)`.
+    /// `dst = op(a)`, the value of `member`.
     Unary {
         /// The operation.
         op: UnaryOp,
@@ -60,8 +64,10 @@ pub enum Instr {
         dst: Reg,
         /// Source register.
         a: Reg,
+        /// The member this instruction computes.
+        member: VarId,
     },
-    /// `dst = op(a, b)`.
+    /// `dst = op(a, b)`, the value of `member`.
     Binary {
         /// The operation.
         op: BinaryOp,
@@ -71,6 +77,8 @@ pub enum Instr {
         a: Reg,
         /// Right source register.
         b: Reg,
+        /// The member this instruction computes.
+        member: VarId,
     },
     /// `dst = keep(global index) ? a / (1 - p) : 0`, with the mask of
     /// dropout node `member` (a pure function of the run's seed, the
@@ -103,6 +111,15 @@ pub enum Instr {
 }
 
 impl Instr {
+    /// Whether the instruction computes (as opposed to moving, splatting
+    /// or rounding a value): what a kernel's flops and op count count.
+    pub fn computes(&self) -> bool {
+        matches!(
+            self,
+            Instr::Unary { .. } | Instr::Binary { .. } | Instr::Dropout { .. }
+        )
+    }
+
     /// The register this instruction defines.
     pub fn dst(&self) -> Option<Reg> {
         match *self {
@@ -211,6 +228,75 @@ pub struct KernelIr {
     pub stages: Vec<Stage>,
 }
 
+/// How a body [`Instr::Load`] reaches its operand from the segment's
+/// iteration domain: the one rule the evaluator reads by, the emitter
+/// prints and [`KernelIr::price`] charges.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Access {
+    /// The operand's local storage holds the domain's lanes, in order.
+    Window,
+    /// The operand holds the whole tensor and the domain is this rank's
+    /// contiguous share of it (a flat or leading-dimension slice): the
+    /// lanes start at the rank's offset.
+    SliceOffset,
+    /// The operand has the domain's global shape but no contiguous
+    /// window: each lane reads its element through the global index.
+    Gather,
+    /// The operand's global shape broadcasts into the domain's: each
+    /// lane reads through its broadcast global index, and a load reads
+    /// the operand's local storage once.
+    Broadcast,
+}
+
+impl Access {
+    /// How an operand laid out as `operand` reaches a domain laid out as
+    /// `domain`; `same_shape` says whether their global shapes agree.
+    pub fn of(same_shape: bool, operand: Layout, domain: Layout) -> Access {
+        if !same_shape {
+            return Access::Broadcast;
+        }
+        match (operand, domain) {
+            (a, b) if a == b || !(a.is_sliced() || b.is_sliced()) => Access::Window,
+            (
+                Layout::Replicated | Layout::Local,
+                Layout::Sliced(SliceDim::Flat | SliceDim::Dim(0)),
+            ) => Access::SliceOffset,
+            _ => Access::Gather,
+        }
+    }
+
+    /// How a value of type `operand` reaches a domain of type `domain`.
+    pub fn between(operand: &TensorType, domain: &TensorType) -> Access {
+        Access::of(operand.shape == domain.shape, operand.layout, domain.layout)
+    }
+}
+
+/// Every node's readers, indexed once per program so that compiling a
+/// unit costs what the unit is, not what the program is.
+pub struct Readers(Vec<Vec<VarId>>);
+
+impl Readers {
+    /// Indexes the readers of every live node of `p`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unknown-variable errors.
+    pub fn of(p: &Program) -> Result<Readers, CoreError> {
+        let live = p.live_vars();
+        let mut readers = vec![Vec::new(); live.last().map_or(0, |v| v.index() + 1)];
+        for v in live {
+            for dep in p.op(v)?.inputs() {
+                readers[dep.index()].push(v);
+            }
+        }
+        Ok(Readers(readers))
+    }
+
+    fn of_var(&self, v: VarId) -> &[VarId] {
+        self.0.get(v.index()).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// Whether a value is scalar-shaped whatever the binding: such members
 /// run once in the prologue and reach the loop body as splats.
 fn is_scalar(ty: &TensorType) -> bool {
@@ -219,7 +305,7 @@ fn is_scalar(ty: &TensorType) -> bool {
 
 /// Whether two vector members iterate over the same local domain.
 fn same_domain(a: &TensorType, b: &TensorType) -> bool {
-    a.shape == b.shape && (a.layout == b.layout || (!a.layout.is_sliced() && !b.layout.is_sliced()))
+    Access::between(a, b) == Access::Window
 }
 
 fn is_reduction(op: &OpKind) -> bool {
@@ -229,7 +315,8 @@ fn is_reduction(op: &OpKind) -> bool {
 impl KernelIr {
     /// Compiles the pointwise members of `members` (one unit of
     /// [`partition`](crate::partition); its collectives and sends are
-    /// the caller's to run) into a register program.
+    /// the caller's to run) into a register program. `readers` indexes
+    /// `p` ([`Readers::of`]).
     ///
     /// Every operand is loaded once per segment and every member is
     /// computed once; a member is stored only if it escapes the kernel
@@ -243,26 +330,26 @@ impl KernelIr {
     ///
     /// Returns [`CoreError::MalformedProgram`] when `members` is not in
     /// topological order, and propagates unknown-variable errors.
-    pub fn compile(p: &Program, members: &[VarId]) -> Result<KernelIr, CoreError> {
-        let mut kernel = Vec::new();
-        for &m in members {
-            if p.op(m)?.is_pointwise() {
-                kernel.push(m);
-            }
-        }
-        let in_kernel: HashSet<VarId> = kernel.iter().copied().collect();
-
-        // Pass 1: the stage of every member.
+    pub fn compile(
+        p: &Program,
+        readers: &Readers,
+        members: &[VarId],
+    ) -> Result<KernelIr, CoreError> {
+        // Pass 1: the stage of every pointwise member.
         enum Draft {
             Segment(Vec<VarId>, Option<VarId>),
             Reduce(VarId),
         }
         let mut drafts: Vec<Draft> = Vec::new();
-        let mut stage_of: HashMap<VarId, usize> = HashMap::new();
+        let mut stage_of: Vec<(VarId, usize)> = Vec::with_capacity(members.len());
         let mut open: Option<usize> = None;
-        for &m in &kernel {
-            if is_reduction(p.op(m)?) {
-                stage_of.insert(m, drafts.len());
+        for &m in members {
+            let op = p.op(m)?;
+            if !op.is_pointwise() {
+                continue;
+            }
+            if is_reduction(op) {
+                stage_of.push((m, drafts.len()));
                 drafts.push(Draft::Reduce(m));
                 open = None;
                 continue;
@@ -284,26 +371,19 @@ impl KernelIr {
                     domain.get_or_insert(m);
                 }
             }
-            stage_of.insert(m, at);
+            stage_of.push((m, at));
         }
 
         // Pass 2: which members reach memory.
-        let mut readers: HashMap<VarId, Vec<VarId>> = HashMap::new();
-        for v in p.live_vars() {
-            for dep in p.op(v)?.inputs() {
-                readers.entry(dep).or_default().push(v);
-            }
-        }
-        let mut stored: HashSet<VarId> = HashSet::new();
-        for &m in &kernel {
+        let stage = |v: VarId| stage_of.iter().find(|(m, _)| *m == v).map(|&(_, s)| s);
+        let mut stored: Vec<VarId> = Vec::new();
+        for &(m, at) in &stage_of {
             let op = p.op(m)?;
             let escapes = p.outputs().contains(&m)
                 || matches!(op, OpKind::Update(..))
-                || readers
-                    .get(&m)
-                    .is_some_and(|rs| rs.iter().any(|r| stage_of.get(r) != stage_of.get(&m)));
+                || readers.of_var(m).iter().any(|&r| stage(r) != Some(at));
             if escapes && !is_reduction(op) {
-                stored.insert(m);
+                stored.push(m);
             }
         }
 
@@ -315,15 +395,14 @@ impl KernelIr {
                 Draft::Segment(seg_members, domain) => {
                     let mut emit = Emit {
                         p,
-                        in_kernel: &in_kernel,
                         stage_of: &stage_of,
                         stage: at,
                         seg: Segment {
                             domain,
                             ..Segment::default()
                         },
-                        scalar_of: HashMap::new(),
-                        vector_of: HashMap::new(),
+                        scalar_of: Vec::new(),
+                        vector_of: Vec::new(),
                     };
                     for m in seg_members {
                         emit.member(m, stored.contains(&m))?;
@@ -342,20 +421,97 @@ impl KernelIr {
             Stage::Reduce(_) => None,
         })
     }
+
+    /// How many instructions compute ([`Instr::computes`]), prologues
+    /// included: the fused-op count the cost model's register-pressure
+    /// penalty reads and the emitter prints.
+    pub fn n_ops(&self) -> usize {
+        self.segments()
+            .flat_map(|s| s.prologue.iter().chain(&s.body))
+            .filter(|i| i.computes())
+            .count()
+    }
+
+    /// The (unlabelled) step that prices the kernel on one rank under
+    /// `binding`: a body `Load` reads the domain's local elements in the
+    /// operand's dtype (a [`Access::Broadcast`] load reads the operand's
+    /// storage once), a prologue `Load` one element, a reduction its
+    /// operand; a `Store` writes its member's lanes and a reduction its
+    /// scalar; a computing instruction is a flop per lane, a reduction
+    /// one per element read. Loads of `pack` (a fused collective's
+    /// ReduceScatter chunk, which arrives in registers) cost nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates binding and unknown-variable errors.
+    pub fn price(
+        &self,
+        p: &Program,
+        binding: &Binding,
+        pack: Option<VarId>,
+    ) -> Result<KernelStep, CoreError> {
+        let mut price = KernelStep {
+            label: String::new(),
+            bytes_read: 0,
+            bytes_written: 0,
+            flops: 0,
+            n_ops: self.n_ops(),
+        };
+        for stage in &self.stages {
+            let seg = match stage {
+                Stage::Segment(seg) => seg,
+                Stage::Reduce(m) => {
+                    let operand = p.ty(p.op(*m)?.inputs()[0])?;
+                    price.bytes_read += operand.local_bytes(binding)?;
+                    price.bytes_written += p.ty(*m)?.local_bytes(binding)?;
+                    price.flops += operand.local_numel(binding)?;
+                    continue;
+                }
+            };
+            let domain = seg.domain.map(|d| p.ty(d)).transpose()?;
+            let lanes = domain.map_or(Ok(0), |d| d.local_numel(binding))?;
+            for (code, lanes, domain) in [(&seg.prologue, 1, None), (&seg.body, lanes, domain)] {
+                for instr in code {
+                    match *instr {
+                        Instr::Load { operand, .. } if Some(seg.operands[operand]) != pack => {
+                            let ty = p.ty(seg.operands[operand])?;
+                            let broadcast =
+                                domain.is_some_and(|d| Access::between(ty, d) == Access::Broadcast);
+                            price.bytes_read += match broadcast {
+                                true => ty.local_bytes(binding)?,
+                                false => lanes * ty.dtype.size_bytes() as u64,
+                            };
+                        }
+                        Instr::Store { member, .. } => {
+                            price.bytes_written += lanes * p.ty(member)?.dtype.size_bytes() as u64;
+                        }
+                        _ if instr.computes() => price.flops += lanes,
+                        _ => {}
+                    }
+                }
+            }
+        }
+        Ok(price)
+    }
 }
 
 /// Emission state of one segment. Registers are virtual (one per value)
 /// until [`Emit::finish`] renames them.
 struct Emit<'a> {
     p: &'a Program,
-    in_kernel: &'a HashSet<VarId>,
-    stage_of: &'a HashMap<VarId, usize>,
+    /// The stage of every kernel member.
+    stage_of: &'a [(VarId, usize)],
     stage: usize,
     seg: Segment,
-    /// The prologue register holding a (resolved) scalar value.
-    scalar_of: HashMap<VarId, Reg>,
-    /// The body register holding a (resolved) value or its splat.
-    vector_of: HashMap<VarId, Reg>,
+    /// The prologue register holding each (resolved) scalar value.
+    scalar_of: Vec<(VarId, Reg)>,
+    /// The body register holding each (resolved) value or its splat.
+    vector_of: Vec<(VarId, Reg)>,
+}
+
+/// The register `v` sits in, if any.
+fn reg_of(regs: &[(VarId, Reg)], v: VarId) -> Option<Reg> {
+    regs.iter().find(|(w, _)| *w == v).map(|&(_, r)| r)
 }
 
 impl Emit<'_> {
@@ -363,7 +519,7 @@ impl Emit<'_> {
     /// `Slice(a)` is reading `a` at this rank's elements.
     fn resolve(&self, mut v: VarId) -> Result<VarId, CoreError> {
         while let OpKind::Slice(a) = self.p.op(v)? {
-            if self.in_kernel.contains(&v) {
+            if self.stage_of.iter().any(|(m, _)| *m == v) {
                 break;
             }
             v = *a;
@@ -374,7 +530,7 @@ impl Emit<'_> {
     /// Whether `v` is computed by an earlier instruction of this
     /// segment (and so must already sit in a register).
     fn computed_here(&self, v: VarId) -> bool {
-        self.in_kernel.contains(&v) && self.stage_of.get(&v) == Some(&self.stage)
+        self.stage_of.contains(&(v, self.stage))
     }
 
     fn out_of_order(&self, v: VarId) -> CoreError {
@@ -396,7 +552,7 @@ impl Emit<'_> {
     /// The prologue register holding scalar `dep`.
     fn scalar(&mut self, dep: VarId) -> Result<Reg, CoreError> {
         let dep = self.resolve(dep)?;
-        if let Some(&r) = self.scalar_of.get(&dep) {
+        if let Some(r) = reg_of(&self.scalar_of, dep) {
             return Ok(r);
         }
         let dst = self.fresh(true);
@@ -411,14 +567,14 @@ impl Emit<'_> {
                 self.seg.prologue.push(Instr::Load { dst, operand });
             }
         }
-        self.scalar_of.insert(dep, dst);
+        self.scalar_of.push((dep, dst));
         Ok(dst)
     }
 
     /// The body register holding `dep` (a splat if it is scalar).
     fn vector(&mut self, dep: VarId) -> Result<Reg, CoreError> {
         let dep = self.resolve(dep)?;
-        if let Some(&r) = self.vector_of.get(&dep) {
+        if let Some(r) = reg_of(&self.vector_of, dep) {
             return Ok(r);
         }
         let dst;
@@ -433,7 +589,7 @@ impl Emit<'_> {
             dst = self.fresh(false);
             self.seg.body.push(Instr::Load { dst, operand });
         }
-        self.vector_of.insert(dep, dst);
+        self.vector_of.push((dep, dst));
         Ok(dst)
     }
 
@@ -450,13 +606,24 @@ impl Emit<'_> {
             OpKind::Unary(op, a) => {
                 let a = src(self, a)?;
                 let dst = self.fresh(scalar);
-                self.push(scalar, Instr::Unary { op, dst, a });
+                let member = m;
+                self.push(scalar, Instr::Unary { op, dst, a, member });
                 (dst, None)
             }
             OpKind::Binary(op, a, b) => {
                 let (a, b) = (src(self, a)?, src(self, b)?);
                 let dst = self.fresh(scalar);
-                self.push(scalar, Instr::Binary { op, dst, a, b });
+                let member = m;
+                self.push(
+                    scalar,
+                    Instr::Binary {
+                        op,
+                        dst,
+                        a,
+                        b,
+                        member,
+                    },
+                );
                 (dst, None)
             }
             OpKind::Dropout(a, p) => {
@@ -491,9 +658,9 @@ impl Emit<'_> {
             reg = dst;
         }
         if scalar {
-            self.scalar_of.insert(m, reg);
+            self.scalar_of.push((m, reg));
         } else {
-            self.vector_of.insert(m, reg);
+            self.vector_of.push((m, reg));
         }
         if store {
             self.push(
@@ -586,6 +753,10 @@ mod tests {
     use crate::xform::fuse_compute;
     use crate::{Layout, ReduceOp};
 
+    fn compile(p: &Program, members: &[VarId]) -> Result<KernelIr, CoreError> {
+        KernelIr::compile(p, &Readers::of(p)?, members)
+    }
+
     /// `m_ = Update(m, m*b1 + g*(1-b1)); out = m_ / (1 - Pow(b1, t))`
     /// fused into one kernel.
     fn momentum() -> (Program, Vec<VarId>) {
@@ -617,7 +788,7 @@ mod tests {
     #[test]
     fn only_escaping_members_are_stored_and_operands_load_once() {
         let (p, comps) = momentum();
-        let ir = KernelIr::compile(&p, &comps).unwrap();
+        let ir = compile(&p, &comps).unwrap();
         let seg = only_segment(&ir);
         // `m_` (an Update) and `out` (a program output); not `decay`,
         // `fresh`, `sum`, or the scalar `b1t` / `corr`.
@@ -643,7 +814,7 @@ mod tests {
     #[test]
     fn scalar_members_run_once_in_the_prologue() {
         let (p, comps) = momentum();
-        let ir = KernelIr::compile(&p, &comps).unwrap();
+        let ir = compile(&p, &comps).unwrap();
         let seg = only_segment(&ir);
         assert_eq!(seg.domain, Some(comps[0]));
         // Pow(b1, t) and 1 - b1t: two binaries over two constants and
@@ -691,7 +862,7 @@ mod tests {
             comps.push(cur);
         }
         p.set_io(&[x], &[cur]).unwrap();
-        let ir = KernelIr::compile(&p, &comps).unwrap();
+        let ir = compile(&p, &comps).unwrap();
         let seg = only_segment(&ir);
         assert_eq!(seg.body_regs, 2, "{:?}", seg.body);
         for instr in &seg.body {
@@ -710,7 +881,7 @@ mod tests {
         let sq = p.mul(x, x).unwrap(); // F16: rounds
         let wide = p.add(sq, y).unwrap(); // F32: does not
         p.set_io(&[x, y], &[wide]).unwrap();
-        let ir = KernelIr::compile(&p, &[sq, wide]).unwrap();
+        let ir = compile(&p, &[sq, wide]).unwrap();
         let seg = only_segment(&ir);
         let rounds = seg
             .body
@@ -730,7 +901,7 @@ mod tests {
         let n = p.norm(u).unwrap();
         let out = p.div(u, n).unwrap();
         p.set_io(&[x], &[out]).unwrap();
-        let ir = KernelIr::compile(&p, &[u, n, out]).unwrap();
+        let ir = compile(&p, &[u, n, out]).unwrap();
         assert_eq!(ir.stages.len(), 3);
         assert_eq!(ir.stages[1], Stage::Reduce(n));
         let segs: Vec<&Segment> = ir.segments().collect();
@@ -750,8 +921,78 @@ mod tests {
         let sl = p.slice(r).unwrap();
         let out = p.add(rs, sl).unwrap();
         p.set_io(&[g, r], &[out]).unwrap();
-        let ir = KernelIr::compile(&p, &[out]).unwrap();
+        let ir = compile(&p, &[out]).unwrap();
         assert_eq!(only_segment(&ir).operands, vec![rs, r]);
+    }
+
+    #[test]
+    fn the_price_counts_loads_stores_and_computing_instructions() {
+        // Loads g (F16) and m in the body and t in the prologue; stores
+        // m_ and out; computes four body and two prologue instructions.
+        let (p, comps) = momentum();
+        let ir = compile(&p, &comps).unwrap();
+        let n = 1000u64;
+        let price = ir.price(&p, &Binding::new(1).bind("N", n), None).unwrap();
+        assert_eq!(
+            price,
+            KernelStep {
+                label: String::new(),
+                bytes_read: 6 * n + 4,
+                bytes_written: 8 * n,
+                flops: 4 * n + 2,
+                n_ops: 6,
+            }
+        );
+
+        // A reduction reads its operand and writes its scalar; the
+        // segment after it re-loads the operand.
+        let mut p = Program::new("normalize");
+        let x = p.input("x", DType::F32, ["N"], Layout::Replicated);
+        let u = p.mul(x, x).unwrap();
+        let norm = p.norm(u).unwrap();
+        let out = p.div(u, norm).unwrap();
+        p.set_io(&[x], &[out]).unwrap();
+        let ir = compile(&p, &[u, norm, out]).unwrap();
+        let price = ir.price(&p, &Binding::new(1).bind("N", n), None).unwrap();
+        assert_eq!(
+            (price.bytes_read, price.bytes_written),
+            (12 * n + 4, 8 * n + 4)
+        );
+    }
+
+    #[test]
+    fn the_price_follows_each_loads_access() {
+        // rs: a window of the rank's share (free when it is the pack);
+        // Slice(r): the same share of the replicated `r`; `b`: a [4]
+        // bias broadcast into the domain, read once.
+        let mut p = Program::new("access");
+        let g = p.input("g", DType::F32, ["B", "H"], Layout::Local);
+        let r = p.input("r", DType::F32, ["B", "H"], Layout::Replicated);
+        let b = p.input("b", DType::F16, ["H"], Layout::Replicated);
+        let rs = p.reduce_scatter(ReduceOp::Sum, g).unwrap();
+        let sl = p.slice(r).unwrap();
+        let sum = p.add(rs, sl).unwrap();
+        let out = p.add(sum, b).unwrap();
+        p.set_io(&[g, r, b], &[out]).unwrap();
+        let ir = compile(&p, &[sum, out]).unwrap();
+        let seg = only_segment(&ir);
+        let domain = p.ty(seg.domain.unwrap()).unwrap();
+        let access: Vec<Access> = seg
+            .operands
+            .iter()
+            .map(|&o| Access::between(p.ty(o).unwrap(), domain))
+            .collect();
+        assert_eq!(
+            access,
+            [Access::Window, Access::SliceOffset, Access::Broadcast]
+        );
+        let binding = Binding::new(4).bind("B", 8).bind("H", 4);
+        let share = 8 * 4 / 4 * 4;
+        let price = ir.price(&p, &binding, None).unwrap();
+        assert_eq!(price.bytes_read, 2 * share + 4 * 2);
+        let price = ir.price(&p, &binding, Some(rs)).unwrap();
+        assert_eq!(price.bytes_read, share + 4 * 2);
+        assert_eq!(price.bytes_written, share);
     }
 
     #[test]
@@ -762,7 +1003,7 @@ mod tests {
         let b = p.neg(a).unwrap();
         p.set_io(&[x], &[b]).unwrap();
         assert!(matches!(
-            KernelIr::compile(&p, &[b, a]),
+            compile(&p, &[b, a]),
             Err(CoreError::MalformedProgram(_))
         ));
     }

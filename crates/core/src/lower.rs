@@ -13,10 +13,11 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crate::kernel::{Readers, Stage};
 use crate::{
     Binding, CollAlgo, CollKind, CommConfig, CoreError, ExecPlan, FuseKind, FusedCollectiveStep,
-    KernelStep, Layout, MatMulStep, OpKind, OverlapStage, OverlappedStep, Program, SendRecvStep,
-    SliceDim, Step, VarId,
+    KernelIr, KernelStep, Layout, MatMulStep, OpKind, OverlapStage, OverlappedStep, Program,
+    SendRecvStep, SliceDim, Step, VarId,
 };
 
 /// How a unit's members were grouped.
@@ -80,8 +81,7 @@ pub struct Partition {
 ///
 /// Propagates [`Program::validate`]'s errors.
 pub fn partition(p: &Program) -> Result<Partition, CoreError> {
-    p.validate()?;
-    let topo = p.topo_order();
+    let topo = p.validated_order()?;
     let position: HashMap<VarId, usize> = topo.iter().enumerate().map(|(i, &v)| (v, i)).collect();
 
     let mut unit_of: HashMap<VarId, usize> = HashMap::new();
@@ -218,15 +218,17 @@ pub fn partition(p: &Program) -> Result<Partition, CoreError> {
 /// fused into a collective before overlapping).
 pub fn lower(p: &Program, binding: &Binding, config: CommConfig) -> Result<ExecPlan, CoreError> {
     let Partition { units, order } = partition(p)?;
+    let readers = Readers::of(p)?;
+    let lower_unit = |u: usize| lower_unit(p, &readers, binding, config.algo, &units[u]);
     let mut steps: Vec<Step> = Vec::new();
     for scheduled in &order {
         match scheduled {
-            Scheduled::Unit(u) => steps.extend(lower_unit(p, binding, config.algo, &units[*u])?),
+            Scheduled::Unit(u) => steps.extend(lower_unit(*u)?),
             Scheduled::Overlap(stage_units) => {
                 let mut stages = Vec::new();
                 let mut labels = Vec::new();
                 for &u in stage_units {
-                    for s in lower_unit(p, binding, config.algo, &units[u])? {
+                    for s in lower_unit(u)? {
                         labels.push(s.label().to_string());
                         stages.push(step_to_stage(s)?);
                     }
@@ -300,79 +302,13 @@ fn local_dims(p: &Program, v: VarId, binding: &Binding) -> Result<Vec<u64>, Core
     Ok(dims)
 }
 
-/// External reads of a member set, deduplicated, in bytes per rank.
-fn external_read_bytes(
-    p: &Program,
-    members: &HashSet<VarId>,
-    binding: &Binding,
-    exclude: &HashSet<VarId>,
-) -> Result<u64, CoreError> {
-    let mut seen = HashSet::new();
-    let mut bytes = 0u64;
-    for &m in members {
-        for dep in p.op(m)?.inputs() {
-            if members.contains(&dep) || exclude.contains(&dep) || !seen.insert(dep) {
-                continue;
-            }
-            if matches!(p.op(dep)?, OpKind::ConstScalar(_)) {
-                continue;
-            }
-            bytes += p.ty(dep)?.local_bytes(binding)?;
-        }
-    }
-    Ok(bytes)
-}
-
-/// Bytes written by members whose values escape the set (plus all
-/// in-place updates), excluding `exclude` members.
-fn external_write_bytes(
-    p: &Program,
-    members: &HashSet<VarId>,
-    binding: &Binding,
-    exclude: &HashSet<VarId>,
-) -> Result<u64, CoreError> {
-    let mut bytes = 0u64;
-    for &m in members {
-        if exclude.contains(&m) {
-            continue;
-        }
-        let escapes = p.outputs().contains(&m)
-            || matches!(p.op(m)?, OpKind::Update(..))
-            || p.consumers(m).iter().any(|c| !members.contains(c));
-        if escapes {
-            bytes += p.ty(m)?.local_bytes(binding)?;
-        }
-    }
-    Ok(bytes)
-}
-
-fn compute_flops(
-    p: &Program,
-    members: &HashSet<VarId>,
-    binding: &Binding,
-) -> Result<u64, CoreError> {
-    let mut flops = 0u64;
-    for &m in members {
-        let op = p.op(m)?;
-        if op.is_pointwise() && !matches!(op, OpKind::ConstScalar(_) | OpKind::Slice(_)) {
-            // Norm reads its input's elements; others produce them.
-            let n = match op {
-                OpKind::Norm(x) | OpKind::ReduceTensor(_, x) => p.ty(*x)?.local_numel(binding)?,
-                _ => p.ty(m)?.local_numel(binding)?,
-            };
-            flops += n;
-        }
-    }
-    Ok(flops)
-}
-
-/// The members that reduce a *sliced* tensor to a scalar: each rank
-/// holds a partial, so a scalar AllReduce follows the kernel.
-pub(crate) fn sliced_reductions(p: &Program, members: &[VarId]) -> Result<Vec<VarId>, CoreError> {
+/// The reductions of `ir` over a *sliced* tensor: each rank holds a
+/// partial, so a scalar AllReduce follows the reduction.
+pub(crate) fn sliced_reductions(p: &Program, ir: &KernelIr) -> Result<Vec<VarId>, CoreError> {
     let mut reductions = Vec::new();
-    for &m in members {
-        if let OpKind::Norm(x) | OpKind::ReduceTensor(_, x) = p.op(m)? {
-            if p.ty(*x)?.layout.is_sliced() {
+    for stage in &ir.stages {
+        if let Stage::Reduce(m) = *stage {
+            if p.ty(p.op(m)?.inputs()[0])?.layout.is_sliced() {
                 reductions.push(m);
             }
         }
@@ -380,13 +316,9 @@ pub(crate) fn sliced_reductions(p: &Program, members: &[VarId]) -> Result<Vec<Va
     Ok(reductions)
 }
 
-fn norm_all_reduces(
-    p: &Program,
-    members: &[VarId],
-    algo: CollAlgo,
-) -> Result<Vec<Step>, CoreError> {
+fn norm_all_reduces(p: &Program, ir: &KernelIr, algo: CollAlgo) -> Result<Vec<Step>, CoreError> {
     let mut steps = Vec::new();
-    for m in sliced_reductions(p, members)? {
+    for m in sliced_reductions(p, ir)? {
         steps.push(Step::Collective(crate::CollectiveStep {
             label: format!("norm-allreduce[{}]", p.node(m)?.name()),
             kind: CollKind::AllReduce,
@@ -400,16 +332,6 @@ fn norm_all_reduces(
     Ok(steps)
 }
 
-fn count_norms(p: &Program, members: &[VarId]) -> Result<usize, CoreError> {
-    let mut n = 0;
-    for &m in members {
-        if matches!(p.op(m)?, OpKind::Norm(_) | OpKind::ReduceTensor(..)) {
-            n += 1;
-        }
-    }
-    Ok(n)
-}
-
 pub(crate) fn label_of(p: &Program, members: &[VarId]) -> String {
     members
         .iter()
@@ -419,100 +341,75 @@ pub(crate) fn label_of(p: &Program, members: &[VarId]) -> String {
         .join("+")
 }
 
+/// Lowers one unit. Whatever computes is priced from the unit's
+/// [`KernelIr`] ([`KernelIr::price`]): a kernel step, a fused
+/// collective's extras and a fused send's extras alike.
 fn lower_unit(
     p: &Program,
+    readers: &Readers,
     binding: &Binding,
     algo: CollAlgo,
     unit: &Unit,
 ) -> Result<Vec<Step>, CoreError> {
-    let member_set: HashSet<VarId> = unit.members.iter().copied().collect();
+    if unit.kind == UnitKind::Single && !p.op(unit.members[0])?.is_pointwise() {
+        return lower_single(p, binding, algo, unit.members[0]);
+    }
+    let ir = KernelIr::compile(p, readers, &unit.members)?;
+    let label = label_of(p, &unit.members);
+    let find = |what: fn(&OpKind) -> bool| {
+        let m = unit.members.iter().find(|&&m| p.op(m).is_ok_and(what));
+        m.copied()
+            .ok_or_else(|| CoreError::MalformedProgram(format!("`{label}` misses its transfer")))
+    };
     match unit.kind {
-        UnitKind::Single => lower_single(p, binding, algo, unit.members[0]),
-        UnitKind::Fused(FuseKind::Compute) => {
-            let reads = external_read_bytes(p, &member_set, binding, &HashSet::new())?;
-            let writes = external_write_bytes(p, &member_set, binding, &HashSet::new())?;
-            let flops = compute_flops(p, &member_set, binding)?;
-            let n_ops = unit
-                .members
-                .iter()
-                .filter(|&&m| !matches!(p.op(m), Ok(OpKind::ConstScalar(_)) | Ok(OpKind::Slice(_))))
-                .count();
+        UnitKind::Single | UnitKind::Fused(FuseKind::Compute) => {
+            let label = match unit.kind {
+                UnitKind::Single => label,
+                UnitKind::Fused(_) => format!("fused[{label}]"),
+            };
             let mut steps = vec![Step::Kernel(KernelStep {
-                label: format!("fused[{}]", label_of(p, &unit.members)),
-                bytes_read: reads,
-                bytes_written: writes,
-                flops,
-                n_ops,
+                label,
+                ..ir.price(p, binding, None)?
             })];
-            steps.extend(norm_all_reduces(p, &unit.members, algo)?);
+            steps.extend(norm_all_reduces(p, &ir, algo)?);
             Ok(steps)
         }
         UnitKind::Fused(FuseKind::AllReduce) => {
-            let rs = unit
-                .members
-                .iter()
-                .find(|&&m| matches!(p.op(m), Ok(OpKind::ReduceScatter(..))))
-                .copied()
-                .ok_or_else(|| {
-                    CoreError::MalformedProgram(
-                        "FusedAllReduce group without a ReduceScatter".into(),
-                    )
-                })?;
+            let rs = find(|op| matches!(op, OpKind::ReduceScatter(..)))?;
             let rs_input = p.op(rs)?.inputs()[0];
-            let ags: HashSet<VarId> = unit
-                .members
-                .iter()
-                .filter(|&&m| matches!(p.op(m), Ok(OpKind::AllGather(_))))
-                .copied()
-                .collect();
-            let mut exclude_reads = HashSet::new();
-            exclude_reads.insert(rs_input);
-            let extra_reads = external_read_bytes(p, &member_set, binding, &exclude_reads)?;
-            let extra_writes = external_write_bytes(p, &member_set, binding, &ags)?;
-            let flops = compute_flops(p, &member_set, binding)?;
-            let compute_members: Vec<VarId> = unit
-                .members
-                .iter()
-                .filter(|&&m| m != rs && !ags.contains(&m))
-                .copied()
-                .collect();
+            // The ReduceScatter's chunk arrives in the pack, not from
+            // memory.
+            let price = ir.price(p, binding, Some(rs))?;
             Ok(vec![Step::FusedCollective(FusedCollectiveStep {
-                label: format!("fusedAR[{}]", label_of(p, &unit.members)),
+                label: format!("fusedAR[{label}]"),
                 algo,
                 elems: p.ty(rs_input)?.numel(binding)?,
                 dtype: p.ty(rs_input)?.dtype,
-                extra_bytes_read: extra_reads,
-                extra_bytes_written: extra_writes,
-                flops,
-                embedded_scalar_allreduces: count_norms(p, &compute_members)?,
-                n_fused_ops: compute_members.len(),
+                extra_bytes_read: price.bytes_read,
+                extra_bytes_written: price.bytes_written,
+                flops: price.flops,
+                embedded_scalar_allreduces: sliced_reductions(p, &ir)?.len(),
+                n_fused_ops: price.n_ops,
                 scattered: None,
             })])
         }
         UnitKind::Fused(FuseKind::Send) => {
-            let send = unit
-                .members
-                .iter()
-                .find(|&&m| matches!(p.op(m), Ok(OpKind::Send(..))))
-                .copied()
-                .ok_or_else(|| {
-                    CoreError::MalformedProgram("Send fusion group without a Send".into())
-                })?;
+            let send = find(|op| matches!(op, OpKind::Send(..)))?;
             let send_input = p.op(send)?.inputs()[0];
-            let extra_reads = external_read_bytes(p, &member_set, binding, &HashSet::new())?;
-            let flops = compute_flops(p, &member_set, binding)?;
+            let price = ir.price(p, binding, None)?;
             Ok(vec![Step::SendRecv(SendRecvStep {
-                label: format!("fusedSend[{}]", label_of(p, &unit.members)),
+                label: format!("fusedSend[{label}]"),
                 elems_per_rank: p.ty(send_input)?.local_numel(binding)?,
                 dtype: p.ty(send_input)?.dtype,
-                extra_bytes_read: extra_reads,
-                flops,
-                n_fused_ops: unit.members.len() - 1,
+                extra_bytes_read: price.bytes_read,
+                flops: price.flops,
+                n_fused_ops: price.n_ops,
             })])
         }
     }
 }
 
+/// Lowers an operation no fusion group claims and no kernel computes.
 fn lower_single(
     p: &Program,
     binding: &Binding,
@@ -522,7 +419,6 @@ fn lower_single(
     let node = p.node(v)?;
     let ty = node.ty().clone();
     let name = node.name().to_string();
-    let member_set: HashSet<VarId> = [v].into_iter().collect();
     match node.op().clone() {
         OpKind::MatMul(a, w) => {
             let a_dims = local_dims(p, a, binding)?;
@@ -608,20 +504,6 @@ fn lower_single(
             flops: 0,
             n_fused_ops: 0,
         })]),
-        op if op.is_pointwise() => {
-            let reads = external_read_bytes(p, &member_set, binding, &HashSet::new())?;
-            let writes = ty.local_bytes(binding)?;
-            let flops = compute_flops(p, &member_set, binding)?;
-            let mut steps = vec![Step::Kernel(KernelStep {
-                label: name.clone(),
-                bytes_read: reads,
-                bytes_written: writes,
-                flops,
-                n_ops: 1,
-            })];
-            steps.extend(norm_all_reduces(p, &[v], algo)?);
-            Ok(steps)
-        }
         other => Err(CoreError::MalformedProgram(format!(
             "cannot lower {} as a standalone step",
             other.mnemonic()

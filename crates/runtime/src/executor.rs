@@ -8,9 +8,9 @@
 //! escape it reach memory. An `AllReduceFuse` unit is a ReduceScatter,
 //! that kernel on the owned chunk (a sliced `Norm` keeps its scalar
 //! AllReduce between segments), and an AllGather, with no full-size
-//! intermediate. An unfused pointwise operation is a one-op kernel
-//! through the same evaluator; overlap groups and fused sends run
-//! their stages one after another.
+//! intermediate. A `SendFuse` unit is that kernel followed by its
+//! Send. An unfused pointwise operation is a one-op kernel through the
+//! same evaluator; overlap groups run their stages one after another.
 //!
 //! Communication operations dispatch onto the collective algorithm the
 //! run's [`RunOptions`] selects — the flat ring, the binomial tree, or
@@ -30,10 +30,10 @@ use std::collections::HashMap;
 use std::thread;
 
 use coconet_compress::WireFormat;
-use coconet_core::kernel::Stage;
+use coconet_core::kernel::{Readers, Segment, Stage};
 use coconet_core::{
-    partition, Binding, CollAlgo, CommConfig, FuseKind, KernelIr, Layout, OpKind, Program,
-    SliceDim, Unit, UnitKind, VarId,
+    partition, Binding, CollAlgo, CommConfig, KernelIr, Layout, OpKind, Program, SliceDim, Unit,
+    VarId,
 };
 use coconet_tensor::{DType, ReduceOp, Shape, Tensor};
 use coconet_topology::Cluster;
@@ -292,47 +292,35 @@ enum Action {
     PerElement(VarId),
 }
 
-/// The kernel of pointwise operations `members`.
-fn kernel_of(program: &Program, members: &[VarId]) -> Result<Action, RuntimeError> {
-    let names: Vec<&str> = members
-        .iter()
-        .filter_map(|&m| program.node(m).ok())
-        .map(|n| n.name())
-        .collect();
-    Ok(Action::Kernel {
-        ir: KernelIr::compile(program, members)?,
-        label: names.join("+"),
-    })
-}
-
-/// What executing `unit` takes. A fused send applies its computations
-/// one by one on the way out (ROADMAP 1(c)); every other unit is one
-/// kernel of all its pointwise members, after the ReduceScatter that
-/// feeds a fused collective and before the AllGathers that publish it
-/// (member order alone does not say so: `m * beta1` precedes the
+/// What executing `unit` takes: one kernel of all its pointwise
+/// members, after the ReduceScatter that feeds a fused collective and
+/// before the AllGathers that publish it or the Send that carries it
+/// away (member order alone does not say so: `m * beta1` precedes the
 /// ReduceScatter in the DFG).
-fn actions_of(program: &Program, unit: &Unit) -> Result<Vec<Action>, RuntimeError> {
+fn actions_of(
+    program: &Program,
+    readers: &Readers,
+    unit: &Unit,
+) -> Result<Vec<Action>, RuntimeError> {
     let is = |m: &VarId, what: fn(&OpKind) -> bool| program.op(*m).is_ok_and(what);
     let (pointwise, collectives): (Vec<VarId>, Vec<VarId>) = unit
         .members
         .iter()
         .partition(|m| is(m, OpKind::is_pointwise));
-    if unit.kind == UnitKind::Fused(FuseKind::Send) {
-        return unit
-            .members
-            .iter()
-            .map(|m| match pointwise.contains(m) {
-                true => kernel_of(program, &[*m]),
-                false => Ok(Action::Node(*m)),
-            })
-            .collect();
-    }
     let (feeds, publishes): (Vec<VarId>, Vec<VarId>) = collectives
         .into_iter()
         .partition(|m| is(m, |op| matches!(op, OpKind::ReduceScatter(..))));
     let mut actions: Vec<Action> = feeds.into_iter().map(Action::Node).collect();
     if !pointwise.is_empty() {
-        actions.push(kernel_of(program, &pointwise)?);
+        let names: Vec<&str> = pointwise
+            .iter()
+            .filter_map(|&m| program.node(m).ok())
+            .map(|n| n.name())
+            .collect();
+        actions.push(Action::Kernel {
+            ir: KernelIr::compile(program, readers, &pointwise)?,
+            label: names.join("+"),
+        });
     }
     actions.extend(publishes.into_iter().map(Action::Node));
     Ok(actions)
@@ -343,6 +331,7 @@ fn actions_of(program: &Program, unit: &Unit) -> Result<Vec<Action>, RuntimeErro
 /// their order.
 fn schedule_of(program: &Program) -> Result<Vec<Action>, RuntimeError> {
     let parts = partition(program)?;
+    let readers = Readers::of(program)?;
     let mut actions: Vec<Action> = program
         .topo_order()
         .into_iter()
@@ -350,7 +339,7 @@ fn schedule_of(program: &Program) -> Result<Vec<Action>, RuntimeError> {
         .map(Action::Node)
         .collect();
     for &u in parts.order.iter().flat_map(|entry| entry.units()) {
-        actions.extend(actions_of(program, &parts.units[u])?);
+        actions.extend(actions_of(program, &readers, &parts.units[u])?);
     }
     Ok(actions)
 }
@@ -409,6 +398,57 @@ pub fn run_program_per_element(
     run_actions(program, binding, inputs, opts, &per_element_walk(program))
 }
 
+/// The block evaluator on one kernel segment, outside any schedule:
+/// runs `seg` as position `pos` of a group of `binding.group_size`
+/// over `operands` (its operands' values) and returns the values it
+/// stores, in store order. The tests run the printed CUDA bodies
+/// against it.
+///
+/// # Errors
+///
+/// Propagates binding and tensor errors.
+#[doc(hidden)]
+pub fn run_segment_alone(
+    program: &Program,
+    binding: &Binding,
+    seg: &Segment,
+    pos: usize,
+    seed: u64,
+    operands: Vec<(VarId, DistValue)>,
+) -> Result<Vec<DistValue>, RuntimeError> {
+    let dropout_ordinal = dropout_ordinals(program);
+    let site = Site {
+        program,
+        binding,
+        pos,
+        gs: binding.group_size,
+        seed,
+        dropout_ordinal: &dropout_ordinal,
+    };
+    let mut values: Vec<Option<DistValue>> =
+        vec![None; program.live_vars().last().map_or(0, |v| v.index() + 1)];
+    for (v, value) in operands {
+        values[v.index()] = Some(value);
+    }
+    run_segment(seg, &site, &mut values)?;
+    Ok(seg
+        .stores()
+        .filter_map(|m| values[m.index()].take())
+        .collect())
+}
+
+/// Stable dropout ordinals: schedules do not add or remove dropouts.
+fn dropout_ordinals(program: &Program) -> HashMap<VarId, u64> {
+    let mut dropout_ordinal: HashMap<VarId, u64> = HashMap::new();
+    for v in program.topo_order() {
+        if matches!(program.op(v), Ok(OpKind::Dropout(..))) {
+            let next = dropout_ordinal.len() as u64;
+            dropout_ordinal.insert(v, next);
+        }
+    }
+    dropout_ordinal
+}
+
 fn run_actions(
     program: &Program,
     binding: &Binding,
@@ -435,15 +475,7 @@ fn run_actions(
         }
     }
 
-    // Stable dropout ordinals: schedules do not add or remove dropouts.
-    let mut dropout_ordinal: HashMap<VarId, u64> = HashMap::new();
-    for v in program.topo_order() {
-        if matches!(program.op(v), Ok(OpKind::Dropout(..))) {
-            let next = dropout_ordinal.len() as u64;
-            dropout_ordinal.insert(v, next);
-        }
-    }
-    let dropout_ordinal = &dropout_ordinal;
+    let dropout_ordinal = &dropout_ordinals(program);
 
     // Scoped rank threads borrow the program, binding, inputs and
     // schedule directly — no deep copies, no reference counting at
@@ -597,7 +629,8 @@ impl<'a> Rank<'a> {
     fn value(&mut self, v: VarId) -> Result<Option<&DistValue>, RuntimeError> {
         if self.values[v.index()].is_none() && matches!(self.site.program.op(v)?, OpKind::Slice(_))
         {
-            let ir = KernelIr::compile(self.site.program, &[v])?;
+            let p = self.site.program;
+            let ir = KernelIr::compile(p, &Readers::of(p)?, &[v])?;
             for seg in ir.segments() {
                 run_segment(seg, &self.site, &mut self.values)?;
             }

@@ -6,8 +6,10 @@
 //! never leave the register file; the loop over blocks fans out over
 //! the `tensor::kernels` pool like every other kernel. What reaches
 //! memory is what the IR says: one load per operand, one store per
-//! escaping member — counted, so the lowered plan's byte prices can be
-//! checked against a run.
+//! escaping member — counted as it runs, by the rule
+//! [`KernelIr::price`](coconet_core::KernelIr::price) charges (a
+//! broadcast operand is read once), so a run checks the lowered plan's
+//! byte prices.
 //!
 //! Per element, the sequence of `f32` operations is exactly the
 //! per-element interpreter's (same [`UnaryOp::apply`] /
@@ -18,8 +20,8 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use coconet_core::kernel::{stores_of, Instr, Segment};
-use coconet_core::{BinaryOp, Binding, Layout, Program, SliceDim, UnaryOp, VarId};
+use coconet_core::kernel::{stores_of, Access, Instr, Segment};
+use coconet_core::{BinaryOp, Binding, Layout, Program, UnaryOp, VarId};
 use coconet_tensor::{kernels, CounterRng, Shape, Tensor, F16};
 
 use crate::{DistValue, RuntimeError};
@@ -102,22 +104,18 @@ impl Domain {
         )
     }
 
-    /// The flat range of `o`'s local storage holding this domain's
-    /// lanes in order, when there is one: the operand has the domain's
-    /// global shape (nothing broadcasts) and either the same local
-    /// domain, or all of it with the domain a contiguous slice.
+    /// How a load of `o` reaches this domain: the IR's one rule.
+    fn access(&self, o: &DistValue) -> Access {
+        Access::of(o.global_shape == self.shape, o.layout, self.layout)
+    }
+
+    /// Where the window of `o`'s local storage holding this domain's
+    /// lanes in order starts, when there is one.
     fn window_of(&self, o: &DistValue) -> Option<usize> {
-        if o.global_shape != self.shape {
-            return None;
-        }
-        let n = self.local_shape.numel();
-        match (o.layout, self.layout) {
-            (a, b) if a == b || !(a.is_sliced() || b.is_sliced()) => Some(0),
-            (
-                Layout::Replicated | Layout::Local,
-                Layout::Sliced(SliceDim::Flat | SliceDim::Dim(0)),
-            ) => Some(self.pos * n),
-            _ => None,
+        match self.access(o) {
+            Access::Window => Some(0),
+            Access::SliceOffset => Some(self.pos * self.local_shape.numel()),
+            Access::Gather | Access::Broadcast => None,
         }
     }
 }
@@ -129,7 +127,7 @@ enum Source<'a> {
     /// A contiguous window of an FP16 operand, widened in the load.
     F16(&'a [F16]),
     /// Per lane through the global index, with broadcasting — the
-    /// per-element interpreter's read.
+    /// per-element interpreter's read, for a gather or a broadcast.
     Indexed(&'a DistValue),
     /// A prologue load: element 0 of a scalar operand.
     Scalar(f32),
@@ -142,9 +140,12 @@ struct Env<'a> {
     site: &'a Site<'a>,
     domain: &'a Domain,
     sources: Vec<Source<'a>>,
-    /// Bytes per element of every operand, and of every store slot.
+    /// Bytes every lane loads of each operand (none for a broadcast
+    /// operand), and stores to each store slot.
     operand_bytes: Vec<u64>,
     store_bytes: Vec<u64>,
+    /// Bytes loaded once per run: the broadcast operands' storage.
+    loaded_once: u64,
 }
 
 impl<'a> Env<'a> {
@@ -158,7 +159,12 @@ impl<'a> Env<'a> {
         one_lane: bool,
     ) -> Result<Env<'a>, RuntimeError> {
         let mut sources: Vec<Source<'a>> = operands.iter().map(|_| Source::Unused).collect();
+        let mut operand_bytes: Vec<u64> = operands
+            .iter()
+            .map(|o| o.local.dtype().size_bytes() as u64)
+            .collect();
         let mut store_bytes = Vec::new();
+        let mut loaded_once = 0;
         for instr in code {
             match *instr {
                 Instr::Load { operand, .. } => {
@@ -167,6 +173,10 @@ impl<'a> Env<'a> {
                     sources[operand] = if one_lane {
                         Source::Scalar(o.local.get(0))
                     } else {
+                        if domain.access(o) == Access::Broadcast {
+                            loaded_once += o.local.size_bytes() as u64;
+                            operand_bytes[operand] = 0;
+                        }
                         match domain.window_of(o) {
                             Some(at) => match (o.local.as_f32_slice(), o.local.as_f16_slice()) {
                                 (Some(s), _) => Source::F32(&s[at..at + n]),
@@ -187,11 +197,9 @@ impl<'a> Env<'a> {
             site,
             domain,
             sources,
-            operand_bytes: operands
-                .iter()
-                .map(|o| o.local.dtype().size_bytes() as u64)
-                .collect(),
+            operand_bytes,
             store_bytes,
+            loaded_once,
         })
     }
 }
@@ -270,12 +278,12 @@ fn exec(
                 traffic.loaded += len as u64 * env.operand_bytes[operand];
             }
             Instr::Splat { .. } => unreachable!("splats are pinned, not looped over"),
-            Instr::Unary { op, dst, a } => {
+            Instr::Unary { op, dst, a, .. } => {
                 let mut d = take(regs, dst);
                 unary(op, &mut d[..len], &regs[a][..len]);
                 regs[dst] = d;
             }
-            Instr::Binary { op, dst, a, b } => {
+            Instr::Binary { op, dst, a, b, .. } => {
                 let mut d = take(regs, dst);
                 binary(op, &mut d[..len], &regs[a][..len], &regs[b][..len]);
                 regs[dst] = d;
@@ -373,6 +381,7 @@ pub(crate) fn run_segment(
         let domain = Domain::of(site, d)?;
         let n = domain.local_shape.numel();
         let env = Env::bind(site, &domain, &seg.body, &operands, false)?;
+        traffic.loaded += env.loaded_once;
         let mut outs: Vec<Vec<f32>> = stores_of(&seg.body).map(|_| vec![0.0; n]).collect();
         let (loaded, stored) = (AtomicU64::new(0), AtomicU64::new(0));
         {
@@ -419,6 +428,7 @@ pub(crate) fn run_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coconet_core::kernel::Readers;
     use coconet_core::{DType, KernelIr};
 
     fn site<'a>(
@@ -448,7 +458,7 @@ mod tests {
         let t = p.tanh(xy).unwrap();
         let out = p.add(t, c).unwrap();
         p.set_io(&[x, y], &[out]).unwrap();
-        let ir = KernelIr::compile(&p, &[xy, t, out]).unwrap();
+        let ir = KernelIr::compile(&p, &Readers::of(&p).unwrap(), &[xy, t, out]).unwrap();
         let seg = ir.segments().next().unwrap();
         let ordinals = HashMap::new();
         for n in [
@@ -495,7 +505,7 @@ mod tests {
         let x = p.input("x", DType::F32, ["N"], Layout::Replicated);
         let out = p.neg(x).unwrap();
         p.set_io(&[x], &[out]).unwrap();
-        let ir = KernelIr::compile(&p, &[out]).unwrap();
+        let ir = KernelIr::compile(&p, &Readers::of(&p).unwrap(), &[out]).unwrap();
         let binding = Binding::new(1).bind("N", 4);
         let ordinals = HashMap::new();
         let mut values: Vec<Option<DistValue>> = vec![None; 4];

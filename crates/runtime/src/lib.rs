@@ -69,7 +69,8 @@ pub use compressed::{
 pub use dist::DistValue;
 pub use error::RuntimeError;
 pub use executor::{
-    run_program, run_program_per_element, InitValue, Inputs, KernelStats, RunOptions, RunResult,
+    run_program, run_program_per_element, run_segment_alone, InitValue, Inputs, KernelStats,
+    RunOptions, RunResult,
 };
 pub use hierarchical::{
     hierarchical_all_gather, hierarchical_all_reduce, hierarchical_reduce_scatter,

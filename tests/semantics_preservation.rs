@@ -373,9 +373,9 @@ fn model_parallel_kernels_match_the_per_element_oracle_bit_for_bit() {
     }
 }
 
-/// The three-group pipeline under every schedule (fused sends and
-/// overlap groups run their stages in order; groups that received
-/// nothing hold nothing, in both executors).
+/// The three-group pipeline under every schedule (a fused send is one
+/// kernel and then its Send, overlap groups run their stages in order;
+/// groups that received nothing hold nothing, in both executors).
 #[test]
 fn pipeline_kernels_match_the_per_element_oracle_bit_for_bit() {
     let k = 2usize;
@@ -402,25 +402,21 @@ fn pipeline_kernels_match_the_per_element_oracle_bit_for_bit() {
     }
 }
 
-/// The plan against the run (ROADMAP 1(e)): the bytes the evaluator
-/// counts while a kernel runs are the bytes `lower` prices for it.
-///
-/// * `AR-Adam`: every operand of the `ComputationFuse` kernel is
-///   full-size, and counted equals priced exactly — `avg` (FP16), `p`,
-///   `m`, `v`, `lr` and `t` in, `m_`, `v_` and `p_` out, no
-///   intermediate.
-/// * The sliced schedules: stores are equal; loads are *below* the
-///   price by exactly the replicated `p`. `lower` charges every input
-///   of every member, and `Update(p, ..)` lists its target `p` (full
-///   size) although a kernel only writes it; what the kernel reads of
-///   `p` is `Slice(p)`, one rank's share, which `lower` charges as
-///   well. (In `AR-Adam` the targets are also read, so the double
-///   listing deduplicates.) ROADMAP item 7 carries the finding.
+/// The plan against the run (ROADMAP 8(g)): the bytes the evaluator
+/// counts while each kernel runs are the bytes `lower` prices for it,
+/// both read off the same `KernelIr` — one equality per kernel, on every
+/// schedule of both optimizers, both model-parallel blocks (whose `[H]`
+/// bias is a broadcast load) and the three-group pipeline (whose fused
+/// sends are kernels). What a step's price leaves to the transfer is
+/// stated once: a fused collective's ReduceScatter chunk arrives in the
+/// pack, and a fused send's store is its payload.
 #[test]
 fn counted_kernel_bytes_match_the_lowered_plan() {
-    use coconet::core::{lower, CommConfig, Step};
-    let (n, k) = (4 * (256 + 13) as u64, 4usize);
-    let binding = Binding::new(k).bind("N", n);
+    use coconet::core::{lower, CommConfig, FusedCollectiveStep, OverlapStage, SendRecvStep, Step};
+    let k = 4usize;
+    let mut cases: Vec<(String, Program, Binding, Inputs, RunOptions)> = Vec::new();
+
+    let n = 4 * (256 + 13) as u64;
     let rng = CounterRng::new(3);
     let inputs = Inputs::new()
         .per_rank(
@@ -434,52 +430,111 @@ fn counted_kernel_bytes_match_the_lowered_plan() {
         .global("v", Tensor::full([n as usize], DType::F32, 0.02))
         .global("lr", Tensor::scalar(DType::F32, 0.02))
         .global("t", Tensor::scalar(DType::F32, 2.0));
-    for schedule in [
-        OptimizerSchedule::ArOpt,
-        OptimizerSchedule::RsOptAg,
-        OptimizerSchedule::FusedRsOptAg,
-    ] {
-        let label = schedule.label(Optimizer::Adam);
-        let (p, _) = apply_optimizer_schedule(Optimizer::Adam, Hyper::default(), schedule).unwrap();
-        let plan = lower(&p, &binding, CommConfig::default()).unwrap();
-        let priced: Vec<(u64, u64)> = plan
-            .steps
-            .iter()
-            .filter_map(|s| match s {
-                Step::Kernel(k) => Some((k.bytes_read, k.bytes_written)),
-                Step::FusedCollective(f) => Some((f.extra_bytes_read, f.extra_bytes_written)),
-                _ => None,
-            })
-            .collect();
-        let result = run_program(&p, &binding, &inputs, RunOptions::default()).unwrap();
-        for rank in 0..k {
+    for opt in [Optimizer::Adam, Optimizer::Lamb] {
+        let (base, _) = optimizer_program(opt, Hyper::default()).unwrap();
+        let mut programs = vec![(format!("{} unscheduled", opt.name()), base)];
+        for schedule in [
+            OptimizerSchedule::ArOpt,
+            OptimizerSchedule::RsOptAg,
+            OptimizerSchedule::FusedRsOptAg,
+        ] {
+            let (p, _) = apply_optimizer_schedule(opt, Hyper::default(), schedule).unwrap();
+            programs.push((schedule.label(opt), p));
+        }
+        for (what, p) in programs {
+            let binding = Binding::new(k).bind("N", n);
+            cases.push((what, p, binding, inputs.clone(), RunOptions::default()));
+        }
+    }
+
+    let h = 8 * k;
+    for block in [Block::SelfAttention, Block::Mlp] {
+        let contract = match block {
+            Block::SelfAttention => h,
+            Block::Mlp => 4 * h,
+        };
+        let rng = CounterRng::new(41);
+        let inputs = Inputs::new()
+            .global("w", Tensor::randn([contract, h], DType::F16, rng, 0))
+            .global("b", Tensor::randn([h], DType::F16, rng, 10_000))
+            .global(
+                "in",
+                Tensor::randn([2, 3, contract], DType::F16, rng, 20_000),
+            )
+            .global("r", Tensor::randn([2, 3, h], DType::F16, rng, 30_000));
+        for schedule in BlockSchedule::ALL {
+            let (p, _, _) = apply_block_schedule(block, schedule).unwrap();
+            let binding = Binding::new(k)
+                .bind("B", 2)
+                .bind("S", 3)
+                .bind("H", h as u64)
+                .bind("H4", 4 * h as u64);
+            let what = format!("{block:?} {}", schedule.label());
+            let opts = RunOptions::default().with_seed(11);
+            cases.push((what, p, binding, inputs.clone(), opts));
+        }
+    }
+
+    let groups = 3usize;
+    let rng = CounterRng::new(55);
+    let inputs = Inputs::new()
+        .per_rank(
+            "in",
+            (0..2 * groups)
+                .map(|r| Tensor::randn([2, 2, 8], DType::F16, rng, (r * 64) as u64))
+                .collect(),
+        )
+        .global("b", Tensor::randn([8], DType::F16, rng, 1_000))
+        .global("r", Tensor::randn([2, 2, 8], DType::F16, rng, 2_000));
+    for schedule in PipelineSchedule::ALL {
+        let (p, _, _) = apply_pipeline_schedule(schedule).unwrap();
+        let binding = Binding::new(2)
+            .with_groups(groups)
+            .bind("B", 2)
+            .bind("S", 2)
+            .bind("H", 8);
+        let what = format!("pipeline {}", schedule.label());
+        let opts = RunOptions::default().with_seed(31);
+        cases.push((what, p, binding, inputs.clone(), opts));
+    }
+
+    for (what, p, binding, inputs, opts) in cases {
+        let k = binding.group_size as u64;
+        let fused = |s: &FusedCollectiveStep| {
+            let chunk = s.elems * s.dtype.size_bytes() as u64 / k;
+            (s.extra_bytes_read + chunk, s.extra_bytes_written)
+        };
+        let sent = |s: &SendRecvStep| {
+            let payload = s.elems_per_rank * s.dtype.size_bytes() as u64;
+            (s.extra_bytes_read, payload)
+        };
+        let mut priced: Vec<(u64, u64)> = Vec::new();
+        for step in lower(&p, &binding, CommConfig::default()).unwrap().steps {
+            match step {
+                Step::Kernel(s) => priced.push((s.bytes_read, s.bytes_written)),
+                Step::FusedCollective(s) => priced.push(fused(&s)),
+                Step::SendRecv(s) if s.n_fused_ops > 0 => priced.push(sent(&s)),
+                Step::Overlapped(ol) => {
+                    for stage in ol.stages {
+                        match stage {
+                            OverlapStage::FusedCollective(s) => priced.push(fused(&s)),
+                            OverlapStage::SendRecv(s) if s.n_fused_ops > 0 => priced.push(sent(&s)),
+                            _ => {}
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(!priced.is_empty(), "{what}: no kernel");
+        let result = run_program(&p, &binding, &inputs, opts).unwrap();
+        for rank in 0..binding.world_size() {
             let counted: Vec<(u64, u64)> = result
                 .kernels(rank)
                 .iter()
                 .map(|k| (k.bytes_loaded, k.bytes_stored))
                 .collect();
-            assert_eq!(counted.len(), 1, "{label}: one kernel per rank");
-            assert_eq!(priced.len(), 1, "{label}: one priced kernel");
-            let ((loaded, stored), (read, written)) = (counted[0], priced[0]);
-            assert_eq!(stored, written, "{label} rank {rank}: bytes stored");
-            match schedule {
-                OptimizerSchedule::ArOpt => {
-                    assert_eq!(loaded, 14 * n + 8, "{label}: avg + p + m + v + lr + t");
-                    assert_eq!(loaded, read, "{label} rank {rank}: bytes loaded");
-                }
-                // The fused collective's price leaves the ReduceScatter's
-                // chunk (FP16) to the collective; the kernel loads it.
-                OptimizerSchedule::FusedRsOptAg => {
-                    assert_eq!(
-                        loaded - 2 * n / k as u64 + 4 * n,
-                        read,
-                        "{label} rank {rank}"
-                    );
-                }
-                OptimizerSchedule::RsOptAg => {
-                    assert_eq!(loaded + 4 * n, read, "{label} rank {rank}: replicated p");
-                }
-            }
+            assert_eq!(counted, priced, "{what} rank {rank}: (loaded, stored)");
         }
     }
 }
