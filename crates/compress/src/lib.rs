@@ -26,7 +26,9 @@
 
 use std::fmt;
 
-use coconet_tensor::{kernels, DType, ReduceOp, SparseChunk, Tensor, SPARSE_ENTRY_BYTES};
+use coconet_tensor::{
+    kernels, top_k_positions, DType, ReduceOp, SparseChunk, Tensor, SPARSE_ENTRY_BYTES,
+};
 
 /// How a collective's payload is represented on the wire.
 ///
@@ -217,14 +219,51 @@ pub const QUANT_WORD_BYTES: usize = 4;
 ///
 /// Quantization is monotone (non-strictly), so `Min`/`Max` reductions
 /// commute with it and the switch can serve those ops too.
+///
+/// The word is `(v · 2^16).round() as i32` — round half away from
+/// zero, saturating — bit for bit on every `f32`, computed as
+/// straight-line float and integer arithmetic so a slice loop over it
+/// vectorizes (the libm `round` call and the saturating float-to-int
+/// cast both stay scalar on baseline x86-64):
+///
+/// - adding `1.5 · 2^23` rounds a magnitude below `2^22` to an integer
+///   (ties to even) held in the sum's low mantissa bits;
+/// - `v` splits exactly into that rounding of itself, `a`, and a
+///   remainder `y = (v − a) · 2^16` with `|y| ≤ 2^15`, which rounds
+///   the same way, so the word is `a · 2^16 + round(y)` in wrapping
+///   `i32` arithmetic;
+/// - an exact tie of `y` moves one step away from zero (the sign of
+///   the whole value decides), and NaN and the two saturated ends are
+///   chosen by `select`.
+#[inline]
 pub fn quantize_value(v: f32) -> i32 {
-    // `as` saturates on overflow and maps NaN to 0 — exactly the
-    // contract above, for free.
-    (v * FIXED_POINT_SCALE).round() as i32
+    /// `1.5 · 2^23`: adding it leaves `round(x)` in the low mantissa
+    /// bits for `|x| < 2^22`; those bits minus `MAGIC`'s are the `i32`.
+    const MAGIC: f32 = 12_582_912.0;
+    const MAGIC_BITS: i32 = 0x4B40_0000;
+    let x = v * FIXED_POINT_SCALE;
+    let a = v + MAGIC;
+    let y = (v - (a - MAGIC)) * FIXED_POINT_SCALE;
+    let b = y + MAGIC;
+    let tie = y - (b - MAGIC);
+    let away = i32::from(tie == 0.5 && x > 0.0) - i32::from(tie == -0.5 && x < 0.0);
+    let word = ((a.to_bits() as i32).wrapping_sub(MAGIC_BITS) << FIXED_POINT_FRAC_BITS)
+        .wrapping_add((b.to_bits() as i32).wrapping_sub(MAGIC_BITS))
+        .wrapping_add(away);
+    if x >= 2_147_483_648.0 {
+        i32::MAX
+    } else if x <= -2_147_483_648.0 {
+        i32::MIN
+    } else if x.is_nan() {
+        0
+    } else {
+        word
+    }
 }
 
 /// The inverse of [`quantize_value`]: `q / 2^16`. Exact for `|q| <
 /// 2^24`; beyond that the f32 mantissa rounds (relative error ≤ 2^-24).
+#[inline]
 pub fn dequantize_value(q: i32) -> f32 {
     q as f32 / FIXED_POINT_SCALE
 }
@@ -346,43 +385,23 @@ pub fn switch_all_reduce_wire_bytes(n: u64) -> u64 {
 /// exactly `min(k, n)` entries — zero values included when the tensor
 /// has that few large ones — which is what keeps the sparse wire
 /// volume data-independent.
+///
+/// The selection is [`top_k_positions`]' radix select over the
+/// magnitudes' IEEE bits, read straight off the storage slice — two
+/// passes over it, with no index permutation, no sort and no `n`-long
+/// scratch; the tie-break is exact.
 pub fn sparsify_top_k(t: &Tensor, k: usize) -> SparseChunk {
-    let n = t.numel();
-    let k = k.min(n);
-    if k == 0 {
-        return SparseChunk::empty(n);
+    fn select<T>(vals: &[T], k: usize, widen: impl Fn(&T) -> f32) -> (Vec<u32>, Vec<f32>) {
+        let indices = top_k_positions(vals, k, |v| ordered(widen(v).abs()));
+        let values = indices.iter().map(|&i| widen(&vals[i as usize])).collect();
+        (indices, values)
     }
-    // Precompute the magnitude keys once (the selection compares each
-    // element O(1) times amortized, but the key closure would re-read
-    // the tensor through its dtype dispatch on every comparison — this
-    // is the per-iteration hot path of the 2^24-element benchmarks).
-    // Key extraction is a pure elementwise map, so it runs through the
-    // kernel engine — F16 tensors widen inside the monomorphic pass
-    // instead of per-element `Tensor::get`, and large tensors extract
-    // in parallel. The selection itself stays sequential: its exact
-    // tie-breaking order is part of the determinism contract.
-    let mut keys = vec![0u32; n];
-    match (t.as_f32_slice(), t.as_f16_slice()) {
-        (Some(vals), _) => kernels::par_map(vals, &mut keys, |v| ordered(v.abs())),
-        (_, Some(vals)) => kernels::par_map(vals, &mut keys, |h| ordered(h.to_f32().abs())),
-        _ => unreachable!("tensor storage is F32 or F16"),
-    }
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    // Partial selection: the k largest by |value|, ties to lower index.
-    order.select_nth_unstable_by_key(k - 1, |i| (std::cmp::Reverse(keys[*i as usize]), *i));
-    let mut selected: Vec<u32> = order[..k].to_vec();
-    selected.sort_unstable();
-    // Gather the kept values straight off the storage slice (k is tiny
-    // next to n — the gather stays serial).
-    let values: Vec<f32> = match (t.as_f32_slice(), t.as_f16_slice()) {
-        (Some(vals), _) => selected.iter().map(|&i| vals[i as usize]).collect(),
-        (_, Some(vals)) => selected
-            .iter()
-            .map(|&i| vals[i as usize].to_f32())
-            .collect(),
+    let (indices, values) = match (t.as_f32_slice(), t.as_f16_slice()) {
+        (Some(vals), _) => select(vals, k, |&v| v),
+        (_, Some(vals)) => select(vals, k, |h| h.to_f32()),
         _ => unreachable!("tensor storage is F32 or F16"),
     };
-    SparseChunk::new(n, selected, values).expect("sorted unique in-range indices")
+    SparseChunk::new(t.numel(), indices, values).expect("sorted unique in-range indices")
 }
 
 /// Total-orders a non-NaN magnitude via its IEEE bits (non-negative
@@ -427,12 +446,12 @@ impl ErrorFeedback {
     ///
     /// [`inject`]: ErrorFeedback::inject
     pub fn absorb(&mut self, corrected: &Tensor, sent: &SparseChunk) {
-        // A handle copy; the first subtraction's copy-on-write detaches
-        // it, so `corrected` is never observably mutated.
+        // A handle copy; taking the slice detaches it (one copy), so
+        // `corrected` is never observably mutated.
         let mut r = corrected.cast(DType::F32);
+        let vals = r.as_f32_slice_mut().expect("residual is F32");
         for (i, v) in sent.entries() {
-            let at = i as usize;
-            r.set(at, r.get(at) - v);
+            vals[i as usize] -= v;
         }
         self.residual = Some(r);
     }
@@ -440,16 +459,12 @@ impl ErrorFeedback {
     /// Folds additional dropped mass (e.g. a re-sparsification round's
     /// truncation, pre-scaled by the caller) into the residual.
     pub fn absorb_scaled(&mut self, dropped: &SparseChunk, scale: f32) {
-        let r = match &mut self.residual {
-            Some(r) => r,
-            None => {
-                self.residual = Some(Tensor::zeros([dropped.dense_len()], DType::F32));
-                self.residual.as_mut().expect("just set")
-            }
-        };
+        let r = self
+            .residual
+            .get_or_insert_with(|| Tensor::zeros([dropped.dense_len()], DType::F32));
+        let vals = r.as_f32_slice_mut().expect("residual is F32");
         for (i, v) in dropped.entries() {
-            let at = i as usize;
-            r.set(at, r.get(at) + v * scale);
+            vals[i as usize] += v * scale;
         }
     }
 
@@ -463,6 +478,154 @@ impl ErrorFeedback {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The libm-rounding quantizer the branch-free [`quantize_value`]
+    /// replaced, kept as its bit-exact oracle.
+    fn quantize_oracle(v: f32) -> i32 {
+        (v * FIXED_POINT_SCALE).round() as i32
+    }
+
+    /// Every exponent (both signs) with edge mantissas — where the
+    /// scaled value's remainder sits at, just below and just above a
+    /// half — plus every 4099th bit pattern of the `u32` space: the
+    /// tier-1 cut of the exhaustive check below.
+    #[test]
+    fn quantize_matches_the_oracle_on_every_exponent_and_a_stride() {
+        let mut patterns: Vec<u32> = (0..=u32::MAX).step_by(4099).collect();
+        for sign in [0u32, 0x8000_0000] {
+            for exp in 0u32..256 {
+                for man in [
+                    0u32, 1, 0x3F_FFFF, 0x40_0000, 0x40_0001, 0x7F_FFFE, 0x7F_FFFF,
+                ] {
+                    patterns.push(sign | (exp << 23) | man);
+                }
+            }
+        }
+        // Exact halves and their neighbours, on both sides of 2^23.
+        for q in [0i32, 1, 2, 7, 1 << 22, (1 << 23) - 1, 1 << 23] {
+            let half = (q as f32 + 0.5) / FIXED_POINT_SCALE;
+            for v in [half, -half] {
+                let b = v.to_bits();
+                patterns.extend([b - 1, b, b + 1]);
+            }
+        }
+        for bits in patterns {
+            let v = f32::from_bits(bits);
+            assert_eq!(
+                quantize_value(v),
+                quantize_oracle(v),
+                "f32 bits {bits:#010x}"
+            );
+        }
+    }
+
+    /// All 2^32 `f32` patterns against the oracle (a few seconds in
+    /// release; run with `--release -- --ignored`).
+    #[test]
+    #[ignore = "exhaustive; run in release with --ignored"]
+    fn quantize_matches_the_oracle_on_all_f32() {
+        let mismatches = std::sync::atomic::AtomicU64::new(0);
+        kernels::parallel_for(1 << 16, 1, |hi| {
+            for hi in hi {
+                for lo in 0..=u32::from(u16::MAX) {
+                    let v = f32::from_bits((hi as u32) << 16 | lo);
+                    if quantize_value(v) != quantize_oracle(v) {
+                        mismatches.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    }
+                }
+            }
+        });
+        assert_eq!(mismatches.into_inner(), 0);
+    }
+
+    /// The selection the radix select replaced: an `n`-long index
+    /// permutation partially selected by `(Reverse(key), index)`, then
+    /// sorted — kept as the top-k oracle.
+    fn top_k_oracle(t: &Tensor, k: usize) -> Vec<u32> {
+        let n = t.numel();
+        let k = k.min(n);
+        if k == 0 {
+            return Vec::new();
+        }
+        let keys: Vec<u32> = (0..n).map(|i| ordered(t.get(i).abs())).collect();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.select_nth_unstable_by_key(k - 1, |i| (std::cmp::Reverse(keys[*i as usize]), *i));
+        let mut selected = order[..k].to_vec();
+        selected.sort_unstable();
+        selected
+    }
+
+    /// The radix selection equals the oracle's, indices and value bits,
+    /// on F32 and F16 storage.
+    fn assert_top_k_matches_oracle(values: &[f32], k: usize) {
+        for dtype in [DType::F32, DType::F16] {
+            let t = Tensor::from_f32([values.len()], dtype, values).unwrap();
+            let chunk = sparsify_top_k(&t, k);
+            let want = top_k_oracle(&t, k);
+            let got: Vec<u32> = chunk.entries().map(|(i, _)| i).collect();
+            assert_eq!(got, want, "{dtype:?} n={} k={k}", values.len());
+            for (i, v) in chunk.entries() {
+                assert_eq!(
+                    v.to_bits(),
+                    t.get(i as usize).to_bits(),
+                    "{dtype:?} entry {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn radix_top_k_matches_the_oracle_on_ties_and_edge_k() {
+        // n just under 2^16: a spread of magnitudes, every 7th element
+        // tied at one value of alternating sign, every 11th a zero.
+        let n = (1 << 16) - 1;
+        let values: Vec<f32> = (0..n)
+            .map(|i| match (i % 7, i % 11) {
+                (0, _) => {
+                    if i % 2 == 0 {
+                        3.0
+                    } else {
+                        -3.0
+                    }
+                }
+                (_, 0) => 0.0,
+                _ => ((i * 2_654_435_761usize) % 1_000_003) as f32 * 1e-5 - 5.0,
+            })
+            .collect();
+        let all_equal = vec![-1.25f32; 300];
+        // Magnitudes one f32 ULP apart: one high digit, distinct low ones.
+        let adjacent: Vec<f32> = (0..500u32)
+            .map(|i| {
+                f32::from_bits(1.0f32.to_bits() + i % 37) * if i % 3 == 0 { -1.0 } else { 1.0 }
+            })
+            .collect();
+        let zeros: Vec<f32> = (0..400)
+            .map(|i| if i % 50 == 0 { 0.5 } else { 0.0 })
+            .collect();
+        for v in [&values, &all_equal, &adjacent, &zeros] {
+            let n = v.len();
+            for k in [1, 2, n / 100, n / 3, n - 1, n] {
+                assert_top_k_matches_oracle(v, k.max(1));
+            }
+        }
+    }
+
+    proptest! {
+        /// Heavy ties: values drawn from a handful of magnitudes of
+        /// both signs and zeros, any `k` including `1`, `n − 1` and `n`.
+        #[test]
+        fn radix_top_k_matches_the_oracle_under_heavy_ties(
+            picks in prop::collection::vec(0usize..9, 1..200),
+            k in 1usize..220,
+        ) {
+            const POOL: [f32; 9] = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1e-8];
+            let values: Vec<f32> = picks.iter().map(|&p| POOL[p]).collect();
+            let n = values.len();
+            for k in [k, 1, n.saturating_sub(1).max(1), n] {
+                assert_top_k_matches_oracle(&values, k);
+            }
+        }
+    }
 
     #[test]
     fn display_and_sweep() {

@@ -240,19 +240,60 @@ impl StripeElem for F16 {
     }
 }
 
-/// The ring's one fold: `local ∘ incoming` written to a fresh owned
-/// stripe by the fused out-of-place kernel — no copy-on-write detach,
-/// and the operand order every element of every width sees.
+/// The one fold: `local ∘ incoming` written to a fresh owned buffer of
+/// `local`'s shape by the fused out-of-place kernel — no copy-on-write
+/// detach, and the operand order every element of every width sees.
 fn fold(local: &Tensor, incoming: &Tensor, op: ReduceOp) -> Tensor {
     fn typed<E: StripeElem>(local: &Tensor, incoming: &Tensor, op: ReduceOp) -> Tensor {
         let mut out = vec![E::ZERO; local.numel()];
         E::reduce_out(E::slice(local), E::slice(incoming), &mut out, op);
         E::tensor_from(out)
     }
-    match local.dtype() {
+    let out = match local.dtype() {
         DType::F32 => typed::<f32>(local, incoming, op),
         DType::F16 => typed::<F16>(local, incoming, op),
+    };
+    out.reshape(local.shape().clone()).expect("same numel")
+}
+
+/// One hop's `local ∘ decode(incoming)`, wire-encoded when `encode` (the
+/// fold is the next payload) and in the working dtype otherwise (another
+/// fold reads it, or the caller). The values are exactly those of
+/// decoding, [`fold`] and encoding in turn — the encode points do not
+/// move. On the FP16 wire over an F32 working dtype the three are one
+/// kernel pass ([`kernels::fold_f16_wire`]) with no widened copy of the
+/// payload; elsewhere the codec is a handle copy or a no-op cast.
+pub(crate) fn fold_hop(
+    local: &Tensor,
+    incoming: Tensor,
+    op: ReduceOp,
+    wire: WireFormat,
+    encode: bool,
+) -> Tensor {
+    let (dtype, shape) = (local.dtype(), local.shape().clone());
+    if wire != WireFormat::Fp16 || dtype != DType::F32 {
+        let folded = fold(local, &wire_decode(incoming, wire, dtype), op);
+        return if encode {
+            wire_encode(&folded, wire)
+        } else {
+            folded
+        };
     }
+    let _codec = trace::span(EventKind::Codec, "fp16:fold", local.numel() as u64, 0);
+    trace::metrics::add_counter(Counter::CodecBytes, incoming.size_bytes() as u64);
+    let loc = local.as_f32_slice().expect("working dtype is F32");
+    let inc = incoming.as_f16_slice().expect("an FP16 payload");
+    let out = if encode {
+        let mut h = vec![F16::ZERO; loc.len()];
+        kernels::fold_f16_wire(loc, inc, op, &mut h, F16::from_f32);
+        trace::metrics::add_counter(Counter::CodecBytes, 2 * h.len() as u64);
+        Tensor::from_f16_vec(shape, h)
+    } else {
+        let mut w = vec![0.0f32; loc.len()];
+        kernels::fold_f16_wire(loc, inc, op, &mut w, |v| v);
+        Tensor::from_f32_vec(shape, DType::F32, w)
+    };
+    out.expect("length matches shape")
 }
 
 /// The ring chunk schedule: the `(send, receive)` chunk indices of
@@ -313,7 +354,9 @@ impl std::fmt::Debug for ChunkSource {
 ///   before its fold; the owned stripe is encoded once as the AllGather
 ///   starts, travels the ring as that encoded handle, and every rank —
 ///   its owner included — keeps the decoding of the same encoded
-///   buffer, so all ranks hold identical bits;
+///   buffer, so all ranks hold identical bits. A fold whose result is
+///   the next payload writes it encoded, in the same pass as the
+///   decode and the fold (`fold_hop`); the value is the same;
 /// * **chunk-read order** — position `me` reads each local chunk of its
 ///   [`ChunkSource`] exactly once: chunk `me−1` for its first send,
 ///   then `me−2, …, me` for its `k−1` folds — the order the §5.3
@@ -344,10 +387,13 @@ pub(crate) struct RingLane {
     /// This step's fold operand, read from the source once its send is
     /// on the wire.
     local: Option<Tensor>,
-    /// The next outgoing stripe: the previous ReduceScatter fold
-    /// (working dtype) or the AllGather stripe to forward (encoded).
+    /// The next outgoing stripe, wire-encoded (a ReduceScatter fold
+    /// writes it so), or an AllGather's owned chunk before its first
+    /// send, or a ReduceScatter's result (working dtype).
     carry: Option<Tensor>,
-    /// Decoded chunk stripes by position (AllGather / AllReduce).
+    /// Chunk stripes by position as they travel, wire-encoded
+    /// (AllGather / AllReduce): each is decoded once, straight into the
+    /// result it lands in (`land_stripe`).
     stripes: Vec<Option<Tensor>>,
 }
 
@@ -471,16 +517,22 @@ impl RingLane {
         let me = self.group.position(comm.rank());
         let (payload, label) = if self.step < self.rs_hops() {
             let out = match self.carry.take() {
-                Some(folded) => folded,
+                // A fold writes its result already encoded.
+                Some(encoded) => encoded,
                 // First hop: the pristine input stripe, a zero-copy view.
-                None => self.chunk_stripe(ring_schedule((me + k - 1) % k, k, 0).0),
+                None => {
+                    let first = self.chunk_stripe(ring_schedule((me + k - 1) % k, k, 0).0);
+                    wire_encode(&first, self.wire)
+                }
             };
-            (wire_encode(&out, self.wire), "ring:rs")
+            (out, "ring:rs")
         } else {
             let mut out = self.carry.take().expect("stripe to forward by schedule");
-            if self.step == self.rs_hops() {
+            if self.phase == RingPhase::AllGather && self.step == 0 {
+                // An AllReduce's last fold encoded its stripe at the
+                // turn; an AllGather's owned chunk is encoded here.
                 out = wire_encode(&out, self.wire);
-                self.stripes[me] = Some(wire_decode(out.clone(), self.wire, self.dtype));
+                self.stripes[me] = Some(out.clone());
             }
             (out, "ring:ag")
         };
@@ -498,12 +550,19 @@ impl RingLane {
     fn recv_step(&mut self, me: usize, incoming: Tensor) {
         let k = self.group.size;
         if self.step < self.rs_hops() {
-            let incoming = wire_decode(incoming, self.wire, self.dtype);
             let local = self.local.take().expect("read before the receive");
-            self.carry = Some(fold(&local, &incoming, self.op));
+            // The turn (an AllReduce's last fold) is the owned stripe
+            // the AllGather starts with: encoded like every payload.
+            let last = self.step + 1 == self.rs_hops();
+            let encode = !(last && self.phase == RingPhase::ReduceScatter);
+            let carry = fold_hop(&local, incoming, self.op, self.wire, encode);
+            if last && self.phase == RingPhase::AllReduce {
+                self.stripes[me] = Some(carry.clone());
+            }
+            self.carry = Some(carry);
         } else {
             let (_, recv_c) = ring_schedule(me, k, self.step - self.rs_hops());
-            self.stripes[recv_c] = Some(wire_decode(incoming.clone(), self.wire, self.dtype));
+            self.stripes[recv_c] = Some(incoming.clone());
             self.carry = Some(incoming);
         }
         self.step += 1;
@@ -608,9 +667,24 @@ fn join_stripes(mut stripes: Vec<Tensor>) -> Tensor {
     chunk
 }
 
+/// Writes a gathered stripe at flat offset `at` of `out`, decoding an
+/// FP16 wire stripe straight into place — the one decoding every rank,
+/// the stripe's owner included, keeps of the same encoded buffer.
+fn land_stripe(out: &mut Tensor, at: usize, stripe: &Tensor) {
+    match (stripe.as_f16_slice(), out.as_f32_slice_mut()) {
+        (Some(encoded), Some(dst)) => {
+            let _codec = trace::span(EventKind::Codec, "fp16:decode", encoded.len() as u64, 0);
+            trace::metrics::add_counter(Counter::CodecBytes, stripe.size_bytes() as u64);
+            kernels::f16_decode(encoded, &mut dst[at..at + encoded.len()]);
+        }
+        _ => out.write_flat(at, stripe).expect("stripes tile the tensor"),
+    }
+}
+
 /// The replicated result of all the finished [`RingPhase::AllReduce`]
 /// lanes of one collective (in any order): every gathered stripe lands
-/// once, at its chunk offset, in one fresh output of the input's shape.
+/// once, decoded, at its chunk offset in one fresh output of the
+/// input's shape.
 pub(crate) fn all_reduce_result(lanes: &[RingLane]) -> Tensor {
     let first = &lanes[0];
     let (n, k) = (first.shape.numel(), first.group.size);
@@ -620,8 +694,7 @@ pub(crate) fn all_reduce_result(lanes: &[RingLane]) -> Tensor {
             let (c_off, c_len) = chunk_range(n, k, c);
             let (s_off, _) = chunk_range(c_len, lane.lanes, lane.lane);
             let stripe = stripe.as_ref().expect("all chunks gathered");
-            out.write_flat(c_off + s_off, stripe)
-                .expect("stripes tile the tensor");
+            land_stripe(&mut out, c_off + s_off, stripe);
         }
     }
     out
@@ -678,12 +751,13 @@ pub fn ring_all_gather(
     let mut lanes = drive(comm, RingPhase::AllGather, group, chunk, op, wire, channels);
     (0..group.size)
         .map(|c| {
-            join_stripes(
+            let encoded = join_stripes(
                 lanes
                     .iter_mut()
                     .map(|l| l.stripes[c].take().expect("all chunks gathered"))
                     .collect(),
-            )
+            );
+            wire_decode(encoded, wire, chunk.dtype())
         })
         .collect()
 }

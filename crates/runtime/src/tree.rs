@@ -13,7 +13,7 @@ use coconet_compress::WireFormat;
 use coconet_tensor::{ReduceOp, Tensor};
 
 use crate::collectives::{
-    clamp_channels, recv_striped, send_striped, wire_decode, wire_encode, Group,
+    clamp_channels, fold_hop, recv_striped, send_striped, wire_decode, wire_encode, Group,
 };
 use crate::RankComm;
 
@@ -24,10 +24,12 @@ use crate::RankComm;
 /// Under FP16 each reduce-phase partial rounds to half precision as it
 /// travels, and the root rounds its final value once before the
 /// broadcast so every rank (the root included) returns the identical
-/// decoded tensor. Stripes are zero-copy views of the encoded buffer
-/// that reassemble before each fold and each decode, so the wire byte
-/// total is unchanged and the result bit-identical at every width;
-/// `channels <= 1` sends whole payloads.
+/// decoded tensor. A fold whose result is the next payload (or the
+/// root's broadcast value) writes it encoded, in one pass with the
+/// decode of the incoming partial and the fold itself. Stripes are zero-copy views of the encoded
+/// buffer that reassemble before each fold and each decode, so the
+/// wire byte total is unchanged and the result bit-identical at every
+/// width; `channels <= 1` sends whole payloads.
 pub fn tree_all_reduce(
     comm: &RankComm,
     group: Group,
@@ -40,29 +42,27 @@ pub fn tree_all_reduce(
     let k = group.size;
     let pos = group.position(comm.rank());
     let dtype = input.dtype();
-    // A handle copy; the first in-place reduction detaches it.
+    // The partial, in the working dtype while another fold reads it;
+    // the fold after which it travels writes it wire-encoded.
     let mut acc = input.clone();
+    let mut encoded = false;
 
     // Reduce phase: at round d (1, 2, 4, ...), positions with the d bit
     // set send to (pos - d) and drop out; the rest receive and reduce.
     let mut d = 1usize;
     while d < k {
         if pos & d != 0 {
-            send_striped(
-                comm,
-                group.rank_at(pos - d),
-                wire_encode(&acc, wire),
-                channels,
-            );
+            let payload = if encoded {
+                acc.clone()
+            } else {
+                wire_encode(&acc, wire)
+            };
+            send_striped(comm, group.rank_at(pos - d), payload, channels);
             break;
         } else if pos + d < k {
-            let incoming = wire_decode(
-                recv_striped(comm, group.rank_at(pos + d), channels),
-                wire,
-                dtype,
-            );
-            acc.reduce_assign(&incoming, op)
-                .expect("tree peers agree on geometry");
+            let incoming = recv_striped(comm, group.rank_at(pos + d), channels);
+            encoded = !folds_again(pos, k, d);
+            acc = fold_hop(&acc, incoming, op, wire, encoded);
         }
         d <<= 1;
     }
@@ -72,7 +72,9 @@ pub fn tree_all_reduce(
     // copies of the encoded buffer) and every rank decodes at the end;
     // the root's once-through-the-codec round trip makes its value
     // bit-identical to everyone else's.
-    if pos == 0 {
+    if pos == 0 && !encoded {
+        // A singleton group folds nothing; its value still goes
+        // through the codec once.
         acc = wire_encode(&acc, wire);
     }
     let mut rounds = Vec::new();
@@ -93,6 +95,20 @@ pub fn tree_all_reduce(
         }
     }
     wire_decode(acc, wire, dtype)
+}
+
+/// Whether position `pos` of a `k`-position binomial tree folds another
+/// child's partial after round `d`'s, rather than sending its partial
+/// to its parent (its next set bit) or — the root — broadcasting it.
+fn folds_again(pos: usize, k: usize, d: usize) -> bool {
+    let mut e = d << 1;
+    while e < k && pos & e == 0 {
+        if pos + e < k {
+            return true;
+        }
+        e <<= 1;
+    }
+    false
 }
 
 #[cfg(test)]

@@ -13,6 +13,13 @@
 //! tensors stay on the single-threaded path so latency-sensitive chunks
 //! never pay pool overhead.
 //!
+//! The wire codecs are straight-line per-element functions —
+//! [`F16::from_f32`] / [`F16::to_f32`] pick their special cases by
+//! `select`, with no data-dependent branch or loop — so the encode and
+//! decode loops here vectorize like the reductions do. On the FP16 wire
+//! a ring or tree hop's decode, fold and re-encode run as one pass
+//! ([`fold_f16_wire`]) with no widened copy of the incoming payload.
+//!
 //! Every parallel kernel is bit-identical to its serial counterpart:
 //! ranges partition the index space and each element sees exactly the
 //! same sequence of `f32` operations, so callers (and the striped
@@ -510,6 +517,49 @@ pub fn f16_decode(src: &[F16], dst: &mut [f32]) {
     par_map(src, dst, |v| v.to_f32());
 }
 
+/// One ring or tree hop on the FP16 wire in a single pass:
+/// `dst[i] = store(op(local[i], incoming[i].to_f32()))`, where `store`
+/// is the identity (the fold feeds another fold, or is the result) or
+/// [`F16::from_f32`] (the fold is the next hop's payload). No widened
+/// copy of `incoming` and no unencoded copy of the fold is ever
+/// materialized; per element it is exactly the decode,
+/// [`ReduceOp::apply`] and store the separate passes perform, so results
+/// are bit-identical to them. Parallel above [`PAR_THRESHOLD`].
+///
+/// # Panics
+///
+/// Panics when the slice lengths differ.
+pub fn fold_f16_wire<U, S>(local: &[f32], incoming: &[F16], op: ReduceOp, dst: &mut [U], store: S)
+where
+    U: Send,
+    S: Fn(f32) -> U + Sync,
+{
+    assert_eq!(local.len(), incoming.len(), "fold kernel length mismatch");
+    assert_eq!(local.len(), dst.len(), "fold kernel length mismatch");
+    match op {
+        ReduceOp::Sum => fold_f16_wire_with(local, incoming, dst, |a, b| store(a + b)),
+        ReduceOp::Min => fold_f16_wire_with(local, incoming, dst, |a, b| store(a.min(b))),
+        ReduceOp::Max => fold_f16_wire_with(local, incoming, dst, |a, b| store(a.max(b))),
+    }
+}
+
+/// The monomorphic body of [`fold_f16_wire`]: each `(op, store)` pair
+/// is its own straight-line loop.
+#[inline(always)]
+fn fold_f16_wire_with<U: Send>(
+    local: &[f32],
+    incoming: &[F16],
+    dst: &mut [U],
+    f: impl Fn(f32, f32) -> U + Sync,
+) {
+    parallel_chunks_mut(dst, PAR_MIN_CHUNK, |c, d| {
+        let at = c * PAR_MIN_CHUNK..c * PAR_MIN_CHUNK + d.len();
+        for ((o, &a), b) in d.iter_mut().zip(&local[at.clone()]).zip(&incoming[at]) {
+            *o = f(a, b.to_f32());
+        }
+    });
+}
+
 /// Serial axpy row update `c[j] += a * b[j]` — the GEMM inner loop,
 /// kept monomorphic here so the blocked GEMM's parallel row blocks and
 /// the serial reference share one auto-vectorized body.
@@ -649,6 +699,40 @@ mod tests {
         for (i, (&h, &w)) in half.iter().zip(&wide).enumerate() {
             assert_eq!(F16::from_f32(src[i]).to_bits(), h.to_bits());
             assert_eq!(h.to_f32().to_bits(), w.to_bits());
+        }
+    }
+
+    /// The one-pass FP16 hop equals decode, fold and encode run as
+    /// separate passes, for both stores and every operator, on both
+    /// sides of the parallel threshold.
+    #[test]
+    fn fold_f16_wire_matches_the_separate_passes() {
+        for n in [1000usize, PAR_THRESHOLD + PAR_MIN_CHUNK / 2 + 5] {
+            let local: Vec<f32> = (0..n).map(|i| (i as f32 * 0.731).sin() * 900.0).collect();
+            let incoming: Vec<F16> = (0..n)
+                .map(|i| F16::from_f32((i as f32 * 0.377).cos() * 700.0))
+                .collect();
+            for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
+                let folded: Vec<f32> = local
+                    .iter()
+                    .zip(&incoming)
+                    .map(|(&a, b)| op.apply(a, b.to_f32()))
+                    .collect();
+
+                let mut wide = vec![0.0f32; n];
+                fold_f16_wire(&local, &incoming, op, &mut wide, |w| w);
+                assert!(wide
+                    .iter()
+                    .zip(&folded)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
+
+                let mut narrow = vec![F16::ZERO; n];
+                fold_f16_wire(&local, &incoming, op, &mut narrow, F16::from_f32);
+                assert!(narrow
+                    .iter()
+                    .zip(&folded)
+                    .all(|(h, &w)| *h == F16::from_f32(w)));
+            }
         }
     }
 

@@ -63,6 +63,6 @@ pub use half::F16;
 pub use ops::{reduce_elementwise, reduce_identity, ReduceOp};
 pub use rng::CounterRng;
 pub use shape::Shape;
-pub use sparse::{SparseChunk, SPARSE_ENTRY_BYTES};
+pub use sparse::{top_k_positions, SparseChunk, SPARSE_ENTRY_BYTES};
 pub use stats::{alloc_stats, AllocStats};
 pub use tensor::Tensor;

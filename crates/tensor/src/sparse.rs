@@ -141,6 +141,12 @@ impl SparseChunk {
     /// Panics if `out.numel() != self.dense_len()`.
     pub fn add_into(&self, out: &mut Tensor) {
         assert_eq!(out.numel(), self.dense_len, "dense target length mismatch");
+        if let Some(dst) = out.as_f32_slice_mut() {
+            for (i, v) in self.entries() {
+                dst[i as usize] += v;
+            }
+            return;
+        }
         for (i, v) in self.entries() {
             let at = i as usize;
             out.set(at, out.get(at) + v);
@@ -200,47 +206,163 @@ impl SparseChunk {
 
     /// Splits the entries into the `k` largest by `|value|` (ties break
     /// toward the lower index) and the rest — the re-sparsification
-    /// step of the recursive-doubling sparse AllReduce. Both returned
+    /// step of the recursive-doubling sparse AllReduce, selected by
+    /// [`top_k_positions`] over the magnitudes' IEEE bits. Both returned
     /// chunks keep index order. When the chunk has at most `k` entries
     /// the second chunk is empty.
     pub fn split_top_k(&self, k: usize) -> (SparseChunk, SparseChunk) {
         if self.len() <= k {
             return (self.clone(), SparseChunk::empty(self.dense_len));
         }
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.values[b]
-                .abs()
-                .partial_cmp(&self.values[a].abs())
-                .expect("finite magnitudes")
-                .then(self.indices[a].cmp(&self.indices[b]))
-        });
-        let mut keep = vec![false; self.len()];
-        for &i in &order[..k] {
-            keep[i] = true;
-        }
-        let pick = |wanted: bool| {
-            let mut indices = Vec::new();
-            let mut values = Vec::new();
-            for ((&kept, &i), &v) in keep.iter().zip(&self.indices).zip(&self.values) {
-                if kept == wanted {
-                    indices.push(i);
-                    values.push(v);
-                }
-            }
-            SparseChunk {
-                dense_len: self.dense_len,
-                indices,
-                values,
-            }
+        let split = |len| SparseChunk {
+            dense_len: self.dense_len,
+            indices: Vec::with_capacity(len),
+            values: Vec::with_capacity(len),
         };
-        (pick(true), pick(false))
+        let (mut top, mut rest) = (split(k), split(self.len() - k));
+        let mut kept = top_k_positions(&self.values, k, |v| v.abs().to_bits())
+            .into_iter()
+            .peekable();
+        for (pos, (&i, &v)) in self.indices.iter().zip(&self.values).enumerate() {
+            let into = if kept.next_if_eq(&(pos as u32)).is_some() {
+                &mut top
+            } else {
+                &mut rest
+            };
+            into.indices.push(i);
+            into.values.push(v);
+        }
+        (top, rest)
     }
+}
+
+/// The positions of the `k` elements of `vals` with the largest `key`,
+/// ties to the lower position, in ascending order — the selection of
+/// every top-k cut (`k ≥ vals.len()` keeps everything). A
+/// most-significant-digit-first radix select, with no sort and no
+/// `vals`-long scratch:
+///
+/// 1. one histogram pass over every key counts its top 11-bit digit and
+///    finds the digit `D` the `k`-th largest key `T` falls in;
+/// 2. one pass collects, in position order, every element whose digit
+///    is `D` or above — all of the top `k` and few others;
+/// 3. the lower 11 and 10 bits of `T` resolve on the candidates of
+///    digit `D` alone;
+/// 4. the candidates keep every key above `T` plus the first
+///    `k − #{key > T}` equal to it — the lower-position tie-break, with
+///    the output already in ascending order.
+pub fn top_k_positions<T>(vals: &[T], k: usize, key: impl Fn(&T) -> u32) -> Vec<u32> {
+    let k = k.min(vals.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut hist = [0u32; 1 << 11];
+    for v in vals {
+        hist[(key(v) >> 21) as usize] += 1;
+    }
+    // Keys strictly above the digits of `T` found so far.
+    let mut above = 0usize;
+    let mut threshold = descend(&hist, k, &mut above) << 21;
+    let mut candidates = Vec::with_capacity(above + hist[(threshold >> 21) as usize] as usize);
+    for (i, v) in vals.iter().enumerate() {
+        let kv = key(v);
+        if kv >= threshold {
+            candidates.push((i as u32, kv));
+        }
+    }
+    for (shift, bits) in [(10u32, 11u32), (0, 10)] {
+        let prefix = threshold >> (shift + bits);
+        let hist = &mut hist[..1 << bits];
+        hist.fill(0);
+        for &(_, kv) in &candidates {
+            if kv >> (shift + bits) == prefix {
+                hist[((kv >> shift) & ((1 << bits) - 1)) as usize] += 1;
+            }
+        }
+        threshold |= descend(hist, k, &mut above) << shift;
+    }
+    let mut ties = k - above;
+    let mut kept = Vec::with_capacity(k);
+    for (i, kv) in candidates {
+        if kv > threshold || (kv == threshold && ties > 0) {
+            ties -= usize::from(kv == threshold);
+            kept.push(i);
+        }
+    }
+    debug_assert_eq!(kept.len(), k);
+    kept
+}
+
+/// Walks a digit histogram from the top and returns the digit at which
+/// `above` plus the counts so far reaches `k`, leaving in `above` the
+/// count strictly above that digit.
+fn descend(hist: &[u32], k: usize, above: &mut usize) -> u32 {
+    for (digit, &count) in hist.iter().enumerate().rev() {
+        if *above + count as usize >= k {
+            return digit as u32;
+        }
+        *above += count as usize;
+    }
+    unreachable!("the histogram holds at least k keys")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The comparison sort [`SparseChunk::split_top_k`] selected with
+    /// before the radix select: the positions of the top `k` by
+    /// `(Reverse(|value|), index)`, ascending.
+    fn split_oracle(c: &SparseChunk, k: usize) -> Vec<u32> {
+        let mut order: Vec<usize> = (0..c.len()).collect();
+        order.sort_by(|&a, &b| {
+            c.values[b]
+                .abs()
+                .partial_cmp(&c.values[a].abs())
+                .expect("finite magnitudes")
+                .then(c.indices[a].cmp(&c.indices[b]))
+        });
+        let mut kept: Vec<u32> = order[..k.min(c.len())].iter().map(|&p| p as u32).collect();
+        kept.sort_unstable();
+        kept
+    }
+
+    proptest! {
+        /// Heavy ties — a handful of magnitudes of both signs, zeros of
+        /// both signs — at any `k`: the radix split keeps exactly the
+        /// oracle's entries, and the rest are the complement in order.
+        #[test]
+        fn split_top_k_matches_the_sort_oracle(
+            picks in prop::collection::vec(0usize..8, 1..300),
+            k in 1usize..320,
+        ) {
+            const POOL: [f32; 8] = [0.0, -0.0, 1.0, -1.0, 0.25, -0.25, 3.5, 1e-30];
+            let n = picks.len();
+            let values: Vec<f32> = picks.iter().map(|&p| POOL[p]).collect();
+            let c = SparseChunk::new(4 * n, (0..n as u32).map(|i| 4 * i + 1).collect(), values)
+                .unwrap();
+            for k in [k, 1, n - 1, n] {
+                let (top, rest) = c.split_top_k(k);
+                let want: Vec<(u32, f32)> = if n <= k {
+                    c.entries().collect()
+                } else {
+                    split_oracle(&c, k)
+                        .iter()
+                        .map(|&p| (c.indices[p as usize], c.values[p as usize]))
+                        .collect()
+                };
+                let got: Vec<(u32, f32)> = top.entries().collect();
+                prop_assert_eq!(got.len(), want.len());
+                prop_assert!(got
+                    .iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits()));
+                prop_assert_eq!(top.merge_sum(&rest).len(), n);
+                prop_assert_eq!(rest.len(), n - want.len());
+            }
+        }
+    }
 
     #[test]
     fn construction_validates() {
