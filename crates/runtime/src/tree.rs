@@ -26,10 +26,11 @@ use crate::RankComm;
 /// broadcast so every rank (the root included) returns the identical
 /// decoded tensor. A fold whose result is the next payload (or the
 /// root's broadcast value) writes it encoded, in one pass with the
-/// decode of the incoming partial and the fold itself. Stripes are zero-copy views of the encoded
-/// buffer that reassemble before each fold and each decode, so the
-/// wire byte total is unchanged and the result bit-identical at every
-/// width; `channels <= 1` sends whole payloads.
+/// decode of the incoming partial and the fold itself. Stripes are
+/// zero-copy views of the encoded buffer that reassemble before each
+/// fold and each decode, so the wire byte total is unchanged and the
+/// result bit-identical at every width; `channels <= 1` sends whole
+/// payloads.
 pub fn tree_all_reduce(
     comm: &RankComm,
     group: Group,
