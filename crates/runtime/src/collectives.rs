@@ -13,10 +13,12 @@
 //! elsewhere).
 //!
 //! Data movement is minimal by construction: chunks travel as
-//! copy-on-write buffer handles (a send copies nothing), every fold is
-//! one fused out-of-place kernel writing a fresh stripe, and the only
-//! other materialization is the output the gathered stripes land in —
-//! which is what the [`BytesLedger`](crate::BytesLedger) suite asserts.
+//! copy-on-write buffer handles (a send copies nothing, and the stripes
+//! of one payload rejoin as the view covering them), every fold is one
+//! fused out-of-place kernel writing a fresh stripe, and the only other
+//! materialization is the output, each element written once — never a
+//! zero-filled buffer copied over. The [`BytesLedger`](crate::BytesLedger)
+//! suite asserts the exact bytes.
 
 use coconet_compress::WireFormat;
 use coconet_core::lane_count;
@@ -60,9 +62,9 @@ pub(crate) fn send_striped(comm: &RankComm, dst: usize, payload: Tensor, channel
 }
 
 /// Receives the `channels` lane stripes of one logical payload (in
-/// lane order — the fabric is per-source FIFO) and reassembles them
-/// into a contiguous tensor. The inverse of [`send_striped`];
-/// `channels <= 1` is a plain [`RankComm::recv`].
+/// lane order — the fabric is per-source FIFO) and rejoins them as the
+/// view of the sent buffer covering them, copying nothing. The inverse
+/// of [`send_striped`]; `channels <= 1` is a plain [`RankComm::recv`].
 pub(crate) fn recv_striped(comm: &RankComm, src: usize, channels: usize) -> Tensor {
     join_stripes((0..channels.max(1)).map(|_| comm.recv(src)).collect())
 }
@@ -393,7 +395,7 @@ pub(crate) struct RingLane {
     carry: Option<Tensor>,
     /// Chunk stripes by position as they travel, wire-encoded
     /// (AllGather / AllReduce): each is decoded once, straight into the
-    /// result it lands in (`land_stripe`).
+    /// result it lands in (`all_reduce_result`).
     stripes: Vec<Option<Tensor>>,
 }
 
@@ -475,6 +477,11 @@ impl RingLane {
             }
         };
         stripe.expect("in range")
+    }
+
+    /// The gathered (wire-encoded) stripe of chunk `c`.
+    fn gathered(&self, c: usize) -> &Tensor {
+        self.stripes[c].as_ref().expect("all chunks gathered")
     }
 
     /// Folding hops ahead of the forwarding ones.
@@ -651,50 +658,49 @@ pub(crate) fn run_blocking(comm: &RankComm, mut ring: Vec<RingLane>) -> Vec<Ring
     ring
 }
 
-/// Concatenates one payload's lane stripes; a single lane's stripe
-/// *is* the payload.
+/// Concatenates one payload's lane stripes. A single lane's stripe *is*
+/// the payload, and the stripes of one sent buffer rejoin as the view
+/// covering them, so a striped receive copies nothing.
 fn join_stripes(mut stripes: Vec<Tensor>) -> Tensor {
     if stripes.len() == 1 {
         return stripes.remove(0);
     }
-    let total: usize = stripes.iter().map(Tensor::numel).sum();
-    let mut chunk = Tensor::zeros([total], stripes[0].dtype());
-    let mut off = 0usize;
-    for s in &stripes {
-        chunk.write_flat(off, s).expect("stripes tile the chunk");
-        off += s.numel();
-    }
-    chunk
-}
-
-/// Writes a gathered stripe at flat offset `at` of `out`, decoding an
-/// FP16 wire stripe straight into place — the one decoding every rank,
-/// the stripe's owner included, keeps of the same encoded buffer.
-fn land_stripe(out: &mut Tensor, at: usize, stripe: &Tensor) {
-    match (stripe.as_f16_slice(), out.as_f32_slice_mut()) {
-        (Some(encoded), Some(dst)) => {
-            let _codec = trace::span(EventKind::Codec, "fp16:decode", encoded.len() as u64, 0);
-            trace::metrics::add_counter(Counter::CodecBytes, stripe.size_bytes() as u64);
-            kernels::f16_decode(encoded, &mut dst[at..at + encoded.len()]);
-        }
-        _ => out.write_flat(at, stripe).expect("stripes tile the tensor"),
-    }
+    let parts: Vec<&Tensor> = stripes.iter().collect();
+    Tensor::concat(&parts, 0).expect("stripes share one dtype")
 }
 
 /// The replicated result of all the finished [`RingPhase::AllReduce`]
-/// lanes of one collective (in any order): every gathered stripe lands
-/// once, decoded, at its chunk offset in one fresh output of the
-/// input's shape.
+/// lanes of one collective (in any order), in the input's shape. Every
+/// gathered stripe is written once: dense stripes are concatenated in
+/// offset order (chunk-major, then lane); FP16 wire stripes decode
+/// straight into their windows of one landing buffer — the one decoding
+/// every rank, the stripe's owner included, keeps of the same encoded
+/// buffer.
 pub(crate) fn all_reduce_result(lanes: &[RingLane]) -> Tensor {
     let first = &lanes[0];
-    let (n, k) = (first.shape.numel(), first.group.size);
-    let mut out = Tensor::zeros(first.shape.clone(), first.dtype);
+    let (shape, k) = (first.shape.clone(), first.group.size);
+    if first.gathered(0).dtype() == first.dtype {
+        let mut by_lane: Vec<&RingLane> = lanes.iter().collect();
+        by_lane.sort_by_key(|l| l.lane);
+        let parts: Vec<&Tensor> = (0..k)
+            .flat_map(|c| by_lane.iter().map(move |l| l.gathered(c)))
+            .collect();
+        let joined = Tensor::concat(&parts, 0).expect("stripes share one dtype");
+        return joined.reshape(shape).expect("stripes tile the tensor");
+    }
+    let n = shape.numel();
+    let mut out = Tensor::zeros(shape, first.dtype);
+    let dst = out.as_f32_slice_mut().expect("the FP16 wire lands in F32");
     for lane in lanes {
-        for (c, stripe) in lane.stripes.iter().enumerate() {
+        for c in 0..k {
             let (c_off, c_len) = chunk_range(n, k, c);
             let (s_off, _) = chunk_range(c_len, lane.lanes, lane.lane);
-            let stripe = stripe.as_ref().expect("all chunks gathered");
-            land_stripe(&mut out, c_off + s_off, stripe);
+            let stripe = lane.gathered(c);
+            let encoded = stripe.as_f16_slice().expect("an FP16 wire stripe");
+            let _codec = trace::span(EventKind::Codec, "fp16:decode", encoded.len() as u64, 0);
+            trace::metrics::add_counter(Counter::CodecBytes, stripe.size_bytes() as u64);
+            let at = c_off + s_off;
+            kernels::f16_decode(encoded, &mut dst[at..at + encoded.len()]);
         }
     }
     out
@@ -808,15 +814,12 @@ pub fn broadcast(comm: &RankComm, group: Group, value: Option<&Tensor>, root: us
 pub fn reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp, root: usize) -> Tensor {
     let me = group.position(comm.rank());
     if me == root {
-        // One copy-on-write materialization on the first fold; every
-        // later contribution reduces in place.
+        // Every fold writes a fresh buffer in one pass; the input is
+        // never detached. Deterministic order: ascending positions.
         let mut acc = input.clone();
-        // Deterministic order: ascending positions.
         for pos in 0..group.size {
             if pos != root {
-                let incoming = comm.recv(group.rank_at(pos));
-                acc.reduce_assign(&incoming, op)
-                    .expect("contributions agree on geometry");
+                acc = fold(&acc, &comm.recv(group.rank_at(pos)), op);
             }
         }
         acc

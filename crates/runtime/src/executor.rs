@@ -253,16 +253,15 @@ impl RunResult {
             match first.layout {
                 Layout::Replicated | Layout::Local => return Ok(first.local.clone()),
                 Layout::Sliced(SliceDim::Flat) => {
-                    let mut out = Tensor::zeros(first.global_shape.clone(), first.local.dtype());
-                    let mut off = 0;
-                    for r in group_start..group_start + gs {
-                        let v = self.per_rank[r]
-                            .get(name)
-                            .ok_or_else(|| RuntimeError::NoSuchOutput(name.into()))?;
-                        out.write_flat(off, &v.local)?;
-                        off += v.local.numel();
-                    }
-                    return Ok(out);
+                    let locals: Vec<&Tensor> = (group_start..group_start + gs)
+                        .map(|r| {
+                            self.per_rank[r]
+                                .get(name)
+                                .map(|v| &v.local)
+                                .ok_or_else(|| RuntimeError::NoSuchOutput(name.into()))
+                        })
+                        .collect::<Result<_, _>>()?;
+                    return join_flat(&locals, &first.global_shape);
                 }
                 Layout::Sliced(SliceDim::Dim(d)) => {
                     let locals: Vec<&Tensor> = (group_start..group_start + gs)
@@ -279,6 +278,18 @@ impl RunResult {
         }
         Err(RuntimeError::NoSuchOutput(name.into()))
     }
+}
+
+/// The flat chunks of a `Sliced(Flat)` value, in position order, as the
+/// whole tensor of `shape`: one concatenation writing each element
+/// once, or none when the chunks are adjacent views of one buffer.
+fn join_flat(chunks: &[&Tensor], shape: &Shape) -> Result<Tensor, RuntimeError> {
+    let flat: Vec<Tensor> = chunks
+        .iter()
+        .map(|c| c.reshape([c.numel()]))
+        .collect::<Result<_, _>>()?;
+    let parts: Vec<&Tensor> = flat.iter().collect();
+    Ok(Tensor::concat(&parts, 0)?.reshape(shape.clone())?)
 }
 
 /// One step of a rank's walk through the program.
@@ -819,16 +830,7 @@ impl<'a> Rank<'a> {
                     let refs: Vec<&Tensor> = chunks.iter().collect();
                     let full = match input.layout {
                         Layout::Sliced(SliceDim::Dim(d)) => Tensor::concat(&refs, d)?,
-                        _ => {
-                            let mut out =
-                                Tensor::zeros(input.global_shape.clone(), input.local.dtype());
-                            let mut off = 0;
-                            for c in &chunks {
-                                out.write_flat(off, c)?;
-                                off += c.numel();
-                            }
-                            out
-                        }
+                        _ => join_flat(&refs, &input.global_shape)?,
                     };
                     Some(DistValue::replicated(full.reshape(out_shape)?, pos, gs))
                 }

@@ -21,8 +21,8 @@ use coconet_compress::WireFormat;
 use coconet_tensor::{ReduceOp, Tensor};
 
 use crate::collectives::{
-    chunk_range, clamp_channels, recv_striped, ring_all_gather, ring_reduce_scatter, send_striped,
-    wire_decode, wire_encode, Group,
+    chunk_range, clamp_channels, fold_hop, recv_striped, ring_all_gather, ring_reduce_scatter,
+    send_striped, wire_decode, wire_encode, Group,
 };
 use crate::RankComm;
 
@@ -134,19 +134,16 @@ pub fn hierarchical_reduce_scatter(
         return wire_decode(recv_striped(comm, g.sub.start, channels), wire, dtype);
     }
 
-    // Leader: reassemble the node-partial tensor from member chunks.
-    let mut partial = Tensor::zeros([n], input.dtype());
-    let (own_off, own_len) = chunk_range(n, g.sub.size, 0);
-    if own_len > 0 {
-        partial.write_flat(own_off, &local_chunk).expect("in range");
-    }
+    // Leader: the node-partial tensor is the member chunks in position
+    // order. A one-rank node's partial is its ReduceScatter output
+    // handle itself — a view of the input, nothing copied.
+    let mut members = vec![local_chunk];
     for j in 1..g.sub.size {
-        let t = wire_decode(recv_striped(comm, g.sub.start + j, channels), wire, dtype);
-        let (off, len) = chunk_range(n, g.sub.size, j);
-        if len > 0 {
-            partial.write_flat(off, &t).expect("in range");
-        }
+        let chunk = recv_striped(comm, g.sub.start + j, channels);
+        members.push(wire_decode(chunk, wire, dtype));
     }
+    let parts: Vec<&Tensor> = members.iter().collect();
+    let partial = Tensor::concat(&parts, 0).expect("member chunks share one dtype");
 
     // Superchunk of a node: the contiguous union of its members'
     // global chunks (members are consecutive, so chunks are too).
@@ -178,16 +175,16 @@ pub fn hierarchical_reduce_scatter(
         );
     }
     let (s_off, s_len) = superchunk(g.my_node);
-    // A view of the node partial; the first fold detaches exactly the
-    // superchunk window, then reduces in place.
+    // A view of the node partial; every fold decodes the incoming
+    // superchunk and writes `acc ∘ incoming` to a fresh buffer in one
+    // pass, the ring's hop.
     let mut acc = slice_or_empty(&partial, s_off, s_len);
     for node in 0..g.n_nodes {
         if node == g.my_node {
             continue;
         }
-        let incoming = wire_decode(recv_striped(comm, g.leader(node), channels), wire, dtype);
-        acc.reduce_assign(&incoming, op)
-            .expect("leaders agree on superchunk geometry");
+        let incoming = recv_striped(comm, g.leader(node), channels);
+        acc = fold_hop(&acc, incoming, op, wire, false);
     }
 
     // Phase 4: scatter the final chunks to the node's members.
@@ -315,13 +312,11 @@ pub fn hierarchical_all_reduce(
 ) -> Tensor {
     let my_chunk = hierarchical_reduce_scatter(comm, group, input, op, node_size, wire, channels);
     let chunks = hierarchical_all_gather(comm, group, &my_chunk, node_size, wire, channels);
-    let mut out = Tensor::zeros(input.shape().clone(), input.dtype());
-    let mut off = 0usize;
-    for c in chunks {
-        out.write_flat(off, &c).expect("chunks tile the tensor");
-        off += c.numel();
-    }
-    out
+    let parts: Vec<&Tensor> = chunks.iter().collect();
+    let joined = Tensor::concat(&parts, 0).expect("chunks share one dtype");
+    joined
+        .reshape(input.shape().clone())
+        .expect("chunks tile the tensor")
 }
 
 #[cfg(test)]

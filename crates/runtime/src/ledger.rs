@@ -370,6 +370,82 @@ mod tests {
             }
         }
 
+        /// A striped receive rejoins the stripes of the sent buffer as
+        /// one view: it allocates nothing, at any width.
+        #[test]
+        fn striped_receive_allocates_nothing() {
+            use crate::collectives::{recv_striped, send_striped};
+            for channels in [1usize, 4, 5] {
+                let results = metered(2, move |comm, _, input| {
+                    if comm.rank() == 0 {
+                        send_striped(comm, 1, input.clone(), channels);
+                        input
+                    } else {
+                        recv_striped(comm, 0, channels)
+                    }
+                });
+                let (received, l) = &results[1];
+                assert_eq!(received.to_f32_vec(), results[0].0.to_f32_vec());
+                assert_eq!(l.recvs, channels as u64);
+                assert_eq!((l.allocations, l.cow_bytes), (0, 0), "c{channels}: {l:?}");
+            }
+        }
+
+        /// Tree and hierarchical AllReduce materialize only their folds
+        /// and their output, each element written once, at one lane and
+        /// at four: striped receives rejoin without a copy, nothing is
+        /// copied on write, and no buffer is zero-filled to be copied
+        /// over. Per rank, in elements of the `n`-element input:
+        ///
+        /// * tree — the root folds its two children's partials (`2n`),
+        ///   position 2 folds position 3's (`n`), the leaves fold
+        ///   nothing and keep the broadcast view;
+        /// * hierarchical, one rank per node — three superchunk folds
+        ///   (`3n/4`) plus the output (`n`); the node partial is the
+        ///   ReduceScatter's view of the input;
+        /// * hierarchical, two ranks per node — the intra-node fold
+        ///   (`n/2`) and the output (`n`) everywhere; a leader also
+        ///   builds its node partial (`n`) and folds the other leader's
+        ///   superchunk (`n/2`). At four lanes the intra-node
+        ///   ReduceScatter joins its lanes' fold stripes (`n/2`).
+        #[test]
+        fn tree_and_hierarchical_allocate_only_folds_and_the_output() {
+            let (k, n, ds) = (4usize, 64usize, DType::F32.size_bytes());
+            let (op, wire) = (ReduceOp::Sum, WireFormat::Dense);
+            let bytes = |elems: usize| (elems * ds) as u64;
+            for channels in [1usize, 4] {
+                let join = if channels > 1 { n / 2 } else { 0 };
+                let tree = metered(k, move |comm, group, input| {
+                    tree_all_reduce(comm, group, &input, op, wire, channels)
+                });
+                let flat = metered(k, move |comm, group, input| {
+                    hierarchical_all_reduce(comm, group, &input, op, 1, wire, channels)
+                });
+                let paired = metered(k, move |comm, group, input| {
+                    hierarchical_all_reduce(comm, group, &input, op, 2, wire, channels)
+                });
+                let cases = [
+                    ("tree", tree, [2 * n, 0, n, 0]),
+                    ("hier/1", flat, [7 * n / 4; 4]),
+                    ("hier/2", paired, {
+                        let (leader, member) = (3 * n + join, 3 * n / 2 + join);
+                        [leader, member, leader, member]
+                    }),
+                ];
+                for (algo, results, want) in cases {
+                    for (rank, (out, l)) in results.iter().enumerate() {
+                        assert_eq!(out.get(1), 4.0 + 600.0, "{algo} c{channels} rank {rank}");
+                        assert_eq!(l.cow_bytes, 0, "{algo} c{channels} rank {rank}: {l:?}");
+                        assert_eq!(
+                            l.bytes_allocated,
+                            bytes(want[rank]),
+                            "{algo} c{channels} rank {rank}: {l:?}"
+                        );
+                    }
+                }
+            }
+        }
+
         /// Tree AllReduce: every non-root sends its tensor once up the
         /// reduction tree, and every internal node sends once per child
         /// on the way down — `2(p−1)` tensor payloads in aggregate.

@@ -4,11 +4,22 @@
 //! across the ranks of a group (§2.1). These operations produce the
 //! per-rank slices and reassemble them. Leading-dimension slices and
 //! the flat chunks the ring collectives communicate are zero-copy
-//! copy-on-write views; only interior-dimension slices (strided in
-//! row-major order) materialize storage.
+//! copy-on-write views, and concatenating such views back in order
+//! rejoins them without a copy; only interior-dimension slices (strided
+//! in row-major order) and concatenations of unrelated buffers
+//! materialize storage.
 
-use crate::tensor::BufferData;
-use crate::{Shape, Tensor, TensorError};
+use crate::tensor::{Buffer, BufferData};
+use crate::{DType, Shape, Tensor, TensorError};
+
+/// The parts' elements back to back in one exactly-sized vector.
+fn appended<E: Copy>(parts: &[&Tensor], elems: fn(&Tensor) -> Option<&[E]>) -> Vec<E> {
+    let mut out = Vec::with_capacity(parts.iter().map(|t| t.numel()).sum());
+    for t in parts {
+        out.extend_from_slice(elems(t).expect("dtypes checked"));
+    }
+    out
+}
 
 impl Tensor {
     /// Copies the subrange `start..start+len` of dimension `dim`.
@@ -79,6 +90,14 @@ impl Tensor {
     /// Concatenates tensors along `dim`. All inputs must agree on dtype
     /// and on every other dimension.
     ///
+    /// Along dimension 0 every output element is written once: when the
+    /// parts are adjacent windows of one allocation, in order (the
+    /// stripes [`slice_flat`](Tensor::slice_flat) cut from one buffer,
+    /// wherever they travelled), the result is the copy-on-write view
+    /// covering them and nothing is copied — the same handle rule that
+    /// makes a send copy-free. Otherwise the parts are appended into one
+    /// fresh buffer, with no zero fill.
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::ConcatMismatch`] on disagreement or empty
@@ -103,20 +122,24 @@ impl Tensor {
         }
         let mut out_dims = first.shape().dims().to_vec();
         out_dims[dim] = total;
-        let out_shape = Shape::new(out_dims.clone());
-        let out_strides = out_shape.strides();
-
-        let mut out = Tensor::zeros(out_shape.clone(), first.dtype());
+        let out_shape = Shape::new(out_dims);
         if dim == 0 {
-            // Leading-dimension concatenation is a sequence of
-            // contiguous block copies.
-            let mut elem_off = 0usize;
-            for t in parts {
-                out.write_flat(elem_off, t)?;
-                elem_off += t.numel();
-            }
-            return Ok(out);
+            // Leading-dimension concatenation is the parts' flat storage
+            // back to back: a covering view, or one appending copy.
+            let buf = match Buffer::rejoin(parts.iter().map(|t| &t.buf)) {
+                Some(view) => view,
+                None => match first.dtype() {
+                    DType::F32 => Buffer::from_f32_vec(appended(parts, Tensor::as_f32_slice)),
+                    DType::F16 => Buffer::from_f16_vec(appended(parts, Tensor::as_f16_slice)),
+                },
+            };
+            return Ok(Tensor {
+                shape: out_shape,
+                buf,
+            });
         }
+        let out_strides = out_shape.strides();
+        let mut out = Tensor::zeros(out_shape, first.dtype());
         let mut offset = 0usize;
         for t in parts {
             let t_extent = t.shape().dim(dim);
@@ -241,6 +264,34 @@ mod tests {
             let refs: Vec<&Tensor> = parts.iter().collect();
             let back = Tensor::concat(&refs, dim).unwrap();
             assert_eq!(back, t);
+        }
+    }
+
+    /// Adjacent views rejoin as their covering view; anything else is
+    /// one exactly-sized copy, with no zero fill first.
+    #[test]
+    fn concat_rejoins_adjacent_views_and_copies_the_rest_once() {
+        let t = Tensor::from_fn([12], DType::F32, |i| i as f32);
+        let v = |off, len| t.slice_flat(off, len).unwrap();
+        let (a, b, c, empty) = (v(2, 3), v(5, 4), v(9, 1), v(0, 0));
+
+        let before = crate::alloc_stats();
+        let joined = Tensor::concat(&[&a, &empty, &b, &c], 0).unwrap();
+        assert_eq!(crate::alloc_stats().since(before).allocations, 0);
+        assert!(joined.shares_storage(&t));
+        assert_eq!(joined, v(2, 8));
+
+        for parts in [[&b, &a], [&a, &c]] {
+            let before = crate::alloc_stats();
+            let copied = Tensor::concat(&parts, 0).unwrap();
+            let delta = crate::alloc_stats().since(before);
+            assert!(!copied.shares_storage(&t));
+            assert_eq!(
+                (delta.allocations, delta.bytes_allocated),
+                (1, 4 * copied.numel() as u64)
+            );
+            let want: Vec<f32> = parts.iter().flat_map(|p| p.to_f32_vec()).collect();
+            assert_eq!(copied.to_f32_vec(), want);
         }
     }
 

@@ -85,6 +85,24 @@ impl Buffer {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
+    /// The one window covering `parts` when they are adjacent windows of
+    /// one allocation, in order — the zero-copy inverse of cutting a
+    /// buffer into consecutive views. Empty parts cover nothing and are
+    /// skipped; `None` when the parts are not such a run (or all empty).
+    pub(crate) fn rejoin<'a>(parts: impl IntoIterator<Item = &'a Buffer>) -> Option<Buffer> {
+        let mut whole: Option<Buffer> = None;
+        for part in parts.into_iter().filter(|p| p.len > 0) {
+            match &mut whole {
+                None => whole = Some(part.clone()),
+                Some(w) if w.shares_data(part) && w.offset + w.len == part.offset => {
+                    w.len += part.len;
+                }
+                Some(_) => return None,
+            }
+        }
+        whole
+    }
+
     #[inline]
     fn get(&self, i: usize) -> f32 {
         debug_assert!(i < self.len);

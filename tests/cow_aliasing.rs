@@ -144,6 +144,61 @@ proptest! {
         prop_assert_eq!(bits(&shared), bits(&deep));
     }
 
+    /// Concatenating adjacent views of one buffer, in order, rejoins them
+    /// as a view of that buffer — it shares storage, yet a write to
+    /// either side never shows through the other. Parts out of order, or
+    /// with a gap between them, are copied.
+    #[test]
+    fn concat_of_adjacent_views_is_an_isolated_view(
+        n in 3usize..64,
+        dtype in arb_dtype(),
+        seed in any::<u64>(),
+        cuts in prop::collection::vec(0usize..64, 2..6),
+        m in arb_mutation(),
+    ) {
+        let mut source = Tensor::from_fn([n], dtype, |i| i as f32 * 0.75 - 5.0);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (n + 1)).collect();
+        cuts.sort_unstable();
+        let (lo, hi) = (cuts[0], cuts[cuts.len() - 1]);
+        prop_assume!(hi > lo);
+        let parts: Vec<Tensor> = cuts
+            .windows(2)
+            .map(|w| source.slice_flat(w[0], w[1] - w[0]).expect("in range"))
+            .collect();
+        let refs: Vec<&Tensor> = parts.iter().collect();
+        let rejoin = || Tensor::concat(&refs, 0).expect("one dtype");
+
+        let mut joined = rejoin();
+        prop_assert!(joined.shares_storage(&source));
+        let joined_bits = bits(&joined);
+        prop_assert_eq!(joined_bits.clone(), bits(&source.slice_flat(lo, hi - lo).unwrap()));
+
+        // Write the rejoined view: the source and every part keep theirs.
+        let (source_bits, part_bits): (_, Vec<_>) = (bits(&source), parts.iter().map(bits).collect());
+        mutate(&mut joined, m, seed);
+        prop_assert_eq!(bits(&source), source_bits);
+        prop_assert_eq!(parts.iter().map(bits).collect::<Vec<_>>(), part_bits);
+
+        // Write the source: a rejoined view keeps its values.
+        let joined = rejoin();
+        mutate(&mut source, m, seed ^ 0x5A5A);
+        prop_assert_eq!(bits(&joined), joined_bits);
+
+        // Out of order, or with a gap: a copy with the parts' values.
+        let reversed: Vec<&Tensor> = refs.iter().rev().copied().filter(|p| p.numel() > 0).collect();
+        let (first, third) = (source.slice_flat(0, 1).unwrap(), source.slice_flat(2, 1).unwrap());
+        let gapped = [&first, &third];
+        for (copied_parts, alias) in [(reversed.as_slice(), &joined), (&gapped[..], &source)] {
+            if copied_parts.len() < 2 {
+                continue;
+            }
+            let copied = Tensor::concat(copied_parts, 0).expect("one dtype");
+            prop_assert!(!copied.shares_storage(alias));
+            let want: Vec<u32> = copied_parts.iter().flat_map(|p| bits(p)).collect();
+            prop_assert_eq!(bits(&copied), want);
+        }
+    }
+
     /// Multi-way aliasing: several views over one buffer, one of them
     /// mutated — all others (and the parent) keep their contents.
     #[test]
