@@ -246,6 +246,23 @@ mod tests {
         assert_eq!(bits(&me.recv(1)), bits(&foreign));
     }
 
+    /// A zero-length contraction reduces empty sums: zeros of the
+    /// output shape on every rank.
+    #[test]
+    fn zero_contraction_reduces_to_zeros() {
+        let k = 2usize;
+        let results = run_ranks(k, move |comm| {
+            let group = Group { start: 0, size: k };
+            let a = Tensor::zeros([3, 0], DType::F32);
+            let w = Tensor::zeros([0, 5], DType::F32);
+            overlapped_matmul_all_reduce(&comm, group, &a, &w, ReduceOp::Sum).unwrap()
+        });
+        for got in &results {
+            assert_eq!(got.shape(), &Shape::from([3, 5]));
+            assert_eq!(bits(got), vec![0; 15]);
+        }
+    }
+
     #[test]
     fn single_rank_degenerates_to_matmul() {
         let world = RankComm::world(1);

@@ -560,9 +560,12 @@ fn fold_f16_wire_with<U: Send>(
     });
 }
 
-/// Serial axpy row update `c[j] += a * b[j]` — the GEMM inner loop,
-/// kept monomorphic here so the blocked GEMM's parallel row blocks and
-/// the serial reference share one auto-vectorized body.
+/// Serial axpy update `c[j] += a * b[j]`: one monomorphic,
+/// auto-vectorized loop over plain slices for callers that scale and
+/// add whole rows, such as a gradient step. [`Tensor::matmul`] does not
+/// run on it; its inner loop is a register tile over packed operands.
+///
+/// [`Tensor::matmul`]: crate::Tensor::matmul
 pub fn axpy(c: &mut [f32], b: &[f32], a: f32) {
     for (cj, &bj) in c.iter_mut().zip(b) {
         *cj += a * bj;
