@@ -12,7 +12,6 @@
 pub mod compression;
 pub mod experiments;
 pub mod json;
-pub mod multitenant;
 pub mod report;
 pub mod steady;
 pub mod tracebench;

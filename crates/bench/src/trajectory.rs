@@ -303,7 +303,6 @@ pub fn collect() -> Result<Trajectory, String> {
     ];
     let (trace_row, trace_json) = overlap_trace();
     rows.push(trace_row);
-    rows.push(multitenant());
     for workload in experiments::AUTOTUNE_WORKLOADS {
         rows.push(tab3(workload)?);
     }
@@ -455,38 +454,6 @@ fn overlap_trace() -> (Row, String) {
     row.checks = run.checks();
     row.readings = run.readings();
     (row, run.chrome_json)
-}
-
-/// The multi-tenant contention row: the tuned Adam winner lowered at
-/// [`MT_JOBS`](crate::multitenant::MT_JOBS) scaled problem sizes,
-/// replayed through the shared-fabric simulator. The row's baseline is
-/// the serial (no-consolidation) wall and its `coconet_s` is the
-/// contention-aware makespan. The scheduling-theory facts — SRPT
-/// strictly beating FIFO's mean completion, work-conserving makespans
-/// agreeing within slack, sharing beating serial — are checks.
-fn multitenant() -> Row {
-    use crate::multitenant::{multitenant_bench, MT_JOBS};
-    let run = multitenant_bench("adam", TUNE_WORKERS);
-    let mut row = Row::costed(
-        "multitenant_throughput",
-        run.serial_s(),
-        run.aware_makespan_s(),
-    )
-    .num("jobs", MT_JOBS as f64)
-    .text("winner", run.winner.clone())
-    .num("fifo_makespan_s", run.report.fifo.makespan_s)
-    .num("aware_makespan_s", run.report.aware.makespan_s)
-    .num("fifo_mean_completion_s", run.report.fifo.mean_completion_s)
-    .num(
-        "aware_mean_completion_s",
-        run.report.aware.mean_completion_s,
-    );
-    row.fields.push((
-        "solo_s".into(),
-        Json::Arr(run.solo_s.iter().map(|&(_, s)| Json::Num(s)).collect()),
-    ));
-    row.checks = run.checks();
-    row
 }
 
 /// The wire-format ablation at one message size: AllReduce of
@@ -760,12 +727,6 @@ mod tests {
             num(steady, "streamed_iters_per_sec") > num(steady, "barriered_iters_per_sec"),
             "barrier-free iterations/sec must beat barriered"
         );
-        // The multi-tenant row: consolidation beats serial, and SRPT
-        // beats fair sharing on mean completion.
-        let mt = back.get("multitenant_throughput").expect("multitenant row");
-        assert!(num(mt, "speedup") > 1.0);
-        assert_eq!(num(mt, "jobs"), 4.0);
-        assert!(num(mt, "aware_mean_completion_s") < num(mt, "fifo_mean_completion_s"));
         // All four tuner rows are there, none with a timing-dependent
         // counter.
         for w in ["adam", "lamb", "model_parallel", "pipeline"] {

@@ -29,7 +29,7 @@ use crate::plancache::{CacheStats, PlanCache, PlanKey};
 use crate::xform;
 use crate::{
     lower, Binding, CollAlgo, CommConfig, CommSched, CoreError, ExecPlan, OpKind, Program,
-    Protocol, VarId, WireFormat, XferSched,
+    Protocol, VarId, WireFormat,
 };
 
 /// Evaluates the cost of an executable plan (lower is better).
@@ -195,12 +195,6 @@ pub struct Autotuner {
     /// priority-streamed — BytePS's observation that crossing the
     /// global barrier is a performance dimension worth costing).
     pub scheds: Vec<CommSched>,
-    /// Cross-job transfer disciplines to sweep (FIFO fair-sharing /
-    /// contention-aware — MLfabric's observation that reordering
-    /// in-flight transfers across concurrent jobs is a performance
-    /// dimension worth costing; cost-neutral for a solo program, so
-    /// ties keep the simpler FIFO discipline).
-    pub xfers: Vec<XferSched>,
     /// Also branch into slicing optimizer state (`asSlice` + `dead`,
     /// §4) after reorders that leave dangling state gathers.
     pub slice_state: bool,
@@ -221,7 +215,6 @@ impl Default for Autotuner {
             channels: vec![2, 4, 8, 16, 32, 64],
             formats: WireFormat::SWEEP.to_vec(),
             scheds: CommSched::ALL.to_vec(),
-            xfers: XferSched::ALL.to_vec(),
             slice_state: true,
             workers: 0,
             prune: true,
@@ -557,10 +550,6 @@ impl Autotuner {
         for s in &self.scheds {
             s.index().hash(&mut h);
         }
-        u64::MAX.hash(&mut h);
-        for x in &self.xfers {
-            x.index().hash(&mut h);
-        }
         self.slice_state.hash(&mut h);
         h.finish()
     }
@@ -656,8 +645,37 @@ impl Autotuner {
         }
     }
 
-    /// Sweeps every algorithm/protocol/channel/wire-format/scheduling
-    /// configuration of one schedule.
+    /// Every configuration this tuner sweeps, in sweep order: the
+    /// algorithm outermost, the scheduling discipline innermost.
+    ///
+    /// `Barriered` is enumerated before `Priority` (see
+    /// [`CommSched::ALL`]) and the sweep keeps the *first* best, so a
+    /// tie — any comm-free or compute-free plan — deterministically
+    /// keeps the simpler discipline.
+    pub fn configs(&self) -> Vec<CommConfig> {
+        let mut out = Vec::new();
+        for &algo in &self.algos {
+            for &protocol in &self.protocols {
+                for &channels in &self.channels {
+                    for &format in &self.formats {
+                        for &sched in &self.scheds {
+                            out.push(CommConfig {
+                                algo,
+                                protocol,
+                                channels,
+                                format,
+                                sched,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Sweeps every configuration of [`configs`](Autotuner::configs)
+    /// over one schedule.
     ///
     /// Lowering is configuration-independent up to the algorithm stamp
     /// (the steps' shapes never depend on the configuration), so the
@@ -671,36 +689,7 @@ impl Autotuner {
         evaluator: &dyn PlanEvaluator,
         state: &SearchState,
     ) -> SweepOutcome {
-        // The scheduling disciplines are the innermost loops with the
-        // simpler variant enumerated first (`Barriered` before
-        // `Priority`, `Fifo` before `Aware` — see [`CommSched::ALL`]
-        // and [`XferSched::ALL`]), so a tie — any comm-free or
-        // compute-free plan for the iteration discipline, *every* solo
-        // plan for the cost-neutral transfer discipline —
-        // deterministically keeps the simpler discipline (the sweep
-        // keeps the *first* best).
-        let configs: Vec<CommConfig> = self
-            .algos
-            .iter()
-            .flat_map(|&algo| {
-                self.protocols.iter().flat_map(move |&protocol| {
-                    self.channels.iter().flat_map(move |&channels| {
-                        self.formats.iter().flat_map(move |&format| {
-                            self.scheds.iter().flat_map(move |&sched| {
-                                self.xfers.iter().map(move |&xfer| CommConfig {
-                                    algo,
-                                    protocol,
-                                    channels,
-                                    format,
-                                    sched,
-                                    xfer,
-                                })
-                            })
-                        })
-                    })
-                })
-            })
-            .collect();
+        let configs = self.configs();
         let Some(&first) = configs.first() else {
             return SweepOutcome {
                 best: None,

@@ -144,60 +144,12 @@ impl fmt::Display for CommSched {
     }
 }
 
-/// How cross-job transfers share a contended fabric — the
-/// multi-tenant dimension (MLfabric's observation that *reordering*
-/// transfers across concurrent jobs, instead of letting them fair-share
-/// the links, is itself a first-class optimization). A solo program is
-/// priced identically under both disciplines (no contention, nothing
-/// to reorder), so the dimension is cost-neutral for single-job tuning
-/// and the pruning floors stay admissible unchanged; the multi-tenant
-/// simulator (`coconet-sim::multitenant`) and the runtime
-/// `CommScheduler` are where the two disciplines diverge.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum XferSched {
-    /// Naive arrival-order sharing: overlapping transfers fair-share
-    /// the contended links (generalized processor sharing).
-    #[default]
-    Fifo,
-    /// Contention-aware reordering: the fabric serves whole transfers
-    /// in shortest-remaining-work order across jobs, so small jobs
-    /// stop convoying behind large ones.
-    Aware,
-}
-
-impl XferSched {
-    /// All transfer disciplines, for autotuner sweeps. `Fifo` comes
-    /// first so a tie (every single-job plan — the dimension is
-    /// cost-neutral without contention) deterministically keeps the
-    /// simpler discipline.
-    pub const ALL: [XferSched; 2] = [XferSched::Fifo, XferSched::Aware];
-
-    /// Position of this discipline in [`XferSched::ALL`].
-    pub fn index(self) -> usize {
-        match self {
-            XferSched::Fifo => 0,
-            XferSched::Aware => 1,
-        }
-    }
-}
-
-impl fmt::Display for XferSched {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            XferSched::Fifo => write!(f, "Fifo"),
-            XferSched::Aware => write!(f, "Aware"),
-        }
-    }
-}
-
 /// Communication configuration for a plan: collective algorithm,
 /// protocol, channel count (each NCCL channel is one thread block
 /// bound to one NIC/ring copy), the payload's wire format
 /// (dense / FP16 / top-k sparsified — the `coconet-compress`
-/// dimension), the iteration-scheduling discipline
-/// (barriered / priority-streamed — the steady-state dimension), and
-/// the cross-job transfer discipline (FIFO fair-sharing /
-/// contention-aware — the multi-tenant dimension).
+/// dimension), and the iteration-scheduling discipline
+/// (barriered / priority-streamed — the steady-state dimension).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CommConfig {
     /// Collective algorithm (logical topology).
@@ -210,8 +162,6 @@ pub struct CommConfig {
     pub format: WireFormat,
     /// Iteration-boundary scheduling discipline.
     pub sched: CommSched,
-    /// Cross-job transfer discipline on a shared fabric.
-    pub xfer: XferSched,
 }
 
 impl CommConfig {
@@ -228,11 +178,6 @@ impl CommConfig {
     /// The same configuration under a different scheduling discipline.
     pub fn with_sched(self, sched: CommSched) -> CommConfig {
         CommConfig { sched, ..self }
-    }
-
-    /// The same configuration under a different transfer discipline.
-    pub fn with_xfer(self, xfer: XferSched) -> CommConfig {
-        CommConfig { xfer, ..self }
     }
 
     /// What this configuration really runs as at `site` — the single
@@ -262,8 +207,8 @@ impl CommConfig {
     /// 8. Only a ring or switch AllReduce without active top-k exists
     ///    as a resumable job a scheduler can stream.
     ///
-    /// `protocol`, `sched` and `xfer` never enter: they change how a
-    /// plan is priced and how jobs are serviced, not what a site runs.
+    /// `protocol` and `sched` never enter: they change how a plan is
+    /// priced and how jobs are serviced, not what a site runs.
     pub fn executed_as(&self, site: &CollSite) -> Executed {
         let one_lane = |algo, format, streamable| Executed {
             algo,
@@ -320,7 +265,6 @@ impl Default for CommConfig {
             channels: 16,
             format: WireFormat::Dense,
             sched: CommSched::Barriered,
-            xfer: XferSched::Fifo,
         }
     }
 }
@@ -332,14 +276,10 @@ impl fmt::Display for CommConfig {
             "{}/{}/{}ch/{}",
             self.algo, self.protocol, self.channels, self.format
         )?;
-        // The default disciplines are elided, keeping single-iteration
-        // single-job plan displays (and their pinned test strings)
-        // unchanged.
+        // The default discipline is elided, keeping single-iteration
+        // plan displays (and their pinned test strings) unchanged.
         if self.sched != CommSched::Barriered {
             write!(f, "/{}", self.sched)?;
-        }
-        if self.xfer != XferSched::Fifo {
-            write!(f, "/{}", self.xfer)?;
         }
         Ok(())
     }
@@ -862,26 +802,6 @@ mod tests {
         assert_eq!(streamed.to_string(), "Ring/Simple/16ch/Dense/Priority");
     }
 
-    #[test]
-    fn xfer_dimension_display_and_index() {
-        assert_eq!(XferSched::Fifo.to_string(), "Fifo");
-        assert_eq!(XferSched::Aware.to_string(), "Aware");
-        for (i, x) in XferSched::ALL.into_iter().enumerate() {
-            assert_eq!(x.index(), i);
-        }
-        // The default (FIFO) discipline stays invisible in plan
-        // displays; the contention-aware discipline is appended after
-        // the scheduling discipline.
-        let dense = CommConfig::default();
-        assert_eq!(dense.to_string(), "Ring/Simple/16ch/Dense");
-        let aware = dense.with_xfer(XferSched::Aware);
-        assert_eq!(aware.to_string(), "Ring/Simple/16ch/Dense/Aware");
-        let both = dense
-            .with_sched(CommSched::Priority)
-            .with_xfer(XferSched::Aware);
-        assert_eq!(both.to_string(), "Ring/Simple/16ch/Dense/Priority/Aware");
-    }
-
     /// The eight rules of [`CommConfig::executed_as`], one row each
     /// (plus the pass-through cases that bound them): 16 ranks on 2
     /// nodes unless the row says otherwise.
@@ -949,12 +869,11 @@ mod tests {
         ];
         for (config, site, want) in table {
             assert_eq!(config.executed_as(&site), want, "{config} at {site:?}");
-            // Protocol and the two scheduling disciplines never enter.
+            // Protocol and the scheduling discipline never enter.
             for protocol in Protocol::ALL {
                 let other = CommConfig {
                     protocol,
                     sched: CommSched::Priority,
-                    xfer: XferSched::Aware,
                     ..config
                 };
                 assert_eq!(other.executed_as(&site), want, "{other} at {site:?}");

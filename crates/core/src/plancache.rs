@@ -14,8 +14,8 @@
 //! it) in microseconds instead of milliseconds.
 //!
 //! Recency is tracked with a logical access counter, so eviction order
-//! is deterministic; wall-clock enters only the per-entry *age*
-//! statistics surfaced for operators.
+//! is deterministic; wall-clock enters only the answering entry's age
+//! ([`CacheStats::hit_age`]).
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -162,20 +162,6 @@ impl PlanCache {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Every resident entry's age (time since insertion), oldest
-    /// first — the per-entry statistic operators watch to judge
-    /// whether the capacity (or a deploy cadence) is churning the
-    /// cache.
-    pub fn ages(&self) -> Vec<Duration> {
-        let mut ages: Vec<Duration> = self
-            .entries
-            .values()
-            .map(|e| e.inserted.elapsed())
-            .collect();
-        ages.sort_unstable_by(|a, b| b.cmp(a));
-        ages
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +217,7 @@ mod tests {
     }
 
     #[test]
-    fn capacity_floor_and_ages() {
+    fn capacity_floor() {
         let mut cache = PlanCache::new(0);
         assert_eq!(cache.capacity(), 1);
         assert!(cache.is_empty());
@@ -239,7 +225,6 @@ mod tests {
         cache.insert(key(2), candidate("b"));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.ages().len(), 1);
     }
 
     #[test]

@@ -508,12 +508,6 @@ impl RingLane {
         self.step == self.hops()
     }
 
-    /// Hops still ahead — the contention-aware scheduler's
-    /// shortest-remaining-work key.
-    pub(crate) fn remaining_hops(&self) -> usize {
-        self.hops() - self.step
-    }
-
     /// Puts this step's stripe on the wire unless it already is.
     /// Returns whether it sent.
     fn send_step(&mut self, comm: &RankComm) -> bool {

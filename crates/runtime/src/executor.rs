@@ -177,12 +177,12 @@ impl RunOptions {
     /// use [`for_cluster`](RunOptions::for_cluster) to take both from
     /// the machine in one step.
     ///
-    /// `protocol`, `sched` and `xfer` do not apply to a single-shot
-    /// run: the protocol is a pricing parameter of the simulated
-    /// fabric, and the two scheduling disciplines order jobs *across*
-    /// iterations, which only
+    /// `protocol` and `sched` do not apply to a single-shot run: the
+    /// protocol is a pricing parameter of the simulated fabric, and the
+    /// scheduling discipline orders jobs *across* iterations, which
+    /// only
     /// [`StreamExecutor::run_iterations`](crate::StreamExecutor::run_iterations)
-    /// has. None of them changes what a collective site executes as
+    /// has. Neither changes what a collective site executes as
     /// ([`CommConfig::executed_as`]).
     pub fn with_comm(self, config: CommConfig) -> RunOptions {
         self.with_algo(config.algo)

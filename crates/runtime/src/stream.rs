@@ -33,7 +33,7 @@
 //! the rest.
 
 use coconet_compress::{ErrorFeedback, WireFormat};
-use coconet_core::{lane_count, CollAlgo, CollKind, CommConfig, CommSched, Executed, XferSched};
+use coconet_core::{lane_count, CollAlgo, CollKind, CommConfig, CommSched, Executed};
 use coconet_tensor::{ReduceOp, Tensor};
 use coconet_trace as trace;
 use coconet_trace::EventKind;
@@ -54,13 +54,6 @@ enum Job {
 }
 
 impl Job {
-    fn remaining_hops(&self) -> usize {
-        match self {
-            Job::Ring(j) => j.remaining_hops(),
-            Job::Switch(j) => j.remaining_hops(),
-        }
-    }
-
     fn poll(&mut self, comm: &RankComm) -> bool {
         match self {
             Job::Ring(j) => j.advance(comm, false),
@@ -110,15 +103,6 @@ pub struct CommScheduler {
     /// Unfinished jobs, kept sorted by `(class, seq)`.
     jobs: Vec<Queued>,
     next_seq: u64,
-    /// Cross-job transfer discipline: FIFO services strict
-    /// `(class, seq)` order; Aware prefers the job with the fewest
-    /// remaining hops (class and seq break ties), the
-    /// shortest-remaining-work policy that stops small transfers
-    /// convoying behind large ones. Either way every byte still moves
-    /// through the same tagged channels, so results and per-class
-    /// ledger totals are bit-identical across disciplines — the knob
-    /// reorders wire traffic, never data.
-    xfer: XferSched,
     /// Finished lanes of striped logical jobs whose sibling lanes are
     /// still in flight, by logical id.
     landed: HashMap<u64, Vec<RingLane>>,
@@ -132,17 +116,9 @@ pub struct CommScheduler {
 }
 
 impl CommScheduler {
-    /// An empty scheduler (FIFO transfer discipline).
+    /// An empty scheduler.
     pub fn new() -> CommScheduler {
         CommScheduler::default()
-    }
-
-    /// Selects the cross-job transfer discipline (builder style) — the
-    /// runtime counterpart of a tuned plan's
-    /// [`CommConfig::xfer`](coconet_core::CommConfig).
-    pub fn with_xfer(mut self, xfer: XferSched) -> CommScheduler {
-        self.xfer = xfer;
-        self
     }
 
     /// Launches a ring AllReduce of `input` at `class` (clamped to
@@ -298,39 +274,24 @@ impl CommScheduler {
         self.completed.push((done.logical, result));
     }
 
-    /// One scheduling round: runs one hop of the most-preferred job
-    /// that can make progress — strict `(class, seq)` order under
-    /// FIFO, shortest-remaining-hops first (class and seq breaking
-    /// ties) under the contention-aware discipline. Blocked jobs park;
+    /// One scheduling round: runs one hop of the first job, in strict
+    /// `(class, seq)` order, that can make progress. Blocked jobs park;
     /// the first runnable lower-preference job fills the gap — that is
     /// the hop-granular preemption between priority levels. Returns
     /// `true` if any job moved.
     pub fn poll(&mut self, comm: &RankComm) -> bool {
-        match self.xfer {
-            // `jobs` is kept sorted by (class, seq) — FIFO's service
-            // order — so the busy loops that call this walk it in place.
-            XferSched::Fifo => (0..self.jobs.len()).any(|i| self.service(comm, i, i)),
-            // Aware re-ranks by remaining work per round (cheap:
-            // in-flight job counts are small).
-            XferSched::Aware => {
-                let mut order: Vec<usize> = (0..self.jobs.len()).collect();
-                order.sort_by_key(|&i| {
-                    let j = &self.jobs[i];
-                    (j.job.remaining_hops(), j.class, j.seq)
-                });
-                let mut ranked = order.into_iter().enumerate();
-                ranked.any(|(pos, i)| self.service(comm, i, pos))
-            }
-        }
+        // `jobs` is kept sorted by (class, seq), so the busy loops that
+        // call this walk it in place.
+        (0..self.jobs.len()).any(|i| self.service(comm, i))
     }
 
-    /// Polls `jobs[i]`, the `pos`-th preference of this round; files it
+    /// Polls `jobs[i]`, the `i`-th preference of this round; files it
     /// if that finished it. Returns whether it moved.
-    fn service(&mut self, comm: &RankComm, i: usize, pos: usize) -> bool {
+    fn service(&mut self, comm: &RankComm, i: usize) -> bool {
         if !self.jobs[i].job.poll(comm) {
             return false;
         }
-        if pos != 0 {
+        if i != 0 {
             // A more-preferred job was blocked on the wire and a
             // lower-preference one filled the slot — the hop-granular
             // preemption the trace exposes.
@@ -338,7 +299,7 @@ impl CommScheduler {
                 EventKind::SchedPreempt,
                 "sched:fill",
                 self.jobs[i].id,
-                pos as u64,
+                i as u64,
             );
         }
         if self.jobs[i].job.is_done() {
@@ -494,14 +455,6 @@ impl StreamExecutor {
     /// `1..=`[`MAX_CHANNELS`](crate::MAX_CHANNELS).
     pub fn with_channels(mut self, channels: usize) -> Self {
         self.config.channels = channels;
-        self
-    }
-
-    /// Selects the scheduler's cross-job transfer discipline. Outputs
-    /// are bit-identical under either (see
-    /// [`CommScheduler::with_xfer`]); only wire-service order moves.
-    pub fn with_xfer(mut self, xfer: XferSched) -> Self {
-        self.scheduler.xfer = xfer;
         self
     }
 
@@ -1104,66 +1057,50 @@ mod tests {
         // fine — channels are unbounded and the test owns both ends.
     }
 
-    /// The transfer discipline only reorders wire service: an N-job
-    /// mixed ring/switch workload produces bit-identical results and
-    /// identical per-class ledger byte totals under FIFO and under the
-    /// contention-aware scheduler, on every rank — the determinism
-    /// contract that makes `xfer` a pure performance knob.
+    /// Four queued jobs of mixed size, class, format, op and algorithm
+    /// (dense ring, FP16 ring, `Max` ring, switch) drain on one
+    /// scheduler, and each equals its blocking collective bit for bit.
     #[test]
-    fn aware_discipline_is_bit_identical_to_fifo() {
-        use crate::ledger::BytesLedger;
+    fn mixed_jobs_drain_to_their_blocking_results() {
+        use crate::switch::switch_all_reduce;
         let k = 4usize;
-        let run = move |xfer: XferSched| -> Vec<(Vec<Vec<u32>>, BytesLedger)> {
-            run_ranks(k, move |comm| {
-                let rng = CounterRng::new(17);
-                // Mixed sizes and classes: the big low-priority ring
-                // job convoys the small ones under FIFO, and the Aware
-                // policy reorders them — results must not move.
-                let big = Tensor::randn([64], DType::F32, rng, (comm.rank() * 7) as u64);
-                let mid = Tensor::randn([16], DType::F32, rng, (comm.rank() * 7 + 1) as u64);
-                let tiny = Tensor::randn([4], DType::F32, rng, (comm.rank() * 7 + 2) as u64);
-                let quant = Tensor::randn([8], DType::F32, rng, (comm.rank() * 7 + 3) as u64);
-                let mut sched = CommScheduler::new().with_xfer(xfer);
-                sched.enqueue(1, 1, group_of(k), &big, ReduceOp::Sum, WireFormat::Dense, 1);
-                sched.enqueue(2, 3, group_of(k), &mid, ReduceOp::Sum, WireFormat::Fp16, 1);
-                sched.enqueue(
-                    3,
-                    2,
-                    group_of(k),
-                    &tiny,
-                    ReduceOp::Max,
-                    WireFormat::Dense,
-                    1,
-                );
-                sched.enqueue_switch(4, 0, group_of(k), &quant, ReduceOp::Sum);
-                sched.drain(&comm);
-                let outs: Vec<Vec<u32>> = (1..=4)
-                    .map(|id| {
-                        sched
-                            .wait(&comm, id)
-                            .to_f32_vec()
-                            .iter()
-                            .map(|v| v.to_bits())
-                            .collect()
-                    })
-                    .collect();
-                (outs, comm.ledger())
-            })
-        };
-        let fifo = run(XferSched::Fifo);
-        let aware = run(XferSched::Aware);
-        for (rank, ((fo, fl), (ao, al))) in fifo.iter().zip(aware.iter()).enumerate() {
-            assert_eq!(fo, ao, "rank {rank}: outputs diverged across disciplines");
-            assert_eq!(
-                fl.class_bytes_sent, al.class_bytes_sent,
-                "rank {rank}: per-class ledger diverged"
+        let results = run_ranks(k, move |comm| {
+            let rng = CounterRng::new(17);
+            let seed = (comm.rank() * 7) as u64;
+            let big = Tensor::randn([64], DType::F32, rng, seed);
+            let mid = Tensor::randn([16], DType::F32, rng, seed + 1);
+            let tiny = Tensor::randn([4], DType::F32, rng, seed + 2);
+            let quant = Tensor::randn([8], DType::F32, rng, seed + 3);
+            let ring = |t: &Tensor, op, wire| ring_all_reduce(&comm, group_of(k), t, op, wire, 1);
+            let want = [
+                ring(&big, ReduceOp::Sum, WireFormat::Dense),
+                ring(&mid, ReduceOp::Sum, WireFormat::Fp16),
+                ring(&tiny, ReduceOp::Max, WireFormat::Dense),
+                switch_all_reduce(&comm, group_of(k), &quant, ReduceOp::Sum),
+            ];
+            let mut sched = CommScheduler::new();
+            sched.enqueue(1, 1, group_of(k), &big, ReduceOp::Sum, WireFormat::Dense, 1);
+            sched.enqueue(2, 3, group_of(k), &mid, ReduceOp::Sum, WireFormat::Fp16, 1);
+            sched.enqueue(
+                3,
+                2,
+                group_of(k),
+                &tiny,
+                ReduceOp::Max,
+                WireFormat::Dense,
+                1,
             );
-        }
-        // And the Aware run itself is reproducible poll-for-poll.
-        let again = run(XferSched::Aware);
-        for ((ao, al), (bo, bl)) in aware.iter().zip(again.iter()) {
-            assert_eq!(ao, bo);
-            assert_eq!(al.class_bytes_sent, bl.class_bytes_sent);
+            sched.enqueue_switch(4, 0, group_of(k), &quant, ReduceOp::Sum);
+            sched.drain(&comm);
+            let got: Vec<Tensor> = (1..=4).map(|id| sched.wait(&comm, id)).collect();
+            (got, want)
+        });
+        let bits =
+            |t: &Tensor| -> Vec<u32> { t.to_f32_vec().iter().map(|v| v.to_bits()).collect() };
+        for (rank, (got, want)) in results.iter().enumerate() {
+            for (job, (g, w)) in got.iter().zip(want).enumerate() {
+                assert_eq!(bits(g), bits(w), "rank {rank}, job {}", job + 1);
+            }
         }
     }
 

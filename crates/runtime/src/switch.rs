@@ -121,14 +121,6 @@ impl SwitchJob {
         self.result.is_some()
     }
 
-    /// Legs still ahead of this job: the up-send, the dataplane
-    /// fold/multicast, and the down receive.
-    pub(crate) fn remaining_hops(&self) -> usize {
-        usize::from(self.up.is_some())
-            + usize::from(!self.multicast_done)
-            + usize::from(self.result.is_none())
-    }
-
     pub(crate) fn take_result(self) -> Tensor {
         self.result.expect("take_result on an unfinished job")
     }

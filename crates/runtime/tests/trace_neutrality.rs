@@ -8,7 +8,7 @@
 //! scheduler enqueue matched by a completion.
 
 use coconet_compress::WireFormat;
-use coconet_core::{CollAlgo, CommSched, XferSched};
+use coconet_core::{CollAlgo, CommSched};
 use coconet_runtime::{run_ranks, BytesLedger, Group, StreamExecutor};
 use coconet_tensor::{DType, Tensor};
 use coconet_trace as trace;
@@ -32,7 +32,6 @@ fn run_loop(
     wire: WireFormat,
     sched: CommSched,
     channels: usize,
-    xfer: XferSched,
 ) -> Vec<RankOutcome> {
     let k = 4usize;
     let layers = 3usize;
@@ -44,8 +43,7 @@ fn run_loop(
             .collect();
         let mut exec = StreamExecutor::new(Group { start: 0, size: k }, params, sched, wire)
             .with_algo(algo)
-            .with_channels(channels)
-            .with_xfer(xfer);
+            .with_channels(channels);
         exec.run_iterations(
             &comm,
             iters,
@@ -86,56 +84,14 @@ fn assert_outcomes_identical(untraced: &[RankOutcome], traced: &[RankOutcome]) {
 }
 
 /// The configuration grid the neutrality property samples from.
-const CONFIGS: &[(CollAlgo, WireFormat, CommSched, usize, XferSched)] = &[
-    (
-        CollAlgo::Ring,
-        WireFormat::Dense,
-        CommSched::Priority,
-        1,
-        XferSched::Fifo,
-    ),
-    (
-        CollAlgo::Ring,
-        WireFormat::Dense,
-        CommSched::Barriered,
-        1,
-        XferSched::Fifo,
-    ),
-    (
-        CollAlgo::Ring,
-        WireFormat::Fp16,
-        CommSched::Priority,
-        1,
-        XferSched::Aware,
-    ),
-    (
-        CollAlgo::Ring,
-        WireFormat::Dense,
-        CommSched::Priority,
-        4,
-        XferSched::Fifo,
-    ),
-    (
-        CollAlgo::Ring,
-        WireFormat::Fp16,
-        CommSched::Barriered,
-        2,
-        XferSched::Aware,
-    ),
-    (
-        CollAlgo::Switch,
-        WireFormat::Dense,
-        CommSched::Priority,
-        1,
-        XferSched::Fifo,
-    ),
-    (
-        CollAlgo::Switch,
-        WireFormat::Dense,
-        CommSched::Barriered,
-        1,
-        XferSched::Fifo,
-    ),
+const CONFIGS: &[(CollAlgo, WireFormat, CommSched, usize)] = &[
+    (CollAlgo::Ring, WireFormat::Dense, CommSched::Priority, 1),
+    (CollAlgo::Ring, WireFormat::Dense, CommSched::Barriered, 1),
+    (CollAlgo::Ring, WireFormat::Fp16, CommSched::Priority, 1),
+    (CollAlgo::Ring, WireFormat::Dense, CommSched::Priority, 4),
+    (CollAlgo::Ring, WireFormat::Fp16, CommSched::Barriered, 2),
+    (CollAlgo::Switch, WireFormat::Dense, CommSched::Priority, 1),
+    (CollAlgo::Switch, WireFormat::Dense, CommSched::Barriered, 1),
 ];
 
 proptest! {
@@ -143,17 +99,16 @@ proptest! {
 
     /// Bit-identical outputs, parameters, and ledgers (including
     /// per-class byte counters) with tracing enabled vs. disabled,
-    /// across algorithms, wire formats, schedules, lane widths, and
-    /// transfer disciplines.
+    /// across algorithms, wire formats, schedules and lane widths.
     #[test]
     fn tracing_is_observationally_neutral(case in 0usize..CONFIGS.len()) {
-        let (algo, wire, sched, channels, xfer) = CONFIGS[case];
+        let (algo, wire, sched, channels) = CONFIGS[case];
         let _gate = GATE.lock().unwrap();
         trace::set_enabled(false);
-        let untraced = run_loop(algo, wire, sched, channels, xfer);
+        let untraced = run_loop(algo, wire, sched, channels);
         trace::clear();
         trace::set_enabled(true);
-        let traced = run_loop(algo, wire, sched, channels, xfer);
+        let traced = run_loop(algo, wire, sched, channels);
         trace::set_enabled(false);
         trace::clear();
         assert_outcomes_identical(&untraced, &traced);
@@ -168,13 +123,7 @@ fn priority_run_emits_a_well_formed_trace() {
     let _gate = GATE.lock().unwrap();
     trace::clear();
     trace::set_enabled(true);
-    let outcomes = run_loop(
-        CollAlgo::Ring,
-        WireFormat::Dense,
-        CommSched::Priority,
-        2,
-        XferSched::Fifo,
-    );
+    let outcomes = run_loop(CollAlgo::Ring, WireFormat::Dense, CommSched::Priority, 2);
     trace::set_enabled(false);
     let events = trace::take_snapshot();
     trace::clear();

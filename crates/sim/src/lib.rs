@@ -36,15 +36,11 @@
 #![warn(missing_docs)]
 
 mod cost;
-mod multitenant;
 mod overlap;
 mod protocol;
 mod simulator;
 
 pub use cost::{CostKnobs, CostModel, GroupGeom, WireBytes};
-pub use multitenant::{
-    contention_report, simulate_shared, MultiTenantReport, ShareOutcome, TenantJob,
-};
 pub use overlap::{
     simulate_overlap, simulate_overlap_with_tiles, tile_count, OverlapSim, StageClass,
 };

@@ -804,7 +804,6 @@ mod tests {
                         channels,
                         format: WireFormat::Dense,
                         sched,
-                        ..CommConfig::default()
                     };
                     let mut plan = ExecPlan {
                         name: "lb".into(),

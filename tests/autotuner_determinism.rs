@@ -113,26 +113,18 @@ proptest! {
             (e.time - p.time).abs() <= 1e-15 * e.time.max(1.0),
             "winning times diverged: {} vs {}", e.time, p.time
         );
-        // The sweep covers the enlarged grid: every lowerable schedule
-        // is costed under algo × protocol × channels × format × sched
-        // × xfer = 4 × 3 × 6 × 3 × 2 × 2 = 864 configurations in the
-        // exhaustive reference (the algorithms now include the
-        // in-network switch; the wire formats are dense, FP16, and
-        // 10 ‰ top-k; the schedules are barriered and
-        // priority-streamed; the transfer disciplines are FIFO and
-        // contention-aware).
+        // The sweep covers the whole grid: every lowerable schedule is
+        // costed under algo × protocol × channels × format × sched =
+        // 4 × 3 × 6 × 3 × 2 = 432 configurations in the exhaustive
+        // reference (the algorithms include the in-network switch; the
+        // wire formats are dense, FP16, and 10 ‰ top-k; the schedules
+        // are barriered and priority-streamed).
         let grid = Autotuner::default();
-        let grid_size = grid.algos.len()
-            * grid.protocols.len()
-            * grid.channels.len()
-            * grid.formats.len()
-            * grid.scheds.len()
-            * grid.xfers.len();
-        prop_assert_eq!(grid_size, 864);
+        let grid_size = grid.configs().len();
+        prop_assert_eq!(grid_size, 432);
         prop_assert_eq!(grid.algos, coconet::core::CollAlgo::ALL.to_vec());
         prop_assert_eq!(grid.formats, coconet::compress::WireFormat::SWEEP.to_vec());
         prop_assert_eq!(grid.scheds, coconet::core::CommSched::ALL.to_vec());
-        prop_assert_eq!(grid.xfers, coconet::core::XferSched::ALL.to_vec());
         prop_assert!(exhaustive.configs_evaluated >= grid_size);
         prop_assert_eq!(exhaustive.configs_evaluated % grid_size, 0);
 

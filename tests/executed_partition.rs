@@ -1,15 +1,15 @@
 //! `CommConfig::executed_as` partitions the tuner's grid exactly as the
 //! runtime does (ROADMAP 6b). Over the whole `algo × protocol ×
-//! channels × format × sched × xfer` grid, for AllReduce, ReduceScatter
-//! and AllGather on 4 ranks / 2 nodes, at one payload where the sparse
+//! channels × format × sched` grid, for AllReduce, ReduceScatter and
+//! AllGather on 4 ranks / 2 nodes, at one payload where the sparse
 //! exchange beats the dense ring and one where it does not:
 //!
 //! * two cells with the same `Executed` are indistinguishable — the
 //!   same output bits and the same [`BytesLedger`] (bytes, message
 //!   counts, materializations) on every rank;
 //! * two cells with different `Executed` differ in at least one;
-//! * `protocol`, `sched` and `xfer` never change a site's `Executed`,
-//!   so only the distinct `(algo, channels, format)` cells run.
+//! * `protocol` and `sched` never change a site's `Executed`, so only
+//!   the distinct `(algo, channels, format)` cells run.
 
 use std::collections::HashMap;
 
@@ -126,6 +126,7 @@ fn run_all(cells: &[Cell]) -> Vec<Vec<Outcome>> {
 #[test]
 fn equal_executed_is_indistinguishable_and_unequal_is_not() {
     let tuner = Autotuner::default();
+    let configs = tuner.configs();
     let cells = cells(&tuner);
     let per_rank = run_all(&cells);
     let mut grid = 0usize;
@@ -133,30 +134,25 @@ fn equal_executed_is_indistinguishable_and_unequal_is_not() {
     for kind in KINDS {
         for n in PAYLOADS {
             let site = site(kind, n);
+            let cell_config = |algo, channels, format| CommConfig {
+                algo,
+                channels,
+                format,
+                ..CommConfig::default()
+            };
+            for cfg in &configs {
+                let cell = cell_config(cfg.algo, cfg.channels, cfg.format);
+                assert_eq!(
+                    cfg.executed_as(&site),
+                    cell.executed_as(&site),
+                    "{cfg} {kind}"
+                );
+                grid += 1;
+            }
             // One representative run per class: (cell, its case index).
             let mut classes: HashMap<Executed, (Cell, usize)> = HashMap::new();
             for &(algo, channels, format) in &cells {
-                let base = CommConfig {
-                    algo,
-                    channels,
-                    format,
-                    ..CommConfig::default()
-                };
-                let run = base.executed_as(&site);
-                for &protocol in &tuner.protocols {
-                    for &sched in &tuner.scheds {
-                        for &xfer in &tuner.xfers {
-                            let cfg = CommConfig {
-                                protocol,
-                                sched,
-                                xfer,
-                                ..base
-                            };
-                            assert_eq!(cfg.executed_as(&site), run, "{cfg} {kind}");
-                            grid += 1;
-                        }
-                    }
-                }
+                let run = cell_config(algo, channels, format).executed_as(&site);
                 let cell = (algo, channels, format);
                 let &mut (first, first_case) = classes.entry(run).or_insert((cell, case));
                 for (rank, outcomes) in per_rank.iter().enumerate() {
@@ -188,5 +184,5 @@ fn equal_executed_is_indistinguishable_and_unequal_is_not() {
             assert_eq!(classes.len(), want, "{kind} n={n}");
         }
     }
-    assert_eq!(grid, 864 * KINDS.len() * PAYLOADS.len());
+    assert_eq!(grid, 432 * KINDS.len() * PAYLOADS.len());
 }

@@ -4,39 +4,13 @@
 //! body, so this pins them together bit for bit over every candidate
 //! the tuner explores and every configuration of its grid.
 
-use coconet::core::{lower, Autotuner, Binding, CommConfig, PlanEvaluator, Program};
+use coconet::core::{lower, Autotuner, Binding, PlanEvaluator, Program};
 use coconet::models::model_parallel::{block_program, Block};
 use coconet::models::optimizers::optimizer_program;
 use coconet::models::pipeline::pipeline_program;
 use coconet::models::{Hyper, Optimizer};
 use coconet::sim::Simulator;
 use coconet::topology::MachineSpec;
-
-/// Every configuration of the tuner's default grid, in sweep order.
-fn grid(t: &Autotuner) -> Vec<CommConfig> {
-    let mut configs = Vec::new();
-    for &algo in &t.algos {
-        for &protocol in &t.protocols {
-            for &channels in &t.channels {
-                for &format in &t.formats {
-                    for &sched in &t.scheds {
-                        for &xfer in &t.xfers {
-                            configs.push(CommConfig {
-                                algo,
-                                protocol,
-                                channels,
-                                format,
-                                sched,
-                                xfer,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    configs
-}
 
 #[test]
 fn evaluate_is_time_plan_total_for_every_tuned_candidate() {
@@ -73,7 +47,7 @@ fn evaluate_is_time_plan_total_for_every_tuned_candidate() {
         ),
     ];
     let tuner = Autotuner::default();
-    let configs = grid(&tuner);
+    let configs = tuner.configs();
     let mut priced = 0usize;
     for (program, binding, sim) in &cases {
         let report = tuner.tune(program, binding, sim).unwrap();
