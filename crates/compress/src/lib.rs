@@ -333,7 +333,9 @@ impl QuantChunk {
     /// Folds another worker's contribution into this one in the
     /// switch's integer domain: saturating adds for `Sum` (the
     /// SwitchML dataplane op), integer `min`/`max` otherwise (valid
-    /// because quantization is monotone).
+    /// because quantization is monotone). Each operator is its own
+    /// loop through [`kernels::zip_assign`], at the CPU's vector tier
+    /// and parallel for large chunks.
     ///
     /// # Panics
     ///
@@ -349,12 +351,11 @@ impl QuantChunk {
             self.scale, other.scale,
             "switch aggregation requires a common fixed-point scale"
         );
-        for (a, &b) in self.values.iter_mut().zip(&other.values) {
-            *a = match op {
-                ReduceOp::Sum => a.saturating_add(b),
-                ReduceOp::Min => (*a).min(b),
-                ReduceOp::Max => (*a).max(b),
-            };
+        let (acc, inc) = (&mut self.values, &other.values);
+        match op {
+            ReduceOp::Sum => kernels::zip_assign(acc, inc, i32::saturating_add),
+            ReduceOp::Min => kernels::zip_assign(acc, inc, i32::min),
+            ReduceOp::Max => kernels::zip_assign(acc, inc, i32::max),
         }
     }
 
@@ -519,20 +520,33 @@ mod tests {
         }
     }
 
-    /// All 2^32 `f32` patterns against the oracle (a few seconds in
-    /// release; run with `--release -- --ignored`).
+    /// All 2^32 `f32` patterns against the oracle, one at a time and
+    /// in 2^15-element blocks through [`QuantChunk::quantize`], whose
+    /// slice kernel runs at the CPU's vector tier (blocks stay below
+    /// the kernel's parallel threshold, so each runs inline on its
+    /// sweep task; about 15 s in release; run with
+    /// `--release -- --ignored`).
     #[test]
     #[ignore = "exhaustive; run in release with --ignored"]
     fn quantize_matches_the_oracle_on_all_f32() {
+        const BLOCK_BITS: u32 = 15;
         let mismatches = std::sync::atomic::AtomicU64::new(0);
-        kernels::parallel_for(1 << 16, 1, |hi| {
-            for hi in hi {
-                for lo in 0..=u32::from(u16::MAX) {
-                    let v = f32::from_bits((hi as u32) << 16 | lo);
-                    if quantize_value(v) != quantize_oracle(v) {
-                        mismatches.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                }
+        kernels::parallel_for(1 << (32 - BLOCK_BITS), 1, |blocks| {
+            for b in blocks {
+                let block: Vec<f32> = (0..1 << BLOCK_BITS)
+                    .map(|lo| f32::from_bits((b as u32) << BLOCK_BITS | lo))
+                    .collect();
+                let t = Tensor::from_f32_vec([block.len()], DType::F32, block)
+                    .expect("length matches shape");
+                let quantized = QuantChunk::quantize(&t);
+                let bad = (t.as_f32_slice().expect("an F32 tensor").iter())
+                    .zip(quantized.values())
+                    .filter(|(&v, &q)| {
+                        let want = quantize_oracle(v);
+                        quantize_value(v) != want || q != want
+                    })
+                    .count();
+                mismatches.fetch_add(bad as u64, std::sync::atomic::Ordering::Relaxed);
             }
         });
         assert_eq!(mismatches.into_inner(), 0);

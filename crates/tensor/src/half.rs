@@ -328,32 +328,52 @@ mod tests {
         }
     }
 
+    /// Every half, one at a time and through the slice kernel that
+    /// runs at the CPU's vector tier.
     #[test]
     fn to_f32_matches_the_oracle_on_every_half() {
-        for h in 0..=u16::MAX {
+        let halves: Vec<F16> = (0..=u16::MAX).map(F16::from_bits).collect();
+        let mut wide = vec![0.0f32; halves.len()];
+        crate::kernels::f16_decode(&halves, &mut wide);
+        for (h, w) in halves.into_iter().zip(wide) {
+            let want = to_f32_oracle(h.to_bits());
+            assert_eq!(h.to_f32().to_bits(), want, "half bits {:#06x}", h.to_bits());
             assert_eq!(
-                F16::from_bits(h).to_f32().to_bits(),
-                to_f32_oracle(h),
-                "half bits {h:#06x}"
+                w.to_bits(),
+                want,
+                "f16_decode, half bits {:#06x}",
+                h.to_bits()
             );
         }
     }
 
-    /// All 2^32 `f32` patterns against the oracle (about 15 s in
+    /// All 2^32 `f32` patterns against the oracle, one at a time and
+    /// in 2^15-element blocks through the slice kernel that runs at the
+    /// CPU's vector tier (blocks stay below the kernel's parallel
+    /// threshold, so each runs inline on its sweep task; about 10 s in
     /// release; run with `--release -- --ignored`).
     #[test]
     #[ignore = "exhaustive; run in release with --ignored"]
     fn from_f32_matches_the_oracle_on_all_f32() {
+        const BLOCK_BITS: u32 = 15;
         let mismatches = std::sync::atomic::AtomicU64::new(0);
-        crate::kernels::parallel_for(1 << 16, 1, |hi| {
-            for hi in hi {
-                for lo in 0..=u16::MAX as u32 {
-                    let bits = (hi as u32) << 16 | lo;
-                    let v = f32::from_bits(bits);
-                    if F16::from_f32(v).to_bits() != from_f32_oracle(v) {
-                        mismatches.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
+        crate::kernels::parallel_for(1 << (32 - BLOCK_BITS), 1, |blocks| {
+            let mut block = vec![0.0f32; 1 << BLOCK_BITS];
+            let mut encoded = vec![F16::ZERO; 1 << BLOCK_BITS];
+            for b in blocks {
+                for (lo, v) in (0..).zip(block.iter_mut()) {
+                    *v = f32::from_bits((b as u32) << BLOCK_BITS | lo);
                 }
+                crate::kernels::f16_encode(&block, &mut encoded);
+                let bad = block
+                    .iter()
+                    .zip(&encoded)
+                    .filter(|(&v, h)| {
+                        let want = from_f32_oracle(v);
+                        F16::from_f32(v).to_bits() != want || h.to_bits() != want
+                    })
+                    .count();
+                mismatches.fetch_add(bad as u64, std::sync::atomic::Ordering::Relaxed);
             }
         });
         assert_eq!(mismatches.into_inner(), 0);

@@ -1,17 +1,17 @@
 //! Monomorphized, threshold-gated parallel inner-loop kernels.
 //!
 //! The collectives' hot loops — ring `reduce_assign`, F16 wire
-//! encode/decode, top-k key extraction, Q15.16 quantize — all reduce to
-//! tight per-element transforms. Before this module they ran through
-//! per-element [`ReduceOp::apply`] enum dispatch (or worse, virtual
-//! `Tensor::get` indexing); here each `ReduceOp` gets its own
-//! monomorphic inner loop over plain slices that the compiler can
-//! auto-vectorize, F16 paths widen a whole chunk to `f32` scratch once
-//! instead of converting per element both ways, and work above
-//! [`PAR_THRESHOLD`] elements fans out across a shared persistent
-//! worker pool built on the vendored crossbeam MPMC channel. Small
-//! tensors stay on the single-threaded path so latency-sensitive chunks
-//! never pay pool overhead.
+//! encode/decode, the one-pass FP16 hop, Q15.16 quantize and the
+//! switch's integer fold — all reduce to tight per-element transforms.
+//! Before this module they ran through per-element [`ReduceOp::apply`]
+//! enum dispatch (or worse, virtual `Tensor::get` indexing); here each
+//! `ReduceOp` gets its own monomorphic inner loop over plain slices
+//! that the compiler can auto-vectorize, F16 paths widen a whole chunk
+//! to `f32` scratch once instead of converting per element both ways,
+//! and work above [`PAR_THRESHOLD`] elements fans out across a shared
+//! persistent worker pool built on the vendored crossbeam MPMC channel.
+//! Small tensors stay on the single-threaded path so latency-sensitive
+//! chunks never pay pool overhead.
 //!
 //! The wire codecs are straight-line per-element functions —
 //! [`F16::from_f32`] / [`F16::to_f32`] pick their special cases by
@@ -20,14 +20,24 @@
 //! a ring or tree hop's decode, fold and re-encode run as one pass
 //! ([`fold_f16_wire`]) with no widened copy of the incoming payload.
 //!
-//! Every parallel kernel is bit-identical to its serial counterpart:
-//! ranges partition the index space and each element sees exactly the
-//! same sequence of `f32` operations, so callers (and the striped
-//! collectives built on top) can treat parallelism as a pure
-//! work-saver.
+//! The loops on the codec path — [`par_map`] (every codec, and so
+//! `Tensor::cast`), [`zip_assign`] and the `f32` reductions,
+//! [`reduce_f32_out`] and [`fold_f16_wire`] — are three named
+//! `#[inline(always)]` bodies that each pool task runs at the CPU's
+//! vector tier: the crate's private `simd` module detects AVX2 once
+//! and, where it is present, runs the body inlined into an AVX2 frame,
+//! eight `f32` lanes wide instead of baseline SSE2's four. No option,
+//! variable or build flag selects the tier.
+//!
+//! Every parallel kernel is bit-identical to its serial counterpart,
+//! and every tier to the base one: ranges partition the index space
+//! and each element sees exactly the same sequence of `f32`
+//! operations, so callers (and the striped collectives built on top)
+//! can treat parallelism and width as pure work-savers. (Rust leaves
+//! open only which payload an operation on two NaNs returns.)
 
 use crate::ops::ReduceOp;
-use crate::F16;
+use crate::{simd, F16};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -235,32 +245,81 @@ where
     });
 }
 
-/// Serial monomorphic `acc[i] = op(acc[i], inc[i])` over `f32` slices:
-/// the operator match is hoisted out of the loop so each arm is a
-/// branch-free slice traversal the compiler auto-vectorizes.
+/// Binds `$f` to `$op`'s `f32` combine — `a + b`, `f32::min` or
+/// `f32::max` — and evaluates `$body` once per arm, so every operator
+/// gets its own monomorphic loop with the match hoisted out of it.
+macro_rules! with_f32_op {
+    ($op:expr, $f:ident => $body:expr) => {
+        match $op {
+            ReduceOp::Sum => {
+                let $f = |a: f32, b: f32| a + b;
+                $body
+            }
+            ReduceOp::Min => {
+                let $f = f32::min;
+                $body
+            }
+            ReduceOp::Max => {
+                let $f = f32::max;
+                $body
+            }
+        }
+    };
+}
+
+/// The codec body, `dst[i] = f(&src[i])`, over equal-length slices.
+#[inline(always)]
+fn map_body<T, U>(src: &[T], dst: &mut [U], f: &impl Fn(&T) -> U) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = f(s);
+    }
+}
+
+/// The in-place fold body, `acc[i] = f(acc[i], inc[i])`, over
+/// equal-length slices.
+#[inline(always)]
+fn assign_body<T: Copy>(acc: &mut [T], inc: &[T], f: &impl Fn(T, T) -> T) {
+    for (a, &b) in acc.iter_mut().zip(inc) {
+        *a = f(*a, b);
+    }
+}
+
+/// The out-of-place fold body, `dst[i] = f(a[i], b[i])`, over
+/// equal-length slices.
+#[inline(always)]
+fn zip_body<A: Copy, B: Copy, U>(a: &[A], b: &[B], dst: &mut [U], f: &impl Fn(A, B) -> U) {
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d = f(x, y);
+    }
+}
+
+/// Runs `f(range, window)` over `dst` cut into disjoint windows, each
+/// with its range of indices: one inline call below
+/// [`PAR_THRESHOLD`], a partition across the pool above it.
+fn par_windows<U: Send>(dst: &mut [U], f: impl Fn(Range<usize>, &mut [U]) + Sync) {
+    let len = dst.len();
+    if len < PAR_THRESHOLD {
+        return f(0..len, dst);
+    }
+    let ptr = SendPtr(dst.as_mut_ptr());
+    parallel_for(len, PAR_MIN_CHUNK, move |r| {
+        // SAFETY: parallel_for ranges partition 0..len, so tasks take
+        // disjoint windows of `dst`.
+        let d = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
+        f(r, d);
+    });
+}
+
+/// Serial monomorphic `acc[i] = op(acc[i], inc[i])` over `f32` slices,
+/// the operator match hoisted out of the loop, at the CPU's vector
+/// tier.
 ///
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
 pub fn reduce_f32_serial(acc: &mut [f32], inc: &[f32], op: ReduceOp) {
     assert_eq!(acc.len(), inc.len(), "reduce kernel length mismatch");
-    match op {
-        ReduceOp::Sum => {
-            for (a, &b) in acc.iter_mut().zip(inc) {
-                *a += b;
-            }
-        }
-        ReduceOp::Min => {
-            for (a, &b) in acc.iter_mut().zip(inc) {
-                *a = a.min(b);
-            }
-        }
-        ReduceOp::Max => {
-            for (a, &b) in acc.iter_mut().zip(inc) {
-                *a = a.max(b);
-            }
-        }
-    }
+    with_f32_op!(op, f => simd::dispatch!(assign_body(acc, inc, &f)));
 }
 
 /// [`reduce_f32_serial`] fanned out over the worker pool above
@@ -270,17 +329,24 @@ pub fn reduce_f32_serial(acc: &mut [f32], inc: &[f32], op: ReduceOp) {
 ///
 /// Panics when the slice lengths differ.
 pub fn reduce_f32(acc: &mut [f32], inc: &[f32], op: ReduceOp) {
+    with_f32_op!(op, f => zip_assign(acc, inc, f));
+}
+
+/// Elementwise in-place fold `acc[i] = f(acc[i], inc[i])` at the CPU's
+/// vector tier, fanned out over the pool above [`PAR_THRESHOLD`] — the
+/// shape of every in-place reduction, such as the switch's integer
+/// fold. `f` must be pure per element.
+///
+/// # Panics
+///
+/// Panics when the slice lengths differ.
+pub fn zip_assign<T, F>(acc: &mut [T], inc: &[T], f: F)
+where
+    T: Copy + Send + Sync,
+    F: Fn(T, T) -> T + Sync,
+{
     assert_eq!(acc.len(), inc.len(), "reduce kernel length mismatch");
-    if acc.len() < PAR_THRESHOLD {
-        return reduce_f32_serial(acc, inc, op);
-    }
-    let ptr = SendPtr(acc.as_mut_ptr());
-    parallel_for(acc.len(), PAR_MIN_CHUNK, move |r| {
-        // SAFETY: parallel_for ranges partition 0..len, so tasks write
-        // disjoint subslices of `acc`.
-        let a = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
-        reduce_f32_serial(a, &inc[r], op);
-    });
+    par_windows(acc, |r, a| simd::dispatch!(assign_body(a, &inc[r], &f)));
 }
 
 /// Out-of-place monomorphic reduce `dst[i] = op(a[i], b[i])` over
@@ -294,38 +360,22 @@ pub fn reduce_f32(acc: &mut [f32], inc: &[f32], op: ReduceOp) {
 ///
 /// Panics when the slice lengths differ.
 pub fn reduce_f32_out(a: &[f32], b: &[f32], dst: &mut [f32], op: ReduceOp) {
-    assert_eq!(a.len(), b.len(), "reduce kernel length mismatch");
-    assert_eq!(a.len(), dst.len(), "reduce kernel length mismatch");
-    if a.len() < PAR_THRESHOLD {
-        reduce_f32_out_serial(a, b, dst, op);
-        return;
-    }
-    let ptr = SendPtr(dst.as_mut_ptr());
-    parallel_for(a.len(), PAR_MIN_CHUNK, move |r| {
-        // SAFETY: disjoint ranges → disjoint subslices.
-        let d = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
-        reduce_f32_out_serial(&a[r.clone()], &b[r], d, op);
-    });
+    with_f32_op!(op, f => zip_out(a, b, dst, f));
 }
 
-fn reduce_f32_out_serial(a: &[f32], b: &[f32], dst: &mut [f32], op: ReduceOp) {
-    match op {
-        ReduceOp::Sum => {
-            for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                *d = x + y;
-            }
-        }
-        ReduceOp::Min => {
-            for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                *d = x.min(y);
-            }
-        }
-        ReduceOp::Max => {
-            for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-                *d = x.max(y);
-            }
-        }
-    }
+/// `dst[i] = f(a[i], b[i])` at the CPU's vector tier, fanned out over
+/// the pool above [`PAR_THRESHOLD`].
+fn zip_out<A, B, U>(a: &[A], b: &[B], dst: &mut [U], f: impl Fn(A, B) -> U + Sync)
+where
+    A: Copy + Sync,
+    B: Copy + Sync,
+    U: Send,
+{
+    assert_eq!(a.len(), b.len(), "reduce kernel length mismatch");
+    assert_eq!(a.len(), dst.len(), "reduce kernel length mismatch");
+    par_windows(dst, |r, d| {
+        simd::dispatch!(zip_body(&a[r.clone()], &b[r], d, &f));
+    });
 }
 
 /// Out-of-place F16 reduce `dst[i] = F16(op(a[i] as f32, b[i] as f32))`
@@ -339,15 +389,8 @@ fn reduce_f32_out_serial(a: &[f32], b: &[f32], dst: &mut [f32], op: ReduceOp) {
 pub fn reduce_f16_out(a: &[F16], b: &[F16], dst: &mut [F16], op: ReduceOp) {
     assert_eq!(a.len(), b.len(), "reduce kernel length mismatch");
     assert_eq!(a.len(), dst.len(), "reduce kernel length mismatch");
-    if a.len() < PAR_THRESHOLD {
-        reduce_f16_out_serial(a, b, dst, op);
-        return;
-    }
-    let ptr = SendPtr(dst.as_mut_ptr());
-    parallel_for(a.len(), PAR_MIN_CHUNK, move |r| {
-        // SAFETY: disjoint ranges → disjoint subslices.
-        let d = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
-        reduce_f16_out_serial(&a[r.clone()], &b[r], d, op);
+    par_windows(dst, |r, d| {
+        reduce_f16_out_serial(&a[r.clone()], &b[r], d, op)
     });
 }
 
@@ -366,23 +409,7 @@ fn reduce_f16_out_serial(a: &[F16], b: &[F16], dst: &mut [F16], op: ReduceOp) {
         for (w, v) in wb[..n].iter_mut().zip(bc.iter()) {
             *w = v.to_f32();
         }
-        match op {
-            ReduceOp::Sum => {
-                for (x, &y) in wa[..n].iter_mut().zip(&wb[..n]) {
-                    *x += y;
-                }
-            }
-            ReduceOp::Min => {
-                for (x, &y) in wa[..n].iter_mut().zip(&wb[..n]) {
-                    *x = x.min(y);
-                }
-            }
-            ReduceOp::Max => {
-                for (x, &y) in wa[..n].iter_mut().zip(&wb[..n]) {
-                    *x = x.max(y);
-                }
-            }
-        }
+        with_f32_op!(op, f => assign_body(&mut wa[..n], &wb[..n], &f));
         for (d, &w) in dc.iter_mut().zip(&wa[..n]) {
             *d = F16::from_f32(w);
         }
@@ -426,23 +453,7 @@ pub fn reduce_f16_serial(acc: &mut [F16], inc: &[F16], op: ReduceOp) {
         for (w, b) in wb[..n].iter_mut().zip(ic.iter()) {
             *w = b.to_f32();
         }
-        match op {
-            ReduceOp::Sum => {
-                for (a, &b) in wa[..n].iter_mut().zip(&wb[..n]) {
-                    *a += b;
-                }
-            }
-            ReduceOp::Min => {
-                for (a, &b) in wa[..n].iter_mut().zip(&wb[..n]) {
-                    *a = a.min(b);
-                }
-            }
-            ReduceOp::Max => {
-                for (a, &b) in wa[..n].iter_mut().zip(&wb[..n]) {
-                    *a = a.max(b);
-                }
-            }
-        }
+        with_f32_op!(op, f => assign_body(&mut wa[..n], &wb[..n], &f));
         for (a, &w) in ac.iter_mut().zip(&wa[..n]) {
             *a = F16::from_f32(w);
         }
@@ -457,21 +468,13 @@ pub fn reduce_f16_serial(acc: &mut [F16], inc: &[F16], op: ReduceOp) {
 /// Panics when the slice lengths differ.
 pub fn reduce_f16(acc: &mut [F16], inc: &[F16], op: ReduceOp) {
     assert_eq!(acc.len(), inc.len(), "reduce kernel length mismatch");
-    if acc.len() < PAR_THRESHOLD {
-        return reduce_f16_serial(acc, inc, op);
-    }
-    let ptr = SendPtr(acc.as_mut_ptr());
-    parallel_for(acc.len(), PAR_MIN_CHUNK, move |r| {
-        // SAFETY: disjoint ranges → disjoint subslices.
-        let a = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
-        reduce_f16_serial(a, &inc[r], op);
-    });
+    par_windows(acc, |r, a| reduce_f16_serial(a, &inc[r], op));
 }
 
-/// Parallel elementwise map `dst[i] = f(&src[i])` — the shape of every
-/// wire codec (F16 encode/decode, Q15.16 quantize/dequantize, top-k key
-/// extraction). Short inputs run inline; long ones fan out over the
-/// pool in disjoint ranges, so `f` must be pure per element.
+/// Parallel elementwise map `dst[i] = f(&src[i])` at the CPU's vector
+/// tier — the shape of every wire codec (F16 encode/decode, Q15.16
+/// quantize/dequantize). Short inputs run inline; long ones fan out
+/// over the pool in disjoint ranges, so `f` must be pure per element.
 ///
 /// # Panics
 ///
@@ -483,20 +486,7 @@ where
     F: Fn(&T) -> U + Sync,
 {
     assert_eq!(src.len(), dst.len(), "map kernel length mismatch");
-    if src.len() < PAR_THRESHOLD {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = f(s);
-        }
-        return;
-    }
-    let ptr = SendPtr(dst.as_mut_ptr());
-    parallel_for(src.len(), PAR_MIN_CHUNK, move |r| {
-        // SAFETY: disjoint ranges → disjoint subslices.
-        let d = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
-        for (dv, sv) in d.iter_mut().zip(&src[r]) {
-            *dv = f(sv);
-        }
-    });
+    par_windows(dst, |r, d| simd::dispatch!(map_body(&src[r], d, &f)));
 }
 
 /// Parallel F16 wire encode: `dst[i] = F16::from_f32(src[i])`.
@@ -524,7 +514,9 @@ pub fn f16_decode(src: &[F16], dst: &mut [f32]) {
 /// copy of `incoming` and no unencoded copy of the fold is ever
 /// materialized; per element it is exactly the decode,
 /// [`ReduceOp::apply`] and store the separate passes perform, so results
-/// are bit-identical to them. Parallel above [`PAR_THRESHOLD`].
+/// are bit-identical to them. Each `(op, store)` pair is its own
+/// straight-line loop at the CPU's vector tier, parallel above
+/// [`PAR_THRESHOLD`].
 ///
 /// # Panics
 ///
@@ -534,30 +526,7 @@ where
     U: Send,
     S: Fn(f32) -> U + Sync,
 {
-    assert_eq!(local.len(), incoming.len(), "fold kernel length mismatch");
-    assert_eq!(local.len(), dst.len(), "fold kernel length mismatch");
-    match op {
-        ReduceOp::Sum => fold_f16_wire_with(local, incoming, dst, |a, b| store(a + b)),
-        ReduceOp::Min => fold_f16_wire_with(local, incoming, dst, |a, b| store(a.min(b))),
-        ReduceOp::Max => fold_f16_wire_with(local, incoming, dst, |a, b| store(a.max(b))),
-    }
-}
-
-/// The monomorphic body of [`fold_f16_wire`]: each `(op, store)` pair
-/// is its own straight-line loop.
-#[inline(always)]
-fn fold_f16_wire_with<U: Send>(
-    local: &[f32],
-    incoming: &[F16],
-    dst: &mut [U],
-    f: impl Fn(f32, f32) -> U + Sync,
-) {
-    parallel_chunks_mut(dst, PAR_MIN_CHUNK, |c, d| {
-        let at = c * PAR_MIN_CHUNK..c * PAR_MIN_CHUNK + d.len();
-        for ((o, &a), b) in d.iter_mut().zip(&local[at.clone()]).zip(&incoming[at]) {
-            *o = f(a, b.to_f32());
-        }
-    });
+    with_f32_op!(op, f => zip_out(local, incoming, dst, |a, b: F16| store(f(a, b.to_f32()))));
 }
 
 /// Serial axpy update `c[j] += a * b[j]`: one monomorphic,
@@ -737,6 +706,173 @@ mod tests {
                     .all(|(h, &w)| *h == F16::from_f32(w)));
             }
         }
+    }
+
+    /// `f32` patterns where two vector widths could disagree — signed
+    /// zeros, subnormals, the halves' rounding ties and overflow edge,
+    /// ±∞, NaN payloads — then hashed bit patterns from the whole
+    /// `u32` space, cycled to length `n`.
+    fn edge_f32s(n: usize) -> Vec<f32> {
+        let edges: [u32; 22] = [
+            0,
+            0x8000_0000,
+            1,
+            0x8000_0001,
+            0x0040_0000,
+            0x807F_FFFF,
+            0x3300_0000, // 2^-25: the tie below the least subnormal half
+            0x3340_0000,
+            0x3380_0000,
+            0x387F_E000, // a subnormal-half tie
+            0x3880_0000,
+            0x3F80_1000, // 1 + 2^-11: a tie to even
+            0x3F80_3000,
+            0x477F_E000, // 65504, the largest half
+            0x477F_F000, // 65520, rounds to ∞
+            0x7F80_0000,
+            0xFF80_0000,
+            0x7F80_0001,
+            0x7FC0_0000,
+            0xFFC0_2001,
+            0x7FBF_FFFF,
+            0xFFFF_FFFF,
+        ];
+        (0..n)
+            .map(|i| {
+                let hashed = (i as u32).wrapping_mul(0x9E37_79B9).rotate_left(13) ^ i as u32;
+                f32::from_bits(edges.get(i % 64).copied().unwrap_or(hashed))
+            })
+            .collect()
+    }
+
+    /// `a` with every NaN that meets a NaN of the other operand (where
+    /// `other_is_nan(i)`) replaced by a finite value. Rust leaves the
+    /// payload of an operation on two NaNs unspecified — LLVM may
+    /// commute the operands of an add, and does so differently per
+    /// width — so only pairs with at most one NaN pin bits.
+    fn no_nan_pairs(mut a: Vec<f32>, other_is_nan: impl Fn(usize) -> bool) -> Vec<f32> {
+        for (i, v) in a.iter_mut().enumerate() {
+            if v.is_nan() && other_is_nan(i) {
+                *v = 0.75;
+            }
+        }
+        a
+    }
+
+    /// Asserts that `body` writes the same bits under every tier this
+    /// CPU supports as the public kernel wrote into `public`.
+    fn assert_tiers_match<U: Copy + Default, K: PartialEq + std::fmt::Debug>(
+        what: &str,
+        public: &[U],
+        key: impl Fn(U) -> K,
+        body: impl Fn(simd::Tier, &mut [U]),
+    ) {
+        let want: Vec<K> = public.iter().map(|&u| key(u)).collect();
+        for tier in simd::supported() {
+            let mut out = vec![U::default(); public.len()];
+            body(tier, &mut out);
+            let got: Vec<K> = out.iter().map(|&u| key(u)).collect();
+            let first = got.iter().zip(&want).position(|(g, w)| g != w);
+            assert!(
+                first.is_none(),
+                "{what}, {tier:?}, n = {}: element {first:?}",
+                public.len()
+            );
+        }
+    }
+
+    /// Every multiversioned body, run through the runner under every
+    /// tier this CPU supports, writes the bits the public kernel built
+    /// on it writes at the detected tier — inline below
+    /// [`PAR_THRESHOLD`] and across the pool above it, on lengths that
+    /// are not a multiple of the vector width.
+    #[test]
+    fn every_body_is_bit_identical_across_tiers() {
+        for n in [1000 + 7, PAR_THRESHOLD + 2 * PAR_MIN_CHUNK + 5] {
+            let x = edge_f32s(n);
+            // Every half, then again from the start.
+            let h: Vec<F16> = (0..n).map(|i| F16::from_bits(i as u16)).collect();
+            let y = no_nan_pairs(x.iter().rev().copied().collect(), |i| x[i].is_nan());
+            let local = no_nan_pairs(x.clone(), |i| h[i].is_nan());
+            let (qx, qy): (Vec<i32>, Vec<i32>) = x
+                .iter()
+                .zip(&y)
+                .map(|(a, b)| (a.to_bits() as i32, b.to_bits() as i32))
+                .unzip();
+
+            let mut public = vec![F16::ZERO; n];
+            f16_encode(&x, &mut public);
+            assert_tiers_match("f16_encode", &public, F16::to_bits, |t, out| {
+                simd::dispatch!(at t, map_body(&x, out, &|&v| F16::from_f32(v)));
+            });
+            let mut public = vec![0.0f32; n];
+            f16_decode(&h, &mut public);
+            assert_tiers_match("f16_decode", &public, f32::to_bits, |t, out| {
+                simd::dispatch!(at t, map_body(&h, out, &|v: &F16| v.to_f32()));
+            });
+
+            for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
+                with_f32_op!(op, f => assert_f32_folds_match(op, f, &x, &y, &local, &h));
+                // The switch's integer fold.
+                match op {
+                    ReduceOp::Sum => assert_int_fold_matches(&qx, &qy, i32::saturating_add),
+                    ReduceOp::Min => assert_int_fold_matches(&qx, &qy, i32::min),
+                    ReduceOp::Max => assert_int_fold_matches(&qx, &qy, i32::max),
+                }
+            }
+        }
+    }
+
+    /// The `f32` folds under `op`, whose combine is `f`: in place, out
+    /// of place, and the FP16 hop into both stores.
+    fn assert_f32_folds_match(
+        op: ReduceOp,
+        f: impl Fn(f32, f32) -> f32 + Sync,
+        x: &[f32],
+        y: &[f32],
+        local: &[f32],
+        h: &[F16],
+    ) {
+        let mut public = x.to_vec();
+        reduce_f32(&mut public, y, op);
+        assert_tiers_match("reduce_f32", &public, f32::to_bits, |t, out| {
+            out.copy_from_slice(x);
+            simd::dispatch!(at t, assign_body(out, y, &f));
+        });
+
+        let mut public = vec![0.0f32; x.len()];
+        reduce_f32_out(x, y, &mut public, op);
+        assert_tiers_match("reduce_f32_out", &public, f32::to_bits, |t, out| {
+            simd::dispatch!(at t, zip_body(x, y, out, &f));
+        });
+
+        let mut public = vec![0.0f32; x.len()];
+        fold_f16_wire(local, h, op, &mut public, |w| w);
+        let fold = |a, b: F16| f(a, b.to_f32());
+        assert_tiers_match("fold_f16_wire to f32", &public, f32::to_bits, |t, out| {
+            simd::dispatch!(at t, zip_body(local, h, out, &fold));
+        });
+
+        let mut public = vec![F16::ZERO; x.len()];
+        fold_f16_wire(local, h, op, &mut public, F16::from_f32);
+        let fold = |a, b: F16| F16::from_f32(f(a, b.to_f32()));
+        assert_tiers_match("fold_f16_wire to F16", &public, F16::to_bits, |t, out| {
+            simd::dispatch!(at t, zip_body(local, h, out, &fold));
+        });
+    }
+
+    fn assert_int_fold_matches(qx: &[i32], qy: &[i32], f: impl Fn(i32, i32) -> i32 + Sync) {
+        let mut public = qx.to_vec();
+        zip_assign(&mut public, qy, &f);
+        assert_tiers_match(
+            "zip_assign i32",
+            &public,
+            |q| q,
+            |t, out| {
+                out.copy_from_slice(qx);
+                simd::dispatch!(at t, assign_body(out, qy, &f));
+            },
+        );
     }
 
     #[test]

@@ -51,6 +51,7 @@ mod matmul;
 mod ops;
 mod rng;
 mod shape;
+mod simd;
 mod slice;
 mod sparse;
 mod stats;
