@@ -40,7 +40,7 @@ use crate::ops::ReduceOp;
 use crate::{simd, F16};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Element count at or above which kernels consider the worker pool.
 /// Below it every kernel runs inline on the calling thread.
@@ -543,8 +543,10 @@ pub fn axpy(c: &mut [f32], b: &[f32], a: f32) {
 
 /// Runs `f(chunk_index, chunk)` over `data` split into consecutive
 /// `chunk`-element chunks (last one short), fanning chunks out across
-/// the pool when `data` clears [`PAR_THRESHOLD`]. Chunks are disjoint,
-/// so per-chunk writes race-free; `f` must not depend on chunk order.
+/// the pool when `data` clears [`PAR_THRESHOLD`]. Each chunk is a
+/// `&mut` split off by `chunks_mut` and handed to its one task through
+/// its own `Mutex` slot, locked exactly once, so no lock is ever
+/// contended; `f` must not depend on chunk order.
 ///
 /// # Panics
 ///
@@ -562,16 +564,13 @@ where
         }
         return;
     }
-    let n_chunks = len.div_ceil(chunk);
-    let ptr = SendPtr(data.as_mut_ptr());
-    parallel_for(n_chunks, 1, move |r| {
+    let slots: Vec<Mutex<&mut [T]>> = data.chunks_mut(chunk).map(Mutex::new).collect();
+    parallel_for(slots.len(), 1, |r| {
         for i in r {
-            let start = i * chunk;
-            let end = len.min(start + chunk);
-            // SAFETY: chunk index ranges are disjoint across tasks, so
-            // the derived element ranges are too.
-            let c = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(start), end - start) };
-            f(i, c);
+            // Each slot is locked once, so no earlier panic can have
+            // poisoned it; a poisoned guard would still hold the chunk.
+            let mut c = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+            f(i, &mut c);
         }
     });
 }

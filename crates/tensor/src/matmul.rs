@@ -10,36 +10,37 @@
 //! into `BLOCK`-row blocks that fan out over the kernel worker pool. For
 //! each `KC`-deep slab of the contraction, a block packs that slab of `B`
 //! into `NR`-wide column panels and each `MR`-row strip of its `A` rows
-//! into `[kc][MR]`, every `A` value broadcast across an `NR`-wide row,
-//! widening FP16 operands as it copies. `micro_tile` then holds one
-//! `MR × NR` tile of `C` in registers across the slab; its step is
-//! vector loads, multiplies and adds, with no shuffle.
+//! into `[kc][MR]`, widening FP16 operands as it copies. `micro_tile`
+//! then holds one `MR × NR` tile of `C` in registers across the slab;
+//! each step broadcasts the strip's `MR` values of `A` and multiplies
+//! them into one `NR`-wide row of `B`, with no shuffle of `B`.
+//!
+//! The tile's shape follows the vector tier the CPU runs (see
+//! [`crate::simd`]): 4 × 8 at the base tier (two SSE2 vectors per
+//! row) and 6 × 16 with AVX2 (two 8-lane vectors per row), where the
+//! tile reaches AVX2 only through `simd::dispatch!`. Either way the
+//! accumulators, one row of `B` and one broadcast fit the sixteen
+//! vector registers.
 //!
 //! Every output element still accumulates `a[i,kk]·b[kk,j]` from `0.0`
 //! in ascending `kk`, one rounding per multiply and per add (Rust never
 //! contracts them to an FMA), and an `f32` stored to `C` between slabs
 //! reloads exactly. The product is therefore bit-identical to the naive
-//! triple loop, and a row block of it to the same rows of the whole
-//! product — what `overlapped_matmul_all_reduce`'s producer relies on.
+//! triple loop at every tier, and a row block of it to the same rows of
+//! the whole product — what `overlapped_matmul_all_reduce`'s producer
+//! relies on.
 
+use crate::simd::{self, Tier};
 use crate::{DType, Shape, Tensor, TensorError, F16};
 
 /// Output rows per parallel task: `C` is split into `BLOCK`-row blocks,
 /// each a serial GEMM with its own packing scratch.
 const BLOCK: usize = 64;
 
-/// Rows of the register tile.
-const MR: usize = 4;
-
-/// Columns of the register tile: `MR × NR` accumulators, two SSE2
-/// vectors per row, fit the sixteen vector registers with room for the
-/// `B` row and one `A` operand.
-const NR: usize = 8;
-
-/// Contraction depth of one packed slab: a tile's `B` panel (4 KiB) and
-/// broadcast `A` strip (16 KiB) stay in L1 across it. A block's scratch
-/// is one slab of `B`, `KC × n` rounded up to whole panels, on the heap,
-/// plus one strip of `A` on the stack.
+/// Contraction depth of one packed slab: a tile's `B` panel (at most
+/// 8 KiB) and `A` strip (at most 3 KiB) stay in L1 across it. A block's
+/// scratch is one slab of `B`, `KC × n` rounded up to whole panels, on
+/// the heap, plus one strip of `A` on the stack.
 const KC: usize = 128;
 
 impl Tensor {
@@ -92,7 +93,8 @@ impl Tensor {
         // The accumulator vector becomes the output buffer without a
         // read-back pass; with `k == 0` it is the answer as allocated.
         let mut c = vec![0.0f32; m * n];
-        gemm_blocked(Operand::of(self), Operand::of(rhs), &mut c, m, k, n);
+        let (a, b) = (Operand::of(self), Operand::of(rhs));
+        gemm_blocked(simd::tier(), a, b, &mut c, m, k, n);
 
         let mut out_dims = lead.to_vec();
         out_dims.push(n);
@@ -121,7 +123,7 @@ impl<'a> Operand<'a> {
     /// Packs `B[k0..k0 + kc, :]` of this `[_, n]` matrix into `NR`-wide
     /// column panels: panel `p` is `out[p * kc..(p + 1) * kc]`, one
     /// `NR`-array per contraction step, zero past column `n`.
-    fn pack_b(self, k0: usize, kc: usize, n: usize, out: &mut [[f32; NR]]) {
+    fn pack_b<const NR: usize>(self, k0: usize, kc: usize, n: usize, out: &mut [[f32; NR]]) {
         match self {
             Operand::F32(s) => pack_b(s, |x| x, k0, kc, n, out),
             Operand::F16(s) => pack_b(s, F16::to_f32, k0, kc, n, out),
@@ -130,8 +132,8 @@ impl<'a> Operand<'a> {
 
     /// Packs the `mr`-row strip of this `[_, k]` matrix that starts at
     /// flat index `start` (row `r`, column `k0`) into `out[kk][i] =
-    /// [A[r + i, k0 + kk]; NR]`, zero for rows `mr..MR`.
-    fn pack_a(self, start: usize, k: usize, mr: usize, out: &mut [[[f32; NR]; MR]]) {
+    /// A[r + i, k0 + kk]`, zero for rows `mr..MR`.
+    fn pack_a<const MR: usize>(self, start: usize, k: usize, mr: usize, out: &mut [[f32; MR]]) {
         match self {
             Operand::F32(s) => pack_a(s, |x| x, start, k, mr, out),
             Operand::F16(s) => pack_a(s, F16::to_f32, start, k, mr, out),
@@ -141,7 +143,7 @@ impl<'a> Operand<'a> {
 
 /// [`Operand::pack_b`] for one storage type: written panel by panel, a
 /// full panel step as one fixed-width copy.
-fn pack_b<T: Copy>(
+fn pack_b<T: Copy, const NR: usize>(
     src: &[T],
     widen: impl Fn(T) -> f32,
     k0: usize,
@@ -168,30 +170,30 @@ fn pack_b<T: Copy>(
 }
 
 /// [`Operand::pack_a`] for one storage type.
-fn pack_a<T: Copy>(
+fn pack_a<T: Copy, const MR: usize>(
     src: &[T],
     widen: impl Fn(T) -> f32,
     start: usize,
     k: usize,
     mr: usize,
-    out: &mut [[[f32; NR]; MR]],
+    out: &mut [[f32; MR]],
 ) {
     for i in 0..MR {
         if i < mr {
             let row = &src[start + i * k..][..out.len()];
             for (dst, &x) in out.iter_mut().zip(row) {
-                dst[i] = [widen(x); NR];
+                dst[i] = widen(x);
             }
         } else {
             for dst in out.iter_mut() {
-                dst[i] = [0.0; NR];
+                dst[i] = 0.0;
             }
         }
     }
 }
 
 /// `C = A @ B` with `A: [m, k]`, `B: [k, n]`, `C: [m, n]` row-major and
-/// `C` zero on entry.
+/// `C` zero on entry, with the register tile of vector tier `tier`.
 ///
 /// Row blocks of `C` are disjoint, so they fan out across the kernel
 /// worker pool when the output clears the engine's size threshold
@@ -203,22 +205,38 @@ fn pack_a<T: Copy>(
 /// the naive triple loop. Skipping zeros would change a result only
 /// where `B` holds a non-finite value, and there it would be wrong; it
 /// would also put a data-dependent branch in the tile.
-fn gemm_blocked(a: Operand, b: Operand, c: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm_blocked(tier: Tier, a: Operand, b: Operand, c: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
     crate::kernels::parallel_chunks_mut(c, BLOCK * n, |blk, c_rows| {
-        gemm_row_block(a, b, c_rows, blk * BLOCK, k, n);
+        let i0 = blk * BLOCK;
+        match tier {
+            // Eight accumulators, two SSE2 vectors per row.
+            Tier::Base => gemm_row_block::<4, 8>(tier, a, b, c_rows, i0, k, n),
+            // Twelve accumulators, two 8-lane vectors per row.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2(_) => gemm_row_block::<6, 16>(tier, a, b, c_rows, i0, k, n),
+        }
     });
 }
 
 /// The serial GEMM body for the output rows `i0..i0 + c_rows.len() / n`
-/// (`c_rows` is their contiguous window of `C`).
-fn gemm_row_block(a: Operand, b: Operand, c_rows: &mut [f32], i0: usize, k: usize, n: usize) {
+/// (`c_rows` is their contiguous window of `C`), with an `MR × NR`
+/// register tile run at `tier`.
+fn gemm_row_block<const MR: usize, const NR: usize>(
+    tier: Tier,
+    a: Operand,
+    b: Operand,
+    c_rows: &mut [f32],
+    i0: usize,
+    k: usize,
+    n: usize,
+) {
     let rows = c_rows.len() / n;
     let panels = n.div_ceil(NR);
     let mut b_pack = vec![[0.0f32; NR]; panels * KC.min(k)];
-    let mut a_pack = [[[0.0f32; NR]; MR]; KC];
+    let mut a_pack = [[0.0f32; MR]; KC];
     for k0 in (0..k).step_by(KC) {
         let kc = KC.min(k - k0);
         let b_pack = &mut b_pack[..panels * kc];
@@ -239,7 +257,7 @@ fn gemm_row_block(a: Operand, b: Operand, c_rows: &mut [f32], i0: usize, k: usiz
                         acc_row[..nr].copy_from_slice(&c_rows[at..at + nr]);
                     }
                 }
-                let acc = micro_tile(acc, a_pack, panel);
+                let acc = simd::dispatch!(at tier, micro_tile(acc, a_pack, panel));
                 for (i, acc_row) in acc.iter().enumerate().take(mr) {
                     let at = (r0 + i) * n + j0;
                     c_rows[at..at + nr].copy_from_slice(&acc_row[..nr]);
@@ -249,22 +267,21 @@ fn gemm_row_block(a: Operand, b: Operand, c_rows: &mut [f32], i0: usize, k: usiz
     }
 }
 
-/// The register tile: `acc[i][j] += a[i] * bp[kk][j]` for each `kk` in
-/// order, where `ap[kk][i]` holds `a[i]` broadcast across the row (see
-/// [`Operand::pack_a`]). Its own function over fixed-size arrays, taken and
-/// returned by value, so the accumulators live in registers for the
-/// whole slab and the `NR`-wide row auto-vectorizes on baseline SSE2;
-/// inlined into a caller whose loads are of dynamic width, they spill.
-#[inline(never)]
-fn micro_tile(
+/// The register tile: `acc[i][j] += ap[kk][i] * bp[kk][j]` for each
+/// `kk` in order, each `ap[kk][i]` broadcast across the row. Over
+/// fixed-size arrays, taken and returned by value, so the accumulators
+/// live in registers for the whole slab and the `NR`-wide row
+/// vectorizes at whichever tier [`simd::dispatch!`] compiles it for.
+#[inline(always)]
+fn micro_tile<const MR: usize, const NR: usize>(
     mut acc: [[f32; NR]; MR],
-    ap: &[[[f32; NR]; MR]],
+    ap: &[[f32; MR]],
     bp: &[[f32; NR]],
 ) -> [[f32; NR]; MR] {
     for (a, b) in ap.iter().zip(bp) {
-        for (acc_row, ai) in acc.iter_mut().zip(a) {
-            for ((cij, &aij), &bj) in acc_row.iter_mut().zip(ai).zip(b) {
-                *cij += aij * bj;
+        for (acc_row, &ai) in acc.iter_mut().zip(a) {
+            for (cij, &bj) in acc_row.iter_mut().zip(b) {
+                *cij += ai * bj;
             }
         }
     }
@@ -448,7 +465,7 @@ mod tests {
     #[test]
     fn a_row_block_equals_the_same_rows_of_the_full_product() {
         let (rows, inner, cols) = (BLOCK + 6, KC + 5, 37);
-        assert_ne!(rows % MR, 0);
+        assert!(rows % 4 != 0 && rows % 6 != 0);
         let a = tensor([rows, inner], &values(rows * inner, 1));
         let w = tensor([inner, cols], &values(inner * cols, 2));
         let full = a.matmul(&w).unwrap().to_f32_vec();
@@ -496,6 +513,140 @@ mod tests {
         let tb = Tensor::from_f32([k, n], DType::F32, &b).unwrap();
         let c = ta.matmul(&tb).unwrap();
         assert_eq!(c.to_f32_vec(), naive(&a, &b, m, k, n));
+    }
+
+    /// Asserts `got == want` bit for bit, naming the first mismatch.
+    fn assert_same_bits(what: &str, got: &[f32], want: &[f32]) {
+        let first = bits(got).iter().zip(bits(want)).position(|(g, w)| *g != w);
+        assert!(first.is_none(), "{what}: element {first:?}");
+    }
+
+    /// Operands that carry every class of `f32` through the tile: ±0,
+    /// subnormals (of `f32`, and of FP16 once cast) and normal values
+    /// everywhere; in `A`, at most one ±∞ or NaN per row, in a row of
+    /// `B` that is finite; in `B`, infinities of one sign per column,
+    /// in rows whose column of `A` is finite and positive. So no zero
+    /// `a[i,kk]` meets an infinite `b[kk,j]` (the axpy oracle skips
+    /// zero terms), and each output element meets at most one NaN: when
+    /// two meet, which payload survives is left open.
+    fn edge_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
+        let hash =
+            |i: usize, salt: u64| (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
+        let finite = |h: u64| match h % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits((h >> 20) as u32 % 0x007F_FFFF + 1),
+            3 => -f32::from_bits((h >> 20) as u32 % 0x007F_FFFF + 1),
+            4 => ((h >> 20) % 600) as f32 * 1e-7 - 3e-5,
+            _ => ((h >> 20) % 4001) as f32 / 97.0 - 20.0,
+        };
+        let b_inf_row = |kk: usize| kk % 5 == 3;
+        let mut a: Vec<f32> = (0..m * k)
+            .map(|i| match finite(hash(i, 1)) {
+                v if b_inf_row(i % k) => v.abs().max(0.25),
+                v => v,
+            })
+            .collect();
+        for i in 0..m {
+            let kk = (i * 7 + 2) % k;
+            let kk = if b_inf_row(kk) { kk - 1 } else { kk };
+            a[i * k + kk] = match i % 5 {
+                0 => f32::NAN,
+                1 => f32::from_bits(0xFFC0_2001),
+                2 => f32::INFINITY,
+                3 => f32::NEG_INFINITY,
+                _ => continue,
+            };
+        }
+        let b = (0..k * n)
+            .map(|i| match hash(i, 2) {
+                h if b_inf_row(i / n) && h % 3 == 0 => {
+                    [f32::INFINITY, f32::NEG_INFINITY][i % n % 2]
+                }
+                h => finite(h),
+            })
+            .collect();
+        (a, b)
+    }
+
+    /// The row-block driver, under every tier this CPU supports and at
+    /// that tier's tile shape, is bit-identical to the axpy oracle on
+    /// F32, FP16 and mixed operands holding ±0, subnormals, ±∞ and
+    /// single NaNs. `m` is off multiples of 4, 6 and `BLOCK`, `n` off
+    /// multiples of 8 and 16, `k` around and past one slab, and the last
+    /// shape crosses the pool's parallel threshold. A row window of `A`
+    /// whose length and start cut the strips of both tiles gives the
+    /// same rows of the whole product at every tier.
+    #[test]
+    fn gemm_is_bit_identical_across_tiers() {
+        let halves = |v: &[f32]| v.iter().map(|&x| F16::from_f32(x)).collect::<Vec<_>>();
+        let widen = |h: &[F16]| h.iter().map(|x| x.to_f32()).collect::<Vec<_>>();
+        let mut shapes = vec![];
+        for k in [KC - 1, KC, KC + 1, 2 * KC + 3] {
+            for (m, n) in [(1, 5), (7, 21), (13, 9), (67, 43), (2 * BLOCK + 5, 17)] {
+                shapes.push((m, k, n));
+            }
+        }
+        shapes.push((4 * BLOCK + 5, KC + 1, 257));
+        let (mut nans, mut infs) = (0, 0);
+        for (m, k, n) in shapes {
+            assert!(m % 4 != 0 && m % 6 != 0 && m % BLOCK != 0 && n % 8 != 0);
+            let (a, b) = edge_operands(m, k, n);
+            let (a16, b16) = (halves(&a), halves(&b));
+            let (aw, bw) = (widen(&a16), widen(&b16));
+            let want = axpy_oracle(&a, &b, m, k, n);
+            nans += want.iter().filter(|x| x.is_nan()).count();
+            infs += want.iter().filter(|x| x.is_infinite()).count();
+            let cases = [
+                ("f32", Operand::F32(&a), Operand::F32(&b), want),
+                (
+                    "f16",
+                    Operand::F16(&a16),
+                    Operand::F16(&b16),
+                    axpy_oracle(&aw, &bw, m, k, n),
+                ),
+                (
+                    "f16 x f32",
+                    Operand::F16(&a16),
+                    Operand::F32(&b),
+                    axpy_oracle(&aw, &b, m, k, n),
+                ),
+            ];
+            for tier in simd::supported() {
+                for (what, lhs, rhs, want) in &cases {
+                    let mut c = vec![0.0; m * n];
+                    gemm_blocked(tier, *lhs, *rhs, &mut c, m, k, n);
+                    assert_same_bits(&format!("{what}, {tier:?}, {m}×{k}×{n}"), &c, want);
+                }
+            }
+        }
+        assert!(nans > 0 && infs > 0, "the operands reach NaN and ±∞");
+
+        let (rows, k, n) = (BLOCK + 7, KC + 5, 37);
+        let (a, b) = edge_operands(rows, k, n);
+        for tier in simd::supported() {
+            let mut full = vec![0.0; rows * n];
+            gemm_blocked(
+                tier,
+                Operand::F32(&a),
+                Operand::F32(&b),
+                &mut full,
+                rows,
+                k,
+                n,
+            );
+            for (r0, r1) in [(1, rows), (5, 12), (13, 70)] {
+                assert!(r0 % 6 != 0 && (r1 - r0) % 6 != 0 && (r1 - r0) % 4 != 0);
+                let mut c = vec![0.0; (r1 - r0) * n];
+                let window = Operand::F32(&a[r0 * k..r1 * k]);
+                gemm_blocked(tier, window, Operand::F32(&b), &mut c, r1 - r0, k, n);
+                assert_same_bits(
+                    &format!("{tier:?}, rows {r0}..{r1}"),
+                    &c,
+                    &full[r0 * n..r1 * n],
+                );
+            }
+        }
     }
 
     /// Contraction depths around and past one packed slab.

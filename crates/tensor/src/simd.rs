@@ -1,18 +1,20 @@
 //! The vector width the kernel bodies run at, chosen once at run time.
 //!
 //! The crate builds for baseline x86-64, where a slice loop vectorizes
-//! four `f32` lanes wide (SSE2). Each hot body in [`crate::kernels`]
-//! is a named `#[inline(always)]` fn that the caller runs through
+//! four `f32` lanes wide (SSE2). Each hot body in [`crate::kernels`],
+//! and the GEMM's register tile in `matmul`, is a named
+//! `#[inline(always)]` fn that the caller runs through
 //! [`dispatch!`]; on a CPU with AVX2 it is inlined into a
 //! `#[target_feature(enable = "avx2")]` frame, so the same loop
 //! compiles a second time eight lanes wide. The tier is read from the
 //! CPU once and cached — there is no option, variable or build flag
 //! that selects it. Other targets compile the base tier only.
 //!
-//! The bits do not depend on the tier: every body is element-wise,
-//! each element sees the same sequence of IEEE operations at either
-//! width, and LLVM does not contract a multiply and an add into an FMA
-//! without fast-math flags. The one thing Rust leaves open is which
+//! The bits do not depend on the tier: every body is element-wise
+//! (the GEMM tile per output element, in ascending `k`), each element
+//! sees the same sequence of IEEE operations at either width, and
+//! LLVM does not contract a multiply and an add into an FMA without
+//! fast-math flags. The one thing Rust leaves open is which
 //! payload an operation on two NaNs returns (LLVM may commute an add's
 //! operands, differently per width); it is a NaN at every tier.
 
