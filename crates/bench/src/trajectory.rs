@@ -40,11 +40,6 @@ use coconet_topology::MachineSpec;
 use crate::experiments;
 use crate::json::Json;
 
-/// Workers both tuner modes of the `tab3_*` rows run on, so the pruned
-/// search is compared against the exhaustive reference at identical
-/// parallelism.
-pub const TUNE_WORKERS: usize = 2;
-
 /// What a row records.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Kind {
@@ -512,14 +507,13 @@ fn tab4() -> Row {
 }
 
 /// One Table 3 autotuner row: the workload tuned by the pruned search
-/// and by the exhaustive reference on the same worker count
-/// ([`TUNE_WORKERS`]). The row prices the baseline schedule against
-/// the winner; its checks prove pruning changes nothing but the work
-/// done — identical winner, strictly fewer configurations costed. How
-/// many configurations the parallel pruned search costs (and prunes)
-/// depends on which worker raises the incumbent first, so those counts
-/// and both tune walls are readings (`autotune_cold` in `benchmark/`
-/// measures tune time).
+/// and by the exhaustive reference. The row prices the baseline
+/// schedule against the winner; its checks prove pruning changes
+/// nothing but the work done — identical winner, strictly fewer
+/// configurations costed. The search is serial, so how many
+/// configurations the pruned search costs (and prunes) repeats from
+/// run to run; those counts are readings beside the two tune walls
+/// (`autotune_cold` in `benchmark/` measures tune time).
 fn tab3(workload: &str) -> Result<Row, String> {
     let name = match workload {
         "adam" => "tab3_autotuner_adam",
@@ -539,9 +533,8 @@ fn tab3(workload: &str) -> Result<Row, String> {
             .clone();
         Ok::<_, String>((report, best))
     };
-    let (pruned, best) = tune(Autotuner::default().with_workers(TUNE_WORKERS))?;
-    let (exhaustive, reference) =
-        tune(Autotuner::default().exhaustive().with_workers(TUNE_WORKERS))?;
+    let (pruned, best) = tune(Autotuner::default())?;
+    let (exhaustive, reference) = tune(Autotuner::default().exhaustive())?;
     let baseline_s = exhaustive
         .candidates
         .iter()

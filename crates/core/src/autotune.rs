@@ -11,18 +11,17 @@
 //! The tuner is generic over a [`PlanEvaluator`] — `coconet-sim`
 //! provides the machine model; tests can plug in synthetic evaluators.
 //!
-//! The search is parallel (candidate schedules of each BFS level are
-//! costed on a scoped-thread worker pool), memoized (structurally
-//! identical plans are costed once), and pruned (a branch whose
-//! optimistic [`PlanEvaluator::lower_bound`] already exceeds the
-//! incumbent best is dropped). [`Autotuner::exhaustive`] switches the
-//! pruning off; the tier-1 tests prove both modes agree on the winner.
+//! The search runs on the calling thread, level by level. It is
+//! memoized (structurally identical plans are costed once) and pruned
+//! (a configuration or branch whose optimistic
+//! [`PlanEvaluator::lower_bound`] already exceeds the incumbent best is
+//! dropped). [`Autotuner::exhaustive`] switches the pruning off; the
+//! tier-1 tests prove both modes agree on the winner. Being serial, a
+//! tune of one program repeats exactly, its counts included.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::plancache::{CacheStats, PlanCache, PlanKey};
@@ -35,10 +34,10 @@ use crate::{
 /// Evaluates the cost of an executable plan (lower is better).
 /// Implemented by `coconet_sim::Simulator` over the machine model.
 ///
-/// The trait is object-safe and `Sync` so a single evaluator can be
-/// shared by the tuner's worker threads. Estimated times must be
-/// non-negative and free of NaNs (the incumbent tracking compares raw
-/// IEEE-754 bits).
+/// The trait is object-safe and `Sync`, so one evaluator can be shared
+/// between threads that tune concurrently. Estimated times must be
+/// non-negative and free of NaNs (the incumbent and the pruning bounds
+/// compare them as plain numbers).
 pub trait PlanEvaluator: Sync {
     /// Estimated execution time of the plan, in seconds.
     fn evaluate(&self, plan: &ExecPlan) -> f64;
@@ -129,10 +128,11 @@ impl Candidate {
 /// The autotuner's result: every explored schedule (sorted best-first)
 /// plus bookkeeping for Table 3.
 ///
-/// The winning candidate is identical across worker counts and between
-/// pruned and exhaustive runs (ties break on breadth-first discovery
-/// order, and pruning only discards configurations that are provably
-/// worse than the incumbent). Times recorded for *losing* candidates
+/// The winning candidate is identical between pruned and exhaustive
+/// runs (ties break on breadth-first discovery order, and pruning only
+/// discards configurations that are provably worse than the
+/// incumbent), and a repeated tune of one program reports the same
+/// candidates and counts. Times recorded for *losing* candidates
 /// may be coarser under pruning, since their cheapest configurations
 /// can be skipped.
 #[derive(Clone, Debug)]
@@ -198,9 +198,6 @@ pub struct Autotuner {
     /// Also branch into slicing optimizer state (`asSlice` + `dead`,
     /// §4) after reorders that leave dangling state gathers.
     pub slice_state: bool,
-    /// Worker threads costing candidates (`0` = one per available
-    /// core). `1` keeps the whole search on the calling thread.
-    pub workers: usize,
     /// Beam pruning: drop configurations and branches whose
     /// [`PlanEvaluator::lower_bound`] exceeds the incumbent best.
     pub prune: bool,
@@ -216,7 +213,6 @@ impl Default for Autotuner {
             formats: WireFormat::SWEEP.to_vec(),
             scheds: CommSched::ALL.to_vec(),
             slice_state: true,
-            workers: 0,
             prune: true,
         }
     }
@@ -282,41 +278,25 @@ struct SweepOutcome {
     floor: f64,
 }
 
-/// Shared, thread-safe bookkeeping for one `tune` run.
+/// Bookkeeping for one `tune` run.
 struct SearchState {
-    /// Best time seen so far, stored as IEEE-754 bits (valid because
-    /// times are non-negative, so the bit order is the numeric order).
-    incumbent: AtomicU64,
+    /// Best time seen so far.
+    incumbent: f64,
     /// (plan-hash → time) memo across schedules and configurations.
-    memo: Mutex<HashMap<u64, f64>>,
-    configs_evaluated: AtomicUsize,
-    configs_pruned: AtomicUsize,
-    memo_hits: AtomicUsize,
-}
-
-impl SearchState {
-    fn new() -> SearchState {
-        SearchState {
-            incumbent: AtomicU64::new(f64::INFINITY.to_bits()),
-            memo: Mutex::new(HashMap::new()),
-            configs_evaluated: AtomicUsize::new(0),
-            configs_pruned: AtomicUsize::new(0),
-            memo_hits: AtomicUsize::new(0),
-        }
-    }
-
-    fn incumbent(&self) -> f64 {
-        f64::from_bits(self.incumbent.load(Ordering::Relaxed))
-    }
+    memo: HashMap<u64, f64>,
+    configs_evaluated: usize,
+    configs_pruned: usize,
+    memo_hits: usize,
 }
 
 impl Autotuner {
     /// Explores the schedule space of `program` and costs every
-    /// schedule under every protocol/channel configuration, in
-    /// parallel, memoizing structurally identical plans and (unless
-    /// [`exhaustive`](Autotuner::exhaustive)) beam-pruning
-    /// configurations and branches that provably cannot beat the
-    /// incumbent best.
+    /// schedule under every configuration of
+    /// [`configs`](Autotuner::configs), memoizing structurally
+    /// identical plans and (unless [`exhaustive`](Autotuner::exhaustive))
+    /// beam-pruning configurations and branches that provably cannot
+    /// beat the incumbent best. The search runs on the calling thread,
+    /// so a panic in the evaluator unwinds out of this call.
     ///
     /// # Errors
     ///
@@ -334,116 +314,24 @@ impl Autotuner {
         let mut base = program.clone();
         fuse_pointwise_chains(&mut base);
 
-        let state = SearchState::new();
-        let workers = self.worker_count();
-
-        let (candidates, schedules_explored, branches_pruned) = if workers <= 1 {
-            // Fully serial: sweep each schedule on the calling thread.
-            self.search(base, &state, |jobs| {
-                jobs.into_iter()
-                    .map(|(p, d)| {
-                        let outcome = self.sweep_configs(&p, binding, evaluator, &state);
-                        (p, d, outcome)
-                    })
-                    .collect()
-            })
-        } else {
-            // Persistent worker pool: spawned once for the whole
-            // search (not per BFS level), fed contiguous chunks of
-            // each level through an MPMC job queue (one message per
-            // worker per level, not one per schedule), idle-blocking
-            // between levels.
-            type Chunk = Vec<(Program, Vec<String>)>;
-            type DoneChunk = Vec<(Program, Vec<String>, SweepOutcome)>;
-            // A chunk result is Err if the evaluator panicked while
-            // sweeping it; the driver re-raises on its own thread. The
-            // catch keeps the protocol alive — without it the dead
-            // worker's chunk never arrives and the driver would block
-            // on the result channel forever.
-            type ChunkResult = Result<DoneChunk, String>;
-            crossbeam::thread::scope(|s| {
-                // The channels are owned by this closure so that a
-                // panicking driver drops `job_tx` during unwind, the
-                // idle workers see the closed queue and exit, and the
-                // scope's join completes instead of deadlocking.
-                let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, Chunk)>();
-                let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, ChunkResult)>();
-                let state_ref = &state;
-                for _ in 0..workers {
-                    let job_rx = job_rx.clone();
-                    let res_tx = res_tx.clone();
-                    s.spawn(move |_| {
-                        while let Ok((start, chunk)) = job_rx.recv() {
-                            let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                || -> DoneChunk {
-                                    chunk
-                                        .into_iter()
-                                        .map(|(p, d)| {
-                                            let outcome = self
-                                                .sweep_configs(&p, binding, evaluator, state_ref);
-                                            (p, d, outcome)
-                                        })
-                                        .collect()
-                                },
-                            ))
-                            .map_err(|payload| {
-                                payload
-                                    .downcast_ref::<&str>()
-                                    .map(|m| (*m).to_string())
-                                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "non-string panic payload".to_string())
-                            });
-                            let _ = res_tx.send((start, done));
-                        }
-                    });
-                }
-                drop(job_rx);
-                drop(res_tx);
-                let out = self.search(base, &state, |jobs| {
-                    let chunk_size = jobs.len().div_ceil(workers).max(1);
-                    let mut iter = jobs.into_iter();
-                    let mut sent = 0usize;
-                    let mut start = 0usize;
-                    loop {
-                        let chunk: Chunk = iter.by_ref().take(chunk_size).collect();
-                        if chunk.is_empty() {
-                            break;
-                        }
-                        let len = chunk.len();
-                        job_tx.send((start, chunk)).expect("workers alive");
-                        start += len;
-                        sent += 1;
-                    }
-                    let mut done: Vec<(usize, DoneChunk)> = (0..sent)
-                        .map(|_| {
-                            let (start, result) = res_rx.recv().expect("worker result");
-                            match result {
-                                Ok(chunk) => (start, chunk),
-                                Err(message) => {
-                                    panic!("autotuner worker panicked: {message}")
-                                }
-                            }
-                        })
-                        .collect();
-                    done.sort_by_key(|&(start, _)| start);
-                    done.into_iter().flat_map(|(_, chunk)| chunk).collect()
-                });
-                drop(job_tx); // close the queue; scope joins the workers
-                out
-            })
-            .expect("autotuner worker scope")
+        let mut state = SearchState {
+            incumbent: f64::INFINITY,
+            memo: HashMap::new(),
+            configs_evaluated: 0,
+            configs_pruned: 0,
+            memo_hits: 0,
         };
-
-        let mut candidates = candidates;
+        let (mut candidates, schedules_explored, branches_pruned) =
+            self.search(base, binding, evaluator, &mut state);
         candidates.sort_by(|a, b| a.1.time.total_cmp(&b.1.time).then(a.0.cmp(&b.0)));
 
         Ok(TuneReport {
             candidates: candidates.into_iter().map(|(_, c)| c).collect(),
             schedules_explored,
-            configs_evaluated: state.configs_evaluated.load(Ordering::Relaxed),
-            configs_pruned: state.configs_pruned.load(Ordering::Relaxed),
+            configs_evaluated: state.configs_evaluated,
+            configs_pruned: state.configs_pruned,
             branches_pruned,
-            memo_hits: state.memo_hits.load(Ordering::Relaxed),
+            memo_hits: state.memo_hits,
             cache: CacheStats::default(),
             elapsed: start.elapsed(),
         })
@@ -554,19 +442,18 @@ impl Autotuner {
         h.finish()
     }
 
-    /// The BFS driver: explores level by level through `eval_level`
-    /// (which owns how sweeps are executed — inline or on the pool and
-    /// must preserve order), expanding surviving schedules on the
-    /// calling thread. Each candidate carries its discovery sequence
-    /// number so that ties sort identically regardless of worker count
-    /// or pruning.
+    /// The BFS driver: sweeps every schedule of a level, then expands
+    /// the survivors into the next level, so a branch is judged against
+    /// the incumbent of its whole level. Each candidate carries its
+    /// discovery sequence number so that ties sort identically with or
+    /// without pruning. Returns the candidates, the schedules explored
+    /// and the branches pruned.
     fn search(
         &self,
         base: Program,
-        state: &SearchState,
-        mut eval_level: impl FnMut(
-            Vec<(Program, Vec<String>)>,
-        ) -> Vec<(Program, Vec<String>, SweepOutcome)>,
+        binding: &Binding,
+        evaluator: &dyn PlanEvaluator,
+        state: &mut SearchState,
     ) -> (Vec<(usize, Candidate)>, usize, usize) {
         let mut seen: HashSet<u64> = HashSet::new();
         seen.insert(structural_hash(&base));
@@ -577,7 +464,14 @@ impl Autotuner {
         let mut depth = 0usize;
 
         while !frontier.is_empty() {
-            let evaluated = eval_level(std::mem::take(&mut frontier));
+            let evaluated: Vec<(Program, Vec<String>, SweepOutcome)> =
+                std::mem::take(&mut frontier)
+                    .into_iter()
+                    .map(|(p, d)| {
+                        let outcome = self.sweep_configs(&p, binding, evaluator, state);
+                        (p, d, outcome)
+                    })
+                    .collect();
             for (i, (p, schedule, outcome)) in evaluated.iter().enumerate() {
                 if let Some((config, time)) = outcome.best {
                     candidates.push((
@@ -596,9 +490,8 @@ impl Autotuner {
             if depth > self.max_depth {
                 break;
             }
-            let incumbent = state.incumbent();
             for (p, desc, outcome) in evaluated {
-                if self.prune && outcome.floor > incumbent {
+                if self.prune && outcome.floor > state.incumbent {
                     branches_pruned += 1;
                     continue;
                 }
@@ -626,23 +519,6 @@ impl Autotuner {
     pub fn exhaustive(mut self) -> Autotuner {
         self.prune = false;
         self
-    }
-
-    /// Sets the worker-thread count (`0` = one per available core,
-    /// `1` = fully serial).
-    pub fn with_workers(mut self, workers: usize) -> Autotuner {
-        self.workers = workers;
-        self
-    }
-
-    fn worker_count(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.workers
-        }
     }
 
     /// Every configuration this tuner sweeps, in sweep order: the
@@ -687,7 +563,7 @@ impl Autotuner {
         p: &Program,
         binding: &Binding,
         evaluator: &dyn PlanEvaluator,
-        state: &SearchState,
+        state: &mut SearchState,
     ) -> SweepOutcome {
         let configs = self.configs();
         let Some(&first) = configs.first() else {
@@ -716,8 +592,8 @@ impl Autotuner {
         for (i, &config) in configs.iter().enumerate() {
             if self.prune {
                 floor = floor.min(descendant[i]);
-                if tight[i] > state.incumbent() {
-                    state.configs_pruned.fetch_add(1, Ordering::Relaxed);
+                if tight[i] > state.incumbent {
+                    state.configs_pruned += 1;
                     continue;
                 }
             }
@@ -727,10 +603,9 @@ impl Autotuner {
                 config.hash(&mut h);
                 h.finish()
             };
-            let memoized = state.memo.lock().expect("memo lock").get(&key).copied();
-            let t = match memoized {
-                Some(t) => {
-                    state.memo_hits.fetch_add(1, Ordering::Relaxed);
+            let t = match state.memo.get(&key) {
+                Some(&t) => {
+                    state.memo_hits += 1;
                     t
                 }
                 None => {
@@ -739,12 +614,12 @@ impl Autotuner {
                     // configurations skip the O(steps) walk.
                     plan.set_config(config);
                     let t = evaluator.evaluate(&plan);
-                    state.memo.lock().expect("memo lock").insert(key, t);
+                    state.memo.insert(key, t);
                     t
                 }
             };
-            state.configs_evaluated.fetch_add(1, Ordering::Relaxed);
-            state.incumbent.fetch_min(t.to_bits(), Ordering::Relaxed);
+            state.configs_evaluated += 1;
+            state.incumbent = state.incumbent.min(t);
             if best.is_none_or(|(_, bt)| t < bt) {
                 best = Some((config, t));
             }
@@ -842,7 +717,8 @@ pub fn fuse_pointwise_chains(p: &mut Program) {
         let mut stack = vec![v];
         let mut in_region: HashSet<VarId> = [v].into_iter().collect();
         while let Some(m) = stack.pop() {
-            let mut neighbors: Vec<VarId> = p.op(m).map(|o| o.inputs()).unwrap_or_default();
+            let mut neighbors: Vec<VarId> =
+                p.op(m).map(|o| o.inputs().to_vec()).unwrap_or_default();
             neighbors.extend(p.consumers(m));
             for n in neighbors {
                 if in_region.contains(&n) || p.fusion_group_of(n).is_some() {
@@ -982,9 +858,7 @@ fn reorder_region(p: &Program, ag: VarId) -> Option<Vec<VarId>> {
             break;
         }
     }
-    // Keep topological order.
-    let order = p.topo_order();
-    region.sort_by_key(|v| order.iter().position(|x| x == v));
+    sort_topologically(p, &mut region);
     Some(region)
 }
 
@@ -1020,10 +894,25 @@ fn fused_ar_region(p: &Program, rs: VarId) -> Option<(Vec<VarId>, Vec<VarId>)> {
         return None;
     }
     absorb_upstream_pointwise(p, &mut comps);
-    let order = p.topo_order();
-    comps.sort_by_key(|v| order.iter().position(|x| x == v));
-    ags.sort_by_key(|v| order.iter().position(|x| x == v));
+    let rank = topo_rank(p);
+    comps.sort_by_key(|v| rank.get(v));
+    ags.sort_by_key(|v| rank.get(v));
     Some((comps, ags))
+}
+
+/// Each live variable's position in `p`'s topological order.
+fn topo_rank(p: &Program) -> HashMap<VarId, usize> {
+    p.topo_order()
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| (v, i))
+        .collect()
+}
+
+/// Sorts `vars` into `p`'s topological order.
+fn sort_topologically(p: &Program, vars: &mut [VarId]) {
+    let rank = topo_rank(p);
+    vars.sort_by_key(|v| rank.get(v));
 }
 
 /// Grows `region` upstream through pointwise producers whose consumers
@@ -1093,8 +982,7 @@ fn pointwise_region_feeding(p: &Program, sink_input: VarId, sink: VarId) -> Vec<
             break;
         }
     }
-    let order = p.topo_order();
-    region.sort_by_key(|v| order.iter().position(|x| x == v));
+    sort_topologically(p, &mut region);
     region
 }
 
@@ -1337,7 +1225,7 @@ mod tests {
             .bind("B", 8)
             .bind("S", 1024)
             .bind("H", 3072);
-        let tuner = Autotuner::default().with_workers(1);
+        let tuner = Autotuner::default();
         let mut cache = PlanCache::new(4);
 
         let cold = tuner
@@ -1378,8 +1266,10 @@ mod tests {
             .unwrap();
         assert!(r.configs_evaluated > 0);
         // ...and the config grid.
-        let mut narrow = Autotuner::default().with_workers(1);
-        narrow.channels = vec![16];
+        let narrow = Autotuner {
+            channels: vec![16],
+            ..Autotuner::default()
+        };
         let r = narrow
             .tune_cached(&p, &binding, &toy_evaluator, &mut cache)
             .unwrap();
@@ -1432,7 +1322,7 @@ mod tests {
     }
 
     #[test]
-    fn pruned_parallel_matches_exhaustive_serial() {
+    fn pruned_matches_exhaustive() {
         let p = self_attention();
         let binding = Binding::new(16)
             .bind("B", 8)
@@ -1440,11 +1330,9 @@ mod tests {
             .bind("H", 3072);
         let exhaustive = Autotuner::default()
             .exhaustive()
-            .with_workers(1)
             .tune(&p, &binding, &BoundedToy)
             .unwrap();
         let pruned = Autotuner::default()
-            .with_workers(2)
             .tune(&p, &binding, &BoundedToy)
             .unwrap();
         let e = exhaustive.best().unwrap();
@@ -1457,30 +1345,26 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_propagates_instead_of_hanging() {
-        // A panicking evaluator on the worker pool must fail the tune
-        // call (on the calling thread), not deadlock the result
-        // channel. Run with a watchdog so a regression fails fast
-        // instead of hanging the suite.
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+    fn evaluator_panic_unwinds_out_of_tune_on_the_calling_thread() {
+        // The thread that calls `tune` is the one the evaluator runs on
+        // and the one the panic ends.
+        let caller = std::thread::spawn(|| {
             let p = self_attention();
             let binding = Binding::new(16)
                 .bind("B", 8)
                 .bind("S", 1024)
                 .bind("H", 3072);
-            let bomb = |_: &ExecPlan| -> f64 { panic!("evaluator exploded") };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Autotuner::default()
-                    .with_workers(2)
-                    .tune(&p, &binding, &bomb)
-            }));
-            let _ = tx.send(result.is_err());
+            let me = std::thread::current().id();
+            let bomb = move |_: &ExecPlan| -> f64 {
+                assert_eq!(std::thread::current().id(), me, "evaluated off the caller");
+                panic!("evaluator exploded")
+            };
+            Autotuner::default().tune(&p, &binding, &bomb)
         });
-        let panicked = rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("tune() must finish (panic), not hang");
-        assert!(panicked, "the evaluator panic must propagate");
+        let payload = caller
+            .join()
+            .expect_err("the evaluator panic must unwind out of tune");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"evaluator exploded"));
     }
 
     #[test]

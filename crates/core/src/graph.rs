@@ -563,49 +563,54 @@ impl Program {
             .collect()
     }
 
-    /// Live nodes that read `v`.
+    /// Live nodes that read `v`, in arena order.
     pub fn consumers(&self, v: VarId) -> Vec<VarId> {
-        self.live_vars()
-            .into_iter()
-            .filter(|&c| self.nodes[c.index()].op.inputs().contains(&v))
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| !n.deleted && n.op.inputs().contains(&v))
+            .map(|(i, _)| VarId(i as u32))
             .collect()
     }
 
-    /// A topological order over the live nodes.
+    /// A topological order over the live nodes: a depth-first walk
+    /// from each live node in arena order, operands in operand order.
     ///
     /// # Panics
     ///
     /// Panics if the graph contains a cycle (impossible through the
     /// public API; transformations preserve acyclicity).
     pub fn topo_order(&self) -> Vec<VarId> {
-        let live = self.live_vars();
-        let live_set: HashSet<VarId> = live.iter().copied().collect();
-        let mut order = Vec::with_capacity(live.len());
-        let mut done: HashSet<VarId> = HashSet::new();
+        // One mark per arena slot; deleted nodes start `DONE` so the
+        // walk never enters them.
+        const FRESH: u8 = 0;
+        const ON_STACK: u8 = 1;
+        const DONE: u8 = 2;
+        let mut mark: Vec<u8> = self
+            .nodes
+            .iter()
+            .map(|n| if n.deleted { DONE } else { FRESH })
+            .collect();
+        let mut order = Vec::with_capacity(self.nodes.len());
         // Nodes are appended referencing earlier ids, but transformations
         // may rewire forward; do a proper DFS.
-        fn visit(
-            p: &Program,
-            v: VarId,
-            live: &HashSet<VarId>,
-            done: &mut HashSet<VarId>,
-            visiting: &mut HashSet<VarId>,
-            order: &mut Vec<VarId>,
-        ) {
-            if done.contains(&v) || !live.contains(&v) {
+        fn visit(p: &Program, v: VarId, mark: &mut [u8], order: &mut Vec<VarId>) {
+            let Some(&m) = mark.get(v.index()) else {
+                return;
+            };
+            if m == DONE {
                 return;
             }
-            assert!(visiting.insert(v), "cycle through {v} in program DFG");
+            assert!(m != ON_STACK, "cycle through {v} in program DFG");
+            mark[v.index()] = ON_STACK;
             for dep in p.nodes[v.index()].op.inputs() {
-                visit(p, dep, live, done, visiting, order);
+                visit(p, dep, mark, order);
             }
-            visiting.remove(&v);
-            done.insert(v);
+            mark[v.index()] = DONE;
             order.push(v);
         }
-        let mut visiting = HashSet::new();
-        for v in live {
-            visit(self, v, &live_set, &mut done, &mut visiting, &mut order);
+        for i in 0..self.nodes.len() {
+            visit(self, VarId(i as u32), &mut mark, &mut order);
         }
         order
     }
@@ -994,6 +999,189 @@ mod tests {
         }
         // `out` is consumed by nothing.
         assert!(p.consumers(out).is_empty());
+    }
+
+    /// `consumers` as it was before it scanned the arena itself: a
+    /// filter over the allocated `live_vars()`.
+    fn consumers_reference(p: &Program, v: VarId) -> Vec<VarId> {
+        p.live_vars()
+            .into_iter()
+            .filter(|&c| p.nodes[c.index()].op.inputs().contains(&v))
+            .collect()
+    }
+
+    /// `topo_order` as it was before the per-slot marks: the same DFS
+    /// over three hash sets.
+    fn topo_order_reference(p: &Program) -> Vec<VarId> {
+        let live = p.live_vars();
+        let live_set: HashSet<VarId> = live.iter().copied().collect();
+        let mut order = Vec::with_capacity(live.len());
+        let mut done: HashSet<VarId> = HashSet::new();
+        fn visit(
+            p: &Program,
+            v: VarId,
+            live: &HashSet<VarId>,
+            done: &mut HashSet<VarId>,
+            visiting: &mut HashSet<VarId>,
+            order: &mut Vec<VarId>,
+        ) {
+            if done.contains(&v) || !live.contains(&v) {
+                return;
+            }
+            assert!(visiting.insert(v), "cycle through {v} in program DFG");
+            for dep in p.nodes[v.index()].op.inputs() {
+                visit(p, dep, live, done, visiting, order);
+            }
+            visiting.remove(&v);
+            done.insert(v);
+            order.push(v);
+        }
+        let mut visiting = HashSet::new();
+        for v in live {
+            visit(p, v, &live_set, &mut done, &mut visiting, &mut order);
+        }
+        order
+    }
+
+    /// Both graph queries equal their references on `p`, order
+    /// included, for every arena slot (deleted ones too).
+    fn assert_queries_match_reference(p: &Program) {
+        assert_eq!(p.topo_order(), topo_order_reference(p), "{}", p.name());
+        for i in 0..p.nodes.len() as u32 {
+            let v = VarId(i);
+            assert_eq!(
+                p.consumers(v),
+                consumers_reference(p, v),
+                "{v} in {}",
+                p.name()
+            );
+        }
+    }
+
+    /// Figure 6a's Adam update (the optimizer workload's shape).
+    fn adam() -> Program {
+        let mut p = Program::new("adam");
+        let g = p.input("g", DType::F16, ["N"], Layout::Local);
+        let param = p.input("p", DType::F32, ["N"], Layout::Replicated);
+        let m = p.input("m", DType::F32, ["N"], Layout::Replicated);
+        let v = p.input("v", DType::F32, ["N"], Layout::Replicated);
+        let lr = p.scalar_input("lr", DType::F32);
+        let t = p.scalar_input("t", DType::F32);
+        let avg = p.all_reduce(ReduceOp::Sum, g).unwrap();
+        let [b1, c1, b2, c2, eps, one] = [0.9, 0.1, 0.999, 0.001, 1e-6, 1.0].map(|c| p.constant(c));
+        let m_decay = p.mul(m, b1).unwrap();
+        let g_scaled = p.mul(avg, c1).unwrap();
+        let m_new = p.add(m_decay, g_scaled).unwrap();
+        let m_ = p.update(m, m_new).unwrap();
+        let v_decay = p.mul(v, b2).unwrap();
+        let g_sq = p.mul(avg, avg).unwrap();
+        let g_sq_scaled = p.mul(g_sq, c2).unwrap();
+        let v_new = p.add(v_decay, g_sq_scaled).unwrap();
+        let v_ = p.update(v, v_new).unwrap();
+        let b1t = p.pow(b1, t).unwrap();
+        let corr1 = p.sub(one, b1t).unwrap();
+        let m1 = p.div(m_, corr1).unwrap();
+        let b2t = p.pow(b2, t).unwrap();
+        let corr2 = p.sub(one, b2t).unwrap();
+        let v1 = p.div(v_, corr2).unwrap();
+        let sq = p.sqrt(v1).unwrap();
+        let denom = p.add(sq, eps).unwrap();
+        let update = p.div(m1, denom).unwrap();
+        let step = p.mul(update, lr).unwrap();
+        let p_new = p.sub(param, step).unwrap();
+        let p_ = p.update(param, p_new).unwrap();
+        p.set_io(&[g, param, m, v, lr, t], &[p_]).unwrap();
+        p
+    }
+
+    #[test]
+    fn graph_queries_match_the_reference_on_every_block_schedule_step() {
+        use crate::xform::{
+            fuse_all_reduce, fuse_compute, overlap, reorder_all_gather, split_all_reduce,
+        };
+        // Figure 3 taken through `ol(MM, fuse(RS-C-AG))` one
+        // transformation at a time, and through `MM-AR-C`.
+        let (mut p, out) = figure3();
+        assert_queries_match_reference(&p);
+        let find = |p: &Program, pred: fn(&OpKind) -> bool| {
+            p.topo_order()
+                .into_iter()
+                .find(|&v| pred(p.op(v).unwrap()))
+                .unwrap()
+        };
+        let layer = find(&p, |op| matches!(op, OpKind::MatMul(..)));
+        let sum = find(&p, |op| matches!(op, OpKind::AllReduce(..)));
+        let comps: Vec<VarId> = p
+            .topo_order()
+            .into_iter()
+            .filter(|&v| v != sum && p.reaches(sum, v))
+            .collect();
+        assert!(comps.contains(&out));
+        let mut fused = p.clone();
+        fuse_compute(&mut fused, &comps).unwrap();
+        assert_queries_match_reference(&fused);
+        let (rs, ag) = split_all_reduce(&mut p, sum).unwrap();
+        assert_queries_match_reference(&p);
+        let result = reorder_all_gather(&mut p, ag, &comps).unwrap();
+        assert_queries_match_reference(&p);
+        let mut sliced = p.clone();
+        fuse_compute(&mut sliced, &result.sliced).unwrap();
+        assert_queries_match_reference(&sliced);
+        fuse_all_reduce(&mut p, rs, &result.sliced, &[result.gathers[0].1]).unwrap();
+        assert_queries_match_reference(&p);
+        overlap(&mut p, &[layer, rs]).unwrap();
+        assert_queries_match_reference(&p);
+    }
+
+    #[test]
+    fn graph_queries_match_the_reference_when_both_operands_come_later() {
+        // `c` is rewired to read two nodes appended after it, so the
+        // DFS's operand order decides where they land; `a2` is deleted.
+        let mut p = Program::new("forward");
+        let a = p.input("a", DType::F32, ["N"], Layout::Replicated);
+        let b = p.input("b", DType::F32, ["N"], Layout::Replicated);
+        let c = p.add(a, b).unwrap();
+        let a2 = p.relu(a).unwrap();
+        let d = p.tanh(a).unwrap();
+        let e = p.neg(b).unwrap();
+        p.nodes[c.index()].op = OpKind::Binary(BinaryOp::Sub, e, d);
+        p.mark_deleted(a2);
+        p.set_io(&[a, b], &[c]).unwrap();
+        assert_eq!(p.topo_order(), [a, b, e, d, c]);
+        assert_queries_match_reference(&p);
+    }
+
+    #[test]
+    fn graph_queries_match_the_reference_on_every_tuned_program() {
+        use crate::{Autotuner, Binding, ExecPlan};
+        let flat = |_: &ExecPlan| 1.0;
+        let cases = [
+            (
+                figure3().0,
+                Binding::new(16)
+                    .bind("B", 8)
+                    .bind("S", 1024)
+                    .bind("H", 3072),
+            ),
+            (adam(), Binding::new(256).bind("N", 1 << 26)),
+        ];
+        for (p, binding) in cases {
+            assert_queries_match_reference(&p);
+            let report = Autotuner::default()
+                .exhaustive()
+                .tune(&p, &binding, &flat)
+                .unwrap();
+            assert!(report.candidates.len() > 4, "{}", p.name());
+            // The reached schedules delete nodes (split, dead) and
+            // rewire consumers forward (reorder).
+            assert!(report
+                .candidates
+                .iter()
+                .any(|c| c.program.live_vars().len() < c.program.nodes.len()));
+            for c in &report.candidates {
+                assert_queries_match_reference(&c.program);
+            }
+        }
     }
 
     #[test]

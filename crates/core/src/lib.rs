@@ -30,7 +30,7 @@ pub use graph::{FuseKind, FusionGroup, Node, OverlapGroup, Program};
 pub use kernel::KernelIr;
 pub use layout::{Layout, SliceDim};
 pub use lower::{lower, partition, Partition, Scheduled, Unit, UnitKind};
-pub use op::{BinaryOp, OpKind, PeerSelector, UnaryOp, VarId};
+pub use op::{BinaryOp, Inputs, OpKind, PeerSelector, UnaryOp, VarId};
 pub use plan::{
     lane_count, nodes_spanned, CollAlgo, CollKind, CollSite, CollectiveStep, CommConfig, CommSched,
     ExecPlan, Executed, FixedStep, FusedCollectiveStep, KernelStep, MatMulStep, OverlapStage,

@@ -27,6 +27,43 @@ impl fmt::Display for VarId {
     }
 }
 
+/// The operands of one node ([`OpKind::inputs`]): at most two ids held
+/// inline, so asking a node what it reads allocates nothing. It reads
+/// as a `[VarId]` slice and iterates by value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Inputs {
+    ids: [VarId; 2],
+    len: u8,
+}
+
+impl Inputs {
+    fn of(ids: &[VarId]) -> Inputs {
+        let mut out = Inputs {
+            ids: [VarId(0); 2],
+            len: ids.len() as u8,
+        };
+        out.ids[..ids.len()].copy_from_slice(ids);
+        out
+    }
+}
+
+impl std::ops::Deref for Inputs {
+    type Target = [VarId];
+
+    fn deref(&self) -> &[VarId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Inputs {
+    type Item = VarId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<VarId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(usize::from(self.len))
+    }
+}
+
 /// Unary pointwise operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnaryOp {
@@ -168,10 +205,10 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// The operands this node reads.
-    pub fn inputs(&self) -> Vec<VarId> {
+    /// The operands this node reads, in operand order.
+    pub fn inputs(&self) -> Inputs {
         match self {
-            OpKind::Input | OpKind::ConstScalar(_) => vec![],
+            OpKind::Input | OpKind::ConstScalar(_) => Inputs::of(&[]),
             OpKind::Unary(_, a)
             | OpKind::Dropout(a, _)
             | OpKind::Norm(a)
@@ -182,13 +219,11 @@ impl OpKind {
             | OpKind::AllGather(a)
             | OpKind::Broadcast(a, _)
             | OpKind::Reduce(_, a, _)
-            | OpKind::Send(a, _) => vec![*a],
+            | OpKind::Send(a, _) => Inputs::of(&[*a]),
             OpKind::Binary(_, a, b)
             | OpKind::MatMul(a, b)
             | OpKind::Conv2d(a, b, _)
-            | OpKind::Update(a, b) => {
-                vec![*a, *b]
-            }
+            | OpKind::Update(a, b) => Inputs::of(&[*a, *b]),
         }
     }
 
@@ -301,10 +336,18 @@ mod tests {
         let a = VarId(1);
         let b = VarId(2);
         let mut op = OpKind::Binary(BinaryOp::Add, a, b);
-        assert_eq!(op.inputs(), vec![a, b]);
+        assert_eq!(*op.inputs(), [a, b]);
         op.replace_input(a, VarId(9));
-        assert_eq!(op.inputs(), vec![VarId(9), b]);
-        assert_eq!(OpKind::Input.inputs(), vec![]);
+        assert_eq!(*op.inputs(), [VarId(9), b]);
+        assert_eq!(*OpKind::Input.inputs(), []);
+        assert_eq!(*OpKind::Slice(a).inputs(), [a]);
+        assert_eq!(
+            OpKind::MatMul(a, b)
+                .inputs()
+                .into_iter()
+                .collect::<Vec<_>>(),
+            [a, b]
+        );
     }
 
     #[test]

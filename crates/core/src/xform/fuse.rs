@@ -68,7 +68,7 @@ fn check_group_overlap(
 fn install_group(
     p: &mut Program,
     kind: FuseKind,
-    members: Vec<VarId>,
+    members: &HashSet<VarId>,
     absorbed: Vec<usize>,
 ) -> usize {
     // Remove absorbed groups (descending index order keeps them valid).
@@ -76,7 +76,7 @@ fn install_group(
     for i in absorbed.into_iter().rev() {
         groups.remove(i);
     }
-    // Rebuild group list in place.
+    // Rebuild group list in place, members in topological order.
     let topo: Vec<VarId> = p
         .topo_order()
         .into_iter()
@@ -117,12 +117,7 @@ pub fn fuse_compute(p: &mut Program, members: &[VarId]) -> Result<usize, CoreErr
     }
     check_convex(p, &set, "fuse")?;
     let absorbed = check_group_overlap(p, &set, "fuse")?;
-    Ok(install_group(
-        p,
-        FuseKind::Compute,
-        members.to_vec(),
-        absorbed,
-    ))
+    Ok(install_group(p, FuseKind::Compute, &set, absorbed))
 }
 
 /// Fuses a ReduceScatter, sliced computations, and AllGather(s) into a
@@ -194,7 +189,7 @@ pub fn fuse_all_reduce(
     }
     check_convex(p, &set, "fuse")?;
     let absorbed = check_group_overlap(p, &set, "fuse")?;
-    Ok(install_group(p, FuseKind::AllReduce, members, absorbed))
+    Ok(install_group(p, FuseKind::AllReduce, &set, absorbed))
 }
 
 /// Fuses pointwise computations into a P2P send (the paper's
@@ -233,7 +228,7 @@ pub fn fuse_send(p: &mut Program, comps: &[VarId], send: VarId) -> Result<usize,
     }
     check_convex(p, &set, "fuse")?;
     let absorbed = check_group_overlap(p, &set, "fuse")?;
-    Ok(install_group(p, FuseKind::Send, members, absorbed))
+    Ok(install_group(p, FuseKind::Send, &set, absorbed))
 }
 
 #[cfg(test)]

@@ -695,7 +695,7 @@ impl<'a> Rank<'a> {
         // An `Update` reads only its new value; the target is written.
         let operands = match op {
             OpKind::Update(_, x) => vec![x],
-            _ => op.inputs(),
+            _ => op.inputs().to_vec(),
         };
         let rng = match op {
             OpKind::Dropout(..) => Some(self.site.dropout_rng(v)),

@@ -1,7 +1,8 @@
-//! Property: the parallel pruned autotuner and the serial exhaustive
-//! reference pick the *same* winning schedule and configuration for
-//! randomly generated pointwise+collective programs — pruning and
-//! parallelism are pure work-savers, never quality trades. The grid
+//! Property: the pruned autotuner and the exhaustive reference pick
+//! the *same* winning schedule and configuration for randomly
+//! generated pointwise+collective programs — pruning is a pure
+//! work-saver, never a quality trade — and a repeated tune does the
+//! same work, count for count. The grid
 //! includes the wire-format dimension (dense / FP16 / top-k), so the
 //! per-format floor profiles behind the pruning bounds are re-proven
 //! admissible on every generated program.
@@ -77,10 +78,10 @@ fn build_program(ops: &[EpilogueOp], with_matmul: bool) -> Program {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The pruned search on two workers returns the exhaustive serial
-    /// winner while provably doing no more work.
+    /// The pruned search returns the exhaustive winner while provably
+    /// doing no more work, and repeats its counts exactly.
     #[test]
-    fn pruned_parallel_matches_exhaustive_serial(
+    fn pruned_matches_exhaustive(
         ops in arb_epilogue(),
         with_matmul in any::<bool>(),
         log_r in 6u32..12,
@@ -94,13 +95,21 @@ proptest! {
 
         let exhaustive = Autotuner::default()
             .exhaustive()
-            .with_workers(1)
             .tune(&program, &binding, &sim)
             .expect("exhaustive tunes");
         let pruned = Autotuner::default()
-            .with_workers(2)
             .tune(&program, &binding, &sim)
             .expect("pruned tunes");
+
+        // The search is serial, so a second cold tune repeats every
+        // count, not only the winner.
+        let again = Autotuner::default()
+            .tune(&program, &binding, &sim)
+            .expect("pruned tunes again");
+        prop_assert_eq!(again.configs_evaluated, pruned.configs_evaluated);
+        prop_assert_eq!(again.configs_pruned, pruned.configs_pruned);
+        prop_assert_eq!(again.branches_pruned, pruned.branches_pruned);
+        prop_assert_eq!(again.memo_hits, pruned.memo_hits);
 
         let e = exhaustive.best().expect("exhaustive winner");
         let p = pruned.best().expect("pruned winner");

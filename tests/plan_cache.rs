@@ -79,7 +79,7 @@ proptest! {
             .bind("R", 1u64 << log_r)
             .bind("C", 1u64 << log_c);
         let sim = Simulator::new(MachineSpec::dgx2_cluster(1), ranks, 1);
-        let tuner = Autotuner::default().with_workers(2);
+        let tuner = Autotuner::default();
         let mut cache = PlanCache::new(16);
 
         // Cold: the full pruned sweep runs and installs the winner.
@@ -120,7 +120,7 @@ proptest! {
         // A different config grid misses: shrink one sweep dimension
         // (the grid fingerprint is part of the key, so a narrower
         // search can never be answered by a wider search's winner).
-        let mut narrow = Autotuner::default().with_workers(2);
+        let mut narrow = Autotuner::default();
         if shrink_channels {
             narrow.channels.truncate(narrow.channels.len() - 1);
         } else {
