@@ -1,6 +1,6 @@
 //! Ablations the paper's analysis calls out but does not plot:
-//! protocol choice per size, channel count, and scattered-tensor
-//! bucket-size sensitivity.
+//! protocol choice per size, channel count, overlap tile count, and
+//! the collective algorithm per message size and per worker count.
 
 use coconet_bench::{experiments, fmt_time, Report};
 
@@ -97,15 +97,5 @@ fn main() {
         "SwitchML's in-network aggregation: per-worker volume is 2n words at any k, \
          so the switch overtakes every host-side algorithm as the group grows",
     );
-    r.print();
-
-    let mut r = Report::new(
-        "Ablation: scattered-tensor bucket size (334M elements, 360 tensors)",
-        &["bucket elems", "index overhead"],
-    );
-    for (b, t) in experiments::ablation_bucket_size(334_000_000) {
-        r.row(&[b.to_string(), fmt_time(t)]);
-    }
-    r.note("the paper picks 2^10 (=1024) element buckets (section 5.4)");
     r.print();
 }

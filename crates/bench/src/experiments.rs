@@ -1,22 +1,18 @@
-//! The experiment implementations behind every figure and table of §6.
+//! The experiment implementations behind the figures and tables of §6
+//! that this reproduction prices.
 //!
 //! Each function computes the measured rows for one paper artifact;
 //! the bench targets print them next to the paper's reported values.
 
 use coconet_core::{
     lower, Binding, CollAlgo, CollKind, CommConfig, DType, FusedCollectiveStep, Program, Protocol,
-    ScatterInfo, WireFormat,
+    WireFormat,
 };
-use coconet_models::inference::{
-    model_parallel_epilogue_time, model_parallel_inference_speedup, pipeline_epilogue_time,
-    pipeline_inference_speedup,
+use coconet_models::model_parallel::{
+    apply_block_schedule, model_parallel_epilogue_time, Block, BlockSchedule,
 };
-use coconet_models::model_parallel::{apply_block_schedule, Block, BlockSchedule};
-use coconet_models::pipeline::{apply_pipeline_schedule, PipelineSchedule};
-use coconet_models::training::estimate_iteration;
-use coconet_models::{
-    optimizers, Hyper, MemoryModel, ModelConfig, Optimizer, OptimizerSchedule, Strategy,
-};
+use coconet_models::pipeline::{apply_pipeline_schedule, pipeline_epilogue_time, PipelineSchedule};
+use coconet_models::{optimizers, Hyper, ModelConfig, Optimizer, OptimizerSchedule};
 use coconet_sim::{default_protocol, simulate_overlap, GroupGeom, Simulator};
 use coconet_topology::MachineSpec;
 
@@ -99,7 +95,6 @@ pub fn figure1() -> Vec<Fig1Row> {
                 flops: 0,
                 embedded_scalar_allreduces: 0,
                 n_fused_ops: 0,
-                scattered: None,
             };
             let (config, overlapped) = best_config(|c| {
                 simulate_overlap(
@@ -353,50 +348,6 @@ fn best_pipeline_time(cfg: &ModelConfig, batch: usize, schedule: PipelineSchedul
     .1
 }
 
-// ----------------------------------------------------------------- Table 2
-
-/// Table 2: scattered vs contiguous parameter update of all 360 BERT
-/// tensors. Returns `(scattered, contiguous)` seconds per optimizer.
-pub fn table2(opt: Optimizer) -> (f64, f64) {
-    let sim = Simulator::new(MachineSpec::paper_testbed(), DP_RANKS, 1);
-    let geom = sim.group_geom();
-    let cost = sim.cost_model();
-    let n: u64 = 334_000_000; // BERT-Large elements
-    let norms = match opt {
-        Optimizer::Adam => 0usize,
-        Optimizer::Lamb => 2,
-    };
-    let config = CommConfig {
-        algo: CollAlgo::Ring,
-        protocol: Protocol::Simple,
-        channels: 16,
-        format: WireFormat::Dense,
-        ..CommConfig::default()
-    };
-    let fused = |scattered: Option<ScatterInfo>| FusedCollectiveStep {
-        label: "fuse(RS-Opt-AG)".into(),
-        algo: CollAlgo::Ring,
-        elems: n,
-        dtype: DType::F16,
-        extra_bytes_read: 14 * n / DP_RANKS as u64,
-        extra_bytes_written: 14 * n / DP_RANKS as u64,
-        flops: 12 * n / DP_RANKS as u64,
-        embedded_scalar_allreduces: norms,
-        n_fused_ops: 12,
-        scattered,
-    };
-    let scattered = cost.fused_collective_time(
-        &fused(Some(ScatterInfo {
-            n_tensors: 360,
-            n_buckets: n / 1024,
-        })),
-        geom,
-        config,
-    );
-    let contiguous = cost.fused_collective_time(&fused(None), geom, config);
-    (scattered, contiguous)
-}
-
 // ----------------------------------------------------------------- Table 3
 
 /// One Table 3 row: lines of code and autotuner bookkeeping.
@@ -537,92 +488,6 @@ pub fn autotune_workload(which: &str) -> (usize, usize, f64, String) {
         report.elapsed.as_secs_f64(),
         report.best().expect("baseline lowers").label(),
     )
-}
-
-// ----------------------------------------------------------------- Table 4
-
-/// One Table 4 row.
-#[derive(Clone, Debug)]
-pub struct Tab4Row {
-    /// Optimizer name.
-    pub optimizer: &'static str,
-    /// Model name.
-    pub model: &'static str,
-    /// Max micro batch per strategy (None = OOM), Table 4 column order.
-    pub batches: [Option<usize>; 4],
-    /// CoCoNet speedup over each baseline (None when the baseline OOMs).
-    pub speedups: [Option<f64>; 3],
-}
-
-/// Table 4: BERT training on 256 GPUs.
-pub fn table4() -> Vec<Tab4Row> {
-    let sim = Simulator::new(MachineSpec::paper_testbed(), DP_RANKS, 1);
-    let memory = MemoryModel::default();
-    let mut rows = Vec::new();
-    for (opt, global) in [(Optimizer::Adam, 8192usize), (Optimizer::Lamb, 65536)] {
-        for cfg in [
-            ModelConfig::bert_336m(),
-            ModelConfig::bert_1_2b(),
-            ModelConfig::bert_3_9b(),
-        ] {
-            let est =
-                |s: Strategy| estimate_iteration(&sim, &memory, &cfg, opt, s, DP_RANKS, global);
-            let estimates: Vec<_> = Strategy::ALL.iter().map(|&s| est(s)).collect();
-            let coconet = estimates[3].clone().expect("CoCoNet always trains");
-            let batches = [
-                estimates[0].as_ref().map(|e| e.micro_batch),
-                estimates[1].as_ref().map(|e| e.micro_batch),
-                estimates[2].as_ref().map(|e| e.micro_batch),
-                Some(coconet.micro_batch),
-            ];
-            let speedups = [
-                estimates[0].as_ref().map(|e| e.total() / coconet.total()),
-                estimates[1].as_ref().map(|e| e.total() / coconet.total()),
-                estimates[2].as_ref().map(|e| e.total() / coconet.total()),
-            ];
-            rows.push(Tab4Row {
-                optimizer: opt.name(),
-                model: cfg.name,
-                batches,
-                speedups,
-            });
-        }
-    }
-    rows
-}
-
-// ------------------------------------------------------- §6.2.2 / Table 5
-
-/// §6.2.2: end-to-end model-parallel inference speedups.
-pub fn section622() -> Vec<(&'static str, f64)> {
-    vec![
-        (
-            "BERT 3.9B",
-            model_parallel_inference_speedup(&ModelConfig::bert_3_9b(), 8, 16),
-        ),
-        (
-            "GPT-2 8.3B",
-            model_parallel_inference_speedup(&ModelConfig::gpt2_8_3b(), 8, 16),
-        ),
-    ]
-}
-
-/// Table 5: end-to-end pipeline-parallel inference speedups.
-pub fn table5() -> Vec<(&'static str, usize, usize, f64)> {
-    vec![
-        (
-            "GPT-2 8.3B",
-            5,
-            16,
-            pipeline_inference_speedup(&ModelConfig::gpt2_8_3b(), 16, 5),
-        ),
-        (
-            "GPT-3 175B",
-            6,
-            2,
-            pipeline_inference_speedup(&ModelConfig::gpt3_175b(), 2, 6),
-        ),
-    ]
 }
 
 // --------------------------------------------------------------- Ablations
@@ -785,7 +650,6 @@ pub fn ablation_tile_count(batch: u64) -> Vec<(usize, f64)> {
                 flops: 0,
                 embedded_scalar_allreduces: 0,
                 n_fused_ops: 0,
-                scattered: None,
             }),
         ],
     };
@@ -810,18 +674,6 @@ pub fn ablation_tile_count(batch: u64) -> Vec<(usize, f64)> {
             .total;
             (tiles, t)
         })
-        .collect()
-}
-
-/// Ablation: scattered-tensor bucket-size sensitivity (Table 2's
-/// mechanism, §5.4): smaller buckets cost more lookups but spread work
-/// more evenly. Returns `(bucket_elems, overhead_seconds)`.
-pub fn ablation_bucket_size(n: u64) -> Vec<(u64, f64)> {
-    let sim = Simulator::new(MachineSpec::paper_testbed(), DP_RANKS, 1);
-    let cost = sim.cost_model();
-    [256u64, 512, 1024, 2048, 4096]
-        .into_iter()
-        .map(|b| (b, cost.scattered_overhead(360, n / b)))
         .collect()
 }
 
@@ -908,15 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn table2_overhead_small() {
-        for opt in [Optimizer::Adam, Optimizer::Lamb] {
-            let (scattered, contiguous) = table2(opt);
-            assert!(scattered > contiguous);
-            assert!((scattered - contiguous) / contiguous < 0.05);
-        }
-    }
-
-    #[test]
     fn table3_fused_generates_most_code() {
         // Per family the most transformed schedule (fused, then
         // overlapped) generates the most code.
@@ -944,35 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn table4_shape() {
-        let rows = table4();
-        assert_eq!(rows.len(), 6);
-        for row in &rows {
-            // CoCoNet always trains and is never slower.
-            assert!(row.batches[3].is_some());
-            for s in row.speedups.iter().flatten() {
-                assert!(*s >= 0.99, "{row:?}");
-            }
-        }
-        // 3.9B Adam: NV and DDP OOM.
-        let r39 = &rows[2];
-        assert!(r39.batches[0].is_none() && r39.batches[1].is_none());
-        // 3.9B LAMB: ZeRO also OOMs.
-        let r39l = &rows[5];
-        assert!(r39l.batches[2].is_none());
-    }
-
-    #[test]
-    fn inference_speedups_in_band() {
-        for (name, s) in section622() {
-            assert!((1.1..2.0).contains(&s), "{name}: {s}");
-        }
-        for (name, _, _, s) in table5() {
-            assert!((1.1..2.6).contains(&s), "{name}: {s}");
-        }
-    }
-
-    #[test]
     fn ablations_behave() {
         // LL wins small, Simple wins large.
         let protos = ablation_protocols(&[10, 30]);
@@ -983,9 +797,6 @@ mod tests {
         // More channels help up to NIC count.
         let ch = ablation_channels(1 << 30);
         assert!(ch.last().unwrap().1 <= ch[0].1);
-        // Bigger buckets -> less overhead.
-        let buckets = ablation_bucket_size(334_000_000);
-        assert!(buckets.last().unwrap().1 < buckets[0].1);
         // Tile granularity: some overlap beats none; extreme tiling
         // loses to spin-lock overhead.
         let tiles = ablation_tile_count(64);

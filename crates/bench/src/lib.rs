@@ -1,11 +1,13 @@
 //! # coconet-bench
 //!
-//! Benchmark harnesses reproducing every table and figure of the
-//! paper's evaluation (§6). Each bench target prints the simulated rows
-//! next to the paper's reported values; the `report` binary distills
-//! them — plus the runtime's byte- and bit-exactness invariants — into
-//! the reproducible `BENCH_coconet.json` ([`trajectory`]). Wall-clocks
-//! are measured by the repo benchmark under `benchmark/`, not here.
+//! Benchmark harnesses for the paper's evaluation (§6): Figures 1 and
+//! 10–12, Table 3 and the ablations (DESIGN.md's "Not reproduced" lists
+//! the tables left out, and why). Each bench target prints the
+//! simulated rows next to the paper's reported values; the `report`
+//! binary distills them — plus the runtime's byte- and bit-exactness
+//! invariants — into the reproducible `BENCH_coconet.json`
+//! ([`trajectory`]). Wall-clocks are measured by the repo benchmark
+//! under `benchmark/`, not here.
 
 #![warn(missing_docs)]
 

@@ -138,7 +138,6 @@ pub(crate) fn steady_plan(elems: usize, sched: CommSched) -> ExecPlan {
             algo: CollAlgo::Ring,
             elems: layer_elems as u64,
             dtype: CoreDType::F32,
-            scattered: None,
         }));
     }
     let mut plan = ExecPlan {

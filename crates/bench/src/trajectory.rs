@@ -33,9 +33,7 @@
 //! ```
 
 use coconet_core::Autotuner;
-use coconet_models::{MemoryModel, ModelConfig, Optimizer, Strategy};
-use coconet_sim::Simulator;
-use coconet_topology::MachineSpec;
+use coconet_models::Optimizer;
 
 use crate::experiments;
 use crate::json::Json;
@@ -286,8 +284,6 @@ pub fn collect() -> Result<Trajectory, String> {
         fig1(),
         fig10(),
         fig11(),
-        tab2(),
-        tab4(),
         algo_ablation("ablation_algo_small", 14),
         algo_ablation("ablation_algo_large", 30),
         compression_ablation("compression_ablation_small", 14),
@@ -469,41 +465,6 @@ fn compression_ablation(name: &'static str, log2_elems: u32) -> Row {
     }
     row.text("winner", format_winner(&rows))
         .num("log2_elems", f64::from(log2_elems))
-}
-
-/// Table 2 (Adam): scattered-tensor fused update vs contiguous.
-/// "Baseline" here is the scattered layout — the row tracks how small
-/// CoCoNet keeps the scattered-tensor overhead, so its speedup sits
-/// just below 1.
-fn tab2() -> Row {
-    let (scattered, contiguous) = experiments::table2(Optimizer::Adam);
-    Row::costed("tab2_scattered_params", contiguous, scattered)
-}
-
-/// Table 4's first row (BERT 336M, Adam): the strongest non-CoCoNet
-/// baseline vs CoCoNet's iteration time.
-fn tab4() -> Row {
-    let sim = Simulator::new(MachineSpec::paper_testbed(), experiments::DP_RANKS, 1);
-    let memory = MemoryModel::default();
-    let cfg = ModelConfig::bert_336m();
-    let est = |s: Strategy| {
-        coconet_models::training::estimate_iteration(
-            &sim,
-            &memory,
-            &cfg,
-            Optimizer::Adam,
-            s,
-            experiments::DP_RANKS,
-            8192,
-        )
-    };
-    let coconet = est(Strategy::ALL[3]).expect("CoCoNet always trains");
-    let best_baseline = Strategy::ALL[..3]
-        .iter()
-        .filter_map(|&s| est(s))
-        .map(|e| e.total())
-        .fold(f64::INFINITY, f64::min);
-    Row::costed("tab4_bert_training", best_baseline, coconet.total())
 }
 
 /// One Table 3 autotuner row: the workload tuned by the pruned search

@@ -34,7 +34,7 @@ pub use op::{BinaryOp, Inputs, OpKind, PeerSelector, UnaryOp, VarId};
 pub use plan::{
     lane_count, nodes_spanned, CollAlgo, CollKind, CollSite, CollectiveStep, CommConfig, CommSched,
     ExecPlan, Executed, FixedStep, FusedCollectiveStep, KernelStep, MatMulStep, OverlapStage,
-    OverlappedStep, Protocol, ScatterInfo, SendRecvStep, Step, MAX_CHANNELS,
+    OverlappedStep, Protocol, SendRecvStep, Step, MAX_CHANNELS,
 };
 pub use plancache::{CacheStats, PlanCache, PlanKey};
 pub use types::TensorType;

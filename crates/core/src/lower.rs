@@ -326,7 +326,6 @@ fn norm_all_reduces(p: &Program, ir: &KernelIr, algo: CollAlgo) -> Result<Vec<St
             algo,
             elems: 1,
             dtype: crate::DType::F32,
-            scattered: None,
         }));
     }
     Ok(steps)
@@ -390,7 +389,6 @@ fn lower_unit(
                 flops: price.flops,
                 embedded_scalar_allreduces: sliced_reductions(p, &ir)?.len(),
                 n_fused_ops: price.n_ops,
-                scattered: None,
             })])
         }
         UnitKind::Fused(FuseKind::Send) => {
@@ -528,7 +526,6 @@ fn collective(
         algo,
         elems: p.ty(input)?.numel(binding)?,
         dtype: p.ty(input)?.dtype,
-        scattered: None,
     }))
 }
 

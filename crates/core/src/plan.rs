@@ -414,17 +414,6 @@ impl Executed {
     }
 }
 
-/// Scattered-tensor execution info (§5.4): the collective walks many
-/// non-contiguous tensors through a bucket table instead of one
-/// contiguous buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScatterInfo {
-    /// Number of distinct (non-contiguous) tensors.
-    pub n_tensors: u64,
-    /// Total number of 2^10-element buckets.
-    pub n_buckets: u64,
-}
-
 /// A fused pointwise kernel launch.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelStep {
@@ -488,8 +477,6 @@ pub struct CollectiveStep {
     pub elems: u64,
     /// Element type.
     pub dtype: DType,
-    /// Scattered-tensor info, if operating on non-contiguous tensors.
-    pub scattered: Option<ScatterInfo>,
 }
 
 /// A fused collective kernel: AllReduce-volume communication with
@@ -520,8 +507,6 @@ pub struct FusedCollectiveStep {
     /// Number of DSL operations fused in (register-pressure proxy:
     /// §6.1.1 observes fused kernels lose thread-level parallelism).
     pub n_fused_ops: usize,
-    /// Scattered-tensor info, if operating on non-contiguous tensors.
-    pub scattered: Option<ScatterInfo>,
 }
 
 /// A P2P transfer to the peer rank in the next group, optionally with
@@ -739,7 +724,6 @@ mod tests {
             algo: CollAlgo::Ring,
             elems: 8,
             dtype: DType::F16,
-            scattered: None,
         };
         let overlapped = Step::Overlapped(OverlappedStep {
             label: "ol".into(),
@@ -892,7 +876,6 @@ mod tests {
             algo: CollAlgo::Ring,
             elems: 8,
             dtype: DType::F16,
-            scattered: None,
         };
         let fused = FusedCollectiveStep {
             label: "f".into(),
@@ -904,7 +887,6 @@ mod tests {
             flops: 0,
             embedded_scalar_allreduces: 0,
             n_fused_ops: 1,
-            scattered: None,
         };
         let mut plan = ExecPlan {
             name: "t".into(),

@@ -18,43 +18,6 @@ pub struct ModelConfig {
 }
 
 impl ModelConfig {
-    /// BERT 336M (NVIDIA BERT-Large).
-    pub fn bert_336m() -> ModelConfig {
-        ModelConfig {
-            name: "BERT 336M",
-            layers: 24,
-            hidden: 1024,
-            seq: 512,
-            heads: 16,
-            vocab: 30528,
-        }
-    }
-
-    /// BERT 1.2B.
-    pub fn bert_1_2b() -> ModelConfig {
-        ModelConfig {
-            name: "BERT 1.2B",
-            layers: 24,
-            hidden: 2048,
-            seq: 512,
-            heads: 32,
-            vocab: 30528,
-        }
-    }
-
-    /// BERT 3.9B — trainable with data parallelism only through
-    /// CoCoNet's sliced optimizer state (§6.1.2).
-    pub fn bert_3_9b() -> ModelConfig {
-        ModelConfig {
-            name: "BERT 3.9B",
-            layers: 48,
-            hidden: 2560,
-            seq: 512,
-            heads: 40,
-            vocab: 30528,
-        }
-    }
-
     /// GPT-2 8.3B (Megatron-LM), used for model and pipeline
     /// parallelism (§6.2/6.3): S = 1024, H = 3072.
     pub fn gpt2_8_3b() -> ModelConfig {
@@ -87,17 +50,6 @@ impl ModelConfig {
         12 * self.layers as u64 * (self.hidden as u64).pow(2)
             + self.vocab as u64 * self.hidden as u64
     }
-
-    /// Forward+backward FLOPs per trained token (the standard `6 N`
-    /// rule for dense transformers).
-    pub fn train_flops_per_token(&self) -> f64 {
-        6.0 * self.params() as f64
-    }
-
-    /// Forward-only FLOPs per token (`2 N`).
-    pub fn infer_flops_per_token(&self) -> f64 {
-        2.0 * self.params() as f64
-    }
 }
 
 #[cfg(test)]
@@ -114,19 +66,7 @@ mod tests {
                 cfg.name
             );
         };
-        within(ModelConfig::bert_336m(), 336e6);
-        within(ModelConfig::bert_1_2b(), 1.2e9);
-        within(ModelConfig::bert_3_9b(), 3.9e9);
         within(ModelConfig::gpt2_8_3b(), 8.3e9);
         within(ModelConfig::gpt3_175b(), 175e9);
-    }
-
-    #[test]
-    fn flops_rules() {
-        let cfg = ModelConfig::bert_336m();
-        assert_eq!(
-            cfg.train_flops_per_token(),
-            3.0 * cfg.infer_flops_per_token()
-        );
     }
 }

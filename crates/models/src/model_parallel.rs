@@ -9,7 +9,14 @@
 use coconet_core::xform::{
     fuse_all_reduce, fuse_compute, overlap, reorder_all_gather, split_all_reduce,
 };
-use coconet_core::{CoreError, DType, Layout, Program, ReduceOp, VarId};
+use coconet_core::{
+    lower, Binding, CollAlgo, CommConfig, CoreError, DType, Layout, Program, Protocol, ReduceOp,
+    VarId, WireFormat,
+};
+use coconet_sim::Simulator;
+use coconet_topology::MachineSpec;
+
+use crate::ModelConfig;
 
 /// Which block of the transformer layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,10 +164,40 @@ pub fn apply_block_schedule(
     Ok((p, log, out_name))
 }
 
+/// The epilogue (modeled) time of one layer under a model-parallel
+/// block schedule: self-attention + MLP epilogues.
+pub fn model_parallel_epilogue_time(
+    cfg: &ModelConfig,
+    batch: usize,
+    mp: usize,
+    schedule: BlockSchedule,
+) -> f64 {
+    let sim = Simulator::new(MachineSpec::dgx2_cluster(1), mp, 1);
+    let config = CommConfig {
+        algo: CollAlgo::Ring,
+        protocol: Protocol::Simple,
+        channels: 16,
+        format: WireFormat::Dense,
+        ..CommConfig::default()
+    };
+    let mut total = 0.0;
+    for block in [Block::SelfAttention, Block::Mlp] {
+        let binding = Binding::new(mp)
+            .bind("B", batch as u64)
+            .bind("S", cfg.seq as u64)
+            .bind("H", cfg.hidden as u64)
+            .bind("H4", 4 * cfg.hidden as u64);
+        let (p, _, _) = apply_block_schedule(block, schedule).expect("fixed schedule");
+        let plan = lower(&p, &binding, config).expect("lowers");
+        total += sim.time_plan(&plan).total;
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coconet_core::{Binding, CommConfig, Step};
+    use coconet_core::Step;
     use coconet_runtime::{run_program, Inputs, RunOptions};
     use coconet_tensor::{CounterRng, Tensor};
 
@@ -254,5 +291,23 @@ mod tests {
         } else {
             panic!("first step is the MatMul");
         }
+    }
+
+    #[test]
+    fn standalone_model_parallel_ordering_matches_figure11() {
+        let cfg = ModelConfig::gpt2_8_3b();
+        let t = |s| model_parallel_epilogue_time(&cfg, 8, 16, s);
+        let megatron = t(BlockSchedule::Megatron);
+        let mm_ar_c = t(BlockSchedule::MmArC);
+        let gshard = t(BlockSchedule::MmRsCAg);
+        let overlap = t(BlockSchedule::Overlap);
+        assert!(mm_ar_c < megatron, "fusing pointwise helps");
+        assert!(gshard < mm_ar_c, "distributing computations helps more");
+        assert!(overlap < gshard, "overlap wins (the autotuner's pick)");
+        let speedup = megatron / overlap;
+        assert!(
+            (1.2..2.2).contains(&speedup),
+            "Figure 11 band: 1.42-1.70x, got {speedup}"
+        );
     }
 }

@@ -1,198 +1,10 @@
-//! End-to-end BERT training iteration model (Table 4's speedups).
-//!
-//! One data-parallel iteration processes `global_batch` samples:
-//! `global_batch / (ranks * micro_batch)` gradient-accumulation steps
-//! of forward+backward, then one optimizer step. The strategies differ
-//! in (i) the micro batch memory admits — larger micro batches run
-//! GEMMs at higher efficiency and amortize per-step overheads — and
-//! (ii) the optimizer step itself: copies + AllReduce + replicated
-//! compute for the baselines versus CoCoNet's fused scattered
-//! `fuse(RS-Opt-AG)` kernel.
+//! The executable data-parallel training loop: a least-squares model
+//! trained on real rank threads, its gradient AllReduce running under
+//! a [`WireFormat`] and a [`CommSched`] — the end-to-end proof that
+//! top-k gradient compression with error feedback converges like the
+//! dense wire.
 
-use coconet_core::{
-    CollAlgo, CollKind, CommConfig, CommSched, DType, FusedCollectiveStep, KernelStep, Protocol,
-    ReduceOp, ScatterInfo, WireFormat,
-};
-use coconet_sim::{GroupGeom, Simulator};
-
-use crate::{MemoryModel, ModelConfig, Optimizer, Strategy};
-
-/// Per-GPU fixed overhead per accumulation step (data loader, Python
-/// dispatch, launch queues).
-const STEP_OVERHEAD: f64 = 1.2e-3;
-
-/// Baseline FusedAdam/FusedLAMB preprocessing (§6.1.1 observes it).
-const APEX_PREPROCESS: f64 = 25e-6;
-
-/// An estimated training iteration.
-#[derive(Clone, Debug)]
-pub struct TrainingEstimate {
-    /// Micro batch used (memory-limited).
-    pub micro_batch: usize,
-    /// Gradient accumulation steps per iteration.
-    pub accum_steps: usize,
-    /// Forward+backward time per iteration (all steps), seconds.
-    pub fwd_bwd: f64,
-    /// Optimizer + communication time per iteration, seconds.
-    pub optimizer: f64,
-}
-
-impl TrainingEstimate {
-    /// Total iteration time.
-    pub fn total(&self) -> f64 {
-        self.fwd_bwd + self.optimizer
-    }
-}
-
-/// GEMM efficiency as a function of the activation row count
-/// (`batch * seq`): small batches underutilize tensor cores (the reason
-/// larger micro batches train faster at equal total work, §6.1.2).
-pub(crate) fn gemm_efficiency(rows: usize) -> f64 {
-    let r = rows as f64;
-    0.55 * r / (r + 2000.0)
-}
-
-/// Estimates one training iteration for a strategy, or `None` on OOM.
-pub fn estimate_iteration(
-    sim: &Simulator,
-    memory: &MemoryModel,
-    cfg: &ModelConfig,
-    opt: Optimizer,
-    strategy: Strategy,
-    ranks: usize,
-    global_batch: usize,
-) -> Option<TrainingEstimate> {
-    let micro = memory.max_micro_batch(cfg, opt, strategy, ranks, global_batch)?;
-    let accum_steps = (global_batch / (ranks * micro)).max(1);
-
-    // Forward + backward: 6N FLOPs per token at batch-dependent GEMM
-    // efficiency, plus activation traffic at memory bandwidth.
-    let machine = sim.cost_model().machine();
-    let tokens_per_step = (micro * cfg.seq) as f64;
-    let flops_per_step = cfg.train_flops_per_token() * tokens_per_step;
-    let eff = gemm_efficiency(micro * cfg.seq);
-    let act_bytes = memory.activation_bytes_per_sample(cfg, cfg.seq) * micro as f64;
-    let step_time = (flops_per_step / (machine.gpu.fp16_flops * eff))
-        .max(3.0 * act_bytes / machine.gpu.mem_bw)
-        + STEP_OVERHEAD;
-    let fwd_bwd = step_time * accum_steps as f64;
-
-    Some(TrainingEstimate {
-        micro_batch: micro,
-        accum_steps,
-        fwd_bwd,
-        optimizer: optimizer_step_time(sim, cfg, opt, strategy, ranks),
-    })
-}
-
-/// Time of the per-iteration optimizer step (gradient exchange + state
-/// update) for each implementation.
-pub fn optimizer_step_time(
-    sim: &Simulator,
-    cfg: &ModelConfig,
-    opt: Optimizer,
-    strategy: Strategy,
-    ranks: usize,
-) -> f64 {
-    let n = cfg.params();
-    let geom = GroupGeom {
-        size: ranks,
-        nodes_spanned: ranks.div_ceil(16),
-        ranks_per_node: ranks.min(16),
-    };
-    let cost = sim.cost_model();
-    let config = CommConfig {
-        algo: CollAlgo::Ring,
-        protocol: Protocol::Simple,
-        channels: 16,
-        format: WireFormat::Dense,
-        ..CommConfig::default()
-    };
-    let norms = match opt {
-        Optimizer::Adam => 0,
-        Optimizer::Lamb => 2,
-    };
-    // State traffic per element: read m,v,master (12B) + g (2B); write
-    // m,v,master (12B) + p16 (2B).
-    let full_kernel = KernelStep {
-        label: "fused optimizer".into(),
-        bytes_read: 14 * n,
-        bytes_written: 14 * n,
-        flops: 12 * n,
-        n_ops: 12,
-    };
-    let sliced_kernel = KernelStep {
-        label: "sliced optimizer".into(),
-        bytes_read: 14 * n / ranks as u64,
-        bytes_written: 14 * n / ranks as u64,
-        flops: 12 * n / ranks as u64,
-        n_ops: 12,
-    };
-    let copy = KernelStep {
-        label: "grad copy".into(),
-        bytes_read: 2 * n,
-        bytes_written: 2 * n,
-        flops: 0,
-        n_ops: 1,
-    };
-    let norm_time = norms as f64 * (ranks as f64).log2() * 2.0e-6;
-
-    match strategy {
-        Strategy::NvBert => {
-            // copy-in + AllReduce + copy-out + Apex fused optimizer;
-            // the copies launch one kernel per layer tensor.
-            let n_tensors = (16 * cfg.layers + 2) as f64;
-            2.0 * (cost.kernel_time(&copy) + n_tensors * 5e-6)
-                + cost.collective_time(CollKind::AllReduce, n, DType::F16, geom, config)
-                + cost.kernel_time(&full_kernel)
-                + APEX_PREPROCESS
-                + norm_time
-        }
-        Strategy::PyTorchDdp => {
-            // Bucketed AllReduce partially overlapped with backward:
-            // the exposed fraction plus per-bucket launch/sync costs
-            // and the full replicated optimizer.
-            let ar_time = cost.collective_time(CollKind::AllReduce, n, DType::F16, geom, config);
-            let n_buckets = (2 * n).div_ceil(25_000_000) as f64;
-            0.6 * ar_time
-                + n_buckets * 20e-6
-                + cost.kernel_time(&full_kernel)
-                + APEX_PREPROCESS
-                + norm_time
-        }
-        Strategy::Zero => {
-            // copy-in + RS + sliced optimizer + AG (separate kernels).
-            cost.kernel_time(&copy)
-                + cost.collective_time(CollKind::ReduceScatter, n, DType::F16, geom, config)
-                + cost.kernel_time(&sliced_kernel)
-                + cost.collective_time(CollKind::AllGather, n, DType::F16, geom, config)
-                + norm_time
-        }
-        Strategy::CoCoNet => {
-            // One fused scattered-tensor kernel (§5.4 + §5.2).
-            let fused = FusedCollectiveStep {
-                label: "fuse(RS-Opt-AG)".into(),
-                algo: CollAlgo::Ring,
-                elems: n,
-                dtype: DType::F16,
-                extra_bytes_read: 14 * n / ranks as u64,
-                extra_bytes_written: 14 * n / ranks as u64,
-                flops: 12 * n / ranks as u64,
-                embedded_scalar_allreduces: norms,
-                n_fused_ops: 12,
-                scattered: Some(ScatterInfo {
-                    n_tensors: 2 * cfg.layers as u64 * 16, // ~weights+biases per layer
-                    n_buckets: n / 1024,
-                }),
-            };
-            cost.fused_collective_time(&fused, geom, config)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Executable data-parallel training (the wire-compression proof).
-// ---------------------------------------------------------------------
+use coconet_core::{CommSched, DType, ReduceOp, WireFormat};
 
 /// Configuration of the *executable* data-parallel loop: a linear
 /// least-squares model trained by synchronous gradient descent on real
@@ -229,7 +41,8 @@ pub struct DataParallelSpec {
     /// priority-scheduled fabric while the next iteration's forward
     /// proceeds. Results are bit-identical for every format (an active
     /// top-k wire is not `streamable` —
-    /// [`CommConfig::executed_as`] — and runs its sparse exchange,
+    /// [`CommConfig::executed_as`](coconet_core::CommConfig::executed_as)
+    /// — and runs its sparse exchange,
     /// error-feedback residual included, at the enqueue point under
     /// either schedule).
     pub sched: CommSched,
@@ -360,173 +173,6 @@ pub fn train_data_parallel(spec: &DataParallelSpec) -> DataParallelRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coconet_topology::MachineSpec;
-
-    fn sim() -> Simulator {
-        Simulator::new(MachineSpec::paper_testbed(), 256, 1)
-    }
-
-    #[test]
-    fn coconet_optimizer_step_is_fastest() {
-        let sim = sim();
-        let cfg = ModelConfig::bert_336m();
-        let coconet = optimizer_step_time(&sim, &cfg, Optimizer::Adam, Strategy::CoCoNet, 256);
-        for s in [Strategy::NvBert, Strategy::PyTorchDdp, Strategy::Zero] {
-            let t = optimizer_step_time(&sim, &cfg, Optimizer::Adam, s, 256);
-            assert!(coconet < t, "CoCoNet {coconet} vs {} {t}", s.name());
-        }
-    }
-
-    #[test]
-    fn table4_adam_speedups_have_paper_shape() {
-        let sim = sim();
-        let memory = MemoryModel::default();
-        // 336M: modest speedup from the optimizer step alone.
-        let cfg = ModelConfig::bert_336m();
-        let nv = estimate_iteration(
-            &sim,
-            &memory,
-            &cfg,
-            Optimizer::Adam,
-            Strategy::NvBert,
-            256,
-            8192,
-        )
-        .unwrap();
-        let coco = estimate_iteration(
-            &sim,
-            &memory,
-            &cfg,
-            Optimizer::Adam,
-            Strategy::CoCoNet,
-            256,
-            8192,
-        )
-        .unwrap();
-        let speedup = nv.total() / coco.total();
-        assert!((1.005..1.6).contains(&speedup), "336M speedup {speedup}");
-
-        // 1.2B: bigger speedup because CoCoNet also trains at micro
-        // batch 32 vs 8 (paper: 1.53x over NV BERT).
-        let cfg = ModelConfig::bert_1_2b();
-        let nv = estimate_iteration(
-            &sim,
-            &memory,
-            &cfg,
-            Optimizer::Adam,
-            Strategy::NvBert,
-            256,
-            8192,
-        )
-        .unwrap();
-        let coco = estimate_iteration(
-            &sim,
-            &memory,
-            &cfg,
-            Optimizer::Adam,
-            Strategy::CoCoNet,
-            256,
-            8192,
-        )
-        .unwrap();
-        assert_eq!(nv.micro_batch, 8);
-        assert_eq!(coco.micro_batch, 32);
-        let speedup = nv.total() / coco.total();
-        assert!((1.2..2.0).contains(&speedup), "1.2B speedup {speedup}");
-
-        // 3.9B: baselines OOM, CoCoNet trains, and still beats ZeRO
-        // (paper: 1.22x).
-        let cfg = ModelConfig::bert_3_9b();
-        assert!(estimate_iteration(
-            &sim,
-            &memory,
-            &cfg,
-            Optimizer::Adam,
-            Strategy::NvBert,
-            256,
-            8192
-        )
-        .is_none());
-        let zero = estimate_iteration(
-            &sim,
-            &memory,
-            &cfg,
-            Optimizer::Adam,
-            Strategy::Zero,
-            256,
-            8192,
-        )
-        .unwrap();
-        let coco = estimate_iteration(
-            &sim,
-            &memory,
-            &cfg,
-            Optimizer::Adam,
-            Strategy::CoCoNet,
-            256,
-            8192,
-        )
-        .unwrap();
-        let speedup = zero.total() / coco.total();
-        assert!(speedup > 1.0, "3.9B vs ZeRO {speedup}");
-    }
-
-    #[test]
-    fn lamb_zero_gap_is_larger_than_adam_gap() {
-        // Paper: "For LAMB, the speedup over ZeRO is higher than Adam
-        // because ZeRO does not support distributing LAMB optimizer
-        // state" (so it trains at a smaller micro batch).
-        let sim = sim();
-        let memory = MemoryModel::default();
-        let cfg = ModelConfig::bert_1_2b();
-        let adam_gap = {
-            let z = estimate_iteration(
-                &sim,
-                &memory,
-                &cfg,
-                Optimizer::Adam,
-                Strategy::Zero,
-                256,
-                8192,
-            )
-            .unwrap();
-            let c = estimate_iteration(
-                &sim,
-                &memory,
-                &cfg,
-                Optimizer::Adam,
-                Strategy::CoCoNet,
-                256,
-                8192,
-            )
-            .unwrap();
-            z.total() / c.total()
-        };
-        let lamb_gap = {
-            let z = estimate_iteration(
-                &sim,
-                &memory,
-                &cfg,
-                Optimizer::Lamb,
-                Strategy::Zero,
-                256,
-                65536,
-            )
-            .unwrap();
-            let c = estimate_iteration(
-                &sim,
-                &memory,
-                &cfg,
-                Optimizer::Lamb,
-                Strategy::CoCoNet,
-                256,
-                65536,
-            )
-            .unwrap();
-            z.total() / c.total()
-        };
-        assert!(lamb_gap > adam_gap, "lamb {lamb_gap} vs adam {adam_gap}");
-    }
 
     /// The acceptance criterion's convergence half: with persistent
     /// error feedback, the top-k compressed loop lands within 1 % of
@@ -607,12 +253,5 @@ mod tests {
         );
         let ring = coconet_runtime::ring_all_reduce_wire_bytes(spec.dim, spec.ranks, DType::F32);
         assert_eq!(streamed.grad_bytes_per_rank, spec.iters as u64 * ring);
-    }
-
-    #[test]
-    fn gemm_efficiency_grows_with_rows() {
-        assert!(gemm_efficiency(32 * 512) > gemm_efficiency(8 * 512));
-        assert!(gemm_efficiency(8 * 512) > gemm_efficiency(512));
-        assert!(gemm_efficiency(1 << 20) < 0.56);
     }
 }

@@ -202,7 +202,7 @@ pub fn all_gather_wire_striped(
 /// # Panics
 ///
 /// Panics if `format` is not [`WireFormat::TopK`].
-pub fn sparse_all_reduce(
+pub(crate) fn sparse_all_reduce(
     comm: &RankComm,
     group: Group,
     input: &Tensor,

@@ -301,7 +301,7 @@ pub fn hierarchical_all_gather(
 /// exactly like [`ring_all_reduce`](crate::ring_all_reduce). Under FP16
 /// the two-level exchange moves exactly half the dense bytes on F32
 /// payloads; bit-identical at every `channels` width.
-pub fn hierarchical_all_reduce(
+pub(crate) fn hierarchical_all_reduce(
     comm: &RankComm,
     group: Group,
     input: &Tensor,

@@ -52,7 +52,6 @@ mod hierarchical;
 mod kernel;
 mod ledger;
 mod overlap_exec;
-mod scattered;
 mod stream;
 mod switch;
 mod tree;
@@ -64,7 +63,6 @@ pub use collectives::{
 pub use comm::{run_ranks, RankComm, WireMsg};
 pub use compressed::{
     all_gather_wire_striped, all_reduce_wire_striped, reduce_scatter_wire_striped,
-    sparse_all_reduce,
 };
 pub use dist::DistValue;
 pub use error::RuntimeError;
@@ -72,15 +70,11 @@ pub use executor::{
     run_program, run_program_per_element, run_segment_alone, InitValue, Inputs, KernelStats,
     RunOptions, RunResult,
 };
-pub use hierarchical::{
-    hierarchical_all_gather, hierarchical_all_reduce, hierarchical_reduce_scatter,
-};
+pub use hierarchical::{hierarchical_all_gather, hierarchical_reduce_scatter};
 pub use ledger::{
     ring_all_reduce_wire_bytes, switch_all_reduce_wire_bytes, top_k_all_reduce_wire_bytes,
     BytesLedger, PRIORITY_CLASSES,
 };
 pub use overlap_exec::{overlapped_matmul_all_reduce, production_order};
-pub use scattered::{BucketTable, ScatteredTensors, BUCKET_ELEMS};
 pub use stream::{CommScheduler, Completion, StreamExecutor};
 pub use switch::switch_all_reduce;
-pub use tree::tree_all_reduce;

@@ -31,7 +31,7 @@ use crate::RankComm;
 /// copy, before each fold and each decode, so the wire byte total is
 /// unchanged and the result bit-identical at every width;
 /// `channels <= 1` sends whole payloads.
-pub fn tree_all_reduce(
+pub(crate) fn tree_all_reduce(
     comm: &RankComm,
     group: Group,
     input: &Tensor,

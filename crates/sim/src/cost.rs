@@ -77,7 +77,10 @@ impl GroupGeom {
     }
 }
 
-/// Tunable second-order knobs, with defaults calibrated in DESIGN.md.
+/// The cost model's seven tunable second-order knobs: three
+/// efficiencies (fabric, memory, GEMM), per-call synchronization,
+/// fused-kernel register pressure, per-lane setup and the switch's
+/// processing time. Each field says what its default stands for.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostKnobs {
     /// Achievable fraction of link bandwidth (protocol overheads,
@@ -95,11 +98,6 @@ pub struct CostKnobs {
     /// parallelism, §6.1.1). Multiplied by the kernel launch overhead
     /// and the fused op count.
     pub fused_reg_pressure: f64,
-    /// Seconds per scattered-tensor bucket (warp-level index lookup,
-    /// §5.4).
-    pub scattered_bucket_cost: f64,
-    /// Seconds per distinct scattered tensor (offset precalculation).
-    pub scattered_tensor_cost: f64,
     /// Per-extra-channel setup cost of a striped collective: each lane
     /// beyond the first adds its own send/receive descriptor posting
     /// and completion tracking per call. Calibrated against the
@@ -127,8 +125,6 @@ impl Default for CostKnobs {
             matmul_efficiency: 0.70,
             call_sync_per_log_rank: 8.0e-6,
             fused_reg_pressure: 0.4,
-            scattered_bucket_cost: 1.0e-9,
-            scattered_tensor_cost: 1.0e-7,
             channel_setup: 2.0e-6,
             switch_process: 20.0e-6,
         }
@@ -523,13 +519,6 @@ impl CostModel {
         self.launch() + proto.base_latency + sync + t_lat + t_bw + t_codec + t_channels
     }
 
-    /// Extra cost of walking scattered tensors through bucket tables
-    /// (§5.4). Near zero relative to the collective itself (Table 2).
-    pub fn scattered_overhead(&self, n_tensors: u64, n_buckets: u64) -> f64 {
-        n_buckets as f64 * self.knobs.scattered_bucket_cost
-            + n_tensors as f64 * self.knobs.scattered_tensor_cost
-    }
-
     /// Time for a fused collective (§5.2): AllReduce-volume
     /// communication with computation inlined between the
     /// ReduceScatter and AllGather phases.
@@ -578,12 +567,7 @@ impl CostModel {
             * proto.hop_latency_intra
             * 2.0;
 
-        let scattered = step
-            .scattered
-            .map(|s| self.scattered_overhead(s.n_tensors, s.n_buckets))
-            .unwrap_or(0.0);
-
-        launch + t_data + reg_penalty + t_norms + scattered
+        launch + t_data + reg_penalty + t_norms
     }
 
     /// Time for a P2P transfer from every rank of a group to its peer
@@ -813,7 +797,6 @@ mod tests {
             flops: 1 << 12,
             embedded_scalar_allreduces: 0,
             n_fused_ops: 10,
-            scattered: None,
         };
         let t_fused = m.fused_collective_time(&small_fused, g, c);
         let t_ar = m.collective_time(CollKind::AllReduce, 1 << 12, DType::F16, g, c);
@@ -848,7 +831,6 @@ mod tests {
             flops: slice * 8,
             embedded_scalar_allreduces: 0,
             n_fused_ops: 10,
-            scattered: None,
         };
         let t_fused = m.fused_collective_time(&fused, g, c);
         let t_ar = m.collective_time(CollKind::AllReduce, elems, DType::F16, g, c);
@@ -887,15 +869,6 @@ mod tests {
         let t_repl = m.send_recv_time(&replicated, g, true, c);
         let t_sliced = m.send_recv_time(&sliced, g, true, c);
         assert!(t_repl > 10.0 * t_sliced, "repl={t_repl}, sliced={t_sliced}");
-    }
-
-    #[test]
-    fn scattered_overhead_is_small() {
-        let m = model();
-        // BERT-340M: 360 tensors, ~334M elements -> ~326k buckets.
-        let overhead = m.scattered_overhead(360, 334_000_000 / 1024);
-        assert!(overhead < 1e-3, "overhead = {overhead}");
-        assert!(overhead > 0.0);
     }
 
     fn algo_cfg(algo: CollAlgo) -> CommConfig {
@@ -1290,7 +1263,6 @@ mod tests {
             flops: 1 << 20,
             embedded_scalar_allreduces: 0,
             n_fused_ops: 8,
-            scattered: None,
         };
         let at = |format| {
             m.fused_collective_time(

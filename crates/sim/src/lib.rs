@@ -27,7 +27,6 @@
 //!     algo: CollAlgo::Ring,
 //!     elems: 1 << 26,
 //!     dtype: DType::F16,
-//!     scattered: None,
 //! });
 //! let t = sim.time_step(&ar, CommConfig::default());
 //! assert!(t.seconds > 0.0);

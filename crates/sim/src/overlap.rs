@@ -302,7 +302,6 @@ mod tests {
                     flops: 0,
                     embedded_scalar_allreduces: 0,
                     n_fused_ops: 3,
-                    scattered: None,
                 }),
             ],
         }
@@ -349,7 +348,6 @@ mod tests {
                     algo: CollAlgo::Ring,
                     elems,
                     dtype: DType::F16,
-                    scattered: None,
                 }),
                 OverlapStage::SendRecv(SendRecvStep {
                     label: "p2p".into(),
@@ -366,7 +364,6 @@ mod tests {
                     algo: CollAlgo::Ring,
                     elems,
                     dtype: DType::F16,
-                    scattered: None,
                 }),
             ],
         };
@@ -411,7 +408,6 @@ mod tests {
                     algo: CollAlgo::Ring,
                     elems: 1 << 24,
                     dtype: DType::F16,
-                    scattered: None,
                 }),
                 OverlapStage::SendRecv(SendRecvStep {
                     label: "p2p".into(),
@@ -500,7 +496,6 @@ mod tests {
                     algo: CollAlgo::ALL[kind % CollAlgo::ALL.len()],
                     elems,
                     dtype: DType::F16,
-                    scattered: None,
                 }),
                 2 => OverlapStage::FusedCollective(FusedCollectiveStep {
                     label: "fused".into(),
@@ -512,7 +507,6 @@ mod tests {
                     flops: elems,
                     embedded_scalar_allreduces: kind % 2,
                     n_fused_ops: 3,
-                    scattered: None,
                 }),
                 _ => OverlapStage::SendRecv(SendRecvStep {
                     label: "p2p".into(),

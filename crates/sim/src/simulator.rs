@@ -159,14 +159,11 @@ impl Simulator {
                 // stamp is authoritative for hand-built plans); the
                 // site carries the operator, so a non-sum reduction is
                 // priced on the dense wire the runtime runs it on.
-                let mut t = self.cost.site_time(
+                let t = self.cost.site_time(
                     &geom.site(c.kind, c.op, c.elems, c.dtype),
                     geom,
                     config.with_algo(c.algo),
                 );
-                if let Some(s) = c.scattered {
-                    t += self.cost.scattered_overhead(s.n_tensors, s.n_buckets);
-                }
                 (t, StepCategory::Communication)
             }
             Step::FusedCollective(f) => (
@@ -711,7 +708,7 @@ impl PlanEvaluator for Simulator {
 mod tests {
     use super::*;
     use coconet_core::ReduceOp;
-    use coconet_core::{CollectiveStep, DType, FixedStep, KernelStep, Protocol, ScatterInfo};
+    use coconet_core::{CollectiveStep, DType, FixedStep, KernelStep, Protocol};
     use proptest::prelude::*;
 
     fn simulator() -> Simulator {
@@ -761,7 +758,6 @@ mod tests {
                     algo: CollAlgo::Ring,
                     elems: 1 << 20,
                     dtype: DType::F16,
-                    scattered: None,
                 }),
                 Step::Fixed(FixedStep {
                     label: "preproc".into(),
@@ -822,7 +818,6 @@ mod tests {
                                 algo: CollAlgo::Ring,
                                 elems: 1 << 26,
                                 dtype: DType::F16,
-                                scattered: None,
                             }),
                         ],
                         config,
@@ -866,7 +861,6 @@ mod tests {
                 algo: CollAlgo::Ring,
                 elems: 1 << 24,
                 dtype: DType::F32,
-                scattered: None,
             })
         };
         let topk =
@@ -919,7 +913,6 @@ mod tests {
             algo: CollAlgo::Ring,
             elems: 1 << 26,
             dtype: DType::F16,
-            scattered: None,
         });
         let plan = |steps: Vec<Step>, sched| ExecPlan {
             name: "ss".into(),
@@ -965,7 +958,6 @@ mod tests {
                     algo: CollAlgo::Ring,
                     elems: 1 << 26,
                     dtype: DType::F16,
-                    scattered: None,
                 }),
             ],
             CommSched::Priority,
@@ -986,31 +978,6 @@ mod tests {
                 .total,
             s.time_plan(&plan(compute_only, CommSched::Barriered)).total,
         );
-    }
-
-    #[test]
-    fn scattered_collective_adds_overhead() {
-        let s = simulator();
-        let cfg = CommConfig::default();
-        let base = CollectiveStep {
-            label: "ar".into(),
-            kind: CollKind::AllReduce,
-            op: ReduceOp::Sum,
-            algo: CollAlgo::Ring,
-            elems: 334_000_000,
-            dtype: DType::F16,
-            scattered: None,
-        };
-        let t_dense = s.time_step(&Step::Collective(base.clone()), cfg).seconds;
-        let mut scat = base;
-        scat.scattered = Some(ScatterInfo {
-            n_tensors: 360,
-            n_buckets: 334_000_000 / 1024,
-        });
-        let t_scat = s.time_step(&Step::Collective(scat), cfg).seconds;
-        assert!(t_scat > t_dense);
-        // Table 2: the overhead is ~2 %.
-        assert!((t_scat - t_dense) / t_dense < 0.05);
     }
 
     /// The stream pipeline as an explicit graph for the oracle

@@ -51,7 +51,6 @@ fn facade_layers_compose() {
         algo: coconet::core::CollAlgo::Ring,
         elems: 1 << 20,
         dtype: DType::F16,
-        scattered: None,
     });
     let t = sim.time_step(&step, coconet::core::CommConfig::default());
     assert!(t.seconds > 0.0);
