@@ -694,15 +694,6 @@ pub fn standalone_pipeline_speedup(batch: usize) -> f64 {
         / pipeline_epilogue_time(&cfg, batch, 16, 16, PipelineSchedule::Overlap)
 }
 
-/// Geometry helper for tests.
-pub fn paper_geom() -> GroupGeom {
-    GroupGeom {
-        size: DP_RANKS,
-        nodes_spanned: 16,
-        ranks_per_node: 16,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,8 +11,6 @@ pub struct ModelConfig {
     pub hidden: usize,
     /// Sequence length `S` used in evaluation.
     pub seq: usize,
-    /// Attention heads.
-    pub heads: usize,
     /// Vocabulary size (for the embedding parameters).
     pub vocab: usize,
 }
@@ -26,7 +24,6 @@ impl ModelConfig {
             layers: 72,
             hidden: 3072,
             seq: 1024,
-            heads: 24,
             vocab: 50257,
         }
     }
@@ -39,7 +36,6 @@ impl ModelConfig {
             layers: 96,
             hidden: 12288,
             seq: 2048,
-            heads: 96,
             vocab: 50257,
         }
     }

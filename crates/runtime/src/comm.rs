@@ -15,7 +15,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use coconet_compress::QuantChunk;
-use coconet_tensor::{SparseChunk, Tensor};
+use coconet_tensor::{kernels, SparseChunk, Tensor};
 use coconet_trace as trace;
 use coconet_trace::metrics::Counter;
 use coconet_trace::EventKind;
@@ -410,8 +410,10 @@ pub fn run_ranks<T: Send + 'static>(
             let f = f.clone();
             std::thread::spawn(move || {
                 // Attribute this thread's trace events to its rank so
-                // the exporter renders one process per rank.
+                // the exporter renders one process per rank, and give
+                // its kernels the rank's share of the cores.
                 trace::set_thread_rank(comm.rank() as u32);
+                kernels::share_cores(k);
                 f(comm)
             })
         })

@@ -501,6 +501,7 @@ fn run_actions(
             .map(|comm| {
                 s.spawn(move || {
                     coconet_trace::set_thread_rank(comm.rank() as u32);
+                    coconet_tensor::kernels::share_cores(world);
                     Rank::new(program, binding, inputs, &comm, opts, dropout_ordinal).run(actions)
                 })
             })

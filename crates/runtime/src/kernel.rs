@@ -304,9 +304,7 @@ fn exec(
             }
             Instr::RoundF16 { dst, a } => {
                 let mut d = take(regs, dst);
-                map1(&mut d[..len], &regs[a][..len], |x| {
-                    F16::from_f32(x).to_f32()
-                });
+                kernels::round_f16(&regs[a][..len], &mut d[..len]);
                 regs[dst] = d;
             }
             Instr::Store { src, .. } => {

@@ -13,6 +13,15 @@
 //! Small tensors stay on the single-threaded path so latency-sensitive
 //! chunks never pay pool overhead.
 //!
+//! How far a kernel fans out is a property of the calling thread, its
+//! *width*. A thread outside any world uses the whole pool; a world's
+//! rank thread is one of `ranks` threads sharing the machine and runs
+//! at `max(1, cores / ranks)` ([`share_cores`]), so when ranks cover
+//! the cores every kernel runs on its rank's own thread, as each rank
+//! of the paper owns its GPU. Pool workers run at width 1, so a nested
+//! kernel stays inline. The pool starts on the first kernel that fans
+//! out: a process whose ranks cover its cores never spawns a worker.
+//!
 //! The wire codecs are straight-line per-element functions —
 //! [`F16::from_f32`] / [`F16::to_f32`] pick their special cases by
 //! `select`, with no data-dependent branch or loop — so the encode and
@@ -38,6 +47,7 @@
 
 use crate::ops::ReduceOp;
 use crate::{simd, F16};
+use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -57,48 +67,59 @@ const F16_CHUNK: usize = 256;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct Pool {
-    tx: crossbeam::channel::Sender<Job>,
-    workers: usize,
-}
-
-static POOL: OnceLock<Pool> = OnceLock::new();
+static POOL: OnceLock<crossbeam::channel::Sender<Job>> = OnceLock::new();
 
 thread_local! {
-    /// Set inside pool workers so nested kernels degrade to the serial
-    /// path instead of deadlocking on their own queue.
-    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// How many threads this thread's kernels may fan out across, its
+    /// own included: the whole pool until [`share_cores`] sets a rank
+    /// thread's share, and 1 in pool workers, so nested kernels run
+    /// inline instead of deadlocking on their own queue.
+    static WIDTH: Cell<usize> = Cell::new(pool_width());
 }
 
-fn pool() -> &'static Pool {
+/// The cores this process may run on, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
+}
+
+/// The pool's job queue. Its workers start on the first call: the
+/// first kernel that actually fans out.
+fn pool() -> &'static crossbeam::channel::Sender<Job> {
     POOL.get_or_init(|| {
-        // The caller always executes one task inline, so spawn one
-        // fewer worker than the machine has cores (at least one, so
-        // the dispatch path is exercised even on a single core).
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let workers = cores.saturating_sub(1).max(1);
         let (tx, rx) = crossbeam::channel::unbounded::<Job>();
-        for i in 0..workers {
+        for i in 0..pool_width() - 1 {
             let rx = rx.clone();
             std::thread::Builder::new()
                 .name(format!("coconet-kernel-{i}"))
                 .spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
+                    WIDTH.with(|w| w.set(1));
                     while let Ok(job) = rx.recv() {
                         job();
                     }
                 })
                 .expect("spawn kernel pool worker");
         }
-        Pool { tx, workers }
+        tx
     })
 }
 
 /// Number of threads the kernel pool can bring to bear on one call
-/// (spawned workers plus the calling thread).
+/// (spawned workers plus the calling thread). The caller always runs
+/// one share inline, so the pool holds one worker fewer than the
+/// machine has cores — at least one, so the dispatch path is exercised
+/// even on a single core. Reading it does not start the pool.
 #[must_use]
 pub fn pool_width() -> usize {
-    pool().workers + 1
+    cores().max(2)
+}
+
+/// Makes the calling thread one of `ranks` threads that share this
+/// machine's cores: its kernels fan out across at most
+/// `max(1, cores / ranks)` threads, itself included. A world calls it
+/// on every rank thread; a thread that never does uses the whole pool.
+pub fn share_cores(ranks: usize) {
+    WIDTH.with(|w| w.set((cores() / ranks.max(1)).max(1)));
 }
 
 /// Raw mutable pointer that asserts cross-thread safety; every use
@@ -128,9 +149,11 @@ impl<T> SendPtr<T> {
 
 /// Runs `f` over a partition of `0..len` into contiguous ranges, using
 /// the shared worker pool when the range is worth splitting (and the
-/// calling thread for one share of the work). Falls back to a single
-/// inline call for short ranges, when called from inside a pool worker
-/// (no nested dispatch), or when `len < 2 * min_chunk`.
+/// calling thread for one share of the work): at most the calling
+/// thread's width of parts (see [`share_cores`]), each at least
+/// `min_chunk` long. Falls back to a single inline call at width 1 —
+/// inside a pool worker (no nested dispatch) or on a rank thread that
+/// owns one core — or when `len < 2 * min_chunk`.
 ///
 /// Tasks that panic re-raise the panic on the calling thread after all
 /// sibling tasks have finished.
@@ -148,13 +171,10 @@ where
         0,
     );
     coconet_trace::metrics::add_counter(coconet_trace::metrics::Counter::KernelElems, len as u64);
-    let nested = IN_WORKER.with(std::cell::Cell::get);
-    let max_parts = len / min_chunk.max(1);
-    let parts = if nested {
-        1
-    } else {
-        pool_width().min(max_parts)
-    };
+    let parts = WIDTH
+        .with(Cell::get)
+        .min(pool_width())
+        .min(len / min_chunk.max(1));
     if parts <= 1 {
         f(0..len);
         return;
@@ -182,18 +202,22 @@ where
         }
         let tx = done_tx.clone();
         let job: Job = Box::new(move || {
-            let _job_span = coconet_trace::span(
-                coconet_trace::EventKind::Kernel,
-                "pool_job",
-                (range.end - range.start) as u64,
-                part as u64,
-            );
-            let outcome = catch_unwind(AssertUnwindSafe(|| f_static(range)));
+            let outcome = {
+                // Closed before the completion is sent, so the caller
+                // never returns ahead of its workers' events.
+                let _job_span = coconet_trace::span(
+                    coconet_trace::EventKind::Kernel,
+                    "pool_job",
+                    (range.end - range.start) as u64,
+                    part as u64,
+                );
+                catch_unwind(AssertUnwindSafe(|| f_static(range)))
+            };
             // Receiver outlives all tasks; a send failure means the
             // caller already panicked and unwound past the recv loop.
             let _ = tx.send(outcome);
         });
-        pool().tx.send(job).expect("kernel pool workers alive");
+        pool().send(job).expect("kernel pool workers alive");
     }
     drop(done_tx);
 
@@ -496,6 +520,17 @@ where
 /// Panics when the slice lengths differ.
 pub fn f16_encode(src: &[f32], dst: &mut [F16]) {
     par_map(src, dst, |&v| F16::from_f32(v));
+}
+
+/// Rounds every element to the nearest half and back,
+/// `dst[i] = F16::from_f32(src[i]).to_f32()`: the block evaluator's
+/// `RoundF16`, at the CPU's vector tier.
+///
+/// # Panics
+///
+/// Panics when the slice lengths differ.
+pub fn round_f16(src: &[f32], dst: &mut [f32]) {
+    par_map(src, dst, |&v| F16::from_f32(v).to_f32());
 }
 
 /// Parallel F16 wire decode: `dst[i] = src[i].to_f32()`.
@@ -809,6 +844,11 @@ mod tests {
             assert_tiers_match("f16_decode", &public, f32::to_bits, |t, out| {
                 simd::dispatch!(at t, map_body(&h, out, &|v: &F16| v.to_f32()));
             });
+            let mut public = vec![0.0f32; n];
+            round_f16(&x, &mut public);
+            assert_tiers_match("round_f16", &public, f32::to_bits, |t, out| {
+                simd::dispatch!(at t, map_body(&x, out, &|&v: &f32| F16::from_f32(v).to_f32()));
+            });
 
             for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
                 with_f32_op!(op, f => assert_f32_folds_match(op, f, &x, &y, &local, &h));
@@ -872,6 +912,107 @@ mod tests {
                 simd::dispatch!(at t, assign_body(out, qy, &f));
             },
         );
+    }
+
+    /// `f()` run on this thread at kernel width `width`.
+    fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+        let before = WIDTH.with(|w| w.replace(width));
+        let out = f();
+        WIDTH.with(|w| w.set(before));
+        out
+    }
+
+    /// The threads `parallel_for` ran a pooled range on at `width`.
+    fn threads_at_width(width: usize) -> usize {
+        let seen = Mutex::new(std::collections::HashSet::new());
+        at_width(width, || {
+            parallel_for(PAR_THRESHOLD, PAR_MIN_CHUNK, |_| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+            });
+        });
+        seen.into_inner().unwrap().len()
+    }
+
+    /// Every pooled kernel writes the same bits whether its caller fans
+    /// out across two threads or runs it alone, and the width is the
+    /// number of threads it runs on.
+    #[test]
+    fn every_width_gives_the_same_bits() {
+        assert_eq!((threads_at_width(1), threads_at_width(2)), (1, 2));
+        let n = PAR_THRESHOLD + 2 * PAR_MIN_CHUNK + 5;
+        let x = edge_f32s(n);
+        let h: Vec<F16> = (0..n).map(|i| F16::from_bits(i as u16)).collect();
+        let y = no_nan_pairs(x.iter().rev().copied().collect(), |i| x[i].is_nan());
+        let local = no_nan_pairs(x.clone(), |i| h[i].is_nan());
+        let (hx, hy): (Vec<F16>, Vec<F16>) = x
+            .iter()
+            .zip(&y)
+            .map(|(&a, &b)| (F16::from_f32(a), F16::from_f32(b)))
+            .unzip();
+        let (qx, qy): (Vec<i32>, Vec<i32>) = x
+            .iter()
+            .zip(&y)
+            .map(|(a, b)| (a.to_bits() as i32, b.to_bits() as i32))
+            .unzip();
+        let f32_bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let f16_bits = |v: Vec<F16>| v.iter().map(|x| u32::from(x.to_bits())).collect::<Vec<_>>();
+        let a = crate::Tensor::from_fn([256, 96], crate::DType::F32, |i| x[i]);
+        let b = crate::Tensor::from_fn([96, 256], crate::DType::F32, |i| y[i]);
+        const { assert!(256 * 256 >= PAR_THRESHOLD, "the product's rows fan out") };
+
+        let run = |w: usize| {
+            at_width(w, || {
+                let mut out: Vec<(&str, Vec<u32>)> = Vec::new();
+                for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
+                    let mut acc = x.clone();
+                    reduce_f32(&mut acc, &y, op);
+                    out.push(("reduce_f32", f32_bits(acc)));
+                    let mut dst = vec![0.0f32; n];
+                    reduce_f32_out(&x, &y, &mut dst, op);
+                    out.push(("reduce_f32_out", f32_bits(dst)));
+                    let mut acc = hx.clone();
+                    reduce_f16(&mut acc, &hy, op);
+                    out.push(("reduce_f16", f16_bits(acc)));
+                    let mut dst = vec![F16::ZERO; n];
+                    reduce_f16_out(&hx, &hy, &mut dst, op);
+                    out.push(("reduce_f16_out", f16_bits(dst)));
+                    let mut dst = vec![0.0f32; n];
+                    fold_f16_wire(&local, &h, op, &mut dst, |w| w);
+                    out.push(("fold_f16_wire to f32", f32_bits(dst)));
+                    let mut dst = vec![F16::ZERO; n];
+                    fold_f16_wire(&local, &h, op, &mut dst, F16::from_f32);
+                    out.push(("fold_f16_wire to F16", f16_bits(dst)));
+                }
+                let mut acc = qx.clone();
+                zip_assign(&mut acc, &qy, i32::saturating_add);
+                out.push(("zip_assign", acc.iter().map(|&q| q as u32).collect()));
+                let mut dst = vec![F16::ZERO; n];
+                f16_encode(&x, &mut dst);
+                out.push(("f16_encode", f16_bits(dst)));
+                let mut dst = vec![0.0f32; n];
+                f16_decode(&h, &mut dst);
+                out.push(("f16_decode", f32_bits(dst)));
+                let mut dst = vec![0.0f32; n];
+                round_f16(&x, &mut dst);
+                out.push(("round_f16", f32_bits(dst)));
+                let (mut sum, mut diff) = (vec![0.0f32; n], vec![0.0f32; n]);
+                parallel_for_outputs(n, &mut [&mut sum, &mut diff], |r, outs| {
+                    let [s, d] = outs else { panic!("two outputs") };
+                    for (k, i) in r.enumerate() {
+                        (s[k], d[k]) = (x[i] + y[i], x[i] - y[i]);
+                    }
+                });
+                out.push(("parallel_for_outputs", f32_bits(sum)));
+                out.push(("parallel_for_outputs", f32_bits(diff)));
+                let c = a.matmul(&b).expect("shapes agree");
+                out.push(("Tensor::matmul", f32_bits(c.to_f32_vec())));
+                out
+            })
+        };
+        for ((what, one), (_, two)) in run(1).into_iter().zip(run(2)) {
+            let first = one.iter().zip(&two).position(|(p, q)| p != q);
+            assert!(first.is_none(), "{what}: element {first:?}");
+        }
     }
 
     #[test]
