@@ -263,7 +263,8 @@ fn fold(local: &Tensor, incoming: &Tensor, op: ReduceOp) -> Tensor {
 /// fold reads it, or the caller). The values are exactly those of
 /// decoding, [`fold`] and encoding in turn — the encode points do not
 /// move. On the FP16 wire over an F32 working dtype the three are one
-/// kernel pass ([`kernels::fold_f16_wire`]) with no widened copy of the
+/// kernel pass ([`kernels::fold_f16_wire`] /
+/// [`kernels::fold_f16_wire_encode`]) with no widened copy of the
 /// payload; elsewhere the codec is a handle copy or a no-op cast.
 pub(crate) fn fold_hop(
     local: &Tensor,
@@ -287,12 +288,12 @@ pub(crate) fn fold_hop(
     let inc = incoming.as_f16_slice().expect("an FP16 payload");
     let out = if encode {
         let mut h = vec![F16::ZERO; loc.len()];
-        kernels::fold_f16_wire(loc, inc, op, &mut h, F16::from_f32);
+        kernels::fold_f16_wire_encode(loc, inc, op, &mut h);
         trace::metrics::add_counter(Counter::CodecBytes, 2 * h.len() as u64);
         Tensor::from_f16_vec(shape, h)
     } else {
         let mut w = vec![0.0f32; loc.len()];
-        kernels::fold_f16_wire(loc, inc, op, &mut w, |v| v);
+        kernels::fold_f16_wire(loc, inc, op, &mut w);
         Tensor::from_f32_vec(shape, DType::F32, w)
     };
     out.expect("length matches shape")

@@ -347,32 +347,38 @@ mod tests {
         }
     }
 
-    /// All 2^32 `f32` patterns against the oracle, one at a time and
-    /// in 2^15-element blocks through the slice kernel that runs at the
-    /// CPU's vector tier (blocks stay below the kernel's parallel
-    /// threshold, so each runs inline on its sweep task; about 10 s in
-    /// release; run with `--release -- --ignored`).
+    /// All 2^32 `f32` patterns against the oracle, one at a time and in
+    /// 2^15-element blocks through `simd::narrow` at every vector tier
+    /// this CPU supports (about 10 s in release; run with
+    /// `--release -- --ignored`).
     #[test]
     #[ignore = "exhaustive; run in release with --ignored"]
     fn from_f32_matches_the_oracle_on_all_f32() {
         const BLOCK_BITS: u32 = 15;
         let mismatches = std::sync::atomic::AtomicU64::new(0);
+        let tiers = crate::simd::supported();
         crate::kernels::parallel_for(1 << (32 - BLOCK_BITS), 1, |blocks| {
             let mut block = vec![0.0f32; 1 << BLOCK_BITS];
+            let mut want = vec![0u16; 1 << BLOCK_BITS];
             let mut encoded = vec![F16::ZERO; 1 << BLOCK_BITS];
             for b in blocks {
-                for (lo, v) in (0..).zip(block.iter_mut()) {
+                for ((lo, v), w) in (0..).zip(block.iter_mut()).zip(want.iter_mut()) {
                     *v = f32::from_bits((b as u32) << BLOCK_BITS | lo);
+                    *w = from_f32_oracle(*v);
                 }
-                crate::kernels::f16_encode(&block, &mut encoded);
-                let bad = block
+                let mut bad = block
                     .iter()
-                    .zip(&encoded)
-                    .filter(|(&v, h)| {
-                        let want = from_f32_oracle(v);
-                        F16::from_f32(v).to_bits() != want || h.to_bits() != want
-                    })
+                    .zip(&want)
+                    .filter(|(&v, &w)| F16::from_f32(v).to_bits() != w)
                     .count();
+                for &tier in &tiers {
+                    crate::simd::dispatch!(at tier, |t| crate::simd::narrow(t, &block, &mut encoded));
+                    bad += encoded
+                        .iter()
+                        .zip(&want)
+                        .filter(|(h, &w)| h.to_bits() != w)
+                        .count();
+                }
                 mismatches.fetch_add(bad as u64, std::sync::atomic::Ordering::Relaxed);
             }
         });

@@ -6,11 +6,10 @@
 //! Before this module they ran through per-element [`ReduceOp::apply`]
 //! enum dispatch (or worse, virtual `Tensor::get` indexing); here each
 //! `ReduceOp` gets its own monomorphic inner loop over plain slices
-//! that the compiler can auto-vectorize, F16 paths widen a whole chunk
-//! to `f32` scratch once instead of converting per element both ways,
-//! and work above [`PAR_THRESHOLD`] elements fans out across a shared
-//! persistent worker pool built on the vendored crossbeam MPMC channel.
-//! Small tensors stay on the single-threaded path so latency-sensitive
+//! that the compiler can auto-vectorize, and work above
+//! [`PAR_THRESHOLD`] elements fans out across a shared persistent
+//! worker pool built on the vendored crossbeam MPMC channel. Small
+//! tensors stay on the single-threaded path so latency-sensitive
 //! chunks never pay pool overhead.
 //!
 //! How far a kernel fans out is a property of the calling thread, its
@@ -21,22 +20,26 @@
 //! of the paper owns its GPU. Pool workers run at width 1, so a nested
 //! kernel stays inline. The pool starts on the first kernel that fans
 //! out: a process whose ranks cover its cores never spawns a worker.
+//! Each task gets its own window of every output, split off the slice
+//! in safe code.
 //!
-//! The wire codecs are straight-line per-element functions —
-//! [`F16::from_f32`] / [`F16::to_f32`] pick their special cases by
-//! `select`, with no data-dependent branch or loop — so the encode and
-//! decode loops here vectorize like the reductions do. On the FP16 wire
-//! a ring or tree hop's decode, fold and re-encode run as one pass
-//! ([`fold_f16_wire`]) with no widened copy of the incoming payload.
-//!
-//! The loops on the codec path — [`par_map`] (every codec, and so
-//! `Tensor::cast`), [`zip_assign`] and the `f32` reductions,
-//! [`reduce_f32_out`] and [`fold_f16_wire`] — are three named
-//! `#[inline(always)]` bodies that each pool task runs at the CPU's
-//! vector tier: the crate's private `simd` module detects AVX2 once
-//! and, where it is present, runs the body inlined into an AVX2 frame,
-//! eight `f32` lanes wide instead of baseline SSE2's four. No option,
-//! variable or build flag selects the tier.
+//! Every loop here is a named `#[inline(always)]` body that each pool
+//! task runs at the CPU's vector tier: the crate's private `simd`
+//! module detects AVX2 and F16C once and, where they are present, runs
+//! the body inlined into a frame compiled for both, eight `f32` lanes
+//! wide instead of baseline SSE2's four. No option, variable or build
+//! flag selects the tier. The element-wise bodies serve [`par_map`]
+//! (the Q15.16 codec), [`zip_assign`] and the `f32` reductions. The F16
+//! bodies — [`f16_encode`], [`f16_decode`], [`round_f16`], the FP16
+//! hop [`fold_f16_wire`] / [`fold_f16_wire_encode`] and the F16 folds
+//! [`reduce_f16`] / [`reduce_f16_out`] — walk 256-element
+//! chunks: widen the halves into stack scratch, run the `f32` loop
+//! there, narrow the result. The widen and narrow run one `vcvtph2ps` /
+//! `vcvtps2ph` per eight lanes at the AVX2 tier and a loop of the
+//! straight-line [`F16::to_f32`] / [`F16::from_f32`] at the base tier,
+//! the same bits either way. On the FP16 wire a ring or tree hop's
+//! decode, fold and re-encode are one such kernel, with no widened copy
+//! of the incoming payload beyond a chunk.
 //!
 //! Every parallel kernel is bit-identical to its serial counterpart,
 //! and every tier to the base one: ranges partition the index space
@@ -46,7 +49,8 @@
 //! open only which payload an operation on two NaNs returns.)
 
 use crate::ops::ReduceOp;
-use crate::{simd, F16};
+use crate::simd::{self, Tier};
+use crate::F16;
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -60,9 +64,13 @@ pub const PAR_THRESHOLD: usize = 1 << 16;
 /// keeps per-task dispatch overhead well under the work it amortizes.
 pub const PAR_MIN_CHUNK: usize = 1 << 14;
 
-/// F16 kernels stage this many elements of widened `f32` scratch on the
-/// stack per chunk (one widen and one narrow pass per chunk, with the
-/// combine loop running purely in `f32`).
+/// The F16 folds, the FP16 hop and `RoundF16` stage this many elements
+/// of `f32` (or half) scratch on the stack per chunk: widen the chunk,
+/// run the `f32` loop over it, narrow it back, each pass in L1. Staging
+/// also keeps the combine an `f32` loop: on two widened halves in one
+/// expression, LLVM narrows `min` / `max` to a half-precision operation,
+/// which x86 without AVX-512 FP16 runs as a scalar library call per
+/// lane.
 const F16_CHUNK: usize = 256;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -122,28 +130,83 @@ pub fn share_cores(ranks: usize) {
     WIDTH.with(|w| w.set((cores() / ranks.max(1)).max(1)));
 }
 
-/// Raw mutable pointer that asserts cross-thread safety; every use
-/// below hands disjoint ranges to disjoint tasks.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-// Manual impls: `derive` would add unwanted `T: Clone`/`T: Copy`
-// bounds, and pointers copy regardless of the pointee.
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
+/// Opens a fanned-out kernel's trace span and counts its elements.
+fn record(len: usize) -> coconet_trace::Span {
+    coconet_trace::metrics::add_counter(coconet_trace::metrics::Counter::KernelElems, len as u64);
+    coconet_trace::span(
+        coconet_trace::EventKind::Kernel,
+        "parallel_for",
+        len as u64,
+        0,
+    )
 }
-impl<T> Copy for SendPtr<T> {}
 
-impl<T> SendPtr<T> {
-    /// Accessor (rather than direct field use) so closures capture the
-    /// whole wrapper — edition-2021 disjoint capture would otherwise
-    /// grab the bare `*mut T` field, which is neither `Send` nor
-    /// `Sync`.
-    fn get(self) -> *mut T {
-        self.0
+/// How many parts a kernel over `len` elements splits into on this
+/// thread: at most its width (see [`share_cores`]), each part at least
+/// `min_chunk` long. One part or none means one inline call.
+fn parts(len: usize, min_chunk: usize) -> usize {
+    WIDTH
+        .with(Cell::get)
+        .min(pool_width())
+        .min(len / min_chunk.max(1))
+}
+
+/// Part `i` of `0..len` cut into `parts` contiguous ranges, the first
+/// `len % parts` of them one longer: the one partition every fanned-out
+/// kernel uses.
+fn part(len: usize, parts: usize, i: usize) -> Range<usize> {
+    let (base, rem) = (len / parts, len % parts);
+    let start = i * base + i.min(rem);
+    start..start + base + usize::from(i < rem)
+}
+
+/// Runs `task(i, part(len, parts, i))` for every part: all but the last
+/// on the pool, the last on the calling thread. A task's panic is
+/// re-raised on the calling thread once every sibling has finished.
+fn fan_out(len: usize, parts: usize, task: &(dyn Fn(usize, Range<usize>) + Sync)) {
+    // SAFETY: the borrow of `task` is erased to 'static so boxed jobs
+    // can enter the pool queue; this call blocks on the completion
+    // channel below until every task has run, so `task` outlives all
+    // uses.
+    let task: &'static (dyn Fn(usize, Range<usize>) + Sync) = unsafe { std::mem::transmute(task) };
+
+    let (done_tx, done_rx) = crossbeam::channel::unbounded();
+    for i in 0..parts - 1 {
+        let range = part(len, parts, i);
+        let tx = done_tx.clone();
+        let job: Job = Box::new(move || {
+            let outcome = {
+                // Closed before the completion is sent, so the caller
+                // never returns ahead of its workers' events.
+                let _job_span = coconet_trace::span(
+                    coconet_trace::EventKind::Kernel,
+                    "pool_job",
+                    range.len() as u64,
+                    i as u64,
+                );
+                catch_unwind(AssertUnwindSafe(|| task(i, range)))
+            };
+            // Receiver outlives all tasks; a send failure means the
+            // caller already panicked and unwound past the recv loop.
+            let _ = tx.send(outcome);
+        });
+        pool().send(job).expect("kernel pool workers alive");
+    }
+    drop(done_tx);
+
+    let last = parts - 1;
+    let caller_outcome = catch_unwind(AssertUnwindSafe(|| task(last, part(len, parts, last))));
+    let mut payload_hold: Option<Box<dyn std::any::Any + Send>> = None;
+    for _ in 0..last {
+        if let Err(payload) = done_rx.recv().expect("kernel task reports completion") {
+            payload_hold = Some(payload);
+        }
+    }
+    if let Err(payload) = caller_outcome {
+        resume_unwind(payload);
+    }
+    if let Some(payload) = payload_hold {
+        resume_unwind(payload);
     }
 }
 
@@ -164,75 +227,10 @@ where
     if len == 0 {
         return;
     }
-    let _dispatch = coconet_trace::span(
-        coconet_trace::EventKind::Kernel,
-        "parallel_for",
-        len as u64,
-        0,
-    );
-    coconet_trace::metrics::add_counter(coconet_trace::metrics::Counter::KernelElems, len as u64);
-    let parts = WIDTH
-        .with(Cell::get)
-        .min(pool_width())
-        .min(len / min_chunk.max(1));
-    if parts <= 1 {
-        f(0..len);
-        return;
-    }
-
-    // SAFETY: the borrow of `f` is erased to 'static so boxed jobs can
-    // enter the pool queue; the caller blocks on the completion channel
-    // below until every task has run, so `f` outlives all uses.
-    let f_ref: &(dyn Fn(Range<usize>) + Sync) = &f;
-    let f_static: &'static (dyn Fn(Range<usize>) + Sync) = unsafe { std::mem::transmute(f_ref) };
-
-    let (done_tx, done_rx) = crossbeam::channel::unbounded();
-    let base = len / parts;
-    let rem = len % parts;
-    let mut start = 0usize;
-    let mut inline_task = 0..0;
-    for part in 0..parts {
-        let take = base + usize::from(part < rem);
-        let range = start..start + take;
-        start += take;
-        if part + 1 == parts {
-            // The caller's own share — run it inline after dispatch.
-            inline_task = range;
-            break;
-        }
-        let tx = done_tx.clone();
-        let job: Job = Box::new(move || {
-            let outcome = {
-                // Closed before the completion is sent, so the caller
-                // never returns ahead of its workers' events.
-                let _job_span = coconet_trace::span(
-                    coconet_trace::EventKind::Kernel,
-                    "pool_job",
-                    (range.end - range.start) as u64,
-                    part as u64,
-                );
-                catch_unwind(AssertUnwindSafe(|| f_static(range)))
-            };
-            // Receiver outlives all tasks; a send failure means the
-            // caller already panicked and unwound past the recv loop.
-            let _ = tx.send(outcome);
-        });
-        pool().send(job).expect("kernel pool workers alive");
-    }
-    drop(done_tx);
-
-    let caller_outcome = catch_unwind(AssertUnwindSafe(|| f_static(inline_task)));
-    let mut payload_hold: Option<Box<dyn std::any::Any + Send>> = None;
-    for _ in 0..parts - 1 {
-        if let Err(payload) = done_rx.recv().expect("kernel task reports completion") {
-            payload_hold = Some(payload);
-        }
-    }
-    if let Err(payload) = caller_outcome {
-        resume_unwind(payload);
-    }
-    if let Some(payload) = payload_hold {
-        resume_unwind(payload);
+    let _dispatch = record(len);
+    match parts(len, min_chunk) {
+        0 | 1 => f(0..len),
+        parts => fan_out(len, parts, &|_, r| f(r)),
     }
 }
 
@@ -240,14 +238,17 @@ where
 /// task gets its range of `0..len` and that same window of each output
 /// in `outs`, so a multi-output kernel (the runtime's block evaluator
 /// stores every escaping member of a fusion group) writes without
-/// sharing. Inline below [`PAR_THRESHOLD`] like every kernel here.
+/// sharing. The windows are split off each output with `split_at_mut`
+/// and reach their one task through its own `Mutex` slot, locked once.
+/// Inline below [`PAR_THRESHOLD`] like every kernel here.
 ///
 /// # Panics
 ///
 /// Panics when an output's length is not `len`.
-pub fn parallel_for_outputs<F>(len: usize, outs: &mut [&mut [f32]], f: F)
+pub fn parallel_for_outputs<U, F>(len: usize, outs: &mut [&mut [U]], f: F)
 where
-    F: Fn(Range<usize>, &mut [&mut [f32]]) + Sync,
+    U: Send,
+    F: Fn(Range<usize>, &mut [&mut [U]]) + Sync,
 {
     for out in outs.iter() {
         assert_eq!(out.len(), len, "kernel output length mismatch");
@@ -255,18 +256,37 @@ where
     if len < PAR_THRESHOLD {
         return f(0..len, outs);
     }
-    let ptrs: Vec<SendPtr<f32>> = outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())).collect();
-    parallel_for(len, PAR_MIN_CHUNK, |r| {
-        // SAFETY: parallel_for ranges partition 0..len, so tasks take
-        // disjoint windows of each output (every output is `len` long,
-        // checked above), and the outputs are distinct `&mut` slices,
-        // so windows of different outputs never alias either.
-        let mut windows: Vec<&mut [f32]> = ptrs
-            .iter()
-            .map(|p| unsafe { std::slice::from_raw_parts_mut(p.get().add(r.start), r.len()) })
-            .collect();
-        f(r, &mut windows);
+    let _dispatch = record(len);
+    let parts = parts(len, PAR_MIN_CHUNK);
+    if parts <= 1 {
+        return f(0..len, outs);
+    }
+    let mut windows: Vec<Vec<&mut [U]>> =
+        (0..parts).map(|_| Vec::with_capacity(outs.len())).collect();
+    for out in outs.iter_mut() {
+        let mut rest: &mut [U] = out;
+        for (i, w) in windows.iter_mut().enumerate() {
+            let (window, tail) = std::mem::take(&mut rest).split_at_mut(part(len, parts, i).len());
+            w.push(window);
+            rest = tail;
+        }
+    }
+    // Each slot is locked once, so no earlier panic can have poisoned
+    // it; a poisoned guard would still hold the windows.
+    let slots: Vec<Mutex<Vec<&mut [U]>>> = windows.into_iter().map(Mutex::new).collect();
+    fan_out(len, parts, &|i, r| {
+        f(
+            r,
+            &mut slots[i].lock().unwrap_or_else(PoisonError::into_inner),
+        );
     });
+}
+
+/// Runs `f(range, window)` over `dst` cut into disjoint windows, each
+/// with its range of indices: one inline call below
+/// [`PAR_THRESHOLD`], a partition across the pool above it.
+fn par_windows<U: Send>(dst: &mut [U], f: impl Fn(Range<usize>, &mut [U]) + Sync) {
+    parallel_for_outputs(dst.len(), &mut [dst], |r, w| f(r, w[0]));
 }
 
 /// Binds `$f` to `$op`'s `f32` combine — `a + b`, `f32::min` or
@@ -317,23 +337,6 @@ fn zip_body<A: Copy, B: Copy, U>(a: &[A], b: &[B], dst: &mut [U], f: &impl Fn(A,
     }
 }
 
-/// Runs `f(range, window)` over `dst` cut into disjoint windows, each
-/// with its range of indices: one inline call below
-/// [`PAR_THRESHOLD`], a partition across the pool above it.
-fn par_windows<U: Send>(dst: &mut [U], f: impl Fn(Range<usize>, &mut [U]) + Sync) {
-    let len = dst.len();
-    if len < PAR_THRESHOLD {
-        return f(0..len, dst);
-    }
-    let ptr = SendPtr(dst.as_mut_ptr());
-    parallel_for(len, PAR_MIN_CHUNK, move |r| {
-        // SAFETY: parallel_for ranges partition 0..len, so tasks take
-        // disjoint windows of `dst`.
-        let d = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
-        f(r, d);
-    });
-}
-
 /// Serial monomorphic `acc[i] = op(acc[i], inc[i])` over `f32` slices,
 /// the operator match hoisted out of the loop, at the CPU's vector
 /// tier.
@@ -376,36 +379,51 @@ where
 /// Out-of-place monomorphic reduce `dst[i] = op(a[i], b[i])` over
 /// `f32` slices — the fused fold-into-fresh-stripe kernel of the
 /// striped collectives (one write instead of fold-in-place plus a
-/// later send copy). Parallel above [`PAR_THRESHOLD`]; per element it
-/// applies exactly `op.apply(a, b)`, so results are bit-identical to
-/// an in-place fold of `b` into a copy of `a`.
+/// later send copy) — at the CPU's vector tier. Parallel above
+/// [`PAR_THRESHOLD`]; per element it applies exactly `op.apply(a, b)`,
+/// so results are bit-identical to an in-place fold of `b` into a copy
+/// of `a`.
 ///
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
 pub fn reduce_f32_out(a: &[f32], b: &[f32], dst: &mut [f32], op: ReduceOp) {
-    with_f32_op!(op, f => zip_out(a, b, dst, f));
-}
-
-/// `dst[i] = f(a[i], b[i])` at the CPU's vector tier, fanned out over
-/// the pool above [`PAR_THRESHOLD`].
-fn zip_out<A, B, U>(a: &[A], b: &[B], dst: &mut [U], f: impl Fn(A, B) -> U + Sync)
-where
-    A: Copy + Sync,
-    B: Copy + Sync,
-    U: Send,
-{
     assert_eq!(a.len(), b.len(), "reduce kernel length mismatch");
     assert_eq!(a.len(), dst.len(), "reduce kernel length mismatch");
-    par_windows(dst, |r, d| {
+    with_f32_op!(op, f => par_windows(dst, |r, d| {
         simd::dispatch!(zip_body(&a[r.clone()], &b[r], d, &f));
-    });
+    }));
+}
+
+/// The F16 fold body, `dst[i] = F16(f(a[i] as f32, b[i] as f32))`:
+/// out of place, or in place when `a` is `None` and `dst` is the left
+/// operand. Each [`F16_CHUNK`] of both operands is widened into stack
+/// scratch, folded there by the `f32` loop, and narrowed back.
+#[inline(always)]
+fn reduce_f16_body(
+    t: Tier,
+    dst: &mut [F16],
+    a: Option<&[F16]>,
+    b: &[F16],
+    f: &impl Fn(f32, f32) -> f32,
+) {
+    let (mut wa, mut wb) = ([0.0f32; F16_CHUNK], [0.0f32; F16_CHUNK]);
+    for (k, (d, b)) in dst
+        .chunks_mut(F16_CHUNK)
+        .zip(b.chunks(F16_CHUNK))
+        .enumerate()
+    {
+        let (wa, wb) = (&mut wa[..d.len()], &mut wb[..d.len()]);
+        simd::widen(t, a.map_or(&*d, |a| &a[k * F16_CHUNK..][..d.len()]), wa);
+        simd::widen(t, b, wb);
+        assign_body(wa, wb, f);
+        simd::narrow(t, wa, d);
+    }
 }
 
 /// Out-of-place F16 reduce `dst[i] = F16(op(a[i] as f32, b[i] as f32))`
-/// with the widen-once-per-chunk discipline of [`reduce_f16_serial`];
-/// bit-identical to the per-element path. Parallel above
-/// [`PAR_THRESHOLD`].
+/// at the CPU's vector tier; bit-identical to the per-element path.
+/// Parallel above [`PAR_THRESHOLD`].
 ///
 /// # Panics
 ///
@@ -413,37 +431,15 @@ where
 pub fn reduce_f16_out(a: &[F16], b: &[F16], dst: &mut [F16], op: ReduceOp) {
     assert_eq!(a.len(), b.len(), "reduce kernel length mismatch");
     assert_eq!(a.len(), dst.len(), "reduce kernel length mismatch");
-    par_windows(dst, |r, d| {
-        reduce_f16_out_serial(&a[r.clone()], &b[r], d, op)
-    });
-}
-
-fn reduce_f16_out_serial(a: &[F16], b: &[F16], dst: &mut [F16], op: ReduceOp) {
-    let mut wa = [0.0f32; F16_CHUNK];
-    let mut wb = [0.0f32; F16_CHUNK];
-    for ((dc, ac), bc) in dst
-        .chunks_mut(F16_CHUNK)
-        .zip(a.chunks(F16_CHUNK))
-        .zip(b.chunks(F16_CHUNK))
-    {
-        let n = dc.len();
-        for (w, v) in wa[..n].iter_mut().zip(ac.iter()) {
-            *w = v.to_f32();
-        }
-        for (w, v) in wb[..n].iter_mut().zip(bc.iter()) {
-            *w = v.to_f32();
-        }
-        with_f32_op!(op, f => assign_body(&mut wa[..n], &wb[..n], &f));
-        for (d, &w) in dc.iter_mut().zip(&wa[..n]) {
-            *d = F16::from_f32(w);
-        }
-    }
+    with_f32_op!(op, f => par_windows(dst, |r, d| {
+        simd::dispatch!(|t| reduce_f16_body(t, d, Some(&a[r.clone()]), &b[r], &f));
+    }));
 }
 
 /// Per-element F16 reduce reference: widen both operands, apply, narrow
 /// — exactly the pre-kernel-engine inner loop. Kept public so the
 /// equivalence proptest and the throughput bench can pin the
-/// widen-once chunk path against it.
+/// block path against it.
 ///
 /// # Panics
 ///
@@ -455,10 +451,11 @@ pub fn reduce_f16_per_element(acc: &mut [F16], inc: &[F16], op: ReduceOp) {
     }
 }
 
-/// Serial monomorphic F16 reduce: widens a whole `F16_CHUNK`-element
-/// chunk of both operands into stack `f32` scratch once, combines in
-/// `f32` with the operator match hoisted out of the loop, and narrows
-/// the chunk back once. Each element still sees exactly
+/// Serial monomorphic F16 reduce at the CPU's vector tier: each
+/// 256-element chunk of both operands is widened into stack scratch,
+/// combined in `f32` with the operator match hoisted out of the loop,
+/// and narrowed back. Each
+/// element still sees exactly
 /// `F16::from_f32(op(a.to_f32(), b.to_f32()))`, so the result is
 /// bit-identical to [`reduce_f16_per_element`].
 ///
@@ -467,21 +464,7 @@ pub fn reduce_f16_per_element(acc: &mut [F16], inc: &[F16], op: ReduceOp) {
 /// Panics when the slice lengths differ.
 pub fn reduce_f16_serial(acc: &mut [F16], inc: &[F16], op: ReduceOp) {
     assert_eq!(acc.len(), inc.len(), "reduce kernel length mismatch");
-    let mut wa = [0.0f32; F16_CHUNK];
-    let mut wb = [0.0f32; F16_CHUNK];
-    for (ac, ic) in acc.chunks_mut(F16_CHUNK).zip(inc.chunks(F16_CHUNK)) {
-        let n = ac.len();
-        for (w, a) in wa[..n].iter_mut().zip(ac.iter()) {
-            *w = a.to_f32();
-        }
-        for (w, b) in wb[..n].iter_mut().zip(ic.iter()) {
-            *w = b.to_f32();
-        }
-        with_f32_op!(op, f => assign_body(&mut wa[..n], &wb[..n], &f));
-        for (a, &w) in ac.iter_mut().zip(&wa[..n]) {
-            *a = F16::from_f32(w);
-        }
-    }
+    with_f32_op!(op, f => simd::dispatch!(|t| reduce_f16_body(t, acc, None, inc, &f)));
 }
 
 /// [`reduce_f16_serial`] fanned out over the worker pool above
@@ -492,13 +475,15 @@ pub fn reduce_f16_serial(acc: &mut [F16], inc: &[F16], op: ReduceOp) {
 /// Panics when the slice lengths differ.
 pub fn reduce_f16(acc: &mut [F16], inc: &[F16], op: ReduceOp) {
     assert_eq!(acc.len(), inc.len(), "reduce kernel length mismatch");
-    par_windows(acc, |r, a| reduce_f16_serial(a, &inc[r], op));
+    with_f32_op!(op, f => par_windows(acc, |r, a| {
+        simd::dispatch!(|t| reduce_f16_body(t, a, None, &inc[r], &f));
+    }));
 }
 
 /// Parallel elementwise map `dst[i] = f(&src[i])` at the CPU's vector
-/// tier — the shape of every wire codec (F16 encode/decode, Q15.16
-/// quantize/dequantize). Short inputs run inline; long ones fan out
-/// over the pool in disjoint ranges, so `f` must be pure per element.
+/// tier — the shape of the Q15.16 codec. Short inputs run inline; long
+/// ones fan out over the pool in disjoint ranges, so `f` must be pure
+/// per element.
 ///
 /// # Panics
 ///
@@ -513,13 +498,15 @@ where
     par_windows(dst, |r, d| simd::dispatch!(map_body(&src[r], d, &f)));
 }
 
-/// Parallel F16 wire encode: `dst[i] = F16::from_f32(src[i])`.
+/// Parallel F16 wire encode: `dst[i] = F16::from_f32(src[i])`, at the
+/// CPU's vector tier.
 ///
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
 pub fn f16_encode(src: &[f32], dst: &mut [F16]) {
-    par_map(src, dst, |&v| F16::from_f32(v));
+    assert_eq!(src.len(), dst.len(), "map kernel length mismatch");
+    par_windows(dst, |r, d| simd::dispatch!(|t| simd::narrow(t, &src[r], d)));
 }
 
 /// Rounds every element to the nearest half and back,
@@ -530,38 +517,108 @@ pub fn f16_encode(src: &[f32], dst: &mut [F16]) {
 ///
 /// Panics when the slice lengths differ.
 pub fn round_f16(src: &[f32], dst: &mut [f32]) {
-    par_map(src, dst, |&v| F16::from_f32(v).to_f32());
+    assert_eq!(src.len(), dst.len(), "map kernel length mismatch");
+    par_windows(dst, |r, d| simd::dispatch!(|t| round_body(t, &src[r], d)));
 }
 
-/// Parallel F16 wire decode: `dst[i] = src[i].to_f32()`.
+/// The `RoundF16` body: each [`F16_CHUNK`] narrowed into stack halves
+/// and widened back.
+#[inline(always)]
+fn round_body(t: Tier, src: &[f32], dst: &mut [f32]) {
+    let mut halves = [F16::ZERO; F16_CHUNK];
+    for (d, s) in dst.chunks_mut(F16_CHUNK).zip(src.chunks(F16_CHUNK)) {
+        let halves = &mut halves[..d.len()];
+        simd::narrow(t, s, halves);
+        simd::widen(t, halves, d);
+    }
+}
+
+/// Parallel F16 wire decode: `dst[i] = src[i].to_f32()`, at the CPU's
+/// vector tier.
 ///
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
 pub fn f16_decode(src: &[F16], dst: &mut [f32]) {
-    par_map(src, dst, |v| v.to_f32());
+    assert_eq!(src.len(), dst.len(), "map kernel length mismatch");
+    par_windows(dst, |r, d| simd::dispatch!(|t| simd::widen(t, &src[r], d)));
 }
 
-/// One ring or tree hop on the FP16 wire in a single pass:
-/// `dst[i] = store(op(local[i], incoming[i].to_f32()))`, where `store`
-/// is the identity (the fold feeds another fold, or is the result) or
-/// [`F16::from_f32`] (the fold is the next hop's payload). No widened
-/// copy of `incoming` and no unencoded copy of the fold is ever
-/// materialized; per element it is exactly the decode,
-/// [`ReduceOp::apply`] and store the separate passes perform, so results
-/// are bit-identical to them. Each `(op, store)` pair is its own
-/// straight-line loop at the CPU's vector tier, parallel above
+/// One ring or tree hop on the FP16 wire in one kernel, the fold kept
+/// in `f32` (it feeds another fold, or is the result):
+/// `dst[i] = op(local[i], incoming[i].to_f32())`. No widened copy of
+/// `incoming` is ever materialized beyond a chunk; per element it is
+/// exactly the decode and [`ReduceOp::apply`] the separate passes
+/// perform, so results are bit-identical to them. Each operator is its
+/// own loop at the CPU's vector tier, parallel above
 /// [`PAR_THRESHOLD`].
 ///
 /// # Panics
 ///
 /// Panics when the slice lengths differ.
-pub fn fold_f16_wire<U, S>(local: &[f32], incoming: &[F16], op: ReduceOp, dst: &mut [U], store: S)
-where
-    U: Send,
-    S: Fn(f32) -> U + Sync,
-{
-    with_f32_op!(op, f => zip_out(local, incoming, dst, |a, b: F16| store(f(a, b.to_f32()))));
+pub fn fold_f16_wire(local: &[f32], incoming: &[F16], op: ReduceOp, dst: &mut [f32]) {
+    assert_eq!(local.len(), incoming.len(), "reduce kernel length mismatch");
+    assert_eq!(local.len(), dst.len(), "reduce kernel length mismatch");
+    with_f32_op!(op, f => par_windows(dst, |r, d| {
+        simd::dispatch!(|t| fold_wire_body(t, &local[r.clone()], &incoming[r], d, &f));
+    }));
+}
+
+/// [`fold_f16_wire`] with the fold encoded for the next hop:
+/// `dst[i] = F16::from_f32(op(local[i], incoming[i].to_f32()))`, with
+/// no unencoded copy of the fold beyond a chunk either.
+///
+/// # Panics
+///
+/// Panics when the slice lengths differ.
+pub fn fold_f16_wire_encode(local: &[f32], incoming: &[F16], op: ReduceOp, dst: &mut [F16]) {
+    assert_eq!(local.len(), incoming.len(), "reduce kernel length mismatch");
+    assert_eq!(local.len(), dst.len(), "reduce kernel length mismatch");
+    with_f32_op!(op, f => par_windows(dst, |r, d| {
+        simd::dispatch!(|t| fold_wire_encode_body(t, &local[r.clone()], &incoming[r], d, &f));
+    }));
+}
+
+/// The FP16 hop body, `dst[i] = f(local[i], incoming[i] as f32)`: each
+/// [`F16_CHUNK`] of `incoming` is widened into `dst` and folded there.
+#[inline(always)]
+fn fold_wire_body(
+    t: Tier,
+    local: &[f32],
+    incoming: &[F16],
+    dst: &mut [f32],
+    f: &impl Fn(f32, f32) -> f32,
+) {
+    for ((d, l), h) in dst
+        .chunks_mut(F16_CHUNK)
+        .zip(local.chunks(F16_CHUNK))
+        .zip(incoming.chunks(F16_CHUNK))
+    {
+        simd::widen(t, h, d);
+        assign_body(d, l, &|h, l| f(l, h));
+    }
+}
+
+/// [`fold_wire_body`] into stack scratch, each [`F16_CHUNK`] then
+/// narrowed into `dst`.
+#[inline(always)]
+fn fold_wire_encode_body(
+    t: Tier,
+    local: &[f32],
+    incoming: &[F16],
+    dst: &mut [F16],
+    f: &impl Fn(f32, f32) -> f32,
+) {
+    let mut wide = [0.0f32; F16_CHUNK];
+    for ((d, l), h) in dst
+        .chunks_mut(F16_CHUNK)
+        .zip(local.chunks(F16_CHUNK))
+        .zip(incoming.chunks(F16_CHUNK))
+    {
+        let wide = &mut wide[..d.len()];
+        fold_wire_body(t, l, h, wide, f);
+        simd::narrow(t, wide, d);
+    }
 }
 
 /// Serial axpy update `c[j] += a * b[j]`: one monomorphic,
@@ -726,14 +783,14 @@ mod tests {
                     .collect();
 
                 let mut wide = vec![0.0f32; n];
-                fold_f16_wire(&local, &incoming, op, &mut wide, |w| w);
+                fold_f16_wire(&local, &incoming, op, &mut wide);
                 assert!(wide
                     .iter()
                     .zip(&folded)
                     .all(|(a, b)| a.to_bits() == b.to_bits()));
 
                 let mut narrow = vec![F16::ZERO; n];
-                fold_f16_wire(&local, &incoming, op, &mut narrow, F16::from_f32);
+                fold_f16_wire_encode(&local, &incoming, op, &mut narrow);
                 assert!(narrow
                     .iter()
                     .zip(&folded)
@@ -828,6 +885,8 @@ mod tests {
             let h: Vec<F16> = (0..n).map(|i| F16::from_bits(i as u16)).collect();
             let y = no_nan_pairs(x.iter().rev().copied().collect(), |i| x[i].is_nan());
             let local = no_nan_pairs(x.clone(), |i| h[i].is_nan());
+            // Each half's complement: never a NaN where `h` has one.
+            let hc: Vec<F16> = h.iter().map(|v| F16::from_bits(!v.to_bits())).collect();
             let (qx, qy): (Vec<i32>, Vec<i32>) = x
                 .iter()
                 .zip(&y)
@@ -837,21 +896,22 @@ mod tests {
             let mut public = vec![F16::ZERO; n];
             f16_encode(&x, &mut public);
             assert_tiers_match("f16_encode", &public, F16::to_bits, |t, out| {
-                simd::dispatch!(at t, map_body(&x, out, &|&v| F16::from_f32(v)));
+                simd::dispatch!(at t, |t| simd::narrow(t, &x, out));
             });
             let mut public = vec![0.0f32; n];
             f16_decode(&h, &mut public);
             assert_tiers_match("f16_decode", &public, f32::to_bits, |t, out| {
-                simd::dispatch!(at t, map_body(&h, out, &|v: &F16| v.to_f32()));
+                simd::dispatch!(at t, |t| simd::widen(t, &h, out));
             });
             let mut public = vec![0.0f32; n];
             round_f16(&x, &mut public);
             assert_tiers_match("round_f16", &public, f32::to_bits, |t, out| {
-                simd::dispatch!(at t, map_body(&x, out, &|&v: &f32| F16::from_f32(v).to_f32()));
+                simd::dispatch!(at t, |t| round_body(t, &x, out));
             });
 
             for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
                 with_f32_op!(op, f => assert_f32_folds_match(op, f, &x, &y, &local, &h));
+                with_f32_op!(op, f => assert_f16_folds_match(op, f, &h, &hc));
                 // The switch's integer fold.
                 match op {
                     ReduceOp::Sum => assert_int_fold_matches(&qx, &qy, i32::saturating_add),
@@ -886,17 +946,37 @@ mod tests {
         });
 
         let mut public = vec![0.0f32; x.len()];
-        fold_f16_wire(local, h, op, &mut public, |w| w);
-        let fold = |a, b: F16| f(a, b.to_f32());
-        assert_tiers_match("fold_f16_wire to f32", &public, f32::to_bits, |t, out| {
-            simd::dispatch!(at t, zip_body(local, h, out, &fold));
+        fold_f16_wire(local, h, op, &mut public);
+        assert_tiers_match("fold_f16_wire", &public, f32::to_bits, |t, out| {
+            simd::dispatch!(at t, |t| fold_wire_body(t, local, h, out, &f));
         });
 
         let mut public = vec![F16::ZERO; x.len()];
-        fold_f16_wire(local, h, op, &mut public, F16::from_f32);
-        let fold = |a, b: F16| F16::from_f32(f(a, b.to_f32()));
-        assert_tiers_match("fold_f16_wire to F16", &public, F16::to_bits, |t, out| {
-            simd::dispatch!(at t, zip_body(local, h, out, &fold));
+        fold_f16_wire_encode(local, h, op, &mut public);
+        assert_tiers_match("fold_f16_wire_encode", &public, F16::to_bits, |t, out| {
+            simd::dispatch!(at t, |t| fold_wire_encode_body(t, local, h, out, &f));
+        });
+    }
+
+    /// The F16 folds under `op`, whose combine is `f`: out of place and
+    /// in place.
+    fn assert_f16_folds_match(
+        op: ReduceOp,
+        f: impl Fn(f32, f32) -> f32 + Sync,
+        a: &[F16],
+        b: &[F16],
+    ) {
+        let mut public = vec![F16::ZERO; a.len()];
+        reduce_f16_out(a, b, &mut public, op);
+        assert_tiers_match("reduce_f16_out", &public, F16::to_bits, |t, out| {
+            simd::dispatch!(at t, |t| reduce_f16_body(t, out, Some(a), b, &f));
+        });
+
+        let mut public = a.to_vec();
+        reduce_f16(&mut public, b, op);
+        assert_tiers_match("reduce_f16", &public, F16::to_bits, |t, out| {
+            out.copy_from_slice(a);
+            simd::dispatch!(at t, |t| reduce_f16_body(t, out, None, b, &f));
         });
     }
 
@@ -977,11 +1057,11 @@ mod tests {
                     reduce_f16_out(&hx, &hy, &mut dst, op);
                     out.push(("reduce_f16_out", f16_bits(dst)));
                     let mut dst = vec![0.0f32; n];
-                    fold_f16_wire(&local, &h, op, &mut dst, |w| w);
-                    out.push(("fold_f16_wire to f32", f32_bits(dst)));
+                    fold_f16_wire(&local, &h, op, &mut dst);
+                    out.push(("fold_f16_wire", f32_bits(dst)));
                     let mut dst = vec![F16::ZERO; n];
-                    fold_f16_wire(&local, &h, op, &mut dst, F16::from_f32);
-                    out.push(("fold_f16_wire to F16", f16_bits(dst)));
+                    fold_f16_wire_encode(&local, &h, op, &mut dst);
+                    out.push(("fold_f16_wire_encode", f16_bits(dst)));
                 }
                 let mut acc = qx.clone();
                 zip_assign(&mut acc, &qy, i32::saturating_add);

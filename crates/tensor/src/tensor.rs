@@ -258,7 +258,9 @@ impl Tensor {
     }
 
     /// Adopts an existing `f32` vector as the tensor's storage without
-    /// copying (FP16 tensors still round element-wise on conversion).
+    /// copying (an FP16 tensor encodes it through
+    /// [`kernels::f16_encode`](crate::kernels::f16_encode), as
+    /// [`cast`](Tensor::cast) does).
     ///
     /// This is the zero-staging construction path for kernels that
     /// compute into a scratch `Vec<f32>` (the GEMM does): the vector
@@ -283,7 +285,11 @@ impl Tensor {
         }
         let buf = match dtype {
             DType::F32 => Buffer::from_f32_vec(data),
-            DType::F16 => Buffer::from_f16_vec(data.into_iter().map(F16::from_f32).collect()),
+            DType::F16 => {
+                let mut halves = vec![F16::ZERO; data.len()];
+                kernels::f16_encode(&data, &mut halves);
+                Buffer::from_f16_vec(halves)
+            }
         };
         Ok(Tensor { shape, buf })
     }
