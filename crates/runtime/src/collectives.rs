@@ -27,7 +27,7 @@ use coconet_trace as trace;
 use coconet_trace::metrics::Counter;
 use coconet_trace::EventKind;
 
-use crate::comm::WireMsg;
+use crate::comm::{Side, WireMsg};
 use crate::RankComm;
 
 pub use coconet_core::MAX_CHANNELS;
@@ -341,7 +341,7 @@ impl std::fmt::Debug for ChunkSource {
 /// One lane of a ring collective: a resumable state machine moving
 /// stripe `chunk_range(chunk_len, lanes, lane)` of *every* ring chunk,
 /// one hop per step. It is the only ring implementation in the crate —
-/// a blocking collective parks on the channel for each hop
+/// a blocking collective parks on its inbox for each hop
 /// (`run_blocking`), the [`CommScheduler`](crate::CommScheduler) polls;
 /// both run [`advance`](RingLane::advance).
 ///
@@ -573,7 +573,7 @@ impl RingLane {
 
     /// Advances by at most one hop: sends this step's stripe if it is
     /// not on the wire yet, reads the local chunk of the coming fold,
-    /// then takes the incoming stripe — parked on the channel when
+    /// then takes the incoming stripe — parked on the inbox when
     /// `block`, a non-blocking poll otherwise. Returns whether anything
     /// moved.
     pub(crate) fn advance(&mut self, comm: &RankComm, block: bool) -> bool {
@@ -591,12 +591,9 @@ impl RingLane {
             }
         }
         let prev = self.group.prev(comm.rank());
-        let msg = if block {
-            Some(comm.recv_tagged(prev, self.tag))
-        } else {
-            comm.try_recv_tagged(prev, self.tag)
+        let Some(msg) = comm.take(prev, Some(self.tag), Side::Worker, block) else {
+            return sent;
         };
-        let Some(msg) = msg else { return sent };
         let WireMsg::Tensor(incoming) = msg else {
             unreachable!("ring lanes carry dense payloads only, got {msg:?}")
         };

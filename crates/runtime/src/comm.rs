@@ -1,17 +1,31 @@
 //! Point-to-point message fabric between rank threads.
 //!
-//! Each simulated rank runs on its own OS thread; every ordered pair of
-//! ranks gets an unbounded crossbeam channel. This is the substrate the
-//! ring collectives move real tensor data over — the reproduction's
-//! stand-in for NVLink/InfiniBand transports.
+//! Each simulated rank runs on its own OS thread and owns one *inbox*:
+//! an unbounded channel of `(src, packet)` whose sender every rank
+//! holds a clone of. This is the substrate the collectives move real
+//! tensor data over — the reproduction's stand-in for NVLink/InfiniBand
+//! transports.
 //!
-//! The fabric is format-agnostic: a message is either a dense tensor
-//! (possibly FP16-encoded by a compressed collective) or a
-//! [`SparseChunk`] of a top-k sparsified stream, and the embedded
-//! [`BytesLedger`] accounts each at its *wire* size — which is exactly
-//! how the compression subsystem's volume claims become assertable.
+//! A message belongs to one *stream* of its source: the plain stream
+//! (tree and hierarchical hops, the sparse exchange, pipeline sends) or
+//! the tagged stream of one ring lane or switch job. One source's
+//! packets arrive in the order it sent them, and a receive takes the
+//! first message of the stream it names; what it pulls off the inbox on
+//! the way waits in one stash keyed by `(src, stream)`, so every stream
+//! stays FIFO and jobs complete in any order. Dropping an endpoint posts
+//! a *hang-up marker* to every peer, behind its last message: a receive,
+//! blocking or polled, whose source hung up with nothing of the stream
+//! left panics with `rank N hung up`.
+//!
+//! The fabric is format-agnostic: a message is a dense tensor (possibly
+//! FP16-encoded by a compressed collective), a [`SparseChunk`] of a
+//! top-k sparsified stream or a switch job's quantized chunk, and the
+//! embedded [`BytesLedger`] accounts each at its *wire* size — which is
+//! exactly how the compression subsystem's volume claims become
+//! assertable. Received bytes are ledgered when a message is taken, on
+//! the taker's (worker or switch) counters.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 
 use coconet_compress::QuantChunk;
@@ -49,24 +63,28 @@ impl WireMsg {
     }
 }
 
-/// What actually travels through a channel: either a plain
-/// point-to-point message (tree and hierarchical hops, the sparse
-/// exchange, pipeline sends), or a *tagged* message — one hop of a
-/// ring lane or switch job, whether a blocking drive or the priority
-/// scheduler runs it. Tags let a receiver pull messages for one job
-/// without disturbing the FIFO stream of another, so jobs complete in
-/// any order.
-#[derive(Clone, Debug)]
+/// What a source posts into an inbox.
+#[derive(Debug)]
 enum Packet {
-    /// An untagged message, delivered in per-source FIFO order.
-    Plain(WireMsg),
-    /// One chunk of job `job` (the class it was sent at is recorded in
-    /// the sender's ledger; the receiver routes by job alone).
-    Tagged { job: u64, msg: WireMsg },
+    /// One message of stream `key`: `None` is the plain stream,
+    /// `Some(tag)` the stream of the ring lane or switch job tagged so.
+    Msg(Option<u64>, WireMsg),
+    /// The source dropped its endpoint; nothing follows.
+    HungUp,
 }
 
-/// One rank's endpoints into the world: senders to every rank and
-/// receivers from every rank.
+/// Whose counters a taken message's bytes land in.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Side {
+    /// The rank's own worker-side counters.
+    Worker,
+    /// The emulated aggregation switch's gather
+    /// ([`BytesLedger::switch_bytes_recv`]).
+    Switch,
+}
+
+/// One rank's endpoint into the world: a sender into every rank's
+/// inbox, and its own inbox.
 ///
 /// Sending a tensor transfers its copy-on-write buffer handle through
 /// the channel — no element data is copied — while the embedded
@@ -76,13 +94,15 @@ enum Packet {
 pub struct RankComm {
     rank: usize,
     world: usize,
-    to: Vec<Sender<Packet>>,
-    from: Vec<Receiver<Packet>>,
-    /// Per-source stash of plain messages pulled off the channel while
-    /// looking for a tagged one (and vice versa). Within one source the
-    /// channel is FIFO, so stashing preserves each protocol's order.
-    plain_stash: Vec<RefCell<VecDeque<WireMsg>>>,
-    tagged_stash: Vec<RefCell<VecDeque<(u64, WireMsg)>>>,
+    /// Senders into every rank's inbox, this rank's own included.
+    to: Vec<Sender<(usize, Packet)>>,
+    inbox: Receiver<(usize, Packet)>,
+    /// Packets pulled off the inbox and not yet taken, in arrival
+    /// order — the one stash every `(src, stream)` lookup scans.
+    stash: RefCell<VecDeque<(usize, Packet)>>,
+    /// Packets pulled off the inbox so far: a scheduler round that
+    /// pulled none and moved no job parks.
+    pulled: Cell<u64>,
     ledger: LedgerState,
 }
 
@@ -93,34 +113,19 @@ impl RankComm {
     /// # Panics
     ///
     /// Panics if `world` is zero.
-    #[allow(clippy::needless_range_loop)] // (src, dst) matrix wiring
     pub fn world(world: usize) -> Vec<RankComm> {
         assert!(world > 0, "world must have at least one rank");
-        // channels[src][dst]
-        let mut senders: Vec<Vec<Sender<Packet>>> = Vec::with_capacity(world);
-        let mut receivers: Vec<Vec<Option<Receiver<Packet>>>> = (0..world)
-            .map(|_| (0..world).map(|_| None).collect())
-            .collect();
-        for src in 0..world {
-            let mut row = Vec::with_capacity(world);
-            for dst in 0..world {
-                let (tx, rx) = unbounded();
-                row.push(tx);
-                receivers[dst][src] = Some(rx);
-            }
-            senders.push(row);
-        }
-        senders
+        let (to, inboxes): (Vec<_>, Vec<_>) = (0..world).map(|_| unbounded()).unzip();
+        inboxes
             .into_iter()
-            .zip(receivers)
             .enumerate()
-            .map(|(rank, (to, from))| RankComm {
+            .map(|(rank, inbox)| RankComm {
                 rank,
                 world,
-                to,
-                from: from.into_iter().map(|r| r.expect("filled above")).collect(),
-                plain_stash: (0..world).map(|_| RefCell::new(VecDeque::new())).collect(),
-                tagged_stash: (0..world).map(|_| RefCell::new(VecDeque::new())).collect(),
+                to: to.clone(),
+                inbox,
+                stash: RefCell::default(),
+                pulled: Cell::new(0),
                 ledger: LedgerState::new(),
             })
             .collect()
@@ -147,19 +152,9 @@ impl RankComm {
         self.send_msg(dst, WireMsg::Tensor(tensor));
     }
 
-    /// Sends a sparse chunk to `dst`, accounted at its
-    /// [`wire_bytes`](SparseChunk::wire_bytes) — the compressed size is
-    /// what the modeled interconnect carries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is out of range or the destination endpoint was
-    /// dropped.
-    pub fn send_sparse(&self, dst: usize, chunk: SparseChunk) {
-        self.send_msg(dst, WireMsg::Sparse(chunk));
-    }
-
-    /// Sends a raw (untagged) wire message to `dst`.
+    /// Sends a raw (untagged) wire message to `dst`, accounted at its
+    /// [`wire_bytes`](WireMsg::wire_bytes) — for a sparse chunk, the
+    /// compressed size the modeled interconnect carries.
     ///
     /// # Panics
     ///
@@ -172,9 +167,7 @@ impl RankComm {
         trace::instant(EventKind::Hop, "send", trace::JOB_NONE, bytes);
         trace::metrics::add_counter(Counter::WireBytes, bytes);
         self.ledger.record_send(msg.wire_bytes());
-        self.to[dst]
-            .send(Packet::Plain(msg))
-            .unwrap_or_else(|_| panic!("rank {dst} hung up"));
+        self.post(dst, None, msg);
     }
 
     /// Sends one tagged chunk of job `job` to `dst`. A scheduled job
@@ -197,9 +190,7 @@ impl RankComm {
             Some(class) => self.ledger.record_send_class(class, msg.wire_bytes()),
             None => self.ledger.record_send(msg.wire_bytes()),
         }
-        self.to[dst]
-            .send(Packet::Tagged { job, msg })
-            .unwrap_or_else(|_| panic!("rank {dst} hung up"));
+        self.post(dst, Some(job), msg);
     }
 
     /// Sends job `job`'s folded chunk *as the emulated aggregation
@@ -217,8 +208,13 @@ impl RankComm {
     pub fn send_tagged_switch(&self, dst: usize, job: u64, msg: WireMsg) {
         trace::metrics::add_counter(Counter::SwitchBytes, msg.wire_bytes() as u64);
         self.ledger.record_switch_send(msg.wire_bytes());
+        self.post(dst, Some(job), msg);
+    }
+
+    /// Posts `msg` on stream `key` into `dst`'s inbox — every send.
+    fn post(&self, dst: usize, key: Option<u64>, msg: WireMsg) {
         self.to[dst]
-            .send(Packet::Tagged { job, msg })
+            .send((self.rank, Packet::Msg(key, msg)))
             .unwrap_or_else(|_| panic!("rank {dst} hung up"));
     }
 
@@ -226,9 +222,9 @@ impl RankComm {
     ///
     /// # Panics
     ///
-    /// Panics if `src` is out of range, the source endpoint was
-    /// dropped without sending, or the next message is a sparse chunk
-    /// (a collective protocol mismatch).
+    /// Panics if `src` hung up with nothing left for this rank, or the
+    /// next message is not a dense tensor (a collective protocol
+    /// mismatch).
     pub fn recv(&self, src: usize) -> Tensor {
         match self.recv_msg(src) {
             WireMsg::Tensor(t) => t,
@@ -236,144 +232,83 @@ impl RankComm {
         }
     }
 
-    /// Receives the next sparse chunk sent by `src` (blocking).
+    /// Receives the next untagged wire message sent by `src`
+    /// (blocking).
     ///
     /// # Panics
     ///
-    /// Panics if `src` is out of range, the source endpoint was
-    /// dropped, or the next message is a dense tensor.
-    pub fn recv_sparse(&self, src: usize) -> SparseChunk {
-        match self.recv_msg(src) {
-            WireMsg::Sparse(c) => c,
-            other => panic!("rank {src} sent {other:?} where a sparse chunk was expected"),
-        }
-    }
-
-    /// Receives the next wire message sent by `src` (blocking).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range or the source endpoint was
-    /// dropped without sending.
+    /// Panics if `src` hung up with nothing left for this rank.
     pub fn recv_msg(&self, src: usize) -> WireMsg {
-        if let Some(msg) = self.plain_stash[src].borrow_mut().pop_front() {
-            return msg;
-        }
-        loop {
-            match self.pull(src, false) {
-                Packet::Plain(msg) => return msg,
-                Packet::Tagged { job, msg, .. } => {
-                    self.tagged_stash[src].borrow_mut().push_back((job, msg));
-                }
-            }
-        }
+        self.take(src, None, Side::Worker, true)
+            .expect("a blocking take returns a message")
     }
 
-    /// Receives the next chunk of job `job` from `src`, parked on the
-    /// channel until it arrives. Plain messages and other jobs' chunks
-    /// encountered on the way are stashed, preserving their per-source
-    /// FIFO order — a later-issued job can therefore complete before an
-    /// earlier one without corrupting either stream.
+    /// Takes the next message of stream `key` from `src`, ledgered on
+    /// `side`'s counters: the stashed one if there is one, else the one
+    /// pulling the inbox reaches — parked on it when `block`, `None`
+    /// once it is empty otherwise. Every receive is this call.
     ///
     /// # Panics
     ///
-    /// Panics if `src` is out of range or the source endpoint was
-    /// dropped without sending.
-    pub fn recv_tagged(&self, src: usize, job: u64) -> WireMsg {
-        self.recv_tagged_attr(src, job, false)
-    }
-
-    /// Blocking tagged receive *as the emulated aggregation switch* —
-    /// the gather leg of `CollAlgo::Switch`. The bytes land in
-    /// [`BytesLedger::switch_bytes_recv`] instead of the worker-side
-    /// counters. Attribution happens at pull time: a message stashed
-    /// while the dataplane was draining keeps its switch attribution
-    /// even if a worker-side call later consumes it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range or the source endpoint was
-    /// dropped without sending.
-    pub fn recv_tagged_switch(&self, src: usize, job: u64) -> WireMsg {
-        self.recv_tagged_attr(src, job, true)
-    }
-
-    fn recv_tagged_attr(&self, src: usize, job: u64, switch_side: bool) -> WireMsg {
-        if let Some(msg) = self.take_stashed_tagged(src, job) {
-            return msg;
-        }
+    /// Panics if `src` hung up with nothing of the stream left.
+    pub(crate) fn take(
+        &self,
+        src: usize,
+        key: Option<u64>,
+        side: Side,
+        block: bool,
+    ) -> Option<WireMsg> {
         loop {
-            match self.pull(src, switch_side) {
-                Packet::Plain(msg) => self.plain_stash[src].borrow_mut().push_back(msg),
-                Packet::Tagged { job: j, msg, .. } => {
-                    if j == job {
-                        return msg;
-                    }
-                    self.tagged_stash[src].borrow_mut().push_back((j, msg));
+            if let Some(msg) = self.stashed(src, key) {
+                match side {
+                    Side::Worker => self.ledger.record_recv(msg.wire_bytes()),
+                    Side::Switch => self.ledger.record_switch_recv(msg.wire_bytes()),
                 }
+                return Some(msg);
+            }
+            if !self.pull(block) {
+                return None;
             }
         }
     }
 
-    /// Non-blocking [`recv_tagged`](RankComm::recv_tagged): drains
-    /// whatever has already arrived from `src` and returns `job`'s next
-    /// chunk if it is among it.
-    pub fn try_recv_tagged(&self, src: usize, job: u64) -> Option<WireMsg> {
-        self.try_recv_tagged_attr(src, job, false)
-    }
-
-    /// Non-blocking [`recv_tagged_switch`](RankComm::recv_tagged_switch)
-    /// — the gather leg of a scheduled switch job.
-    pub fn try_recv_tagged_switch(&self, src: usize, job: u64) -> Option<WireMsg> {
-        self.try_recv_tagged_attr(src, job, true)
-    }
-
-    fn try_recv_tagged_attr(&self, src: usize, job: u64, switch_side: bool) -> Option<WireMsg> {
-        if let Some(msg) = self.take_stashed_tagged(src, job) {
-            return Some(msg);
-        }
-        while let Ok(packet) = self.from[src].try_recv() {
-            self.record_pulled(&packet, switch_side);
-            match packet {
-                Packet::Plain(msg) => self.plain_stash[src].borrow_mut().push_back(msg),
-                Packet::Tagged { job: j, msg, .. } => {
-                    if j == job {
-                        return Some(msg);
-                    }
-                    self.tagged_stash[src].borrow_mut().push_back((j, msg));
+    /// Removes the first stashed message of stream `key` from `src`.
+    /// A hang-up marker sits behind its source's last message, so
+    /// meeting it first means the stream is exhausted for good.
+    fn stashed(&self, src: usize, key: Option<u64>) -> Option<WireMsg> {
+        let mut stash = self.stash.borrow_mut();
+        let at = stash.iter().position(|(from, packet)| {
+            *from == src
+                && match packet {
+                    Packet::Msg(k, _) => *k == key,
+                    Packet::HungUp => true,
                 }
-            }
+        })?;
+        match stash.remove(at) {
+            Some((_, Packet::Msg(_, msg))) => Some(msg),
+            _ => panic!("rank {src} hung up"),
         }
-        None
     }
 
-    /// Pulls the next packet off `src`'s channel, recording its wire
-    /// bytes as received — on the worker-side or switch-side counters
-    /// per `switch_side`.
-    fn pull(&self, src: usize, switch_side: bool) -> Packet {
-        let packet = self.from[src]
-            .recv()
-            .unwrap_or_else(|_| panic!("rank {src} hung up"));
-        self.record_pulled(&packet, switch_side);
-        packet
-    }
-
-    fn record_pulled(&self, packet: &Packet, switch_side: bool) {
-        let bytes = match packet {
-            Packet::Plain(m) | Packet::Tagged { msg: m, .. } => m.wire_bytes(),
-        };
-        if switch_side {
-            self.ledger.record_switch_recv(bytes);
+    /// Moves the next inbox packet into the stash, parked on the inbox
+    /// until one arrives when `block`; returns whether there was one.
+    /// A blocking pull always finds one: the rank holds a sender to its
+    /// own inbox.
+    pub(crate) fn pull(&self, block: bool) -> bool {
+        let next = if block {
+            self.inbox.recv().ok()
         } else {
-            self.ledger.record_recv(bytes);
-        }
+            self.inbox.try_recv().ok()
+        };
+        let Some(packet) = next else { return false };
+        self.pulled.set(self.pulled.get() + 1);
+        self.stash.borrow_mut().push_back(packet);
+        true
     }
 
-    /// Removes and returns `job`'s first stashed chunk from `src`.
-    fn take_stashed_tagged(&self, src: usize, job: u64) -> Option<WireMsg> {
-        let mut stash = self.tagged_stash[src].borrow_mut();
-        let pos = stash.iter().position(|(j, _)| *j == job)?;
-        Some(stash.remove(pos).expect("position just found").1)
+    /// How many packets this rank has pulled off its inbox.
+    pub(crate) fn pulled(&self) -> u64 {
+        self.pulled.get()
     }
 
     /// Zeroes this rank's [`BytesLedger`] and re-baselines the
@@ -388,6 +323,17 @@ impl RankComm {
     /// the wire counters).
     pub fn ledger(&self) -> BytesLedger {
         self.ledger.snapshot()
+    }
+}
+
+impl Drop for RankComm {
+    /// Posts this rank's hang-up marker to every peer, behind its last
+    /// message.
+    fn drop(&mut self) {
+        for to in &self.to {
+            // A peer whose endpoint is gone has nothing left to tell.
+            let _ = to.send((self.rank, Packet::HungUp));
+        }
     }
 }
 
@@ -425,10 +371,30 @@ pub fn run_ranks<T: Send + 'static>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use coconet_tensor::DType;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
     use std::thread;
+    use std::time::Duration;
+
+    /// Runs `f` on its own thread and returns the message it panicked
+    /// with (`None` if it returned) — failing instead of hanging when
+    /// it does neither within ten seconds.
+    pub(crate) fn panic_message(f: impl FnOnce() + Send + 'static) -> Option<String> {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(f));
+            let message = outcome.err().map(|p| {
+                p.downcast::<String>()
+                    .map_or_else(|_| String::new(), |s| *s)
+            });
+            let _ = tx.send(message);
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("neither returned nor panicked within ten seconds")
+    }
 
     #[test]
     fn pairwise_messaging() {
@@ -472,63 +438,81 @@ mod tests {
         RankComm::world(0);
     }
 
-    /// Tagged jobs and the plain blocking protocol share one channel
-    /// without disturbing each other: a receiver may consume them in
-    /// any interleaving, each stream staying FIFO.
+    /// A peer drops its endpoint after the first of two messages: the
+    /// receiver takes that one, then panics on the second instead of
+    /// waiting forever.
     #[test]
-    fn tagged_and_plain_streams_are_independent() {
+    fn a_receive_from_a_hung_up_peer_panics_after_its_last_message() {
         let mut world = RankComm::world(2);
         let c1 = world.pop().unwrap();
         let c0 = world.pop().unwrap();
-        c0.send_tagged(
-            1,
-            7,
-            Some(0),
-            WireMsg::Tensor(Tensor::full([1], DType::F32, 70.0)),
-        );
-        c0.send(1, Tensor::full([1], DType::F32, 1.0));
-        c0.send_tagged(
-            1,
-            9,
-            Some(3),
-            WireMsg::Tensor(Tensor::full([1], DType::F32, 90.0)),
-        );
-        c0.send_tagged(
-            1,
-            7,
-            Some(0),
-            WireMsg::Tensor(Tensor::full([1], DType::F32, 71.0)),
-        );
-        c0.send(1, Tensor::full([1], DType::F32, 2.0));
+        c1.send(0, Tensor::full([1], DType::F32, 1.0));
+        drop(c1);
+        let message = panic_message(move || {
+            assert_eq!(c0.recv(1).get(0), 1.0);
+            c0.recv(1);
+        });
+        assert_eq!(message.as_deref(), Some("rank 1 hung up"));
+    }
 
-        // Pull the later-issued job first: earlier traffic is stashed.
-        match c1.recv_tagged(0, 9) {
-            WireMsg::Tensor(t) => assert_eq!(t.get(0), 90.0),
+    /// Two sources interleave in one inbox, each with tagged jobs and a
+    /// plain stream: a receiver may take them in any order, every
+    /// `(src, stream)` staying FIFO and every byte counted once.
+    #[test]
+    fn tagged_and_plain_streams_are_independent() {
+        let mut world = RankComm::world(3);
+        let c2 = world.pop().unwrap();
+        let c1 = world.pop().unwrap();
+        let c0 = world.pop().unwrap();
+        let one = |v: f32| Tensor::full([1], DType::F32, v);
+        let chunk = |v: f32| WireMsg::Tensor(one(v));
+        c0.send_tagged(1, 7, Some(0), chunk(70.0));
+        c2.send_tagged(1, 7, None, chunk(270.0));
+        c0.send(1, one(1.0));
+        c2.send(1, one(21.0));
+        c0.send_tagged(1, 9, Some(3), chunk(90.0));
+        c2.send(1, one(22.0));
+        c0.send_tagged(1, 7, Some(0), chunk(71.0));
+        c2.send_tagged(1, 7, None, chunk(271.0));
+        c0.send(1, one(2.0));
+
+        let take = |src: usize, job: u64, block: bool| match c1.take(
+            src,
+            Some(job),
+            Side::Worker,
+            block,
+        ) {
+            Some(WireMsg::Tensor(t)) => t.get(0),
             other => panic!("unexpected {other:?}"),
-        }
-        // The plain stream still arrives in order.
+        };
+        // Take the later-issued job first: earlier traffic is stashed.
+        assert_eq!(take(0, 9, true), 90.0);
+        // Rank 2's job and plain stream, ahead of rank 0's.
+        assert_eq!(take(2, 7, false), 270.0);
+        assert_eq!(c1.recv(2).get(0), 21.0);
         assert_eq!(c1.recv(0).get(0), 1.0);
-        // Job 7's chunks kept their own order.
-        match c1.recv_tagged(0, 7) {
-            WireMsg::Tensor(t) => assert_eq!(t.get(0), 70.0),
-            other => panic!("unexpected {other:?}"),
-        }
-        match c1.try_recv_tagged(0, 7) {
-            Some(WireMsg::Tensor(t)) => assert_eq!(t.get(0), 71.0),
-            other => panic!("unexpected {other:?}"),
-        }
+        // Job 7 of each source kept its own order.
+        assert_eq!(take(0, 7, true), 70.0);
+        assert_eq!(take(2, 7, true), 271.0);
+        assert_eq!(take(0, 7, false), 71.0);
+        assert_eq!(c1.recv(2).get(0), 22.0);
         assert_eq!(c1.recv(0).get(0), 2.0);
-        // Nothing left of either job.
-        assert!(c1.try_recv_tagged(0, 7).is_none());
-        assert!(c1.try_recv_tagged(0, 9).is_none());
+        // Nothing left of any stream.
+        for src in [0, 2] {
+            for key in [None, Some(7), Some(9)] {
+                assert!(c1.take(src, key, Side::Worker, false).is_none());
+            }
+        }
 
-        // The sender's ledger split the traffic by class: job 7 (class
-        // 0) sent 8 bytes, job 9 (class 3) sent 4, plain sent 8 more.
+        // The senders' ledgers split the traffic by class: rank 0's job
+        // 7 (class 0) sent 8 bytes, job 9 (class 3) 4, plain 8 more.
         let l = c0.ledger();
         assert_eq!(l.class_bytes_sent[0], 8);
         assert_eq!(l.class_bytes_sent[3], 4);
         assert_eq!(l.bytes_sent, 20);
-        // The receiver counted every byte exactly once.
-        assert_eq!(c1.ledger().bytes_received, 20);
+        assert_eq!(c2.ledger().bytes_sent, 16);
+        // The receiver counted every byte and message exactly once.
+        let l = c1.ledger();
+        assert_eq!((l.bytes_received, l.recvs), (36, 9));
     }
 }

@@ -32,7 +32,7 @@ use crate::hierarchical::{
 };
 use crate::switch::switch_all_reduce;
 use crate::tree::tree_all_reduce;
-use crate::RankComm;
+use crate::{RankComm, WireMsg};
 
 /// What `config` runs as for a `kind` collective of `payload` over
 /// `group`, `ranks_per_node` consecutive ranks sharing a node (`0`: the
@@ -255,8 +255,10 @@ pub(crate) fn sparse_all_reduce(
         let mut block = 1usize;
         while block < p {
             let partner = group.rank_at(me ^ block);
-            comm.send_sparse(partner, acc.clone());
-            let theirs = comm.recv_sparse(partner);
+            comm.send_msg(partner, WireMsg::Sparse(acc.clone()));
+            let WireMsg::Sparse(theirs) = comm.recv_msg(partner) else {
+                unreachable!("the sparse exchange carries sparse chunks only")
+            };
             let merged = acc.merge_sum(&theirs);
             let (kept, dropped) = merged.split_top_k(k);
             if let Some(ef) = feedback.as_deref_mut() {
@@ -276,8 +278,11 @@ pub(crate) fn sparse_all_reduce(
         for step in 0..p - 1 {
             let (send_c, recv_c) = ring_schedule(me, p, step);
             let outgoing = chunks[send_c].clone().expect("chunk present by schedule");
-            comm.send_sparse(group.next(comm.rank()), outgoing);
-            chunks[recv_c] = Some(comm.recv_sparse(group.prev(comm.rank())));
+            comm.send_msg(group.next(comm.rank()), WireMsg::Sparse(outgoing));
+            let WireMsg::Sparse(incoming) = comm.recv_msg(group.prev(comm.rank())) else {
+                unreachable!("the sparse exchange carries sparse chunks only")
+            };
+            chunks[recv_c] = Some(incoming);
         }
         let mut combined = chunks[0].take().expect("all chunks gathered");
         for c in chunks.into_iter().skip(1) {

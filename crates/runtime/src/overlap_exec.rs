@@ -105,7 +105,7 @@ pub fn overlapped_matmul_all_reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{run_ranks, WireMsg};
+    use crate::comm::{run_ranks, Side, WireMsg};
     use crate::ring_all_reduce;
     use coconet_tensor::CounterRng;
     use std::sync::{Arc, Mutex};
@@ -238,7 +238,7 @@ mod tests {
         assert_eq!(bits(&got), bits(&p[0].add(&p[1]).unwrap()));
         // Nothing foreign was swallowed.
         for job in [0, 1] {
-            let WireMsg::Tensor(t) = me.recv_tagged(1, job) else {
+            let Some(WireMsg::Tensor(t)) = me.take(1, Some(job), Side::Worker, true) else {
                 panic!("job {job}'s chunk went missing")
             };
             assert_eq!(bits(&t), bits(&foreign));

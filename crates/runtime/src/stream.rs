@@ -25,12 +25,15 @@
 //!   reordering the per-class [`BytesLedger`](crate::BytesLedger)
 //!   counters and the scheduler's completion events expose.
 //!
-//! Deadlock freedom: sends never block (the fabric's channels are
-//! unbounded), receives are non-blocking polls, and every rank polls
-//! every unfinished job each round. The globally highest-priority
-//! unfinished job is therefore always serviced on every rank it
-//! touches, so it completes; induction over the priority order covers
-//! the rest.
+//! Deadlock freedom: sends never block (every inbox is unbounded), a
+//! job's receives are non-blocking polls, and every rank polls every
+//! unfinished job each round. A rank parks on its inbox only after a
+//! round that neither moved a job nor pulled a packet — then every job
+//! it holds waits on a packet its peers have not sent yet, and the next
+//! one wakes it. The globally highest-priority unfinished job is
+//! therefore serviced on every rank it touches whenever its next chunk
+//! exists, so it completes; induction over the priority order covers
+//! the rest. A peer that hangs up instead surfaces as a panic.
 
 use coconet_compress::{ErrorFeedback, WireFormat};
 use coconet_core::{lane_count, CollAlgo, CollKind, CommConfig, CommSched, Executed};
@@ -324,11 +327,7 @@ impl CommScheduler {
                 self.jobs.iter().any(|j| j.logical == id),
                 "waiting on job {id} that was never enqueued"
             );
-            if !self.poll(comm) {
-                // Every local job is blocked on the wire; yield while
-                // peers catch up.
-                std::thread::yield_now();
-            }
+            self.round(comm);
         }
     }
 
@@ -336,9 +335,18 @@ impl CommScheduler {
     /// via [`wait`](CommScheduler::wait) (which no longer blocks).
     pub fn drain(&mut self, comm: &RankComm) {
         while !self.jobs.is_empty() {
-            if !self.poll(comm) {
-                std::thread::yield_now();
-            }
+            self.round(comm);
+        }
+    }
+
+    /// One [`poll`](CommScheduler::poll) that parks on the inbox when
+    /// it moved no job and pulled no packet: every job then waits on a
+    /// packet not yet sent. A round that pulled polls again instead —
+    /// one job's poll may have stashed what an earlier job waits for.
+    fn round(&mut self, comm: &RankComm) {
+        let pulled = comm.pulled();
+        if !self.poll(comm) && comm.pulled() == pulled {
+            comm.pull(true);
         }
     }
 
@@ -617,6 +625,7 @@ impl StreamExecutor {
 mod tests {
     use super::*;
     use crate::collectives::ring_all_reduce;
+    use crate::comm::tests::panic_message;
     use crate::comm::{run_ranks, WireMsg};
     use coconet_tensor::{CounterRng, DType};
 
@@ -1054,7 +1063,34 @@ mod tests {
         assert_eq!(completed_ids(sched.completion_events()), [2, 1]);
         assert_eq!(me.ledger().class_bytes_sent[5], full_volume);
         // The scripted peer leaves its incoming chunks unread; that is
-        // fine — channels are unbounded and the test owns both ends.
+        // fine — inboxes are unbounded and the test owns both ends.
+    }
+
+    /// A ring job whose peer hangs up after the job's first send: the
+    /// waiting scheduler panics with the peer's hang-up rather than
+    /// waiting for a chunk that will never come.
+    #[test]
+    fn waiting_on_a_hung_up_peer_panics() {
+        let mut world = RankComm::world(2);
+        let peer = world.pop().unwrap();
+        let me = world.pop().unwrap();
+        let input = Tensor::from_fn([8], DType::F32, |i| i as f32);
+        let mut sched = CommScheduler::new();
+        sched.enqueue(
+            1,
+            0,
+            group_of(2),
+            &input,
+            ReduceOp::Sum,
+            WireFormat::Dense,
+            1,
+        );
+        assert!(sched.poll(&me), "the first chunk goes out");
+        drop(peer);
+        let message = panic_message(move || {
+            sched.wait(&me, 1);
+        });
+        assert_eq!(message.as_deref(), Some("rank 1 hung up"));
     }
 
     /// Four queued jobs of mixed size, class, format, op and algorithm

@@ -19,7 +19,7 @@
 //! associative at the saturation boundary, so the dataplane waits for
 //! every contribution and folds them in ascending group-position
 //! order. The algorithm exists once, as the resumable `SwitchJob`:
-//! [`switch_all_reduce`] parks on the channel for each leg, the
+//! [`switch_all_reduce`] parks on the inbox for each leg, the
 //! [`CommScheduler`](crate::CommScheduler) polls — same legs, same
 //! fold, bit-identical results.
 //!
@@ -32,7 +32,7 @@ use coconet_trace as trace;
 use coconet_trace::EventKind;
 
 use crate::collectives::{lane_tag, Group};
-use crate::comm::{RankComm, WireMsg};
+use crate::comm::{RankComm, Side, WireMsg};
 
 /// Folds `contribs` in ascending position order — the one fold order
 /// the switch uses, because saturating adds do not commute with
@@ -127,7 +127,7 @@ impl SwitchJob {
 
     /// Advances the job: sends the up copy if still pending, runs the
     /// dataplane gather/fold/multicast on the host, and takes the down
-    /// multicast. With `block` every receive parks on the channel, so
+    /// multicast. With `block` every receive parks on the inbox, so
     /// one call runs the job to completion; otherwise receives are
     /// non-blocking polls. Returns `true` if anything moved.
     pub(crate) fn advance(&mut self, comm: &RankComm, block: bool) -> bool {
@@ -149,12 +149,7 @@ impl SwitchJob {
             for pos in 0..self.group.size {
                 if self.contribs[pos].is_none() {
                     let src = self.group.rank_at(pos);
-                    let msg = if block {
-                        Some(comm.recv_tagged_switch(src, self.tag))
-                    } else {
-                        comm.try_recv_tagged_switch(src, self.tag)
-                    };
-                    if let Some(msg) = msg {
+                    if let Some(msg) = comm.take(src, Some(self.tag), Side::Switch, block) {
                         self.contribs[pos] = Some(expect_quant(msg));
                         self.gathered += 1;
                         progressed = true;
@@ -182,17 +177,12 @@ impl SwitchJob {
         }
 
         // The worker leg may only look for the down multicast once it
-        // can exist — on the host rank the up copy sits in the same
-        // self-channel under the same tag until the dataplane consumes
-        // it, so looking earlier would swallow it.
+        // can exist — on the host rank the up copy is the same stream
+        // (this rank, this tag) until the dataplane takes it, so
+        // looking earlier would take the up copy as the result.
         let down_may_exist = me != 0 || self.multicast_done;
         if self.result.is_none() && down_may_exist {
-            let msg = if block {
-                Some(comm.recv_tagged(switch_rank, self.tag))
-            } else {
-                comm.try_recv_tagged(switch_rank, self.tag)
-            };
-            if let Some(msg) = msg {
+            if let Some(msg) = comm.take(switch_rank, Some(self.tag), Side::Worker, block) {
                 let down = expect_quant(msg);
                 trace::instant(EventKind::Hop, "switch:down", id, down.wire_bytes());
                 let _codec = trace::span(EventKind::Codec, "q15:dequantize", down.len() as u64, id);
@@ -210,7 +200,7 @@ impl SwitchJob {
 
 /// Blocking AllReduce through the emulated aggregation switch: one
 /// switch job driven to completion on the calling rank thread, parked
-/// on the channel for each leg.
+/// on the inbox for each leg.
 ///
 /// Wire cost per worker: `n·4` bytes sent, `n·4` bytes received — see
 /// [`switch_all_reduce_wire_bytes`](crate::switch_all_reduce_wire_bytes).

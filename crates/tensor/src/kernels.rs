@@ -633,12 +633,14 @@ pub fn axpy(c: &mut [f32], b: &[f32], a: f32) {
     }
 }
 
-/// Runs `f(chunk_index, chunk)` over `data` split into consecutive
-/// `chunk`-element chunks (last one short), fanning chunks out across
-/// the pool when `data` clears [`PAR_THRESHOLD`]. Each chunk is a
-/// `&mut` split off by `chunks_mut` and handed to its one task through
-/// its own `Mutex` slot, locked exactly once, so no lock is ever
-/// contended; `f` must not depend on chunk order.
+/// Runs `f(first, run)` over `data` split into consecutive
+/// `chunk`-element chunks (last one short), where `run` is one task's
+/// contiguous run of whole chunks and `first` the index of its first
+/// chunk: one call over all of `data` below [`PAR_THRESHOLD`] or at
+/// width 1, the chunks partitioned across the pool otherwise. Each run
+/// is a `&mut` split off `data` and handed to its one task through its
+/// own `Mutex` slot, locked exactly once, so no lock is ever contended;
+/// `f` must not depend on how chunks are grouped into runs.
 ///
 /// # Panics
 ///
@@ -651,19 +653,30 @@ where
     assert!(chunk > 0, "chunk size must be positive");
     let len = data.len();
     if len < PAR_THRESHOLD {
-        for (i, c) in data.chunks_mut(chunk).enumerate() {
-            f(i, c);
-        }
-        return;
+        return f(0, data);
     }
-    let slots: Vec<Mutex<&mut [T]>> = data.chunks_mut(chunk).map(Mutex::new).collect();
-    parallel_for(slots.len(), 1, |r| {
-        for i in r {
-            // Each slot is locked once, so no earlier panic can have
-            // poisoned it; a poisoned guard would still hold the chunk.
-            let mut c = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
-            f(i, &mut c);
-        }
+    let _dispatch = record(len);
+    let chunks = len.div_ceil(chunk);
+    let parts = parts(chunks, 1);
+    if parts <= 1 {
+        return f(0, data);
+    }
+    let mut rest = data;
+    let slots: Vec<Mutex<&mut [T]>> = (0..parts)
+        .map(|i| {
+            let run = (part(chunks, parts, i).len() * chunk).min(rest.len());
+            let (window, tail) = std::mem::take(&mut rest).split_at_mut(run);
+            rest = tail;
+            Mutex::new(window)
+        })
+        .collect();
+    fan_out(chunks, parts, &|i, r| {
+        // Each slot is locked once, so no earlier panic can have
+        // poisoned it; a poisoned guard would still hold the run.
+        f(
+            r.start,
+            &mut slots[i].lock().unwrap_or_else(PoisonError::into_inner),
+        );
     });
 }
 
@@ -1097,15 +1110,27 @@ mod tests {
 
     #[test]
     fn parallel_chunks_cover_all_chunks() {
-        let mut data = vec![0u32; (1 << 16) + 123];
-        let chunk = 1000;
-        parallel_chunks_mut(&mut data, chunk, |i, c| {
-            for v in c.iter_mut() {
-                *v = i as u32 + 1;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (len, chunk) = ((1 << 16) + 123, 1000);
+        for width in [1, 2] {
+            let mut data = vec![0u32; len];
+            let calls = AtomicUsize::new(0);
+            at_width(width, || {
+                parallel_chunks_mut(&mut data, chunk, |first, run| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    // Only the run holding the short last chunk ends off
+                    // a chunk boundary.
+                    assert!(run.len() % chunk == 0 || first * chunk + run.len() == len);
+                    for (i, c) in run.chunks_mut(chunk).enumerate() {
+                        c.fill((first + i) as u32 + 1);
+                    }
+                })
+            });
+            // One task per part: a single call at width 1.
+            assert_eq!(calls.into_inner(), width.min(pool_width()));
+            for (i, &v) in data.iter().enumerate() {
+                assert_eq!(v, (i / chunk) as u32 + 1);
             }
-        });
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, (i / chunk) as u32 + 1);
         }
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! The GEMM is a packed register-tile kernel, the CPU counterpart of the
 //! CUTLASS tiled GEMM the paper's overlap (§5.3) is built on. `C` is cut
-//! into `BLOCK`-row blocks that fan out over the kernel worker pool. For
+//! into `BLOCK`-row blocks, whose contiguous runs fan out over the
+//! kernel worker pool (one run, one call, on a one-core rank). For
 //! each `KC`-deep slab of the contraction, a block packs that slab of `B`
 //! into `NR`-wide column panels and each `MR`-row strip of its `A` rows
 //! into `[kc][MR]`, widening FP16 operands as it copies. `micro_tile`
@@ -33,12 +34,13 @@
 use crate::simd::{self, Tier};
 use crate::{DType, Shape, Tensor, TensorError, F16};
 
-/// Output rows per parallel task: `C` is split into `BLOCK`-row blocks,
-/// each a serial GEMM with its own packing scratch.
+/// Output rows per block: `C` is split into `BLOCK`-row blocks, each a
+/// serial GEMM; a task runs a contiguous run of them over one packing
+/// scratch.
 const BLOCK: usize = 64;
 
 /// Contraction depth of one packed slab: a tile's `B` panel (at most
-/// 8 KiB) and `A` strip (at most 3 KiB) stay in L1 across it. A block's
+/// 8 KiB) and `A` strip (at most 3 KiB) stay in L1 across it. A task's
 /// scratch is one slab of `B`, `KC × n` rounded up to whole panels, on
 /// the heap, plus one strip of `A` on the stack.
 const KC: usize = 128;
@@ -195,11 +197,11 @@ fn pack_a<T: Copy, const MR: usize>(
 /// `C = A @ B` with `A: [m, k]`, `B: [k, n]`, `C: [m, n]` row-major and
 /// `C` zero on entry, with the register tile of vector tier `tier`.
 ///
-/// Row blocks of `C` are disjoint, so they fan out across the kernel
-/// worker pool when the output clears the engine's size threshold
-/// (small products stay on the single-threaded path). Each row block
-/// runs the identical serial body, so the parallel product is
-/// bit-identical to the serial one.
+/// Row blocks of `C` are disjoint, so runs of them fan out across the
+/// kernel worker pool when the output clears the engine's size
+/// threshold (small products stay on the single-threaded path). Each
+/// row block runs the identical serial body in any run, so the
+/// parallel product is bit-identical to the serial one.
 ///
 /// No term is skipped for a zero `a[i,kk]`, so `0 · inf` is NaN, as in
 /// the naive triple loop. Skipping zeros would change a result only
@@ -209,22 +211,23 @@ fn gemm_blocked(tier: Tier, a: Operand, b: Operand, c: &mut [f32], m: usize, k: 
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    crate::kernels::parallel_chunks_mut(c, BLOCK * n, |blk, c_rows| {
-        let i0 = blk * BLOCK;
+    crate::kernels::parallel_chunks_mut(c, BLOCK * n, |first, c_rows| {
+        let i0 = first * BLOCK;
         match tier {
             // Eight accumulators, two SSE2 vectors per row.
-            Tier::Base => gemm_row_block::<4, 8>(tier, a, b, c_rows, i0, k, n),
+            Tier::Base => gemm_row_blocks::<4, 8>(tier, a, b, c_rows, i0, k, n),
             // Twelve accumulators, two 8-lane vectors per row.
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx2(_) => gemm_row_block::<6, 16>(tier, a, b, c_rows, i0, k, n),
+            Tier::Avx2(_) => gemm_row_blocks::<6, 16>(tier, a, b, c_rows, i0, k, n),
         }
     });
 }
 
 /// The serial GEMM body for the output rows `i0..i0 + c_rows.len() / n`
-/// (`c_rows` is their contiguous window of `C`), with an `MR × NR`
-/// register tile run at `tier`.
-fn gemm_row_block<const MR: usize, const NR: usize>(
+/// (`c_rows` is their contiguous window of `C`: whole `BLOCK`-row
+/// blocks, the last one possibly short), with an `MR × NR` register
+/// tile run at `tier`. One `B` pack serves every block of the window.
+fn gemm_row_blocks<const MR: usize, const NR: usize>(
     tier: Tier,
     a: Operand,
     b: Operand,
@@ -233,34 +236,36 @@ fn gemm_row_block<const MR: usize, const NR: usize>(
     k: usize,
     n: usize,
 ) {
-    let rows = c_rows.len() / n;
     let panels = n.div_ceil(NR);
     let mut b_pack = vec![[0.0f32; NR]; panels * KC.min(k)];
     let mut a_pack = [[0.0f32; MR]; KC];
-    for k0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - k0);
-        let b_pack = &mut b_pack[..panels * kc];
-        b.pack_b(k0, kc, n, b_pack);
-        let a_pack = &mut a_pack[..kc];
-        for r0 in (0..rows).step_by(MR) {
-            // Strip rows past the block's end pack as zero; their tile
-            // rows are never stored.
-            let mr = MR.min(rows - r0);
-            a.pack_a((i0 + r0) * k + k0, k, mr, a_pack);
-            for (p, panel) in b_pack.chunks_exact(kc).enumerate() {
-                let j0 = p * NR;
-                let nr = NR.min(n - j0);
-                let mut acc = [[0.0f32; NR]; MR];
-                if k0 > 0 {
-                    for (i, acc_row) in acc.iter_mut().enumerate().take(mr) {
-                        let at = (r0 + i) * n + j0;
-                        acc_row[..nr].copy_from_slice(&c_rows[at..at + nr]);
+    for (blk, c_rows) in c_rows.chunks_mut(BLOCK * n).enumerate() {
+        let (i0, rows) = (i0 + blk * BLOCK, c_rows.len() / n);
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
+            let b_pack = &mut b_pack[..panels * kc];
+            b.pack_b(k0, kc, n, b_pack);
+            let a_pack = &mut a_pack[..kc];
+            for r0 in (0..rows).step_by(MR) {
+                // Strip rows past the block's end pack as zero; their tile
+                // rows are never stored.
+                let mr = MR.min(rows - r0);
+                a.pack_a((i0 + r0) * k + k0, k, mr, a_pack);
+                for (p, panel) in b_pack.chunks_exact(kc).enumerate() {
+                    let j0 = p * NR;
+                    let nr = NR.min(n - j0);
+                    let mut acc = [[0.0f32; NR]; MR];
+                    if k0 > 0 {
+                        for (i, acc_row) in acc.iter_mut().enumerate().take(mr) {
+                            let at = (r0 + i) * n + j0;
+                            acc_row[..nr].copy_from_slice(&c_rows[at..at + nr]);
+                        }
                     }
-                }
-                let acc = simd::dispatch!(at tier, micro_tile(acc, a_pack, panel));
-                for (i, acc_row) in acc.iter().enumerate().take(mr) {
-                    let at = (r0 + i) * n + j0;
-                    c_rows[at..at + nr].copy_from_slice(&acc_row[..nr]);
+                    let acc = simd::dispatch!(at tier, micro_tile(acc, a_pack, panel));
+                    for (i, acc_row) in acc.iter().enumerate().take(mr) {
+                        let at = (r0 + i) * n + j0;
+                        c_rows[at..at + nr].copy_from_slice(&acc_row[..nr]);
+                    }
                 }
             }
         }

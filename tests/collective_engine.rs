@@ -518,11 +518,17 @@ fn switch_matches_the_ascending_saturating_fold() {
                     if bits(&out) != want_bits(&want) {
                         failures.push(format!("{label}: scheduled switch bits"));
                     }
-                    // Receive attribution happens when a packet is
-                    // pulled off the channel, and here the competing
-                    // job's polls pull too — only the send side is
-                    // deterministic.
-                    if (l.class_bytes_sent[6], l.switch_bytes_sent) != (words, dataplane) {
+                    // Received bytes land on the taker's counters when
+                    // a message is taken, however the two jobs' polls
+                    // interleave: the down multicast and the rival
+                    // ring's hops from the predecessor worker-side, the
+                    // gather on the host's switch counters.
+                    let prev = (me + k - 1) % k;
+                    let rival_recv = (rs_sent(7, k, prev) + ag_sent(7, k, prev)) * 4;
+                    if (l.class_bytes_sent[6], l.switch_bytes_sent) != (words, dataplane)
+                        || (l.bytes_received, l.switch_bytes_recv)
+                            != (words + rival_recv, dataplane)
+                    {
                         failures.push(format!("{label}: scheduled switch ledger {l:?}"));
                     }
                 }
