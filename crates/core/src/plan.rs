@@ -204,20 +204,17 @@ impl CommConfig {
     ///    format, on one in-network lane (reported as `Dense`).
     /// 7. Lanes clamp into `1..=`[`MAX_CHANNELS`]; a singleton group
     ///    runs one ([`lane_count`]).
-    /// 8. Only a ring or switch AllReduce without active top-k exists
-    ///    as a resumable job a scheduler can stream.
     ///
     /// `protocol` and `sched` never enter: they change how a plan is
     /// priced and how jobs are serviced, not what a site runs.
     pub fn executed_as(&self, site: &CollSite) -> Executed {
-        let one_lane = |algo, format, streamable| Executed {
+        let one_lane = |algo, format| Executed {
             algo,
             format,
             lanes: 1,
-            streamable,
         };
         if matches!(site.kind, CollKind::Broadcast | CollKind::Reduce) {
-            return one_lane(CollAlgo::Ring, WireFormat::Dense, false);
+            return one_lane(CollAlgo::Ring, WireFormat::Dense);
         }
         let all_reduce = site.kind == CollKind::AllReduce;
         let top_k = matches!(self.format, WireFormat::TopK { .. });
@@ -233,7 +230,7 @@ impl CommConfig {
                 site.dtype,
             )
         {
-            return one_lane(CollAlgo::Ring, self.format, false);
+            return one_lane(CollAlgo::Ring, self.format);
         }
         let format = if top_k {
             WireFormat::Dense
@@ -246,13 +243,12 @@ impl CommConfig {
             algo => algo,
         };
         if algo == CollAlgo::Switch {
-            return one_lane(algo, WireFormat::Dense, true);
+            return one_lane(algo, WireFormat::Dense);
         }
         Executed {
             algo,
             format,
             lanes: lane_count(site.group_size, self.channels),
-            streamable: all_reduce && algo == CollAlgo::Ring,
         }
     }
 }
@@ -402,9 +398,6 @@ pub struct Executed {
     pub format: WireFormat,
     /// Lanes every hop is striped across.
     pub lanes: usize,
-    /// Whether the site exists as a resumable job a priority scheduler
-    /// can stream; everything else runs as a blocking call.
-    pub streamable: bool,
 }
 
 impl Executed {
@@ -803,53 +796,51 @@ mod tests {
             channels,
             ..CommConfig::default()
         };
-        let ran = |algo, format, lanes, streamable| Executed {
+        let ran = |algo, format, lanes| Executed {
             algo,
             format,
             lanes,
-            streamable,
         };
         #[rustfmt::skip]
         let table = [
             // (1) Broadcast/Reduce: ring, dense, one lane — always.
-            (cfg(Tree, Fp16, 8), of(Broadcast), ran(Ring, Dense, 1, false)),
-            (cfg(Hier, TOP, 8), of(Reduce), ran(Ring, Dense, 1, false)),
-            (cfg(Switch, Dense, 8), of(Broadcast), ran(Ring, Dense, 1, false)),
+            (cfg(Tree, Fp16, 8), of(Broadcast), ran(Ring, Dense, 1)),
+            (cfg(Hier, TOP, 8), of(Reduce), ran(Ring, Dense, 1)),
+            (cfg(Switch, Dense, 8), of(Broadcast), ran(Ring, Dense, 1)),
             // (2) no tree/switch ReduceScatter/AllGather.
-            (cfg(Tree, Fp16, 4), of(ReduceScatter), ran(Ring, Fp16, 4, false)),
-            (cfg(Switch, Dense, 4), of(AllGather), ran(Ring, Dense, 4, false)),
-            (cfg(Hier, Dense, 4), of(ReduceScatter), ran(Hier, Dense, 4, false)),
-            (cfg(Tree, Dense, 4), site, ran(Tree, Dense, 4, false)),
+            (cfg(Tree, Fp16, 4), of(ReduceScatter), ran(Ring, Fp16, 4)),
+            (cfg(Switch, Dense, 4), of(AllGather), ran(Ring, Dense, 4)),
+            (cfg(Hier, Dense, 4), of(ReduceScatter), ran(Hier, Dense, 4)),
+            (cfg(Tree, Dense, 4), site, ran(Tree, Dense, 4)),
             // (3) hierarchical on one node is the ring.
-            (cfg(Hier, Dense, 4), CollSite { nodes_spanned: 1, ..site }, ran(Ring, Dense, 4, true)),
-            (cfg(Hier, Dense, 4), site, ran(Hier, Dense, 4, false)),
+            (cfg(Hier, Dense, 4), CollSite { nodes_spanned: 1, ..site }, ran(Ring, Dense, 4)),
+            (cfg(Hier, Dense, 4), site, ran(Hier, Dense, 4)),
             // (4) top-k only for a non-fused sum AllReduce that beats dense.
-            (cfg(Ring, TOP, 4), of(ReduceScatter), ran(Ring, Dense, 4, false)),
-            (cfg(Ring, TOP, 4), of(AllGather), ran(Ring, Dense, 4, false)),
-            (cfg(Ring, TOP, 4), site.fused(), ran(Ring, Dense, 4, true)),
-            (cfg(Ring, TOP, 4), CollSite { op: ReduceOp::Max, ..site }, ran(Ring, Dense, 4, true)),
-            (cfg(Ring, TOP, 4), CollSite { op: ReduceOp::Min, ..site }, ran(Ring, Dense, 4, true)),
-            (cfg(Ring, TOP, 4), CollSite { elems: 0, ..site }, ran(Ring, Dense, 4, true)),
+            (cfg(Ring, TOP, 4), of(ReduceScatter), ran(Ring, Dense, 4)),
+            (cfg(Ring, TOP, 4), of(AllGather), ran(Ring, Dense, 4)),
+            (cfg(Ring, TOP, 4), site.fused(), ran(Ring, Dense, 4)),
+            (cfg(Ring, TOP, 4), CollSite { op: ReduceOp::Max, ..site }, ran(Ring, Dense, 4)),
+            (cfg(Ring, TOP, 4), CollSite { op: ReduceOp::Min, ..site }, ran(Ring, Dense, 4)),
+            (cfg(Ring, TOP, 4), CollSite { elems: 0, ..site }, ran(Ring, Dense, 4)),
             (cfg(Ring, WireFormat::TopK { k_permille: 500 }, 4),
-             CollSite { dtype: DType::F16, ..site }, ran(Ring, Dense, 4, true)),
-            (cfg(Ring, Fp16, 4), site.fused(), ran(Ring, Fp16, 4, true)),
-            (cfg(Ring, Fp16, 4), CollSite { op: ReduceOp::Min, ..site }, ran(Ring, Fp16, 4, true)),
+             CollSite { dtype: DType::F16, ..site }, ran(Ring, Dense, 4)),
+            (cfg(Ring, Fp16, 4), site.fused(), ran(Ring, Fp16, 4)),
+            (cfg(Ring, Fp16, 4), CollSite { op: ReduceOp::Min, ..site }, ran(Ring, Fp16, 4)),
             // (5) an active top-k replaces every algorithm, on one lane.
-            (cfg(Ring, TOP, 4), site, ran(Ring, TOP, 1, false)),
-            (cfg(Tree, TOP, 8), site, ran(Ring, TOP, 1, false)),
-            (cfg(Hier, TOP, 8), site, ran(Ring, TOP, 1, false)),
-            (cfg(Switch, TOP, 8), site, ran(Ring, TOP, 1, false)),
+            (cfg(Ring, TOP, 4), site, ran(Ring, TOP, 1)),
+            (cfg(Tree, TOP, 8), site, ran(Ring, TOP, 1)),
+            (cfg(Hier, TOP, 8), site, ran(Ring, TOP, 1)),
+            (cfg(Switch, TOP, 8), site, ran(Ring, TOP, 1)),
             // (6) a switch AllReduce ignores format and channels.
-            (cfg(Switch, Fp16, 8), site, ran(Switch, Dense, 1, true)),
-            (cfg(Switch, TOP, 8), CollSite { op: ReduceOp::Max, ..site }, ran(Switch, Dense, 1, true)),
+            (cfg(Switch, Fp16, 8), site, ran(Switch, Dense, 1)),
+            (cfg(Switch, TOP, 8), CollSite { op: ReduceOp::Max, ..site }, ran(Switch, Dense, 1)),
             // (7) lanes clamp; a singleton group runs one.
-            (cfg(Ring, Dense, 0), site, ran(Ring, Dense, 1, true)),
-            (cfg(Ring, Dense, 999), site, ran(Ring, Dense, MAX_CHANNELS, true)),
+            (cfg(Ring, Dense, 0), site, ran(Ring, Dense, 1)),
+            (cfg(Ring, Dense, 999), site, ran(Ring, Dense, MAX_CHANNELS)),
             (cfg(Ring, Dense, 8), CollSite { group_size: 1, nodes_spanned: 1, ..site },
-             ran(Ring, Dense, 1, true)),
-            // (8) streamable: ring or switch AllReduce, no active top-k.
-            (cfg(Ring, Fp16, 2), site, ran(Ring, Fp16, 2, true)),
-            (cfg(Ring, Dense, 2), of(ReduceScatter), ran(Ring, Dense, 2, false)),
+             ran(Ring, Dense, 1)),
+            (cfg(Ring, Fp16, 2), site, ran(Ring, Fp16, 2)),
+            (cfg(Ring, Dense, 2), of(ReduceScatter), ran(Ring, Dense, 2)),
         ];
         for (config, site, want) in table {
             assert_eq!(config.executed_as(&site), want, "{config} at {site:?}");

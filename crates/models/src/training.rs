@@ -39,12 +39,11 @@ pub struct DataParallelSpec {
     /// `Barriered` drains and applies every gradient at each
     /// iteration's end; under `Priority` the gradient jobs drain on the
     /// priority-scheduled fabric while the next iteration's forward
-    /// proceeds. Results are bit-identical for every format (an active
-    /// top-k wire is not `streamable` —
+    /// proceeds. Results are bit-identical for every format: whatever
     /// [`CommConfig::executed_as`](coconet_core::CommConfig::executed_as)
-    /// — and runs its sparse exchange,
-    /// error-feedback residual included, at the enqueue point under
-    /// either schedule).
+    /// runs — the dense or FP16 ring, or an active top-k's sparse
+    /// exchange with its error-feedback residual — is a job that rides
+    /// the scheduler under either schedule.
     pub sched: CommSched,
 }
 
@@ -231,27 +230,51 @@ mod tests {
         assert!(topk.grad_bytes_per_rank < dense.grad_bytes_per_rank / 4);
     }
 
-    /// The barrier-free schedule is a pure scheduling change: losses
-    /// and weights are bit-identical to the barriered schedule of the
-    /// same loop, and the gradient stream still moves exactly the
-    /// analytic ring volume.
+    /// The barrier-free schedule is a pure scheduling change on every
+    /// wire format: losses and weights are bit-identical to the
+    /// barriered schedule of the same loop, and the gradient stream
+    /// still moves exactly its analytic volume — the ring's, half of it
+    /// on FP16, the sparse exchange's under an active top-k.
     #[test]
     fn streamed_training_is_bit_identical_to_barriered() {
-        let spec = DataParallelSpec {
-            iters: 60,
-            ..DataParallelSpec::default()
-        };
-        let barriered = train_data_parallel(&spec);
-        let streamed = train_data_parallel(&DataParallelSpec {
-            sched: CommSched::Priority,
-            ..spec
-        });
-        assert_eq!(barriered.losses, streamed.losses);
-        assert_eq!(
-            barriered.weights.to_f32_vec(),
-            streamed.weights.to_f32_vec()
+        use coconet_runtime::{ring_all_reduce_wire_bytes, top_k_all_reduce_wire_bytes};
+        let (dim, ranks) = (
+            DataParallelSpec::default().dim,
+            DataParallelSpec::default().ranks,
         );
-        let ring = coconet_runtime::ring_all_reduce_wire_bytes(spec.dim, spec.ranks, DType::F32);
-        assert_eq!(streamed.grad_bytes_per_rank, spec.iters as u64 * ring);
+        let ring = ring_all_reduce_wire_bytes(dim, ranks, DType::F32);
+        let formats = [
+            (WireFormat::Dense, ring),
+            (WireFormat::Fp16, ring / 2),
+            (
+                WireFormat::TopK { k_permille: 90 },
+                top_k_all_reduce_wire_bytes(dim, ranks, 90),
+            ),
+        ];
+        for (format, per_iter) in formats {
+            let spec = DataParallelSpec {
+                iters: 60,
+                format,
+                ..DataParallelSpec::default()
+            };
+            let barriered = train_data_parallel(&spec);
+            let streamed = train_data_parallel(&DataParallelSpec {
+                sched: CommSched::Priority,
+                ..spec
+            });
+            assert_eq!(barriered.losses, streamed.losses, "{format}");
+            assert_eq!(
+                barriered.weights.to_f32_vec(),
+                streamed.weights.to_f32_vec(),
+                "{format}"
+            );
+            for run in [&barriered, &streamed] {
+                assert_eq!(
+                    run.grad_bytes_per_rank,
+                    spec.iters as u64 * per_iter,
+                    "{format}"
+                );
+            }
+        }
     }
 }

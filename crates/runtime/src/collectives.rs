@@ -21,13 +21,14 @@
 //! suite asserts the exact bytes.
 
 use coconet_compress::WireFormat;
-use coconet_core::lane_count;
+use coconet_core::{lane_count, CollAlgo, Executed};
 use coconet_tensor::{kernels, DType, ReduceOp, Shape, Tensor, F16};
 use coconet_trace as trace;
 use coconet_trace::metrics::Counter;
 use coconet_trace::EventKind;
 
 use crate::comm::{Side, WireMsg};
+use crate::compressed::{run_all_reduce, run_blocking, Job};
 use crate::RankComm;
 
 pub use coconet_core::MAX_CHANNELS;
@@ -40,23 +41,25 @@ pub fn clamp_channels(channels: usize) -> usize {
     channels.clamp(1, MAX_CHANNELS)
 }
 
-/// Sends an (already wire-encoded) payload as `channels` contiguous
-/// lane stripes — zero-copy views, so the byte total is exactly the
-/// single-message send's. `channels <= 1` sends the payload whole,
-/// byte- and allocation-identical to a plain [`RankComm::send`].
-pub(crate) fn send_striped(comm: &RankComm, dst: usize, payload: Tensor, channels: usize) {
-    if channels <= 1 {
-        comm.send(dst, payload);
-        return;
+/// The `lanes` contiguous stripes of a payload — zero-copy views of
+/// exactly its bytes; `lanes <= 1` is the payload whole.
+pub(crate) fn stripes(payload: &Tensor, lanes: usize) -> Vec<Tensor> {
+    if lanes <= 1 {
+        return vec![payload.clone()];
     }
     let n = payload.numel();
-    for s in 0..channels {
-        let (off, len) = chunk_range(n, channels, s);
-        let stripe = if len == 0 {
-            payload.slice_flat(0, 0).expect("empty view")
-        } else {
-            payload.slice_flat(off, len).expect("in range")
-        };
+    (0..lanes)
+        .map(|s| match chunk_range(n, lanes, s) {
+            (_, 0) => payload.slice_flat(0, 0).expect("empty view"),
+            (off, len) => payload.slice_flat(off, len).expect("in range"),
+        })
+        .collect()
+}
+
+/// Sends an (already wire-encoded) payload on the plain stream as its
+/// `channels` [`stripes`].
+pub(crate) fn send_striped(comm: &RankComm, dst: usize, payload: Tensor, channels: usize) {
+    for stripe in stripes(&payload, channels) {
         comm.send(dst, stripe);
     }
 }
@@ -500,18 +503,67 @@ impl RingLane {
         }
     }
 
-    /// Width of the collective this lane is one of.
-    pub(crate) fn lanes(&self) -> usize {
-        self.lanes
+    /// Consumes this step's incoming stripe: fold it (ReduceScatter
+    /// hop) or keep and forward it (AllGather hop).
+    fn recv_step(&mut self, me: usize, incoming: Tensor) {
+        let k = self.group.size;
+        if self.step < self.rs_hops() {
+            let local = self.local.take().expect("read before the receive");
+            // The turn (an AllReduce's last fold) is the owned stripe
+            // the AllGather starts with: encoded like every payload.
+            let last = self.step + 1 == self.rs_hops();
+            let encode = !(last && self.phase == RingPhase::ReduceScatter);
+            let carry = fold_hop(&local, incoming, self.op, self.wire, encode);
+            if last && self.phase == RingPhase::AllReduce {
+                self.stripes[me] = Some(carry.clone());
+            }
+            self.carry = Some(carry);
+        } else {
+            let (_, recv_c) = ring_schedule(me, k, self.step - self.rs_hops());
+            self.stripes[recv_c] = Some(incoming.clone());
+            self.carry = Some(incoming);
+        }
+        self.step += 1;
+        self.sent = false;
+    }
+    /// Advances by at most one hop: sends this step's stripe if it is
+    /// not on the wire yet, reads the local chunk of the coming fold,
+    /// then takes the incoming stripe — parked on the inbox when
+    /// `block`, a non-blocking poll otherwise. Returns whether anything
+    /// moved.
+    pub(crate) fn advance(&mut self, comm: &RankComm, block: bool) -> bool {
+        if self.is_done() {
+            return false;
+        }
+        let sent = self.send(comm);
+        let (k, me) = (self.group.size, self.group.position(comm.rank()));
+        if self.local.is_none() && self.step < self.rs_hops() {
+            let (_, recv_c) = ring_schedule((me + k - 1) % k, k, self.step);
+            self.local = Some(self.chunk_stripe(recv_c));
+            if self.step + 1 == self.rs_hops() {
+                // That was the last local read.
+                self.source = None;
+            }
+        }
+        let prev = self.group.prev(comm.rank());
+        let Some(msg) = comm.take(prev, Some(self.tag), Side::Worker, block) else {
+            return sent;
+        };
+        let WireMsg::Tensor(incoming) = msg else {
+            unreachable!("ring lanes carry dense payloads only, got {msg:?}")
+        };
+        self.recv_step(me, incoming);
+        true
     }
 
     pub(crate) fn is_done(&self) -> bool {
         self.step == self.hops()
     }
 
-    /// Puts this step's stripe on the wire unless it already is.
-    /// Returns whether it sent.
-    fn send_step(&mut self, comm: &RankComm) -> bool {
+    /// Puts this step's stripe on the wire unless it already is — the
+    /// blocking drive's first pass, which keeps the lanes of one
+    /// collective in lockstep. Returns whether it sent.
+    pub(crate) fn send(&mut self, comm: &RankComm) -> bool {
         if self.sent || self.is_done() {
             return false;
         }
@@ -546,65 +598,10 @@ impl RingLane {
         self.sent = true;
         true
     }
-
-    /// Consumes this step's incoming stripe: fold it (ReduceScatter
-    /// hop) or keep and forward it (AllGather hop).
-    fn recv_step(&mut self, me: usize, incoming: Tensor) {
-        let k = self.group.size;
-        if self.step < self.rs_hops() {
-            let local = self.local.take().expect("read before the receive");
-            // The turn (an AllReduce's last fold) is the owned stripe
-            // the AllGather starts with: encoded like every payload.
-            let last = self.step + 1 == self.rs_hops();
-            let encode = !(last && self.phase == RingPhase::ReduceScatter);
-            let carry = fold_hop(&local, incoming, self.op, self.wire, encode);
-            if last && self.phase == RingPhase::AllReduce {
-                self.stripes[me] = Some(carry.clone());
-            }
-            self.carry = Some(carry);
-        } else {
-            let (_, recv_c) = ring_schedule(me, k, self.step - self.rs_hops());
-            self.stripes[recv_c] = Some(incoming.clone());
-            self.carry = Some(incoming);
-        }
-        self.step += 1;
-        self.sent = false;
-    }
-
-    /// Advances by at most one hop: sends this step's stripe if it is
-    /// not on the wire yet, reads the local chunk of the coming fold,
-    /// then takes the incoming stripe — parked on the inbox when
-    /// `block`, a non-blocking poll otherwise. Returns whether anything
-    /// moved.
-    pub(crate) fn advance(&mut self, comm: &RankComm, block: bool) -> bool {
-        if self.is_done() {
-            return false;
-        }
-        let sent = self.send_step(comm);
-        let (k, me) = (self.group.size, self.group.position(comm.rank()));
-        if self.local.is_none() && self.step < self.rs_hops() {
-            let (_, recv_c) = ring_schedule((me + k - 1) % k, k, self.step);
-            self.local = Some(self.chunk_stripe(recv_c));
-            if self.step + 1 == self.rs_hops() {
-                // That was the last local read.
-                self.source = None;
-            }
-        }
-        let prev = self.group.prev(comm.rank());
-        let Some(msg) = comm.take(prev, Some(self.tag), Side::Worker, block) else {
-            return sent;
-        };
-        let WireMsg::Tensor(incoming) = msg else {
-            unreachable!("ring lanes carry dense payloads only, got {msg:?}")
-        };
-        self.recv_step(me, incoming);
-        true
-    }
 }
 
-/// Runs a ring collective over the whole tensor `src` to completion on
-/// the calling rank thread: builds the `channels` lanes under the
-/// blocking tags and hands them to [`run_blocking`].
+/// Runs a ring collective over the whole tensor `src`: its `channels`
+/// lanes under the blocking tags and the blocking drive.
 fn drive(
     comm: &RankComm,
     phase: RingPhase,
@@ -615,45 +612,23 @@ fn drive(
     channels: usize,
 ) -> Vec<RingLane> {
     let lanes = lane_count(group.size, channels);
-    let ring = (0..lanes)
+    let mut ring: Vec<Job> = (0..lanes)
         .map(|s| {
             let (tag, source) = (lane_tag(None, lanes, s), ChunkSource::Whole(src.clone()));
-            RingLane::new(phase, tag, None, group, source, op, wire, lanes, s)
+            Job::Ring(RingLane::new(
+                phase, tag, None, group, source, op, wire, lanes, s,
+            ))
         })
         .collect();
-    run_blocking(comm, ring)
-}
-
-/// The blocking drive: per hop, send every lane's stripe and receive
-/// each lane's incoming one with a blocking tagged receive. Lanes share
-/// a hop count, so they step in lockstep.
-pub(crate) fn run_blocking(comm: &RankComm, mut ring: Vec<RingLane>) -> Vec<RingLane> {
-    let label = match ring[0].phase {
-        RingPhase::ReduceScatter => "ring:rs",
-        RingPhase::AllGather => "ring:ag",
-        RingPhase::AllReduce => "ring:ar",
-    };
-    let _phase = trace::span(
-        EventKind::CollectivePhase,
-        label,
-        ring[0].shape.numel() as u64,
-        ring.len() as u64,
-    );
-    while !ring[0].is_done() {
-        for lane in &mut ring {
-            lane.send_step(comm);
-        }
-        for lane in &mut ring {
-            lane.advance(comm, true);
-        }
-    }
-    ring
+    let label = ["ring:rs", "ring:ag"][phase as usize];
+    run_blocking(comm, label, src.numel(), &mut ring);
+    ring.into_iter().map(Job::into_lane).collect()
 }
 
 /// Concatenates one payload's lane stripes. A single lane's stripe *is*
 /// the payload, and the stripes of one sent buffer rejoin as the view
 /// covering them, so a striped receive copies nothing.
-fn join_stripes(mut stripes: Vec<Tensor>) -> Tensor {
+pub(crate) fn join_stripes(mut stripes: Vec<Tensor>) -> Tensor {
     if stripes.len() == 1 {
         return stripes.remove(0);
     }
@@ -772,15 +747,13 @@ pub fn ring_all_reduce(
     wire: WireFormat,
     channels: usize,
 ) -> Tensor {
-    all_reduce_result(&drive(
-        comm,
-        RingPhase::AllReduce,
-        group,
-        input,
-        op,
-        wire,
-        channels,
-    ))
+    let (algo, lanes) = (CollAlgo::Ring, lane_count(group.size, channels));
+    let run = Executed {
+        algo,
+        format: wire,
+        lanes,
+    };
+    run_all_reduce(comm, group, input, op, run, 0, None)
 }
 
 /// Broadcast from the group-relative `root` position. The root fans

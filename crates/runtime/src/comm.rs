@@ -7,15 +7,15 @@
 //! transports.
 //!
 //! A message belongs to one *stream* of its source: the plain stream
-//! (tree and hierarchical hops, the sparse exchange, pipeline sends) or
-//! the tagged stream of one ring lane or switch job. One source's
-//! packets arrive in the order it sent them, and a receive takes the
-//! first message of the stream it names; what it pulls off the inbox on
-//! the way waits in one stash keyed by `(src, stream)`, so every stream
-//! stays FIFO and jobs complete in any order. Dropping an endpoint posts
-//! a *hang-up marker* to every peer, behind its last message: a receive,
-//! blocking or polled, whose source hung up with nothing of the stream
-//! left panics with `rank N hung up`.
+//! (hierarchical hops, broadcast, reduce, pipeline sends) or the tagged
+//! stream of one lane of an AllReduce job — ring, tree, switch or
+//! sparse exchange. One source's packets arrive in the order it sent
+//! them, and a receive takes the first message of the stream it names;
+//! what it pulls off the inbox on the way waits in one stash keyed by
+//! `(src, stream)`, so every stream stays FIFO and jobs complete in any
+//! order. Dropping an endpoint posts a *hang-up marker* to every peer,
+//! behind its last message: a receive, blocking or polled, whose source
+//! hung up with nothing of the stream left panics with `rank N hung up`.
 //!
 //! The fabric is format-agnostic: a message is a dense tensor (possibly
 //! FP16-encoded by a compressed collective), a [`SparseChunk`] of a
@@ -149,25 +149,13 @@ impl RankComm {
     /// Panics if `dst` is out of range or the destination endpoint was
     /// dropped (a peer thread panicked).
     pub fn send(&self, dst: usize, tensor: Tensor) {
-        self.send_msg(dst, WireMsg::Tensor(tensor));
-    }
-
-    /// Sends a raw (untagged) wire message to `dst`, accounted at its
-    /// [`wire_bytes`](WireMsg::wire_bytes) — for a sparse chunk, the
-    /// compressed size the modeled interconnect carries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` is out of range or the destination endpoint was
-    /// dropped.
-    pub fn send_msg(&self, dst: usize, msg: WireMsg) {
-        let bytes = msg.wire_bytes() as u64;
-        // Blocking-path hops carry no job id ([`coconet_trace::JOB_NONE`]):
+        let bytes = tensor.size_bytes();
+        // Plain-stream hops carry no job id ([`coconet_trace::JOB_NONE`]):
         // their wall time is covered by the enclosing collective-phase span.
-        trace::instant(EventKind::Hop, "send", trace::JOB_NONE, bytes);
-        trace::metrics::add_counter(Counter::WireBytes, bytes);
-        self.ledger.record_send(msg.wire_bytes());
-        self.post(dst, None, msg);
+        trace::instant(EventKind::Hop, "send", trace::JOB_NONE, bytes as u64);
+        trace::metrics::add_counter(Counter::WireBytes, bytes as u64);
+        self.ledger.record_send(bytes);
+        self.post(dst, None, WireMsg::Tensor(tensor));
     }
 
     /// Sends one tagged chunk of job `job` to `dst`. A scheduled job
@@ -226,21 +214,10 @@ impl RankComm {
     /// next message is not a dense tensor (a collective protocol
     /// mismatch).
     pub fn recv(&self, src: usize) -> Tensor {
-        match self.recv_msg(src) {
-            WireMsg::Tensor(t) => t,
+        match self.take(src, None, Side::Worker, true) {
+            Some(WireMsg::Tensor(t)) => t,
             other => panic!("rank {src} sent {other:?} where a tensor was expected"),
         }
-    }
-
-    /// Receives the next untagged wire message sent by `src`
-    /// (blocking).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` hung up with nothing left for this rank.
-    pub fn recv_msg(&self, src: usize) -> WireMsg {
-        self.take(src, None, Side::Worker, true)
-            .expect("a blocking take returns a message")
     }
 
     /// Takes the next message of stream `key` from `src`, ledgered on

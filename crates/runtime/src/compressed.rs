@@ -1,17 +1,15 @@
 //! Compressed collectives: the runtime half of the wire-compression
-//! subsystem.
+//! subsystem, and the dispatch.
 //!
-//! [`sparse_all_reduce`] is SparCML's sparse AllReduce over the message
-//! fabric: every rank top-k-sparsifies its (error-feedback-corrected)
-//! gradient into a [`SparseChunk`], the chunks travel as fixed-`k`
-//! `(index, value)` payloads — `log2(p)` recursive-doubling rounds with
-//! re-sparsification on power-of-two groups, the ring AllGather form
-//! otherwise — and every rank densifies the identical combined chunk,
-//! so the output is replicated exactly like a dense AllReduce's.
-//!
-//! Because every message is exactly `k` entries, the wire volume is
-//! data-independent and the [`BytesLedger`](crate::BytesLedger) can
-//! assert it equals [`sparse_all_reduce_wire_bytes`] to the byte.
+//! `SparseJob` is SparCML's sparse AllReduce over the message fabric,
+//! a resumable job of synchronous rounds: every rank top-k-sparsifies
+//! its (error-feedback-corrected) gradient into a [`SparseChunk`], the
+//! chunks travel as fixed-`k` `(index, value)` payloads — `log2(p)`
+//! recursive-doubling rounds with re-sparsification on power-of-two
+//! groups, the ring AllGather form otherwise — and every rank densifies
+//! the identical combined chunk. Every message is exactly `k` entries,
+//! so the [`BytesLedger`](crate::BytesLedger) can assert the analytic
+//! wire volume to the byte.
 //!
 //! [`all_reduce_wire_striped`], [`reduce_scatter_wire_striped`] and
 //! [`all_gather_wire_striped`] are the dispatch the executor, the
@@ -19,19 +17,26 @@
 //! [`CommConfig::executed_as`] what the configured algorithm, format and
 //! channel count really run as at this site — once per call, never per
 //! hop — and runs exactly that, so what the tuner priced is what runs.
+//! Every AllReduce but the hierarchical one runs as the jobs one place
+//! builds (`all_reduce_jobs`), under the blocking drive or polled by the
+//! [`CommScheduler`](crate::CommScheduler).
 
-use coconet_compress::{sparsify_top_k, ErrorFeedback, WireFormat};
+use coconet_compress::{sparse_all_reduce_rounds, sparsify_top_k, ErrorFeedback, WireFormat};
 use coconet_core::{nodes_spanned, CollAlgo, CollKind, CollSite, CommConfig, Executed};
-use coconet_tensor::{ReduceOp, SparseChunk, Tensor};
+use coconet_tensor::{DType, ReduceOp, Shape, SparseChunk, Tensor};
+use coconet_trace as trace;
+use coconet_trace::EventKind;
 
 use crate::collectives::{
-    ring_all_gather, ring_all_reduce, ring_reduce_scatter, ring_schedule, Group,
+    all_reduce_result, lane_tag, ring_all_gather, ring_reduce_scatter, ChunkSource, Group,
+    RingLane, RingPhase,
 };
+use crate::comm::Side;
 use crate::hierarchical::{
     hierarchical_all_gather, hierarchical_all_reduce, hierarchical_reduce_scatter,
 };
-use crate::switch::switch_all_reduce;
-use crate::tree::tree_all_reduce;
+use crate::switch::SwitchJob;
+use crate::tree::TreeJob;
 use crate::{RankComm, WireMsg};
 
 /// What `config` runs as for a `kind` collective of `payload` over
@@ -102,7 +107,9 @@ pub fn all_reduce_wire_striped(
     run_all_reduce(comm, group, input, op, run, ranks_per_node, feedback)
 }
 
-/// Runs an already-resolved AllReduce (see [`executed`]).
+/// Runs an already-resolved AllReduce (see [`executed`]): the
+/// hierarchical composition, or the jobs of `run` under the blocking
+/// drive, a sparse one holding `feedback`'s residual while it runs.
 pub(crate) fn run_all_reduce(
     comm: &RankComm,
     group: Group,
@@ -110,25 +117,132 @@ pub(crate) fn run_all_reduce(
     op: ReduceOp,
     run: Executed,
     ranks_per_node: usize,
-    feedback: Option<&mut ErrorFeedback>,
+    mut feedback: Option<&mut ErrorFeedback>,
 ) -> Tensor {
-    if run.is_sparse() {
-        return sparse_all_reduce(comm, group, input, run.format, feedback);
+    let (format, lanes) = (run.format, run.lanes);
+    if run.algo == CollAlgo::Hierarchical {
+        return hierarchical_all_reduce(comm, group, input, op, ranks_per_node, format, lanes);
     }
-    match run.algo {
-        CollAlgo::Ring => ring_all_reduce(comm, group, input, op, run.format, run.lanes),
-        CollAlgo::Tree => tree_all_reduce(comm, group, input, op, run.format, run.lanes),
-        CollAlgo::Hierarchical => hierarchical_all_reduce(
-            comm,
-            group,
-            input,
-            op,
-            ranks_per_node,
-            run.format,
-            run.lanes,
-        ),
-        CollAlgo::Switch => switch_all_reduce(comm, group, input, op),
+    let residual = feedback.as_mut().map(|ef| std::mem::take(&mut **ef));
+    let mut jobs = all_reduce_jobs(None, None, group, input, op, run, residual);
+    run_blocking(comm, "all_reduce", input.numel(), &mut jobs);
+    let (out, residual) = all_reduce_output(jobs);
+    if let (Some(ef), Some(residual)) = (feedback, residual) {
+        *ef = residual;
     }
+    out
+}
+
+/// One resumable state machine of an AllReduce.
+#[derive(Debug)]
+pub(crate) enum Job {
+    Ring(RingLane),
+    Tree(TreeJob),
+    Switch(SwitchJob),
+    Sparse(SparseJob),
+}
+
+impl Job {
+    /// One hop at most, parked on the inbox for its receive when `block`
+    /// and a poll otherwise. Returns whether anything moved.
+    pub(crate) fn advance(&mut self, comm: &RankComm, block: bool) -> bool {
+        match self {
+            Job::Ring(j) => j.advance(comm, block),
+            Job::Tree(j) => j.advance(comm, block),
+            Job::Switch(j) => j.advance(comm, block),
+            Job::Sparse(j) => j.advance(comm, block),
+        }
+    }
+
+    pub(crate) fn is_done(&self) -> bool {
+        match self {
+            Job::Ring(j) => j.is_done(),
+            Job::Tree(j) => j.is_done(),
+            Job::Switch(j) => j.is_done(),
+            Job::Sparse(j) => j.is_done(),
+        }
+    }
+
+    fn send(&mut self, comm: &RankComm) -> bool {
+        let Job::Ring(lane) = self else { return false };
+        lane.send(comm)
+    }
+
+    pub(crate) fn into_lane(self) -> RingLane {
+        let Job::Ring(lane) = self else {
+            unreachable!("a ring lane")
+        };
+        lane
+    }
+}
+
+/// The one blocking drive, in a `label` span over `elems` elements: per
+/// round every job sends, then each parks on the inbox for its incoming
+/// hop — so lanes step in lockstep, and no rank parks with a send due.
+pub(crate) fn run_blocking(comm: &RankComm, label: &'static str, elems: usize, jobs: &mut [Job]) {
+    let _phase = trace::span(
+        EventKind::CollectivePhase,
+        label,
+        elems as u64,
+        jobs.len() as u64,
+    );
+    while !jobs.iter().all(Job::is_done) {
+        for job in jobs.iter_mut() {
+            job.send(comm);
+        }
+        for job in jobs.iter_mut() {
+            job.advance(comm, true);
+        }
+    }
+}
+
+/// The jobs of the AllReduce `run` of `input` — the one place they are
+/// built: one per ring lane, or one tree, switch or sparse job, on the
+/// wire tags of `job` (`None`: the blocking drive's). A sparse job
+/// takes the residual `ef` along and hands it back with the result
+/// ([`all_reduce_output`]). Performs no communication.
+///
+/// # Panics
+///
+/// Panics if `run` is the hierarchical algorithm, which is no job.
+pub(crate) fn all_reduce_jobs(
+    job: Option<u64>,
+    class: Option<u8>,
+    group: Group,
+    input: &Tensor,
+    op: ReduceOp,
+    run: Executed,
+    ef: Option<ErrorFeedback>,
+) -> Vec<Job> {
+    let (wire, lanes, tag) = (run.format, run.lanes, lane_tag(job, 1, 0));
+    let lane = |s| {
+        let (tag, phase, source) = (lane_tag(job, lanes, s), RingPhase::AllReduce, input.clone());
+        let source = ChunkSource::Whole(source);
+        let lane = RingLane::new(phase, tag, class, group, source, op, wire, lanes, s);
+        Job::Ring(lane)
+    };
+    let one = match run.algo {
+        _ if run.is_sparse() => Job::Sparse(SparseJob::new(tag, class, group, input, wire, ef)),
+        CollAlgo::Tree => Job::Tree(TreeJob::new(job, class, group, input, op, wire, lanes)),
+        CollAlgo::Switch => Job::Switch(SwitchJob::new(tag, class, group, input, op)),
+        CollAlgo::Ring => return (0..lanes).map(lane).collect(),
+        CollAlgo::Hierarchical => panic!("the hierarchical AllReduce has no resumable job"),
+    };
+    vec![one]
+}
+
+/// An AllReduce's result from all its finished jobs, and a sparse job's residual.
+pub(crate) fn all_reduce_output(jobs: Vec<Job>) -> (Tensor, Option<ErrorFeedback>) {
+    let mut lanes = Vec::new();
+    for job in jobs {
+        match job {
+            Job::Ring(lane) => lanes.push(lane),
+            Job::Tree(j) => return (j.take_result(), None),
+            Job::Switch(j) => return (j.take_result(), None),
+            Job::Sparse(j) => return j.take_result(),
+        }
+    }
+    (all_reduce_result(&lanes), None)
 }
 
 /// ReduceScatter under a full communication configuration: group
@@ -189,126 +303,170 @@ pub fn all_gather_wire_striped(
     }
 }
 
-/// The sparse top-k AllReduce (sum only). Callers normally reach it
-/// through [`all_reduce_wire_striped`], which applies the dense
-/// switchover;
-/// calling it directly runs the sparse exchange unconditionally.
-///
-/// Every rank returns the identical dense tensor: the densification of
-/// the same combined `k`-entry chunk (recursive doubling keeps the
-/// pair's merges bit-identical; the gather form sums all `p` chunks in
-/// position order).
-///
-/// # Panics
-///
-/// Panics if `format` is not [`WireFormat::TopK`].
-pub(crate) fn sparse_all_reduce(
-    comm: &RankComm,
+/// SparCML's sparse top-k AllReduce (sum only), one round per
+/// [`advance`](SparseJob::advance): send the current chunk, take the
+/// peer's. Recursive doubling keeps the identical top-k of the pair's
+/// merged sum; the gather form sums all `p` chunks in position order.
+#[derive(Debug)]
+pub(crate) struct SparseJob {
+    tag: u64,
+    /// `Some` when scheduled, `None` for a blocking drive (hop instants
+    /// then carry [`trace::JOB_NONE`]).
+    class: Option<u8>,
     group: Group,
-    input: &Tensor,
-    format: WireFormat,
-    mut feedback: Option<&mut ErrorFeedback>,
-) -> Tensor {
-    assert!(
-        matches!(format, WireFormat::TopK { .. }),
-        "sparse_all_reduce needs a TopK format, got {format}"
-    );
-    let n = input.numel();
-    let k = format.k_for(n as u64) as usize;
-    let p = group.size;
+    /// Entries of every chunk on the wire.
+    k: usize,
+    /// The result's element type and shape.
+    like: (DType, Shape),
+    /// The error-feedback residual, held until the result is taken.
+    feedback: Option<ErrorFeedback>,
+    /// Recursive doubling: the current chunk. The gather form: this
+    /// rank's, then each one taken — the last is the next to send.
+    chunks: Vec<SparseChunk>,
+    round: usize,
+    sent: bool,
+    result: Option<Tensor>,
+}
 
-    // Error feedback: re-inject the residual the previous iterations
-    // dropped, select this iteration's chunk, remember the remainder.
-    let corrected = match feedback.as_deref() {
-        Some(ef) => ef.inject(input),
-        None => input.cast(coconet_tensor::DType::F32),
-    };
-    let own = {
-        let _codec = coconet_trace::span(
-            coconet_trace::EventKind::Codec,
-            "topk:select",
-            n as u64,
-            k as u64,
+impl SparseJob {
+    /// Re-injects the residual the previous iterations dropped into
+    /// `input`, selects this rank's `k`-entry chunk and remembers the
+    /// remainder. Performs no communication.
+    pub(crate) fn new(
+        tag: u64,
+        class: Option<u8>,
+        group: Group,
+        input: &Tensor,
+        format: WireFormat,
+        mut feedback: Option<ErrorFeedback>,
+    ) -> SparseJob {
+        let n = input.numel();
+        let k = format.k_for(n as u64) as usize;
+        let corrected = match &feedback {
+            Some(ef) => ef.inject(input),
+            None => input.cast(DType::F32),
+        };
+        let own = {
+            let _codec = trace::span(EventKind::Codec, "topk:select", n as u64, k as u64);
+            sparsify_top_k(&corrected, k)
+        };
+        if let Some(ef) = feedback.as_mut() {
+            ef.absorb(&corrected, &own);
+        }
+        let mut job = SparseJob {
+            tag,
+            class,
+            group,
+            k,
+            like: (input.dtype(), input.shape().clone()),
+            feedback,
+            chunks: vec![own],
+            round: 0,
+            sent: false,
+            result: None,
+        };
+        if group.size == 1 {
+            job.finish(0);
+        }
+        job
+    }
+
+    /// Densifies the combined chunk into the result; the gather form
+    /// holds position `c`'s chunk at index `me − c` (mod `p`).
+    fn finish(&mut self, me: usize) {
+        let chunks = std::mem::take(&mut self.chunks);
+        let p = chunks.len();
+        let at = |c: usize| &chunks[(me + p - c) % p];
+        let combined = (1..p).fold(at(0).clone(), |acc, c| acc.merge_sum(at(c)));
+        let ((dtype, shape), k) = (self.like.clone(), self.k as u64);
+        let _codec = trace::span(EventKind::Codec, "topk:densify", shape.numel() as u64, k);
+        let dense = combined.to_dense(dtype).reshape(shape);
+        self.result = Some(dense.expect("same numel"));
+    }
+
+    /// The replicated dense result and the residual.
+    pub(crate) fn take_result(self) -> (Tensor, Option<ErrorFeedback>) {
+        let out = self.result.expect("take_result on an unfinished job");
+        (out, self.feedback)
+    }
+
+    pub(crate) fn advance(&mut self, comm: &RankComm, block: bool) -> bool {
+        if self.is_done() {
+            return false;
+        }
+        let (p, rank) = (self.group.size, comm.rank());
+        let me = self.group.position(rank);
+        let doubling = p.is_power_of_two();
+        let (partner, ring) = (
+            self.group.rank_at(me ^ (1 << self.round)),
+            self.group.next(rank),
         );
-        sparsify_top_k(&corrected, k)
-    };
-    if let Some(ef) = feedback.as_deref_mut() {
-        ef.absorb(&corrected, &own);
-    }
-    if p <= 1 {
-        return own
-            .to_dense(input.dtype())
-            .reshape(input.shape().clone())
-            .expect("same numel");
-    }
-
-    let me = group.position(comm.rank());
-    let combined = if p.is_power_of_two() {
-        // SparCML recursive doubling with fixed-k re-sparsification:
-        // in round r every rank exchanges its current chunk with the
-        // partner `block` positions away and both keep the identical
-        // top-k of the merged sum. The mass a round's re-sparsification
-        // drops is fed back scaled by the block size (all `2·block`
-        // ranks of the pair's blocks hold the same dropped entries, so
-        // each re-injects its share).
-        let mut acc = own;
-        let mut block = 1usize;
-        while block < p {
-            let partner = group.rank_at(me ^ block);
-            comm.send_msg(partner, WireMsg::Sparse(acc.clone()));
-            let WireMsg::Sparse(theirs) = comm.recv_msg(partner) else {
-                unreachable!("the sparse exchange carries sparse chunks only")
-            };
-            let merged = acc.merge_sum(&theirs);
-            let (kept, dropped) = merged.split_top_k(k);
-            if let Some(ef) = feedback.as_deref_mut() {
-                if !dropped.is_empty() {
-                    ef.absorb_scaled(&dropped, 1.0 / (2 * block) as f32);
-                }
+        let (to, from) = if doubling {
+            (partner, partner)
+        } else {
+            (ring, self.group.prev(rank))
+        };
+        let sent = !self.sent;
+        if sent {
+            let chunk = self.chunks.last().expect("a chunk to send").clone();
+            let id = self.class.map_or(trace::JOB_NONE, |_| self.tag);
+            trace::instant(EventKind::Hop, "topk", id, chunk.wire_bytes() as u64);
+            comm.send_tagged(to, self.tag, self.class, WireMsg::Sparse(chunk));
+            self.sent = true;
+        }
+        let theirs = match comm.take(from, Some(self.tag), Side::Worker, block) {
+            Some(WireMsg::Sparse(theirs)) => theirs,
+            Some(msg) => {
+                unreachable!("the sparse exchange carries sparse chunks only, got {msg:?}")
             }
-            acc = kept;
-            block <<= 1;
+            None => return sent,
+        };
+        if doubling {
+            let (kept, dropped) = self.chunks[0].merge_sum(&theirs).split_top_k(self.k);
+            // All `2^(round+1)` ranks of the pair's blocks hold the same
+            // dropped entries, so each re-injects its share.
+            if let Some(ef) = self.feedback.as_mut().filter(|_| !dropped.is_empty()) {
+                ef.absorb_scaled(&dropped, 1.0 / (2usize << self.round) as f32);
+            }
+            self.chunks[0] = kept;
+        } else {
+            self.chunks.push(theirs);
         }
-        acc
-    } else {
-        // The AllGather form: every rank's chunk travels the ring and
-        // everyone sums all `p` chunks in position order.
-        let mut chunks: Vec<Option<SparseChunk>> = vec![None; p];
-        chunks[me] = Some(own);
-        for step in 0..p - 1 {
-            let (send_c, recv_c) = ring_schedule(me, p, step);
-            let outgoing = chunks[send_c].clone().expect("chunk present by schedule");
-            comm.send_msg(group.next(comm.rank()), WireMsg::Sparse(outgoing));
-            let WireMsg::Sparse(incoming) = comm.recv_msg(group.prev(comm.rank())) else {
-                unreachable!("the sparse exchange carries sparse chunks only")
-            };
-            chunks[recv_c] = Some(incoming);
+        (self.round, self.sent) = (self.round + 1, false);
+        if self.round as u64 == sparse_all_reduce_rounds(p as u64) {
+            self.finish(me);
         }
-        let mut combined = chunks[0].take().expect("all chunks gathered");
-        for c in chunks.into_iter().skip(1) {
-            combined = combined.merge_sum(&c.expect("all chunks gathered"));
-        }
-        combined
-    };
+        true
+    }
 
-    let _codec = coconet_trace::span(
-        coconet_trace::EventKind::Codec,
-        "topk:densify",
-        n as u64,
-        k as u64,
-    );
-    combined
-        .to_dense(input.dtype())
-        .reshape(input.shape().clone())
-        .expect("same numel")
+    pub(crate) fn is_done(&self) -> bool {
+        self.result.is_some()
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::comm::run_ranks;
     use crate::ring_all_reduce;
-    use coconet_tensor::DType;
+
+    /// The sparse exchange under the blocking drive, run whatever the
+    /// dense switchover would say.
+    pub(crate) fn sparse_all_reduce(
+        comm: &RankComm,
+        group: Group,
+        input: &Tensor,
+        format: WireFormat,
+        feedback: Option<&mut ErrorFeedback>,
+    ) -> Tensor {
+        let (algo, lanes) = (CollAlgo::Ring, 1);
+        let run = Executed {
+            algo,
+            format,
+            lanes,
+        };
+        run_all_reduce(comm, group, input, ReduceOp::Sum, run, 0, feedback)
+    }
 
     fn group_of(k: usize) -> Group {
         Group { start: 0, size: k }

@@ -323,7 +323,7 @@ mod tests {
 
         use crate::comm::run_ranks;
         use crate::hierarchical::hierarchical_all_reduce;
-        use crate::tree::tree_all_reduce;
+        use crate::tree::tests::tree_all_reduce;
         use crate::{ring_all_reduce, ring_all_reduce_wire_bytes, BytesLedger, Group};
 
         fn metered<T: Send + 'static>(
@@ -611,7 +611,7 @@ mod tests {
         /// exactly `k` entries.
         #[test]
         fn top_k_all_reduce_moves_exactly_the_analytic_volume() {
-            use crate::compressed::sparse_all_reduce;
+            use crate::compressed::tests::sparse_all_reduce;
             use crate::top_k_all_reduce_wire_bytes;
 
             let n = 1000usize;

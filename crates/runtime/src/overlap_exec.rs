@@ -29,9 +29,8 @@
 use coconet_compress::WireFormat;
 use coconet_tensor::{DType, ReduceOp, Shape, Tensor, TensorError};
 
-use crate::collectives::{
-    all_reduce_result, chunk_range, lane_tag, run_blocking, ChunkSource, Group, RingLane, RingPhase,
-};
+use crate::collectives::{chunk_range, lane_tag, ChunkSource, Group, RingLane, RingPhase};
+use crate::compressed::{all_reduce_output, run_blocking, Job};
 use crate::RankComm;
 
 /// The order rank position `pos` must produce chunks so the ring
@@ -88,7 +87,7 @@ pub fn overlapped_matmul_all_reduce(
             .slice_flat(off - r0 * cols, len)
             .expect("chunk inside its row block")
     };
-    let lane = RingLane::new(
+    let mut lane = vec![Job::Ring(RingLane::new(
         RingPhase::AllReduce,
         lane_tag(None, 1, 0),
         None,
@@ -98,8 +97,9 @@ pub fn overlapped_matmul_all_reduce(
         WireFormat::Dense,
         1,
         0,
-    );
-    Ok(all_reduce_result(&run_blocking(comm, vec![lane])))
+    ))];
+    run_blocking(comm, "ring:ar", numel, &mut lane);
+    Ok(all_reduce_output(lane).0)
 }
 
 #[cfg(test)]
@@ -142,7 +142,7 @@ mod tests {
                     let (off, len) = chunk_range(n, k, c);
                     whole.slice_flat(off, len).unwrap()
                 };
-                let lane = RingLane::new(
+                let mut lane = vec![Job::Ring(RingLane::new(
                     RingPhase::AllReduce,
                     lane_tag(None, 1, 0),
                     None,
@@ -152,8 +152,9 @@ mod tests {
                     WireFormat::Dense,
                     1,
                     0,
-                );
-                let pulled = all_reduce_result(&run_blocking(&comm, vec![lane]));
+                ))];
+                run_blocking(&comm, "ring:ar", n, &mut lane);
+                let pulled = all_reduce_output(lane).0;
                 let whole =
                     ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
                 let calls = calls.lock().unwrap().clone();

@@ -1,19 +1,20 @@
-//! Barrier-free streaming execution: the ring and switch state
-//! machines multiplexed over the tagged fabric by a priority scheduler.
+//! Barrier-free streaming execution: the AllReduce state machines
+//! multiplexed over the tagged fabric by a priority scheduler.
 //!
-//! A blocking collective drives its lanes to completion before it
+//! A blocking collective drives its jobs to completion before it
 //! returns — a training loop built on them ends each iteration with a
 //! global barrier. This module removes the barrier by *polling* the
 //! very same state machines instead:
 //!
-//! * [`CommScheduler`] owns in-flight ring lanes
-//!   (`collectives::RingLane`) and switch jobs (`switch::SwitchJob`)
-//!   and services them in strict `(priority class, enqueue order)`
+//! * [`CommScheduler`] owns in-flight AllReduce jobs of every
+//!   algorithm, built where the blocking dispatch builds its own
+//!   (`compressed::all_reduce_jobs`), and services them in strict
+//!   `(priority class, enqueue order)`
 //!   order: each scheduling round runs one hop of the highest-priority
 //!   job that can make progress. A high-priority job enqueued late
 //!   preempts lower ones at the next hop boundary; a blocked
 //!   high-priority job parks and lower-priority traffic fills the wire
-//!   until its chunk arrives. Because a polled lane runs the same step
+//!   until its chunk arrives. Because a polled job runs the same step
 //!   code as a blocking one, results are bit-identical no matter how
 //!   polls interleave.
 //! * [`StreamExecutor`] is the barrier-free training loop: parameters
@@ -36,48 +37,25 @@
 //! the rest. A peer that hangs up instead surfaces as a panic.
 
 use coconet_compress::{ErrorFeedback, WireFormat};
-use coconet_core::{lane_count, CollAlgo, CollKind, CommConfig, CommSched, Executed};
+use coconet_core::{CollAlgo, CollKind, CommConfig, CommSched, Executed};
 use coconet_tensor::{ReduceOp, Tensor};
 use coconet_trace as trace;
 use coconet_trace::EventKind;
 
 use std::collections::HashMap;
 
-use crate::collectives::{all_reduce_result, lane_tag, ChunkSource, Group, RingLane, RingPhase};
+use crate::collectives::{lane_tag, Group};
 use crate::comm::RankComm;
-use crate::compressed::{executed, run_all_reduce};
+use crate::compressed::{all_reduce_jobs, all_reduce_output, executed, Job};
 use crate::ledger::PRIORITY_CLASSES;
-use crate::switch::SwitchJob;
 
-/// An in-flight state machine of either algorithm.
-#[derive(Debug)]
-enum Job {
-    Ring(RingLane),
-    Switch(SwitchJob),
-}
-
-impl Job {
-    fn poll(&mut self, comm: &RankComm) -> bool {
-        match self {
-            Job::Ring(j) => j.advance(comm, false),
-            Job::Switch(j) => j.advance(comm, false),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match self {
-            Job::Ring(j) => j.is_done(),
-            Job::Switch(j) => j.is_done(),
-        }
-    }
-}
-
-/// What the scheduler's queue holds: a job under its wire tag, the
-/// logical id it belongs to, and its `(class, seq)` service key.
+/// A queued job: its wire id, the AllReduce it is one of `parts` jobs
+/// of, and its `(class, seq)` service key.
 #[derive(Debug)]
 struct Queued {
     id: u64,
     logical: u64,
+    parts: usize,
     class: u8,
     seq: u64,
     job: Job,
@@ -89,8 +67,9 @@ struct Queued {
 /// records line up with span timestamps in an exported trace.
 #[derive(Clone, Copy, Debug)]
 pub struct Completion {
-    /// The finished job's wire id: the caller's id for a one-lane job,
-    /// `(id << 6) | lane` for each lane of a striped one.
+    /// The finished job's id: the caller's id for an AllReduce that is
+    /// one job (a one-lane ring, a tree, a switch or a sparse
+    /// exchange), `(id << 6) | lane` for each lane of a striped ring.
     pub id: u64,
     /// The priority class the job ran at.
     pub class: u8,
@@ -98,20 +77,19 @@ pub struct Completion {
     pub ts_ns: u64,
 }
 
-/// The priority queue in front of the comm fabric: in-flight ring
-/// lanes and switch jobs serviced in strict `(class, enqueue order)`
+/// The priority queue in front of the comm fabric: in-flight AllReduce
+/// jobs of every algorithm serviced in strict `(class, enqueue order)`
 /// order with hop-granular preemption between priority levels.
 #[derive(Debug, Default)]
 pub struct CommScheduler {
     /// Unfinished jobs, kept sorted by `(class, seq)`.
     jobs: Vec<Queued>,
     next_seq: u64,
-    /// Finished lanes of striped logical jobs whose sibling lanes are
-    /// still in flight, by logical id.
-    landed: HashMap<u64, Vec<RingLane>>,
-    /// Finished results waiting for [`CommScheduler::wait`], by
-    /// logical id.
-    completed: Vec<(u64, Tensor)>,
+    /// Finished lanes of AllReduces whose siblings are still in flight.
+    landed: HashMap<u64, Vec<Job>>,
+    /// Results (and a sparse job's residual) waiting for
+    /// [`CommScheduler::wait`], by logical id.
+    completed: Vec<(u64, (Tensor, Option<ErrorFeedback>))>,
     /// Structured completion records in the order jobs finished — the
     /// reordering witness the steady-state experiment asserts on and
     /// the overlap profiler's job end marker.
@@ -124,30 +102,27 @@ impl CommScheduler {
         CommScheduler::default()
     }
 
-    /// Launches a ring AllReduce of `input` at `class` (clamped to
-    /// [`PRIORITY_CLASSES`]; lower classes are serviced first — tag the
-    /// launch with the consuming step's position in the next
-    /// iteration's forward order), striped across `channels` lanes
-    /// (clamped to `1..=`[`MAX_CHANNELS`](crate::MAX_CHANNELS); a
-    /// singleton group runs one). `id` must be agreed on by every rank
-    /// in the group.
+    /// Launches the AllReduce of `input` that `run` names — what
+    /// [`CommConfig::executed_as`] resolved for the site — at `class`
+    /// (clamped to [`PRIORITY_CLASSES`]; lower classes are serviced
+    /// first: tag the launch with the consuming step's position in the
+    /// next iteration's forward order). `id` must be agreed on by every
+    /// rank in the group. An active top-k exchange runs without error
+    /// feedback. Performs no communication; bits and byte totals are the
+    /// blocking call's.
     ///
-    /// Each lane is its own queue entry with its own `(class, seq)`, so
-    /// the scheduler preempts and interleaves lanes independently at
-    /// stripe granularity. One lane rides the wire tagged `id`; several
-    /// ride tagged `(id << 6) | lane`, and [`wait`](CommScheduler::wait)
-    /// on `id` collects them all. Results are bit-identical and byte
-    /// totals equal at every width (stripe sums partition every chunk).
-    ///
-    /// Enqueuing performs no communication: the first chunk goes out on
-    /// the first [`poll`](CommScheduler::poll) that services the job.
+    /// Each lane of a striped ring is its own queue entry, preempted and
+    /// interleaved independently, riding the wire tagged
+    /// `(id << 6) | lane`; a one-lane ring, the tree (whose lanes are
+    /// stripes of each payload), the switch and the sparse exchange are
+    /// one entry each. [`wait`](CommScheduler::wait) on `id` collects
+    /// the whole AllReduce.
     ///
     /// # Panics
     ///
-    /// Panics if `id` does not fit the tag layout: `id < 2^63` for one
-    /// lane, `id < 2^57` for several (the rest is lane bits and the
-    /// range blocking collectives use).
-    #[allow(clippy::too_many_arguments)]
+    /// Panics if `run` is the hierarchical algorithm, or if `id` does
+    /// not fit the tag layout: `id < 2^63` for one lane, `id < 2^57` for
+    /// several (the rest is lane bits and the blocking range).
     pub fn enqueue(
         &mut self,
         id: u64,
@@ -155,126 +130,64 @@ impl CommScheduler {
         group: Group,
         input: &Tensor,
         op: ReduceOp,
-        wire: WireFormat,
-        channels: usize,
+        run: Executed,
     ) {
         let class = class.min(PRIORITY_CLASSES as u8 - 1);
-        let lanes = lane_count(group.size, channels);
-        for lane in 0..lanes {
-            let tag = lane_tag(Some(id), lanes, lane);
-            let job = RingLane::new(
-                RingPhase::AllReduce,
-                tag,
-                Some(class),
-                group,
-                ChunkSource::Whole(input.clone()),
-                op,
-                wire,
-                lanes,
-                lane,
-            );
-            self.admit(tag, id, class, Job::Ring(job));
+        let jobs = all_reduce_jobs(Some(id), Some(class), group, input, op, run, None);
+        self.admit(id, class, jobs);
+    }
+
+    /// Queues the `jobs` of AllReduce `logical` at `class` — the one
+    /// choke point every job passes through, so every enqueue event has
+    /// a matching completion event with the same id.
+    fn admit(&mut self, logical: u64, class: u8, jobs: Vec<Job>) {
+        let parts = jobs.len();
+        for (lane, job) in jobs.into_iter().enumerate() {
+            let (id, seq) = (lane_tag(Some(logical), parts, lane), self.next_seq);
+            self.next_seq += 1;
+            let arg = u64::from(class);
+            trace::instant(EventKind::SchedEnqueue, "sched:enqueue", id, arg);
+            let queued = Queued {
+                id,
+                logical,
+                parts,
+                class,
+                seq,
+                job,
+            };
+            if queued.job.is_done() {
+                // Single-rank groups finish at enqueue time.
+                self.complete(queued);
+                continue;
+            }
+            let at = self
+                .jobs
+                .partition_point(|j| (j.class, j.seq) <= (class, seq));
+            self.jobs.insert(at, queued);
         }
-    }
-
-    /// Launches an in-network switch AllReduce of `input` at `class` —
-    /// the switch twin of [`enqueue`](CommScheduler::enqueue). No wire
-    /// format or lane count: the switch wire is always one fixed-point
-    /// `i32` stream.
-    pub fn enqueue_switch(
-        &mut self,
-        id: u64,
-        class: u8,
-        group: Group,
-        input: &Tensor,
-        op: ReduceOp,
-    ) {
-        let class = class.min(PRIORITY_CLASSES as u8 - 1);
-        let tag = lane_tag(Some(id), 1, 0);
-        let job = SwitchJob::new(tag, Some(class), group, input, op);
-        self.admit(tag, id, class, Job::Switch(job));
-    }
-
-    /// Files `result` as job `id`, finished at enqueue time: the
-    /// collective of a site with no resumable job ran as a blocking
-    /// call at its enqueue point (Barriered is the identity schedule),
-    /// and [`wait`](CommScheduler::wait) and the completion log treat
-    /// it like every other job.
-    pub(crate) fn enqueue_finished(&mut self, id: u64, class: u8, result: Tensor) {
-        let class = class.min(PRIORITY_CLASSES as u8 - 1);
-        self.trace_enqueue(id, class);
-        self.record_completion(id, class);
-        self.completed.push((id, result));
-    }
-
-    /// The single choke point every job passes through — striped
-    /// lanes, switch jobs and born-finished ones included — so every
-    /// enqueue event has a matching completion event with the same id.
-    fn trace_enqueue(&self, id: u64, class: u8) {
-        trace::instant(
-            EventKind::SchedEnqueue,
-            "sched:enqueue",
-            id,
-            u64::from(class),
-        );
-    }
-
-    fn admit(&mut self, id: u64, logical: u64, class: u8, job: Job) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.trace_enqueue(id, class);
-        let queued = Queued {
-            id,
-            logical,
-            class,
-            seq,
-            job,
-        };
-        if queued.job.is_done() {
-            // Single-rank ring groups finish at enqueue time.
-            self.complete(queued);
-            return;
-        }
-        let at = self
-            .jobs
-            .partition_point(|j| (j.class, j.seq) <= (class, seq));
-        self.jobs.insert(at, queued);
     }
 
     /// The structured completion record (and trace instant) of job
     /// `id`. The timestamp is read unconditionally — a clock read
     /// touches no data, so disabled-tracing runs stay bit-identical.
     fn record_completion(&mut self, id: u64, class: u8) {
-        let ts_ns = trace::now_ns();
-        trace::instant(
-            EventKind::SchedComplete,
-            "sched:complete",
-            id,
-            u64::from(class),
-        );
+        let (ts_ns, arg) = (trace::now_ns(), u64::from(class));
+        trace::instant(EventKind::SchedComplete, "sched:complete", id, arg);
         self.completions.push(Completion { id, class, ts_ns });
     }
 
-    /// Files a finished job: its completion record, then its result
-    /// for [`wait`](CommScheduler::wait) — assembled as soon as the
-    /// last lane of the logical job lands, so finished lanes do not pin
-    /// their peers' buffers until somebody waits.
+    /// Files a finished job: its completion record, then — once the
+    /// AllReduce's last job lands, so finished lanes do not pin their
+    /// peers' buffers until somebody waits — its result.
     fn complete(&mut self, done: Queued) {
         self.record_completion(done.id, done.class);
-        let result = match done.job {
-            Job::Switch(job) => job.take_result(),
-            Job::Ring(lane) => {
-                let lanes = lane.lanes();
-                let landed = self.landed.entry(done.logical).or_default();
-                landed.push(lane);
-                if landed.len() < lanes {
-                    return;
-                }
-                let ring = self.landed.remove(&done.logical).expect("just filled");
-                all_reduce_result(&ring)
-            }
-        };
-        self.completed.push((done.logical, result));
+        let landed = self.landed.entry(done.logical).or_default();
+        landed.push(done.job);
+        if landed.len() < done.parts {
+            return;
+        }
+        let jobs = self.landed.remove(&done.logical).expect("just filled");
+        self.completed.push((done.logical, all_reduce_output(jobs)));
     }
 
     /// One scheduling round: runs one hop of the first job, in strict
@@ -291,19 +204,15 @@ impl CommScheduler {
     /// Polls `jobs[i]`, the `i`-th preference of this round; files it
     /// if that finished it. Returns whether it moved.
     fn service(&mut self, comm: &RankComm, i: usize) -> bool {
-        if !self.jobs[i].job.poll(comm) {
+        if !self.jobs[i].job.advance(comm, false) {
             return false;
         }
         if i != 0 {
             // A more-preferred job was blocked on the wire and a
             // lower-preference one filled the slot — the hop-granular
             // preemption the trace exposes.
-            trace::instant(
-                EventKind::SchedPreempt,
-                "sched:fill",
-                self.jobs[i].id,
-                i as u64,
-            );
+            let id = self.jobs[i].id;
+            trace::instant(EventKind::SchedPreempt, "sched:fill", id, i as u64);
         }
         if self.jobs[i].job.is_done() {
             let done = self.jobs.remove(i);
@@ -319,6 +228,11 @@ impl CommScheduler {
     ///
     /// Panics if `id` was never enqueued.
     pub fn wait(&mut self, comm: &RankComm, id: u64) -> Tensor {
+        self.wait_with_residual(comm, id).0
+    }
+
+    /// [`wait`](CommScheduler::wait), plus a sparse job's residual.
+    fn wait_with_residual(&mut self, comm: &RankComm, id: u64) -> (Tensor, Option<ErrorFeedback>) {
         loop {
             if let Some(at) = self.completed.iter().position(|(j, _)| *j == id) {
                 return self.completed.swap_remove(at).1;
@@ -375,7 +289,9 @@ struct StreamParam {
     /// forward may touch this parameter.
     pending: Option<u64>,
     /// What the top-k wire has dropped of this layer's gradients so
-    /// far, re-injected into the next one (unread by other formats).
+    /// far, re-injected into the next one. An in-flight sparse job
+    /// holds it until `ensure_ready` waits on the job, which is before
+    /// the layer's next gradient is enqueued.
     feedback: ErrorFeedback,
 }
 
@@ -397,18 +313,14 @@ struct StreamParam {
 /// barrier, kept as the baseline the steady-state experiment measures
 /// against.
 ///
-/// What each layer's AllReduce runs as is
-/// [`CommConfig::executed_as`]'s answer for the configured algorithm,
-/// format and channels at that layer's size (a group without node
-/// geometry, so the hierarchical algorithm *is* the ring). A
-/// `streamable` site rides the scheduler; any other — the tree, an
-/// active top-k — runs the *requested* algorithm's blocking collective
-/// at the enqueue point and is filed as a finished job. Every layer
-/// keeps its own persistent [`ErrorFeedback`] residual across
-/// iterations, so an active top-k stream re-injects what it dropped
-/// exactly as a blocking loop holding one residual per tensor does:
-/// Barriered is the identity schedule for every algorithm and format,
-/// and parameters match that blocking loop bit for bit.
+/// Each layer's AllReduce runs as [`CommConfig::executed_as`] answers
+/// for the configured algorithm, format and channels at its size (a
+/// group without node geometry, so the hierarchical algorithm *is* the
+/// ring), as jobs riding the scheduler at the layer's class. Every
+/// layer keeps its own [`ErrorFeedback`] residual, so an active top-k
+/// stream re-injects what it dropped exactly as a blocking loop holding
+/// one residual per tensor does: under both schedules parameters match
+/// that loop bit for bit.
 #[derive(Debug)]
 pub struct StreamExecutor {
     group: Group,
@@ -494,10 +406,13 @@ impl StreamExecutor {
         apply: &mut impl FnMut(usize, &mut Tensor, &Tensor),
     ) {
         if let Some(job) = self.params[layer].pending.take() {
-            let reduced = {
+            let (reduced, residual) = {
                 let _wait = trace::span(EventKind::ReadyWait, "ready_wait", job, layer as u64);
-                self.scheduler.wait(comm, job)
+                self.scheduler.wait_with_residual(comm, job)
             };
+            if let Some(residual) = residual {
+                self.params[layer].feedback = residual;
+            }
             {
                 let _apply = trace::span(EventKind::Compute, "apply", layer as u64, job);
                 apply(layer, &mut self.params[layer].value, &reduced);
@@ -580,20 +495,14 @@ impl StreamExecutor {
                     let _bwd = trace::span(EventKind::Compute, "grad", l as u64, iter);
                     grad(l, iter, &self.params[l].value)
                 };
-                let id = self.job_id(iter, l);
+                let (id, run) = (self.job_id(iter, l), runs[l]);
                 let class = l.min(PRIORITY_CLASSES - 1) as u8;
-                let run = runs[l];
-                if !run.streamable {
-                    let feedback = Some(&mut self.params[l].feedback);
-                    let reduced = run_all_reduce(comm, self.group, &g, sum, run, 0, feedback);
-                    self.scheduler.enqueue_finished(id, class, reduced);
-                } else if run.algo == CollAlgo::Switch {
-                    self.scheduler
-                        .enqueue_switch(id, class, self.group, &g, sum);
-                } else {
-                    self.scheduler
-                        .enqueue(id, class, self.group, &g, sum, run.format, run.lanes);
-                }
+                let feedback = run
+                    .is_sparse()
+                    .then(|| std::mem::take(&mut self.params[l].feedback));
+                let jobs =
+                    all_reduce_jobs(Some(id), Some(class), self.group, &g, sum, run, feedback);
+                self.scheduler.admit(id, class, jobs);
                 self.params[l].pending = Some(id);
             }
             if self.config.sched == CommSched::Barriered {
@@ -627,6 +536,7 @@ mod tests {
     use crate::collectives::ring_all_reduce;
     use crate::comm::tests::panic_message;
     use crate::comm::{run_ranks, WireMsg};
+    use crate::BytesLedger;
     use coconet_tensor::{CounterRng, DType};
 
     fn group_of(k: usize) -> Group {
@@ -637,6 +547,23 @@ mod tests {
     fn completed_ids(events: &[Completion]) -> Vec<u64> {
         events.iter().map(|c| c.id).collect()
     }
+
+    /// What runs for a ring AllReduce on `wire` over `lanes` lanes.
+    fn ring(wire: WireFormat, lanes: usize) -> Executed {
+        let algo = CollAlgo::Ring;
+        Executed {
+            algo,
+            format: wire,
+            lanes,
+        }
+    }
+
+    /// What runs for a switch AllReduce.
+    const SWITCH: Executed = Executed {
+        algo: CollAlgo::Switch,
+        format: WireFormat::Dense,
+        lanes: 1,
+    };
 
     /// Ring and switch jobs share one scheduler: the urgent switch job
     /// completes before the earlier-enqueued low-priority ring job,
@@ -665,10 +592,9 @@ mod tests {
                 group_of(k),
                 &late,
                 ReduceOp::Sum,
-                WireFormat::Dense,
-                1,
+                ring(WireFormat::Dense, 1),
             );
-            sched.enqueue_switch(200, 0, group_of(k), &urgent, ReduceOp::Sum);
+            sched.enqueue(200, 0, group_of(k), &urgent, ReduceOp::Sum, SWITCH);
             sched.drain(&comm);
             let log = completed_ids(sched.completion_events());
             let got_urgent = sched.wait(&comm, 200);
@@ -683,16 +609,16 @@ mod tests {
     }
 
     /// A [`StreamExecutor`] of one `n`-element layer under `sched`,
-    /// routed through `algo` on `wire`, produces the same parameters as
-    /// a loop calling `blocking` — that configuration's blocking
-    /// AllReduce, handed one persistent residual — once per iteration,
-    /// bit for bit.
+    /// routed through `algo` on `wire` over `channels`, produces the
+    /// same parameters as a loop calling that configuration's blocking
+    /// AllReduce — handed one persistent residual — once per
+    /// iteration, bit for bit.
     fn assert_stream_matches_blocking_loop(
         sched: CommSched,
         algo: CollAlgo,
         wire: WireFormat,
+        channels: usize,
         n: usize,
-        blocking: fn(&RankComm, Group, &Tensor, &mut ErrorFeedback) -> Tensor,
     ) {
         let k = 4usize;
         let iters = 6u64;
@@ -702,8 +628,9 @@ mod tests {
             let rank = comm.rank();
 
             // Streamed.
-            let mut exec =
-                StreamExecutor::new(group_of(k), vec![init.clone()], sched, wire).with_algo(algo);
+            let mut exec = StreamExecutor::new(group_of(k), vec![init.clone()], sched, wire)
+                .with_algo(algo)
+                .with_channels(channels);
             exec.run_iterations(
                 &comm,
                 iters,
@@ -721,11 +648,14 @@ mod tests {
 
             // Blocking reference: same recurrence, blocking collective.
             let mut w = init;
-            let mut feedback = ErrorFeedback::new();
+            let mut feedback = Some(ErrorFeedback::new());
             for iter in 0..iters {
                 let scale = (rank + 1) as f32 * 0.01 + iter as f32 * 0.001;
                 let g = Tensor::from_fn([n], DType::F32, |i| w.get(i) * scale + i as f32 * 0.1);
-                let reduced = blocking(&comm, group_of(k), &g, &mut feedback);
+                let (group, ef, sum) = (group_of(k), feedback.as_mut(), ReduceOp::Sum);
+                let reduced = crate::all_reduce_wire_striped(
+                    &comm, group, &g, sum, algo, 0, wire, ef, channels,
+                );
                 w = Tensor::from_fn([n], DType::F32, |i| w.get(i) - 0.05 * reduced.get(i));
             }
             (streamed, w)
@@ -734,7 +664,7 @@ mod tests {
             assert_eq!(
                 streamed.to_f32_vec(),
                 blocking.to_f32_vec(),
-                "{sched} {algo} {wire}"
+                "{sched} {algo} {wire} C={channels}"
             );
         }
     }
@@ -746,47 +676,37 @@ mod tests {
             CommSched::Priority,
             CollAlgo::Switch,
             WireFormat::Dense,
+            1,
             6,
-            |comm, group, g, _| crate::switch::switch_all_reduce(comm, group, g, ReduceOp::Sum),
         );
     }
 
-    /// The tree has no resumable job: under a [`StreamExecutor`] it
-    /// runs as the blocking tree at the enqueue point — never as the
-    /// ring, whose fold order (and so whose bits) differ.
+    /// The tree is one resumable job: under a [`StreamExecutor`] it
+    /// rides the scheduler at the layer's class, under either schedule
+    /// and at every width, and equals the blocking tree bit for bit —
+    /// never the ring, whose fold order (and so whose bits) differ.
     #[test]
     fn stream_executor_tree_matches_blocking_tree_loop() {
-        assert_stream_matches_blocking_loop(
-            CommSched::Priority,
-            CollAlgo::Tree,
-            WireFormat::Dense,
-            6,
-            |comm, group, g, _| {
-                crate::tree::tree_all_reduce(comm, group, g, ReduceOp::Sum, WireFormat::Dense, 1)
-            },
-        );
+        for sched in CommSched::ALL {
+            for channels in [1, 3] {
+                let (tree, dense) = (CollAlgo::Tree, WireFormat::Dense);
+                assert_stream_matches_blocking_loop(sched, tree, dense, channels, 6);
+            }
+        }
     }
 
-    /// An active top-k is not streamable either, and its sparse
-    /// exchange carries state across iterations: the executor keeps one
-    /// error-feedback residual per layer, so under either schedule it
-    /// equals the blocking dispatch loop holding one persistent
-    /// residual — what the wire dropped in iteration `i` is re-injected
-    /// in iteration `i+1`.
+    /// An active top-k's sparse exchange is a job too, and it carries
+    /// state across iterations: the executor keeps one error-feedback
+    /// residual per layer, lent to each in-flight job and handed back
+    /// when the job is waited on, so under either schedule it equals
+    /// the blocking dispatch loop holding one persistent residual —
+    /// what the wire dropped in iteration `i` is re-injected in
+    /// iteration `i+1`.
     #[test]
     fn stream_executor_top_k_keeps_its_error_feedback_residual() {
         const TOP_K: WireFormat = WireFormat::TopK { k_permille: 100 };
         for sched in CommSched::ALL {
-            assert_stream_matches_blocking_loop(
-                sched,
-                CollAlgo::Ring,
-                TOP_K,
-                64,
-                |c, group, g, ef| {
-                    let (sum, ring) = (ReduceOp::Sum, CollAlgo::Ring);
-                    crate::all_reduce_wire_striped(c, group, g, sum, ring, 0, TOP_K, Some(ef), 1)
-                },
-            );
+            assert_stream_matches_blocking_loop(sched, CollAlgo::Ring, TOP_K, 1, 64);
         }
     }
 
@@ -825,7 +745,7 @@ mod tests {
 
             let mut sched = CommScheduler::new();
             for (l, g) in grads.iter().enumerate().rev() {
-                sched.enqueue(l as u64, l as u8, group_of(k), g, sum, dense, 1);
+                sched.enqueue(l as u64, l as u8, group_of(k), g, sum, ring(dense, 1));
             }
             if rank == 0 {
                 while sched.poll(&comm) {}
@@ -943,8 +863,7 @@ mod tests {
                 group_of(k),
                 &late,
                 ReduceOp::Sum,
-                WireFormat::Dense,
-                1,
+                ring(WireFormat::Dense, 1),
             );
             sched.enqueue(
                 200,
@@ -952,8 +871,7 @@ mod tests {
                 group_of(k),
                 &urgent,
                 ReduceOp::Sum,
-                WireFormat::Dense,
-                1,
+                ring(WireFormat::Dense, 1),
             );
             sched.drain(&comm);
             let log = completed_ids(sched.completion_events());
@@ -992,8 +910,7 @@ mod tests {
             group_of(k),
             &low_in,
             ReduceOp::Sum,
-            WireFormat::Dense,
-            1,
+            ring(WireFormat::Dense, 1),
         );
         sched.enqueue(
             2,
@@ -1001,8 +918,7 @@ mod tests {
             group_of(k),
             &urgent_in,
             ReduceOp::Sum,
-            WireFormat::Dense,
-            1,
+            ring(WireFormat::Dense, 1),
         );
 
         // Round 1: the class-0 job is serviced first — its RS chunk
@@ -1082,8 +998,7 @@ mod tests {
             group_of(2),
             &input,
             ReduceOp::Sum,
-            WireFormat::Dense,
-            1,
+            ring(WireFormat::Dense, 1),
         );
         assert!(sched.poll(&me), "the first chunk goes out");
         drop(peer);
@@ -1093,9 +1008,12 @@ mod tests {
         assert_eq!(message.as_deref(), Some("rank 1 hung up"));
     }
 
-    /// Four queued jobs of mixed size, class, format, op and algorithm
-    /// (dense ring, FP16 ring, `Max` ring, switch) drain on one
-    /// scheduler, and each equals its blocking collective bit for bit.
+    /// Six queued jobs of mixed size, class, format, op and algorithm
+    /// (dense ring, FP16 ring, `Max` ring, switch, 3-lane FP16 tree,
+    /// active top-k) drain on one scheduler. Each equals its blocking
+    /// collective bit for bit, its class bucket holds exactly the bytes
+    /// that call sends, and the drain moves as many bytes and messages
+    /// as the six calls together.
     #[test]
     fn mixed_jobs_drain_to_their_blocking_results() {
         use crate::switch::switch_all_reduce;
@@ -1103,40 +1021,82 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let rng = CounterRng::new(17);
             let seed = (comm.rank() * 7) as u64;
-            let big = Tensor::randn([64], DType::F32, rng, seed);
-            let mid = Tensor::randn([16], DType::F32, rng, seed + 1);
-            let tiny = Tensor::randn([4], DType::F32, rng, seed + 2);
-            let quant = Tensor::randn([8], DType::F32, rng, seed + 3);
-            let ring = |t: &Tensor, op, wire| ring_all_reduce(&comm, group_of(k), t, op, wire, 1);
-            let want = [
-                ring(&big, ReduceOp::Sum, WireFormat::Dense),
-                ring(&mid, ReduceOp::Sum, WireFormat::Fp16),
-                ring(&tiny, ReduceOp::Max, WireFormat::Dense),
-                switch_all_reduce(&comm, group_of(k), &quant, ReduceOp::Sum),
+            let group = group_of(k);
+            let (sum, max) = (ReduceOp::Sum, ReduceOp::Max);
+            let (dense, fp16) = (WireFormat::Dense, WireFormat::Fp16);
+            let top_k = WireFormat::TopK { k_permille: 100 };
+            let input = |n: usize, salt: u64| Tensor::randn([n], DType::F32, rng, seed + salt);
+            let striped_tree = CommConfig {
+                algo: CollAlgo::Tree,
+                format: fp16,
+                channels: 3,
+                ..CommConfig::default()
+            };
+            let sparse = CommConfig::default().with_format(top_k);
+            let (tree_in, sparse_in) = (input(24, 4), input(256, 5));
+            let tree_run = executed(striped_tree, CollKind::AllReduce, sum, &tree_in, group, 0);
+            let sparse_run = executed(sparse, CollKind::AllReduce, sum, &sparse_in, group, 0);
+            assert_eq!((tree_run.lanes, sparse_run.is_sparse()), (3, true));
+            // (class, input, op, what runs)
+            let jobs = [
+                (1, input(64, 0), sum, ring(dense, 1)),
+                (3, input(16, 1), sum, ring(fp16, 1)),
+                (2, input(4, 2), max, ring(dense, 1)),
+                (0, input(8, 3), sum, SWITCH),
+                (4, tree_in, sum, tree_run),
+                (5, sparse_in, sum, sparse_run),
             ];
+            let blocking = |t: &Tensor, op, run: Executed| match run.algo {
+                CollAlgo::Switch => switch_all_reduce(&comm, group, t, op),
+                CollAlgo::Ring if !run.is_sparse() => {
+                    ring_all_reduce(&comm, group, t, op, run.format, run.lanes)
+                }
+                algo => {
+                    let (format, lanes) = (run.format, run.lanes);
+                    crate::all_reduce_wire_striped(
+                        &comm, group, t, op, algo, 0, format, None, lanes,
+                    )
+                }
+            };
+            let want: Vec<(Tensor, BytesLedger)> = jobs
+                .iter()
+                .map(|(_, t, op, run)| {
+                    comm.reset_ledger();
+                    (blocking(t, *op, *run), comm.ledger())
+                })
+                .collect();
+            comm.reset_ledger();
             let mut sched = CommScheduler::new();
-            sched.enqueue(1, 1, group_of(k), &big, ReduceOp::Sum, WireFormat::Dense, 1);
-            sched.enqueue(2, 3, group_of(k), &mid, ReduceOp::Sum, WireFormat::Fp16, 1);
-            sched.enqueue(
-                3,
-                2,
-                group_of(k),
-                &tiny,
-                ReduceOp::Max,
-                WireFormat::Dense,
-                1,
-            );
-            sched.enqueue_switch(4, 0, group_of(k), &quant, ReduceOp::Sum);
+            for (id, (class, t, op, run)) in jobs.iter().enumerate() {
+                sched.enqueue(id as u64, *class, group, t, *op, *run);
+            }
             sched.drain(&comm);
-            let got: Vec<Tensor> = (1..=4).map(|id| sched.wait(&comm, id)).collect();
-            (got, want)
+            let got: Vec<Tensor> = (0..jobs.len() as u64)
+                .map(|id| sched.wait(&comm, id))
+                .collect();
+            let classes: Vec<u8> = jobs.iter().map(|j| j.0).collect();
+            (got, want, comm.ledger(), classes)
         });
         let bits =
             |t: &Tensor| -> Vec<u32> { t.to_f32_vec().iter().map(|v| v.to_bits()).collect() };
-        for (rank, (got, want)) in results.iter().enumerate() {
-            for (job, (g, w)) in got.iter().zip(want).enumerate() {
-                assert_eq!(bits(g), bits(w), "rank {rank}, job {}", job + 1);
+        for (rank, (got, want, drained, classes)) in results.iter().enumerate() {
+            let mut total = (0, 0, 0, 0);
+            for (job, (g, (w, l))) in got.iter().zip(want).enumerate() {
+                assert_eq!(bits(g), bits(w), "rank {rank}, job {job}");
+                let bucket = drained.class_bytes_sent[classes[job] as usize];
+                assert_eq!(bucket, l.bytes_sent, "rank {rank}, job {job}: {l:?}");
+                total.0 += l.bytes_sent;
+                total.1 += l.sends;
+                total.2 += l.bytes_received;
+                total.3 += l.recvs;
             }
+            let moved = (drained.bytes_sent, drained.sends);
+            let taken = (drained.bytes_received, drained.recvs);
+            assert_eq!(
+                (moved, taken),
+                ((total.0, total.1), (total.2, total.3)),
+                "rank {rank}"
+            );
         }
     }
 

@@ -26,13 +26,15 @@
 //! [`BytesLedger::switch_bytes_sent`]: crate::BytesLedger::switch_bytes_sent
 //! [`switch_bytes_recv`]: crate::BytesLedger::switch_bytes_recv
 
-use coconet_compress::QuantChunk;
+use coconet_compress::{QuantChunk, WireFormat};
+use coconet_core::{CollAlgo, Executed};
 use coconet_tensor::{DType, ReduceOp, Shape, Tensor};
 use coconet_trace as trace;
 use coconet_trace::EventKind;
 
-use crate::collectives::{lane_tag, Group};
+use crate::collectives::Group;
 use crate::comm::{RankComm, Side, WireMsg};
+use crate::compressed::run_all_reduce;
 
 /// Folds `contribs` in ascending position order — the one fold order
 /// the switch uses, because saturating adds do not commute with
@@ -117,10 +119,6 @@ impl SwitchJob {
         }
     }
 
-    pub(crate) fn is_done(&self) -> bool {
-        self.result.is_some()
-    }
-
     pub(crate) fn take_result(self) -> Tensor {
         self.result.expect("take_result on an unfinished job")
     }
@@ -196,11 +194,15 @@ impl SwitchJob {
         }
         progressed
     }
+
+    pub(crate) fn is_done(&self) -> bool {
+        self.result.is_some()
+    }
 }
 
 /// Blocking AllReduce through the emulated aggregation switch: one
-/// switch job driven to completion on the calling rank thread, parked
-/// on the inbox for each leg.
+/// switch job under the blocking drive, parked on the inbox for each
+/// leg.
 ///
 /// Wire cost per worker: `n·4` bytes sent, `n·4` bytes received — see
 /// [`switch_all_reduce_wire_bytes`](crate::switch_all_reduce_wire_bytes).
@@ -213,9 +215,13 @@ impl SwitchJob {
 ///
 /// Panics if `comm.rank()` is not a member of `group`.
 pub fn switch_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
-    let mut job = SwitchJob::new(lane_tag(None, 1, 0), None, group, input, op);
-    job.advance(comm, true);
-    job.take_result()
+    let (algo, format) = (CollAlgo::Switch, WireFormat::Dense);
+    let run = Executed {
+        algo,
+        format,
+        lanes: 1,
+    };
+    run_all_reduce(comm, group, input, op, run, 0, None)
 }
 
 #[cfg(test)]

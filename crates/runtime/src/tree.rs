@@ -6,117 +6,176 @@
 //! `2·log2(k)` hops instead of the ring's `2(k-1)` steps, which wins
 //! for small messages at large rank counts — one of the effects behind
 //! the paper's protocol/size crossovers. The generated kernels in the
-//! paper use rings; this module is the reproduction's implementation of
-//! the tree alternative, used by the ring-vs-tree ablation.
+//! paper use rings; this module is the reproduction's tree alternative,
+//! one resumable job, used by the ring-vs-tree ablation.
 
 use coconet_compress::WireFormat;
-use coconet_tensor::{ReduceOp, Tensor};
+use coconet_tensor::{DType, ReduceOp, Tensor};
+use coconet_trace as trace;
+use coconet_trace::EventKind;
 
 use crate::collectives::{
-    clamp_channels, fold_hop, recv_striped, send_striped, wire_decode, wire_encode, Group,
+    fold_hop, join_stripes, lane_tag, stripes, wire_decode, wire_encode, Group,
 };
-use crate::RankComm;
+use crate::comm::{RankComm, Side, WireMsg};
 
-/// Binomial-tree Reduce to group position 0, then binomial Broadcast —
-/// an AllReduce in `2·ceil(log2(k))` rounds, every payload encoded per
-/// `wire` and split into `channels` contiguous lane stripes.
-///
-/// Under FP16 each reduce-phase partial rounds to half precision as it
-/// travels, and the root rounds its final value once before the
-/// broadcast so every rank (the root included) returns the identical
-/// decoded tensor. A fold whose result is the next payload (or the
-/// root's broadcast value) writes it encoded, in one pass with the
-/// decode of the incoming partial and the fold itself. Stripes are
-/// zero-copy views of the encoded buffer that rejoin, still without a
-/// copy, before each fold and each decode, so the wire byte total is
-/// unchanged and the result bit-identical at every width;
-/// `channels <= 1` sends whole payloads.
-pub(crate) fn tree_all_reduce(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    wire: WireFormat,
-    channels: usize,
-) -> Tensor {
-    let channels = clamp_channels(channels);
-    let k = group.size;
-    let pos = group.position(comm.rank());
-    let dtype = input.dtype();
-    // The partial, in the working dtype while another fold reads it;
-    // the fold after which it travels writes it wire-encoded.
-    let mut acc = input.clone();
-    let mut encoded = false;
-
-    // Reduce phase: at round d (1, 2, 4, ...), positions with the d bit
-    // set send to (pos - d) and drop out; the rest receive and reduce.
-    let mut d = 1usize;
-    while d < k {
-        if pos & d != 0 {
-            let payload = if encoded {
-                acc.clone()
-            } else {
-                wire_encode(&acc, wire)
-            };
-            send_striped(comm, group.rank_at(pos - d), payload, channels);
-            break;
-        } else if pos + d < k {
-            let incoming = recv_striped(comm, group.rank_at(pos + d), channels);
-            encoded = !folds_again(pos, k, d);
-            acc = fold_hop(&acc, incoming, op, wire, encoded);
-        }
-        d <<= 1;
-    }
-
-    // Broadcast phase: mirror image, highest round first. The value
-    // travels in wire encoding the whole way down (forwards are handle
-    // copies of the encoded buffer) and every rank decodes at the end;
-    // the root's once-through-the-codec round trip makes its value
-    // bit-identical to everyone else's.
-    if pos == 0 && !encoded {
-        // A singleton group folds nothing; its value still goes
-        // through the codec once.
-        acc = wire_encode(&acc, wire);
-    }
-    let mut rounds = Vec::new();
-    let mut e = 1usize;
-    while e < k {
-        rounds.push(e);
-        e <<= 1;
-    }
-    for &d in rounds.iter().rev() {
-        if pos & d != 0 {
-            // This position received its reduced value in the reduce
-            // phase partner's broadcast round.
-            if pos & (d - 1) == 0 {
-                acc = recv_striped(comm, group.rank_at(pos - d), channels);
-            }
-        } else if pos + d < k && pos & (d - 1) == 0 {
-            send_striped(comm, group.rank_at(pos + d), acc.clone(), channels);
-        }
-    }
-    wire_decode(acc, wire, dtype)
+/// Position `pos`'s hops in a `k`-position binomial tree, as `(peer,
+/// is a send)`: fold each child `pos + d` (`d` a power of two below
+/// `pos`'s lowest set bit) nearest first, send up to the parent
+/// `pos − lowbit(pos)`; then the mirror image, the broadcast.
+fn hops(pos: usize, k: usize) -> Vec<(usize, bool)> {
+    let rounds = (0..usize::BITS).map(|b| 1usize << b).take_while(|&d| d < k);
+    let children: Vec<usize> = rounds
+        .clone()
+        .take_while(|&d| pos & d == 0)
+        .filter(|&d| pos + d < k)
+        .map(|d| pos + d)
+        .collect();
+    let parent = rounds.into_iter().find(|&d| pos & d != 0).map(|d| pos - d);
+    let folds = children.iter().map(|&c| (c, false));
+    let up_and_down = parent.into_iter().flat_map(|p| [(p, true), (p, false)]);
+    let sends = children.iter().rev().map(|&c| (c, true));
+    folds.chain(up_and_down).chain(sends).collect()
 }
 
-/// Whether position `pos` of a `k`-position binomial tree folds another
-/// child's partial after round `d`'s, rather than sending its partial
-/// to its parent (its next set bit) or — the root — broadcasting it.
-fn folds_again(pos: usize, k: usize, d: usize) -> bool {
-    let mut e = d << 1;
-    while e < k && pos & e == 0 {
-        if pos + e < k {
-            return true;
+/// A binomial-tree AllReduce: the reduce to position 0, then the
+/// broadcast, one hop per [`advance`](TreeJob::advance). A payload
+/// travels encoded per `wire` as the tagged stripes of one buffer,
+/// which rejoin without a copy — bytes and bits are the same at every
+/// width. Under FP16 each partial rounds once as it travels (the fold
+/// before writes it encoded) and the root's value once before the
+/// broadcast, so every rank returns the identical decoded tensor.
+#[derive(Debug)]
+pub(crate) struct TreeJob {
+    /// Each lane's wire tag.
+    tags: Vec<u64>,
+    /// `Some` when scheduled, `None` for a blocking drive (hop instants
+    /// then carry [`trace::JOB_NONE`]).
+    class: Option<u8>,
+    group: Group,
+    op: ReduceOp,
+    wire: WireFormat,
+    dtype: DType,
+    /// This position's [`hops`], filled on the first advance, and how
+    /// many of them are done.
+    hops: Vec<(usize, bool)>,
+    at: usize,
+    /// The partial, encoded from the hop it travels on.
+    acc: Tensor,
+    /// The stripes of the incoming payload taken so far.
+    incoming: Vec<Tensor>,
+}
+
+impl TreeJob {
+    /// A tree AllReduce of `input` over `group` on the wire tags of
+    /// `job`. Performs no communication.
+    pub(crate) fn new(
+        job: Option<u64>,
+        class: Option<u8>,
+        group: Group,
+        input: &Tensor,
+        op: ReduceOp,
+        wire: WireFormat,
+        lanes: usize,
+    ) -> TreeJob {
+        // A singleton group folds nothing; its value still goes through
+        // the codec once.
+        let acc = match group.size {
+            1 => wire_encode(input, wire),
+            _ => input.clone(),
+        };
+        TreeJob {
+            tags: (0..lanes).map(|lane| lane_tag(job, lanes, lane)).collect(),
+            class,
+            group,
+            op,
+            wire,
+            dtype: input.dtype(),
+            hops: Vec::new(),
+            at: 0,
+            acc,
+            incoming: Vec::new(),
         }
-        e <<= 1;
     }
-    false
+
+    /// The decoded value.
+    pub(crate) fn take_result(self) -> Tensor {
+        wire_decode(self.acc, self.wire, self.dtype)
+    }
+
+    pub(crate) fn advance(&mut self, comm: &RankComm, block: bool) -> bool {
+        if self.is_done() {
+            return false;
+        }
+        if self.hops.is_empty() {
+            self.hops = hops(self.group.position(comm.rank()), self.group.size);
+        }
+        let (peer, send) = self.hops[self.at];
+        let peer = self.group.rank_at(peer);
+        if send {
+            if self.at == 0 {
+                // A leaf sends its input: the only unencoded payload.
+                self.acc = wire_encode(&self.acc, self.wire);
+            }
+            for (lane, stripe) in stripes(&self.acc, self.tags.len()).into_iter().enumerate() {
+                let (tag, bytes) = (self.tags[lane], stripe.size_bytes() as u64);
+                let id = self.class.map_or(trace::JOB_NONE, |_| tag);
+                trace::instant_lane(EventKind::Hop, "tree", lane as u32, id, bytes);
+                comm.send_tagged(peer, tag, self.class, WireMsg::Tensor(stripe));
+            }
+        } else {
+            let taken = self.incoming.len();
+            while let Some(&tag) = self.tags.get(self.incoming.len()) {
+                match comm.take(peer, Some(tag), Side::Worker, block) {
+                    Some(WireMsg::Tensor(stripe)) => self.incoming.push(stripe),
+                    Some(msg) => unreachable!("tree jobs carry dense payloads only, got {msg:?}"),
+                    None => return self.incoming.len() > taken,
+                }
+            }
+            let incoming = join_stripes(std::mem::take(&mut self.incoming));
+            self.acc = if self.hops[..self.at].iter().any(|&(_, sent)| sent) {
+                // The broadcast value, encoded.
+                incoming
+            } else {
+                // The fold after which the partial travels encodes it.
+                let encode = !matches!(self.hops.get(self.at + 1), Some((_, false)));
+                fold_hop(&self.acc, incoming, self.op, self.wire, encode)
+            };
+        }
+        self.at += 1;
+        true
+    }
+
+    pub(crate) fn is_done(&self) -> bool {
+        self.group.size == 1 || (self.at > 0 && self.at == self.hops.len())
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use coconet_tensor::DType;
+    use crate::compressed::run_all_reduce;
+    use coconet_core::{lane_count, CollAlgo, Executed};
     use std::thread;
+
+    /// The blocking tree AllReduce: its one job under the blocking
+    /// drive.
+    pub(crate) fn tree_all_reduce(
+        comm: &RankComm,
+        group: Group,
+        input: &Tensor,
+        op: ReduceOp,
+        wire: WireFormat,
+        channels: usize,
+    ) -> Tensor {
+        let lanes = lane_count(group.size, channels);
+        let run = Executed {
+            algo: CollAlgo::Tree,
+            format: wire,
+            lanes,
+        };
+        run_all_reduce(comm, group, input, op, run, 0, None)
+    }
 
     fn run_tree(k: usize) -> Vec<Tensor> {
         let world = RankComm::world(k);

@@ -144,18 +144,25 @@ fn priority_run_emits_a_well_formed_trace() {
 /// monotone timestamps and the enqueue classes.
 #[test]
 fn completion_events_record_priority_order_and_classes() {
+    use coconet_core::Executed;
     use coconet_runtime::CommScheduler;
     use coconet_tensor::ReduceOp;
 
+    let dense = Executed {
+        algo: CollAlgo::Ring,
+        format: WireFormat::Dense,
+        lanes: 1,
+    };
+
     let _gate = GATE.lock().unwrap();
     trace::set_enabled(false);
-    let results = run_ranks(4, |comm| {
+    let results = run_ranks(4, move |comm| {
         let group = Group { start: 0, size: 4 };
         let a = Tensor::from_fn([13], DType::F32, |i| (comm.rank() + i) as f32);
         let b = Tensor::from_fn([13], DType::F32, |i| (comm.rank() * 3 + i) as f32);
         let mut sched = CommScheduler::new();
-        sched.enqueue(10, 5, group, &a, ReduceOp::Sum, WireFormat::Dense, 1);
-        sched.enqueue(20, 0, group, &b, ReduceOp::Sum, WireFormat::Dense, 1);
+        sched.enqueue(10, 5, group, &a, ReduceOp::Sum, dense);
+        sched.enqueue(20, 0, group, &b, ReduceOp::Sum, dense);
         sched.drain(&comm);
         sched
             .completion_events()

@@ -8,6 +8,10 @@
 //! * ring: chunk `c` folds as `in[c] ∘ (in[c−1] ∘ (… ∘ in[c+1]))`, with
 //!   a half-precision round before every FP16 hop and one at the
 //!   gather (an F16 payload instead rounds after every fold);
+//! * tree: position `p` folds its children `p+1, p+2, p+4, …` in
+//!   increasing distance as `acc ∘ incoming`, each child's partial
+//!   rounded to half precision once as it travels over FP16 and the
+//!   root's value rounded once before the broadcast;
 //! * switch: a saturating Q15.16 fold in ascending group position;
 //!
 //! — and checks result bits, per-rank wire bytes and send counts, and
@@ -19,9 +23,10 @@
 //! rank's contribution is its product, spelled out as a triple loop.
 
 use coconet::compress::WireFormat;
+use coconet::core::{lane_count, CollAlgo, Executed};
 use coconet::runtime::{
-    chunk_range, overlapped_matmul_all_reduce, ring_all_gather, ring_all_reduce,
-    ring_reduce_scatter, run_ranks, switch_all_reduce, CommScheduler, Group,
+    all_reduce_wire_striped, chunk_range, overlapped_matmul_all_reduce, ring_all_gather,
+    ring_all_reduce, ring_reduce_scatter, run_ranks, switch_all_reduce, CommScheduler, Group,
 };
 use coconet::tensor::{DType, ReduceOp, Tensor};
 
@@ -190,6 +195,23 @@ fn ag_sent(n: usize, k: usize, me: usize) -> u64 {
     n as u64 - chunk_len(n, k, me + 1)
 }
 
+/// What runs for a ring AllReduce on `wire` over `lanes` lanes.
+fn ring(wire: WireFormat, lanes: usize) -> Executed {
+    let algo = CollAlgo::Ring;
+    Executed {
+        algo,
+        format: wire,
+        lanes,
+    }
+}
+
+/// What runs for a switch AllReduce.
+const SWITCH: Executed = Executed {
+    algo: CollAlgo::Switch,
+    format: WireFormat::Dense,
+    lanes: 1,
+};
+
 fn bits(t: &Tensor) -> Vec<u32> {
     (0..t.numel()).map(|i| t.get(i).to_bits()).collect()
 }
@@ -283,6 +305,86 @@ fn blocking_ring_matches_the_scalar_reference() {
                 }
                 if (l.bytes_sent, l.sends) != (ag_sent(n, k, me) * eb, hops) {
                     failures.push(format!("{label}: all-gather ledger {l:?}"));
+                }
+            }
+            failures
+        });
+        let failures: Vec<String> = results.into_iter().flatten().collect();
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+}
+
+/// The binomial tree's children of position `p` among `k`: `p + d` for
+/// every power of two `d` below `p`'s lowest set bit (any `d` at the
+/// root) with `p + d < k`, in increasing `d`.
+fn tree_children(p: usize, k: usize) -> Vec<usize> {
+    let span = if p == 0 { k } else { 1 << p.trailing_zeros() };
+    (0..usize::BITS)
+        .map(|b| 1usize << b)
+        .take_while(|&d| d < span && p + d < k)
+        .map(|d| p + d)
+        .collect()
+}
+
+/// Element `i` of the partial position `p` holds after the reduce
+/// phase: its input folded with each child's partial in increasing
+/// distance, `acc ∘ incoming`, the partial rounded once as it travels.
+fn tree_partial(inputs: &[Vec<f32>], p: usize, i: usize, op: ReduceOp, r: Rounding) -> f32 {
+    let mut acc = inputs[p][i];
+    for c in tree_children(p, inputs.len()) {
+        let partial = tree_partial(inputs, c, i, op, r);
+        acc = apply(op, acc, if r.hops { half(partial) } else { partial });
+        if r.folds {
+            acc = half(acc);
+        }
+    }
+    acc
+}
+
+/// What every rank returns: the root's value through the wire codec
+/// once — a singleton group's included.
+fn tree_reference(inputs: &[Vec<f32>], op: ReduceOp, r: Rounding) -> Vec<f32> {
+    let root = |i| tree_partial(inputs, 0, i, op, r);
+    (0..inputs[0].len())
+        .map(|i| if r.hops { half(root(i)) } else { root(i) })
+        .collect()
+}
+
+/// The binomial tree AllReduce through the dispatch, blocking: bits
+/// against the plain recursion, and per rank one payload up to the
+/// parent and one down to every child — as many received — each split
+/// into the lanes.
+#[test]
+fn blocking_tree_matches_the_scalar_reference() {
+    for k in 1..=6usize {
+        let results = run_ranks(k, move |comm| {
+            let group = Group { start: 0, size: k };
+            let me = comm.rank();
+            let payloads = tree_children(me, k).len() as u64 + u64::from(me != 0);
+            let mut failures: Vec<String> = Vec::new();
+            for (n, path, channels, op) in grid() {
+                let label = format!("k={k} n={n} {path:?} C={channels} {op:?} rank={me}");
+                let inputs = path.inputs(k, n);
+                let input = path.tensor(&inputs[me]);
+                let lanes = if k == 1 { 1 } else { channels.min(64) as u64 };
+
+                comm.reset_ledger();
+                let tree = CollAlgo::Tree;
+                let out = all_reduce_wire_striped(
+                    &comm, group, &input, op, tree, 0, path.wire, None, channels,
+                );
+                let l = comm.ledger();
+                let want = tree_reference(&inputs, op, path.rounding());
+                if out.shape() != input.shape() || bits(&out) != want_bits(&want) {
+                    failures.push(format!("{label}: tree bits"));
+                }
+                let bytes = payloads * n as u64 * path.wire_elem_bytes();
+                let messages = payloads * lanes;
+                if (l.bytes_sent, l.bytes_received, l.sends, l.recvs)
+                    != (bytes, bytes, messages, messages)
+                    || l.class_bytes_sent.iter().any(|&b| b != 0)
+                {
+                    failures.push(format!("{label}: tree ledger {l:?}"));
                 }
             }
             failures
@@ -394,8 +496,22 @@ fn scheduled_ring_matches_the_scalar_reference() {
 
                 comm.reset_ledger();
                 let mut sched = CommScheduler::new();
-                sched.enqueue(7, 5, group, &input, op, path.wire, channels);
-                sched.enqueue(9, 0, group, &rival, ReduceOp::Sum, WireFormat::Dense, 1);
+                sched.enqueue(
+                    7,
+                    5,
+                    group,
+                    &input,
+                    op,
+                    ring(path.wire, lane_count(k, channels)),
+                );
+                sched.enqueue(
+                    9,
+                    0,
+                    group,
+                    &rival,
+                    ReduceOp::Sum,
+                    ring(WireFormat::Dense, 1),
+                );
                 let out = sched.wait(&comm, 7);
                 let rival_out = sched.wait(&comm, 9);
                 let l = comm.ledger();
@@ -510,8 +626,8 @@ fn switch_matches_the_ascending_saturating_fold() {
                     comm.reset_ledger();
                     let rival = Tensor::from_fn([7], DType::F32, |i| value(me + 3, i));
                     let mut sched = CommScheduler::new();
-                    sched.enqueue_switch(4, 6, group, &input, op);
-                    sched.enqueue(2, 0, group, &rival, op, WireFormat::Dense, 1);
+                    sched.enqueue(4, 6, group, &input, op, SWITCH);
+                    sched.enqueue(2, 0, group, &rival, op, ring(WireFormat::Dense, 1));
                     let out = sched.wait(&comm, 4);
                     let _ = sched.wait(&comm, 2);
                     let l = comm.ledger();
