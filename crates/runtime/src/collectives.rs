@@ -166,6 +166,10 @@ const LANE_BITS: u32 = MAX_CHANNELS.trailing_zeros();
 /// inside a `forward`) can never swallow their chunks, nor they its.
 const BLOCKING_TAGS: u64 = 1 << 63;
 
+/// The range of striped scheduler jobs' lanes; one-lane job ids stay
+/// below it, so a one-lane and a striped job never share a tag.
+const STRIPED_TAGS: u64 = 1 << 62;
+
 /// The single owner of the wire-tag layout of lane `lane` of `lanes`.
 ///
 /// * `job = None` — a blocking drive: `BLOCKING_TAGS | lane`. Every
@@ -174,12 +178,12 @@ const BLOCKING_TAGS: u64 = 1 << 63;
 /// * `job = Some(id)`, one lane — the caller's id, untouched, so a
 ///   one-lane job's [`Completion`](crate::Completion) carries the
 ///   logical id.
-/// * `job = Some(id)`, several lanes — `(id << 6) | lane`.
+/// * `job = Some(id)`, several lanes — `STRIPED_TAGS | (id << 6) | lane`.
 ///
 /// # Panics
 ///
 /// Panics (in every build profile) if `lane` is out of range or `id`
-/// would reach into the lane bits or the blocking range.
+/// would reach into the lane bits or the striped or blocking range.
 pub(crate) fn lane_tag(job: Option<u64>, lanes: usize, lane: usize) -> u64 {
     assert!(
         lane < lanes && lanes <= MAX_CHANNELS,
@@ -189,17 +193,17 @@ pub(crate) fn lane_tag(job: Option<u64>, lanes: usize, lane: usize) -> u64 {
         None => BLOCKING_TAGS | lane as u64,
         Some(id) if lanes == 1 => {
             assert!(
-                id < BLOCKING_TAGS,
-                "job id {id} is in the blocking tag range"
+                id < STRIPED_TAGS,
+                "job id {id} is in the blocking tag range or the striped one"
             );
             id
         }
         Some(id) => {
             assert!(
-                id < BLOCKING_TAGS >> LANE_BITS,
+                id < STRIPED_TAGS >> LANE_BITS,
                 "striped job id {id} overflows the lane-tagged id space"
             );
-            (id << LANE_BITS) | lane as u64
+            STRIPED_TAGS | (id << LANE_BITS) | lane as u64
         }
     }
 }
@@ -620,9 +624,17 @@ fn drive(
             ))
         })
         .collect();
-    let label = ["ring:rs", "ring:ag"][phase as usize];
+    let label = match phase {
+        RingPhase::ReduceScatter => "ring:rs",
+        RingPhase::AllGather => "ring:ag",
+        RingPhase::AllReduce => "ring:ar",
+    };
     run_blocking(comm, label, src.numel(), &mut ring);
-    ring.into_iter().map(Job::into_lane).collect()
+    let lane = |job| match job {
+        Job::Ring(lane) => lane,
+        _ => unreachable!("drive builds ring lanes only"),
+    };
+    ring.into_iter().map(lane).collect()
 }
 
 /// Concatenates one payload's lane stripes. A single lane's stripe *is*
@@ -1051,17 +1063,22 @@ mod tests {
     }
 
     /// One function owns the tag layout: scheduler ids that would reach
-    /// into the lane bits or the blocking range are rejected in every
-    /// build profile, and no scheduler tag can meet a blocking one.
+    /// into the lane bits, the striped range or the blocking range are
+    /// rejected in every build profile, no scheduler tag can meet a
+    /// blocking one, and no one-lane job's tag can meet a striped one's.
     #[test]
     fn lane_tags_keep_blocking_and_scheduled_ranges_apart() {
-        let widest_striped = (1u64 << 57) - 1;
-        let widest_single = (1u64 << 63) - 1;
+        let widest_striped = (1u64 << 56) - 1;
+        let widest_single = (1u64 << 62) - 1;
         for lanes in [1usize, 2, MAX_CHANNELS] {
             for lane in [0, lanes - 1] {
                 let blocking = lane_tag(None, lanes, lane);
                 assert_eq!(blocking >> 63, 1, "blocking tags own the top bit");
                 assert_eq!(blocking & 63, lane as u64);
+                for id in [0, 1, widest_striped] {
+                    let striped = u64::from(lanes > 1);
+                    assert_eq!(lane_tag(Some(id), lanes, lane) >> 62, striped);
+                }
                 let id = if lanes == 1 {
                     widest_single
                 } else {
@@ -1070,11 +1087,14 @@ mod tests {
                 assert_eq!(lane_tag(Some(id), lanes, lane) >> 63, 0);
             }
         }
-        // One lane keeps the caller's id; several shift it past the lane.
+        // One lane keeps the caller's id; several shift it past the lane
+        // into the striped range.
         assert_eq!(lane_tag(Some(41), 1, 0), 41);
-        assert_eq!(lane_tag(Some(41), 4, 3), (41 << 6) | 3);
-        // Distinct (id, lane) pairs of one width never share a tag.
+        assert_eq!(lane_tag(Some(41), 4, 3), (1 << 62) | (41 << 6) | 3);
+        // Distinct (id, lane) pairs of one width never share a tag, nor
+        // a one-lane job a lane of a striped one with a smaller id.
         assert_ne!(lane_tag(Some(1), 64, 0), lane_tag(Some(0), 64, 63));
+        assert_ne!(lane_tag(Some(1), 1, 0), lane_tag(Some(0), 3, 1));
     }
 
     #[test]

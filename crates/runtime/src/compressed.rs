@@ -22,7 +22,7 @@
 //! [`CommScheduler`](crate::CommScheduler).
 
 use coconet_compress::{sparse_all_reduce_rounds, sparsify_top_k, ErrorFeedback, WireFormat};
-use coconet_core::{nodes_spanned, CollAlgo, CollKind, CollSite, CommConfig, Executed};
+use coconet_core::{lane_count, nodes_spanned, CollAlgo, CollKind, CollSite, CommConfig, Executed};
 use coconet_tensor::{DType, ReduceOp, Shape, SparseChunk, Tensor};
 use coconet_trace as trace;
 use coconet_trace::EventKind;
@@ -167,13 +167,6 @@ impl Job {
         let Job::Ring(lane) = self else { return false };
         lane.send(comm)
     }
-
-    pub(crate) fn into_lane(self) -> RingLane {
-        let Job::Ring(lane) = self else {
-            unreachable!("a ring lane")
-        };
-        lane
-    }
 }
 
 /// The one blocking drive, in a `label` span over `elems` elements: per
@@ -198,7 +191,8 @@ pub(crate) fn run_blocking(comm: &RankComm, label: &'static str, elems: usize, j
 
 /// The jobs of the AllReduce `run` of `input` — the one place they are
 /// built: one per ring lane, or one tree, switch or sparse job, on the
-/// wire tags of `job` (`None`: the blocking drive's). A sparse job
+/// wire tags of `job` (`None`: the blocking drive's), the ring's and the
+/// tree's width clamped by [`lane_count`]. A sparse job
 /// takes the residual `ef` along and hands it back with the result
 /// ([`all_reduce_output`]). Performs no communication.
 ///
@@ -214,7 +208,8 @@ pub(crate) fn all_reduce_jobs(
     run: Executed,
     ef: Option<ErrorFeedback>,
 ) -> Vec<Job> {
-    let (wire, lanes, tag) = (run.format, run.lanes, lane_tag(job, 1, 0));
+    let (wire, tag) = (run.format, lane_tag(job, 1, 0));
+    let lanes = lane_count(group.size, run.lanes);
     let lane = |s| {
         let (tag, phase, source) = (lane_tag(job, lanes, s), RingPhase::AllReduce, input.clone());
         let source = ChunkSource::Whole(source);
@@ -397,14 +392,11 @@ impl SparseJob {
         let (p, rank) = (self.group.size, comm.rank());
         let me = self.group.position(rank);
         let doubling = p.is_power_of_two();
-        let (partner, ring) = (
-            self.group.rank_at(me ^ (1 << self.round)),
-            self.group.next(rank),
-        );
         let (to, from) = if doubling {
+            let partner = self.group.rank_at(me ^ (1 << self.round));
             (partner, partner)
         } else {
-            (ring, self.group.prev(rank))
+            (self.group.next(rank), self.group.prev(rank))
         };
         let sent = !self.sent;
         if sent {
@@ -416,9 +408,7 @@ impl SparseJob {
         }
         let theirs = match comm.take(from, Some(self.tag), Side::Worker, block) {
             Some(WireMsg::Sparse(theirs)) => theirs,
-            Some(msg) => {
-                unreachable!("the sparse exchange carries sparse chunks only, got {msg:?}")
-            }
+            Some(msg) => unreachable!("sparse jobs carry sparse chunks only, got {msg:?}"),
             None => return sent,
         };
         if doubling {

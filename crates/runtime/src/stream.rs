@@ -69,7 +69,8 @@ struct Queued {
 pub struct Completion {
     /// The finished job's id: the caller's id for an AllReduce that is
     /// one job (a one-lane ring, a tree, a switch or a sparse
-    /// exchange), `(id << 6) | lane` for each lane of a striped ring.
+    /// exchange), `2^62 | (id << 6) | lane` for each lane of a striped
+    /// ring.
     pub id: u64,
     /// The priority class the job ran at.
     pub class: u8,
@@ -113,7 +114,7 @@ impl CommScheduler {
     ///
     /// Each lane of a striped ring is its own queue entry, preempted and
     /// interleaved independently, riding the wire tagged
-    /// `(id << 6) | lane`; a one-lane ring, the tree (whose lanes are
+    /// `2^62 | (id << 6) | lane`; a one-lane ring, the tree (whose lanes are
     /// stripes of each payload), the switch and the sparse exchange are
     /// one entry each. [`wait`](CommScheduler::wait) on `id` collects
     /// the whole AllReduce.
@@ -121,8 +122,9 @@ impl CommScheduler {
     /// # Panics
     ///
     /// Panics if `run` is the hierarchical algorithm, or if `id` does
-    /// not fit the tag layout: `id < 2^63` for one lane, `id < 2^57` for
-    /// several (the rest is lane bits and the blocking range).
+    /// not fit the tag layout: `id < 2^62` for one lane, `id < 2^56` for
+    /// several (the rest is lane bits and the striped and blocking
+    /// ranges, which keep one-lane, striped and blocking tags apart).
     pub fn enqueue(
         &mut self,
         id: u64,
@@ -459,17 +461,8 @@ impl StreamExecutor {
         let layers = self.params.len();
         // What each layer's AllReduce runs as — resolved once per run,
         // never per hop; gradients have their parameter's size and type.
-        let sum = ReduceOp::Sum;
-        let resolve = |p: &StreamParam| {
-            executed(
-                self.config,
-                CollKind::AllReduce,
-                sum,
-                &p.value,
-                self.group,
-                0,
-            )
-        };
+        let (sum, kind) = (ReduceOp::Sum, CollKind::AllReduce);
+        let resolve = |p: &StreamParam| executed(self.config, kind, sum, &p.value, self.group, 0);
         let runs: Vec<Executed> = self.params.iter().map(resolve).collect();
         for _ in 0..iters {
             let iter = self.epoch;
@@ -608,64 +601,83 @@ mod tests {
         }
     }
 
-    /// A [`StreamExecutor`] of one `n`-element layer under `sched`,
-    /// routed through `algo` on `wire` over `channels`, produces the
-    /// same parameters as a loop calling that configuration's blocking
-    /// AllReduce — handed one persistent residual — once per
-    /// iteration, bit for bit.
+    /// A [`StreamExecutor`] of one layer per entry of `sizes` under
+    /// `sched`, routed through `algo` on `wire` over `channels`,
+    /// produces the same parameters as a loop calling that
+    /// configuration's blocking AllReduce — handed one persistent
+    /// residual per layer — once per layer and iteration, bit for bit.
     fn assert_stream_matches_blocking_loop(
         sched: CommSched,
         algo: CollAlgo,
         wire: WireFormat,
         channels: usize,
-        n: usize,
+        sizes: &'static [usize],
     ) {
         let k = 4usize;
         let iters = 6u64;
+        let grad = |rank: usize, iter: u64, p: &Tensor| {
+            let scale = (rank + 1) as f32 * 0.01 + iter as f32 * 0.001;
+            Tensor::from_fn(p.shape().clone(), DType::F32, |i| {
+                p.get(i) * scale + i as f32 * 0.1
+            })
+        };
+        let step = |p: &Tensor, g: &Tensor| {
+            Tensor::from_fn(p.shape().clone(), DType::F32, |i| {
+                p.get(i) - 0.05 * g.get(i)
+            })
+        };
         let results = run_ranks(k, move |comm| {
             let rng = CounterRng::new(23);
-            let init = Tensor::randn([n], DType::F32, rng, 1);
+            let init: Vec<Tensor> = (0..sizes.len())
+                .map(|l| Tensor::randn([sizes[l]], DType::F32, rng, 1 + l as u64))
+                .collect();
             let rank = comm.rank();
 
             // Streamed.
-            let mut exec = StreamExecutor::new(group_of(k), vec![init.clone()], sched, wire)
+            let mut exec = StreamExecutor::new(group_of(k), init.clone(), sched, wire)
                 .with_algo(algo)
                 .with_channels(channels);
             exec.run_iterations(
                 &comm,
                 iters,
                 |_, _, _| {},
-                move |_, iter, p| {
-                    let scale = (rank + 1) as f32 * 0.01 + iter as f32 * 0.001;
-                    Tensor::from_fn([n], DType::F32, |i| p.get(i) * scale + i as f32 * 0.1)
-                },
-                |_, p, g| {
-                    let step = Tensor::from_fn([n], DType::F32, |i| p.get(i) - 0.05 * g.get(i));
-                    *p = step;
-                },
+                move |_, iter, p| grad(rank, iter, p),
+                |_, p, g| *p = step(p, g),
             );
-            let streamed = exec.params().swap_remove(0);
+            let streamed = exec.params();
 
             // Blocking reference: same recurrence, blocking collective.
             let mut w = init;
-            let mut feedback = Some(ErrorFeedback::new());
+            let mut feedback: Vec<ErrorFeedback> =
+                sizes.iter().map(|_| ErrorFeedback::new()).collect();
             for iter in 0..iters {
-                let scale = (rank + 1) as f32 * 0.01 + iter as f32 * 0.001;
-                let g = Tensor::from_fn([n], DType::F32, |i| w.get(i) * scale + i as f32 * 0.1);
-                let (group, ef, sum) = (group_of(k), feedback.as_mut(), ReduceOp::Sum);
-                let reduced = crate::all_reduce_wire_striped(
-                    &comm, group, &g, sum, algo, 0, wire, ef, channels,
-                );
-                w = Tensor::from_fn([n], DType::F32, |i| w.get(i) - 0.05 * reduced.get(i));
+                for (w, ef) in w.iter_mut().zip(&mut feedback) {
+                    let (group, sum) = (group_of(k), ReduceOp::Sum);
+                    let g = grad(rank, iter, w);
+                    let reduced = crate::all_reduce_wire_striped(
+                        &comm,
+                        group,
+                        &g,
+                        sum,
+                        algo,
+                        0,
+                        wire,
+                        Some(ef),
+                        channels,
+                    );
+                    *w = step(w, &reduced);
+                }
             }
             (streamed, w)
         });
         for (streamed, blocking) in results {
-            assert_eq!(
-                streamed.to_f32_vec(),
-                blocking.to_f32_vec(),
-                "{sched} {algo} {wire} C={channels}"
-            );
+            for (s, b) in streamed.iter().zip(&blocking) {
+                assert_eq!(
+                    s.to_f32_vec(),
+                    b.to_f32_vec(),
+                    "{sched} {algo} {wire} C={channels} {sizes:?}"
+                );
+            }
         }
     }
 
@@ -677,7 +689,7 @@ mod tests {
             CollAlgo::Switch,
             WireFormat::Dense,
             1,
-            6,
+            &[6],
         );
     }
 
@@ -690,7 +702,7 @@ mod tests {
         for sched in CommSched::ALL {
             for channels in [1, 3] {
                 let (tree, dense) = (CollAlgo::Tree, WireFormat::Dense);
-                assert_stream_matches_blocking_loop(sched, tree, dense, channels, 6);
+                assert_stream_matches_blocking_loop(sched, tree, dense, channels, &[6]);
             }
         }
     }
@@ -706,7 +718,11 @@ mod tests {
     fn stream_executor_top_k_keeps_its_error_feedback_residual() {
         const TOP_K: WireFormat = WireFormat::TopK { k_permille: 100 };
         for sched in CommSched::ALL {
-            assert_stream_matches_blocking_loop(sched, CollAlgo::Ring, TOP_K, 1, 64);
+            assert_stream_matches_blocking_loop(sched, CollAlgo::Ring, TOP_K, 1, &[64]);
+            // A scalar layer falls back to the dense ring on three
+            // lanes, in flight beside the other layer's one-lane sparse
+            // job: their wire tags must not meet.
+            assert_stream_matches_blocking_loop(sched, CollAlgo::Ring, TOP_K, 3, &[1, 256]);
         }
     }
 

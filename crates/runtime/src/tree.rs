@@ -49,8 +49,9 @@ fn hops(pos: usize, k: usize) -> Vec<(usize, bool)> {
 pub(crate) struct TreeJob {
     /// Each lane's wire tag.
     tags: Vec<u64>,
-    /// `Some` when scheduled, `None` for a blocking drive (hop instants
-    /// then carry [`trace::JOB_NONE`]).
+    /// Every hop instant's id: the caller's, or [`trace::JOB_NONE`].
+    trace_id: u64,
+    /// `Some` when scheduled, `None` for a blocking drive.
     class: Option<u8>,
     group: Group,
     op: ReduceOp,
@@ -86,6 +87,7 @@ impl TreeJob {
         };
         TreeJob {
             tags: (0..lanes).map(|lane| lane_tag(job, lanes, lane)).collect(),
+            trace_id: class.map_or(trace::JOB_NONE, |_| lane_tag(job, 1, 0)),
             class,
             group,
             op,
@@ -119,8 +121,7 @@ impl TreeJob {
             }
             for (lane, stripe) in stripes(&self.acc, self.tags.len()).into_iter().enumerate() {
                 let (tag, bytes) = (self.tags[lane], stripe.size_bytes() as u64);
-                let id = self.class.map_or(trace::JOB_NONE, |_| tag);
-                trace::instant_lane(EventKind::Hop, "tree", lane as u32, id, bytes);
+                trace::instant_lane(EventKind::Hop, "tree", lane as u32, self.trace_id, bytes);
                 comm.send_tagged(peer, tag, self.class, WireMsg::Tensor(stripe));
             }
         } else {

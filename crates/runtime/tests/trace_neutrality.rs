@@ -117,27 +117,45 @@ proptest! {
 
 /// A traced priority-schedule run produces a well-formed trace: spans
 /// nested per thread, record timestamps monotone, every scheduler
-/// enqueue matched by a completion.
+/// enqueue matched by a completion, and every scheduled hop carrying
+/// the id of a job enqueued on its rank — a striped tree's too, whose
+/// lanes ride their own wire tags under one queue entry.
 #[test]
 fn priority_run_emits_a_well_formed_trace() {
     let _gate = GATE.lock().unwrap();
-    trace::clear();
-    trace::set_enabled(true);
-    let outcomes = run_loop(CollAlgo::Ring, WireFormat::Dense, CommSched::Priority, 2);
-    trace::set_enabled(false);
-    let events = trace::take_snapshot();
-    trace::clear();
+    for (algo, channels) in [(CollAlgo::Ring, 2), (CollAlgo::Tree, 3)] {
+        trace::clear();
+        trace::set_enabled(true);
+        let outcomes = run_loop(algo, WireFormat::Dense, CommSched::Priority, channels);
+        trace::set_enabled(false);
+        let events = trace::take_snapshot();
+        trace::clear();
 
-    assert!(!outcomes.is_empty());
-    assert!(
-        events.iter().any(|e| e.kind == trace::EventKind::Hop),
-        "no hop events recorded"
-    );
-    assert!(
-        events.iter().any(|e| e.kind == trace::EventKind::Compute),
-        "no compute spans recorded"
-    );
-    trace::wellformed::check_well_formed(&events).expect("trace well-formed");
+        assert!(!outcomes.is_empty());
+        assert!(
+            events.iter().any(|e| e.kind == trace::EventKind::Hop),
+            "no hop events recorded"
+        );
+        assert!(
+            events.iter().any(|e| e.kind == trace::EventKind::Compute),
+            "no compute spans recorded"
+        );
+        trace::wellformed::check_well_formed(&events).expect("trace well-formed");
+        let enqueued: std::collections::HashSet<(u32, u64)> = events
+            .iter()
+            .filter(|e| e.kind == trace::EventKind::SchedEnqueue)
+            .map(|e| (e.rank, e.a))
+            .collect();
+        let stray = events.iter().find(|e| {
+            e.kind == trace::EventKind::Hop
+                && e.a != trace::JOB_NONE
+                && !enqueued.contains(&(e.rank, e.a))
+        });
+        assert!(
+            stray.is_none(),
+            "{algo}: a hop names no enqueued job: {stray:?}"
+        );
+    }
 }
 
 /// The structured completion events come in priority order, with

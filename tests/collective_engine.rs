@@ -23,7 +23,7 @@
 //! rank's contribution is its product, spelled out as a triple loop.
 
 use coconet::compress::WireFormat;
-use coconet::core::{lane_count, CollAlgo, Executed};
+use coconet::core::{CollAlgo, Executed};
 use coconet::runtime::{
     all_reduce_wire_striped, chunk_range, overlapped_matmul_all_reduce, ring_all_gather,
     ring_all_reduce, ring_reduce_scatter, run_ranks, switch_all_reduce, CommScheduler, Group,
@@ -496,14 +496,7 @@ fn scheduled_ring_matches_the_scalar_reference() {
 
                 comm.reset_ledger();
                 let mut sched = CommScheduler::new();
-                sched.enqueue(
-                    7,
-                    5,
-                    group,
-                    &input,
-                    op,
-                    ring(path.wire, lane_count(k, channels)),
-                );
+                sched.enqueue(7, 5, group, &input, op, ring(path.wire, channels));
                 sched.enqueue(
                     9,
                     0,
