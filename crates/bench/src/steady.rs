@@ -31,8 +31,8 @@ use coconet_core::{
     KernelStep, ReduceOp as CoreReduceOp, Step,
 };
 use coconet_runtime::{
-    ring_all_reduce, ring_all_reduce_wire_bytes, run_ranks, BytesLedger, Group, StreamExecutor,
-    PRIORITY_CLASSES,
+    all_reduce_wire_striped, ring_all_reduce_wire_bytes, run_ranks, BytesLedger, Group,
+    StreamExecutor, PRIORITY_CLASSES,
 };
 use coconet_sim::Simulator;
 use coconet_tensor::{DType, ReduceOp, Tensor};
@@ -321,12 +321,15 @@ fn witness_run(sched: CommSched) -> (Vec<Tensor>, BytesLedger, Vec<u64>) {
                 // The barrier: every gradient synchronized by a
                 // blocking collective before the next forward.
                 for (l, g) in grads.into_iter().enumerate() {
-                    let reduced = ring_all_reduce(
+                    let reduced = all_reduce_wire_striped(
                         &comm,
                         group,
                         &g.expect("backward produced it"),
                         ReduceOp::Sum,
+                        CollAlgo::Ring,
+                        0,
                         WireFormat::Dense,
+                        None,
                         1,
                     );
                     apply_update(&mut params[l], &reduced);

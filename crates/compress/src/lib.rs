@@ -443,14 +443,16 @@ impl ErrorFeedback {
 
     /// Records what this iteration's wire dropped: `residual =
     /// corrected − sent`, where `corrected` is [`inject`]'s output and
-    /// `sent` is the chunk that actually traveled.
+    /// `sent` is the chunk that actually traveled. The residual is
+    /// `corrected`'s own buffer, written in place: once a residual
+    /// exists [`inject`] returns a fresh buffer and nothing is copied;
+    /// before that `corrected` is a handle of the caller's gradient,
+    /// which the write detaches (one copy) and so never mutates.
     ///
     /// [`inject`]: ErrorFeedback::inject
-    pub fn absorb(&mut self, corrected: &Tensor, sent: &SparseChunk) {
-        // A handle copy; taking the slice detaches it (one copy), so
-        // `corrected` is never observably mutated.
-        let mut r = corrected.cast(DType::F32);
-        let vals = r.as_f32_slice_mut().expect("residual is F32");
+    pub fn absorb(&mut self, corrected: Tensor, sent: &SparseChunk) {
+        let mut r = corrected;
+        let vals = r.as_f32_slice_mut().expect("inject's output is F32");
         for (i, v) in sent.entries() {
             vals[i as usize] -= v;
         }
@@ -748,7 +750,7 @@ mod tests {
         let corrected = ef.inject(&grad);
         assert_eq!(corrected.to_f32_vec(), grad.to_f32_vec());
         let sent = sparsify_top_k(&corrected, 2); // keeps 3.0 and -2.0
-        ef.absorb(&corrected, &sent);
+        ef.absorb(corrected, &sent);
         assert_eq!(
             ef.residual().unwrap().to_f32_vec(),
             vec![0.0, 0.5, 0.0, 0.25]

@@ -7,10 +7,15 @@
 //! precision kernels.
 //!
 //! The ring exists once, as the resumable `RingLane` state machine:
-//! wire format and channel count are parameters of it, and blocking
-//! versus scheduled execution is only a choice of who waits for the
-//! next hop (`run_blocking` here, the [`CommScheduler`](crate::CommScheduler)
-//! elsewhere).
+//! wire format and channel count are parameters of it, one builder
+//! (`compressed::collective_jobs`) makes every blocking collective's
+//! and every scheduled AllReduce's lanes, and blocking versus scheduled
+//! execution is only a choice of who waits for the next hop (the one
+//! blocking drive `compressed::run_blocking`, or the
+//! [`CommScheduler`](crate::CommScheduler)). The public way in is the
+//! dispatch ([`all_reduce_wire_striped`](crate::all_reduce_wire_striped)
+//! and its ReduceScatter and AllGather siblings), which resolves every
+//! call through [`CommConfig::executed_as`](coconet_core::CommConfig::executed_as).
 //!
 //! Data movement is minimal by construction: chunks travel as
 //! copy-on-write buffer handles (a send copies nothing, and the stripes
@@ -21,25 +26,17 @@
 //! suite asserts the exact bytes.
 
 use coconet_compress::WireFormat;
-use coconet_core::{lane_count, CollAlgo, Executed};
+use coconet_core::{CollAlgo, Executed};
 use coconet_tensor::{kernels, DType, ReduceOp, Shape, Tensor, F16};
 use coconet_trace as trace;
 use coconet_trace::metrics::Counter;
 use coconet_trace::EventKind;
 
 use crate::comm::{Side, WireMsg};
-use crate::compressed::{run_all_reduce, run_blocking, Job};
+use crate::compressed::{all_reduce_wire_striped, collective_jobs, run_blocking, Job};
 use crate::RankComm;
 
 pub use coconet_core::MAX_CHANNELS;
-
-/// Clamps a requested channel count into the executable
-/// `1..=`[`MAX_CHANNELS`] range (the guard of the directly callable
-/// collectives; configured runs are clamped by
-/// [`CommConfig::executed_as`](coconet_core::CommConfig::executed_as)).
-pub fn clamp_channels(channels: usize) -> usize {
-    channels.clamp(1, MAX_CHANNELS)
-}
 
 /// The `lanes` contiguous stripes of a payload — zero-copy views of
 /// exactly its bytes; `lanes <= 1` is the payload whole.
@@ -604,39 +601,6 @@ impl RingLane {
     }
 }
 
-/// Runs a ring collective over the whole tensor `src`: its `channels`
-/// lanes under the blocking tags and the blocking drive.
-fn drive(
-    comm: &RankComm,
-    phase: RingPhase,
-    group: Group,
-    src: &Tensor,
-    op: ReduceOp,
-    wire: WireFormat,
-    channels: usize,
-) -> Vec<RingLane> {
-    let lanes = lane_count(group.size, channels);
-    let mut ring: Vec<Job> = (0..lanes)
-        .map(|s| {
-            let (tag, source) = (lane_tag(None, lanes, s), ChunkSource::Whole(src.clone()));
-            Job::Ring(RingLane::new(
-                phase, tag, None, group, source, op, wire, lanes, s,
-            ))
-        })
-        .collect();
-    let label = match phase {
-        RingPhase::ReduceScatter => "ring:rs",
-        RingPhase::AllGather => "ring:ag",
-        RingPhase::AllReduce => "ring:ar",
-    };
-    run_blocking(comm, label, src.numel(), &mut ring);
-    let lane = |job| match job {
-        Job::Ring(lane) => lane,
-        _ => unreachable!("drive builds ring lanes only"),
-    };
-    ring.into_iter().map(lane).collect()
-}
-
 /// Concatenates one payload's lane stripes. A single lane's stripe *is*
 /// the payload, and the stripes of one sent buffer rejoin as the view
 /// covering them, so a striped receive copies nothing.
@@ -685,87 +649,57 @@ pub(crate) fn all_reduce_result(lanes: &[RingLane]) -> Tensor {
     out
 }
 
-/// Ring ReduceScatter: every rank contributes its full local tensor;
-/// the rank at group position `i` returns the fully reduced chunk `i`
-/// (flat element range `chunk_range(numel, k, i)`) — the ownership the
-/// paper's overlapped MatMul schedules against (§5.3).
-///
-/// Every hop's payload is encoded per `wire` (FP16 rounds each partial
-/// to half precision before it travels and halves the ledgered bytes;
-/// top-k has no ReduceScatter form and runs dense) and split across
-/// `channels` lanes (clamped to `1..=`[`MAX_CHANNELS`]). Results are
-/// bit-identical and per-rank wire bytes equal at every width.
-pub fn ring_reduce_scatter(
+/// The ring lanes of a finished blocking ring collective, in lane order.
+fn ring_lanes(jobs: Vec<Job>) -> impl Iterator<Item = RingLane> {
+    jobs.into_iter().map(|job| match job {
+        Job::Ring(lane) => lane,
+        _ => unreachable!("a ring collective runs ring lanes only"),
+    })
+}
+
+/// Ring ReduceScatter, the ring `run` of
+/// [`reduce_scatter_wire_striped`](crate::reduce_scatter_wire_striped):
+/// every rank contributes its full local tensor; the rank at group
+/// position `i` returns the fully reduced chunk `i` (flat element range
+/// `chunk_range(numel, k, i)`) — the ownership the paper's overlapped
+/// MatMul schedules against (§5.3). The shared builder's lanes under the
+/// blocking drive.
+pub(crate) fn reduce_scatter_ring(
     comm: &RankComm,
     group: Group,
     input: &Tensor,
     op: ReduceOp,
-    wire: WireFormat,
-    channels: usize,
+    run: Executed,
 ) -> Tensor {
-    let lanes = drive(
-        comm,
-        RingPhase::ReduceScatter,
-        group,
-        input,
-        op,
-        wire,
-        channels,
-    );
-    join_stripes(
-        lanes
-            .into_iter()
-            .map(|l| l.carry.expect("reduce-scatter ends owning its stripe"))
-            .collect(),
-    )
+    let phase = RingPhase::ReduceScatter;
+    let mut jobs = collective_jobs(None, None, phase, group, input, op, run, None);
+    run_blocking(comm, "ring:rs", input.numel(), &mut jobs);
+    let own = |l: RingLane| l.carry.expect("reduce-scatter ends owning its stripe");
+    join_stripes(ring_lanes(jobs).map(own).collect())
 }
 
-/// Ring AllGather: position `i` contributes chunk `i`; returns all `k`
-/// chunks in position order. The owned chunk is encoded once per
-/// `wire`, every hop forwards the encoded handle, and `channels` lanes
-/// each move one stripe of every chunk (see [`ring_reduce_scatter`]).
-pub fn ring_all_gather(
+/// Ring AllGather, the ring `run` of
+/// [`all_gather_wire_striped`](crate::all_gather_wire_striped): position
+/// `i` contributes chunk `i`; returns all `k` chunks in position order,
+/// each decoded once from the one encoded buffer its owner sent.
+pub(crate) fn all_gather_ring(
     comm: &RankComm,
     group: Group,
     chunk: &Tensor,
-    wire: WireFormat,
-    channels: usize,
+    run: Executed,
 ) -> Vec<Tensor> {
     // The gather folds nothing; the op is never read.
-    let op = ReduceOp::Sum;
-    let mut lanes = drive(comm, RingPhase::AllGather, group, chunk, op, wire, channels);
+    let (phase, op) = (RingPhase::AllGather, ReduceOp::Sum);
+    let mut jobs = collective_jobs(None, None, phase, group, chunk, op, run, None);
+    run_blocking(comm, "ring:ag", chunk.numel(), &mut jobs);
+    let mut lanes: Vec<RingLane> = ring_lanes(jobs).collect();
     (0..group.size)
         .map(|c| {
-            let encoded = join_stripes(
-                lanes
-                    .iter_mut()
-                    .map(|l| l.stripes[c].take().expect("all chunks gathered"))
-                    .collect(),
-            );
-            wire_decode(encoded, wire, chunk.dtype())
+            let stripe = |l: &mut RingLane| l.stripes[c].take().expect("all chunks gathered");
+            let encoded = join_stripes(lanes.iter_mut().map(stripe).collect());
+            wire_decode(encoded, run.format, chunk.dtype())
         })
         .collect()
-}
-
-/// Ring AllReduce — ReduceScatter then AllGather inside one lane run;
-/// returns the fully reduced tensor with the input's shape. `wire` and
-/// `channels` as for [`ring_reduce_scatter`]; under FP16 it moves
-/// exactly half the dense bytes on F32 payloads.
-pub fn ring_all_reduce(
-    comm: &RankComm,
-    group: Group,
-    input: &Tensor,
-    op: ReduceOp,
-    wire: WireFormat,
-    channels: usize,
-) -> Tensor {
-    let (algo, lanes) = (CollAlgo::Ring, lane_count(group.size, channels));
-    let run = Executed {
-        algo,
-        format: wire,
-        lanes,
-    };
-    run_all_reduce(comm, group, input, op, run, 0, None)
 }
 
 /// Broadcast from the group-relative `root` position. The root fans
@@ -810,19 +744,22 @@ pub fn reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp, root:
 /// Sums ship a two-float (hi, lo) representation to keep `f64`-ish
 /// precision for norms; min/max ship one value.
 pub fn all_reduce_scalar(comm: &RankComm, group: Group, value: f64, op: ReduceOp) -> f64 {
+    let (ring, dense) = (CollAlgo::Ring, WireFormat::Dense);
+    let dense_ring =
+        |t: &Tensor| all_reduce_wire_striped(comm, group, t, op, ring, 0, dense, None, 1);
     match op {
         ReduceOp::Sum => {
             let hi = value as f32;
             let lo = (value - f64::from(hi)) as f32;
             let t =
                 Tensor::from_f32([2], coconet_tensor::DType::F32, &[hi, lo]).expect("two elements");
-            let reduced = ring_all_reduce(comm, group, &t, op, WireFormat::Dense, 1);
+            let reduced = dense_ring(&t);
             f64::from(reduced.get(0)) + f64::from(reduced.get(1))
         }
         ReduceOp::Min | ReduceOp::Max => {
             let t = Tensor::from_f32([1], coconet_tensor::DType::F32, &[value as f32])
                 .expect("one element");
-            f64::from(ring_all_reduce(comm, group, &t, op, WireFormat::Dense, 1).get(0))
+            f64::from(dense_ring(&t).get(0))
         }
     }
 }
@@ -831,7 +768,20 @@ pub fn all_reduce_scalar(comm: &RankComm, group: Group, value: f64, op: ReduceOp
 mod tests {
     use super::*;
     use crate::comm::run_ranks;
+    use crate::compressed::tests::dense_ring;
+    use crate::{all_gather_wire_striped, reduce_scatter_wire_striped};
     use coconet_tensor::DType;
+
+    /// The dense one-lane ring ReduceScatter (sum) through the dispatch.
+    fn dense_reduce_scatter(comm: &RankComm, group: Group, input: &Tensor) -> Tensor {
+        let (sum, ring, dense) = (ReduceOp::Sum, CollAlgo::Ring, WireFormat::Dense);
+        reduce_scatter_wire_striped(comm, group, input, sum, ring, 0, dense, 1)
+    }
+
+    /// The dense one-lane ring AllGather through the dispatch.
+    fn dense_all_gather(comm: &RankComm, group: Group, chunk: &Tensor) -> Vec<Tensor> {
+        all_gather_wire_striped(comm, group, chunk, CollAlgo::Ring, 0, WireFormat::Dense, 1)
+    }
 
     #[test]
     fn chunk_ranges_tile_exactly() {
@@ -877,10 +827,9 @@ mod tests {
             let results = run_ranks(k, move |comm| {
                 let group = Group { start: 0, size: k };
                 let input = Tensor::from_fn([n], DType::F32, |i| (comm.rank() * 10 + i) as f32);
-                let ar = ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
-                let chunk =
-                    ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
-                let gathered = ring_all_gather(&comm, group, &chunk, WireFormat::Dense, 1);
+                let ar = dense_ring(&comm, group, &input, ReduceOp::Sum);
+                let chunk = dense_reduce_scatter(&comm, group, &input);
+                let gathered = dense_all_gather(&comm, group, &chunk);
                 (ar, chunk, gathered)
             });
             // Column sums over ranks: sum_r (10r + i) = 150 + 6i.
@@ -905,7 +854,7 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let group = Group { start: 0, size: k };
             let input = Tensor::from_fn([10], DType::F32, |i| (comm.rank() * 100 + i) as f32);
-            ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1)
+            dense_ring(&comm, group, &input, ReduceOp::Sum)
         });
         // Expected: sum over ranks of (100r + i) = 600 + 4i.
         for t in &results {
@@ -926,7 +875,7 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let group = Group { start: 0, size: k };
             let input = Tensor::from_fn([n], DType::F32, |i| i as f32);
-            ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1)
+            dense_reduce_scatter(&comm, group, &input)
         });
         for (r, t) in results.iter().enumerate() {
             let (off, len) = chunk_range(n, k, r);
@@ -944,7 +893,7 @@ mod tests {
             let group = Group { start: 0, size: k };
             let me = comm.rank();
             let chunk = Tensor::from_fn([4], DType::F32, |i| (me * 4 + i) as f32);
-            ring_all_gather(&comm, group, &chunk, WireFormat::Dense, 1)
+            dense_all_gather(&comm, group, &chunk)
         });
         for chunks in &results {
             let flat: Vec<f32> = chunks.iter().flat_map(|c| c.to_f32_vec()).collect();
@@ -959,10 +908,9 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let group = Group { start: 0, size: k };
             let input = Tensor::from_fn([n], DType::F32, |i| ((comm.rank() + 1) * (i + 1)) as f32);
-            let direct = ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
-            let chunk =
-                ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
-            let gathered = ring_all_gather(&comm, group, &chunk, WireFormat::Dense, 1);
+            let direct = dense_ring(&comm, group, &input, ReduceOp::Sum);
+            let chunk = dense_reduce_scatter(&comm, group, &input);
+            let gathered = dense_all_gather(&comm, group, &chunk);
             let mut composed = Tensor::zeros([n], DType::F32);
             let mut off = 0;
             for c in gathered {
@@ -986,7 +934,7 @@ mod tests {
                 Group { start: 2, size: 2 }
             };
             let input = Tensor::full([4], DType::F32, (comm.rank() + 1) as f32);
-            ring_all_reduce(&comm, g, &input, ReduceOp::Sum, WireFormat::Dense, 1)
+            dense_ring(&comm, g, &input, ReduceOp::Sum)
         });
         assert_eq!(results[0].get(0), 3.0); // 1 + 2
         assert_eq!(results[1].get(0), 3.0);
@@ -1024,8 +972,8 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let group = Group { start: 0, size: k };
             let input = Tensor::full([2], DType::F32, comm.rank() as f32);
-            let mn = ring_all_reduce(&comm, group, &input, ReduceOp::Min, WireFormat::Dense, 1);
-            let mx = ring_all_reduce(&comm, group, &input, ReduceOp::Max, WireFormat::Dense, 1);
+            let mn = dense_ring(&comm, group, &input, ReduceOp::Min);
+            let mx = dense_ring(&comm, group, &input, ReduceOp::Max);
             (mn, mx)
         });
         for (mn, mx) in &results {
@@ -1054,12 +1002,24 @@ mod tests {
         assert_eq!(g.position(6), 2);
     }
 
+    /// A requested width clamps into `1..=`[`MAX_CHANNELS`] lanes
+    /// (`executed_as` rule 7): a ring AllReduce over two ranks sends
+    /// two stripes per lane.
     #[test]
     fn channels_clamp_to_the_wire_tag_range() {
-        assert_eq!(clamp_channels(0), 1);
-        assert_eq!(clamp_channels(1), 1);
-        assert_eq!(clamp_channels(8), 8);
-        assert_eq!(clamp_channels(MAX_CHANNELS + 9), MAX_CHANNELS);
+        for (channels, lanes) in [(0, 1), (1, 1), (8, 8), (MAX_CHANNELS + 9, MAX_CHANNELS)] {
+            let sends = run_ranks(2, move |comm| {
+                let (group, input) = (
+                    Group { start: 0, size: 2 },
+                    Tensor::zeros([256], DType::F32),
+                );
+                let (sum, ring, dense) = (ReduceOp::Sum, CollAlgo::Ring, WireFormat::Dense);
+                comm.reset_ledger();
+                all_reduce_wire_striped(&comm, group, &input, sum, ring, 0, dense, None, channels);
+                comm.ledger().sends
+            });
+            assert_eq!(sends, vec![2 * lanes as u64; 2], "channels {channels}");
+        }
     }
 
     /// One function owns the tag layout: scheduler ids that would reach

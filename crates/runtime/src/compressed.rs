@@ -17,9 +17,12 @@
 //! [`CommConfig::executed_as`] what the configured algorithm, format and
 //! channel count really run as at this site — once per call, never per
 //! hop — and runs exactly that, so what the tuner priced is what runs.
-//! Every AllReduce but the hierarchical one runs as the jobs one place
-//! builds (`all_reduce_jobs`), under the blocking drive or polled by the
-//! [`CommScheduler`](crate::CommScheduler).
+//! They are the only public blocking AllReduce, ReduceScatter and
+//! AllGather. Every ring ReduceScatter and AllGather and every AllReduce
+//! but the hierarchical one runs as the jobs one place builds
+//! (`collective_jobs`), under the one blocking drive (`run_blocking`) or
+//! polled by the [`CommScheduler`](crate::CommScheduler); the
+//! hierarchical composition's intra-node rings are those jobs too.
 
 use coconet_compress::{sparse_all_reduce_rounds, sparsify_top_k, ErrorFeedback, WireFormat};
 use coconet_core::{lane_count, nodes_spanned, CollAlgo, CollKind, CollSite, CommConfig, Executed};
@@ -28,13 +31,11 @@ use coconet_trace as trace;
 use coconet_trace::EventKind;
 
 use crate::collectives::{
-    all_reduce_result, lane_tag, ring_all_gather, ring_reduce_scatter, ChunkSource, Group,
+    all_gather_ring, all_reduce_result, lane_tag, reduce_scatter_ring, ChunkSource, Group,
     RingLane, RingPhase,
 };
 use crate::comm::Side;
-use crate::hierarchical::{
-    hierarchical_all_gather, hierarchical_all_reduce, hierarchical_reduce_scatter,
-};
+use crate::hierarchical;
 use crate::switch::SwitchJob;
 use crate::tree::TreeJob;
 use crate::{RankComm, WireMsg};
@@ -119,12 +120,12 @@ pub(crate) fn run_all_reduce(
     ranks_per_node: usize,
     mut feedback: Option<&mut ErrorFeedback>,
 ) -> Tensor {
-    let (format, lanes) = (run.format, run.lanes);
     if run.algo == CollAlgo::Hierarchical {
-        return hierarchical_all_reduce(comm, group, input, op, ranks_per_node, format, lanes);
+        return hierarchical::all_reduce(comm, group, input, op, ranks_per_node, run);
     }
     let residual = feedback.as_mut().map(|ef| std::mem::take(&mut **ef));
-    let mut jobs = all_reduce_jobs(None, None, group, input, op, run, residual);
+    let phase = RingPhase::AllReduce;
+    let mut jobs = collective_jobs(None, None, phase, group, input, op, run, residual);
     run_blocking(comm, "all_reduce", input.numel(), &mut jobs);
     let (out, residual) = all_reduce_output(jobs);
     if let (Some(ef), Some(residual)) = (feedback, residual) {
@@ -189,19 +190,24 @@ pub(crate) fn run_blocking(comm: &RankComm, label: &'static str, elems: usize, j
     }
 }
 
-/// The jobs of the AllReduce `run` of `input` — the one place they are
-/// built: one per ring lane, or one tree, switch or sparse job, on the
-/// wire tags of `job` (`None`: the blocking drive's), the ring's and the
-/// tree's width clamped by [`lane_count`]. A sparse job
-/// takes the residual `ef` along and hands it back with the result
+/// The jobs of the collective `run` of `input` — the one place they are
+/// built, and the one place a blocking collective's or a scheduled
+/// AllReduce's ring lanes are: one job per lane of the ring `phase`, or
+/// an AllReduce's one tree, switch or sparse job, on the wire tags of
+/// `job` (`None`: the blocking drive's), the ring's and the tree's width
+/// clamped by [`lane_count`] (a scheduled job's [`Executed`] is the
+/// caller's, so its width can be anything). A sparse job takes the
+/// residual `ef` along and hands it back with the result
 /// ([`all_reduce_output`]). Performs no communication.
 ///
 /// # Panics
 ///
 /// Panics if `run` is the hierarchical algorithm, which is no job.
-pub(crate) fn all_reduce_jobs(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn collective_jobs(
     job: Option<u64>,
     class: Option<u8>,
+    phase: RingPhase,
     group: Group,
     input: &Tensor,
     op: ReduceOp,
@@ -211,8 +217,7 @@ pub(crate) fn all_reduce_jobs(
     let (wire, tag) = (run.format, lane_tag(job, 1, 0));
     let lanes = lane_count(group.size, run.lanes);
     let lane = |s| {
-        let (tag, phase, source) = (lane_tag(job, lanes, s), RingPhase::AllReduce, input.clone());
-        let source = ChunkSource::Whole(source);
+        let (tag, source) = (lane_tag(job, lanes, s), ChunkSource::Whole(input.clone()));
         let lane = RingLane::new(phase, tag, class, group, source, op, wire, lanes, s);
         Job::Ring(lane)
     };
@@ -242,9 +247,11 @@ pub(crate) fn all_reduce_output(jobs: Vec<Job>) -> (Tensor, Option<ErrorFeedback
 
 /// ReduceScatter under a full communication configuration: group
 /// position `i` returns the fully reduced flat chunk `i` of `input`
-/// (see [`ring_reduce_scatter`]). The tree and the switch have no
-/// scatter form and top-k no sparse one; what runs is the ring or the
-/// hierarchical algorithm on the dense or FP16 wire.
+/// (flat element range `chunk_range(numel, k, i)`). The tree and the
+/// switch have no scatter form and top-k no sparse one; what runs is
+/// the ring or the hierarchical algorithm on the dense or FP16 wire,
+/// striped over the resolved lanes. Results are bit-identical and
+/// per-rank wire bytes equal at every width.
 #[allow(clippy::too_many_arguments)]
 pub fn reduce_scatter_wire_striped(
     comm: &RankComm,
@@ -260,23 +267,18 @@ pub fn reduce_scatter_wire_striped(
     let kind = CollKind::ReduceScatter;
     let run = executed(config, kind, op, input, group, ranks_per_node);
     match run.algo {
-        CollAlgo::Ring => ring_reduce_scatter(comm, group, input, op, run.format, run.lanes),
-        CollAlgo::Hierarchical => hierarchical_reduce_scatter(
-            comm,
-            group,
-            input,
-            op,
-            ranks_per_node,
-            run.format,
-            run.lanes,
-        ),
+        CollAlgo::Ring => reduce_scatter_ring(comm, group, input, op, run),
+        CollAlgo::Hierarchical => {
+            hierarchical::reduce_scatter(comm, group, input, op, ranks_per_node, run)
+        }
         CollAlgo::Tree | CollAlgo::Switch => unreachable!("{kind} resolves to the ring"),
     }
 }
 
-/// AllGather under a full communication configuration: returns every
-/// position's chunk in position order (see [`ring_all_gather`]);
-/// resolved like [`reduce_scatter_wire_striped`].
+/// AllGather under a full communication configuration: position `i`
+/// contributes chunk `i`, and every rank returns all the chunks in
+/// position order, each encoded once by its owner; resolved like
+/// [`reduce_scatter_wire_striped`].
 pub fn all_gather_wire_striped(
     comm: &RankComm,
     group: Group,
@@ -290,10 +292,8 @@ pub fn all_gather_wire_striped(
     let kind = CollKind::AllGather;
     let run = executed(config, kind, ReduceOp::Sum, chunk, group, ranks_per_node);
     match run.algo {
-        CollAlgo::Ring => ring_all_gather(comm, group, chunk, run.format, run.lanes),
-        CollAlgo::Hierarchical => {
-            hierarchical_all_gather(comm, group, chunk, ranks_per_node, run.format, run.lanes)
-        }
+        CollAlgo::Ring => all_gather_ring(comm, group, chunk, run),
+        CollAlgo::Hierarchical => hierarchical::all_gather(comm, group, chunk, ranks_per_node, run),
         CollAlgo::Tree | CollAlgo::Switch => unreachable!("{kind} resolves to the ring"),
     }
 }
@@ -346,7 +346,7 @@ impl SparseJob {
             sparsify_top_k(&corrected, k)
         };
         if let Some(ef) = feedback.as_mut() {
-            ef.absorb(&corrected, &own);
+            ef.absorb(corrected, &own);
         }
         let mut job = SparseJob {
             tag,
@@ -438,7 +438,18 @@ impl SparseJob {
 pub(crate) mod tests {
     use super::*;
     use crate::comm::run_ranks;
-    use crate::ring_all_reduce;
+
+    /// The dense one-lane ring AllReduce through the dispatch — the
+    /// reference the other algorithms' tests compare against.
+    pub(crate) fn dense_ring(
+        comm: &RankComm,
+        group: Group,
+        input: &Tensor,
+        op: ReduceOp,
+    ) -> Tensor {
+        let (ring, dense) = (CollAlgo::Ring, WireFormat::Dense);
+        all_reduce_wire_striped(comm, group, input, op, ring, 0, dense, None, 1)
+    }
 
     /// The sparse exchange under the blocking drive, run whatever the
     /// dense switchover would say.
@@ -479,14 +490,7 @@ pub(crate) mod tests {
                     WireFormat::TopK { k_permille: 1000 },
                     None,
                 );
-                let dense = ring_all_reduce(
-                    &comm,
-                    group_of(k),
-                    &input,
-                    ReduceOp::Sum,
-                    WireFormat::Dense,
-                    1,
-                );
+                let dense = dense_ring(&comm, group_of(k), &input, ReduceOp::Sum);
                 (sparse, dense)
             });
             for (r, (sparse, dense)) in results.iter().enumerate() {
@@ -582,14 +586,7 @@ pub(crate) mod tests {
         let results = run_ranks(k, move |comm| {
             let input =
                 Tensor::from_fn([n], DType::F32, |i| ((comm.rank() * 13 + i) as f32) / 16.0);
-            let dense = ring_all_reduce(
-                &comm,
-                group_of(k),
-                &input,
-                ReduceOp::Sum,
-                WireFormat::Dense,
-                1,
-            );
+            let dense = dense_ring(&comm, group_of(k), &input, ReduceOp::Sum);
             let mut outs = Vec::new();
             for algo in CollAlgo::ALL {
                 for format in WireFormat::SWEEP {

@@ -11,18 +11,24 @@
 //! position `i` owns chunk `i` after a ReduceScatter — so they compose
 //! with each other and with the ring variants interchangeably, which
 //! is what the semantics-preservation property tests machine-check.
+//! They are reached only through the dispatch
+//! ([`all_reduce_wire_striped`](crate::all_reduce_wire_striped) and its
+//! ReduceScatter and AllGather siblings), and their intra-node rings are
+//! the ring collectives' own lanes under the one blocking drive.
 //!
 //! `node_size` is the number of consecutive group ranks per node
 //! (`Cluster::node_of` maps consecutive global ranks to nodes the same
-//! way). `0`, or a value covering the whole group, means the group
-//! fits one node and the algorithms degenerate to the flat ring.
+//! way). A group on one node — `node_size` `0`, or a value covering
+//! the whole group — never gets here:
+//! [`CommConfig::executed_as`](coconet_core::CommConfig::executed_as)
+//! rule 3 resolves a hierarchical collective there to the flat ring.
 
-use coconet_compress::WireFormat;
+use coconet_core::{CollAlgo, Executed};
 use coconet_tensor::{ReduceOp, Tensor};
 
 use crate::collectives::{
-    chunk_range, clamp_channels, fold_hop, recv_striped, ring_all_gather, ring_reduce_scatter,
-    send_striped, wire_decode, wire_encode, Group,
+    all_gather_ring, chunk_range, fold_hop, recv_striped, reduce_scatter_ring, send_striped,
+    wire_decode, wire_encode, Group,
 };
 use crate::RankComm;
 
@@ -87,37 +93,35 @@ fn slice_or_empty(t: &Tensor, off: usize, len: usize) -> Tensor {
     }
 }
 
-/// Whether `node_size` actually splits the group into multiple nodes.
-fn is_flat(group: Group, node_size: usize) -> bool {
-    coconet_core::nodes_spanned(group.size, node_size) <= 1
+/// The ring `run` of a hierarchical `run`'s intra-node phases.
+fn intra_node(run: Executed) -> Executed {
+    Executed {
+        algo: CollAlgo::Ring,
+        ..run
+    }
 }
 
 /// Hierarchical ReduceScatter: intra-node ring ReduceScatter, chunk
 /// hand-off to the node leader, a direct superchunk exchange across
 /// node leaders over the inter-node fabric, and an intra-node scatter
-/// of the final chunks. Same postcondition as
-/// [`ring_reduce_scatter`](crate::ring_reduce_scatter): group position
-/// `i` returns owning the fully reduced flat chunk
+/// of the final chunks. Same postcondition as the ring's: group
+/// position `i` returns owning the fully reduced flat chunk
 /// `chunk_range(numel, k, i)`.
 ///
-/// Every payload of every phase is encoded per `wire` and striped over
-/// `channels` lanes: the intra-node rings run the ring lanes, and the
-/// leader hand-offs, the superchunk exchange, and the final scatter
-/// each travel as `channels` zero-copy stripe views. Byte totals and
+/// Every payload of every phase is encoded per `run.format` and striped
+/// over `run.lanes` lanes: the intra-node rings run the ring lanes, and
+/// the leader hand-offs, the superchunk exchange, and the final scatter
+/// each travel as that many zero-copy stripe views. Byte totals and
 /// results are unchanged at every width.
-pub fn hierarchical_reduce_scatter(
+pub(crate) fn reduce_scatter(
     comm: &RankComm,
     group: Group,
     input: &Tensor,
     op: ReduceOp,
     node_size: usize,
-    wire: WireFormat,
-    channels: usize,
+    run: Executed,
 ) -> Tensor {
-    let channels = clamp_channels(channels);
-    if is_flat(group, node_size) {
-        return ring_reduce_scatter(comm, group, input, op, wire, channels);
-    }
+    let (wire, channels) = (run.format, run.lanes);
     let k = group.size;
     let n = input.numel();
     let dtype = input.dtype();
@@ -125,7 +129,7 @@ pub fn hierarchical_reduce_scatter(
 
     // Phase 1: intra-node ring ReduceScatter — local position `j` owns
     // the node-reduced chunk `chunk_range(n, sub.size, j)`.
-    let local_chunk = ring_reduce_scatter(comm, g.sub, input, op, wire, channels);
+    let local_chunk = reduce_scatter_ring(comm, g.sub, input, op, intra_node(run));
 
     if g.local_pos != 0 {
         // Phase 2: hand the node-reduced chunk to the leader; phase 4:
@@ -203,27 +207,22 @@ pub fn hierarchical_reduce_scatter(
 
 /// Hierarchical AllGather: intra-node ring AllGather, a chunk exchange
 /// across node leaders, and an intra-node forward of the remote
-/// chunks. Same postcondition as
-/// [`ring_all_gather`](crate::ring_all_gather): every rank returns all
+/// chunks. Same postcondition as the ring's: every rank returns all
 /// `k` chunks in group-position order.
 ///
-/// Chunks travel encoded per `wire` across the leader exchange and the
-/// intra-node forward (one decode per chunk per rank at the phase
-/// boundaries), every one as `channels` zero-copy stripe views of its
-/// encoded buffer. Byte totals and results are unchanged at every
-/// width.
-pub fn hierarchical_all_gather(
+/// Chunks travel encoded per `run.format` across the leader exchange
+/// and the intra-node forward (one decode per chunk per rank at the
+/// phase boundaries), every one as `run.lanes` zero-copy stripe views
+/// of its encoded buffer. Byte totals and results are unchanged at
+/// every width.
+pub(crate) fn all_gather(
     comm: &RankComm,
     group: Group,
     chunk: &Tensor,
     node_size: usize,
-    wire: WireFormat,
-    channels: usize,
+    run: Executed,
 ) -> Vec<Tensor> {
-    let channels = clamp_channels(channels);
-    if is_flat(group, node_size) {
-        return ring_all_gather(comm, group, chunk, wire, channels);
-    }
+    let (wire, channels) = (run.format, run.lanes);
     let k = group.size;
     let dtype = chunk.dtype();
     let g = NodeGeom::new(comm, group, node_size);
@@ -234,7 +233,7 @@ pub fn hierarchical_all_gather(
     // forward (leader exchange and intra-node fan-out) is a buffer
     // handle of the already-encoded payload, and every rank decodes
     // each chunk exactly once at the end.
-    let node_chunks = ring_all_gather(comm, g.sub, chunk, wire, channels);
+    let node_chunks = all_gather_ring(comm, g.sub, chunk, intra_node(run));
 
     let mut all: Vec<Option<Tensor>> = vec![None; k];
     for (j, c) in node_chunks.into_iter().enumerate() {
@@ -298,20 +297,19 @@ pub fn hierarchical_all_gather(
 
 /// Hierarchical AllReduce = hierarchical ReduceScatter ∘ hierarchical
 /// AllGather; returns the fully reduced tensor with the input's shape,
-/// exactly like [`ring_all_reduce`](crate::ring_all_reduce). Under FP16
-/// the two-level exchange moves exactly half the dense bytes on F32
-/// payloads; bit-identical at every `channels` width.
-pub(crate) fn hierarchical_all_reduce(
+/// exactly like the ring. Under FP16 the two-level exchange moves
+/// exactly half the dense bytes on F32 payloads; bit-identical at every
+/// `run.lanes` width.
+pub(crate) fn all_reduce(
     comm: &RankComm,
     group: Group,
     input: &Tensor,
     op: ReduceOp,
     node_size: usize,
-    wire: WireFormat,
-    channels: usize,
+    run: Executed,
 ) -> Tensor {
-    let my_chunk = hierarchical_reduce_scatter(comm, group, input, op, node_size, wire, channels);
-    let chunks = hierarchical_all_gather(comm, group, &my_chunk, node_size, wire, channels);
+    let my_chunk = reduce_scatter(comm, group, input, op, node_size, run);
+    let chunks = all_gather(comm, group, &my_chunk, node_size, run);
     let parts: Vec<&Tensor> = chunks.iter().collect();
     let joined = Tensor::concat(&parts, 0).expect("chunks share one dtype");
     joined
@@ -323,8 +321,27 @@ pub(crate) fn hierarchical_all_reduce(
 mod tests {
     use super::*;
     use crate::comm::run_ranks;
-    use crate::{ring_all_reduce, ring_reduce_scatter};
+    use crate::compressed::tests::dense_ring;
+    use crate::{all_gather_wire_striped, all_reduce_wire_striped, reduce_scatter_wire_striped};
+    use coconet_compress::WireFormat;
     use coconet_tensor::DType;
+
+    const HIER: CollAlgo = CollAlgo::Hierarchical;
+
+    /// The dense one-lane hierarchical AllReduce through the dispatch.
+    fn hier(comm: &RankComm, g: Group, input: &Tensor, op: ReduceOp, node_size: usize) -> Tensor {
+        all_reduce_wire_striped(
+            comm,
+            g,
+            input,
+            op,
+            HIER,
+            node_size,
+            WireFormat::Dense,
+            None,
+            1,
+        )
+    }
 
     #[test]
     fn hierarchical_allreduce_matches_ring_across_geometries() {
@@ -334,17 +351,8 @@ mod tests {
                     let group = Group { start: 0, size: k };
                     let input =
                         Tensor::from_fn([n], DType::F32, |i| ((comm.rank() + 1) * (i + 3)) as f32);
-                    let hier = hierarchical_all_reduce(
-                        &comm,
-                        group,
-                        &input,
-                        ReduceOp::Sum,
-                        node_size,
-                        WireFormat::Dense,
-                        1,
-                    );
-                    let ring =
-                        ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
+                    let hier = hier(&comm, group, &input, ReduceOp::Sum, node_size);
+                    let ring = dense_ring(&comm, group, &input, ReduceOp::Sum);
                     (hier, ring)
                 });
                 for (r, (hier, ring)) in results.iter().enumerate() {
@@ -364,18 +372,11 @@ mod tests {
         let results = run_ranks(k, move |comm| {
             let group = Group { start: 0, size: k };
             let input = Tensor::from_fn([n], DType::F32, |i| i as f32);
-            let hier = hierarchical_reduce_scatter(
-                &comm,
-                group,
-                &input,
-                ReduceOp::Sum,
-                node_size,
-                WireFormat::Dense,
-                1,
-            );
-            let ring =
-                ring_reduce_scatter(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
-            (hier, ring)
+            let (sum, dense) = (ReduceOp::Sum, WireFormat::Dense);
+            let scatter = |algo| {
+                reduce_scatter_wire_striped(&comm, group, &input, sum, algo, node_size, dense, 1)
+            };
+            (scatter(HIER), scatter(CollAlgo::Ring))
         });
         for (r, (hier, ring)) in results.iter().enumerate() {
             let (off, len) = chunk_range(n, k, r);
@@ -394,7 +395,7 @@ mod tests {
             let group = Group { start: 0, size: k };
             let me = comm.rank();
             let chunk = Tensor::from_fn([3], DType::F32, |i| (me * 3 + i) as f32);
-            hierarchical_all_gather(&comm, group, &chunk, node_size, WireFormat::Dense, 1)
+            all_gather_wire_striped(&comm, group, &chunk, HIER, node_size, WireFormat::Dense, 1)
         });
         for chunks in &results {
             let flat: Vec<f32> = chunks.iter().flat_map(|c| c.to_f32_vec()).collect();
@@ -402,6 +403,8 @@ mod tests {
         }
     }
 
+    /// A group on one node runs the flat ring (`executed_as` rule 3):
+    /// the ring's value and its `2(k−1)` sends.
     #[test]
     fn degenerate_node_size_falls_back_to_ring() {
         let k = 4usize;
@@ -409,18 +412,13 @@ mod tests {
             let results = run_ranks(k, move |comm| {
                 let group = Group { start: 0, size: k };
                 let input = Tensor::full([5], DType::F32, (comm.rank() + 1) as f32);
-                hierarchical_all_reduce(
-                    &comm,
-                    group,
-                    &input,
-                    ReduceOp::Sum,
-                    node_size,
-                    WireFormat::Dense,
-                    1,
-                )
+                comm.reset_ledger();
+                let out = hier(&comm, group, &input, ReduceOp::Sum, node_size);
+                (out, comm.ledger().sends)
             });
-            for t in &results {
+            for (t, sends) in &results {
                 assert_eq!(t.get(0), 10.0, "node_size={node_size}");
+                assert_eq!(*sends, 2 * (k as u64 - 1), "node_size={node_size}");
             }
         }
     }
@@ -436,10 +434,8 @@ mod tests {
                 Group { start: 4, size: 4 }
             };
             let input = Tensor::full([2], DType::F32, comm.rank() as f32);
-            let mn =
-                hierarchical_all_reduce(&comm, g, &input, ReduceOp::Min, 2, WireFormat::Dense, 1);
-            let mx =
-                hierarchical_all_reduce(&comm, g, &input, ReduceOp::Max, 2, WireFormat::Dense, 1);
+            let mn = hier(&comm, g, &input, ReduceOp::Min, 2);
+            let mx = hier(&comm, g, &input, ReduceOp::Max, 2);
             (mn, mx)
         });
         for (r, (mn, mx)) in results.iter().enumerate() {
@@ -460,17 +456,8 @@ mod tests {
             let results = run_ranks(k, move |comm| {
                 let group = Group { start: 0, size: k };
                 let input = Tensor::from_fn([n], DType::F32, |i| (comm.rank() + i) as f32);
-                let hier = hierarchical_all_reduce(
-                    &comm,
-                    group,
-                    &input,
-                    ReduceOp::Sum,
-                    node_size,
-                    WireFormat::Dense,
-                    1,
-                );
-                let ring =
-                    ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
+                let hier = hier(&comm, group, &input, ReduceOp::Sum, node_size);
+                let ring = dense_ring(&comm, group, &input, ReduceOp::Sum);
                 (hier, ring)
             });
             for (hier, ring) in &results {

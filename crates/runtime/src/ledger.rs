@@ -319,12 +319,28 @@ mod tests {
 
     mod collective_volumes {
         use coconet_compress::WireFormat;
+        use coconet_core::CollAlgo;
         use coconet_tensor::{DType, ReduceOp, Tensor};
 
         use crate::comm::run_ranks;
-        use crate::hierarchical::hierarchical_all_reduce;
+        use crate::compressed::tests::dense_ring;
         use crate::tree::tests::tree_all_reduce;
-        use crate::{ring_all_reduce, ring_all_reduce_wire_bytes, BytesLedger, Group};
+        use crate::{all_reduce_wire_striped, ring_all_reduce_wire_bytes, BytesLedger, Group};
+
+        /// The blocking hierarchical AllReduce through the dispatch.
+        fn hier(
+            comm: &crate::RankComm,
+            group: Group,
+            input: &Tensor,
+            node_size: usize,
+            wire: WireFormat,
+            channels: usize,
+        ) -> Tensor {
+            let (sum, algo) = (ReduceOp::Sum, CollAlgo::Hierarchical);
+            all_reduce_wire_striped(
+                comm, group, input, sum, algo, node_size, wire, None, channels,
+            )
+        }
 
         fn metered<T: Send + 'static>(
             k: usize,
@@ -350,7 +366,7 @@ mod tests {
         fn ring_all_reduce_moves_exactly_the_analytic_volume() {
             let (k, n, ds) = (4usize, 64usize, DType::F32.size_bytes());
             let results = metered(k, |comm, group, input| {
-                ring_all_reduce(comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1)
+                dense_ring(comm, group, &input, ReduceOp::Sum)
             });
             let wire = ring_all_reduce_wire_bytes(n, k, DType::F32);
             assert_eq!(wire, (2 * (k - 1) * (n / k) * ds) as u64);
@@ -419,10 +435,10 @@ mod tests {
                     tree_all_reduce(comm, group, &input, op, wire, channels)
                 });
                 let flat = metered(k, move |comm, group, input| {
-                    hierarchical_all_reduce(comm, group, &input, op, 1, wire, channels)
+                    hier(comm, group, &input, 1, wire, channels)
                 });
                 let paired = metered(k, move |comm, group, input| {
-                    hierarchical_all_reduce(comm, group, &input, op, 2, wire, channels)
+                    hier(comm, group, &input, 2, wire, channels)
                 });
                 let cases = [
                     ("tree", tree, [2 * n, 0, n, 0]),
@@ -482,7 +498,7 @@ mod tests {
         fn hierarchical_all_reduce_reports_analytic_volume() {
             let (k, n, ds) = (4usize, 64usize, DType::F32.size_bytes());
             let results = metered(k, |comm, group, input| {
-                hierarchical_all_reduce(comm, group, &input, ReduceOp::Sum, 2, WireFormat::Dense, 1)
+                hier(comm, group, &input, 2, WireFormat::Dense, 1)
             });
             let leader = (5 * n / 2 * ds) as u64;
             let member = (5 * n / 4 * ds) as u64;
@@ -502,7 +518,6 @@ mod tests {
         /// separately, so the `2·n` claim holds for it too.
         #[test]
         fn switch_all_reduce_moves_exactly_two_n_per_worker() {
-            use crate::switch::switch_all_reduce;
             use crate::switch_all_reduce_wire_bytes;
 
             let n = 64usize;
@@ -510,7 +525,8 @@ mod tests {
             assert_eq!(per_worker, 2 * n as u64 * 4);
             for k in [2usize, 4, 8, 16] {
                 let results = metered(k, |comm, group, input| {
-                    switch_all_reduce(comm, group, &input, ReduceOp::Sum)
+                    let (sum, switch, dense) = (ReduceOp::Sum, CollAlgo::Switch, WireFormat::Dense);
+                    all_reduce_wire_striped(comm, group, &input, sum, switch, 0, dense, None, 1)
                 });
                 for (rank, (out, l)) in results.iter().enumerate() {
                     assert_eq!(out.numel(), n);
@@ -541,9 +557,6 @@ mod tests {
         /// always the fixed-point `i32` word, so FP16 changes nothing.
         #[test]
         fn fp16_wire_moves_exactly_half_the_dense_bytes() {
-            use crate::compressed::all_reduce_wire_striped;
-            use coconet_core::CollAlgo;
-
             let k = 4usize;
             for algo in CollAlgo::ALL {
                 let results = run_ranks(k, move |comm| {
@@ -608,11 +621,15 @@ mod tests {
         /// `log2(p) · k · 8` per rank on power-of-two groups
         /// (recursive doubling), `(p−1) · k · 8` on the AllGather form
         /// — independent of the data, because every chunk is padded to
-        /// exactly `k` entries.
+        /// exactly `k` entries. Error feedback costs one copy on write,
+        /// once: the first exchange's residual starts as a copy of the
+        /// caller's gradient, and every later one is written into the
+        /// fresh buffer the re-injection returns.
         #[test]
         fn top_k_all_reduce_moves_exactly_the_analytic_volume() {
             use crate::compressed::tests::sparse_all_reduce;
             use crate::top_k_all_reduce_wire_bytes;
+            use coconet_compress::ErrorFeedback;
 
             let n = 1000usize;
             let k_permille = 10u16; // k = 10 entries of 8 bytes
@@ -628,15 +645,18 @@ mod tests {
                             (comm.rank() * 31 + i) as f32 / 97.0
                         }
                     });
+                    let top_k = WireFormat::TopK { k_permille };
                     comm.reset_ledger();
-                    let _ = sparse_all_reduce(
-                        &comm,
-                        group,
-                        &input,
-                        WireFormat::TopK { k_permille },
-                        None,
-                    );
-                    comm.ledger()
+                    let _ = sparse_all_reduce(&comm, group, &input, top_k, None);
+                    let one_shot = comm.ledger();
+                    let mut ef = ErrorFeedback::new();
+                    let mut fed = Vec::new();
+                    for _ in 0..3 {
+                        comm.reset_ledger();
+                        let _ = sparse_all_reduce(&comm, group, &input, top_k, Some(&mut ef));
+                        fed.push(comm.ledger());
+                    }
+                    (one_shot, fed)
                 });
                 let want = top_k_all_reduce_wire_bytes(n, p, k_permille);
                 let rounds = if p.is_power_of_two() {
@@ -645,10 +665,17 @@ mod tests {
                     p as u64 - 1
                 };
                 assert_eq!(want, rounds * 10 * 8, "p={p}");
-                for (rank, l) in results.iter().enumerate() {
+                for (rank, (l, fed)) in results.iter().enumerate() {
                     assert_eq!(l.bytes_sent, want, "p={p} rank {rank}: {l:?}");
                     assert_eq!(l.bytes_received, want, "p={p} rank {rank}");
                     assert_eq!(l.sends, rounds, "p={p} rank {rank}");
+                    assert_eq!((l.cow_copies, l.cow_bytes), (0, 0), "p={p} rank {rank}");
+                    for (iter, f) in fed.iter().enumerate() {
+                        let cow = if iter == 0 { (1, 4 * n as u64) } else { (0, 0) };
+                        let label = format!("p={p} rank {rank} iter {iter}: {f:?}");
+                        assert_eq!((f.cow_copies, f.cow_bytes), cow, "{label}");
+                        assert_eq!((f.bytes_sent, f.sends), (want, rounds), "{label}");
+                    }
                 }
             }
         }
@@ -681,10 +708,10 @@ mod tests {
                 let group = Group { start: 0, size: k };
                 let input = Tensor::from_fn([8], DType::F32, |i| i as f32);
                 comm.reset_ledger();
-                let _ = ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
+                let _ = dense_ring(&comm, group, &input, ReduceOp::Sum);
                 let first = comm.ledger();
                 comm.reset_ledger();
-                let _ = ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
+                let _ = dense_ring(&comm, group, &input, ReduceOp::Sum);
                 (first, comm.ledger())
             });
             for (first, second) in results {

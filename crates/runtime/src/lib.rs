@@ -56,10 +56,7 @@ mod stream;
 mod switch;
 mod tree;
 
-pub use collectives::{
-    all_reduce_scalar, broadcast, chunk_range, clamp_channels, reduce, ring_all_gather,
-    ring_all_reduce, ring_reduce_scatter, Group, MAX_CHANNELS,
-};
+pub use collectives::{all_reduce_scalar, broadcast, chunk_range, reduce, Group, MAX_CHANNELS};
 pub use comm::{run_ranks, RankComm, WireMsg};
 pub use compressed::{
     all_gather_wire_striped, all_reduce_wire_striped, reduce_scatter_wire_striped,
@@ -70,11 +67,9 @@ pub use executor::{
     run_program, run_program_per_element, run_segment_alone, InitValue, Inputs, KernelStats,
     RunOptions, RunResult,
 };
-pub use hierarchical::{hierarchical_all_gather, hierarchical_reduce_scatter};
 pub use ledger::{
     ring_all_reduce_wire_bytes, switch_all_reduce_wire_bytes, top_k_all_reduce_wire_bytes,
     BytesLedger, PRIORITY_CLASSES,
 };
 pub use overlap_exec::{overlapped_matmul_all_reduce, production_order};
 pub use stream::{CommScheduler, Completion, StreamExecutor};
-pub use switch::switch_all_reduce;

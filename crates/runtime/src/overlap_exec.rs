@@ -22,9 +22,9 @@
 //!
 //! A GEMM row block is bit-identical to the same rows of the full
 //! product (every element accumulates over the contraction dimension in
-//! the same order), so the result is
-//! `ring_all_reduce(a.matmul(w))` bit for bit — wire tags, ledger
-//! class and trace events included.
+//! the same order), so the result is the dense one-lane ring AllReduce
+//! of `a.matmul(w)` bit for bit — wire tags, ledger class and trace
+//! events included.
 
 use coconet_compress::WireFormat;
 use coconet_tensor::{DType, ReduceOp, Shape, Tensor, TensorError};
@@ -45,7 +45,7 @@ pub fn production_order(pos: usize, k: usize) -> Vec<usize> {
 /// Executes `AllReduce(op, a @ w)` with the fine-grained overlap
 /// schedule: the ring pulls each output chunk from the MatMul as it
 /// first needs it (see the module docs). Returns the replicated result,
-/// bit-identical to `ring_all_reduce(a.matmul(w))`.
+/// bit-identical to the dense one-lane ring AllReduce of `a.matmul(w)`.
 ///
 /// # Errors
 ///
@@ -106,7 +106,7 @@ pub fn overlapped_matmul_all_reduce(
 mod tests {
     use super::*;
     use crate::comm::{run_ranks, Side, WireMsg};
-    use crate::ring_all_reduce;
+    use crate::compressed::tests::dense_ring;
     use coconet_tensor::CounterRng;
     use std::sync::{Arc, Mutex};
 
@@ -155,8 +155,7 @@ mod tests {
                 ))];
                 run_blocking(&comm, "ring:ar", n, &mut lane);
                 let pulled = all_reduce_output(lane).0;
-                let whole =
-                    ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
+                let whole = dense_ring(&comm, group, &input, ReduceOp::Sum);
                 let calls = calls.lock().unwrap().clone();
                 (calls, pulled, whole)
             });
@@ -184,8 +183,7 @@ mod tests {
             let ledger = comm.ledger();
             let product = a.matmul(&w).unwrap();
             comm.reset_ledger();
-            let sequential =
-                ring_all_reduce(&comm, group, &product, ReduceOp::Sum, WireFormat::Dense, 1);
+            let sequential = dense_ring(&comm, group, &product, ReduceOp::Sum);
             (overlapped, sequential, ledger, comm.ledger())
         });
         for (overlapped, sequential, ledger, ring_ledger) in &results {

@@ -8,7 +8,7 @@
 //!
 //! * [`CommScheduler`] owns in-flight AllReduce jobs of every
 //!   algorithm, built where the blocking dispatch builds its own
-//!   (`compressed::all_reduce_jobs`), and services them in strict
+//!   (`compressed::collective_jobs`), and services them in strict
 //!   `(priority class, enqueue order)`
 //!   order: each scheduling round runs one hop of the highest-priority
 //!   job that can make progress. A high-priority job enqueued late
@@ -44,9 +44,9 @@ use coconet_trace::EventKind;
 
 use std::collections::HashMap;
 
-use crate::collectives::{lane_tag, Group};
+use crate::collectives::{lane_tag, Group, RingPhase};
 use crate::comm::RankComm;
-use crate::compressed::{all_reduce_jobs, all_reduce_output, executed, Job};
+use crate::compressed::{all_reduce_output, collective_jobs, executed, Job};
 use crate::ledger::PRIORITY_CLASSES;
 
 /// A queued job: its wire id, the AllReduce it is one of `parts` jobs
@@ -135,7 +135,8 @@ impl CommScheduler {
         run: Executed,
     ) {
         let class = class.min(PRIORITY_CLASSES as u8 - 1);
-        let jobs = all_reduce_jobs(Some(id), Some(class), group, input, op, run, None);
+        let (job, phase) = (Some(id), RingPhase::AllReduce);
+        let jobs = collective_jobs(job, Some(class), phase, group, input, op, run, None);
         self.admit(id, class, jobs);
     }
 
@@ -493,8 +494,9 @@ impl StreamExecutor {
                 let feedback = run
                     .is_sparse()
                     .then(|| std::mem::take(&mut self.params[l].feedback));
+                let (job, phase) = (Some(id), RingPhase::AllReduce);
                 let jobs =
-                    all_reduce_jobs(Some(id), Some(class), self.group, &g, sum, run, feedback);
+                    collective_jobs(job, Some(class), phase, self.group, &g, sum, run, feedback);
                 self.scheduler.admit(id, class, jobs);
                 self.params[l].pending = Some(id);
             }
@@ -526,9 +528,9 @@ impl StreamExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::ring_all_reduce;
     use crate::comm::tests::panic_message;
     use crate::comm::{run_ranks, WireMsg};
+    use crate::compressed::tests::dense_ring;
     use crate::BytesLedger;
     use coconet_tensor::{CounterRng, DType};
 
@@ -563,21 +565,24 @@ mod tests {
     /// and both match their blocking references.
     #[test]
     fn switch_and_ring_jobs_compose_under_priority() {
-        use crate::switch::switch_all_reduce;
         let k = 4usize;
         let results = run_ranks(k, move |comm| {
             let rng = CounterRng::new(7);
             let late = Tensor::randn([11], DType::F32, rng, (comm.rank() * 10) as u64);
             let urgent = Tensor::randn([11], DType::F32, rng, (comm.rank() * 10 + 5) as u64);
-            let ref_late = ring_all_reduce(
+            let ref_late = dense_ring(&comm, group_of(k), &late, ReduceOp::Sum);
+            let (sum, switch, dense) = (ReduceOp::Sum, CollAlgo::Switch, WireFormat::Dense);
+            let ref_urgent = crate::all_reduce_wire_striped(
                 &comm,
                 group_of(k),
-                &late,
-                ReduceOp::Sum,
-                WireFormat::Dense,
+                &urgent,
+                sum,
+                switch,
+                0,
+                dense,
+                None,
                 1,
             );
-            let ref_urgent = switch_all_reduce(&comm, group_of(k), &urgent, ReduceOp::Sum);
             let mut sched = CommScheduler::new();
             sched.enqueue(
                 100,
@@ -748,16 +753,9 @@ mod tests {
                 .collect();
             let mut want: Vec<Tensor> = grads
                 .iter()
-                .map(|g| ring_all_reduce(&comm, group_of(k), g, sum, dense, 1))
+                .map(|g| dense_ring(&comm, group_of(k), g, sum))
                 .collect();
-            want.push(ring_all_reduce(
-                &comm,
-                group_of(k),
-                &a.matmul(&w).unwrap(),
-                sum,
-                dense,
-                1,
-            ));
+            want.push(dense_ring(&comm, group_of(k), &a.matmul(&w).unwrap(), sum));
 
             let mut sched = CommScheduler::new();
             for (l, g) in grads.iter().enumerate().rev() {
@@ -823,14 +821,7 @@ mod tests {
                     |_, p, g| *p = p.sub(g).unwrap(),
                 );
                 let product = a.matmul(&w).unwrap();
-                let alone = ring_all_reduce(
-                    &comm,
-                    group_of(k),
-                    &product,
-                    ReduceOp::Sum,
-                    WireFormat::Dense,
-                    1,
-                );
+                let alone = dense_ring(&comm, group_of(k), &product, ReduceOp::Sum);
                 (exec.params(), products, alone.to_f32_vec())
             })
         };
@@ -854,22 +845,8 @@ mod tests {
             let rng = CounterRng::new(7);
             let late = Tensor::randn([11], DType::F32, rng, (comm.rank() * 10) as u64);
             let urgent = Tensor::randn([11], DType::F32, rng, (comm.rank() * 10 + 5) as u64);
-            let ref_late = ring_all_reduce(
-                &comm,
-                group_of(k),
-                &late,
-                ReduceOp::Sum,
-                WireFormat::Dense,
-                1,
-            );
-            let ref_urgent = ring_all_reduce(
-                &comm,
-                group_of(k),
-                &urgent,
-                ReduceOp::Sum,
-                WireFormat::Dense,
-                1,
-            );
+            let ref_late = dense_ring(&comm, group_of(k), &late, ReduceOp::Sum);
+            let ref_urgent = dense_ring(&comm, group_of(k), &urgent, ReduceOp::Sum);
             let mut sched = CommScheduler::new();
             // Enqueue order is backprop order: the last-consumed tensor
             // appears first.
@@ -1032,7 +1009,6 @@ mod tests {
     /// as the six calls together.
     #[test]
     fn mixed_jobs_drain_to_their_blocking_results() {
-        use crate::switch::switch_all_reduce;
         let k = 4usize;
         let results = run_ranks(k, move |comm| {
             let rng = CounterRng::new(17);
@@ -1062,17 +1038,9 @@ mod tests {
                 (4, tree_in, sum, tree_run),
                 (5, sparse_in, sum, sparse_run),
             ];
-            let blocking = |t: &Tensor, op, run: Executed| match run.algo {
-                CollAlgo::Switch => switch_all_reduce(&comm, group, t, op),
-                CollAlgo::Ring if !run.is_sparse() => {
-                    ring_all_reduce(&comm, group, t, op, run.format, run.lanes)
-                }
-                algo => {
-                    let (format, lanes) = (run.format, run.lanes);
-                    crate::all_reduce_wire_striped(
-                        &comm, group, t, op, algo, 0, format, None, lanes,
-                    )
-                }
+            let blocking = |t: &Tensor, op, run: Executed| {
+                let (algo, format, lanes) = (run.algo, run.format, run.lanes);
+                crate::all_reduce_wire_striped(&comm, group, t, op, algo, 0, format, None, lanes)
             };
             let want: Vec<(Tensor, BytesLedger)> = jobs
                 .iter()

@@ -18,23 +18,29 @@
 //! Determinism contract: saturating integer addition is not
 //! associative at the saturation boundary, so the dataplane waits for
 //! every contribution and folds them in ascending group-position
-//! order. The algorithm exists once, as the resumable `SwitchJob`:
-//! [`switch_all_reduce`] parks on the inbox for each leg, the
-//! [`CommScheduler`](crate::CommScheduler) polls — same legs, same
-//! fold, bit-identical results.
+//! order. The algorithm exists once, as the resumable `SwitchJob`: a
+//! blocking [`all_reduce_wire_striped`](crate::all_reduce_wire_striped)
+//! under [`CollAlgo::Switch`](coconet_core::CollAlgo::Switch) parks on
+//! the inbox for each leg, the [`CommScheduler`](crate::CommScheduler)
+//! polls — same legs, same fold, bit-identical results.
+//!
+//! Wire cost per worker: `n·4` bytes sent, `n·4` bytes received — see
+//! [`switch_all_reduce_wire_bytes`](crate::switch_all_reduce_wire_bytes).
+//! The values carry the fixed-point round-trip error of
+//! [`coconet_compress::quantize_value`] (≤ `2^-16` per contribution
+//! before reduction); `Min`/`Max` are exact in ordering because the
+//! quantizer is monotone.
 //!
 //! [`BytesLedger::switch_bytes_sent`]: crate::BytesLedger::switch_bytes_sent
 //! [`switch_bytes_recv`]: crate::BytesLedger::switch_bytes_recv
 
-use coconet_compress::{QuantChunk, WireFormat};
-use coconet_core::{CollAlgo, Executed};
+use coconet_compress::QuantChunk;
 use coconet_tensor::{DType, ReduceOp, Shape, Tensor};
 use coconet_trace as trace;
 use coconet_trace::EventKind;
 
 use crate::collectives::Group;
 use crate::comm::{RankComm, Side, WireMsg};
-use crate::compressed::run_all_reduce;
 
 /// Folds `contribs` in ascending position order — the one fold order
 /// the switch uses, because saturating adds do not commute with
@@ -200,37 +206,21 @@ impl SwitchJob {
     }
 }
 
-/// Blocking AllReduce through the emulated aggregation switch: one
-/// switch job under the blocking drive, parked on the inbox for each
-/// leg.
-///
-/// Wire cost per worker: `n·4` bytes sent, `n·4` bytes received — see
-/// [`switch_all_reduce_wire_bytes`](crate::switch_all_reduce_wire_bytes).
-/// The values carry the fixed-point round-trip error of
-/// [`coconet_compress::quantize_value`] (≤ `2^-16` per contribution
-/// before reduction); `Min`/`Max` are exact in ordering because the
-/// quantizer is monotone.
-///
-/// # Panics
-///
-/// Panics if `comm.rank()` is not a member of `group`.
-pub fn switch_all_reduce(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
-    let (algo, format) = (CollAlgo::Switch, WireFormat::Dense);
-    let run = Executed {
-        algo,
-        format,
-        lanes: 1,
-    };
-    run_all_reduce(comm, group, input, op, run, 0, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::all_reduce_wire_striped;
     use crate::comm::run_ranks;
-    use crate::ring_all_reduce;
+    use crate::compressed::tests::dense_ring;
     use coconet_compress::WireFormat;
+    use coconet_core::CollAlgo;
     use coconet_tensor::DType;
+
+    /// The blocking switch AllReduce through the dispatch.
+    fn via_switch(comm: &RankComm, group: Group, input: &Tensor, op: ReduceOp) -> Tensor {
+        let (switch, dense) = (CollAlgo::Switch, WireFormat::Dense);
+        all_reduce_wire_striped(comm, group, input, op, switch, 0, dense, None, 1)
+    }
 
     #[test]
     fn matches_ring_all_reduce_within_quantization_error() {
@@ -240,10 +230,8 @@ mod tests {
                 let input = Tensor::from_fn([4, 8], DType::F32, |i| {
                     ((comm.rank() * 37 + i) as f32).sin() * 3.0
                 });
-                let via_switch = switch_all_reduce(&comm, group, &input, ReduceOp::Sum);
-                let via_ring =
-                    ring_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
-                (via_switch, via_ring)
+                let switched = via_switch(&comm, group, &input, ReduceOp::Sum);
+                (switched, dense_ring(&comm, group, &input, ReduceOp::Sum))
             });
             for (rank, (s, r)) in results.iter().enumerate() {
                 assert_eq!(s.shape(), r.shape(), "k={k} rank {rank}");
@@ -267,7 +255,7 @@ mod tests {
             let input = Tensor::from_fn([32], DType::F32, |i| {
                 (comm.rank() as f32 + 0.5) * (i as f32)
             });
-            switch_all_reduce(&comm, group, &input, ReduceOp::Sum)
+            via_switch(&comm, group, &input, ReduceOp::Sum)
         });
         let reference = &results[0];
         for (rank, out) in results.iter().enumerate() {
@@ -290,7 +278,7 @@ mod tests {
                 let input = Tensor::from_fn([16], DType::F32, |i| {
                     (comm.rank() as f32 - 1.5) * 2.0 + i as f32
                 });
-                switch_all_reduce(&comm, group, &input, op)
+                via_switch(&comm, group, &input, op)
             });
             for out in &results {
                 for i in 0..out.numel() {
@@ -324,7 +312,7 @@ mod tests {
                 size: 2,
             };
             let input = Tensor::full([8], DType::F32, comm.rank() as f32 + 1.0);
-            switch_all_reduce(&comm, group, &input, ReduceOp::Sum)
+            via_switch(&comm, group, &input, ReduceOp::Sum)
         });
         assert_eq!(results[0].get(0), 3.0); // ranks 0+1: 1+2
         assert_eq!(results[1].get(0), 3.0);

@@ -155,12 +155,13 @@ impl TreeJob {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::compressed::run_all_reduce;
-    use coconet_core::{lane_count, CollAlgo, Executed};
+    use crate::all_reduce_wire_striped;
+    use crate::compressed::tests::dense_ring;
+    use coconet_core::CollAlgo;
     use std::thread;
 
-    /// The blocking tree AllReduce: its one job under the blocking
-    /// drive.
+    /// The blocking tree AllReduce through the dispatch: its one job
+    /// under the blocking drive.
     pub(crate) fn tree_all_reduce(
         comm: &RankComm,
         group: Group,
@@ -169,13 +170,8 @@ pub(crate) mod tests {
         wire: WireFormat,
         channels: usize,
     ) -> Tensor {
-        let lanes = lane_count(group.size, channels);
-        let run = Executed {
-            algo: CollAlgo::Tree,
-            format: wire,
-            lanes,
-        };
-        run_all_reduce(comm, group, input, op, run, 0, None)
+        let tree = CollAlgo::Tree;
+        all_reduce_wire_striped(comm, group, input, op, tree, 0, wire, None, channels)
     }
 
     fn run_tree(k: usize) -> Vec<Tensor> {
@@ -224,14 +220,7 @@ pub(crate) mod tests {
                         Tensor::from_fn([13], DType::F32, |i| (comm.rank() * 31 + i * 7) as f32);
                     let tree =
                         tree_all_reduce(&comm, group, &input, ReduceOp::Sum, WireFormat::Dense, 1);
-                    let ring = crate::ring_all_reduce(
-                        &comm,
-                        group,
-                        &input,
-                        ReduceOp::Sum,
-                        WireFormat::Dense,
-                        1,
-                    );
+                    let ring = dense_ring(&comm, group, &input, ReduceOp::Sum);
                     (tree, ring)
                 })
             })

@@ -25,8 +25,8 @@
 use coconet::compress::WireFormat;
 use coconet::core::{CollAlgo, Executed};
 use coconet::runtime::{
-    all_reduce_wire_striped, chunk_range, overlapped_matmul_all_reduce, ring_all_gather,
-    ring_all_reduce, ring_reduce_scatter, run_ranks, switch_all_reduce, CommScheduler, Group,
+    all_gather_wire_striped, all_reduce_wire_striped, chunk_range, overlapped_matmul_all_reduce,
+    reduce_scatter_wire_striped, run_ranks, CommScheduler, Group,
 };
 use coconet::tensor::{DType, ReduceOp, Tensor};
 
@@ -254,7 +254,10 @@ fn blocking_ring_matches_the_scalar_reference() {
 
                 // AllReduce: bits and the whole per-rank ledger.
                 comm.reset_ledger();
-                let out = ring_all_reduce(&comm, group, &input, op, path.wire, channels);
+                let (ring, wire) = (CollAlgo::Ring, path.wire);
+                let out = all_reduce_wire_striped(
+                    &comm, group, &input, op, ring, 0, wire, None, channels,
+                );
                 let l = comm.ledger();
                 let want = all_reduce_reference(&inputs, op, path.rounding());
                 if out.shape() != input.shape() || bits(&out) != want_bits(&want) {
@@ -271,7 +274,8 @@ fn blocking_ring_matches_the_scalar_reference() {
 
                 // ReduceScatter: position `me` owns reduced chunk `me`.
                 comm.reset_ledger();
-                let chunk = ring_reduce_scatter(&comm, group, &input, op, path.wire, channels);
+                let chunk =
+                    reduce_scatter_wire_striped(&comm, group, &input, op, ring, 0, wire, channels);
                 let l = comm.ledger();
                 let (off, len) = chunk_range(n, k, me);
                 let want: Vec<f32> = (off..off + len)
@@ -289,7 +293,7 @@ fn blocking_ring_matches_the_scalar_reference() {
                 // the codec exactly once.
                 comm.reset_ledger();
                 let own = input.slice_flat(off, len).expect("in range");
-                let chunks = ring_all_gather(&comm, group, &own, path.wire, channels);
+                let chunks = all_gather_wire_striped(&comm, group, &own, ring, 0, wire, channels);
                 let l = comm.ledger();
                 let held: Vec<Vec<u32>> = chunks.iter().map(bits).collect();
                 let want: Vec<Vec<u32>> = (0..k)
@@ -604,7 +608,10 @@ fn switch_matches_the_ascending_saturating_fold() {
                     let dataplane = if me == 0 { k as u64 * words } else { 0 };
 
                     comm.reset_ledger();
-                    let out = switch_all_reduce(&comm, group, &input, op);
+                    let (switch, dense) = (CollAlgo::Switch, WireFormat::Dense);
+                    let out = all_reduce_wire_striped(
+                        &comm, group, &input, op, switch, 0, dense, None, 1,
+                    );
                     let l = comm.ledger();
                     if bits(&out) != want_bits(&want) {
                         failures.push(format!("{label}: blocking switch bits"));

@@ -28,7 +28,7 @@ fn pool_jobs(f: impl FnOnce()) -> usize {
     jobs
 }
 
-fn ring_all_reduce(ranks: usize, format: WireFormat) {
+fn ring_world_all_reduce(ranks: usize, format: WireFormat) {
     run_ranks(ranks, move |comm| {
         let n = 1 << 20;
         let x = Tensor::from_fn([n], DType::F32, |i| (i % 1013) as f32 * 0.01);
@@ -78,7 +78,7 @@ fn fused_adam(ranks: usize) {
 fn a_full_world_never_touches_the_pool() {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     for format in [WireFormat::Dense, WireFormat::Fp16] {
-        let jobs = pool_jobs(|| ring_all_reduce(cores, format));
+        let jobs = pool_jobs(|| ring_world_all_reduce(cores, format));
         assert_eq!(jobs, 0, "{format:?} ring AllReduce on {cores} ranks");
     }
     assert_eq!(

@@ -11,8 +11,8 @@ use coconet::models::optimizers::{apply_optimizer_schedule, optimizer_program, r
 use coconet::models::pipeline::{apply_pipeline_schedule, PipelineSchedule};
 use coconet::models::{Hyper, Optimizer, OptimizerSchedule};
 use coconet::runtime::{
-    hierarchical_all_gather, hierarchical_reduce_scatter, ring_all_reduce, run_program, run_ranks,
-    Group, Inputs, RunOptions,
+    all_gather_wire_striped, all_reduce_wire_striped, reduce_scatter_wire_striped, run_program,
+    run_ranks, Group, Inputs, RunOptions,
 };
 use coconet::sim::Simulator;
 use coconet::tensor::{CounterRng, Tensor};
@@ -564,11 +564,11 @@ proptest! {
             let input = Tensor::from_fn([numel], DType::F32, |i| {
                 ((seed as usize + comm.rank() * 31 + i * 7) % 17) as f32 - 8.0
             });
-            let wire = WireFormat::Dense;
-            let reference = ring_all_reduce(&comm, group, &input, op, wire, 1);
+            let (wire, ring, hier) = (WireFormat::Dense, CollAlgo::Ring, CollAlgo::Hierarchical);
+            let reference = all_reduce_wire_striped(&comm, group, &input, op, ring, 0, wire, None, 1);
             let chunk =
-                hierarchical_reduce_scatter(&comm, group, &input, op, node_size, wire, 1);
-            let gathered = hierarchical_all_gather(&comm, group, &chunk, node_size, wire, 1);
+                reduce_scatter_wire_striped(&comm, group, &input, op, hier, node_size, wire, 1);
+            let gathered = all_gather_wire_striped(&comm, group, &chunk, hier, node_size, wire, 1);
             let mut composed = Tensor::zeros([numel], DType::F32);
             let mut off = 0;
             for c in gathered {
